@@ -11,12 +11,6 @@ from .errors import TooFewClients
 
 
 @dataclass(frozen=True)
-class MultiKrumConfig:
-    f: int
-    m: int
-
-
-@dataclass(frozen=True)
 class DnCConfig:
     n_iters: int = 1
     sub_dim: int = 1000

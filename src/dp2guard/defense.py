@@ -60,29 +60,36 @@ def spectral_scores(matrix: np.ndarray, direction: np.ndarray) -> np.ndarray:
 def median_cosines(matrix: np.ndarray) -> np.ndarray:
     """Per-row median cosine similarity against all other rows.
 
-    Each pair is computed as dot / (norm * norm) so results are bit-equal
-    to a scalar pairwise evaluation regardless of vectorized-kernel
-    summation order.  Zero rows carry no direction: they score 0 and
-    contribute 0 to other rows' medians.
+    Each pair is computed as dot / (norm * norm), and every dot product
+    (norms included) is one BLAS ``ddot`` over a single pair of rows, the
+    same kernel that scalar ``gi @ gj`` and ``np.linalg.norm`` call.  The
+    result is therefore bit-equal to a scalar pairwise evaluation, so
+    ``detection.csv`` does not depend on how the pairs are batched.  Keep
+    the per-row-pair ``np.vecdot`` form: the matrix-vector product
+    ``rows[i+1:] @ rows[i]`` and the Gram matrix ``rows @ rows.T`` sum in
+    another order and differ in the last bits at realistic shapes such as
+    50 x 7850.  The Gram form still matches at 6 x 4, so only tests at
+    realistic shapes catch it.
+
+    Zero rows carry no direction: they score 0 and contribute 0 to other
+    rows' medians.
     """
     rows = np.asarray(matrix, dtype=np.float64)
     n = rows.shape[0]
-    norms = np.array([np.linalg.norm(rows[i]) for i in range(n)])
+    norms = np.sqrt(np.vecdot(rows, rows))
     zero = norms <= _ZERO_NORM
+    safe = np.where(zero, 1.0, norms)
     cos = np.zeros((n, n))
-    for i in range(n):
+    for i in range(n - 1):
         if zero[i]:
             continue
-        for j in range(i + 1, n):
-            if zero[j]:
-                continue
-            value = (rows[i] @ rows[j]) / (norms[i] * norms[j])
-            cos[i, j] = value
-            cos[j, i] = value
-    out = np.empty(n)
-    for i in range(n):
-        others = np.delete(cos[i], i)
-        out[i] = 0.0 if zero[i] else float(np.median(others))
+        value = np.vecdot(rows[i + 1:], rows[i]) / (safe[i] * safe[i + 1:])
+        value[zero[i + 1:]] = 0.0
+        cos[i, i + 1:] = value
+        cos[i + 1:, i] = value
+    others = cos[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    out = np.median(others, axis=1)
+    out[zero] = 0.0
     return out
 
 

@@ -37,10 +37,6 @@ class TooFewClients(ValueError):
     """An aggregation rule received fewer clients than it tolerates."""
 
 
-class AllFiltered(RuntimeError):
-    """A filtering aggregator rejected every client."""
-
-
 class AllZeroTrust(RuntimeError):
     """Every trust score is zero, so weights cannot be normalized."""
 

@@ -8,7 +8,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -95,9 +95,23 @@ class ExperimentConfig:
         if not 1 <= self.scale_bits <= 48:
             raise ConfigError("scale_bits must be in [1, 48]")
         if self.attack is not None:
-            self.parse_attack()
+            spec = self.parse_attack()
+            if isinstance(spec, attacks.LabelFlipSpec):
+                n_classes = self.synth_classes if self.dataset == "synthetic" else 10
+                if not isinstance(spec.offset, int) or not 1 <= spec.offset < n_classes:
+                    raise ConfigError(
+                        f"label_flip offset must be an integer in [1, {n_classes})")
+                if not 0 < spec.fraction <= 1:
+                    raise ConfigError("label_flip fraction must be in (0, 1]")
         elif self.adv_ratio > 0:
             raise ConfigError("adv_ratio > 0 requires an attack")
+        if self.aggregator == "multikrum":
+            f, m = _multikrum_params(self)
+            if self.n_clients < 2 * f + 3:
+                raise ConfigError(
+                    f"multikrum needs n >= 2f+3, got n={self.n_clients}, f={f}")
+            if not 1 <= m <= self.n_clients - f:
+                raise ConfigError(f"multikrum m={m} outside [1, n-f]")
 
     @property
     def n_malicious(self) -> int:
@@ -393,44 +407,49 @@ def _fang_oracle(cfg: ExperimentConfig, spec: attacks.FangSpec,
 
     oracle_path = ("attack-oracle", round_no) if actor is None \
         else ("attack-oracle", round_no, actor)
+    # Stacked once, so a candidate costs O(N*d) plus one pass of the
+    # simulated rule.  Rows are the honest gradients, then n_mal copies.
+    honest_rows = np.asarray(honest)
+    n_honest = honest_rows.shape[0]
+
+    def population(candidate: np.ndarray) -> np.ndarray:
+        copies = np.broadcast_to(candidate, (n_mal, candidate.shape[0]))
+        return np.concatenate([honest_rows, copies])
+
+    def keeps_attacker(selected: Iterable[int]) -> bool:
+        return any(i >= n_honest for i in selected)
 
     if cfg.aggregator == "dp2guard":
         def oracle(candidate: np.ndarray) -> bool:
-            pop = honest + [candidate] * n_mal
-            centered = {i: g - np.mean(pop, axis=0) for i, g in enumerate(pop)}
+            pop = population(candidate)
+            centered = pop - np.mean(pop, axis=0)
             rng = substream(cfg.seed, *oracle_path)
-            result = defense.detect(centered, rng, cfg.projection_dim)
-            return any(i in result.benign for i in range(len(honest), len(pop)))
+            result = defense.detect(dict(enumerate(centered)), rng, cfg.projection_dim)
+            return keeps_attacker(result.benign)
         return oracle
 
     if cfg.aggregator == "multikrum":
         f, m = _multikrum_params(cfg)
 
         def oracle(candidate: np.ndarray) -> bool:
-            pop = honest + [candidate] * n_mal
-            if len(pop) < 2 * f + 3:
-                return True
-            scores = baselines.krum_scores(pop, f)
-            chosen = set(np.argsort(scores, kind="stable")[:m].tolist())
-            return any(i in chosen for i in range(len(honest), len(pop)))
+            scores = baselines.krum_scores(population(candidate), f)
+            return keeps_attacker(np.argsort(scores, kind="stable")[:m])
         return oracle
 
     if cfg.aggregator == "dnc":
         dcfg = _dnc_params(cfg)
 
         def oracle(candidate: np.ndarray) -> bool:
-            pop = honest + [candidate] * n_mal
+            stack = population(candidate)
             rng = substream(cfg.seed, *oracle_path)
-            stack = np.asarray(pop)
             centered = stack - stack.mean(axis=0)
             take = min(dcfg.sub_dim, stack.shape[1])
             coords = rng.choice(stack.shape[1], size=take, replace=False)
             _, _, vt = np.linalg.svd(centered[:, coords], full_matrices=False)
             scores = (centered[:, coords] @ vt[0]) ** 2
             remove = min(int(np.ceil(dcfg.filter_frac * dcfg.assumed_malicious)),
-                         len(pop) - 1)
-            keep = set(np.argsort(scores, kind="stable")[: len(pop) - remove].tolist())
-            return any(i in keep for i in range(len(honest), len(pop)))
+                         len(stack) - 1)
+            return keeps_attacker(np.argsort(scores, kind="stable")[: len(stack) - remove])
         return oracle
 
     return lambda candidate: True

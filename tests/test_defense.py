@@ -135,6 +135,20 @@ class TestMedianCosines:
             assert np.array_equal(median_cosines(rows),
                                   brute_force_median_cosines(rows))
 
+    @pytest.mark.parametrize("shape", [(50, 7850), (20, 210)])
+    def test_matches_brute_force_exactly_at_workload_shapes(self, shape):
+        # A Gram-matrix rewrite still matches the scalar dot products at
+        # (6, 4) but not at these shapes; ten identical attacker rows and a
+        # zero row exercise ties and the zero-row rule.
+        rng = substream(34, "cos", *shape)
+        for _ in range(3):
+            rows = rng.standard_normal(shape)
+            if shape[0] == 50:
+                rows[:10] = rows[0]
+                rows[10] = 0.0
+            assert np.array_equal(median_cosines(rows),
+                                  brute_force_median_cosines(rows))
+
     def test_zero_row_scores_zero(self):
         rows = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]])
         c = median_cosines(rows)

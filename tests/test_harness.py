@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import dp2guard.client as client_mod
-from dp2guard import models
+from dp2guard import harness, models
+from dp2guard.attacks import fang_attack
 from dp2guard.baselines import fedavg
 from dp2guard.client import ClientState, local_gradient, split_and_mask
 from dp2guard.data import partition
+from dp2guard.defense import detect
 from dp2guard.errors import ConfigError
 from dp2guard.harness import (
     CSV_HEADER,
@@ -65,6 +67,42 @@ class TestConfig:
                     dict(scale_bits=0), dict(scale_bits=60)):
             with pytest.raises(ConfigError):
                 _desk_config(**bad)
+
+    def test_label_flip_bounds_use_run_class_count(self):
+        # offset must lie in [1, n_classes) and fraction in (0, 1], with
+        # n_classes what the run will see: synth_classes, or 10 for IDX data.
+        for attack in ({"kind": "label_flip"},  # default offset 5 >= 3 classes
+                       {"kind": "label_flip", "offset": 0},
+                       {"kind": "label_flip", "offset": 1.5},
+                       {"kind": "label_flip", "offset": 1, "fraction": 0.0},
+                       {"kind": "label_flip", "offset": 1, "fraction": 1.5}):
+            with pytest.raises(ConfigError):
+                _desk_config(adv_ratio=0.2, attack=attack)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(synth_classes=4, adv_ratio=0.2,
+                             attack={"kind": "label_flip"})
+        with pytest.raises(ConfigError):
+            ExperimentConfig(dataset="mnist", adv_ratio=0.2,
+                             attack={"kind": "label_flip", "offset": 10})
+        ExperimentConfig(dataset="mnist", adv_ratio=0.2, attack={"kind": "label_flip"})
+        _desk_config(adv_ratio=0.2, attack={"kind": "label_flip", "offset": 2,
+                                            "fraction": 1.0})
+
+    def test_multikrum_needs_2f_plus_3_clients(self):
+        # n=10, adv_ratio=0.4 gives f=4, and 10 < 2*4+3
+        with pytest.raises(ConfigError):
+            _desk_config(aggregator="multikrum", adv_ratio=0.4,
+                         attack={"kind": "fang"})
+        with pytest.raises(ConfigError):
+            _desk_config(aggregator="multikrum", aggregator_params={"f": 4})
+        _desk_config(aggregator="multikrum", aggregator_params={"f": 3})
+
+    def test_multikrum_m_within_1_and_n_minus_f(self):
+        for m in (0, 9):
+            with pytest.raises(ConfigError):
+                _desk_config(aggregator="multikrum", aggregator_params={"f": 2, "m": m})
+        for m in (1, 8):
+            _desk_config(aggregator="multikrum", aggregator_params={"f": 2, "m": m})
 
 
 class TestRunDeterminism:
@@ -176,6 +214,75 @@ class TestDetectionGroundTruth:
                            attack={"kind": "fang", "oracle": "accept_all"})
         res = run_experiment(cfg)
         assert all(m.precision is None for m in res.metrics)
+
+
+def reference_dp2guard_oracle(cfg, honest, round_no):
+    """The dp2guard fang oracle with the population mean recomputed for
+    every client (O(N^2 d) a candidate).  The harness oracle must make the
+    same decisions."""
+    n_mal = cfg.n_malicious
+
+    def oracle(candidate):
+        pop = honest + [candidate] * n_mal
+        centered = {i: g - np.mean(pop, axis=0) for i, g in enumerate(pop)}
+        rng = substream(cfg.seed, "attack-oracle", round_no)
+        result = detect(centered, rng, cfg.projection_dim)
+        return any(i in result.benign for i in range(len(honest), len(pop)))
+    return oracle
+
+
+def _logged(oracle, log):
+    def wrapped(candidate):
+        accepted = oracle(candidate)
+        log.append(accepted)
+        return accepted
+    return wrapped
+
+
+class TestFangOracle:
+    def test_matches_per_client_mean_reference(self):
+        rejections = 0
+        for seed in range(6):
+            cfg = _desk_config(n_clients=20, adv_ratio=0.2, seed=seed,
+                               attack={"kind": "fang"})
+            spec = cfg.parse_attack()
+            rng = substream(seed, "fang-oracle-test")
+            center = rng.standard_normal(60)
+            honest = list(center + rng.standard_normal((16, 60)))
+            want_log, got_log = [], []
+            want = fang_attack(honest, spec,
+                               _logged(reference_dp2guard_oracle(cfg, honest, 1), want_log))
+            got = fang_attack(honest, spec,
+                              _logged(harness._fang_oracle(cfg, spec, honest, 1), got_log))
+            assert np.array_equal(got, want)
+            assert got_log == want_log
+            rejections += want_log.count(False)
+        assert rejections > 0  # the search did more than accept lambda0
+
+    def test_run_matches_reference_oracle(self, tmp_path, monkeypatch):
+        cfg = _desk_config(rounds=2, adv_ratio=0.2, attack={"kind": "fang"})
+        run_experiment(cfg, out_dir=tmp_path / "fast")
+        monkeypatch.setattr(
+            harness, "_fang_oracle",
+            lambda cfg, spec, honest, round_no, actor=None:
+                reference_dp2guard_oracle(cfg, honest, round_no))
+        run_experiment(cfg, out_dir=tmp_path / "reference")
+        for name in ("metrics.csv", "detection.csv", "attack.csv", "ledger.jsonl"):
+            assert (tmp_path / "fast" / name).read_bytes() == \
+                   (tmp_path / "reference" / name).read_bytes()
+
+    @pytest.mark.parametrize("aggregator", ["dp2guard", "multikrum", "dnc"])
+    def test_defense_oracle_runs_are_bit_identical(self, tmp_path, aggregator):
+        cfg = _desk_config(aggregator=aggregator, rounds=2, adv_ratio=0.2,
+                           attack={"kind": "fang"})
+        run_experiment(cfg, out_dir=tmp_path / "a")
+        run_experiment(cfg, out_dir=tmp_path / "b")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert "attack.csv" in names
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == \
+                   (tmp_path / "b" / name).read_bytes()
 
 
 class TestBaselineAggregators:
