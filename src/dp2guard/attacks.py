@@ -15,6 +15,15 @@ GAMMA_INIT = 10.0
 GAMMA_STEP = 5.0
 GAMMA_MIN = 1e-5
 
+# Unit roundoff and the smallest subnormal of float64.
+_EPS = float(np.finfo(np.float64).eps) / 2
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
+# Relative margin on a threshold T: it absorbs the rounding of T itself, of
+# est +/- err, and (min-max) of the final sqrt, so that est + err <= T(1-s)
+# implies the direct value is <= T and est - err > T(1+s) implies it is
+# above T even after sqrt rounds.
+_THRESHOLD_SLACK = 16 * _EPS
+
 
 @dataclass(frozen=True)
 class LabelFlipSpec:
@@ -116,7 +125,15 @@ def perturbation_direction(benign_mean: np.ndarray, direction: str) -> np.ndarra
 
 def minmax_attack(benign: Sequence[np.ndarray], spec: MinMaxSpec) -> np.ndarray:
     """Largest perturbation scale keeping the crafted gradient's worst-case
-    distance to any benign gradient within the benign diameter."""
+    distance to any benign gradient within the benign diameter.
+
+    Cost: one O(N*d) pass over the benign rows (`_ShiftedDistances`), then
+    O(N) per bisection step.  Each step decides from the expanded distances
+    when they clear the diameter by their rounding-error bound, and
+    otherwise evaluates `_minmax_feasible_exact`, the direct float
+    expression; a certified decision always equals the direct one, so the
+    returned gradient is bit-identical to deciding every step directly.
+    """
     grads = np.asarray(benign, dtype=np.float64)
     if grads.shape[0] < 2:
         raise DegenerateError("scale search needs at least two benign gradients")
@@ -126,18 +143,39 @@ def minmax_attack(benign: Sequence[np.ndarray], spec: MinMaxSpec) -> np.ndarray:
     if bound == 0.0 or not np.any(direction):
         return mean
 
+    shifted = _ShiftedDistances(grads, mean, direction)
+    bound_sq = bound * bound
+    err_factor = 8 * (grads.shape[1] + 8)
+
     def feasible(gamma: float) -> bool:
-        candidate = mean + gamma * direction
-        dists = np.linalg.norm(grads - candidate, axis=1)
-        return float(dists.max()) <= bound
+        est, mag = shifted.at(gamma)
+        decided = _certified(est, err_factor * (_EPS * mag + _TINY), bound_sq)
+        if decided is not None:
+            return decided
+        return _minmax_feasible_exact(grads, mean, direction, gamma, bound)
 
     gamma = _largest_feasible_scale(feasible, spec.gamma0, spec.step, spec.gamma_min)
     return mean + gamma * direction
 
 
+def _minmax_feasible_exact(grads: np.ndarray, mean: np.ndarray, direction: np.ndarray,
+                           gamma: float, bound: float) -> bool:
+    """The direct O(N*d) min-max decision that certified steps reproduce."""
+    candidate = mean + gamma * direction
+    dists = np.linalg.norm(grads - candidate, axis=1)
+    return float(dists.max()) <= bound
+
+
 def minsum_attack(benign: Sequence[np.ndarray], spec: MinSumSpec) -> np.ndarray:
     """Largest perturbation scale keeping the crafted gradient's total
-    squared distance to the benign set within any benign member's budget."""
+    squared distance to the benign set within any benign member's budget.
+
+    Cost and decisions as in `minmax_attack`: one O(N*d) pass, then O(N)
+    per bisection step, falling back to `_minsum_feasible_exact` only when
+    the summed estimate lies within its error bound of the budget.  The
+    bound grows with N*d because the direct form is one float reduction
+    over all N*d entries.
+    """
     grads = np.asarray(benign, dtype=np.float64)
     if grads.shape[0] < 2:
         raise DegenerateError("scale search needs at least two benign gradients")
@@ -147,13 +185,101 @@ def minsum_attack(benign: Sequence[np.ndarray], spec: MinSumSpec) -> np.ndarray:
     if budget == 0.0 or not np.any(direction):
         return mean
 
+    shifted = _ShiftedDistances(grads, mean, direction)
+    err_factor = 8 * (grads.size + 8)
+
     def feasible(gamma: float) -> bool:
-        candidate = mean + gamma * direction
-        total = float(((grads - candidate) ** 2).sum())
-        return total <= budget
+        est, mag = shifted.at(gamma)
+        decided = _certified(est.sum(), err_factor * (_EPS * mag.sum() + _TINY), budget)
+        if decided is not None:
+            return decided
+        return _minsum_feasible_exact(grads, mean, direction, gamma, budget)
 
     gamma = _largest_feasible_scale(feasible, spec.gamma0, spec.step, spec.gamma_min)
     return mean + gamma * direction
+
+
+def _minsum_feasible_exact(grads: np.ndarray, mean: np.ndarray, direction: np.ndarray,
+                           gamma: float, budget: float) -> bool:
+    """The direct O(N*d) min-sum decision that certified steps reproduce."""
+    candidate = mean + gamma * direction
+    total = float(((grads - candidate) ** 2).sum())
+    return total <= budget
+
+
+class _ShiftedDistances:
+    """Squared distances from benign rows g_i to c = m + gamma*u, as
+    quadratics in gamma.
+
+    One pass accumulates, row by row with no (N, d) temporary,
+    a_i = ||g_i - m||^2, b_i = <g_i - m, u> and ||g_i||^2, plus ||u||^2 and
+    ||m||^2.  `at(gamma)` then costs O(N) and returns
+
+        est_i = a_i - 2*gamma*b_i + gamma^2*||u||^2
+        mag_i = (sqrt(2(||g_i||^2 + ||m||^2)) + 3*gamma*||u||)^2.
+
+    Error bound.  Let D_i be the exact ||g_i - m - gamma*u||^2 of the float
+    inputs, eps the unit roundoff and gamma_k = k*eps/(1 - k*eps).  Any
+    order of summing k terms (pairwise, BLAS, FMA) errs by at most
+    gamma_(k-1) times the sum of their magnitudes.  Put
+    K_i = ||g_i|| + ||m|| + 3*gamma*||u||, so K_i^2 <= mag_i up to
+    O(d*eps) relative rounding.
+
+    - Direct: candidate c_j = fl(m_j + fl(gamma*u_j)) is off m_j + gamma*u_j
+      by at most eps*w_j, w_j = |m_j| + 3*gamma*|u_j|, ||w|| <= K_i.  With
+      z = g_i - m - gamma*u, the computed sum of squares R_i is
+      sum_j (z_j - eta_j)^2 (1 + phi_j), |eta_j| <= eps*w_j and
+      |phi_j| <= gamma_(d+2), so by Cauchy-Schwarz
+      |R_i - D_i| <= (2*eps + eps^2 + gamma_(d+2)(1 + eps)^2) K_i^2.
+    - Expanded: with e = g_i - m, the errors of a_i, b_i and ||u||^2 (dot
+      products of d terms) and of the three products in est_i together stay
+      within gamma_(d+2)(||e|| + gamma*||u||)^2, and its two additions
+      within 2.01*eps*(||e|| + gamma*||u||)^2.  As ||e|| + gamma*||u|| <= K_i,
+      |est_i - D_i| <= (gamma_(d+2) + 2.01*eps) K_i^2.
+
+    Together |est_i - R_i| <= 2.04*(d + 5)*eps*K_i^2, below the
+    8*(d + 8)*eps*mag_i that min-max uses.  For min-sum the direct form is
+    one reduction of N*d squares (gamma_(Nd+2)) and est is summed over N
+    rows (gamma_(N-1)), giving at most 2.04*(N*d + 8)*eps*sum(K_i^2),
+    below 8*(N*d + 8)*eps*sum(mag_i).  Both assume (N*d + 8)*eps < 0.005.
+    Each bound adds 8*(terms + 8) smallest subnormals for products that
+    underflow.  An overflow or NaN in any accumulated scalar makes est or
+    mag non-finite, and then the direct expression decides.
+    """
+
+    def __init__(self, grads: np.ndarray, mean: np.ndarray, direction: np.ndarray):
+        n = grads.shape[0]
+        self.a = np.empty(n)
+        self.b = np.empty(n)
+        gg = np.empty(n)
+        for i, row in enumerate(grads):
+            diff = row - mean
+            self.a[i] = diff @ diff
+            self.b[i] = diff @ direction
+            gg[i] = row @ row
+        self.uu = float(direction @ direction)
+        self.root_p = np.sqrt(2.0 * (gg + float(mean @ mean)))
+        self.root_uu = float(np.sqrt(self.uu))
+
+    def at(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+        est = self.a - 2.0 * gamma * self.b + gamma * gamma * self.uu
+        mag = (self.root_p + 3.0 * gamma * self.root_uu) ** 2
+        return est, mag
+
+
+def _certified(est, err, threshold: float) -> bool | None:
+    """Whether every estimate is certainly <= threshold (True) or some
+    estimate is certainly above it (False); None when an error bound
+    straddles the threshold or any value is not finite."""
+    hi = threshold * (1.0 + _THRESHOLD_SLACK)
+    upper = est + err
+    if not (np.isfinite(hi) and np.all(np.isfinite(upper))):
+        return None
+    if np.any(est - err > hi):
+        return False
+    if np.all(upper <= threshold * (1.0 - _THRESHOLD_SLACK)):
+        return True
+    return None
 
 
 def _largest_feasible_scale(feasible: Callable[[float], bool], gamma0: float,

@@ -43,16 +43,21 @@ def krum_scores(gradients: Sequence[np.ndarray], f: int) -> np.ndarray:
     return scores
 
 
-def multi_krum(gradients: Sequence[np.ndarray], f: int, m: int) -> np.ndarray:
-    """Mean of the m clients with the lowest Krum scores."""
-    n = len(gradients)
+def multi_krum_select(stack: np.ndarray, f: int, m: int) -> np.ndarray:
+    """Indices of the m clients with the lowest Krum scores (ties keep the
+    lower index)."""
+    n = len(stack)
     if n < 2 * f + 3:
         raise TooFewClients(f"multi-krum needs n >= 2f+3, got n={n}, f={f}")
     if not 1 <= m <= n - f:
         raise ValueError(f"m={m} outside [1, n-f]")
-    scores = krum_scores(gradients, f)
-    chosen = np.argsort(scores, kind="stable")[:m]
-    return np.asarray(gradients)[chosen].mean(axis=0)
+    return np.argsort(krum_scores(stack, f), kind="stable")[:m]
+
+
+def multi_krum(gradients: Sequence[np.ndarray], f: int, m: int) -> np.ndarray:
+    """Mean of the m clients with the lowest Krum scores."""
+    stack = np.asarray(gradients)
+    return stack[multi_krum_select(stack, f, m)].mean(axis=0)
 
 
 def dnc_survivors(stack: np.ndarray, cfg: DnCConfig,

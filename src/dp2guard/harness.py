@@ -288,16 +288,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     detection_rows: list[str] = []
     for round_no in range(cfg.rounds):
         started = time.perf_counter()
-        grads, crafted_norm = _round_gradients(cfg, clients, model, params,
+        stack, crafted_norm = _round_gradients(cfg, clients, model, params,
                                                round_no, spec)
         if record_history:
-            result.gradient_history.append({cid: g.copy() for cid, g in grads.items()})
+            result.gradient_history.append({cid: g.copy() for cid, g in enumerate(stack)})
 
         benign_pred: frozenset[int] | None = None
         trust_snapshot: dict[int, float] | None = None
         if cfg.aggregator == "dp2guard":
             g_agg, detection, trust_state, tau = _dp2guard_round(
-                cfg, grads, round_no, trust_state, ledger, channel, params)
+                cfg, stack, round_no, trust_state, ledger, channel, params)
             benign_pred = frozenset(detection.benign)
             trust_snapshot = dict(trust_state.trust)
             for cid in sorted(detection.features):
@@ -309,7 +309,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                 result.weight_history.append(dict(tau))
                 result.benign_history.append(benign_pred)
         else:
-            g_agg, benign_pred = _baseline_round(cfg, grads, round_no, model,
+            g_agg, benign_pred = _baseline_round(cfg, stack, round_no, model,
                                                  params, root_data)
 
         params = models.sgd_step(params, g_agg, cfg.eta)
@@ -347,46 +347,46 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
 def _round_gradients(cfg: ExperimentConfig, clients: Sequence[client.ClientState],
                      model: models.Model, params: np.ndarray, round_no: int,
                      spec: attacks.AttackSpec | None,
-                     ) -> tuple[dict[int, np.ndarray], float | None]:
-    """Plaintext gradients for the round: honest clients train, label-flip
-    clients train on their poisoned partitions, and full-knowledge attacks
-    are crafted from the honest gradients (the harness side channel)."""
-    grads: dict[int, np.ndarray] = {}
+                     ) -> tuple[np.ndarray, float | None]:
+    """Plaintext gradients for the round, stacked once with row i for
+    client i: honest clients train, label-flip clients train on their
+    poisoned partitions, and full-knowledge attacks are crafted from the
+    honest rows (the harness side channel)."""
+    stack = np.empty((len(clients), params.shape[0]))
     full_knowledge = isinstance(spec, (attacks.FangSpec, attacks.MinMaxSpec,
                                        attacks.MinSumSpec))
     for state in clients:
         if full_knowledge and state.malicious:
             continue
         rng = substream(cfg.seed, "client", state.client_id, round_no)
-        grads[state.client_id] = client.local_gradient(
+        stack[state.client_id] = client.local_gradient(
             state, model, params, cfg.local_mode, cfg.batch_size, cfg.eta, rng)
 
     crafted_norm = None
     if full_knowledge and cfg.n_malicious:
-        honest = [grads[cid] for cid in sorted(grads)]
+        # Attackers hold the first ids (ExperimentConfig.malicious_ids), so
+        # the honest rows are one contiguous view.
+        honest = stack[cfg.n_malicious:]
         crafted = _craft(cfg, spec, honest, round_no)
         crafted_norm = float(np.linalg.norm(crafted))
-        for state in clients:
-            if not state.malicious:
-                continue
+        for cid in cfg.malicious_ids:
             if cfg.identical_malicious:
-                grads[state.client_id] = crafted
+                stack[cid] = crafted
             else:
                 # independent crafting per attacker (distinct oracle streams)
-                grads[state.client_id] = _craft(cfg, spec, honest, round_no,
-                                                actor=state.client_id)
-    return grads, crafted_norm
+                stack[cid] = _craft(cfg, spec, honest, round_no, actor=cid)
+    return stack, crafted_norm
 
 
 def _craft(cfg: ExperimentConfig, spec: attacks.AttackSpec,
-           honest: list[np.ndarray], round_no: int,
+           honest: np.ndarray, round_no: int,
            actor: int | None = None) -> np.ndarray:
     if isinstance(spec, attacks.MinMaxSpec):
         return attacks.minmax_attack(honest, spec)
     if isinstance(spec, attacks.MinSumSpec):
         return attacks.minsum_attack(honest, spec)
     assert isinstance(spec, attacks.FangSpec)
-    oracle = _fang_oracle(cfg, spec, honest, round_no, actor)
+    oracle = _fang_oracle(cfg, spec, list(honest), round_no, actor)
     return attacks.fang_attack(honest, spec, oracle)
 
 
@@ -432,41 +432,32 @@ def _fang_oracle(cfg: ExperimentConfig, spec: attacks.FangSpec,
         f, m = _multikrum_params(cfg)
 
         def oracle(candidate: np.ndarray) -> bool:
-            scores = baselines.krum_scores(population(candidate), f)
-            return keeps_attacker(np.argsort(scores, kind="stable")[:m])
+            return keeps_attacker(baselines.multi_krum_select(population(candidate), f, m))
         return oracle
 
     if cfg.aggregator == "dnc":
         dcfg = _dnc_params(cfg)
 
         def oracle(candidate: np.ndarray) -> bool:
-            stack = population(candidate)
             rng = substream(cfg.seed, *oracle_path)
-            centered = stack - stack.mean(axis=0)
-            take = min(dcfg.sub_dim, stack.shape[1])
-            coords = rng.choice(stack.shape[1], size=take, replace=False)
-            _, _, vt = np.linalg.svd(centered[:, coords], full_matrices=False)
-            scores = (centered[:, coords] @ vt[0]) ** 2
-            remove = min(int(np.ceil(dcfg.filter_frac * dcfg.assumed_malicious)),
-                         len(stack) - 1)
-            return keeps_attacker(np.argsort(scores, kind="stable")[: len(stack) - remove])
+            return keeps_attacker(baselines.dnc_survivors(population(candidate), dcfg, rng))
         return oracle
 
     return lambda candidate: True
 
 
-def _dp2guard_round(cfg: ExperimentConfig, grads: dict[int, np.ndarray],
+def _dp2guard_round(cfg: ExperimentConfig, stack: np.ndarray,
                     round_no: int, trust_state: trust.TrustState, ledger: Ledger,
                     channel: Channel, params: np.ndarray):
     """One full dual-server round: upload, center, detect, weigh, publish,
     read back, reassemble."""
-    ids = sorted(grads)
+    ids = list(range(len(stack)))
     s1 = ServerS1(ids, round_no)
     s2 = ServerS2(ids, round_no)
 
     for cid in ids:
         mask_rng = substream(cfg.seed, "mask", cid, round_no)
-        sh1, sh2 = client.split_and_mask(grads[cid], cfg.scale_bits, mask_rng)
+        sh1, sh2 = client.split_and_mask(stack[cid], cfg.scale_bits, mask_rng)
         m1 = encode_share_upload(client.MaskedShare(cid, round_no, 1, sh1))
         m2 = encode_share_upload(client.MaskedShare(cid, round_no, 2, sh2))
         s1.receive_share(channel.send(f"client{cid}", "S1", m1))
@@ -494,29 +485,22 @@ def _dp2guard_round(cfg: ExperimentConfig, grads: dict[int, np.ndarray],
     return g_agg, detection, new_trust, tau
 
 
-def _baseline_round(cfg: ExperimentConfig, grads: dict[int, np.ndarray],
+def _baseline_round(cfg: ExperimentConfig, stack: np.ndarray,
                     round_no: int, model: models.Model, params: np.ndarray,
                     root_data: Dataset | None):
-    ids = sorted(grads)
-    ordered = [grads[cid] for cid in ids]
     if cfg.aggregator == "fedavg":
-        return baselines.fedavg(ordered), None
+        return baselines.fedavg(stack), None
     if cfg.aggregator == "multikrum":
         f, m = _multikrum_params(cfg)
-        scores = baselines.krum_scores(ordered, f)
-        chosen = np.argsort(scores, kind="stable")[:m]
-        agg = np.asarray(ordered)[chosen].mean(axis=0)
-        return agg, frozenset(ids[i] for i in chosen)
+        chosen = baselines.multi_krum_select(stack, f, m)
+        return stack[chosen].mean(axis=0), frozenset(chosen.tolist())
     if cfg.aggregator == "dnc":
-        dcfg = _dnc_params(cfg)
         rng = substream(cfg.seed, "dnc", round_no)
-        stack = np.asarray(ordered)
-        survivors = baselines.dnc_survivors(stack, dcfg, rng)
-        agg = stack[sorted(survivors)].mean(axis=0)
-        return agg, frozenset(ids[i] for i in survivors)
+        survivors = baselines.dnc_survivors(stack, _dnc_params(cfg), rng)
+        return stack[sorted(survivors)].mean(axis=0), frozenset(survivors)
     assert cfg.aggregator == "fltrust" and root_data is not None
     root_grad = models.local_grad(model, params, root_data.features, root_data.labels)
-    return baselines.fltrust(ordered, root_grad), None
+    return baselines.fltrust(stack, root_grad), None
 
 
 def _multikrum_params(cfg: ExperimentConfig) -> tuple[int, int]:
@@ -528,11 +512,11 @@ def _multikrum_params(cfg: ExperimentConfig) -> tuple[int, int]:
 def _dnc_params(cfg: ExperimentConfig) -> baselines.DnCConfig:
     assumed = int(cfg.aggregator_params.get("assumed_malicious",
                                             max(cfg.n_malicious, 1)))
-    default_frac = min(1.5 * assumed / cfg.n_clients, 0.99)
     return baselines.DnCConfig(
         n_iters=int(cfg.aggregator_params.get("n_iters", 1)),
         sub_dim=int(cfg.aggregator_params.get("sub_dim", 1000)),
-        filter_frac=float(cfg.aggregator_params.get("filter_frac", default_frac)),
+        # dnc_survivors removes ceil(filter_frac * assumed_malicious) clients.
+        filter_frac=float(cfg.aggregator_params.get("filter_frac", 1.5)),
         assumed_malicious=assumed,
     )
 

@@ -69,8 +69,15 @@ class Ledger:
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self.blocks: list[Block] = []
+        # round -> index of the first block recorded for it
+        self._first_block: dict[int, int] = {}
         if self.path is not None and self.path.exists():
-            self.blocks = list(read_chain(self.path))
+            for block in read_chain(self.path):
+                self._record(block)
+
+    def _record(self, block: Block) -> None:
+        self._first_block.setdefault(block.round, len(self.blocks))
+        self.blocks.append(block)
 
     def append(self, round_no: int, payload: dict[str, Any]) -> Block:
         """Append a block; the line is persisted before the call returns."""
@@ -82,15 +89,15 @@ class Ledger:
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(_block_line(block) + "\n")
                 fh.flush()
-        self.blocks.append(block)
+        self._record(block)
         return block
 
     def read_round(self, round_no: int) -> dict[str, Any]:
         """Payload of the first block recorded for the given round."""
-        for block in self.blocks:
-            if block.round == round_no:
-                return block.payload
-        raise RoundNotFound(f"no block for round {round_no}")
+        index = self._first_block.get(round_no)
+        if index is None:
+            raise RoundNotFound(f"no block for round {round_no}")
+        return self.blocks[index].payload
 
     def verify(self) -> int | None:
         return verify_blocks(self.blocks)

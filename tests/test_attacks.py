@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
+from dp2guard import attacks
 from dp2guard.attacks import (
     FangSpec,
     MinMaxSpec,
     MinSumSpec,
+    _largest_feasible_scale,
     fang_attack,
     fang_candidate,
     label_flip,
     minmax_attack,
     minsum_attack,
+    pairwise_sq_dists,
     perturbation_direction,
 )
 from dp2guard.data import synth_dataset
 from dp2guard.errors import DegenerateError
+from dp2guard.harness import ExperimentConfig, run_experiment
 from dp2guard.numeric import substream
 
 
@@ -216,3 +220,147 @@ class TestScaleSearchShared:
         crafted = minmax_attack(grads, MinMaxSpec())
         gamma = _recover_gamma(crafted, np.asarray(grads), "+mean")
         assert gamma > 10.0
+
+
+def reference_minmax(benign, spec):
+    """Min-max deciding every bisection step with the direct O(N*d) float
+    expression.  minmax_attack must return the same bits."""
+    grads = np.asarray(benign, dtype=np.float64)
+    mean = grads.mean(axis=0)
+    bound = float(np.sqrt(pairwise_sq_dists(grads).max()))
+    direction = perturbation_direction(mean, spec.direction)
+    if bound == 0.0 or not np.any(direction):
+        return mean
+
+    def feasible(gamma):
+        candidate = mean + gamma * direction
+        dists = np.linalg.norm(grads - candidate, axis=1)
+        return float(dists.max()) <= bound
+
+    gamma = _largest_feasible_scale(feasible, spec.gamma0, spec.step, spec.gamma_min)
+    return mean + gamma * direction
+
+
+def reference_minsum(benign, spec):
+    """Min-sum deciding every bisection step with the direct float sum."""
+    grads = np.asarray(benign, dtype=np.float64)
+    mean = grads.mean(axis=0)
+    budget = float(pairwise_sq_dists(grads).sum(axis=1).max())
+    direction = perturbation_direction(mean, spec.direction)
+    if budget == 0.0 or not np.any(direction):
+        return mean
+
+    def feasible(gamma):
+        candidate = mean + gamma * direction
+        total = float(((grads - candidate) ** 2).sum())
+        return total <= budget
+
+    gamma = _largest_feasible_scale(feasible, spec.gamma0, spec.step, spec.gamma_min)
+    return mean + gamma * direction
+
+
+def _count_exact_calls(monkeypatch, name):
+    calls = {"n": 0}
+    exact = getattr(attacks, name)
+
+    def counted(*args):
+        calls["n"] += 1
+        return exact(*args)
+
+    monkeypatch.setattr(attacks, name, counted)
+    return calls
+
+
+SCALE_SEARCHES = [
+    pytest.param(minmax_attack, reference_minmax, MinMaxSpec, "_minmax_feasible_exact",
+                 id="minmax"),
+    pytest.param(minsum_attack, reference_minsum, MinSumSpec, "_minsum_feasible_exact",
+                 id="minsum"),
+]
+
+
+@pytest.mark.parametrize("direction", ["+mean", "-mean", "sign"])
+@pytest.mark.parametrize("attack, reference, spec_cls, exact", SCALE_SEARCHES)
+class TestCertifiedScaleSearch:
+    def test_matches_direct_reference_across_scales(self, attack, reference, spec_cls,
+                                                    exact, direction):
+        spec = spec_cls(direction=direction)
+        rng = substream(21, "certified", spec.kind, direction)
+        for scale in 10.0 ** np.arange(-6, 7):
+            for n, d in ((2, 1), (3, 7), (12, 64), (30, 400)):
+                grads = (rng.standard_normal((n, d)) + rng.standard_normal(d)) * scale
+                assert np.array_equal(attack(grads, spec), reference(grads, spec))
+
+    def test_identical_rows_match_reference(self, attack, reference, spec_cls, exact,
+                                            direction):
+        spec = spec_cls(direction=direction)
+        rng = substream(22, "identical", spec.kind, direction)
+        row = rng.standard_normal(40)
+        grads = np.tile(row, (6, 1))
+        assert np.array_equal(attack(grads, spec), reference(grads, spec))
+        grads[3] += 1e-9 * rng.standard_normal(40)
+        assert np.array_equal(attack(grads, spec), reference(grads, spec))
+
+    def test_tie_on_a_bisection_point_runs_exact_path(self, monkeypatch, attack, reference,
+                                                      spec_cls, exact, direction):
+        # Rows c and c + 2s (s a power of two) put the largest feasible scale
+        # at exactly 1 for both constraints, and bisection from gamma0 = 8
+        # probes 4, 2, 1: at 1 the estimate cannot clear its error bound.
+        calls = _count_exact_calls(monkeypatch, exact)
+        for s in (2.0**-10, 1.0, 2.0**10):
+            grads = np.array([[3.0 * s], [5.0 * s]])
+            spec = spec_cls(gamma0=8.0 * s, direction=direction)
+            assert np.array_equal(attack(grads, spec), reference(grads, spec))
+        assert calls["n"] >= 3
+
+    def test_large_common_offset_runs_exact_path(self, monkeypatch, attack, reference,
+                                                 spec_cls, exact, direction):
+        # Rows 1e7 spreads away from the origin, at scale 1e5: rounding of
+        # the candidate m + gamma*u moves the direct distances by more than
+        # the last bisection steps do, so an estimate trusted without its
+        # error bound would take different decisions.
+        calls = _count_exact_calls(monkeypatch, exact)
+        rng = substream(23, "offset", spec_cls.__name__, direction)
+        spec = spec_cls(direction=direction)
+        for n in range(3, 9):
+            grads = 1e5 * (1e7 * rng.standard_normal(30) + rng.standard_normal((n, 30)))
+            assert np.array_equal(attack(grads, spec), reference(grads, spec))
+        assert calls["n"] > 0
+
+    def test_well_conditioned_search_skips_exact_path(self, monkeypatch, attack, reference,
+                                                      spec_cls, exact, direction):
+        calls = _count_exact_calls(monkeypatch, exact)
+        rng = substream(24, "plain", spec_cls.__name__, direction)
+        grads = rng.standard_normal((10, 200)) + rng.standard_normal(200)
+        spec = spec_cls(direction=direction)
+        assert np.array_equal(attack(grads, spec), reference(grads, spec))
+        assert calls["n"] == 0
+
+
+@pytest.mark.parametrize("attack, reference, spec_cls, exact", SCALE_SEARCHES)
+def test_certified_search_matches_reference_at_benchmark_shape(attack, reference,
+                                                               spec_cls, exact):
+    rng = substream(25, "wide", spec_cls.__name__)
+    grads = 0.05 * rng.standard_normal((80, 7850)) + 0.01 * rng.standard_normal(7850)
+    spec = spec_cls(direction="-mean")
+    assert np.array_equal(attack(grads, spec), reference(grads, spec))
+
+
+@pytest.mark.parametrize("kind, name, reference", [
+    ("minmax", "minmax_attack", reference_minmax),
+    ("minsum", "minsum_attack", reference_minsum),
+])
+def test_run_artifacts_match_direct_reference(tmp_path, monkeypatch, kind, name, reference):
+    cfg = ExperimentConfig(dataset="synthetic", aggregator="multikrum", n_clients=10,
+                           rounds=3, seed=3, adv_ratio=0.2, synth_train=600,
+                           synth_test=300, synth_features=12, synth_classes=3,
+                           attack={"kind": kind, "direction": "-mean"})
+    run_experiment(cfg, out_dir=tmp_path / "certified")
+    monkeypatch.setattr(attacks, name, reference)
+    run_experiment(cfg, out_dir=tmp_path / "reference")
+    names = sorted(p.name for p in (tmp_path / "certified").iterdir())
+    assert "attack.csv" in names
+    assert names == sorted(p.name for p in (tmp_path / "reference").iterdir())
+    for artifact in names:
+        assert (tmp_path / "certified" / artifact).read_bytes() == \
+               (tmp_path / "reference" / artifact).read_bytes()

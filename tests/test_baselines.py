@@ -8,6 +8,7 @@ from dp2guard.baselines import (
     fltrust,
     krum_scores,
     multi_krum,
+    multi_krum_select,
 )
 from dp2guard.defense import spectral_scores, top_direction
 from dp2guard.errors import TooFewClients
@@ -76,6 +77,17 @@ class TestMultiKrum:
     def test_too_few_clients(self):
         with pytest.raises(TooFewClients):
             multi_krum([np.ones(2)] * 4, f=1, m=1)
+        with pytest.raises(TooFewClients):
+            multi_krum_select(np.ones((4, 2)), f=1, m=1)
+
+    def test_select_is_stable_lowest_score_ranking(self):
+        rng = substream(106, "mk")
+        grads = np.vstack([rng.standard_normal((6, 5)),
+                           np.tile(rng.standard_normal(5), (3, 1))])
+        chosen = multi_krum_select(grads, 2, 4)
+        want = np.argsort(brute_force_krum_scores(grads, 2), kind="stable")[:4]
+        assert chosen.tolist() == want.tolist()
+        assert np.array_equal(multi_krum(grads, 2, 4), grads[chosen].mean(axis=0))
 
 
 class TestDnC:

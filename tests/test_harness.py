@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import dp2guard.client as client_mod
-from dp2guard import harness, models
-from dp2guard.attacks import fang_attack
-from dp2guard.baselines import fedavg
+from dp2guard import baselines, harness, models
+from dp2guard.attacks import fang_attack, fang_candidate
+from dp2guard.baselines import dnc_survivors, fedavg
 from dp2guard.client import ClientState, local_gradient, split_and_mask
 from dp2guard.data import partition
 from dp2guard.defense import detect
@@ -239,6 +239,28 @@ def _logged(oracle, log):
     return wrapped
 
 
+def reference_dnc_oracle(cfg, honest, round_no):
+    """The DnC fang oracle as a single inline filter pass.  For n_iters=1
+    the harness oracle, which calls baselines.dnc_survivors, must make the
+    same decisions."""
+    dcfg = harness._dnc_params(cfg)
+    n_mal = cfg.n_malicious
+
+    def oracle(candidate):
+        stack = np.asarray(honest + [candidate] * n_mal)
+        rng = substream(cfg.seed, "attack-oracle", round_no)
+        centered = stack - stack.mean(axis=0)
+        take = min(dcfg.sub_dim, stack.shape[1])
+        coords = rng.choice(stack.shape[1], size=take, replace=False)
+        _, _, vt = np.linalg.svd(centered[:, coords], full_matrices=False)
+        scores = (centered[:, coords] @ vt[0]) ** 2
+        remove = min(int(np.ceil(dcfg.filter_frac * dcfg.assumed_malicious)),
+                     len(stack) - 1)
+        kept = np.argsort(scores, kind="stable")[: len(stack) - remove]
+        return any(i >= len(honest) for i in kept)
+    return oracle
+
+
 class TestFangOracle:
     def test_matches_per_client_mean_reference(self):
         rejections = 0
@@ -271,6 +293,54 @@ class TestFangOracle:
             assert (tmp_path / "fast" / name).read_bytes() == \
                    (tmp_path / "reference" / name).read_bytes()
 
+    def test_dnc_oracle_matches_single_pass_reference(self):
+        rejections = 0
+        for seed in range(6):
+            cfg = _desk_config(n_clients=20, adv_ratio=0.2, seed=seed, aggregator="dnc",
+                               aggregator_params={"sub_dim": 30},
+                               attack={"kind": "fang"})
+            spec = cfg.parse_attack()
+            rng = substream(seed, "dnc-oracle-test")
+            honest = list(rng.standard_normal(60) + rng.standard_normal((16, 60)))
+            want_log, got_log = [], []
+            want = fang_attack(honest, spec,
+                               _logged(reference_dnc_oracle(cfg, honest, 1), want_log))
+            got = fang_attack(honest, spec,
+                              _logged(harness._fang_oracle(cfg, spec, honest, 1), got_log))
+            assert np.array_equal(got, want)
+            assert got_log == want_log
+            rejections += want_log.count(False)
+        assert rejections > 0
+
+    def test_dnc_oracle_uses_configured_iterations(self, monkeypatch):
+        seen = []
+        real = baselines.dnc_survivors
+
+        def recording(stack, dcfg, rng):
+            seen.append(dcfg.n_iters)
+            return real(stack, dcfg, rng)
+
+        monkeypatch.setattr(baselines, "dnc_survivors", recording)
+        cfg = _desk_config(n_clients=20, adv_ratio=0.2, aggregator="dnc",
+                           aggregator_params={"n_iters": 3}, attack={"kind": "fang"})
+        honest = list(substream(7, "dnc-iters").standard_normal((16, 12)))
+        harness._fang_oracle(cfg, cfg.parse_attack(), honest, 1)(np.zeros(12))
+        assert seen == [3]
+
+    def test_multikrum_oracle_matches_selection(self):
+        cfg = _desk_config(n_clients=20, adv_ratio=0.2, aggregator="multikrum",
+                           attack={"kind": "fang"})
+        spec = cfg.parse_attack()
+        rng = substream(8, "mk-oracle")
+        honest = list(rng.standard_normal((16, 30)))
+        f, m = harness._multikrum_params(cfg)
+        oracle = harness._fang_oracle(cfg, spec, honest, 1)
+        for lam in (0.01, 1.0, 100.0):
+            candidate = fang_candidate(np.mean(honest, axis=0), lam)
+            pop = np.asarray(honest + [candidate] * cfg.n_malicious)
+            kept = baselines.multi_krum_select(pop, f, m)
+            assert oracle(candidate) == any(i >= len(honest) for i in kept)
+
     @pytest.mark.parametrize("aggregator", ["dp2guard", "multikrum", "dnc"])
     def test_defense_oracle_runs_are_bit_identical(self, tmp_path, aggregator):
         cfg = _desk_config(aggregator=aggregator, rounds=2, adv_ratio=0.2,
@@ -292,6 +362,20 @@ class TestBaselineAggregators:
         res = run_experiment(cfg)
         assert res.final_accuracy >= 0.9
         assert res.ledger.blocks == []  # ledger is the masked pipeline's
+
+    @pytest.mark.parametrize("n_clients, adv_ratio, params, removed", [
+        (10, 0.2, {}, 3),
+        (50, 0.2, {}, 15),
+        (4, 0.0, {"assumed_malicious": 3}, 3),  # ceil(4.5) capped at n - 1
+    ])
+    def test_dnc_default_removes_one_and_a_half_per_assumed_attacker(
+            self, n_clients, adv_ratio, params, removed):
+        attack = {"kind": "minmax"} if adv_ratio else None
+        cfg = _desk_config(aggregator="dnc", n_clients=n_clients, adv_ratio=adv_ratio,
+                           attack=attack, aggregator_params=params)
+        stack = substream(9, "dnc-count", n_clients).standard_normal((n_clients, 40))
+        survivors = dnc_survivors(stack, harness._dnc_params(cfg), substream(9, "dnc"))
+        assert len(survivors) == n_clients - removed
 
 
 class TestMetricsOutput:

@@ -138,6 +138,30 @@ class TestReadRound:
         for r in range(6):
             assert ledger.read_round(r) is not None
 
+    def test_duplicate_round_reads_first_block(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        ledger = Ledger(path)
+        ledger.append(0, _payload(1, 0))
+        ledger.append(1, _payload(1, 1))
+        ledger.append(0, _payload(2, 0))
+        assert ledger.read_round(0) == _payload(1, 0)
+        assert ledger.read_round(1) == _payload(1, 1)
+
+    def test_reopened_ledger_keeps_round_lookup(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        first = Ledger(path)
+        first.append(3, _payload(1, 3))
+        first.append(3, _payload(2, 3))
+        reopened = Ledger(path)
+        assert reopened.read_round(3) == _payload(1, 3)
+        with pytest.raises(RoundNotFound):
+            reopened.read_round(0)
+        reopened.append(0, _payload(1, 0))
+        reopened.append(3, _payload(3, 3))
+        assert reopened.read_round(0) == _payload(1, 0)
+        assert reopened.read_round(3) == _payload(1, 3)
+        assert reopened.verify() is None
+
 
 def test_block_hash_covers_all_fields():
     payload = _payload(6, 0)
