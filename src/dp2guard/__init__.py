@@ -12,7 +12,7 @@ from .attacks import (
     minsum_attack,
 )
 from .baselines import dnc, fedavg, fltrust, multi_krum
-from .client import ClientState, MaskedShare, client_round, split_and_mask
+from .client import ClientState, MaskedShare, split_and_mask
 from .data import Dataset, PartitionPlan, load_idx, partition, synth_dataset
 from .defense import (
     DetectionResult,
@@ -62,7 +62,6 @@ __all__ = [
     "RoundMetrics",
     "RunResult",
     "TrustState",
-    "client_round",
     "cluster_and_select",
     "decode_fixed",
     "detect",

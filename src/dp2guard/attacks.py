@@ -14,6 +14,8 @@ from .errors import DegenerateError
 GAMMA_INIT = 10.0
 GAMMA_STEP = 5.0
 GAMMA_MIN = 1e-5
+DIRECTIONS = ("+mean", "-mean", "sign")
+FANG_ORACLES = ("defense", "accept_all")
 
 # Unit roundoff and the smallest subnormal of float64.
 _EPS = float(np.finfo(np.float64).eps) / 2
@@ -301,6 +303,8 @@ def _largest_feasible_scale(feasible: Callable[[float], bool], gamma0: float,
             return lo
     while hi - lo > gamma_min:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # adjacent floats: one float step still exceeds gamma_min
         if feasible(mid):
             lo = mid
         else:

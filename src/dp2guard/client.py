@@ -109,27 +109,6 @@ def local_gradient(state: ClientState, model: models.Model, params: np.ndarray,
     raise ValueError(f"unknown local mode {mode!r}")
 
 
-def client_round(state: ClientState, model: models.Model, params: np.ndarray,
-                 round_no: int, mode: str, batch_size: int, eta: float,
-                 scale_bits: int, grad_rng: np.random.Generator,
-                 mask_rng: np.random.Generator,
-                 crafted: np.ndarray | None = None) -> tuple[MaskedShare, MaskedShare]:
-    """Produce the two masked shares a client uploads for one round.
-
-    `crafted` carries a full-knowledge adversarial gradient supplied by the
-    harness side channel; honest and label-flip clients compute their own.
-    """
-    if crafted is not None:
-        grad = crafted
-    else:
-        grad = local_gradient(state, model, params, mode, batch_size, eta, grad_rng)
-    s1, s2 = split_and_mask(grad, scale_bits, mask_rng)
-    return (
-        MaskedShare(state.client_id, round_no, 1, s1),
-        MaskedShare(state.client_id, round_no, 2, s2),
-    )
-
-
 def poison_labels(dataset: Dataset, spec: LabelFlipSpec,
                   rng: np.random.Generator) -> Dataset:
     """Apply the one-time label-flip poisoning to a client's partition."""

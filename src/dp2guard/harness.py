@@ -8,7 +8,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +32,12 @@ from .servers import (
 
 AGGREGATORS = ("dp2guard", "fedavg", "multikrum", "dnc", "fltrust")
 ATTACK_KINDS = ("label_flip", "fang", "minmax", "minsum")
+# aggregator_params keys per rule, each with the least integer it admits
+# (None: a finite float > 0).
+AGGREGATOR_PARAMS = {
+    "multikrum": {"f": 0, "m": 1},
+    "dnc": {"n_iters": 1, "sub_dim": 1, "filter_frac": None, "assumed_malicious": 1},
+}
 LEDGER_SENDER = 0
 
 
@@ -64,7 +70,6 @@ class ExperimentConfig:
     synth_classes: int = 4
     synth_separation: float = 4.0
     hidden: int = 128
-    identical_malicious: bool = True
     projection_dim: int | None = None
     fltrust_root_size: int = 100
     aggregator_params: dict[str, Any] = field(default_factory=dict)
@@ -95,16 +100,11 @@ class ExperimentConfig:
         if not 1 <= self.scale_bits <= 48:
             raise ConfigError("scale_bits must be in [1, 48]")
         if self.attack is not None:
-            spec = self.parse_attack()
-            if isinstance(spec, attacks.LabelFlipSpec):
-                n_classes = self.synth_classes if self.dataset == "synthetic" else 10
-                if not isinstance(spec.offset, int) or not 1 <= spec.offset < n_classes:
-                    raise ConfigError(
-                        f"label_flip offset must be an integer in [1, {n_classes})")
-                if not 0 < spec.fraction <= 1:
-                    raise ConfigError("label_flip fraction must be in (0, 1]")
+            _check_attack(self.parse_attack(),
+                          self.synth_classes if self.dataset == "synthetic" else 10)
         elif self.adv_ratio > 0:
             raise ConfigError("adv_ratio > 0 requires an attack")
+        _check_aggregator_params(self.aggregator, self.aggregator_params)
         if self.aggregator == "multikrum":
             f, m = _multikrum_params(self)
             if self.n_clients < 2 * f + 3:
@@ -163,6 +163,44 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         return cls.from_dict(raw)
+
+
+def _is_int(value: Any, low: int) -> bool:
+    return isinstance(value, int) and value >= low
+
+
+def _is_positive(value: Any) -> bool:
+    return isinstance(value, (int, float)) and bool(np.isfinite(value)) and value > 0
+
+
+def _check_attack(spec: attacks.AttackSpec, n_classes: int) -> None:
+    if isinstance(spec, attacks.LabelFlipSpec):
+        if not _is_int(spec.offset, 1) or spec.offset >= n_classes:
+            raise ConfigError(f"label_flip offset must be an integer in [1, {n_classes})")
+        if not (_is_positive(spec.fraction) and spec.fraction <= 1):
+            raise ConfigError("label_flip fraction must be in (0, 1]")
+        return
+    for name in ("gamma0", "step", "gamma_min", "lambda0"):
+        if hasattr(spec, name) and not _is_positive(getattr(spec, name)):
+            raise ConfigError(f"{spec.kind} {name} must be finite and > 0")
+    if isinstance(spec, attacks.FangSpec):
+        if spec.oracle not in attacks.FANG_ORACLES:
+            raise ConfigError(f"fang oracle must be one of {attacks.FANG_ORACLES}")
+    elif spec.direction not in attacks.DIRECTIONS:
+        raise ConfigError(f"{spec.kind} direction must be one of {attacks.DIRECTIONS}")
+
+
+def _check_aggregator_params(aggregator: str, params: dict[str, Any]) -> None:
+    allowed = AGGREGATOR_PARAMS.get(aggregator, {})
+    unknown = set(params) - set(allowed)
+    if unknown:
+        raise ConfigError(f"aggregator_params {sorted(unknown)} do not apply to {aggregator}")
+    for key, value in params.items():
+        low = allowed[key]
+        if low is None and not _is_positive(value):
+            raise ConfigError(f"{aggregator} {key} must be finite and > 0")
+        if low is not None and not _is_int(value, low):
+            raise ConfigError(f"{aggregator} {key} must be an integer >= {low}")
 
 
 @dataclass(frozen=True)
@@ -365,85 +403,62 @@ def _round_gradients(cfg: ExperimentConfig, clients: Sequence[client.ClientState
     crafted_norm = None
     if full_knowledge and cfg.n_malicious:
         # Attackers hold the first ids (ExperimentConfig.malicious_ids), so
-        # the honest rows are one contiguous view.
-        honest = stack[cfg.n_malicious:]
-        crafted = _craft(cfg, spec, honest, round_no)
+        # the honest rows are one contiguous view; every attacker submits
+        # the one crafted gradient.
+        crafted = _craft(cfg, spec, stack[cfg.n_malicious:], round_no)
         crafted_norm = float(np.linalg.norm(crafted))
-        for cid in cfg.malicious_ids:
-            if cfg.identical_malicious:
-                stack[cid] = crafted
-            else:
-                # independent crafting per attacker (distinct oracle streams)
-                stack[cid] = _craft(cfg, spec, honest, round_no, actor=cid)
+        stack[:cfg.n_malicious] = crafted
     return stack, crafted_norm
 
 
 def _craft(cfg: ExperimentConfig, spec: attacks.AttackSpec,
-           honest: np.ndarray, round_no: int,
-           actor: int | None = None) -> np.ndarray:
+           honest: np.ndarray, round_no: int) -> np.ndarray:
     if isinstance(spec, attacks.MinMaxSpec):
         return attacks.minmax_attack(honest, spec)
     if isinstance(spec, attacks.MinSumSpec):
         return attacks.minsum_attack(honest, spec)
     assert isinstance(spec, attacks.FangSpec)
-    oracle = _fang_oracle(cfg, spec, list(honest), round_no, actor)
-    return attacks.fang_attack(honest, spec, oracle)
+    return attacks.fang_attack(honest, spec, _fang_oracle(cfg, spec, honest, round_no))
 
 
 def _fang_oracle(cfg: ExperimentConfig, spec: attacks.FangSpec,
-                 honest: list[np.ndarray], round_no: int,
-                 actor: int | None = None) -> Callable[[np.ndarray], bool]:
+                 honest: np.ndarray, round_no: int) -> Callable[[np.ndarray], bool]:
     """The attacker's plaintext simulation of the target aggregation rule.
 
-    Accepts a candidate if the simulated rule would keep at least one of
-    the attacker's copies.  FedAvg and FLTrust never reject (FLTrust's root
-    data is server-private, so the attacker cannot simulate it), and a
-    spec with oracle="accept_all" models a non-adaptive attacker."""
-    n_mal = cfg.n_malicious
-    if spec.oracle == "accept_all":
+    Accepts a candidate if `_select` on the honest rows plus n_malicious
+    copies of it keeps at least one copy.  FedAvg and FLTrust never reject
+    (FLTrust's root data is server-private, so the attacker cannot simulate
+    it), and a spec with oracle="accept_all" models a non-adaptive
+    attacker."""
+    if spec.oracle == "accept_all" or cfg.aggregator in ("fedavg", "fltrust"):
         return lambda candidate: True
-    if spec.oracle != "defense":
-        raise ConfigError(f"unknown fang oracle {spec.oracle!r}")
+    n_honest, n_mal = len(honest), cfg.n_malicious
 
-    oracle_path = ("attack-oracle", round_no) if actor is None \
-        else ("attack-oracle", round_no, actor)
-    # Stacked once, so a candidate costs O(N*d) plus one pass of the
-    # simulated rule.  Rows are the honest gradients, then n_mal copies.
-    honest_rows = np.asarray(honest)
-    n_honest = honest_rows.shape[0]
-
-    def population(candidate: np.ndarray) -> np.ndarray:
+    def oracle(candidate: np.ndarray) -> bool:
         copies = np.broadcast_to(candidate, (n_mal, candidate.shape[0]))
-        return np.concatenate([honest_rows, copies])
+        kept = _select(cfg, np.concatenate([honest, copies]),
+                       substream(cfg.seed, "attack-oracle", round_no))
+        return bool(np.any(kept >= n_honest))
+    return oracle
 
-    def keeps_attacker(selected: Iterable[int]) -> bool:
-        return any(i >= n_honest for i in selected)
 
-    if cfg.aggregator == "dp2guard":
-        def oracle(candidate: np.ndarray) -> bool:
-            pop = population(candidate)
-            centered = pop - np.mean(pop, axis=0)
-            rng = substream(cfg.seed, *oracle_path)
-            result = defense.detect(dict(enumerate(centered)), rng, cfg.projection_dim)
-            return keeps_attacker(result.benign)
-        return oracle
-
+def _select(cfg: ExperimentConfig, stack: np.ndarray,
+            rng: np.random.Generator) -> np.ndarray:
+    """Rows of `stack` the configured selection rule keeps, in the order
+    their mean sums them: Multi-Krum's ranking order, DnC's and dp2guard's
+    ascending ids.  For dp2guard this is the plaintext simulation of the
+    servers' detection (float-centred rows; the servers centre in the
+    ring), which only the attacker runs."""
     if cfg.aggregator == "multikrum":
         f, m = _multikrum_params(cfg)
-
-        def oracle(candidate: np.ndarray) -> bool:
-            return keeps_attacker(baselines.multi_krum_select(population(candidate), f, m))
-        return oracle
-
+        return baselines.multi_krum_select(stack, f, m)
     if cfg.aggregator == "dnc":
-        dcfg = _dnc_params(cfg)
-
-        def oracle(candidate: np.ndarray) -> bool:
-            rng = substream(cfg.seed, *oracle_path)
-            return keeps_attacker(baselines.dnc_survivors(population(candidate), dcfg, rng))
-        return oracle
-
-    return lambda candidate: True
+        kept = baselines.dnc_survivors(stack, _dnc_params(cfg), rng)
+    else:
+        assert cfg.aggregator == "dp2guard"
+        centered = stack - np.mean(stack, axis=0)
+        kept = defense.detect(dict(enumerate(centered)), rng, cfg.projection_dim).benign
+    return np.array(sorted(kept), dtype=np.intp)
 
 
 def _dp2guard_round(cfg: ExperimentConfig, stack: np.ndarray,
@@ -469,7 +484,7 @@ def _dp2guard_round(cfg: ExperimentConfig, stack: np.ndarray,
     detection, new_trust, tau = s2.detect_and_weigh(
         trust_state, substream(cfg.seed, "cluster", round_no),
         cfg.exclusion, cfg.projection_dim)
-    agg2, _publish = s2.publish(tau)
+    agg2 = s2.publish(tau)
 
     model_digest = hashlib.sha256(params.tobytes()).digest()
     ledger.append(round_no, make_round_payload(serialize_ring(agg2), tau, model_digest))
@@ -480,44 +495,34 @@ def _dp2guard_round(cfg: ExperimentConfig, stack: np.ndarray,
     ledger_msg = encode_agg_and_weights(round_no, LEDGER_SENDER, blob, weights_read)
     s1.receive_agg_and_weights(channel.send("ledger", "S1", ledger_msg))
 
-    g_agg, update_msg = s1.finalize()
-    channel.send("S1", "clients", update_msg)
-    return g_agg, detection, new_trust, tau
+    return s1.finalize(), detection, new_trust, tau
 
 
 def _baseline_round(cfg: ExperimentConfig, stack: np.ndarray,
                     round_no: int, model: models.Model, params: np.ndarray,
                     root_data: Dataset | None):
     if cfg.aggregator == "fedavg":
-        return baselines.fedavg(stack), None
-    if cfg.aggregator == "multikrum":
-        f, m = _multikrum_params(cfg)
-        chosen = baselines.multi_krum_select(stack, f, m)
-        return stack[chosen].mean(axis=0), frozenset(chosen.tolist())
-    if cfg.aggregator == "dnc":
-        rng = substream(cfg.seed, "dnc", round_no)
-        survivors = baselines.dnc_survivors(stack, _dnc_params(cfg), rng)
-        return stack[sorted(survivors)].mean(axis=0), frozenset(survivors)
-    assert cfg.aggregator == "fltrust" and root_data is not None
-    root_grad = models.local_grad(model, params, root_data.features, root_data.labels)
-    return baselines.fltrust(stack, root_grad), None
+        return stack.mean(axis=0), None
+    if cfg.aggregator == "fltrust":
+        root_grad = models.local_grad(model, params, root_data.features, root_data.labels)
+        return baselines.fltrust(stack, root_grad), None
+    kept = _select(cfg, stack, substream(cfg.seed, "dnc", round_no))
+    return stack[kept].mean(axis=0), frozenset(kept.tolist())
 
 
 def _multikrum_params(cfg: ExperimentConfig) -> tuple[int, int]:
-    f = int(cfg.aggregator_params.get("f", cfg.n_malicious))
-    m = int(cfg.aggregator_params.get("m", cfg.n_clients - f))
-    return f, m
+    f = cfg.aggregator_params.get("f", cfg.n_malicious)
+    return f, cfg.aggregator_params.get("m", cfg.n_clients - f)
 
 
 def _dnc_params(cfg: ExperimentConfig) -> baselines.DnCConfig:
-    assumed = int(cfg.aggregator_params.get("assumed_malicious",
-                                            max(cfg.n_malicious, 1)))
+    params = cfg.aggregator_params
     return baselines.DnCConfig(
-        n_iters=int(cfg.aggregator_params.get("n_iters", 1)),
-        sub_dim=int(cfg.aggregator_params.get("sub_dim", 1000)),
+        n_iters=params.get("n_iters", 1),
+        sub_dim=params.get("sub_dim", 1000),
         # dnc_survivors removes ceil(filter_frac * assumed_malicious) clients.
-        filter_frac=float(cfg.aggregator_params.get("filter_frac", 1.5)),
-        assumed_malicious=assumed,
+        filter_frac=params.get("filter_frac", 1.5),
+        assumed_malicious=params.get("assumed_malicious", max(cfg.n_malicious, 1)),
     )
 
 

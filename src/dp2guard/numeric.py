@@ -111,15 +111,6 @@ def ring_scale(a: RingVector, factor: int) -> RingVector:
     return RingVector(np.multiply(a.words, f), a.scale_bits)
 
 
-def ring_neg(a: RingVector) -> RingVector:
-    """Additive inverse: ring_add(a, ring_neg(a)) is all zeros."""
-    return RingVector(np.negative(a.words), a.scale_bits)
-
-
-def ring_zero(d: int, scale_bits: int = DEFAULT_SCALE_BITS) -> RingVector:
-    return RingVector(np.zeros(d, dtype=np.uint64), scale_bits)
-
-
 def uniform_ring(d: int, scale_bits: int, rng: np.random.Generator) -> RingVector:
     """Draw d words uniformly over the whole ring."""
     words = rng.integers(0, 2**64 - 1, size=d, dtype=np.uint64, endpoint=True)

@@ -38,13 +38,11 @@ WEIGHT_BITS = 32
 MSG_SHARE_UPLOAD = 1
 MSG_CENTERED_BATCH = 2
 MSG_AGG_AND_WEIGHTS = 3
-MSG_GLOBAL_UPDATE = 4
 
 _KIND_NAMES = {
     MSG_SHARE_UPLOAD: "ShareUpload",
     MSG_CENTERED_BATCH: "CenteredBatch",
     MSG_AGG_AND_WEIGHTS: "AggDigestAndWeights",
-    MSG_GLOBAL_UPDATE: "GlobalUpdate",
 }
 
 _MSG_HEADER = struct.Struct("<BIIQ")
@@ -280,17 +278,13 @@ class ServerS1(_ServerBase):
         self._agg2, self._tau = decode_agg_and_weights(msg)
         self.phase = PHASE_AGGREGATING
 
-    def finalize(self) -> tuple[np.ndarray, ProtocolMessage]:
-        """Aggregate own shares, reassemble, and emit the global update."""
+    def finalize(self) -> np.ndarray:
+        """Aggregate own shares and reassemble the global gradient."""
         self._require(PHASE_AGGREGATING, "finalize")
         assert self._tau is not None and self._agg2 is not None
         agg1 = partial_aggregate(self.shares, self._tau)
-        combined = ring_add(agg1, self._agg2)
-        global_grad = decode_fixed(combined)
         self.phase = PHASE_DONE
-        msg = ProtocolMessage(MSG_GLOBAL_UPDATE, self.round, self.server_id,
-                              serialize_ring(combined))
-        return global_grad, msg
+        return reassemble_global(agg1, self._agg2)
 
 
 class ServerS2(_ServerBase):
@@ -300,7 +294,6 @@ class ServerS2(_ServerBase):
     def __init__(self, expected_clients, round_no: int):
         super().__init__(2, frozenset(expected_clients), round_no)
         self._centered: dict[int, np.ndarray] | None = None
-        self.detection: DetectionResult | None = None
 
     def receive_centered_batch(self, msg: ProtocolMessage) -> None:
         self._require(PHASE_COLLECTING, "accept centered shares")
@@ -330,13 +323,13 @@ class ServerS2(_ServerBase):
         excluded = set(self._centered) - set(result.benign)
         force_zero = excluded if exclusion == "hard" else ()
         tau = trust_weights(new_state, force_zero)
-        self.detection = result
         self.phase = PHASE_AGGREGATING
         return result, new_state, tau
 
-    def publish(self, tau: Mapping[int, float]) -> tuple[RingVector, ProtocolMessage]:
-        """Weighted partial aggregate plus the record destined for the ledger."""
+    def publish(self, tau: Mapping[int, float]) -> RingVector:
+        """Weighted partial aggregate; it reaches S1 only through the
+        ledger record the caller writes from it."""
         self._require(PHASE_AGGREGATING, "publish")
         agg2 = partial_aggregate(self.shares, tau)
         self.phase = PHASE_DONE
-        return agg2, encode_agg_and_weights(self.round, self.server_id, agg2, dict(tau))
+        return agg2

@@ -200,6 +200,15 @@ class TestScaleSearchShared:
             budget = int(np.ceil(np.log2((10.0 + target) / 1e-5))) + expansions + 3
             assert calls["n"] <= budget, (target, calls["n"], budget)
 
+    def test_ends_when_bracket_is_one_float_step(self):
+        # With gamma_min = 0, or past ~6.9e10 where one float step exceeds
+        # the default 1e-5, the bisection would never shrink the bracket
+        # below gamma_min; it stops at adjacent floats instead.
+        for target, gamma_min in ((7.3, 0.0), (3.0e11 + 0.1, 1e-5)):
+            got = _largest_feasible_scale(lambda g, _t=target: g <= _t, 10.0, 5.0,
+                                          gamma_min)
+            assert got <= target < np.nextafter(got, np.inf)
+
     def test_needs_two_gradients(self):
         with pytest.raises(DegenerateError):
             minmax_attack([np.ones(3)], MinMaxSpec())
@@ -364,3 +373,31 @@ def test_run_artifacts_match_direct_reference(tmp_path, monkeypatch, kind, name,
     for artifact in names:
         assert (tmp_path / "certified" / artifact).read_bytes() == \
                (tmp_path / "reference" / artifact).read_bytes()
+
+
+@pytest.mark.parametrize("attack, reference, spec_cls, exact", SCALE_SEARCHES)
+def test_search_at_1e11_scale_ends_feasible(monkeypatch, attack, reference, spec_cls,
+                                            exact):
+    # The largest feasible scale lands near 4e11, where one float step
+    # (6.1e-5) exceeds gamma_min = 1e-5.
+    found = []
+    search = attacks._largest_feasible_scale
+
+    def recording(*args):
+        found.append(search(*args))
+        return found[-1]
+
+    monkeypatch.setattr(attacks, "_largest_feasible_scale", recording)
+    rng = substream(26, "huge", spec_cls.__name__)
+    grads = 1e11 * (rng.standard_normal((12, 8)) + rng.standard_normal(8))
+    spec = spec_cls()
+    crafted = attack(grads, spec)
+    mean = grads.mean(axis=0)
+    direction = perturbation_direction(mean, spec.direction)
+    gamma = found[-1]
+    assert gamma > 1e11 and np.spacing(gamma) > spec.gamma_min
+    assert np.array_equal(crafted, mean + gamma * direction)
+    sq = pairwise_sq_dists(grads)
+    limit = float(np.sqrt(sq.max())) if spec.kind == "minmax" else float(sq.sum(axis=1).max())
+    assert getattr(attacks, exact)(grads, mean, direction, gamma, limit)
+    assert np.array_equal(crafted, reference(grads, spec))

@@ -105,6 +105,38 @@ class TestConfig:
             _desk_config(aggregator="multikrum", aggregator_params={"f": 2, "m": m})
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(attack={"kind": "minmax", "gamma0": 0.0}),
+    dict(attack={"kind": "minmax", "step": -1.0}),
+    dict(attack={"kind": "minsum", "gamma_min": 0}),
+    dict(attack={"kind": "minsum", "gamma_min": float("nan")}),
+    dict(attack={"kind": "fang", "lambda0": float("inf")}),
+    dict(attack={"kind": "fang", "oracle": "defence"}),
+    dict(attack={"kind": "minmax", "direction": "mean"}),
+    dict(aggregator="dnc", aggregator_params={"n_iter": 3}),
+    dict(aggregator="dp2guard", aggregator_params={"f": 1}),
+    dict(aggregator="multikrum", aggregator_params={"n_iters": 2}),
+    dict(aggregator="dnc", aggregator_params={"sub_dim": "x"}),
+    dict(aggregator="dnc", aggregator_params={"n_iters": 0}),
+    dict(aggregator="dnc", aggregator_params={"assumed_malicious": 1.5}),
+    dict(aggregator="dnc", aggregator_params={"filter_frac": 0.0}),
+    dict(aggregator="multikrum", aggregator_params={"f": -1}),
+], ids=repr)
+def test_config_rejects_bad_parameters(overrides):
+    with pytest.raises(ConfigError):
+        _desk_config(adv_ratio=0.2 if "attack" in overrides else 0.0, **overrides)
+
+
+def test_config_accepts_each_rule_parameter():
+    _desk_config(adv_ratio=0.2, attack={"kind": "minsum", "gamma0": 2, "step": 0.5,
+                                        "gamma_min": 1e-3, "direction": "sign"})
+    _desk_config(adv_ratio=0.2, attack={"kind": "fang", "lambda0": 1.0,
+                                        "oracle": "accept_all"})
+    _desk_config(aggregator="dnc", aggregator_params={
+        "n_iters": 2, "sub_dim": 5, "filter_frac": 1, "assumed_malicious": 2})
+    _desk_config(aggregator="multikrum", aggregator_params={"f": 0, "m": 1})
+
+
 class TestRunDeterminism:
     def test_bit_identical_artifacts(self, tmp_path):
         cfg = _desk_config(adv_ratio=0.2, attack={"kind": "minmax", "direction": "-mean"})
@@ -193,17 +225,13 @@ class TestDetectionGroundTruth:
             want_rec = len(flagged & truth) / len(truth)
             assert m.precision == want_prec and m.recall == want_rec
 
-    def test_identical_malicious_flag(self):
-        base = dict(rounds=2, adv_ratio=0.3,
-                    attack={"kind": "fang", "oracle": "accept_all"})
-        same = run_experiment(_desk_config(**base), record_history=True)
-        for grads in same.gradient_history:
-            crafted = [grads[cid] for cid in (0, 1, 2)]
+    def test_attackers_submit_identical_copies(self):
+        cfg = _desk_config(rounds=2, adv_ratio=0.3,
+                           attack={"kind": "fang", "oracle": "accept_all"})
+        res = run_experiment(cfg, record_history=True)
+        for grads in res.gradient_history:
+            crafted = [grads[cid] for cid in cfg.malicious_ids]
             assert all(np.array_equal(crafted[0], g) for g in crafted[1:])
-        indep = run_experiment(_desk_config(identical_malicious=False, **base),
-                               record_history=True)
-        for grads in indep.gradient_history:
-            assert all(np.all(np.isfinite(grads[cid])) for cid in (0, 1, 2))
 
     def test_baseline_selection_rules_report_metrics(self):
         cfg = _desk_config(aggregator="multikrum", rounds=3, adv_ratio=0.2,
@@ -223,7 +251,7 @@ def reference_dp2guard_oracle(cfg, honest, round_no):
     n_mal = cfg.n_malicious
 
     def oracle(candidate):
-        pop = honest + [candidate] * n_mal
+        pop = list(honest) + [candidate] * n_mal
         centered = {i: g - np.mean(pop, axis=0) for i, g in enumerate(pop)}
         rng = substream(cfg.seed, "attack-oracle", round_no)
         result = detect(centered, rng, cfg.projection_dim)
@@ -247,7 +275,7 @@ def reference_dnc_oracle(cfg, honest, round_no):
     n_mal = cfg.n_malicious
 
     def oracle(candidate):
-        stack = np.asarray(honest + [candidate] * n_mal)
+        stack = np.asarray(list(honest) + [candidate] * n_mal)
         rng = substream(cfg.seed, "attack-oracle", round_no)
         centered = stack - stack.mean(axis=0)
         take = min(dcfg.sub_dim, stack.shape[1])
@@ -286,7 +314,7 @@ class TestFangOracle:
         run_experiment(cfg, out_dir=tmp_path / "fast")
         monkeypatch.setattr(
             harness, "_fang_oracle",
-            lambda cfg, spec, honest, round_no, actor=None:
+            lambda cfg, spec, honest, round_no:
                 reference_dp2guard_oracle(cfg, honest, round_no))
         run_experiment(cfg, out_dir=tmp_path / "reference")
         for name in ("metrics.csv", "detection.csv", "attack.csv", "ledger.jsonl"):
@@ -376,6 +404,38 @@ class TestBaselineAggregators:
         stack = substream(9, "dnc-count", n_clients).standard_normal((n_clients, 40))
         survivors = dnc_survivors(stack, harness._dnc_params(cfg), substream(9, "dnc"))
         assert len(survivors) == n_clients - removed
+
+
+@pytest.mark.parametrize("aggregator", ["fedavg", "multikrum", "dnc"])
+def test_loop_aggregate_equals_baseline_function(aggregator):
+    # The update the loop applies is the plaintext rule on the round's rows,
+    # bit for bit: Multi-Krum sums its picks in ranking order, DnC in id order.
+    cfg = _desk_config(aggregator=aggregator, rounds=2, adv_ratio=0.2,
+                       attack={"kind": "minmax", "direction": "-mean"})
+    res = run_experiment(cfg, record_history=True)
+    params = res.model.init_params(substream(cfg.seed, "model-init"))
+    for t in range(cfg.rounds):
+        rows = [res.gradient_history[t][cid] for cid in range(cfg.n_clients)]
+        if aggregator == "fedavg":
+            want = baselines.fedavg(rows)
+        elif aggregator == "multikrum":
+            want = baselines.multi_krum(rows, *harness._multikrum_params(cfg))
+        else:
+            want = baselines.dnc(rows, harness._dnc_params(cfg),
+                                 substream(cfg.seed, "dnc", t))
+        params = models.sgd_step(params, want, cfg.eta)
+        assert np.array_equal(params, res.params_history[t])
+
+
+def test_dp2guard_round_channel_audit():
+    # Each round: 2N share uploads, one S1 -> S2 batch, one ledger -> S1
+    # record, and nothing addressed to the clients.
+    cfg = _desk_config(rounds=3, adv_ratio=0.2, attack={"kind": "fang"})
+    log = run_experiment(cfg).channel.log
+    one_round = [(f"client{cid}", server, "ShareUpload")
+                 for cid in range(cfg.n_clients) for server in ("S1", "S2")]
+    one_round += [("S1", "S2", "CenteredBatch"), ("ledger", "S1", "AggDigestAndWeights")]
+    assert log == one_round * cfg.rounds
 
 
 class TestMetricsOutput:

@@ -10,10 +10,8 @@ from dp2guard.numeric import (
     deserialize_ring,
     encode_fixed,
     ring_add,
-    ring_neg,
     ring_scale,
     ring_sub,
-    ring_zero,
     serialize_ring,
     substream,
     uniform_ring,
@@ -28,6 +26,10 @@ def chi_square_uniform_bytes(low_bytes: np.ndarray) -> float:
     counts = np.bincount(low_bytes, minlength=256)
     expected = low_bytes.size / 256.0
     return float(((counts - expected) ** 2 / expected).sum())
+
+
+def _zeros(d: int, scale_bits: int = 16) -> RingVector:
+    return RingVector(np.zeros(d, dtype=np.uint64), scale_bits)
 
 
 class TestEncodeDecode:
@@ -80,7 +82,7 @@ class TestRingArithmetic:
     def test_add_zero_identity(self):
         rng = substream(4, "idzero")
         a = uniform_ring(16, 16, rng)
-        assert np.array_equal(ring_add(a, ring_zero(16)).words, a.words)
+        assert np.array_equal(ring_add(a, _zeros(16)).words, a.words)
 
     def test_add_matches_real_sum(self):
         rng = substream(5, "realsum")
@@ -100,14 +102,9 @@ class TestRingArithmetic:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            ring_add(ring_zero(3), ring_zero(4))
+            ring_add(_zeros(3), _zeros(4))
         with pytest.raises(DimensionMismatch):
-            ring_add(ring_zero(3, 16), ring_zero(3, 20))
-
-    def test_neg_is_additive_inverse(self):
-        rng = substream(7, "neg")
-        a = uniform_ring(8, 16, rng)
-        assert not np.any(ring_add(a, ring_neg(a)).words)
+            ring_add(_zeros(3, 16), _zeros(3, 20))
 
     def test_scale_matches_repeated_add(self):
         rng = substream(8, "scale")

@@ -257,11 +257,9 @@ def _drive_round(grads, seed, round_no=0, beta=0.5):
     s2.receive_centered_batch(channel.send("S1", "S2", s1.center_shares()))
     detection, new_trust, tau = s2.detect_and_weigh(
         initial_trust(ids, beta), substream(seed, "km"))
-    agg2, publish = s2.publish(tau)
-    s1.receive_agg_and_weights(channel.send("ledger", "S1", publish))
-    global_grad, update = s1.finalize()
-    channel.send("S1", "clients", update)
-    return global_grad, detection, tau, channel, s1, s2
+    record = encode_agg_and_weights(round_no, 0, s2.publish(tau), tau)
+    s1.receive_agg_and_weights(channel.send("ledger", "S1", record))
+    return s1.finalize(), detection, tau, channel, s1, s2
 
 
 class TestServerStateMachines:
@@ -331,3 +329,4 @@ class TestServerStateMachines:
         assert channel.kinds_between("ledger", "S1") == {"AggDigestAndWeights"}
         client_kinds = {k for s, d, k in channel.log if s.startswith("client")}
         assert client_kinds == {"ShareUpload"}
+        assert not any(d.startswith("client") for _, d, _ in channel.log)
