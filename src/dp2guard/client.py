@@ -14,14 +14,7 @@ import numpy as np
 from . import models
 from .attacks import AttackSpec, LabelFlipSpec, label_flip
 from .data import Dataset
-from .numeric import (
-    RingVector,
-    clip_for_encoding,
-    encode_fixed,
-    ring_add,
-    ring_sub,
-    uniform_ring,
-)
+from .numeric import RingVector, clip_for_encoding, encode_fixed, uniform_words
 
 
 @dataclass(frozen=True)
@@ -58,12 +51,12 @@ def split_and_mask(grad: np.ndarray, scale_bits: int,
     ring_add of the two results always decodes to the encode-quantized
     gradient, bit-for-bit, whatever the rng produced.
     """
-    encoded = encode_fixed(clip_for_encoding(grad, scale_bits), scale_bits)
-    d = len(encoded)
-    part1 = uniform_ring(d, scale_bits, rng)
-    part2 = ring_sub(encoded, part1)
-    mask = uniform_ring(d, scale_bits, rng)
-    return ring_add(part1, mask), ring_sub(part2, mask)
+    encoded = encode_fixed(clip_for_encoding(grad, scale_bits), scale_bits).words
+    # Share 1 is a uniform split plus a uniform mask; share 2 is the
+    # complement (encoded - split) - mask = encoded - share 1 in the ring.
+    share1 = uniform_words(len(encoded), rng)
+    share1 += uniform_words(len(encoded), rng)
+    return RingVector(share1, scale_bits), RingVector(encoded - share1, scale_bits)
 
 
 def epoch_gradient(model: models.Model, params: np.ndarray, dataset: Dataset,

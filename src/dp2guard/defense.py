@@ -9,7 +9,7 @@ as benign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -134,13 +134,18 @@ def cluster_and_select(features: Mapping[int, np.ndarray],
     return DetectionResult(benign_ids, {i: raw[k] for k, i in enumerate(ids)}, centroid)
 
 
-def detect(centered: Mapping[int, np.ndarray], rng: np.random.Generator,
-           projection_dim: int | None = None) -> DetectionResult:
-    """Full detection pass: features from the centered gradients, then
-    clustering.  `projection_dim` optionally sketches the gradients onto a
-    seeded Gaussian projection first (for very large d; off by default)."""
-    ids = sorted(centered)
-    matrix = np.stack([centered[i] for i in ids])
+def detect(centered: np.ndarray, rng: np.random.Generator,
+           projection_dim: int | None = None,
+           ids: Sequence[int] | None = None) -> DetectionResult:
+    """Full detection pass: features from the (N, d) matrix of centered
+    gradients, then clustering.  Row k belongs to client ids[k]; ids must
+    ascend and default to 0..N-1.  `projection_dim` optionally sketches the
+    gradients onto a seeded Gaussian projection first (for very large d;
+    off by default)."""
+    matrix = np.asarray(centered, dtype=np.float64)
+    ids = list(range(matrix.shape[0])) if ids is None else list(ids)
+    if len(ids) != matrix.shape[0] or any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ValueError("ids must ascend and name every row")
     if projection_dim is not None and projection_dim < matrix.shape[1]:
         proj = rng.standard_normal((matrix.shape[1], projection_dim))
         matrix = matrix @ (proj / np.sqrt(projection_dim))

@@ -99,6 +99,11 @@ class ExperimentConfig:
             raise ConfigError("batch_size must be at least 1")
         if not 1 <= self.scale_bits <= 48:
             raise ConfigError("scale_bits must be in [1, 48]")
+        for name in ("hidden", "fltrust_root_size"):
+            if not _is_int(getattr(self, name), 1):
+                raise ConfigError(f"{name} must be an integer >= 1")
+        if self.projection_dim is not None and not _is_int(self.projection_dim, 1):
+            raise ConfigError("projection_dim must be None or an integer >= 1")
         if self.attack is not None:
             _check_attack(self.parse_attack(),
                           self.synth_classes if self.dataset == "synthetic" else 10)
@@ -361,6 +366,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                                     mtb, mtm, trust_snapshot,
                                     time.perf_counter() - started, crafted_norm))
 
+    ledger.close()
     result.metrics = metrics
     result.final_params = params
     if out_path is not None:
@@ -457,7 +463,7 @@ def _select(cfg: ExperimentConfig, stack: np.ndarray,
     else:
         assert cfg.aggregator == "dp2guard"
         centered = stack - np.mean(stack, axis=0)
-        kept = defense.detect(dict(enumerate(centered)), rng, cfg.projection_dim).benign
+        kept = defense.detect(centered, rng, cfg.projection_dim).benign
     return np.array(sorted(kept), dtype=np.intp)
 
 
@@ -478,8 +484,7 @@ def _dp2guard_round(cfg: ExperimentConfig, stack: np.ndarray,
         s1.receive_share(channel.send(f"client{cid}", "S1", m1))
         s2.receive_share(channel.send(f"client{cid}", "S2", m2))
 
-    centered_msg = s1.center_shares()
-    s2.receive_centered_batch(channel.send("S1", "S2", centered_msg))
+    s2.receive_centered_batch(channel.send("S1", "S2", s1.center_shares()))
 
     detection, new_trust, tau = s2.detect_and_weigh(
         trust_state, substream(cfg.seed, "cluster", round_no),

@@ -13,7 +13,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, TextIO
 
 from .errors import FormatError, RoundNotFound
 
@@ -69,6 +69,7 @@ class Ledger:
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self.blocks: list[Block] = []
+        self._fh: TextIO | None = None  # append handle, opened on first append
         # round -> index of the first block recorded for it
         self._first_block: dict[int, int] = {}
         if self.path is not None and self.path.exists():
@@ -80,17 +81,25 @@ class Ledger:
         self.blocks.append(block)
 
     def append(self, round_no: int, payload: dict[str, Any]) -> Block:
-        """Append a block; the line is persisted before the call returns."""
+        """Append a block; the line is flushed to the file before the call
+        returns, so readers see every appended block while the run goes on."""
         index = len(self.blocks)
         prev = self.blocks[-1].hash if self.blocks else GENESIS_HASH
         digest = block_hash(index, round_no, prev, payload)
         block = Block(index, round_no, prev, payload, digest)
         if self.path is not None:
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(_block_line(block) + "\n")
-                fh.flush()
+            if self._fh is None:
+                self._fh = self.path.open("a", encoding="utf-8")
+            self._fh.write(_block_line(block) + "\n")
+            self._fh.flush()
         self._record(block)
         return block
+
+    def close(self) -> None:
+        """Release the append handle; a later append reopens the file."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def read_round(self, round_no: int) -> dict[str, Any]:
         """Payload of the first block recorded for the given round."""

@@ -44,11 +44,6 @@ class RingVector:
         return self.words.shape[0]
 
 
-def encode_range(scale_bits: int) -> float:
-    """Largest magnitude representable at the given scale."""
-    return 2.0 ** (63 - scale_bits)
-
-
 def clip_bound(scale_bits: int) -> float:
     """L-inf clipping bound leaving headroom for sums of many shares."""
     return 2.0 ** (63 - scale_bits - SUM_HEADROOM_BITS)
@@ -66,15 +61,18 @@ def encode_fixed(values: np.ndarray, scale_bits: int = DEFAULT_SCALE_BITS) -> Ri
     Raises OverflowError if any entry is non-finite or out of range.
     """
     values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise OverflowError("cannot encode non-finite entries")
-    if np.any(np.abs(values) >= encode_range(scale_bits)):
+    with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+        scaled = values * 2.0**scale_bits
+    np.rint(scaled, out=scaled)
+    # |x| < 2**(63 - s) exactly when |x * 2**s| < 2**63 (scaling by a power
+    # of two is exact), and rint cannot carry such a value up to 2**63
+    # (doubles there are 1024 apart).  NaN fails both comparisons.
+    if not (scaled.max(initial=0.0) < _TWO63 and scaled.min(initial=0.0) > -_TWO63):
+        if not np.all(np.isfinite(values)):
+            raise OverflowError("cannot encode non-finite entries")
         raise OverflowError(
             f"entries exceed the representable range at scale_bits={scale_bits}"
         )
-    scaled = np.rint(values * 2.0**scale_bits)
-    if np.any(np.abs(scaled) >= _TWO63):
-        raise OverflowError("rounded value does not fit in 63 bits")
     return RingVector(scaled.astype(np.int64).view(np.uint64), scale_bits)
 
 
@@ -103,18 +101,19 @@ def ring_sub(a: RingVector, b: RingVector) -> RingVector:
     return RingVector(np.subtract(a.words, b.words), a.scale_bits)
 
 
-def ring_scale(a: RingVector, factor: int) -> RingVector:
-    """Wrapping multiply of every word by an unsigned integer factor."""
-    if factor < 0:
-        raise ValueError("ring factors are unsigned")
-    f = np.uint64(factor % 2**64)
-    return RingVector(np.multiply(a.words, f), a.scale_bits)
+def uniform_words(d: int, rng: np.random.Generator) -> np.ndarray:
+    """d fresh, writable words drawn uniformly over the whole ring.
+
+    The raw 64-bit outputs of the bit generator are the words that
+    ``rng.integers(0, 2**64 - 1, endpoint=True, dtype=np.uint64)`` returns,
+    and they leave the stream in the same state, but skip its bounds logic.
+    """
+    return rng.bit_generator.random_raw(d)
 
 
 def uniform_ring(d: int, scale_bits: int, rng: np.random.Generator) -> RingVector:
     """Draw d words uniformly over the whole ring."""
-    words = rng.integers(0, 2**64 - 1, size=d, dtype=np.uint64, endpoint=True)
-    return RingVector(words, scale_bits)
+    return RingVector(uniform_words(d, rng), scale_bits)
 
 
 # Serialization: (d: uint32, scale_bits: uint8) header, then little-endian
@@ -123,7 +122,13 @@ _HEADER = struct.Struct("<IB")
 
 
 def serialize_ring(ring: RingVector) -> bytes:
-    return _HEADER.pack(len(ring), ring.scale_bits) + ring.words.astype("<u8").tobytes()
+    return b"".join((_HEADER.pack(len(ring), ring.scale_bits), wire_words(ring.words)))
+
+
+def wire_words(words: np.ndarray) -> np.ndarray:
+    """The words as contiguous little-endian uint64, for joining into a
+    payload; no copy when they already are (the usual case)."""
+    return np.ascontiguousarray(words, dtype="<u8")
 
 
 def deserialize_ring(data: bytes) -> RingVector:

@@ -1,6 +1,10 @@
 """Dual-server aggregation protocol: share collection, mean-centering
 exchange, trust-weighted partial aggregation, and reassembly.
 
+Each server holds its round's shares as one (N, d) uint64 matrix whose rows
+follow ascending client id; `receive_share` copies an upload's words from
+the wire straight into its row.
+
 Mean-centering happens on masked shares.  Each server computes
 N * share_i - sum_j(share_j) in the ring, i.e. the centered share scaled by
 the client count; the division by N happens only after the two halves are
@@ -11,25 +15,32 @@ gradients depend only on the encoded plaintext gradients.
 Weighted aggregation converts each weight to fixed point with 32 fractional
 bits and multiply-accumulates in the ring; the combined result therefore
 carries scale_bits + 32 fractional bits, which decode removes.
+
+Memory: the only (N, d) arrays a round allocates are the two share matrices
+and S2's float matrix of reconstructed centered gradients.  Centering,
+reconstruction and aggregation run row by row in reused d-vectors, because
+at realistic sizes every fresh (N, d) temporary lies above the allocator's
+mmap threshold and is page-faulted in again each time.  Servers live for
+one round, so nothing is kept across rounds.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .client import MaskedShare
 from .defense import DetectionResult, detect
-from .errors import ClientSetMismatch, ProtocolError, WeightError
+from .errors import ClientSetMismatch, DimensionMismatch, FormatError, ProtocolError, WeightError
 from .numeric import (
     RingVector,
     decode_fixed,
     deserialize_ring,
     ring_add,
-    ring_scale,
     serialize_ring,
+    wire_words,
 )
 from .trust import TrustState, direct_trust, update_trust, weights as trust_weights
 
@@ -46,6 +57,14 @@ _KIND_NAMES = {
 }
 
 _MSG_HEADER = struct.Struct("<BIIQ")
+# ShareUpload: client id, share index, then the ring header (d, scale_bits)
+# and d words.
+_UPLOAD_HEADER = struct.Struct("<IBIB")
+# CenteredBatch: a record count, then per client its id, the ring blob
+# length, the ring header (d, scale_bits) and d words.
+_BATCH_COUNT = struct.Struct("<I")
+_BATCH_RECORD = struct.Struct("<IQIB")
+_RING_HEADER_BYTES = 5
 
 
 @dataclass(frozen=True)
@@ -53,7 +72,7 @@ class ProtocolMessage:
     kind: int
     round: int
     sender: int
-    payload: bytes
+    payload: bytes  # or any bytes-like object: decoded payloads are memoryviews
 
 
 def encode_message(msg: ProtocolMessage) -> bytes:
@@ -61,10 +80,11 @@ def encode_message(msg: ProtocolMessage) -> bytes:
 
 
 def decode_message(wire: bytes) -> ProtocolMessage:
+    """Parse a wire message; the payload is a view into `wire`, not a copy."""
     if len(wire) < _MSG_HEADER.size:
         raise ProtocolError("message shorter than its header")
     kind, round_no, sender, payload_len = _MSG_HEADER.unpack_from(wire)
-    payload = wire[_MSG_HEADER.size:]
+    payload = memoryview(wire)[_MSG_HEADER.size:]
     if len(payload) != payload_len:
         raise ProtocolError(f"payload length {len(payload)} != declared {payload_len}")
     if kind not in _KIND_NAMES:
@@ -83,41 +103,79 @@ class Channel:
         self.log.append((src, dst, _KIND_NAMES[msg.kind]))
         return decode_message(encode_message(msg))
 
-    def kinds_between(self, src: str, dst: str) -> set[str]:
-        return {kind for s, d, kind in self.log if s == src and d == dst}
-
 
 def encode_share_upload(share: MaskedShare) -> ProtocolMessage:
-    payload = struct.pack("<IB", share.client_id, share.share_index)
-    payload += serialize_ring(share.payload)
+    ring = share.payload
+    header = _UPLOAD_HEADER.pack(share.client_id, share.share_index, len(ring), ring.scale_bits)
+    payload = b"".join((header, wire_words(ring.words)))
     return ProtocolMessage(MSG_SHARE_UPLOAD, share.round, share.client_id, payload)
 
 
 def decode_share_upload(msg: ProtocolMessage) -> MaskedShare:
-    client_id, share_index = struct.unpack_from("<IB", msg.payload)
-    ring = deserialize_ring(msg.payload[5:])
-    return MaskedShare(client_id, msg.round, share_index, ring)
+    """The upload's share; its words are a read-only view into the payload."""
+    payload = msg.payload
+    if len(payload) < _UPLOAD_HEADER.size:
+        raise FormatError(f"ShareUpload of {len(payload)} bytes is shorter than its header")
+    client_id, share_index, d, scale_bits = _UPLOAD_HEADER.unpack_from(payload)
+    if len(payload) != _UPLOAD_HEADER.size + 8 * d:
+        raise FormatError(f"ShareUpload of {d} words has {len(payload)} bytes")
+    if share_index not in (1, 2):
+        raise FormatError(f"share index {share_index} is neither 1 nor 2")
+    words = np.frombuffer(payload, dtype="<u8", count=d, offset=_UPLOAD_HEADER.size)
+    return MaskedShare(client_id, msg.round, share_index, RingVector(words, scale_bits))
 
 
-def encode_centered_batch(round_no: int, sender: int,
-                          centered: Mapping[int, RingVector]) -> ProtocolMessage:
-    parts = [struct.pack("<I", len(centered))]
-    for cid in sorted(centered):
-        blob = serialize_ring(centered[cid])
-        parts.append(struct.pack("<IQ", cid, len(blob)) + blob)
-    return ProtocolMessage(MSG_CENTERED_BATCH, round_no, sender, b"".join(parts))
+def encode_centered_batch(round_no: int, sender: int, ids: Sequence[int],
+                          rows: Iterable[np.ndarray], scale_bits: int) -> ProtocolMessage:
+    """One record per client id, in the given order, holding the matching
+    row of `rows` (which may reuse one buffer: each row is copied into the
+    payload before the next is drawn)."""
+    payload = bytearray(_BATCH_COUNT.pack(len(ids)))
+    for k, (cid, row) in enumerate(zip(ids, rows, strict=True)):
+        if k == 0:
+            d = row.shape[0]
+            record = _BATCH_RECORD.size + 8 * d
+            payload = bytearray(_BATCH_COUNT.size + len(ids) * record)
+            _BATCH_COUNT.pack_into(payload, 0, len(ids))
+        offset = _BATCH_COUNT.size + k * record
+        _BATCH_RECORD.pack_into(payload, offset, cid, _RING_HEADER_BYTES + 8 * d, d, scale_bits)
+        words = np.frombuffer(payload, dtype="<u8", count=d, offset=offset + _BATCH_RECORD.size)
+        words[...] = row
+    return ProtocolMessage(MSG_CENTERED_BATCH, round_no, sender, payload)
 
 
-def decode_centered_batch(msg: ProtocolMessage) -> dict[int, RingVector]:
-    count = struct.unpack_from("<I", msg.payload)[0]
-    offset = 4
-    out: dict[int, RingVector] = {}
-    for _ in range(count):
-        cid, blob_len = struct.unpack_from("<IQ", msg.payload, offset)
-        offset += 12
-        out[cid] = deserialize_ring(msg.payload[offset:offset + blob_len])
-        offset += blob_len
-    return out
+def decode_centered_batch(msg: ProtocolMessage) -> tuple[list[int], np.ndarray, int]:
+    """(client ids, (N, d) words, scale_bits) of a CenteredBatch.
+
+    Every record must carry the same d and scale_bits.  The words are a
+    read-only strided view into the payload, row k for ids[k].
+    """
+    payload = msg.payload
+    if len(payload) < _BATCH_COUNT.size:
+        raise FormatError("CenteredBatch shorter than its record count")
+    (count,) = _BATCH_COUNT.unpack_from(payload)
+    ids: list[int] = []
+    d = scale_bits = 0
+    offset = _BATCH_COUNT.size
+    for k in range(count):
+        if len(payload) < offset + _BATCH_RECORD.size:
+            raise FormatError(f"CenteredBatch truncated in record {k} of {count}")
+        cid, blob_len, dk, sk = _BATCH_RECORD.unpack_from(payload, offset)
+        if k == 0:
+            d, scale_bits = dk, sk
+        if (dk, sk) != (d, scale_bits) or blob_len != _RING_HEADER_BYTES + 8 * dk:
+            raise FormatError(f"CenteredBatch record {k} does not match record 0")
+        ids.append(cid)
+        offset += _BATCH_RECORD.size + 8 * d
+    if offset != len(payload):
+        raise FormatError(f"CenteredBatch of {count} records needs {offset} bytes, "
+                          f"got {len(payload)}")
+    if count == 0:
+        return ids, np.empty((0, 0), dtype=np.uint64), scale_bits
+    words = np.ndarray((count, d), dtype="<u8", buffer=payload,
+                       offset=_BATCH_COUNT.size + _BATCH_RECORD.size,
+                       strides=(_BATCH_RECORD.size + 8 * d, 8))
+    return ids, words, scale_bits
 
 
 def encode_agg_and_weights(round_no: int, sender: int, aggregate: RingVector,
@@ -142,61 +200,81 @@ def decode_agg_and_weights(msg: ProtocolMessage) -> tuple[RingVector, dict[int, 
 
 # --- protocol operations -------------------------------------------------
 
-def mean_center(shares: Sequence[RingVector]) -> list[RingVector]:
-    """Center each share against the population mean, scaled by N.
+def mean_center(shares: np.ndarray) -> Iterator[np.ndarray]:
+    """Center each row of an (N, d) share matrix against the population
+    mean, scaled by N.
 
-    Returns N * share_i - sum_j(share_j) in exact ring arithmetic.  The
-    scaling postpones the division by N to reconstruction, where it applies
-    to the combined (mask-free) value, so centering never rounds.
+    Yields N * shares[k] - sum_j(shares[j]) for k = 0..N-1 in exact ring
+    arithmetic, every time in the same reused d-vector, so a row must be
+    consumed before the next is drawn.  The scaling postpones the division
+    by N to reconstruction, where it applies to the combined (mask-free)
+    value, so centering never rounds.
     """
-    n = len(shares)
+    n = shares.shape[0]
     if n < 2:
         raise ValueError("mean-centering needs at least two shares")
-    total = shares[0]
-    for share in shares[1:]:
-        total = ring_add(total, share)
-    out = []
+    total = shares.sum(axis=0)  # wraps mod 2**64
+    return _centered_rows(shares, total)
+
+
+def _centered_rows(shares: np.ndarray, total: np.ndarray) -> Iterator[np.ndarray]:
+    factor = np.uint64(shares.shape[0])
+    row = np.empty_like(total)
     for share in shares:
-        scaled = ring_scale(share, n)
-        out.append(RingVector(np.subtract(scaled.words, total.words), share.scale_bits))
+        np.multiply(share, factor, out=row)
+        np.subtract(row, total, out=row)
+        yield row
+
+
+def reconstruct_centered(centered_1: np.ndarray, shares_2: np.ndarray,
+                         scale_bits: int) -> np.ndarray:
+    """Real centered gradients, row k for the client of shares_2[k].
+
+    `centered_1` holds S1's centered rows (as sent in the CenteredBatch);
+    each is added to S2's own centered row, which cancels masks and splits
+    exactly, then decoded and divided by N (the residual scaling of
+    `mean_center`), the same operations as decode_fixed(...) / N.
+    """
+    if centered_1.shape[0] != shares_2.shape[0]:
+        raise ClientSetMismatch(
+            f"{centered_1.shape[0]} centered rows for {shares_2.shape[0]} shares")
+    if centered_1.shape != shares_2.shape:
+        raise DimensionMismatch(f"dimension {centered_1.shape[1]} != {shares_2.shape[1]}")
+    n = shares_2.shape[0]
+    unit = 2.0 ** (-scale_bits)
+    out = np.empty(shares_2.shape)
+    for k, row in enumerate(mean_center(shares_2)):
+        np.add(row, centered_1[k], out=row)
+        np.multiply(row.view(np.int64), unit, out=out[k])
+        np.divide(out[k], n, out=out[k])
     return out
 
 
-def reconstruct_centered(c1: Mapping[int, RingVector],
-                         c2: Mapping[int, RingVector]) -> dict[int, np.ndarray]:
-    """Combine the two servers' centered shares into real centered gradients.
-
-    The wrapping sum cancels masks and splits exactly; the residual N
-    scaling from mean_center is divided out here.
-    """
-    if set(c1) != set(c2):
-        raise ClientSetMismatch(f"client sets differ: {sorted(c1)} vs {sorted(c2)}")
-    n = len(c1)
-    return {cid: decode_fixed(ring_add(c1[cid], c2[cid])) / n for cid in sorted(c1)}
-
-
-def partial_aggregate(shares: Mapping[int, RingVector],
-                      tau: Mapping[int, float]) -> RingVector:
-    """Trust-weighted ring combination of one server's shares.
+def partial_aggregate(shares: np.ndarray, weights: Sequence[float],
+                      scale_bits: int) -> RingVector:
+    """Trust-weighted ring combination of one server's (N, d) share
+    matrix, weights[k] for row k.
 
     Weights are encoded at WEIGHT_BITS fractional bits, so the result's
     scale_bits grows by WEIGHT_BITS; only the two-server sum of these
     partials decodes to a meaningful value when shares are masked.
     """
-    if set(shares) != set(tau):
-        raise WeightError("weight keys do not match share keys")
-    vals = np.array([tau[cid] for cid in sorted(tau)])
+    vals = np.asarray(weights, dtype=np.float64)
+    if vals.shape != shares.shape[:1]:
+        raise WeightError(f"{vals.size} weights for {shares.shape[0]} shares")
+    if not np.all(np.isfinite(vals)):
+        raise WeightError("non-finite aggregation weight")
     if np.any(vals < 0):
         raise WeightError("negative aggregation weight")
     if abs(vals.sum() - 1.0) > 1e-9:
         raise WeightError(f"weights sum to {vals.sum()}, expected 1")
-    ids = sorted(shares)
-    first = shares[ids[0]]
-    acc = np.zeros(len(first), dtype=np.uint64)
-    for cid in ids:
-        w = np.uint64(int(round(tau[cid] * 2.0**WEIGHT_BITS)))
-        acc = np.add(acc, np.multiply(shares[cid].words, w))
-    return RingVector(acc, first.scale_bits + WEIGHT_BITS)
+    fixed = np.rint(vals * 2.0**WEIGHT_BITS).astype(np.uint64)
+    acc = np.zeros(shares.shape[1], dtype=np.uint64)
+    term = np.empty_like(acc)
+    for share, w in zip(shares, fixed):
+        np.multiply(share, w, out=term)
+        np.add(acc, term, out=acc)
+    return RingVector(acc, scale_bits + WEIGHT_BITS)
 
 
 def reassemble_global(a1: RingVector, a2: RingVector) -> np.ndarray:
@@ -213,13 +291,21 @@ PHASE_AGGREGATING = "aggregating"
 PHASE_DONE = "done"
 
 
-@dataclass
 class _ServerBase:
-    server_id: int
-    expected_clients: frozenset[int]
-    round: int
-    phase: str = field(default=PHASE_COLLECTING, init=False)
-    shares: dict[int, RingVector] = field(default_factory=dict, init=False)
+    """Collects one round's shares into `shares`, an (N, d) uint64 matrix
+    with row k for the k-th smallest expected client id; d and scale_bits
+    are fixed by the first share received."""
+
+    def __init__(self, server_id: int, expected_clients: Iterable[int], round_no: int):
+        self.server_id = server_id
+        self.expected_clients = frozenset(expected_clients)
+        self.round = round_no
+        self.phase = PHASE_COLLECTING
+        self.ids = sorted(self.expected_clients)
+        self._row = {cid: k for k, cid in enumerate(self.ids)}
+        self._received: set[int] = set()
+        self.shares: np.ndarray | None = None
+        self.scale_bits: int | None = None
 
     def _require(self, phase: str, action: str) -> None:
         if self.phase != phase:
@@ -232,26 +318,37 @@ class _ServerBase:
         if msg.round != self.round:
             raise ProtocolError(f"share for round {msg.round}, server at {self.round}")
         share = decode_share_upload(msg)
-        if share.client_id not in self.expected_clients:
+        row = self._row.get(share.client_id)
+        if row is None:
             raise ProtocolError(f"unexpected client {share.client_id}")
-        if share.client_id in self.shares:
+        if share.client_id in self._received:
             raise ProtocolError(f"duplicate share from client {share.client_id}")
         if share.share_index != self.server_id:
             raise ProtocolError(
                 f"share index {share.share_index} uploaded to S{self.server_id}"
             )
-        self.shares[share.client_id] = share.payload
+        ring = share.payload
+        if self.shares is None:
+            self.shares = np.empty((len(self.ids), len(ring)), dtype=np.uint64)
+            self.scale_bits = ring.scale_bits
+        elif (len(ring), ring.scale_bits) != (self.shares.shape[1], self.scale_bits):
+            raise ProtocolError(
+                f"share of client {share.client_id} has d={len(ring)}, "
+                f"scale_bits={ring.scale_bits}; the round has d={self.shares.shape[1]}, "
+                f"scale_bits={self.scale_bits}"
+            )
+        self.shares[row] = ring.words
+        self._received.add(share.client_id)
 
-    def all_shares_in(self) -> bool:
-        return set(self.shares) == set(self.expected_clients)
-
-    def _centered_own(self) -> dict[int, RingVector]:
-        if not self.all_shares_in():
-            missing = sorted(self.expected_clients - set(self.shares))
+    def _require_all_shares(self) -> None:
+        missing = sorted(self.expected_clients - self._received)
+        if missing:
             raise ProtocolError(f"cannot center before clients {missing} upload")
-        ids = sorted(self.shares)
-        centered = mean_center([self.shares[cid] for cid in ids])
-        return dict(zip(ids, centered))
+
+    def _row_weights(self, tau: Mapping[int, float]) -> list[float]:
+        if set(tau) != self.expected_clients:
+            raise WeightError("weight keys do not match share keys")
+        return [tau[cid] for cid in self.ids]
 
 
 class ServerS1(_ServerBase):
@@ -259,15 +356,17 @@ class ServerS1(_ServerBase):
     published weights and reassembles the global gradient."""
 
     def __init__(self, expected_clients, round_no: int):
-        super().__init__(1, frozenset(expected_clients), round_no)
+        super().__init__(1, expected_clients, round_no)
         self._tau: dict[int, float] | None = None
         self._agg2: RingVector | None = None
 
     def center_shares(self) -> ProtocolMessage:
         self._require(PHASE_COLLECTING, "center shares")
-        centered = self._centered_own()
+        self._require_all_shares()
+        msg = encode_centered_batch(self.round, self.server_id, self.ids,
+                                    mean_center(self.shares), self.scale_bits)
         self.phase = PHASE_CENTERING
-        return encode_centered_batch(self.round, self.server_id, centered)
+        return msg
 
     def receive_agg_and_weights(self, msg: ProtocolMessage) -> None:
         """Consume the (aggregate share, weights) record published for this
@@ -282,7 +381,7 @@ class ServerS1(_ServerBase):
         """Aggregate own shares and reassemble the global gradient."""
         self._require(PHASE_AGGREGATING, "finalize")
         assert self._tau is not None and self._agg2 is not None
-        agg1 = partial_aggregate(self.shares, self._tau)
+        agg1 = partial_aggregate(self.shares, self._row_weights(self._tau), self.scale_bits)
         self.phase = PHASE_DONE
         return reassemble_global(agg1, self._agg2)
 
@@ -292,16 +391,20 @@ class ServerS2(_ServerBase):
     and trust scoring, and publishes its weighted partial aggregate."""
 
     def __init__(self, expected_clients, round_no: int):
-        super().__init__(2, frozenset(expected_clients), round_no)
-        self._centered: dict[int, np.ndarray] | None = None
+        super().__init__(2, expected_clients, round_no)
+        self._centered: np.ndarray | None = None
 
     def receive_centered_batch(self, msg: ProtocolMessage) -> None:
         self._require(PHASE_COLLECTING, "accept centered shares")
         if msg.round != self.round:
             raise ProtocolError(f"centered batch for round {msg.round}")
-        c1 = decode_centered_batch(msg)
-        c2 = self._centered_own()
-        self._centered = reconstruct_centered(c1, c2)
+        ids, c1, scale_bits = decode_centered_batch(msg)
+        self._require_all_shares()
+        if ids != self.ids:
+            raise ClientSetMismatch(f"client sets differ: {ids} vs {self.ids}")
+        if scale_bits != self.scale_bits:
+            raise DimensionMismatch(f"scale_bits {scale_bits} != {self.scale_bits}")
+        self._centered = reconstruct_centered(c1, self.shares, self.scale_bits)
         self.phase = PHASE_CENTERING
 
     def detect_and_weigh(self, state: TrustState, rng: np.random.Generator,
@@ -313,14 +416,15 @@ class ServerS2(_ServerBase):
         self._require(PHASE_CENTERING, "detect")
         assert self._centered is not None
         self.phase = PHASE_DETECTING
-        result = detect(self._centered, rng, projection_dim)
+        result = detect(self._centered, rng, projection_dim, self.ids)
+        self._centered = None  # (N, d) floats nothing reads after detection
         direct = {
             cid: (direct_trust(result.features[cid], result.centroid)
                   if cid in result.benign else 0.0)
-            for cid in self._centered
+            for cid in self.ids
         }
         new_state = update_trust(state, direct)
-        excluded = set(self._centered) - set(result.benign)
+        excluded = self.expected_clients - result.benign
         force_zero = excluded if exclusion == "hard" else ()
         tau = trust_weights(new_state, force_zero)
         self.phase = PHASE_AGGREGATING
@@ -330,6 +434,6 @@ class ServerS2(_ServerBase):
         """Weighted partial aggregate; it reaches S1 only through the
         ledger record the caller writes from it."""
         self._require(PHASE_AGGREGATING, "publish")
-        agg2 = partial_aggregate(self.shares, tau)
+        agg2 = partial_aggregate(self.shares, self._row_weights(tau), self.scale_bits)
         self.phase = PHASE_DONE
         return agg2

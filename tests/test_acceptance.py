@@ -114,13 +114,9 @@ def _detection_trial(seed: int, kind: str) -> tuple[float, float]:
         crafted = minmax_attack(list(benign), MinMaxSpec(direction="-mean"))
     else:
         crafted = minsum_attack(list(benign), MinSumSpec(direction="-mean"))
-    grads = {i: benign[i] for i in range(n - n_mal)}
-    for k in range(n_mal):
-        grads[n - n_mal + k] = crafted
-    mean = np.mean(list(grads.values()), axis=0)
-    centered = {i: g - mean for i, g in grads.items()}
-    result = detect(centered, substream(seed, "accept3-km", kind))
-    flagged = set(grads) - set(result.benign)
+    grads = np.concatenate([benign, np.broadcast_to(crafted, (n_mal, d))])
+    result = detect(grads - np.mean(grads, axis=0), substream(seed, "accept3-km", kind))
+    flagged = set(range(n)) - set(result.benign)
     truth = set(range(n - n_mal, n))
     tp = len(flagged & truth)
     precision = tp / len(flagged) if flagged else 0.0

@@ -199,9 +199,8 @@ class TestDetectPipeline:
         precisions, recalls = [], []
         for seed in range(20):
             grads, truth = self._population(seed)
-            mean = np.mean(list(grads.values()), axis=0)
-            centered = {i: g - mean for i, g in grads.items()}
-            result = detect(centered, substream(seed, "km"))
+            rows = np.stack([grads[i] for i in range(len(grads))])
+            result = detect(rows - rows.mean(axis=0), substream(seed, "km"))
             flagged = set(grads) - set(result.benign)
             tp = len(flagged & truth)
             precisions.append(tp / len(flagged) if flagged else 0.0)
@@ -211,19 +210,32 @@ class TestDetectPipeline:
 
     def test_permutation_equivariance(self):
         rng = substream(28, "perm")
-        grads = {i: rng.standard_normal(12) for i in range(8)}
+        grads = rng.standard_normal((8, 12))
         result = detect(grads, substream(29, "km"))
         relabel = {i: (i + 3) % 8 for i in range(8)}
-        permuted = {relabel[i]: g for i, g in grads.items()}
+        permuted = np.empty_like(grads)
+        for i in range(8):
+            permuted[relabel[i]] = grads[i]
         result_p = detect(permuted, substream(29, "km"))
         assert {relabel[i] for i in result.benign} == set(result_p.benign)
         for i in range(8):
             assert np.allclose(result.features[i], result_p.features[relabel[i]])
 
+    def test_ids_name_the_rows(self):
+        rng = substream(34, "ids")
+        grads = rng.standard_normal((6, 9))
+        base = detect(grads, substream(35, "km"))
+        named = detect(grads, substream(35, "km"), ids=[2, 3, 5, 8, 13, 21])
+        assert named.benign == {[2, 3, 5, 8, 13, 21][k] for k in base.benign}
+        assert sorted(named.features) == [2, 3, 5, 8, 13, 21]
+        for ids in ([3, 2, 5, 8, 13, 21], [2, 2, 5, 8, 13, 21], [1, 2, 3]):
+            with pytest.raises(ValueError):
+                detect(grads, substream(35, "km"), ids=ids)
+
     def test_common_scale_invariance(self):
         rng = substream(30, "scale")
-        grads = {i: rng.standard_normal(10) for i in range(7)}
-        scaled = {i: 3.5 * g for i, g in grads.items()}
+        grads = rng.standard_normal((7, 10))
+        scaled = 3.5 * grads
         base = detect(grads, substream(31, "km"))
         big = detect(scaled, substream(31, "km"))
         assert base.benign == big.benign
@@ -235,7 +247,7 @@ class TestDetectPipeline:
 
     def test_projection_flag_still_detects_gross_outliers(self):
         rng = substream(32, "proj")
-        grads = {i: rng.standard_normal(200) for i in range(10)}
-        grads[0] = grads[0] + 500.0
+        grads = rng.standard_normal((10, 200))
+        grads[0] += 500.0
         result = detect(grads, substream(33, "km"), projection_dim=32)
         assert 0 not in result.benign

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 import dp2guard.client as client_mod
-from dp2guard import baselines, harness, models
+from dp2guard import baselines, harness, models, trust
 from dp2guard.attacks import fang_attack, fang_candidate
 from dp2guard.baselines import dnc_survivors, fedavg
 from dp2guard.client import ClientState, local_gradient, split_and_mask
@@ -21,8 +22,9 @@ from dp2guard.harness import (
     plot_metrics,
     run_experiment,
 )
+from dp2guard.ledger import Ledger
 from dp2guard.numeric import substream
-from dp2guard.servers import partial_aggregate, reassemble_global
+from dp2guard.servers import Channel, partial_aggregate, reassemble_global
 
 
 def _desk_config(**overrides):
@@ -121,6 +123,12 @@ class TestConfig:
     dict(aggregator="dnc", aggregator_params={"assumed_malicious": 1.5}),
     dict(aggregator="dnc", aggregator_params={"filter_frac": 0.0}),
     dict(aggregator="multikrum", aggregator_params={"f": -1}),
+    dict(projection_dim=0),
+    dict(projection_dim=-3),
+    dict(projection_dim=2.5),
+    dict(aggregator="fltrust", fltrust_root_size=0),
+    dict(hidden=0),
+    dict(model="mlp", hidden=0),
 ], ids=repr)
 def test_config_rejects_bad_parameters(overrides):
     with pytest.raises(ConfigError):
@@ -135,6 +143,7 @@ def test_config_accepts_each_rule_parameter():
     _desk_config(aggregator="dnc", aggregator_params={
         "n_iters": 2, "sub_dim": 5, "filter_frac": 1, "assumed_malicious": 2})
     _desk_config(aggregator="multikrum", aggregator_params={"f": 0, "m": 1})
+    _desk_config(projection_dim=1, hidden=1, fltrust_root_size=1)
 
 
 class TestRunDeterminism:
@@ -201,13 +210,16 @@ class TestPipelineOracle:
                 grads_p[c.client_id] = local_gradient(
                     c, model, plain, "epoch", cfg.batch_size, cfg.eta,
                     substream(cfg.seed, "client", c.client_id, t))
-            shares1, shares2 = {}, {}
-            for cid, g in grads_m.items():
-                s1, s2 = split_and_mask(g, cfg.scale_bits,
+            shares1, shares2 = [], []
+            for cid in sorted(grads_m):
+                s1, s2 = split_and_mask(grads_m[cid], cfg.scale_bits,
                                         substream(cfg.seed, "mask", cid, t))
-                shares1[cid], shares2[cid] = s1, s2
-            g_masked = reassemble_global(partial_aggregate(shares1, tau),
-                                         partial_aggregate(shares2, tau))
+                shares1.append(s1.words)
+                shares2.append(s2.words)
+            w = [tau[cid] for cid in sorted(tau)]
+            g_masked = reassemble_global(
+                partial_aggregate(np.stack(shares1), w, cfg.scale_bits),
+                partial_aggregate(np.stack(shares2), w, cfg.scale_bits))
             masked = models.sgd_step(masked, g_masked, cfg.eta)
             plain = models.sgd_step(plain, fedavg(list(grads_p.values())), cfg.eta)
             assert np.max(np.abs(masked - plain)) <= 1e-3
@@ -252,7 +264,7 @@ def reference_dp2guard_oracle(cfg, honest, round_no):
 
     def oracle(candidate):
         pop = list(honest) + [candidate] * n_mal
-        centered = {i: g - np.mean(pop, axis=0) for i, g in enumerate(pop)}
+        centered = np.stack([g - np.mean(pop, axis=0) for g in pop])
         rng = substream(cfg.seed, "attack-oracle", round_no)
         result = detect(centered, rng, cfg.projection_dim)
         return any(i in result.benign for i in range(len(honest), len(pop)))
@@ -635,8 +647,7 @@ def test_client_masking_cost_linear_in_dimension(monkeypatch):
             return out
         return wrapper
 
-    for name in ("encode_fixed", "uniform_ring", "ring_add", "ring_sub",
-                 "clip_for_encoding"):
+    for name in ("encode_fixed", "uniform_words", "clip_for_encoding"):
         monkeypatch.setattr(client_mod, name, counting(getattr(client_mod, name)))
 
     totals = {}
@@ -646,3 +657,24 @@ def test_client_masking_cost_linear_in_dimension(monkeypatch):
         split_and_mask(g, 16, substream(2, "cost", d))
         totals[d] = counts["touched"]
     assert totals[10_000] == 10 * totals[1000]
+
+
+def test_secure_round_allocates_no_share_sized_temporaries():
+    # A round's (N, d) allocations are the two share matrices and S2's
+    # float centered matrix, plus the wire copies of the CenteredBatch;
+    # everything else is row by row.  Each extra whole-matrix temporary
+    # adds 1 to this ratio (the list-of-vectors servers measured 7.1).
+    n, d = 64, 4000
+    cfg = _desk_config(n_clients=n, rounds=2)
+    stack = substream(1, "alloc").standard_normal((n, d))
+    params = np.zeros(d)
+    state = trust.initial_trust(range(n), cfg.beta)
+    ledger, channel = Ledger(), Channel()
+    harness._dp2guard_round(cfg, stack, 0, state, ledger, channel, params)  # warm
+    tracemalloc.start()
+    try:
+        harness._dp2guard_round(cfg, stack, 1, state, ledger, channel, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * n * d * 8

@@ -28,6 +28,7 @@ def _build_chain(path, n_blocks: int, seed=0) -> Ledger:
     ledger = Ledger(path)
     for r in range(n_blocks):
         ledger.append(r, _payload(seed, r))
+    ledger.close()
     return ledger
 
 
@@ -52,6 +53,33 @@ class TestAppend:
         ledger = Ledger(path)
         ledger.append(0, _payload(1, 0))
         assert len(path.read_text().splitlines()) == 1
+        ledger.close()
+
+    def test_open_handle_writes_the_reopen_bytes(self, tmp_path):
+        # One handle kept open across appends writes the same bytes as
+        # reopening the file for every block, and each block is readable
+        # (flushed) as soon as append returns.
+        kept = Ledger(tmp_path / "kept.jsonl")
+        reopened = Ledger(tmp_path / "reopened.jsonl")
+        for r in range(6):
+            kept.append(r, _payload(4, r))
+            reopened.append(r, _payload(4, r))
+            reopened.close()
+            assert verify_file(kept.path) is None
+            assert kept.path.read_bytes() == reopened.path.read_bytes()
+        kept.close()
+        assert kept.path.read_bytes() == reopened.path.read_bytes()
+
+    def test_append_after_close_reopens(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        ledger = _build_chain(path, 3)
+        ledger.close()
+        ledger.close()
+        ledger.append(3, _payload(0, 3))
+        ledger.close()
+        assert len(path.read_text().splitlines()) == 4
+        assert verify_file(path) is None
+        assert [b.hash for b in Ledger(path).blocks] == [b.hash for b in ledger.blocks]
 
     def test_reload_from_disk(self, tmp_path):
         path = tmp_path / "l.jsonl"
@@ -59,6 +87,7 @@ class TestAppend:
         reloaded = Ledger(path)
         assert [b.hash for b in reloaded.blocks] == [b.hash for b in first.blocks]
         reloaded.append(5, _payload(0, 5))
+        reloaded.close()
         assert verify_file(path) is None
 
 
@@ -123,6 +152,7 @@ class TestReadRound:
         blob = serialize_ring(uniform_ring(5, 48, substream(5, "b")))
         tau = {0: 0.3123456789012345, 1: 0.6876543210987655}
         ledger.append(0, make_round_payload(blob, tau, bytes(32)))
+        ledger.close()
         got = Ledger(path).read_round(0)
         assert payload_trust_weights(got) == tau
         assert payload_agg_blob(got) == blob
@@ -144,6 +174,7 @@ class TestReadRound:
         ledger.append(0, _payload(1, 0))
         ledger.append(1, _payload(1, 1))
         ledger.append(0, _payload(2, 0))
+        ledger.close()
         assert ledger.read_round(0) == _payload(1, 0)
         assert ledger.read_round(1) == _payload(1, 1)
 
@@ -152,12 +183,14 @@ class TestReadRound:
         first = Ledger(path)
         first.append(3, _payload(1, 3))
         first.append(3, _payload(2, 3))
+        first.close()
         reopened = Ledger(path)
         assert reopened.read_round(3) == _payload(1, 3)
         with pytest.raises(RoundNotFound):
             reopened.read_round(0)
         reopened.append(0, _payload(1, 0))
         reopened.append(3, _payload(3, 3))
+        reopened.close()
         assert reopened.read_round(0) == _payload(1, 0)
         assert reopened.read_round(3) == _payload(1, 3)
         assert reopened.verify() is None

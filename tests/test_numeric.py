@@ -10,11 +10,11 @@ from dp2guard.numeric import (
     deserialize_ring,
     encode_fixed,
     ring_add,
-    ring_scale,
     ring_sub,
     serialize_ring,
     substream,
     uniform_ring,
+    uniform_words,
 )
 
 # chi-square critical value at significance 0.01 for 255 degrees of freedom
@@ -64,6 +64,13 @@ class TestEncodeDecode:
             encode_fixed(np.array([np.nan]), 16)
         with pytest.raises(OverflowError):
             encode_fixed(np.array([np.inf]), 16)
+        with pytest.raises(OverflowError):
+            encode_fixed(np.array([1.0, -(2.0**47)]), 16)
+        with pytest.raises(OverflowError):
+            encode_fixed(np.array([1e300]), 48)
+        below = np.nextafter(2.0**47, 0.0)
+        words = encode_fixed(np.array([below, -below]), 16).words.view(np.int64)
+        assert words.tolist() == [int(below * 2**16), -int(below * 2**16)]
 
     def test_clip_respects_headroom(self):
         v = np.array([2.0**50, -(2.0**50), 1.0])
@@ -106,11 +113,17 @@ class TestRingArithmetic:
         with pytest.raises(DimensionMismatch):
             ring_add(_zeros(3, 16), _zeros(3, 20))
 
-    def test_scale_matches_repeated_add(self):
-        rng = substream(8, "scale")
-        a = uniform_ring(8, 16, rng)
-        tripled = ring_add(ring_add(a, a), a)
-        assert np.array_equal(ring_scale(a, 3).words, tripled.words)
+    def test_raw_words_equal_full_range_integers(self):
+        # uniform_words must draw the words (and leave the stream state)
+        # of rng.integers over the whole uint64 range, so mask streams
+        # match runs that drew them with integers().
+        for key in range(20):
+            a, b = substream(8, "raw", key), substream(8, "raw", key)
+            for d in (1, 7, 210):
+                want = a.integers(0, 2**64 - 1, size=d, dtype=np.uint64, endpoint=True)
+                got = uniform_words(d, b)
+                assert got.dtype == np.uint64 and np.array_equal(got, want)
+            assert a.random() == b.random()
 
 
 class TestMaskHiding:

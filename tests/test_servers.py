@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from dp2guard.client import MaskedShare, split_and_mask
-from dp2guard.errors import ClientSetMismatch, ProtocolError, WeightError
+from dp2guard.errors import ClientSetMismatch, FormatError, ProtocolError, WeightError
 from dp2guard.numeric import (
+    RingVector,
     decode_fixed,
     encode_fixed,
     ring_add,
@@ -33,56 +36,69 @@ from dp2guard.trust import initial_trust
 
 
 def _masked_pair(grads: dict[int, np.ndarray], seed: int, scale_bits=16):
-    shares1, shares2 = {}, {}
-    for cid, g in grads.items():
-        s1, s2 = split_and_mask(g, scale_bits, substream(seed, "mask", cid))
-        shares1[cid], shares2[cid] = s1, s2
-    return shares1, shares2
+    """S1's and S2's (N, d) share matrices, rows in ascending client id."""
+    rows1, rows2 = [], []
+    for cid in sorted(grads):
+        s1, s2 = split_and_mask(grads[cid], scale_bits, substream(seed, "mask", cid))
+        rows1.append(s1.words)
+        rows2.append(s2.words)
+    return np.stack(rows1), np.stack(rows2)
+
+
+def _centered(shares: np.ndarray) -> np.ndarray:
+    return np.stack([row.copy() for row in mean_center(shares)])
+
+
+def _reconstruct(s1: np.ndarray, s2: np.ndarray, scale_bits=16) -> np.ndarray:
+    return reconstruct_centered(_centered(s1), s2, scale_bits)
+
+
+def _weights(tau: dict[int, float]) -> list[float]:
+    return [tau[cid] for cid in sorted(tau)]
 
 
 class TestMeanCenter:
     def test_identical_shares_center_to_zero(self):
         rng = substream(60, "mc")
         share = uniform_ring(12, 16, rng)
-        centered = mean_center([share] * 5)
-        for c in centered:
-            assert not np.any(c.words)
+        for row in mean_center(np.stack([share.words] * 5)):
+            assert not np.any(row)
 
     def test_centered_shares_sum_to_zero(self):
         rng = substream(61, "mc")
-        shares = [uniform_ring(8, 16, rng) for _ in range(7)]
-        centered = mean_center(shares)
-        total = centered[0]
-        for c in centered[1:]:
-            total = ring_add(total, c)
-        assert not np.any(total.words)
+        shares = np.stack([uniform_ring(8, 16, rng).words for _ in range(7)])
+        total = np.zeros(8, dtype=np.uint64)
+        for row in mean_center(shares):
+            total += row
+        assert not np.any(total)
+
+    def test_rows_match_scalar_ring_formula(self):
+        rng = substream(59, "mc")
+        shares = np.stack([uniform_ring(5, 16, rng).words for _ in range(4)])
+        total = shares[0] + shares[1] + shares[2] + shares[3]
+        for k, row in enumerate(mean_center(shares)):
+            assert np.array_equal(row, shares[k] * np.uint64(4) - total)
 
     def test_three_client_plaintext_oracle(self):
         # After reconstruction, centered gradients match plaintext centering
         # of the decoded values within 2^-14 per entry.
         grads = {0: np.array([1.0, -2.0]), 1: np.array([0.5, 0.5]),
                  2: np.array([-1.5, 4.0])}
-        s1, s2 = _masked_pair(grads, 62)
-        c1 = dict(zip(sorted(s1), mean_center([s1[c] for c in sorted(s1)])))
-        c2 = dict(zip(sorted(s2), mean_center([s2[c] for c in sorted(s2)])))
-        centered = reconstruct_centered(c1, c2)
+        centered = _reconstruct(*_masked_pair(grads, 62))
         mean = np.mean(list(grads.values()), axis=0)
         for cid, g in grads.items():
             assert np.max(np.abs(centered[cid] - (g - mean))) <= 2.0**-14
 
     def test_needs_two_shares(self):
         with pytest.raises(ValueError):
-            mean_center([uniform_ring(4, 16, substream(63, "mc"))])
+            mean_center(uniform_ring(4, 16, substream(63, "mc")).words[None, :])
 
 
 class TestReconstructCentered:
     def test_recovers_plaintext_up_to_global_mean(self):
         rng = substream(64, "rc")
         grads = {i: rng.uniform(-3, 3, size=20) for i in range(6)}
-        s1, s2 = _masked_pair(grads, 65)
-        c1 = dict(zip(sorted(s1), mean_center([s1[c] for c in sorted(s1)])))
-        c2 = dict(zip(sorted(s2), mean_center([s2[c] for c in sorted(s2)])))
-        centered = reconstruct_centered(c1, c2)
+        centered = _reconstruct(*_masked_pair(grads, 65))
         mean = np.mean(list(grads.values()), axis=0)
         for cid in grads:
             assert np.max(np.abs((centered[cid] + mean) - grads[cid])) <= 2.0**-13
@@ -90,42 +106,41 @@ class TestReconstructCentered:
     def test_identical_gradients_center_to_zero(self):
         g = np.linspace(-1, 1, 16)
         grads = {i: g for i in range(4)}
-        s1, s2 = _masked_pair(grads, 66)
-        c1 = dict(zip(sorted(s1), mean_center([s1[c] for c in sorted(s1)])))
-        c2 = dict(zip(sorted(s2), mean_center([s2[c] for c in sorted(s2)])))
-        centered = reconstruct_centered(c1, c2)
-        for vec in centered.values():
-            assert np.max(np.abs(vec)) <= 2.0**-14
+        centered = _reconstruct(*_masked_pair(grads, 66))
+        assert np.max(np.abs(centered)) <= 2.0**-14
 
     def test_mask_independence_bit_identical(self):
         # Fresh masks (new seeds) leave every reconstructed centered
         # gradient bit-identical: the ring arithmetic cancels them exactly.
         rng = substream(67, "rc")
         grads = {i: rng.uniform(-2, 2, size=10) for i in range(5)}
+        a = _reconstruct(*_masked_pair(grads, 680))
+        b = _reconstruct(*_masked_pair(grads, 681))
+        assert np.array_equal(a, b)
 
-        def run(mask_seed):
-            s1, s2 = _masked_pair(grads, mask_seed)
-            c1 = dict(zip(sorted(s1), mean_center([s1[c] for c in sorted(s1)])))
-            c2 = dict(zip(sorted(s2), mean_center([s2[c] for c in sorted(s2)])))
-            return reconstruct_centered(c1, c2)
-
-        a = run(680)
-        b = run(681)
-        for cid in grads:
-            assert np.array_equal(a[cid], b[cid])
+    def test_matches_per_client_decode(self):
+        # Row k is decode_fixed(c1[k] + c2[k]) / N, bit for bit.
+        rng = substream(68, "rc")
+        grads = {i: rng.uniform(-2, 2, size=9) for i in range(5)}
+        s1, s2 = _masked_pair(grads, 682)
+        c1, c2 = _centered(s1), _centered(s2)
+        out = reconstruct_centered(c1, s2, 16)
+        for k in range(5):
+            want = decode_fixed(ring_add(RingVector(c1[k], 16), RingVector(c2[k], 16))) / 5
+            assert np.array_equal(out[k], want)
 
     def test_client_set_mismatch(self):
         rng = substream(69, "rc")
-        shares = {i: uniform_ring(4, 16, rng) for i in range(3)}
+        shares = np.stack([uniform_ring(4, 16, rng).words for _ in range(3)])
         with pytest.raises(ClientSetMismatch):
-            reconstruct_centered(shares, {0: shares[0], 1: shares[1]})
+            reconstruct_centered(shares, shares[:2], 16)
 
 
 class TestPartialAggregate:
     def test_single_client_identity(self):
         g = np.array([0.25, -1.5, 3.0])
         share = encode_fixed(g, 16)
-        agg = partial_aggregate({0: share}, {0: 1.0})
+        agg = partial_aggregate(share.words[None, :], [1.0], 16)
         assert agg.scale_bits == 48
         assert np.max(np.abs(decode_fixed(agg) - decode_fixed(share))) <= 2.0**-32
 
@@ -133,8 +148,8 @@ class TestPartialAggregate:
         rng = substream(70, "pa")
         grads = {i: rng.uniform(-2, 2, size=8) for i in range(4)}
         s1, s2 = _masked_pair(grads, 71)
-        tau = {i: 0.25 for i in range(4)}
-        combined = ring_add(partial_aggregate(s1, tau), partial_aggregate(s2, tau))
+        w = [0.25] * 4
+        combined = ring_add(partial_aggregate(s1, w, 16), partial_aggregate(s2, w, 16))
         want = np.mean(list(grads.values()), axis=0)
         assert np.max(np.abs(decode_fixed(combined) - want)) <= 1e-4
 
@@ -145,37 +160,58 @@ class TestPartialAggregate:
             raw = rng.uniform(0.01, 1.0, size=6)
             tau = {i: float(w) for i, w in enumerate(raw / raw.sum())}
             s1, s2 = _masked_pair(grads, 73 + trial)
-            combined = ring_add(partial_aggregate(s1, tau),
-                                partial_aggregate(s2, tau))
+            combined = ring_add(partial_aggregate(s1, _weights(tau), 16),
+                                partial_aggregate(s2, _weights(tau), 16))
             want = sum(tau[i] * grads[i] for i in range(6))
             assert np.max(np.abs(decode_fixed(combined) - want)) <= 1e-4
 
+    def test_matches_per_client_ring_loop(self):
+        # Same words as accumulating each client's share times its
+        # round(w * 2^32) one RingVector at a time.
+        rng = substream(72, "loop")
+        s1, _ = _masked_pair({i: rng.uniform(-5, 5, size=7) for i in range(5)}, 79)
+        raw = rng.uniform(0.01, 1.0, size=5)
+        w = [float(x) for x in raw / raw.sum()]
+        want = RingVector(np.zeros(7, dtype=np.uint64), 48)
+        for k in range(5):
+            scaled = RingVector(s1[k] * np.uint64(int(round(w[k] * 2.0**32))), 48)
+            want = ring_add(want, scaled)
+        assert np.array_equal(partial_aggregate(s1, w, 16).words, want.words)
+
     def test_weight_validation(self):
-        share = encode_fixed(np.ones(4), 16)
+        share = encode_fixed(np.ones(4), 16).words
         with pytest.raises(WeightError):
-            partial_aggregate({0: share}, {0: 0.5})
+            partial_aggregate(share[None, :], [0.5], 16)
         with pytest.raises(WeightError):
-            partial_aggregate({0: share, 1: share}, {0: 1.5, 1: -0.5})
+            partial_aggregate(np.stack([share, share]), [1.5, -0.5], 16)
         with pytest.raises(WeightError):
-            partial_aggregate({0: share}, {1: 1.0})
+            partial_aggregate(share[None, :], [0.5, 0.5], 16)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_is_a_weight_error(self, bad):
+        # NaN passes a plain |sum - 1| check and would fail later, in the
+        # fixed-point rounding, with a bare ValueError.
+        share = encode_fixed(np.ones(4), 16).words
+        with pytest.raises(WeightError):
+            partial_aggregate(np.stack([share, share]), [bad, 0.5], 16)
+        with pytest.raises(WeightError):
+            partial_aggregate(share[None, :], [bad], 16)
 
 
 class TestReassemble:
     def test_zero_gradients_zero_aggregate(self):
         grads = {i: np.zeros(6) for i in range(3)}
         s1, s2 = _masked_pair(grads, 74)
-        tau = {i: 1.0 / 3.0 for i in range(3)}
-        out = reassemble_global(partial_aggregate(s1, tau),
-                                partial_aggregate(s2, tau))
+        w = [1.0 / 3.0] * 3
+        out = reassemble_global(partial_aggregate(s1, w, 16), partial_aggregate(s2, w, 16))
         assert np.max(np.abs(out)) <= 1e-9
 
     def test_uniform_fedavg_oracle(self):
         rng = substream(75, "ra")
         grads = {i: rng.uniform(-1, 1, size=30) for i in range(10)}
         s1, s2 = _masked_pair(grads, 76)
-        tau = {i: 0.1 for i in range(10)}
-        out = reassemble_global(partial_aggregate(s1, tau),
-                                partial_aggregate(s2, tau))
+        w = [0.1] * 10
+        out = reassemble_global(partial_aggregate(s1, w, 16), partial_aggregate(s2, w, 16))
         want = np.mean(list(grads.values()), axis=0)
         assert np.max(np.abs(out - want)) <= 1e-4
 
@@ -189,10 +225,9 @@ def test_end_to_end_mask_neutrality():
     tau = {i: float(w) for i, w in enumerate(raw / raw.sum())}
 
     s1, s2 = _masked_pair(grads, 78)
-    c1 = dict(zip(sorted(s1), mean_center([s1[c] for c in sorted(s1)])))
-    c2 = dict(zip(sorted(s2), mean_center([s2[c] for c in sorted(s2)])))
-    centered = reconstruct_centered(c1, c2)
-    out = reassemble_global(partial_aggregate(s1, tau), partial_aggregate(s2, tau))
+    centered = _reconstruct(s1, s2)
+    out = reassemble_global(partial_aggregate(s1, _weights(tau), 16),
+                            partial_aggregate(s2, _weights(tau), 16))
 
     mean = np.mean(list(grads.values()), axis=0)
     for cid in grads:
@@ -227,13 +262,42 @@ class TestWireFormat:
         assert back.client_id == 5 and back.round == 2 and back.share_index == 1
         assert np.array_equal(back.payload.words, share.payload.words)
 
+    def test_share_upload_layout(self):
+        ring = uniform_ring(3, 16, substream(79, "layout"))
+        msg = encode_share_upload(MaskedShare(5, 2, 2, ring))
+        want = struct.pack("<IBIB", 5, 2, 3, 16) + ring.words.astype("<u8").tobytes()
+        assert bytes(msg.payload) == want
+
     def test_centered_batch_round_trip(self):
         rng = substream(80, "w")
-        centered = {i: uniform_ring(6, 16, rng) for i in (3, 1, 7)}
-        back = decode_centered_batch(encode_centered_batch(4, 1, centered))
-        assert set(back) == {1, 3, 7}
-        for cid in centered:
-            assert np.array_equal(back[cid].words, centered[cid].words)
+        rows = np.stack([uniform_ring(6, 16, rng).words for _ in range(3)])
+        ids, back, scale_bits = decode_centered_batch(
+            encode_centered_batch(4, 1, [1, 3, 7], rows, 16))
+        assert ids == [1, 3, 7] and scale_bits == 16
+        assert np.array_equal(back, rows)
+
+    def test_centered_batch_layout(self):
+        # Per record: id, ring blob length, then the ring blob (d, scale
+        # bits, words), after a record count.
+        rows = np.stack([uniform_ring(2, 16, substream(80, "l", k)).words for k in range(2)])
+        msg = encode_centered_batch(4, 1, [3, 8], rows, 16)
+        want = struct.pack("<I", 2)
+        for cid, row in zip([3, 8], rows):
+            blob = struct.pack("<IB", 2, 16) + row.astype("<u8").tobytes()
+            want += struct.pack("<IQ", cid, len(blob)) + blob
+        assert bytes(msg.payload) == want
+
+    def test_centered_batch_accepts_reused_row_buffer(self):
+        rng = substream(80, "reuse")
+        rows = np.stack([uniform_ring(5, 16, rng).words for _ in range(3)])
+
+        def one_buffer():
+            buf = np.empty(5, dtype=np.uint64)
+            for row in rows:
+                buf[...] = row
+                yield buf
+        msg = encode_centered_batch(0, 1, [0, 1, 2], one_buffer(), 16)
+        assert np.array_equal(decode_centered_batch(msg)[1], rows)
 
     def test_agg_and_weights_round_trip_bit_exact(self):
         agg = uniform_ring(5, 48, substream(81, "w"))
@@ -324,9 +388,103 @@ class TestServerStateMachines:
         rng = substream(91, "sm")
         grads = {i: rng.uniform(-1, 1, size=10) for i in range(4)}
         _, _, _, channel, _, _ = _drive_round(grads, 92)
-        assert channel.kinds_between("S2", "S1") == set()
-        assert channel.kinds_between("S1", "S2") == {"CenteredBatch"}
-        assert channel.kinds_between("ledger", "S1") == {"AggDigestAndWeights"}
+        def kinds(src, dst):
+            return {k for s, d, k in channel.log if s == src and d == dst}
+        assert kinds("S2", "S1") == set()
+        assert kinds("S1", "S2") == {"CenteredBatch"}
+        assert kinds("ledger", "S1") == {"AggDigestAndWeights"}
         client_kinds = {k for s, d, k in channel.log if s.startswith("client")}
         assert client_kinds == {"ShareUpload"}
         assert not any(d.startswith("client") for _, d, _ in channel.log)
+
+
+class TestTypedDecodeErrors:
+    def _upload(self):
+        sh1, _ = split_and_mask(np.ones(4), 16, substream(93, "m"))
+        return encode_share_upload(MaskedShare(0, 0, 1, sh1))
+
+    def _batch(self):
+        rows = np.stack([uniform_ring(4, 16, substream(94, "b", k)).words for k in range(3)])
+        return encode_centered_batch(0, 1, [0, 1, 2], rows, 16)
+
+    @pytest.mark.parametrize("cut", [1, 2, 5, 9, 10, 41])
+    def test_truncated_share_upload(self, cut):
+        msg = self._upload()
+        short = ProtocolMessage(msg.kind, msg.round, msg.sender, bytes(msg.payload)[:-cut])
+        with pytest.raises(FormatError):
+            decode_share_upload(short)
+        with pytest.raises(FormatError):
+            ServerS1([0], 0).receive_share(short)
+
+    def test_padded_share_upload(self):
+        msg = self._upload()
+        long = ProtocolMessage(msg.kind, msg.round, msg.sender, bytes(msg.payload) + b"\0")
+        with pytest.raises(FormatError):
+            decode_share_upload(long)
+
+    def test_share_index_out_of_range(self):
+        msg = self._upload()
+        raw = bytearray(msg.payload)
+        raw[4] = 3
+        with pytest.raises(FormatError):
+            decode_share_upload(ProtocolMessage(msg.kind, 0, 0, bytes(raw)))
+
+    @pytest.mark.parametrize("cut", [1, 8, 32, 49, 50, 51, 150])
+    def test_truncated_centered_batch(self, cut):
+        msg = self._batch()
+        with pytest.raises(FormatError):
+            decode_centered_batch(ProtocolMessage(msg.kind, 0, 1, bytes(msg.payload)[:-cut]))
+
+    @pytest.mark.parametrize("extra", [b"\0", b"junk", bytes(49)])
+    def test_padded_centered_batch(self, extra):
+        msg = self._batch()
+        with pytest.raises(FormatError):
+            decode_centered_batch(ProtocolMessage(msg.kind, 0, 1, bytes(msg.payload) + extra))
+
+    def test_centered_batch_with_mixed_dimensions(self):
+        msg = self._batch()
+        raw = bytearray(msg.payload)
+        struct.pack_into("<I", raw, 4 + 12 + 0, 3)  # record 0 claims d = 3
+        with pytest.raises(FormatError):
+            decode_centered_batch(ProtocolMessage(msg.kind, 0, 1, bytes(raw)))
+
+
+class TestShareMatrixChecks:
+    def test_dimension_change_rejected(self):
+        s1 = ServerS1([0, 1], 0)
+        a, _ = split_and_mask(np.ones(4), 16, substream(95, "m"))
+        b, _ = split_and_mask(np.ones(5), 16, substream(95, "m"))
+        s1.receive_share(encode_share_upload(MaskedShare(0, 0, 1, a)))
+        with pytest.raises(ProtocolError):
+            s1.receive_share(encode_share_upload(MaskedShare(1, 0, 1, b)))
+
+    def test_scale_change_rejected(self):
+        s1 = ServerS1([0, 1], 0)
+        a, _ = split_and_mask(np.ones(4), 16, substream(96, "m"))
+        b, _ = split_and_mask(np.ones(4), 20, substream(96, "m"))
+        s1.receive_share(encode_share_upload(MaskedShare(0, 0, 1, a)))
+        with pytest.raises(ProtocolError):
+            s1.receive_share(encode_share_upload(MaskedShare(1, 0, 1, b)))
+
+    def test_rows_follow_client_id_order(self):
+        # Uploads arrive in any order; row k holds the k-th smallest id.
+        ids = [7, 2, 5]
+        s1 = ServerS1(ids, 0)
+        rings = {cid: split_and_mask(np.full(3, float(cid)), 16, substream(97, cid))[0]
+                 for cid in ids}
+        for cid in ids:
+            s1.receive_share(encode_share_upload(MaskedShare(cid, 0, 1, rings[cid])))
+        assert s1.ids == [2, 5, 7]
+        for k, cid in enumerate(sorted(ids)):
+            assert np.array_equal(s1.shares[k], rings[cid].words)
+
+    def test_batch_for_other_clients_rejected(self):
+        rng = substream(98, "sm")
+        grads = {i: rng.uniform(-1, 1, size=6) for i in range(3)}
+        s2 = ServerS2(sorted(grads), 0)
+        for cid, g in grads.items():
+            _, sh2 = split_and_mask(g, 16, substream(99, "mask", cid))
+            s2.receive_share(encode_share_upload(MaskedShare(cid, 0, 2, sh2)))
+        rows = np.stack([uniform_ring(6, 16, rng).words for _ in range(3)])
+        with pytest.raises(ClientSetMismatch):
+            s2.receive_centered_batch(encode_centered_batch(0, 1, [0, 1, 5], rows, 16))
