@@ -30,9 +30,7 @@ from .numeric import (
     decode_fixed,
     encode_fixed,
     ring_add,
-    ring_sub,
     substream,
-    uniform_ring,
 )
 from .servers import (
     mean_center,
@@ -85,7 +83,6 @@ __all__ = [
     "reassemble_global",
     "reconstruct_centered",
     "ring_add",
-    "ring_sub",
     "run_experiment",
     "sgd_step",
     "spectral_scores",
@@ -93,7 +90,6 @@ __all__ = [
     "substream",
     "synth_dataset",
     "top_direction",
-    "uniform_ring",
     "update_trust",
     "verify_file",
     "weights",

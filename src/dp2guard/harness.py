@@ -329,44 +329,45 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     metrics: list[RoundMetrics] = []
 
     detection_rows: list[str] = []
-    for round_no in range(cfg.rounds):
-        started = time.perf_counter()
-        stack, crafted_norm = _round_gradients(cfg, clients, model, params,
-                                               round_no, spec)
-        if record_history:
-            result.gradient_history.append({cid: g.copy() for cid, g in enumerate(stack)})
-
-        benign_pred: frozenset[int] | None = None
-        trust_snapshot: dict[int, float] | None = None
-        if cfg.aggregator == "dp2guard":
-            g_agg, detection, trust_state, tau = _dp2guard_round(
-                cfg, stack, round_no, trust_state, ledger, channel, params)
-            benign_pred = frozenset(detection.benign)
-            trust_snapshot = dict(trust_state.trust)
-            for cid in sorted(detection.features):
-                s, c = detection.features[cid]
-                flag = int(cid in detection.benign)
-                detection_rows.append(
-                    f"{round_no},{cid},{s!r},{c!r},{1 - flag},{flag}")
+    try:
+        for round_no in range(cfg.rounds):
+            started = time.perf_counter()
+            stack, crafted_norm = _round_gradients(cfg, clients, model, params,
+                                                   round_no, spec)
             if record_history:
-                result.weight_history.append(dict(tau))
-                result.benign_history.append(benign_pred)
-        else:
-            g_agg, benign_pred = _baseline_round(cfg, stack, round_no, model,
-                                                 params, root_data)
+                result.gradient_history.append({cid: g.copy() for cid, g in enumerate(stack)})
 
-        params = models.sgd_step(params, g_agg, cfg.eta)
-        if record_history:
-            result.params_history.append(params.copy())
+            benign_pred: frozenset[int] | None = None
+            trust_snapshot: dict[int, float] | None = None
+            if cfg.aggregator == "dp2guard":
+                g_agg, detection, trust_state, tau = _dp2guard_round(
+                    cfg, stack, round_no, trust_state, ledger, channel, params)
+                benign_pred = frozenset(detection.benign)
+                trust_snapshot = dict(trust_state.trust)
+                for cid in sorted(detection.features):
+                    s, c = detection.features[cid]
+                    flag = int(cid in detection.benign)
+                    detection_rows.append(
+                        f"{round_no},{cid},{s!r},{c!r},{1 - flag},{flag}")
+                if record_history:
+                    result.weight_history.append(dict(tau))
+                    result.benign_history.append(benign_pred)
+            else:
+                g_agg, benign_pred = _baseline_round(cfg, stack, round_no, model,
+                                                     params, root_data)
 
-        accuracy = model.accuracy(params, test.features, test.labels)
-        precision, recall = _detection_metrics(benign_pred, malicious, cfg.n_clients)
-        mtb, mtm = _trust_means(trust_snapshot, malicious)
-        metrics.append(RoundMetrics(round_no, accuracy, precision, recall,
-                                    mtb, mtm, trust_snapshot,
-                                    time.perf_counter() - started, crafted_norm))
+            params = models.sgd_step(params, g_agg, cfg.eta)
+            if record_history:
+                result.params_history.append(params.copy())
 
-    ledger.close()
+            accuracy = model.accuracy(params, test.features, test.labels)
+            precision, recall = _detection_metrics(benign_pred, malicious, cfg.n_clients)
+            mtb, mtm = _trust_means(trust_snapshot, malicious)
+            metrics.append(RoundMetrics(round_no, accuracy, precision, recall,
+                                        mtb, mtm, trust_snapshot,
+                                        time.perf_counter() - started, crafted_norm))
+    finally:
+        ledger.close()
     result.metrics = metrics
     result.final_params = params
     if out_path is not None:

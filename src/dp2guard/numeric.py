@@ -95,12 +95,6 @@ def ring_add(a: RingVector, b: RingVector) -> RingVector:
     return RingVector(np.add(a.words, b.words), a.scale_bits)
 
 
-def ring_sub(a: RingVector, b: RingVector) -> RingVector:
-    """Component-wise wrapping subtract; exact inverse of ring_add."""
-    _check_compatible(a, b)
-    return RingVector(np.subtract(a.words, b.words), a.scale_bits)
-
-
 def uniform_words(d: int, rng: np.random.Generator) -> np.ndarray:
     """d fresh, writable words drawn uniformly over the whole ring.
 
@@ -111,35 +105,32 @@ def uniform_words(d: int, rng: np.random.Generator) -> np.ndarray:
     return rng.bit_generator.random_raw(d)
 
 
-def uniform_ring(d: int, scale_bits: int, rng: np.random.Generator) -> RingVector:
-    """Draw d words uniformly over the whole ring."""
-    return RingVector(uniform_words(d, rng), scale_bits)
-
-
 # Serialization: (d: uint32, scale_bits: uint8) header, then little-endian
 # uint64 words.  Used verbatim by the transport and the ledger.
-_HEADER = struct.Struct("<IB")
+RING_HEADER = struct.Struct("<IB")
 
 
 def serialize_ring(ring: RingVector) -> bytes:
-    return b"".join((_HEADER.pack(len(ring), ring.scale_bits), wire_words(ring.words)))
+    return b"".join((RING_HEADER.pack(len(ring), ring.scale_bits),
+                     np.ascontiguousarray(ring.words, dtype="<u8")))
 
 
-def wire_words(words: np.ndarray) -> np.ndarray:
-    """The words as contiguous little-endian uint64, for joining into a
-    payload; no copy when they already are (the usual case)."""
-    return np.ascontiguousarray(words, dtype="<u8")
+def ring_view(buf, offset: int = 0) -> RingVector:
+    """The serialized ring that fills `buf` from `offset` to its end; the
+    words are a read-only view into `buf`, not a copy."""
+    if len(buf) - offset < RING_HEADER.size:
+        raise FormatError("ring payload shorter than its header")
+    d, scale_bits = RING_HEADER.unpack_from(buf, offset)
+    body = len(buf) - offset - RING_HEADER.size
+    if body != 8 * d:
+        raise FormatError(f"expected {8 * d} word bytes, got {body}")
+    words = np.frombuffer(buf, dtype="<u8", count=d, offset=offset + RING_HEADER.size)
+    return RingVector(words, scale_bits)
 
 
 def deserialize_ring(data: bytes) -> RingVector:
-    if len(data) < _HEADER.size:
-        raise FormatError("ring payload shorter than its header")
-    d, scale_bits = _HEADER.unpack_from(data)
-    body = data[_HEADER.size:]
-    if len(body) != 8 * d:
-        raise FormatError(f"expected {8 * d} word bytes, got {len(body)}")
-    words = np.frombuffer(body, dtype="<u8").astype(np.uint64)
-    return RingVector(words, scale_bits)
+    ring = ring_view(data)
+    return RingVector(ring.words.astype(np.uint64), ring.scale_bits)
 
 
 def substream(seed: int, *path: int | str) -> np.random.Generator:

@@ -35,12 +35,13 @@ from .client import MaskedShare
 from .defense import DetectionResult, detect
 from .errors import ClientSetMismatch, DimensionMismatch, FormatError, ProtocolError, WeightError
 from .numeric import (
+    RING_HEADER,
     RingVector,
     decode_fixed,
     deserialize_ring,
     ring_add,
+    ring_view,
     serialize_ring,
-    wire_words,
 )
 from .trust import TrustState, direct_trust, update_trust, weights as trust_weights
 
@@ -57,14 +58,12 @@ _KIND_NAMES = {
 }
 
 _MSG_HEADER = struct.Struct("<BIIQ")
-# ShareUpload: client id, share index, then the ring header (d, scale_bits)
-# and d words.
-_UPLOAD_HEADER = struct.Struct("<IBIB")
-# CenteredBatch: a record count, then per client its id, the ring blob
-# length, the ring header (d, scale_bits) and d words.
+# ShareUpload: client id and share index, then the serialized ring.
+_UPLOAD_PREFIX = struct.Struct("<IB")
+# CenteredBatch: a record count, then per client its id and the length of
+# its serialized ring, followed by that ring.
 _BATCH_COUNT = struct.Struct("<I")
-_BATCH_RECORD = struct.Struct("<IQIB")
-_RING_HEADER_BYTES = 5
+_BATCH_RECORD = struct.Struct("<IQ")
 
 
 @dataclass(frozen=True)
@@ -106,41 +105,50 @@ class Channel:
 
 def encode_share_upload(share: MaskedShare) -> ProtocolMessage:
     ring = share.payload
-    header = _UPLOAD_HEADER.pack(share.client_id, share.share_index, len(ring), ring.scale_bits)
-    payload = b"".join((header, wire_words(ring.words)))
+    payload = b"".join((_UPLOAD_PREFIX.pack(share.client_id, share.share_index),
+                        RING_HEADER.pack(len(ring), ring.scale_bits),
+                        np.ascontiguousarray(ring.words, dtype="<u8")))
     return ProtocolMessage(MSG_SHARE_UPLOAD, share.round, share.client_id, payload)
 
 
 def decode_share_upload(msg: ProtocolMessage) -> MaskedShare:
     """The upload's share; its words are a read-only view into the payload."""
     payload = msg.payload
-    if len(payload) < _UPLOAD_HEADER.size:
+    if len(payload) < _UPLOAD_PREFIX.size:
         raise FormatError(f"ShareUpload of {len(payload)} bytes is shorter than its header")
-    client_id, share_index, d, scale_bits = _UPLOAD_HEADER.unpack_from(payload)
-    if len(payload) != _UPLOAD_HEADER.size + 8 * d:
-        raise FormatError(f"ShareUpload of {d} words has {len(payload)} bytes")
+    client_id, share_index = _UPLOAD_PREFIX.unpack_from(payload)
     if share_index not in (1, 2):
         raise FormatError(f"share index {share_index} is neither 1 nor 2")
-    words = np.frombuffer(payload, dtype="<u8", count=d, offset=_UPLOAD_HEADER.size)
-    return MaskedShare(client_id, msg.round, share_index, RingVector(words, scale_bits))
+    ring = ring_view(payload, _UPLOAD_PREFIX.size)
+    return MaskedShare(client_id, msg.round, share_index, ring)
+
+
+def _batch_words(payload, count: int, d: int) -> np.ndarray:
+    """(count, d) strided view of the words of a CenteredBatch's records."""
+    if count == 0:
+        return np.empty((0, d), dtype=np.uint64)
+    record = _BATCH_RECORD.size + RING_HEADER.size + 8 * d
+    return np.ndarray((count, d), dtype="<u8", buffer=payload,
+                      offset=_BATCH_COUNT.size + _BATCH_RECORD.size + RING_HEADER.size,
+                      strides=(record, 8))
 
 
 def encode_centered_batch(round_no: int, sender: int, ids: Sequence[int],
-                          rows: Iterable[np.ndarray], scale_bits: int) -> ProtocolMessage:
+                          rows: Iterable[np.ndarray], d: int,
+                          scale_bits: int) -> ProtocolMessage:
     """One record per client id, in the given order, holding the matching
-    row of `rows` (which may reuse one buffer: each row is copied into the
-    payload before the next is drawn)."""
-    payload = bytearray(_BATCH_COUNT.pack(len(ids)))
+    d-word row of `rows` (which may reuse one buffer: each row is copied
+    into the payload before the next is drawn)."""
+    blob = RING_HEADER.size + 8 * d
+    record = _BATCH_RECORD.size + blob
+    payload = bytearray(_BATCH_COUNT.size + len(ids) * record)
+    _BATCH_COUNT.pack_into(payload, 0, len(ids))
+    words = _batch_words(payload, len(ids), d)
     for k, (cid, row) in enumerate(zip(ids, rows, strict=True)):
-        if k == 0:
-            d = row.shape[0]
-            record = _BATCH_RECORD.size + 8 * d
-            payload = bytearray(_BATCH_COUNT.size + len(ids) * record)
-            _BATCH_COUNT.pack_into(payload, 0, len(ids))
         offset = _BATCH_COUNT.size + k * record
-        _BATCH_RECORD.pack_into(payload, offset, cid, _RING_HEADER_BYTES + 8 * d, d, scale_bits)
-        words = np.frombuffer(payload, dtype="<u8", count=d, offset=offset + _BATCH_RECORD.size)
-        words[...] = row
+        _BATCH_RECORD.pack_into(payload, offset, cid, blob)
+        RING_HEADER.pack_into(payload, offset + _BATCH_RECORD.size, d, scale_bits)
+        words[k] = row
     return ProtocolMessage(MSG_CENTERED_BATCH, round_no, sender, payload)
 
 
@@ -150,7 +158,7 @@ def decode_centered_batch(msg: ProtocolMessage) -> tuple[list[int], np.ndarray, 
     Every record must carry the same d and scale_bits.  The words are a
     read-only strided view into the payload, row k for ids[k].
     """
-    payload = msg.payload
+    payload = memoryview(msg.payload)
     if len(payload) < _BATCH_COUNT.size:
         raise FormatError("CenteredBatch shorter than its record count")
     (count,) = _BATCH_COUNT.unpack_from(payload)
@@ -160,21 +168,22 @@ def decode_centered_batch(msg: ProtocolMessage) -> tuple[list[int], np.ndarray, 
     for k in range(count):
         if len(payload) < offset + _BATCH_RECORD.size:
             raise FormatError(f"CenteredBatch truncated in record {k} of {count}")
-        cid, blob_len, dk, sk = _BATCH_RECORD.unpack_from(payload, offset)
+        cid, blob_len = _BATCH_RECORD.unpack_from(payload, offset)
+        offset += _BATCH_RECORD.size
+        if len(payload) < offset + blob_len:
+            raise FormatError(f"CenteredBatch truncated in record {k} of {count}")
+        ring = ring_view(payload[offset:offset + blob_len])
         if k == 0:
-            d, scale_bits = dk, sk
-        if (dk, sk) != (d, scale_bits) or blob_len != _RING_HEADER_BYTES + 8 * dk:
+            d, scale_bits = len(ring), ring.scale_bits
+        elif (len(ring), ring.scale_bits) != (d, scale_bits):
             raise FormatError(f"CenteredBatch record {k} does not match record 0")
         ids.append(cid)
-        offset += _BATCH_RECORD.size + 8 * d
+        offset += blob_len
     if offset != len(payload):
         raise FormatError(f"CenteredBatch of {count} records needs {offset} bytes, "
                           f"got {len(payload)}")
-    if count == 0:
-        return ids, np.empty((0, 0), dtype=np.uint64), scale_bits
-    words = np.ndarray((count, d), dtype="<u8", buffer=payload,
-                       offset=_BATCH_COUNT.size + _BATCH_RECORD.size,
-                       strides=(_BATCH_RECORD.size + 8 * d, 8))
+    words = _batch_words(payload, count, d)
+    words.setflags(write=False)
     return ids, words, scale_bits
 
 
@@ -364,7 +373,8 @@ class ServerS1(_ServerBase):
         self._require(PHASE_COLLECTING, "center shares")
         self._require_all_shares()
         msg = encode_centered_batch(self.round, self.server_id, self.ids,
-                                    mean_center(self.shares), self.scale_bits)
+                                    mean_center(self.shares), self.shares.shape[1],
+                                    self.scale_bits)
         self.phase = PHASE_CENTERING
         return msg
 

@@ -162,6 +162,32 @@ class TestRunDeterminism:
         assert a.metrics[-1].accuracy != b.metrics[-1].accuracy
 
 
+class TestLedgerHandle:
+    def test_failed_round_closes_ledger(self, tmp_path, monkeypatch):
+        # The ledger keeps its file open between appends; a round that
+        # raises must still release it.
+        opened = []
+
+        class TrackedLedger(Ledger):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        real_round = harness._dp2guard_round
+
+        def fail_in_round_1(cfg, stack, round_no, *rest):
+            if round_no == 1:
+                raise RuntimeError("round 1 failed")
+            return real_round(cfg, stack, round_no, *rest)
+
+        monkeypatch.setattr(harness, "Ledger", TrackedLedger)
+        monkeypatch.setattr(harness, "_dp2guard_round", fail_in_round_1)
+        with pytest.raises(RuntimeError, match="round 1 failed"):
+            run_experiment(_desk_config(rounds=3), out_dir=tmp_path)
+        [ledger] = opened
+        assert len(ledger.blocks) == 1 and ledger._fh is None
+
+
 class TestNoAttackFloor:
     def test_dp2guard_reaches_reference_accuracy(self):
         # Reference floor: separable synthetic, 30 rounds, no adversaries.

@@ -14,12 +14,12 @@ from dp2guard.ledger import (
     verify_blocks,
     verify_file,
 )
-from dp2guard.numeric import serialize_ring, substream, uniform_ring
+from dp2guard.numeric import RingVector, serialize_ring, substream, uniform_words
 
 
 def _payload(seed: int, round_no: int) -> dict:
     rng = substream(seed, "ledger", round_no)
-    blob = serialize_ring(uniform_ring(6, 48, rng))
+    blob = serialize_ring(RingVector(uniform_words(6, rng), 48))
     tau = {i: float(w) for i, w in enumerate(rng.dirichlet(np.ones(4)))}
     return make_round_payload(blob, tau, hashlib.sha256(b"model%d" % round_no).digest())
 
@@ -149,7 +149,7 @@ class TestReadRound:
     def test_round_payload_round_trips_weights_bit_exact(self, tmp_path):
         path = tmp_path / "l.jsonl"
         ledger = Ledger(path)
-        blob = serialize_ring(uniform_ring(5, 48, substream(5, "b")))
+        blob = serialize_ring(RingVector(uniform_words(5, substream(5, "b")), 48))
         tau = {0: 0.3123456789012345, 1: 0.6876543210987655}
         ledger.append(0, make_round_payload(blob, tau, bytes(32)))
         ledger.close()

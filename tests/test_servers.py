@@ -11,7 +11,7 @@ from dp2guard.numeric import (
     encode_fixed,
     ring_add,
     substream,
-    uniform_ring,
+    uniform_words,
 )
 from dp2guard.servers import (
     MSG_SHARE_UPLOAD,
@@ -60,13 +60,13 @@ def _weights(tau: dict[int, float]) -> list[float]:
 class TestMeanCenter:
     def test_identical_shares_center_to_zero(self):
         rng = substream(60, "mc")
-        share = uniform_ring(12, 16, rng)
+        share = RingVector(uniform_words(12, rng), 16)
         for row in mean_center(np.stack([share.words] * 5)):
             assert not np.any(row)
 
     def test_centered_shares_sum_to_zero(self):
         rng = substream(61, "mc")
-        shares = np.stack([uniform_ring(8, 16, rng).words for _ in range(7)])
+        shares = np.stack([uniform_words(8, rng) for _ in range(7)])
         total = np.zeros(8, dtype=np.uint64)
         for row in mean_center(shares):
             total += row
@@ -74,7 +74,7 @@ class TestMeanCenter:
 
     def test_rows_match_scalar_ring_formula(self):
         rng = substream(59, "mc")
-        shares = np.stack([uniform_ring(5, 16, rng).words for _ in range(4)])
+        shares = np.stack([uniform_words(5, rng) for _ in range(4)])
         total = shares[0] + shares[1] + shares[2] + shares[3]
         for k, row in enumerate(mean_center(shares)):
             assert np.array_equal(row, shares[k] * np.uint64(4) - total)
@@ -91,7 +91,7 @@ class TestMeanCenter:
 
     def test_needs_two_shares(self):
         with pytest.raises(ValueError):
-            mean_center(uniform_ring(4, 16, substream(63, "mc")).words[None, :])
+            mean_center(uniform_words(4, substream(63, "mc"))[None, :])
 
 
 class TestReconstructCentered:
@@ -131,7 +131,7 @@ class TestReconstructCentered:
 
     def test_client_set_mismatch(self):
         rng = substream(69, "rc")
-        shares = np.stack([uniform_ring(4, 16, rng).words for _ in range(3)])
+        shares = np.stack([uniform_words(4, rng) for _ in range(3)])
         with pytest.raises(ClientSetMismatch):
             reconstruct_centered(shares, shares[:2], 16)
 
@@ -257,30 +257,30 @@ class TestWireFormat:
             decode_message(wire[:-1])
 
     def test_share_upload_round_trip(self):
-        share = MaskedShare(5, 2, 1, uniform_ring(9, 16, substream(79, "w")))
+        share = MaskedShare(5, 2, 1, RingVector(uniform_words(9, substream(79, "w")), 16))
         back = decode_share_upload(encode_share_upload(share))
         assert back.client_id == 5 and back.round == 2 and back.share_index == 1
         assert np.array_equal(back.payload.words, share.payload.words)
 
     def test_share_upload_layout(self):
-        ring = uniform_ring(3, 16, substream(79, "layout"))
+        ring = RingVector(uniform_words(3, substream(79, "layout")), 16)
         msg = encode_share_upload(MaskedShare(5, 2, 2, ring))
         want = struct.pack("<IBIB", 5, 2, 3, 16) + ring.words.astype("<u8").tobytes()
         assert bytes(msg.payload) == want
 
     def test_centered_batch_round_trip(self):
         rng = substream(80, "w")
-        rows = np.stack([uniform_ring(6, 16, rng).words for _ in range(3)])
+        rows = np.stack([uniform_words(6, rng) for _ in range(3)])
         ids, back, scale_bits = decode_centered_batch(
-            encode_centered_batch(4, 1, [1, 3, 7], rows, 16))
+            encode_centered_batch(4, 1, [1, 3, 7], rows, 6, 16))
         assert ids == [1, 3, 7] and scale_bits == 16
         assert np.array_equal(back, rows)
 
     def test_centered_batch_layout(self):
         # Per record: id, ring blob length, then the ring blob (d, scale
         # bits, words), after a record count.
-        rows = np.stack([uniform_ring(2, 16, substream(80, "l", k)).words for k in range(2)])
-        msg = encode_centered_batch(4, 1, [3, 8], rows, 16)
+        rows = np.stack([uniform_words(2, substream(80, "l", k)) for k in range(2)])
+        msg = encode_centered_batch(4, 1, [3, 8], rows, 2, 16)
         want = struct.pack("<I", 2)
         for cid, row in zip([3, 8], rows):
             blob = struct.pack("<IB", 2, 16) + row.astype("<u8").tobytes()
@@ -289,25 +289,26 @@ class TestWireFormat:
 
     def test_centered_batch_accepts_reused_row_buffer(self):
         rng = substream(80, "reuse")
-        rows = np.stack([uniform_ring(5, 16, rng).words for _ in range(3)])
+        rows = np.stack([uniform_words(5, rng) for _ in range(3)])
 
         def one_buffer():
             buf = np.empty(5, dtype=np.uint64)
             for row in rows:
                 buf[...] = row
                 yield buf
-        msg = encode_centered_batch(0, 1, [0, 1, 2], one_buffer(), 16)
+        msg = encode_centered_batch(0, 1, [0, 1, 2], one_buffer(), 5, 16)
         assert np.array_equal(decode_centered_batch(msg)[1], rows)
 
     def test_agg_and_weights_round_trip_bit_exact(self):
-        agg = uniform_ring(5, 48, substream(81, "w"))
+        agg = RingVector(uniform_words(5, substream(81, "w")), 48)
         tau = {0: 0.1, 1: 0.7, 2: 0.2}
         ring, back = decode_agg_and_weights(encode_agg_and_weights(3, 2, agg, tau))
         assert back == tau  # doubles survive bit-exactly
         assert np.array_equal(ring.words, agg.words)
 
 
-def _drive_round(grads, seed, round_no=0, beta=0.5):
+def _drive_to_publish(grads, seed, round_no=0, beta=0.5):
+    """Run a round up to S2's weights; returns (s1, s2, detection, tau, channel)."""
     ids = sorted(grads)
     channel = Channel()
     s1 = ServerS1(ids, round_no)
@@ -321,6 +322,11 @@ def _drive_round(grads, seed, round_no=0, beta=0.5):
     s2.receive_centered_batch(channel.send("S1", "S2", s1.center_shares()))
     detection, new_trust, tau = s2.detect_and_weigh(
         initial_trust(ids, beta), substream(seed, "km"))
+    return s1, s2, detection, tau, channel
+
+
+def _drive_round(grads, seed, round_no=0, beta=0.5):
+    s1, s2, detection, tau, channel = _drive_to_publish(grads, seed, round_no, beta)
     record = encode_agg_and_weights(round_no, 0, s2.publish(tau), tau)
     s1.receive_agg_and_weights(channel.send("ledger", "S1", record))
     return s1.finalize(), detection, tau, channel, s1, s2
@@ -333,6 +339,36 @@ class TestServerStateMachines:
         global_grad, detection, tau, channel, _, _ = _drive_round(grads, 83)
         want = sum(tau[i] * grads[i] for i in grads)
         assert np.max(np.abs(global_grad - want)) <= 1e-3
+
+    @staticmethod
+    def _other_clients(tau, change):
+        # Weights that still sum to 1 but name a different client set.
+        if change == "extra":
+            return tau | {99: 0.0}
+        if change == "missing":
+            rest = {cid: w for cid, w in tau.items() if cid != 0}
+            total = sum(rest.values())
+            return {cid: w / total for cid, w in rest.items()}
+        return {0: 0.5, 99: 0.5}
+
+    @pytest.mark.parametrize("change", ["extra", "missing", "foreign"])
+    def test_publish_rejects_weights_for_other_clients(self, change):
+        rng = substream(100, "keys")
+        grads = {i: rng.uniform(-1, 1, size=5) for i in range(4)}
+        _, s2, _, tau, _ = _drive_to_publish(grads, 101)
+        with pytest.raises(WeightError):
+            s2.publish(self._other_clients(tau, change))
+
+    @pytest.mark.parametrize("change", ["extra", "missing", "foreign"])
+    def test_finalize_rejects_ledger_weights_for_other_clients(self, change):
+        rng = substream(102, "keys")
+        grads = {i: rng.uniform(-1, 1, size=5) for i in range(4)}
+        s1, s2, _, tau, _ = _drive_to_publish(grads, 103)
+        record = encode_agg_and_weights(0, 0, s2.publish(tau),
+                                        self._other_clients(tau, change))
+        s1.receive_agg_and_weights(record)
+        with pytest.raises(WeightError):
+            s1.finalize()
 
     def test_share_after_centering_rejected(self):
         rng = substream(84, "sm")
@@ -378,7 +414,7 @@ class TestServerStateMachines:
 
     def test_weights_before_centering_rejected(self):
         s1 = ServerS1([0], 0)
-        agg = uniform_ring(4, 48, substream(90, "m"))
+        agg = RingVector(uniform_words(4, substream(90, "m")), 48)
         with pytest.raises(ProtocolError):
             s1.receive_agg_and_weights(encode_agg_and_weights(0, 0, agg, {0: 1.0}))
 
@@ -404,8 +440,8 @@ class TestTypedDecodeErrors:
         return encode_share_upload(MaskedShare(0, 0, 1, sh1))
 
     def _batch(self):
-        rows = np.stack([uniform_ring(4, 16, substream(94, "b", k)).words for k in range(3)])
-        return encode_centered_batch(0, 1, [0, 1, 2], rows, 16)
+        rows = np.stack([uniform_words(4, substream(94, "b", k)) for k in range(3)])
+        return encode_centered_batch(0, 1, [0, 1, 2], rows, 4, 16)
 
     @pytest.mark.parametrize("cut", [1, 2, 5, 9, 10, 41])
     def test_truncated_share_upload(self, cut):
@@ -485,6 +521,6 @@ class TestShareMatrixChecks:
         for cid, g in grads.items():
             _, sh2 = split_and_mask(g, 16, substream(99, "mask", cid))
             s2.receive_share(encode_share_upload(MaskedShare(cid, 0, 2, sh2)))
-        rows = np.stack([uniform_ring(6, 16, rng).words for _ in range(3)])
+        rows = np.stack([uniform_words(6, rng) for _ in range(3)])
         with pytest.raises(ClientSetMismatch):
-            s2.receive_centered_batch(encode_centered_batch(0, 1, [0, 1, 5], rows, 16))
+            s2.receive_centered_batch(encode_centered_batch(0, 1, [0, 1, 5], rows, 6, 16))
