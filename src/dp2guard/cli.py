@@ -8,7 +8,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, OutputExists
 from .harness import (
     ExperimentConfig,
     plot_ratio_sweep,
@@ -43,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify-ledger":
             return _cmd_verify(args)
         return _cmd_sweep(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError, OutputExists) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

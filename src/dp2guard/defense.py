@@ -28,24 +28,51 @@ class DetectionResult:
     centroid: np.ndarray
 
 
+def _gram(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 (N, d) rows and their N x N Gram matrix rows @ rows.T
+    (one BLAS-3 call, exactly symmetric)."""
+    rows = np.asarray(matrix, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] < 2:
+        raise DegenerateError("need a matrix of at least two rows")
+    return rows, rows @ rows.T
+
+
+def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of the Gram matrix (the squared top singular value
+    of the rows) and its unit eigenvector."""
+    if float(np.sqrt(np.trace(gram))) < _ZERO_NORM:
+        raise DegenerateError("matrix is numerically zero")
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    if float(np.sqrt(max(eigvals[-1], 0.0))) < _ZERO_NORM:
+        raise DegenerateError("leading singular value is numerically zero")
+    return float(eigvals[-1]), eigvecs[:, -1]
+
+
+def _median_cosines(gram: np.ndarray) -> np.ndarray:
+    """Per-row median of gram[i, j] / (n_i * n_j) over j != i, with
+    n_i = sqrt(gram[i, i]); zero rows score 0 and enter other rows'
+    medians as 0."""
+    n = gram.shape[0]
+    norms = np.sqrt(np.diagonal(gram))
+    zero = norms <= _ZERO_NORM
+    safe = np.where(zero, 1.0, norms)
+    cos = gram / (safe[:, None] * safe[None, :])
+    cos[zero, :] = 0.0
+    cos[:, zero] = 0.0
+    others = cos[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    return np.median(others, axis=1)
+
+
 def top_direction(matrix: np.ndarray) -> np.ndarray:
     """Top right singular vector of the (N, d) row matrix.
 
     Computed from the N x N Gram matrix (N is far below d here), with the
     sign fixed so the largest-magnitude entry is positive.
     """
-    rows = np.asarray(matrix, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 2:
-        raise DegenerateError("need a matrix of at least two rows")
-    if float(np.linalg.norm(rows)) < _ZERO_NORM:
-        raise DegenerateError("matrix is numerically zero")
-    gram = rows @ rows.T
-    _, eigvecs = np.linalg.eigh(gram)
-    v = rows.T @ eigvecs[:, -1]
-    norm = float(np.linalg.norm(v))
-    if norm < _ZERO_NORM:
-        raise DegenerateError("leading singular value is numerically zero")
-    v = v / norm
+    rows, gram = _gram(matrix)
+    _, e = _top_eigenpair(gram)
+    v = rows.T @ e
+    v = v / float(np.linalg.norm(v))
     pivot = int(np.argmax(np.abs(v)))
     if v[pivot] < 0:
         v = -v
@@ -60,37 +87,18 @@ def spectral_scores(matrix: np.ndarray, direction: np.ndarray) -> np.ndarray:
 def median_cosines(matrix: np.ndarray) -> np.ndarray:
     """Per-row median cosine similarity against all other rows.
 
-    Each pair is computed as dot / (norm * norm), and every dot product
-    (norms included) is one BLAS ``ddot`` over a single pair of rows, the
-    same kernel that scalar ``gi @ gj`` and ``np.linalg.norm`` call.  The
-    result is therefore bit-equal to a scalar pairwise evaluation, so
-    ``detection.csv`` does not depend on how the pairs are batched.  Keep
-    the per-row-pair ``np.vecdot`` form: the matrix-vector product
-    ``rows[i+1:] @ rows[i]`` and the Gram matrix ``rows @ rows.T`` sum in
-    another order and differ in the last bits at realistic shapes such as
-    50 x 7850.  The Gram form still matches at 6 x 4, so only tests at
-    realistic shapes catch it.
+    Every cosine is gram[i, j] / (n_i * n_j) from the Gram matrix
+    rows @ rows.T, with n_i = sqrt(gram[i, i]); this is how `detect`
+    computes the cosine feature.  BLAS-3 sums each dot product in another
+    order than a scalar ``gi @ gj``, so at realistic widths a cosine may
+    differ from the scalar pairwise value in the last bits (each dot
+    product's rounding error is below d * eps * |gi| * |gj|); tests bound
+    the gap.
 
     Zero rows carry no direction: they score 0 and contribute 0 to other
     rows' medians.
     """
-    rows = np.asarray(matrix, dtype=np.float64)
-    n = rows.shape[0]
-    norms = np.sqrt(np.vecdot(rows, rows))
-    zero = norms <= _ZERO_NORM
-    safe = np.where(zero, 1.0, norms)
-    cos = np.zeros((n, n))
-    for i in range(n - 1):
-        if zero[i]:
-            continue
-        value = np.vecdot(rows[i + 1:], rows[i]) / (safe[i] * safe[i + 1:])
-        value[zero[i + 1:]] = 0.0
-        cos[i, i + 1:] = value
-        cos[i + 1:, i] = value
-    others = cos[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    out = np.median(others, axis=1)
-    out[zero] = 0.0
-    return out
+    return _median_cosines(_gram(matrix)[1])
 
 
 def cluster_and_select(features: Mapping[int, np.ndarray],
@@ -149,9 +157,14 @@ def detect(centered: np.ndarray, rng: np.random.Generator,
     if projection_dim is not None and projection_dim < matrix.shape[1]:
         proj = rng.standard_normal((matrix.shape[1], projection_dim))
         matrix = matrix @ (proj / np.sqrt(projection_dim))
-    direction = top_direction(matrix)
-    s = spectral_scores(matrix, direction)
-    c = median_cosines(matrix)
+    # Both features come from one Gram matrix G = M M^T: with (lam, e) its
+    # top eigenpair, row i projects onto the top right singular vector
+    # M^T e / sqrt(lam) as sqrt(lam) * e_i, and the cosines are
+    # G_ij / sqrt(G_ii G_jj).
+    _, gram = _gram(matrix)
+    lam, e = _top_eigenpair(gram)
+    s = lam * e**2
+    c = _median_cosines(gram)
     features = {cid: np.array([s[k], c[k]]) for k, cid in enumerate(ids)}
     return cluster_and_select(features, rng)
 

@@ -51,3 +51,7 @@ class ProtocolError(RuntimeError):
 
 class ConfigError(ValueError):
     """An experiment configuration is invalid or has unknown keys."""
+
+
+class OutputExists(FileExistsError):
+    """An output directory already holds another run's ledger."""

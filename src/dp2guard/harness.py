@@ -14,7 +14,7 @@ import numpy as np
 
 from . import attacks, baselines, client, defense, models, trust
 from .data import Dataset, load_idx, partition, synth_dataset
-from .errors import ConfigError
+from .errors import ConfigError, OutputExists
 from .ledger import (
     Ledger,
     make_round_payload,
@@ -298,10 +298,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     """Run the configured number of rounds and return per-round metrics.
 
     Every random draw comes from a stream keyed by (seed, purpose, actor,
-    round), so reruns of the same config are bit-identical.
+    round), so reruns of the same config are bit-identical.  Raises
+    OutputExists if `out_dir` already holds a ledger.
     """
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
+        # S1 reads each round's record back from the ledger by round number,
+        # so an earlier run's chain in the same file would feed it stale
+        # aggregates.
+        if (out_path / "ledger.jsonl").exists():
+            raise OutputExists(f"{out_path / 'ledger.jsonl'} already exists; "
+                               "write each run to a fresh directory")
         out_path.mkdir(parents=True, exist_ok=True)
 
     train, test = load_datasets(cfg)
@@ -347,8 +354,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                 for cid in sorted(detection.features):
                     s, c = detection.features[cid]
                     flag = int(cid in detection.benign)
-                    detection_rows.append(
-                        f"{round_no},{cid},{s!r},{c!r},{1 - flag},{flag}")
+                    detection_rows.append(f"{round_no},{cid},{float(s)!r},"
+                                          f"{float(c)!r},{1 - flag},{flag}")
                 if record_history:
                     result.weight_history.append(dict(tau))
                     result.benign_history.append(benign_pred)

@@ -38,7 +38,6 @@ from .numeric import (
     RING_HEADER,
     RingVector,
     decode_fixed,
-    deserialize_ring,
     ring_add,
     ring_view,
     serialize_ring,
@@ -64,6 +63,10 @@ _UPLOAD_PREFIX = struct.Struct("<IB")
 # its serialized ring, followed by that ring.
 _BATCH_COUNT = struct.Struct("<I")
 _BATCH_RECORD = struct.Struct("<IQ")
+# AggDigestAndWeights: a weight count, then per client its id and weight
+# in ascending id order, followed by the aggregate's serialized ring.
+_WEIGHT_COUNT = struct.Struct("<I")
+_WEIGHT_RECORD = struct.Struct("<Id")
 
 
 @dataclass(frozen=True)
@@ -189,22 +192,28 @@ def decode_centered_batch(msg: ProtocolMessage) -> tuple[list[int], np.ndarray, 
 
 def encode_agg_and_weights(round_no: int, sender: int, aggregate: RingVector,
                            tau: Mapping[int, float]) -> ProtocolMessage:
-    parts = [struct.pack("<I", len(tau))]
+    parts = [_WEIGHT_COUNT.pack(len(tau))]
     for cid in sorted(tau):
-        parts.append(struct.pack("<Id", cid, tau[cid]))
+        parts.append(_WEIGHT_RECORD.pack(cid, tau[cid]))
     parts.append(serialize_ring(aggregate))
     return ProtocolMessage(MSG_AGG_AND_WEIGHTS, round_no, sender, b"".join(parts))
 
 
 def decode_agg_and_weights(msg: ProtocolMessage) -> tuple[RingVector, dict[int, float]]:
-    count = struct.unpack_from("<I", msg.payload)[0]
-    offset = 4
-    tau: dict[int, float] = {}
-    for _ in range(count):
-        cid, w = struct.unpack_from("<Id", msg.payload, offset)
-        tau[cid] = w
-        offset += 12
-    return deserialize_ring(msg.payload[offset:]), tau
+    """(aggregate, weights) of an AggDigestAndWeights; the aggregate's words
+    are a read-only view into the payload."""
+    payload = msg.payload
+    if len(payload) < _WEIGHT_COUNT.size:
+        raise FormatError("AggDigestAndWeights shorter than its weight count")
+    (count,) = _WEIGHT_COUNT.unpack_from(payload)
+    end = _WEIGHT_COUNT.size + count * _WEIGHT_RECORD.size
+    if len(payload) < end:
+        raise FormatError(f"AggDigestAndWeights of {len(payload)} bytes cannot hold "
+                          f"{count} weights")
+    records = list(_WEIGHT_RECORD.iter_unpack(payload[_WEIGHT_COUNT.size:end]))
+    if any(a[0] >= b[0] for a, b in zip(records, records[1:])):
+        raise FormatError("AggDigestAndWeights client ids must ascend")
+    return ring_view(payload, end), dict(records)
 
 
 # --- protocol operations -------------------------------------------------

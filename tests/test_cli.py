@@ -23,6 +23,16 @@ class TestRunCommand:
             assert (out / name).exists()
         assert "final accuracy" in capsys.readouterr().out
 
+    def test_reused_output_dir_exits_two(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        ledger = (out / "ledger.jsonl").read_bytes()
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "already exists" in capsys.readouterr().err
+        assert (out / "ledger.jsonl").read_bytes() == ledger
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"dataset": "synthetic", "bogus": 1}))

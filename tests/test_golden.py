@@ -1,13 +1,21 @@
 """Pinned artifact digests of two dp2guard configs.
 
 The reproducibility tests elsewhere only compare a run with its own rerun,
-so a change to the ring path that shifts output bits the same way twice
-would pass them.  These digests were recorded before the servers moved to
-(N, d) share matrices and must not move with any refactor of the masked
-pipeline.  They are specific to the floating-point stack they were recorded
-on (numpy 2.4, OpenBLAS 0.3, x86-64): another BLAS may change the last bits
-of training and detection, and then these digests need re-pinning from an
-unchanged tree.
+so a change that shifts output bits the same way twice would pass them.
+These digests were first recorded before the servers moved to (N, d) share
+matrices.  They were re-pinned once, when detection moved to a single Gram
+matrix: the spectral feature became lam * e_i**2 and the cosines
+G_ij / sqrt(G_ii G_jj), which differ from the per-pair dot products in the
+last bits.  That moved `detection.csv` (whose s and c columns also stopped
+being written as numpy reprs), the trust means in `metrics.csv` and the
+trust weights in `ledger.jsonl`; the cluster and benign columns, accuracy,
+`attack.csv`, the final parameters and every block's `agg_share_digest`
+stayed as they were.
+
+The digests are specific to the floating-point stack they were recorded on
+(numpy 2.4, OpenBLAS 0.3, x86-64): another BLAS may change the last bits of
+training and detection, and then they need re-pinning from an unchanged
+tree.
 """
 import hashlib
 
@@ -20,19 +28,19 @@ GOLDEN = {
         dict(aggregator="dp2guard", n_clients=12, rounds=3, seed=5, adv_ratio=0.25,
              attack={"kind": "fang"}),
         {
-            "metrics.csv": "33f05ecfd17b337527cd3e78c93eb6a2c26659b684e8bbf91335e275edd750de",
-            "detection.csv": "bfdabe54c9020133ef30ea57644e737b49351715884aeed90db4fd0ab406a704",
+            "metrics.csv": "ecf212616013326235550c5af44d870f87ac480bffbe325d0d5dff8dd50dbd4f",
+            "detection.csv": "b6cf05aaddd68fdae0b612c994c9e3cc3580d6202ad3e6b87dc216cefcc01fde",
             "attack.csv": "87f67c0147e38d2b1f881f9ff400cf764c1ea40db96d03c4707d37066b3473de",
-            "ledger.jsonl": "e3f372a8fb70d70829fa3800cbccdc6c79486e290a5712af9de13a4cf1c0afa5",
+            "ledger.jsonl": "944ca54d56a5c518ea2b490249d72db1990099ea5ab585bf9b97c825377603f6",
         },
     ),
     "mlp-label-flip-hard": (
         dict(aggregator="dp2guard", model="mlp", hidden=16, n_clients=10, rounds=3, seed=9,
              adv_ratio=0.2, attack={"kind": "label_flip", "offset": 1}, exclusion="hard"),
         {
-            "metrics.csv": "8555fe611eacd7cd8ce3fe9d7c1ef08bcd61a6436818e8537312a66cc7d99260",
-            "detection.csv": "01d9b4d08907c1d044e7058e9588bd54a9e3042722c25728df7011baa2c91bc4",
-            "ledger.jsonl": "cb423ef6f34b62a1b142fc44b9f1b11d4f880c069654a083cab6f7dc39cf4c8f",
+            "metrics.csv": "c600cba76507cc8c2b263fcf2231752b598d24424a6d343cb42d0f222de63762",
+            "detection.csv": "5e4285e22e31ec1e1e8065ce9ed542e0496eff351bbde2a8534e6833980a96c6",
+            "ledger.jsonl": "ef86269b9f460c8bf9b1ab9a0c3ad08b0fbce97960623906d2bc69471ce6d2d4",
         },
     ),
 }

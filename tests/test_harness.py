@@ -12,7 +12,7 @@ from dp2guard.baselines import dnc_survivors, fedavg
 from dp2guard.client import ClientState, local_gradient, split_and_mask
 from dp2guard.data import partition
 from dp2guard.defense import detect
-from dp2guard.errors import ConfigError
+from dp2guard.errors import ConfigError, OutputExists
 from dp2guard.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -528,6 +528,27 @@ class TestMetricsOutput:
             cid, benign = int(cells[1]), int(cells[5])
             assert benign == (cid in res.benign_history[0])
 
+    def test_detection_dump_cells_are_plain_numbers(self, tmp_path, monkeypatch):
+        # s and c are written as float reprs ("0.25"), not numpy scalar
+        # reprs ("np.float64(0.25)"), and read back to the detected features.
+        import dp2guard.servers as servers_mod
+
+        found = []
+
+        def spy(*args, **kwargs):
+            found.append(detect(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(servers_mod, "detect", spy)
+        cfg = _desk_config(rounds=2, adv_ratio=0.2, attack={"kind": "fang"})
+        run_experiment(cfg, out_dir=tmp_path / "out")
+        lines = (tmp_path / "out/detection.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + cfg.rounds * cfg.n_clients
+        for line in lines[1:]:
+            round_no, cid, s, c = line.split(",")[:4]
+            features = found[int(round_no)].features[int(cid)]
+            assert (float(s), float(c)) == (features[0], features[1])
+
     def test_attack_log_records_crafted_norms(self, tmp_path):
         cfg = _desk_config(rounds=3, adv_ratio=0.2,
                            attack={"kind": "minmax", "direction": "-mean"})
@@ -650,6 +671,16 @@ class TestLedgerReplay:
             assert ring.scale_bits == cfg.scale_bits + 32
             assert len(ring) == res.model.dim
             assert payload_trust_weights(payload) == res.weight_history[t]
+
+    def test_refuses_output_dir_holding_a_ledger(self, tmp_path):
+        # S1 reads each round's record back by round number, so a second
+        # run into the same directory would finalize with the first run's
+        # aggregates.  It must stop before round 0 and leave the files be.
+        run_experiment(_desk_config(rounds=2, seed=1), out_dir=tmp_path / "out")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        with pytest.raises(OutputExists):
+            run_experiment(_desk_config(rounds=2, seed=2), out_dir=tmp_path / "out")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
 
     def test_same_seed_reproduces_chain_hashes(self, tmp_path):
         cfg = _desk_config(rounds=4)

@@ -14,6 +14,7 @@ from dp2guard.numeric import (
     uniform_words,
 )
 from dp2guard.servers import (
+    MSG_AGG_AND_WEIGHTS,
     MSG_SHARE_UPLOAD,
     Channel,
     ProtocolMessage,
@@ -483,6 +484,43 @@ class TestTypedDecodeErrors:
         struct.pack_into("<I", raw, 4 + 12 + 0, 3)  # record 0 claims d = 3
         with pytest.raises(FormatError):
             decode_centered_batch(ProtocolMessage(msg.kind, 0, 1, bytes(raw)))
+
+    def _agg(self):
+        agg = RingVector(uniform_words(4, substream(95, "a")), 48)
+        return agg, encode_agg_and_weights(0, 0, agg, {0: 0.25, 1: 0.5, 4: 0.25})
+
+    def test_agg_and_weights_layout(self):
+        agg, msg = self._agg()
+        assert bytes(msg.payload) == b"".join((
+            struct.pack("<I", 3), struct.pack("<Id", 0, 0.25), struct.pack("<Id", 1, 0.5),
+            struct.pack("<Id", 4, 0.25), struct.pack("<IB", 4, 48),
+            agg.words.astype("<u8").tobytes()))
+
+    def test_agg_and_weights_truncated_or_padded(self):
+        # Every truncation and 100 seeded random tails are rejected.
+        payload = bytes(self._agg()[1].payload)
+        rng = substream(96, "agg-fuzz")
+        tails = [rng.integers(0, 256, size=int(rng.integers(1, 48)), dtype=np.uint8).tobytes()
+                 for _ in range(100)]
+        for bad in [payload[:cut] for cut in range(len(payload))] + \
+                   [payload + tail for tail in tails]:
+            with pytest.raises(FormatError):
+                decode_agg_and_weights(ProtocolMessage(MSG_AGG_AND_WEIGHTS, 0, 0, bad))
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 4, 6, 2**32 - 1])
+    def test_agg_and_weights_count_mismatch(self, count):
+        raw = bytearray(self._agg()[1].payload)
+        struct.pack_into("<I", raw, 0, count)
+        with pytest.raises(FormatError):
+            decode_agg_and_weights(ProtocolMessage(MSG_AGG_AND_WEIGHTS, 0, 0, bytes(raw)))
+
+    @pytest.mark.parametrize("ids", [(1, 0, 4), (0, 1, 1)])
+    def test_agg_and_weights_ids_must_ascend(self, ids):
+        raw = bytearray(self._agg()[1].payload)
+        for k, cid in enumerate(ids):
+            struct.pack_into("<I", raw, 4 + 12 * k, cid)
+        with pytest.raises(FormatError):
+            decode_agg_and_weights(ProtocolMessage(MSG_AGG_AND_WEIGHTS, 0, 0, bytes(raw)))
 
 
 class TestShareMatrixChecks:
