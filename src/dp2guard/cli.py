@@ -8,7 +8,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, OutputExists
+from .errors import ConfigError, Dp2GuardError
 from .harness import (
     ExperimentConfig,
     plot_ratio_sweep,
@@ -43,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify-ledger":
             return _cmd_verify(args)
         return _cmd_sweep(args)
-    except (ConfigError, FileNotFoundError, OutputExists) as exc:
+    except (Dp2GuardError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -74,13 +74,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     names = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     if field not in names:
         raise ConfigError(f"unknown config field {field!r}")
-    base = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    base = _json(Path(args.config).read_text(encoding="utf-8"), "config")
+    if not isinstance(base, dict):
+        raise ConfigError("config must be a JSON object")
+    raws = values.split(",")
+    parsed = [_json(raw, f"--vary value {raw!r}") for raw in raws]
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
 
     points = []
-    for raw in values.split(","):
-        value = json.loads(raw)
+    for raw, value in zip(raws, parsed):
         cfg = ExperimentConfig.from_dict({**base, field: value})
         sub_dir = out_root / f"{field}={raw}"
         result = run_experiment(cfg, out_dir=sub_dir)
@@ -91,6 +94,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                      out_root / "sweep.svg")
     print(f"sweep plot in {out_root / 'sweep.svg'}")
     return 0
+
+
+def _json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Client-side protocol: local training, gradient splitting, and masking.
 
-A client's gradient is encoded into the fixed-point ring, split into a
-uniformly random share plus its complement, and each share is offset by a
-fresh uniform mask with opposite signs.  Either share alone is uniform over
-the ring; their wrapping sum reconstructs the encoded gradient exactly.
+A client's gradient is encoded into the fixed-point ring and split into two
+additive shares: one uniformly random ring vector u, and its complement
+encoded - u.  Either share alone is uniform over the ring; their wrapping
+sum reconstructs the encoded gradient exactly.
 """
 from __future__ import annotations
 
@@ -46,16 +46,17 @@ class ClientState:
 
 def split_and_mask(grad: np.ndarray, scale_bits: int,
                    rng: np.random.Generator) -> tuple[RingVector, RingVector]:
-    """Split an encoded gradient into two masked uniform shares.
+    """Split an encoded gradient into two additive shares, each uniform
+    over the ring on its own.
 
-    ring_add of the two results always decodes to the encode-quantized
-    gradient, bit-for-bit, whatever the rng produced.
+    Draws exactly one word per entry from `rng`.  ring_add of the two
+    results always decodes to the encode-quantized gradient, bit-for-bit,
+    whatever the rng produced.
     """
     encoded = encode_fixed(clip_for_encoding(grad, scale_bits), scale_bits).words
-    # Share 1 is a uniform split plus a uniform mask; share 2 is the
-    # complement (encoded - split) - mask = encoded - share 1 in the ring.
+    # Share 1 is one uniform word per entry, which alone hides the entry;
+    # share 2 is its complement encoded - share 1 in the ring.
     share1 = uniform_words(len(encoded), rng)
-    share1 += uniform_words(len(encoded), rng)
     return RingVector(share1, scale_bits), RingVector(encoded - share1, scale_bits)
 
 

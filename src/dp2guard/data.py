@@ -153,14 +153,3 @@ def synth_dataset(n: int, p: int, n_classes: int, separation: float,
     features = centers[labels] + rng.standard_normal((n, p))
     return Dataset(features, labels.astype(np.int64), n_classes)
 
-
-def dump_csv(dataset: Dataset, path: str | Path) -> None:
-    """One row per sample, features then label last."""
-    rows = np.column_stack([dataset.features, dataset.labels.astype(np.float64)])
-    header = ",".join([f"x{i}" for i in range(dataset.n_features)] + ["label"])
-    np.savetxt(path, rows, delimiter=",", header=header, comments="")
-
-
-def load_csv(path: str | Path, n_classes: int) -> Dataset:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return Dataset(rows[:, :-1].copy(), rows[:, -1].astype(np.int64), n_classes)

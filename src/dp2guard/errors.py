@@ -1,57 +1,66 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every class derives from `Dp2GuardError`, so a caller can catch any error
+the package raises on purpose in one place, and also from the builtin
+exception it refines, so `except ValueError` and the like still work.
+"""
 
 
-class DimensionMismatch(ValueError):
+class Dp2GuardError(Exception):
+    """Base of every exception type defined by this package."""
+
+
+class DimensionMismatch(Dp2GuardError, ValueError):
     """Operands have incompatible dimension or fixed-point scale."""
 
 
-class ShapeMismatch(ValueError):
+class ShapeMismatch(Dp2GuardError, ValueError):
     """Model and data shapes do not line up."""
 
 
-class FormatError(ValueError):
+class FormatError(Dp2GuardError, ValueError):
     """A serialized payload or dataset file is malformed."""
 
 
-class CountMismatch(ValueError):
+class CountMismatch(Dp2GuardError, ValueError):
     """Image and label counts in a dataset file disagree."""
 
 
-class EmptyClientError(RuntimeError):
+class EmptyClientError(Dp2GuardError, RuntimeError):
     """A data partition left at least one client with no samples."""
 
 
-class ClientSetMismatch(ValueError):
+class ClientSetMismatch(Dp2GuardError, ValueError):
     """The two servers hold shares for different client sets."""
 
 
-class WeightError(ValueError):
+class WeightError(Dp2GuardError, ValueError):
     """Aggregation weights are negative or do not sum to one."""
 
 
-class DegenerateError(ValueError):
+class DegenerateError(Dp2GuardError, ValueError):
     """Input carries no usable signal (e.g. an all-zero matrix)."""
 
 
-class TooFewClients(ValueError):
+class TooFewClients(Dp2GuardError, ValueError):
     """An aggregation rule received fewer clients than it tolerates."""
 
 
-class AllZeroTrust(RuntimeError):
+class AllZeroTrust(Dp2GuardError, RuntimeError):
     """Every trust score is zero, so weights cannot be normalized."""
 
 
-class RoundNotFound(KeyError):
+class RoundNotFound(Dp2GuardError, KeyError):
     """The ledger holds no block for the requested round."""
 
 
-class ProtocolError(RuntimeError):
+class ProtocolError(Dp2GuardError, RuntimeError):
     """A server received a message out of phase or round order."""
 
 
-class ConfigError(ValueError):
+class ConfigError(Dp2GuardError, ValueError):
     """An experiment configuration is invalid or has unknown keys."""
 
 
-class OutputExists(FileExistsError):
+class OutputExists(Dp2GuardError, FileExistsError):
     """An output directory already holds another run's ledger."""

@@ -21,7 +21,7 @@ from .ledger import (
     payload_agg_blob,
     payload_trust_weights,
 )
-from .numeric import deserialize_ring, serialize_ring, substream
+from .numeric import ring_view, serialize_ring, substream
 from .servers import (
     Channel,
     ServerS1,
@@ -503,7 +503,7 @@ def _dp2guard_round(cfg: ExperimentConfig, stack: np.ndarray,
     ledger.append(round_no, make_round_payload(serialize_ring(agg2), tau, model_digest))
 
     payload = ledger.read_round(round_no)
-    blob = deserialize_ring(payload_agg_blob(payload))
+    blob = ring_view(payload_agg_blob(payload))
     weights_read = payload_trust_weights(payload)
     ledger_msg = encode_agg_and_weights(round_no, LEDGER_SENDER, blob, weights_read)
     s1.receive_agg_and_weights(channel.send("ledger", "S1", ledger_msg))
@@ -586,17 +586,6 @@ def emit_metrics(metrics: Sequence[RoundMetrics], path: str | Path) -> None:
             cells.append("" if value is None else repr(value))
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def parse_metrics_csv(path: str | Path) -> list[dict[str, float | None]]:
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = text[0].split(",")
-    rows = []
-    for line in text[1:]:
-        cells = line.split(",")
-        rows.append({key: (None if cell == "" else float(cell))
-                     for key, cell in zip(header, cells)})
-    return rows
 
 
 def plot_metrics(metrics: Sequence[RoundMetrics], path: str | Path,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,11 +57,48 @@ def make_round_payload(agg_share_blob: bytes, trust_weights: dict[int, float],
 
 
 def payload_agg_blob(payload: dict[str, Any]) -> bytes:
-    return base64.b64decode(payload["agg_share_blob"])
+    """The aggregate-share blob of a round payload.
+
+    Raises FormatError when the blob or its digest is missing, the blob is
+    not strict base64, or the digest does not match the decoded bytes.
+    """
+    try:
+        text, digest = payload["agg_share_blob"], payload["agg_share_digest"]
+        blob = base64.b64decode(text, validate=True)
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise FormatError(f"round payload has no valid agg_share_blob: {exc!r}") from exc
+    if hashlib.sha256(blob).hexdigest() != digest:
+        raise FormatError("agg_share_digest does not match the decoded agg_share_blob")
+    return blob
 
 
 def payload_trust_weights(payload: dict[str, Any]) -> dict[int, float]:
-    return {int(cid): float(w) for cid, w in payload["trust_weights"].items()}
+    """The trust weights of a round payload, by client id.
+
+    Raises FormatError unless they are an object mapping canonical
+    non-negative integer ids to finite numbers >= 0.
+    """
+    try:
+        raw = payload["trust_weights"]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"round payload has no trust_weights: {exc!r}") from exc
+    if not isinstance(raw, dict):
+        raise FormatError("trust_weights is not an object")
+    weights: dict[int, float] = {}
+    for key, w in raw.items():
+        if not (isinstance(key, str) and key.isascii() and key.isdigit()
+                and str(int(key)) == key):
+            raise FormatError(f"trust weight key {key!r} is not a client id")
+        if isinstance(w, bool) or not isinstance(w, (int, float)):
+            raise FormatError(f"trust weight of client {key} is not a number")
+        try:
+            value = float(w)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not (math.isfinite(value) and value >= 0):
+            raise FormatError(f"trust weight of client {key} is {w}")
+        weights[int(key)] = value
+    return weights
 
 
 class Ledger:

@@ -128,11 +128,6 @@ def ring_view(buf, offset: int = 0) -> RingVector:
     return RingVector(words, scale_bits)
 
 
-def deserialize_ring(data: bytes) -> RingVector:
-    ring = ring_view(data)
-    return RingVector(ring.words.astype(np.uint64), ring.scale_bits)
-
-
 def substream(seed: int, *path: int | str) -> np.random.Generator:
     """Independent reproducible generator keyed by (seed, path).
 

@@ -8,8 +8,8 @@ the wire straight into its row.
 Mean-centering happens on masked shares.  Each server computes
 N * share_i - sum_j(share_j) in the ring, i.e. the centered share scaled by
 the client count; the division by N happens only after the two halves are
-combined.  That keeps every step exact wrapping arithmetic, so the masks
-(and the random split) cancel bit-for-bit and the reconstructed centered
+combined.  That keeps every step exact wrapping arithmetic, so the random
+share words cancel bit-for-bit and the reconstructed centered
 gradients depend only on the encoded plaintext gradients.
 
 Weighted aggregation converts each weight to fixed point with 32 fractional
@@ -71,10 +71,19 @@ _WEIGHT_RECORD = struct.Struct("<Id")
 
 @dataclass(frozen=True)
 class ProtocolMessage:
+    """One message between protocol parties.
+
+    `payload` is any bytes-like object: encoders build bytes or a
+    memoryview, and a received message carries a read-only memoryview of
+    the sender's payload.  `len(payload)` is its byte count.  On the wire
+    the message is a 17-byte header (kind u8, round u32, sender u32,
+    payload length u64) followed by the payload.
+    """
+
     kind: int
     round: int
     sender: int
-    payload: bytes  # or any bytes-like object: decoded payloads are memoryviews
+    payload: bytes
 
 
 def encode_message(msg: ProtocolMessage) -> bytes:
@@ -85,8 +94,14 @@ def decode_message(wire: bytes) -> ProtocolMessage:
     """Parse a wire message; the payload is a view into `wire`, not a copy."""
     if len(wire) < _MSG_HEADER.size:
         raise ProtocolError("message shorter than its header")
-    kind, round_no, sender, payload_len = _MSG_HEADER.unpack_from(wire)
-    payload = memoryview(wire)[_MSG_HEADER.size:]
+    view = memoryview(wire)
+    return _parse_header(view[:_MSG_HEADER.size], view[_MSG_HEADER.size:])
+
+
+def _parse_header(header, payload) -> ProtocolMessage:
+    """The message a wire header announces, carrying `payload`, which must
+    have the declared length."""
+    kind, round_no, sender, payload_len = _MSG_HEADER.unpack(header)
     if len(payload) != payload_len:
         raise ProtocolError(f"payload length {len(payload)} != declared {payload_len}")
     if kind not in _KIND_NAMES:
@@ -95,15 +110,24 @@ def decode_message(wire: bytes) -> ProtocolMessage:
 
 
 class Channel:
-    """In-memory transport that round-trips every message through the wire
-    format and records (src, dst, kind) for boundary audits."""
+    """In-memory transport that records (src, dst, kind) for boundary audits.
+
+    Each message's header goes through the wire format and is checked as
+    `decode_message` checks it; the payload is handed over as a read-only
+    memoryview of the sender's buffer, not copied behind the header, so the
+    receiver sees the bytes `decode_message(encode_message(msg))` would
+    give it.
+    """
 
     def __init__(self):
         self.log: list[tuple[str, str, str]] = []
 
     def send(self, src: str, dst: str, msg: ProtocolMessage) -> ProtocolMessage:
-        self.log.append((src, dst, _KIND_NAMES[msg.kind]))
-        return decode_message(encode_message(msg))
+        payload = memoryview(msg.payload).cast("B").toreadonly()
+        header = _MSG_HEADER.pack(msg.kind, msg.round, msg.sender, len(payload))
+        received = _parse_header(header, payload)
+        self.log.append((src, dst, _KIND_NAMES[received.kind]))
+        return received
 
 
 def encode_share_upload(share: MaskedShare) -> ProtocolMessage:
@@ -144,7 +168,8 @@ def encode_centered_batch(round_no: int, sender: int, ids: Sequence[int],
     into the payload before the next is drawn)."""
     blob = RING_HEADER.size + 8 * d
     record = _BATCH_RECORD.size + blob
-    payload = bytearray(_BATCH_COUNT.size + len(ids) * record)
+    # Uninitialised: the loop below writes every byte.
+    payload = memoryview(np.empty(_BATCH_COUNT.size + len(ids) * record, dtype=np.uint8))
     _BATCH_COUNT.pack_into(payload, 0, len(ids))
     words = _batch_words(payload, len(ids), d)
     for k, (cid, row) in enumerate(zip(ids, rows, strict=True)):
@@ -249,7 +274,7 @@ def reconstruct_centered(centered_1: np.ndarray, shares_2: np.ndarray,
     """Real centered gradients, row k for the client of shares_2[k].
 
     `centered_1` holds S1's centered rows (as sent in the CenteredBatch);
-    each is added to S2's own centered row, which cancels masks and splits
+    each is added to S2's own centered row, which cancels the random share
     exactly, then decoded and divided by N (the residual scaling of
     `mean_center`), the same operations as decode_fixed(...) / N.
     """

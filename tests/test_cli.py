@@ -39,6 +39,14 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_empty_client_partition_exits_two(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, synth_train=100, n_clients=400,
+                            partition="dirichlet", alpha=0.01)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestVerifyLedgerCommand:
     def test_intact_chain_exits_zero(self, tmp_path, capsys):
@@ -71,6 +79,17 @@ class TestSweepCommand:
         assert (out / "adv_ratio=0" / "metrics.csv").exists()
         assert (out / "adv_ratio=0.25" / "metrics.csv").exists()
         assert (out / "sweep.svg").read_text().startswith("<svg")
+
+    def test_non_json_value_exits_two_before_any_run(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, adv_ratio=0.25,
+                            attack={"kind": "minmax", "direction": "-mean"})
+        out = tmp_path / "s"
+        rc = main(["sweep", "--config", str(cfg),
+                   "--vary", "adv_ratio=0,abc", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'abc'" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_unknown_field_rejected(self, tmp_path):
         cfg = _write_config(tmp_path)

@@ -45,6 +45,15 @@ class TestSplitAndMask:
             low = (share.words & np.uint64(0xFF)).astype(np.int64)
             assert chi_square_uniform_bytes(low) < CHI2_CRIT_255
 
+    def test_draws_one_word_per_entry_and_share_one_is_that_word(self):
+        d = 257
+        g = substream(47, "g").uniform(-5, 5, size=d)
+        rng, reference = substream(47, "m"), substream(47, "m")
+        s1, _ = split_and_mask(g, 16, rng)
+        assert np.array_equal(s1.words, reference.bit_generator.random_raw(d))
+        # The stream moved exactly d words: its next word is the reference's.
+        assert rng.bit_generator.random_raw() == reference.bit_generator.random_raw()
+
     def test_oversized_entries_are_clipped_not_fatal(self):
         g = np.array([2.0**60, -1.0, 1.0])
         s1, s2 = split_and_mask(g, 16, substream(46, "m"))

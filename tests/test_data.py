@@ -6,8 +6,6 @@ import pytest
 
 from dp2guard.data import (
     Dataset,
-    dump_csv,
-    load_csv,
     load_idx,
     partition,
     synth_dataset,
@@ -158,13 +156,3 @@ class TestSynthDataset:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
-
-def test_csv_round_trip(tmp_path):
-    data = synth_dataset(30, 3, 4, 1.5, substream(9, "c"))
-    path = tmp_path / "synth.csv"
-    dump_csv(data, path)
-    first = path.read_text().splitlines()
-    assert first[0] == "x0,x1,x2,label"
-    back = load_csv(path, 4)
-    assert np.allclose(back.features, data.features)
-    assert np.array_equal(back.labels, data.labels)

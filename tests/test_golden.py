@@ -10,7 +10,12 @@ last bits.  That moved `detection.csv` (whose s and c columns also stopped
 being written as numpy reprs), the trust means in `metrics.csv` and the
 trust weights in `ledger.jsonl`; the cluster and benign columns, accuracy,
 `attack.csv`, the final parameters and every block's `agg_share_digest`
-stayed as they were.
+stayed as they were.  `ledger.jsonl` alone was re-pinned a second time,
+when clients began to draw one uniform word per entry instead of two: S2's
+partial aggregate is a weighted sum of its share words, so every block's
+`agg_share_blob` and `agg_share_digest`, and with them every block hash,
+changed; the two-server sum of the shares, and so every other artifact,
+did not.
 
 The digests are specific to the floating-point stack they were recorded on
 (numpy 2.4, OpenBLAS 0.3, x86-64): another BLAS may change the last bits of
@@ -31,7 +36,7 @@ GOLDEN = {
             "metrics.csv": "ecf212616013326235550c5af44d870f87ac480bffbe325d0d5dff8dd50dbd4f",
             "detection.csv": "b6cf05aaddd68fdae0b612c994c9e3cc3580d6202ad3e6b87dc216cefcc01fde",
             "attack.csv": "87f67c0147e38d2b1f881f9ff400cf764c1ea40db96d03c4707d37066b3473de",
-            "ledger.jsonl": "944ca54d56a5c518ea2b490249d72db1990099ea5ab585bf9b97c825377603f6",
+            "ledger.jsonl": "edf571bf2756e78fb012e91f5358f3af7236248329ea00542d8045f550ede51d",
         },
     ),
     "mlp-label-flip-hard": (
@@ -40,7 +45,7 @@ GOLDEN = {
         {
             "metrics.csv": "c600cba76507cc8c2b263fcf2231752b598d24424a6d343cb42d0f222de63762",
             "detection.csv": "5e4285e22e31ec1e1e8065ce9ed542e0496eff351bbde2a8534e6833980a96c6",
-            "ledger.jsonl": "ef86269b9f460c8bf9b1ab9a0c3ad08b0fbce97960623906d2bc69471ce6d2d4",
+            "ledger.jsonl": "c8542a41e11ff9a0976a3544e52569e5d8c47c713dc3b1ed498f35b41beb9130",
         },
     ),
 }

@@ -1,3 +1,4 @@
+import csv
 import json
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -18,13 +19,12 @@ from dp2guard.harness import (
     ExperimentConfig,
     emit_metrics,
     load_datasets,
-    parse_metrics_csv,
     plot_metrics,
     run_experiment,
 )
 from dp2guard.ledger import Ledger
 from dp2guard.numeric import substream
-from dp2guard.servers import Channel, partial_aggregate, reassemble_global
+from dp2guard.servers import Channel, encode_message, partial_aggregate, reassemble_global
 
 
 def _desk_config(**overrides):
@@ -491,12 +491,14 @@ class TestMetricsOutput:
                                                   "direction": "-mean"}))
         path = tmp_path / "m.csv"
         emit_metrics(res.metrics, path)
-        rows = parse_metrics_csv(path)
+        with path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(res.metrics)
         for row, m in zip(rows, res.metrics):
-            assert row["round"] == m.round
-            assert row["accuracy"] == m.accuracy
-            assert row["precision"] == m.precision
-            assert row["mean_trust_malicious"] == m.mean_trust_malicious
+            assert int(row["round"]) == m.round
+            assert float(row["accuracy"]) == m.accuracy
+            assert float(row["precision"]) == m.precision
+            assert float(row["mean_trust_malicious"]) == m.mean_trust_malicious
 
     def test_svg_well_formed(self, tmp_path):
         res = run_experiment(_desk_config(rounds=3))
@@ -659,7 +661,7 @@ class TestLedgerReplay:
         import hashlib
 
         from dp2guard.ledger import payload_agg_blob, payload_trust_weights
-        from dp2guard.numeric import deserialize_ring
+        from dp2guard.numeric import ring_view
 
         cfg = _desk_config(rounds=3)
         res = run_experiment(cfg, out_dir=tmp_path / "out", record_history=True)
@@ -667,7 +669,7 @@ class TestLedgerReplay:
             payload = res.ledger.read_round(t)
             blob = payload_agg_blob(payload)
             assert hashlib.sha256(blob).hexdigest() == payload["agg_share_digest"]
-            ring = deserialize_ring(blob)
+            ring = ring_view(blob)
             assert ring.scale_bits == cfg.scale_bits + 32
             assert len(ring) == res.model.dim
             assert payload_trust_weights(payload) == res.weight_history[t]
@@ -716,10 +718,37 @@ def test_client_masking_cost_linear_in_dimension(monkeypatch):
     assert totals[10_000] == 10 * totals[1000]
 
 
+def test_secure_round_wire_bytes_match_analytic_sizes():
+    # One dp2guard round puts on each channel edge exactly: 2N uploads of
+    # header + (id, share index) + ring header + 8d; one CenteredBatch of
+    # header + count + N records of (id, blob length) + ring header + 8d;
+    # one ledger record of header + count + N (id, weight) pairs + ring
+    # header + 8d.
+    n, d, header = 6, 45, 17
+    cfg = _desk_config(n_clients=n, rounds=1)
+    edges = {"client_to_s": 0, "s1_to_s2": 0, "ledger_to_s1": 0}
+
+    class Recording(Channel):
+        def send(self, src, dst, msg):
+            edge = ("client_to_s" if src.startswith("client")
+                    else "s1_to_s2" if src == "S1" else "ledger_to_s1")
+            edges[edge] += len(encode_message(msg))
+            return super().send(src, dst, msg)
+
+    stack = substream(4, "wire").standard_normal((n, d))
+    harness._dp2guard_round(cfg, stack, 0, trust.initial_trust(range(n), cfg.beta),
+                            Ledger(), Recording(), np.zeros(d))
+    assert edges == {
+        "client_to_s": 2 * n * (header + 10 + 8 * d),
+        "s1_to_s2": header + 4 + n * (17 + 8 * d),
+        "ledger_to_s1": header + 4 + 12 * n + 5 + 8 * d,
+    }
+
+
 def test_secure_round_allocates_no_share_sized_temporaries():
-    # A round's (N, d) allocations are the two share matrices and S2's
-    # float centered matrix, plus the wire copies of the CenteredBatch;
-    # everything else is row by row.  Each extra whole-matrix temporary
+    # A round's (N, d) allocations are the two share matrices, S2's float
+    # centered matrix and S1's CenteredBatch payload, which the channel
+    # hands to S2 without a copy; everything else is row by row.  Each extra whole-matrix temporary
     # adds 1 to this ratio (the list-of-vectors servers measured 7.1).
     n, d = 64, 4000
     cfg = _desk_config(n_clients=n, rounds=2)

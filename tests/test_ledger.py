@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dp2guard.errors import RoundNotFound
+from dp2guard.errors import FormatError, RoundNotFound
 from dp2guard.ledger import (
     GENESIS_HASH,
     Ledger,
@@ -194,6 +194,78 @@ class TestReadRound:
         assert reopened.read_round(0) == _payload(1, 0)
         assert reopened.read_round(3) == _payload(1, 3)
         assert reopened.verify() is None
+
+
+def _without(key):
+    def edit(p):
+        del p[key]
+    return edit
+
+
+def _setter(key, value):
+    def edit(p):
+        p[key] = value
+    return edit
+
+
+def _weight(key, value):
+    def edit(p):
+        p["trust_weights"] = {key: value}
+    return edit
+
+
+# One malformed-but-hash-valid payload per defect; each must raise FormatError
+# from the reader named, not KeyError, binascii.Error, TypeError or
+# AttributeError.
+MALFORMED = {
+    "blob missing": (payload_agg_blob, _without("agg_share_blob")),
+    "digest missing": (payload_agg_blob, _without("agg_share_digest")),
+    "blob not base64": (payload_agg_blob, _setter("agg_share_blob", "AAAA!!!!")),
+    "blob base64 with junk": (payload_agg_blob, _setter("agg_share_blob", "AAAA\nAAAA")),
+    "blob not a string": (payload_agg_blob, _setter("agg_share_blob", 12)),
+    "digest mismatch": (payload_agg_blob, _setter("agg_share_digest", "00" * 32)),
+    "weights missing": (payload_trust_weights, _without("trust_weights")),
+    "weights not an object": (payload_trust_weights, _setter("trust_weights", [0.5, 0.5])),
+    "id not an integer": (payload_trust_weights, _weight("a", 1.0)),
+    "id not canonical": (payload_trust_weights, _weight("01", 1.0)),
+    "id negative": (payload_trust_weights, _weight("-1", 1.0)),
+    "weight a string": (payload_trust_weights, _weight("0", "1.0")),
+    "weight null": (payload_trust_weights, _weight("0", None)),
+    "weight a bool": (payload_trust_weights, _weight("0", True)),
+    "weight nan": (payload_trust_weights, _weight("0", float("nan"))),
+    "weight infinite": (payload_trust_weights, _weight("0", float("inf"))),
+    "weight beyond float range": (payload_trust_weights, _weight("0", 10**400)),
+    "weight negative": (payload_trust_weights, _weight("0", -0.25)),
+}
+
+
+class TestPayloadReaders:
+    @pytest.mark.parametrize("defect", sorted(MALFORMED))
+    def test_malformed_payload_raises_format_error(self, tmp_path, defect):
+        reader, edit = MALFORMED[defect]
+        payload = _payload(7, 0)
+        edit(payload)
+        path = tmp_path / "l.jsonl"
+        ledger = Ledger(path)
+        ledger.append(0, payload)
+        ledger.close()
+        reopened = Ledger(path)
+        assert reopened.verify() is None
+        with pytest.raises(FormatError):
+            reader(reopened.read_round(0))
+
+    @pytest.mark.parametrize("reader", [payload_agg_blob, payload_trust_weights])
+    def test_non_object_payload_raises_format_error(self, reader):
+        with pytest.raises(FormatError):
+            reader(["not", "a", "payload"])
+
+    def test_valid_payload_decodes_as_written(self):
+        blob = serialize_ring(RingVector(uniform_words(5, substream(8, "b")), 48))
+        tau = {0: 0.25, 3: 0.0, 12: 0.75}
+        payload = make_round_payload(blob, tau, bytes(32))
+        assert payload_agg_blob(payload) == blob
+        got = payload_trust_weights(payload)
+        assert got == tau and all(type(w) is float for w in got.values())
 
 
 def test_block_hash_covers_all_fields():

@@ -257,6 +257,31 @@ class TestWireFormat:
         with pytest.raises(ProtocolError):
             decode_message(wire[:-1])
 
+    def test_channel_delivers_what_the_wire_would(self):
+        rng = substream(79, "channel")
+        ring = RingVector(uniform_words(7, rng), 16)
+        rows = np.stack([uniform_words(7, rng) for _ in range(3)])
+        sent = [
+            encode_share_upload(MaskedShare(4, 6, 2, ring)),
+            encode_centered_batch(6, 1, [0, 2, 5], rows, 7, 16),
+            encode_agg_and_weights(6, 0, RingVector(uniform_words(7, rng), 48),
+                                   {0: 0.25, 2: 0.25, 5: 0.5}),
+        ]
+        channel = Channel()
+        for msg in sent:
+            got = channel.send("a", "b", msg)
+            want = decode_message(encode_message(msg))
+            assert (got.kind, got.round, got.sender) == (want.kind, want.round, want.sender)
+            assert bytes(got.payload) == bytes(want.payload)
+            assert len(got.payload) == len(want.payload)
+            assert memoryview(got.payload).readonly
+        assert [kind for _, _, kind in channel.log] == [
+            "ShareUpload", "CenteredBatch", "AggDigestAndWeights"]
+
+    def test_channel_rejects_unknown_kind(self):
+        with pytest.raises(ProtocolError):
+            Channel().send("a", "b", ProtocolMessage(9, 0, 0, b"x"))
+
     def test_share_upload_round_trip(self):
         share = MaskedShare(5, 2, 1, RingVector(uniform_words(9, substream(79, "w")), 16))
         back = decode_share_upload(encode_share_upload(share))
