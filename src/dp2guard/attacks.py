@@ -103,8 +103,15 @@ def fang_attack(benign: Sequence[np.ndarray], spec: FangSpec,
 
 
 def pairwise_sq_dists(stack: np.ndarray) -> np.ndarray:
-    """All-pairs squared distances via the Gram matrix (O(N^2) memory)."""
-    sq = (stack**2).sum(axis=1)
+    """All-pairs squared distances via the Gram matrix (O(N^2) memory).
+
+    Squared row norms go through one reused d-vector, each summed on its
+    own, which is the same pairwise sum as (stack**2).sum(axis=1) without
+    its (N, d) temporary."""
+    sq = np.empty(stack.shape[0])
+    buf = np.empty(stack.shape[1])
+    for i, row in enumerate(stack):
+        sq[i] = np.square(row, out=buf).sum()
     d2 = sq[:, None] + sq[None, :] - 2.0 * (stack @ stack.T)
     return np.maximum(d2, 0.0)
 
@@ -254,8 +261,9 @@ class _ShiftedDistances:
         self.a = np.empty(n)
         self.b = np.empty(n)
         gg = np.empty(n)
+        diff = np.empty_like(mean)
         for i, row in enumerate(grads):
-            diff = row - mean
+            np.subtract(row, mean, out=diff)
             self.a[i] = diff @ diff
             self.b[i] = diff @ direction
             gg[i] = row @ row

@@ -54,10 +54,27 @@ def multi_krum_select(stack: np.ndarray, f: int, m: int) -> np.ndarray:
     return np.argsort(krum_scores(stack, f), kind="stable")[:m]
 
 
+def kept_mean(stack: np.ndarray, kept: Sequence[int]) -> np.ndarray:
+    """Mean of the rows `kept`, added in the given order into one d-vector.
+
+    Equal bit for bit to stack[kept].mean(axis=0) for float64 rows of
+    d >= 2 entries, whose axis-0 reduction also adds whole rows in order,
+    without gathering a (len(kept), d) copy.  (At d = 1 numpy collapses the
+    reduction into one pairwise sum, which may differ in the last bit.)
+    """
+    if len(kept) == 0:
+        raise ValueError("nothing to aggregate")
+    total = stack[kept[0]].copy()
+    for i in kept[1:]:
+        total += stack[i]
+    total /= len(kept)
+    return total
+
+
 def multi_krum(gradients: Sequence[np.ndarray], f: int, m: int) -> np.ndarray:
     """Mean of the m clients with the lowest Krum scores."""
-    stack = np.asarray(gradients)
-    return stack[multi_krum_select(stack, f, m)].mean(axis=0)
+    stack = np.asarray(gradients, dtype=np.float64)
+    return kept_mean(stack, multi_krum_select(stack, f, m))
 
 
 def dnc_survivors(stack: np.ndarray, cfg: DnCConfig,
@@ -91,7 +108,7 @@ def dnc(gradients: Sequence[np.ndarray], cfg: DnCConfig,
         rng: np.random.Generator) -> np.ndarray:
     """Mean of the spectral filter's survivors."""
     stack = np.asarray(gradients, dtype=np.float64)
-    return stack[sorted(dnc_survivors(stack, cfg, rng))].mean(axis=0)
+    return kept_mean(stack, sorted(dnc_survivors(stack, cfg, rng)))
 
 
 def fltrust(gradients: Sequence[np.ndarray], root_gradient: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -79,21 +80,36 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("config must be a JSON object")
     raws = values.split(",")
     parsed = [_json(raw, f"--vary value {raw!r}") for raw in raws]
+    # Every value is checked, and every config built, before the first run.
+    xs = [_sweep_x(raw, value) for raw, value in zip(raws, parsed)]
+    configs = [ExperimentConfig.from_dict({**base, field: value}) for value in parsed]
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
 
     points = []
-    for raw, value in zip(raws, parsed):
-        cfg = ExperimentConfig.from_dict({**base, field: value})
-        sub_dir = out_root / f"{field}={raw}"
-        result = run_experiment(cfg, out_dir=sub_dir)
+    for raw, x, cfg in zip(raws, xs, configs):
+        result = run_experiment(cfg, out_dir=out_root / f"{field}={raw}")
         final = result.metrics[-1].accuracy
-        points.append((float(value), final))
+        points.append((x, final))
         print(f"{field}={raw}: final accuracy {final:.4f}")
     plot_ratio_sweep({f"{base.get('aggregator', 'dp2guard')}": points},
                      out_root / "sweep.svg")
     print(f"sweep plot in {out_root / 'sweep.svg'}")
     return 0
+
+
+def _sweep_x(raw: str, value) -> float:
+    """Where the sweep plot puts a --vary value on its x axis: the value
+    must be a finite real number (JSON int or float, not a boolean)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"--vary value {raw!r} is not a finite number; "
+                      "the sweep plots each value on its x axis")
 
 
 def _json(text: str, what: str):

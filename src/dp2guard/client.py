@@ -69,13 +69,21 @@ def epoch_gradient(model: models.Model, params: np.ndarray, dataset: Dataset,
     server applying one eta-sized step reproduces the local epoch.
     """
     order = rng.permutation(len(dataset))
-    current = params.copy()
+    current = params
     for lo in range(0, len(order), batch_size):
         batch = order[lo:lo + batch_size]
-        g = models.local_grad(model, current, dataset.features[batch],
-                              dataset.labels[batch])
-        current = models.sgd_step(current, g, eta)
-    return (params - current) / eta
+        step = model.grad(current, dataset.features[batch], dataset.labels[batch])
+        step *= eta
+        # The first step allocates the working vector; later ones update it
+        # in place.  Either way each entry is current - eta * g, as in
+        # models.sgd_step.
+        if current is params:
+            current = params - step
+        else:
+            current -= step
+    delta = np.subtract(params, current, out=None if current is params else current)
+    delta /= eta
+    return delta
 
 
 def batch_gradient(model: models.Model, params: np.ndarray, dataset: Dataset,

@@ -83,6 +83,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown aggregator {self.aggregator!r}")
         if self.partition not in ("iid", "dirichlet"):
             raise ConfigError(f"unknown partition {self.partition!r}")
+        if self.partition == "dirichlet" and not _is_positive(self.alpha):
+            raise ConfigError("dirichlet alpha must be finite and > 0")
         if self.exclusion not in ("soft", "hard"):
             raise ConfigError(f"unknown exclusion mode {self.exclusion!r}")
         if self.local_mode not in ("epoch", "batch"):
@@ -520,7 +522,7 @@ def _baseline_round(cfg: ExperimentConfig, stack: np.ndarray,
         root_grad = models.local_grad(model, params, root_data.features, root_data.labels)
         return baselines.fltrust(stack, root_grad), None
     kept = _select(cfg, stack, substream(cfg.seed, "dnc", round_no))
-    return stack[kept].mean(axis=0), frozenset(kept.tolist())
+    return baselines.kept_mean(stack, kept), frozenset(kept.tolist())
 
 
 def _multikrum_params(cfg: ExperimentConfig) -> tuple[int, int]:

@@ -162,13 +162,14 @@ def _block_line(block: Block) -> str:
 
 
 def read_chain(path: str | Path) -> Iterator[Block]:
-    """Parse a JSONL chain file; malformed lines raise FormatError."""
-    with Path(path).open("r", encoding="utf-8") as fh:
+    """Parse a JSONL chain file; malformed lines, invalid UTF-8 included,
+    raise FormatError."""
+    with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8"))
                 yield Block(
                     index=int(record["index"]),
                     round=int(record["round"]),
@@ -176,7 +177,9 @@ def read_chain(path: str | Path) -> Iterator[Block]:
                     payload=record["payload"],
                     hash=bytes.fromhex(record["hash"]),
                 )
-            except (ValueError, KeyError, TypeError) as exc:
+            # UnicodeDecodeError is a ValueError; OverflowError comes from
+            # int() of an index or round that JSON parsed as infinity.
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
 
 
@@ -212,7 +215,7 @@ def verify_file(path: str | Path) -> int | None:
                 payload=record["payload"],
                 hash=bytes.fromhex(record["hash"]),
             )
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+        except (ValueError, KeyError, TypeError, OverflowError):
             return lineno
         if block.index != lineno or block.prev_hash != prev_hash:
             return lineno

@@ -22,6 +22,8 @@ class Model:
     n_classes: int
     hidden: int = 128
     shapes: tuple[tuple[int, ...], ...] = field(init=False)
+    # (start, stop, shape) of each parameter block in the flat vector.
+    blocks: tuple[tuple[int, int, tuple[int, ...]], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.arch == "logreg":
@@ -35,11 +37,17 @@ class Model:
             )
         else:
             raise ValueError(f"unknown architecture {self.arch!r}")
+        blocks = []
+        stop = 0
+        for shape in shapes:
+            start, stop = stop, stop + int(np.prod(shape))
+            blocks.append((start, stop, shape))
         object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @property
     def dim(self) -> int:
-        return sum(int(np.prod(s)) for s in self.shapes)
+        return self.blocks[-1][1]
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         """Zero init for logreg (convex); scaled Gaussian init for the MLP."""
@@ -52,44 +60,60 @@ class Model:
         return flatten([w1, np.zeros(self.hidden), w2, np.zeros(self.n_classes)])
 
     def unflatten(self, flat: np.ndarray) -> list[np.ndarray]:
-        return unflatten(flat, self.shapes)
+        """Views of each parameter block of a flat vector of length dim."""
+        if flat.shape[0] != self.dim:
+            raise ShapeMismatch(f"flat vector length {flat.shape[0]}, model needs {self.dim}")
+        return [flat[start:stop].reshape(shape) for start, stop, shape in self.blocks]
 
     def logits(self, flat: np.ndarray, features: np.ndarray) -> np.ndarray:
+        return self._forward(flat, features)[0]
+
+    def _forward(self, flat: np.ndarray, features: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Logits, plus the MLP's hidden pre-activation and activation
+        (None for logreg), which the backward pass reuses."""
         if features.shape[1] != self.n_features:
             raise ShapeMismatch(
                 f"model expects {self.n_features} features, got {features.shape[1]}"
             )
         if self.arch == "logreg":
             w, b = self.unflatten(flat)
-            return features @ w.T + b
+            return features @ w.T + b, None, None
         w1, b1, w2, b2 = self.unflatten(flat)
-        hidden = np.maximum(features @ w1.T + b1, 0.0)
-        return hidden @ w2.T + b2
+        pre = features @ w1.T + b1
+        act = np.maximum(pre, 0.0)
+        return act @ w2.T + b2, pre, act
 
     def loss(self, flat: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
         logp = _log_softmax(self.logits(flat, features))
         return float(-np.mean(logp[np.arange(len(labels)), labels]))
 
     def grad(self, flat: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Mean cross-entropy gradient, flattened to length dim."""
+        """Mean cross-entropy gradient, flattened to length dim.
+
+        One forward pass; each block's gradient is written straight into
+        its slice of the returned vector."""
         if len(labels) == 0:
             raise ShapeMismatch("gradient of an empty batch")
         n = len(labels)
-        probs = _softmax(self.logits(flat, features))
-        delta = probs
+        logits, pre, act = self._forward(flat, features)
+        delta = _softmax_inplace(logits)
         delta[np.arange(n), labels] -= 1.0
         delta /= n
+        out = np.empty(self.dim)
+        parts = self.unflatten(out)
         if self.arch == "logreg":
-            return flatten([delta.T @ features, delta.sum(axis=0)])
-        w1, b1, w2, b2 = self.unflatten(flat)
-        pre = features @ w1.T + b1
-        act = np.maximum(pre, 0.0)
-        d_w2 = delta.T @ act
-        d_b2 = delta.sum(axis=0)
-        back = (delta @ w2) * (pre > 0.0)
-        d_w1 = back.T @ features
-        d_b1 = back.sum(axis=0)
-        return flatten([d_w1, d_b1, d_w2, d_b2])
+            np.matmul(delta.T, features, out=parts[0])
+            np.sum(delta, axis=0, out=parts[1])
+            return out
+        d_w1, d_b1, d_w2, d_b2 = parts
+        np.matmul(delta.T, act, out=d_w2)
+        np.sum(delta, axis=0, out=d_b2)
+        back = delta @ self.unflatten(flat)[2]
+        back *= pre > 0.0
+        np.matmul(back.T, features, out=d_w1)
+        np.sum(back, axis=0, out=d_b1)
+        return out
 
     def predict(self, flat: np.ndarray, features: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(flat, features), axis=1)
@@ -100,18 +124,6 @@ class Model:
 
 def flatten(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.asarray(p, dtype=np.float64).ravel() for p in parts])
-
-
-def unflatten(flat: np.ndarray, shapes: tuple[tuple[int, ...], ...]) -> list[np.ndarray]:
-    parts = []
-    offset = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        parts.append(flat[offset:offset + size].reshape(shape))
-        offset += size
-    if offset != flat.shape[0]:
-        raise ShapeMismatch(f"flat vector length {flat.shape[0]}, model needs {offset}")
-    return parts
 
 
 def local_grad(model: Model, params: np.ndarray, features: np.ndarray,
@@ -127,10 +139,11 @@ def sgd_step(params: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
     return params - eta * grad
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -22,7 +22,12 @@ import numpy as np
 from .errors import DimensionMismatch, FormatError
 
 DEFAULT_SCALE_BITS = 16
-# Headroom so sums of up to 2**SUM_HEADROOM_BITS clipped vectors cannot wrap.
+# Bits kept free below the sign bit by the encoding clip: a plain sum of up
+# to 2**SUM_HEADROOM_BITS clipped vectors stays inside the ring.  That is not
+# a bound on every sum the servers form.  Mean-centring computes
+# N*x_i - sum_j(x_j), up to (2N - 2) times the clip bound, which wraps from
+# N = 129 on; weighted aggregation adds WEIGHT_BITS fractional bits, so at
+# the default scale it wraps once |sum_i tau_i g_i| reaches about 2**15.
 SUM_HEADROOM_BITS = 8
 
 _TWO63 = 2.0**63
@@ -50,7 +55,9 @@ def clip_bound(scale_bits: int) -> float:
 
 
 def clip_for_encoding(values: np.ndarray, scale_bits: int = DEFAULT_SCALE_BITS) -> np.ndarray:
-    """Clamp entries to the headroom bound so aggregates cannot wrap."""
+    """Clamp entries to `clip_bound`.  Each encoded entry then fits the
+    ring with SUM_HEADROOM_BITS to spare; the centred and weighted
+    aggregates can still wrap (see SUM_HEADROOM_BITS)."""
     bound = clip_bound(scale_bits)
     return np.clip(values, -bound, bound)
 

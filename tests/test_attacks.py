@@ -401,3 +401,27 @@ def test_search_at_1e11_scale_ends_feasible(monkeypatch, attack, reference, spec
     limit = float(np.sqrt(sq.max())) if spec.kind == "minmax" else float(sq.sum(axis=1).max())
     assert getattr(attacks, exact)(grads, mean, direction, gamma, limit)
     assert np.array_equal(crafted, reference(grads, spec))
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (2, 13), (7, 9), (40, 1001), (12, 8193)])
+def test_pairwise_sq_dists_bit_identical_to_whole_matrix_norms(n, d):
+    # Row norms through one reused d-vector must equal the (N, d)-temporary
+    # expression bit for bit, also for d above numpy's 8,192-element block.
+    rng = substream(27, "pair", n, d)
+    stack = rng.standard_normal((n, d)) * rng.uniform(0.1, 50.0, size=(n, 1))
+    sq = (stack**2).sum(axis=1)
+    want = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (stack @ stack.T), 0.0)
+    assert np.array_equal(pairwise_sq_dists(stack), want)
+    assert np.array_equal(pairwise_sq_dists(stack[1:]), np.maximum(
+        sq[1:, None] + sq[None, 1:] - 2.0 * (stack[1:] @ stack[1:].T), 0.0))
+
+
+def test_shifted_distances_bit_identical_to_fresh_differences():
+    rng = substream(28, "shift")
+    grads = rng.standard_normal((9, 1037)) * 3.0
+    mean = grads.mean(axis=0)
+    direction = perturbation_direction(mean, "sign")
+    shifted = attacks._ShiftedDistances(grads, mean, direction)
+    for i, row in enumerate(grads):
+        diff = row - mean
+        assert shifted.a[i] == diff @ diff and shifted.b[i] == diff @ direction

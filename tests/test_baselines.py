@@ -6,6 +6,7 @@ from dp2guard.baselines import (
     dnc,
     fedavg,
     fltrust,
+    kept_mean,
     krum_scores,
     multi_krum,
     multi_krum_select,
@@ -173,3 +174,29 @@ class TestSharedProperties:
                                   substream(108, "r"))) <= cap + 1e-12
         root = rng.standard_normal(10)
         assert np.linalg.norm(fltrust(grads, root)) <= np.linalg.norm(root) + 1e-12
+
+
+class TestKeptMean:
+    @pytest.mark.parametrize("n,d", [(2, 2), (5, 3), (40, 210), (81, 1001), (12, 8193)])
+    def test_bit_identical_to_gathered_mean(self, n, d):
+        # Adding rows into one d-vector in the given order is numpy's own
+        # axis-0 reduction: Multi-Krum passes its ranking order, DnC and the
+        # round loop sorted ids.
+        rng = substream(80, "kept", n, d)
+        stack = rng.standard_normal((n, d)) * rng.uniform(0.1, 50.0, size=(n, 1))
+        ranking = rng.permutation(n)[: max(1, (2 * n) // 3)]
+        for kept in (ranking, np.sort(ranking), sorted(ranking.tolist()), np.arange(n),
+                     ranking[:1]):
+            got = kept_mean(stack, kept)
+            assert np.array_equal(got, stack[kept].mean(axis=0))
+            assert not np.shares_memory(got, stack)
+
+    def test_multi_krum_is_mean_of_selection(self):
+        rng = substream(81, "kept-rules")
+        grads = rng.standard_normal((9, 30))
+        sel = multi_krum_select(grads, 2, 5)
+        assert np.array_equal(multi_krum(list(grads), 2, 5), grads[sel].mean(axis=0))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            kept_mean(np.zeros((3, 4)), [])

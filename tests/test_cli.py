@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dp2guard.cli import main
 
 
@@ -38,6 +40,13 @@ class TestRunCommand:
         path.write_text(json.dumps({"dataset": "synthetic", "bogus": 1}))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_nonpositive_dirichlet_alpha_exits_two(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, partition="dirichlet", alpha=0)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "alpha" in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_empty_client_partition_exits_two(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, synth_train=100, n_clients=400,
@@ -96,3 +105,25 @@ class TestSweepCommand:
         rc = main(["sweep", "--config", str(cfg),
                    "--vary", "bogus=1,2", "--out", str(tmp_path / "s")])
         assert rc == 2
+
+    @pytest.mark.parametrize("vary", ['aggregator="fedavg","dnc"', "adv_ratio=0,true",
+                                      "adv_ratio=0,null", "adv_ratio=0,NaN",
+                                      "seed=1,1" + "0" * 400],
+                             ids=["string", "bool", "null", "nan", "huge-int"])
+    def test_non_numeric_value_exits_two_before_any_run(self, tmp_path, capsys, vary):
+        # The plot puts each value on its x axis, so all of them are checked
+        # before the first experiment writes anything.
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(cfg), "--vary", vary, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a finite number" in err
+        assert not out.exists()
+
+    def test_invalid_later_config_exits_two_before_any_run(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(cfg),
+                     "--vary", "beta=0.5,1.5", "--out", str(out)]) == 2
+        assert "beta" in capsys.readouterr().err
+        assert not out.exists()

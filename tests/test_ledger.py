@@ -91,6 +91,17 @@ class TestAppend:
         assert verify_file(path) is None
 
 
+    @pytest.mark.parametrize("line", [b'{"index":0}\xa6', b'{"index":1e400,"round":0}'],
+                             ids=["invalid-utf8", "infinite-index"])
+    def test_unreadable_line_raises_format_error(self, tmp_path, line):
+        path = tmp_path / "l.jsonl"
+        _build_chain(path, 2)
+        path.write_bytes(path.read_bytes() + line + b"\n")
+        with pytest.raises(FormatError, match="line 2"):
+            Ledger(path)
+        assert verify_file(path) == 2
+
+
 class TestVerify:
     def test_payload_byte_flip_detected_at_index(self, tmp_path):
         path = tmp_path / "l.jsonl"

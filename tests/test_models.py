@@ -2,8 +2,51 @@ import numpy as np
 import pytest
 
 from dp2guard.errors import ShapeMismatch
-from dp2guard.models import Model, flatten, local_grad, sgd_step, unflatten
+from dp2guard.models import Model, flatten, local_grad, sgd_step
 from dp2guard.numeric import substream
+
+
+def unflatten(flat: np.ndarray, shapes: tuple[tuple[int, ...], ...]) -> list[np.ndarray]:
+    """Reference block split: consecutive slices of each shape's size."""
+    parts = []
+    offset = 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        parts.append(flat[offset:offset + size].reshape(shape))
+        offset += size
+    if offset != flat.shape[0]:
+        raise ShapeMismatch(f"flat vector length {flat.shape[0]}, model needs {offset}")
+    return parts
+
+
+def reference_grad(model: Model, flat: np.ndarray, features: np.ndarray,
+                   labels: np.ndarray) -> np.ndarray:
+    """The gradient as first written: one forward pass for the logits, a
+    second for the backward pass, and the blocks concatenated at the end.
+    `Model.grad` must equal it bit for bit."""
+    n = len(labels)
+    if model.arch == "logreg":
+        w, b = unflatten(flat, model.shapes)
+        logits = features @ w.T + b
+    else:
+        w1, b1, w2, b2 = unflatten(flat, model.shapes)
+        logits = np.maximum(features @ w1.T + b1, 0.0) @ w2.T + b2
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    delta = e / e.sum(axis=1, keepdims=True)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    if model.arch == "logreg":
+        return flatten([delta.T @ features, delta.sum(axis=0)])
+    w1, b1, w2, b2 = unflatten(flat, model.shapes)
+    pre = features @ w1.T + b1
+    act = np.maximum(pre, 0.0)
+    d_w2 = delta.T @ act
+    d_b2 = delta.sum(axis=0)
+    back = (delta @ w2) * (pre > 0.0)
+    d_w1 = back.T @ features
+    d_b1 = back.sum(axis=0)
+    return flatten([d_w1, d_b1, d_w2, d_b2])
 
 
 def finite_difference_grad(model: Model, params: np.ndarray, X: np.ndarray,
@@ -91,16 +134,48 @@ class TestFlatten:
         rng = substream(102, "flat")
         for _ in range(10):
             flat = rng.standard_normal(model.dim)
-            back = flatten(unflatten(flat, model.shapes))
-            assert np.array_equal(back, flat)
+            parts = model.unflatten(flat)
+            for got, want in zip(parts, unflatten(flat, model.shapes), strict=True):
+                assert got.shape == want.shape and np.shares_memory(got, flat)
+                assert np.array_equal(got, want)
+            assert np.array_equal(flatten(parts), flat)
 
     def test_logreg_dim(self):
         assert Model("logreg", 784, 10).dim == 7850
+        assert Model("mlp", 784, 10, hidden=64).dim == 50890
 
     def test_wrong_length_rejected(self):
-        model = Model("logreg", 4, 2)
+        for model in (Model("logreg", 4, 2), Model("mlp", 4, 2, hidden=3)):
+            for delta in (-1, 1):
+                with pytest.raises(ShapeMismatch):
+                    model.unflatten(np.zeros(model.dim + delta))
+
+
+@pytest.mark.parametrize("arch,n_features,hidden", [("logreg", 20, 1), ("logreg", 33, 1),
+                                                    ("mlp", 13, 7), ("mlp", 100, 33)])
+@pytest.mark.parametrize("batch", [1, 5, 32])
+def test_grad_bit_identical_to_reference(arch, n_features, hidden, batch):
+    # One forward pass and blocks written in place must not move a bit.
+    model = Model(arch, n_features=n_features, n_classes=10, hidden=hidden)
+    rng = substream(104, "grad-ref", arch, n_features, batch)
+    for trial in range(3):
+        params = (model.init_params(rng) if arch == "mlp"
+                  else rng.standard_normal(model.dim) * 0.3)
+        X = rng.standard_normal((batch, n_features)) * 2.0
+        y = rng.integers(0, model.n_classes, size=batch)
+        got = model.grad(params, X, y)
+        assert got.shape == (model.dim,) and got.flags.c_contiguous
+        assert np.array_equal(got, reference_grad(model, params, X, y))
+
+
+def test_grad_checks_batch_and_feature_width():
+    for model in (Model("logreg", 4, 3), Model("mlp", 4, 3, hidden=5)):
+        params = np.zeros(model.dim)
         with pytest.raises(ShapeMismatch):
-            unflatten(np.zeros(model.dim + 1), model.shapes)
+            model.grad(params, np.zeros((0, 4)), np.zeros(0, dtype=int))
+        with pytest.raises(ShapeMismatch):
+            model.grad(params, np.zeros((2, 5)), np.zeros(2, dtype=int))
+
 
 
 def test_feature_width_checked():
