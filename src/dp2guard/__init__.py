@@ -14,14 +14,7 @@ from .attacks import (
 from .baselines import dnc, fedavg, fltrust, multi_krum
 from .client import ClientState, MaskedShare, split_and_mask
 from .data import Dataset, PartitionPlan, load_idx, partition, synth_dataset
-from .defense import (
-    DetectionResult,
-    cluster_and_select,
-    detect,
-    median_cosines,
-    spectral_scores,
-    top_direction,
-)
+from .defense import DetectionResult, cluster_and_select, detect
 from .harness import ExperimentConfig, RoundMetrics, RunResult, run_experiment
 from .ledger import Block, Ledger, verify_file
 from .models import Model, local_grad, sgd_step
@@ -74,7 +67,6 @@ __all__ = [
     "load_idx",
     "local_grad",
     "mean_center",
-    "median_cosines",
     "minmax_attack",
     "minsum_attack",
     "multi_krum",
@@ -85,11 +77,9 @@ __all__ = [
     "ring_add",
     "run_experiment",
     "sgd_step",
-    "spectral_scores",
     "split_and_mask",
     "substream",
     "synth_dataset",
-    "top_direction",
     "update_trust",
     "verify_file",
     "weights",

@@ -61,53 +61,58 @@ def split_and_mask(grad: np.ndarray, scale_bits: int,
 
 
 def epoch_gradient(model: models.Model, params: np.ndarray, dataset: Dataset,
-                   batch_size: int, eta: float,
-                   rng: np.random.Generator) -> np.ndarray:
+                   batch_size: int, eta: float, rng: np.random.Generator,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Effective gradient of one local epoch of minibatch SGD.
 
     Runs the epoch from `params` and returns (start - end) / eta, so the
-    server applying one eta-sized step reproduces the local epoch.
+    server applying one eta-sized step reproduces the local epoch.  The
+    working vector, and so the result, is `out` when given.
     """
     order = rng.permutation(len(dataset))
     current = params
+    step = np.empty_like(params)
     for lo in range(0, len(order), batch_size):
         batch = order[lo:lo + batch_size]
-        step = model.grad(current, dataset.features[batch], dataset.labels[batch])
+        model.grad(current, dataset.features[batch], dataset.labels[batch], step)
         step *= eta
-        # The first step allocates the working vector; later ones update it
-        # in place.  Either way each entry is current - eta * g, as in
+        # The first step fills the working vector; later ones update it in
+        # place.  Either way each entry is current - eta * g, as in
         # models.sgd_step.
         if current is params:
-            current = params - step
+            current = np.subtract(params, step, out=out)
         else:
             current -= step
-    delta = np.subtract(params, current, out=None if current is params else current)
+    delta = np.subtract(params, current, out=out if current is params else current)
     delta /= eta
     return delta
 
 
 def batch_gradient(model: models.Model, params: np.ndarray, dataset: Dataset,
-                   batch_size: int, rng: np.random.Generator) -> np.ndarray:
-    """Gradient of a single uniformly sampled minibatch."""
+                   batch_size: int, rng: np.random.Generator,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of a single uniformly sampled minibatch, written into `out`
+    when given."""
     take = min(batch_size, len(dataset))
     batch = rng.choice(len(dataset), size=take, replace=False)
     return models.local_grad(model, params, dataset.features[batch],
-                             dataset.labels[batch])
+                             dataset.labels[batch], out)
 
 
 def local_gradient(state: ClientState, model: models.Model, params: np.ndarray,
                    mode: str, batch_size: int, eta: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    """The plaintext gradient a client would submit this round.
+                   rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+    """The plaintext gradient a client would submit this round, written
+    into `out` (a contiguous float64 vector of the model's dim) when given.
 
     Honest clients (and label-flip clients, whose datasets were poisoned at
     setup) train locally; full-knowledge attacks are crafted by the caller
     and never reach this path.
     """
     if mode == "epoch":
-        return epoch_gradient(model, params, state.dataset, batch_size, eta, rng)
+        return epoch_gradient(model, params, state.dataset, batch_size, eta, rng, out)
     if mode == "batch":
-        return batch_gradient(model, params, state.dataset, batch_size, rng)
+        return batch_gradient(model, params, state.dataset, batch_size, rng, out)
     raise ValueError(f"unknown local mode {mode!r}")
 
 

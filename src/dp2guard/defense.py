@@ -79,11 +79,6 @@ def top_direction(matrix: np.ndarray) -> np.ndarray:
     return v
 
 
-def spectral_scores(matrix: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Squared projection of every row onto the unit direction."""
-    return (np.asarray(matrix) @ direction) ** 2
-
-
 def median_cosines(matrix: np.ndarray) -> np.ndarray:
     """Per-row median cosine similarity against all other rows.
 
@@ -142,6 +137,16 @@ def cluster_and_select(features: Mapping[int, np.ndarray],
     return DetectionResult(benign_ids, {i: raw[k] for k, i in enumerate(ids)}, centroid)
 
 
+def sketch(dim: int, rng: np.random.Generator,
+           projection_dim: int | None) -> np.ndarray | None:
+    """The seeded Gaussian projection P / sqrt(k), of shape (dim, k) with
+    k = projection_dim, drawn from `rng`; None (and nothing drawn) when no
+    sketch applies, that is when k is None or not below dim."""
+    if projection_dim is None or projection_dim >= dim:
+        return None
+    return rng.standard_normal((dim, projection_dim)) / np.sqrt(projection_dim)
+
+
 def detect(centered: np.ndarray, rng: np.random.Generator,
            projection_dim: int | None = None,
            ids: Sequence[int] | None = None) -> DetectionResult:
@@ -154,14 +159,22 @@ def detect(centered: np.ndarray, rng: np.random.Generator,
     ids = list(range(matrix.shape[0])) if ids is None else list(ids)
     if len(ids) != matrix.shape[0] or any(a >= b for a, b in zip(ids, ids[1:])):
         raise ValueError("ids must ascend and name every row")
-    if projection_dim is not None and projection_dim < matrix.shape[1]:
-        proj = rng.standard_normal((matrix.shape[1], projection_dim))
-        matrix = matrix @ (proj / np.sqrt(projection_dim))
-    # Both features come from one Gram matrix G = M M^T: with (lam, e) its
-    # top eigenpair, row i projects onto the top right singular vector
-    # M^T e / sqrt(lam) as sqrt(lam) * e_i, and the cosines are
-    # G_ij / sqrt(G_ii G_jj).
-    _, gram = _gram(matrix)
+    proj = sketch(matrix.shape[1], rng, projection_dim)
+    if proj is not None:
+        matrix = matrix @ proj
+    return detect_gram(_gram(matrix)[1], rng, ids)
+
+
+def detect_gram(gram: np.ndarray, rng: np.random.Generator,
+                ids: Sequence[int] | None = None) -> DetectionResult:
+    """Features and clustering from the N x N Gram matrix G = M M^T of the
+    centered (and possibly sketched) rows M; row k belongs to ids[k]
+    (default 0..N-1).  `rng` feeds the 2-means seeding only.
+
+    Both features come from G: with (lam, e) its top eigenpair, row i
+    projects onto the top right singular vector M^T e / sqrt(lam) as
+    sqrt(lam) * e_i, and the cosines are G_ij / sqrt(G_ii G_jj)."""
+    ids = range(gram.shape[0]) if ids is None else ids
     lam, e = _top_eigenpair(gram)
     s = lam * e**2
     c = _median_cosines(gram)

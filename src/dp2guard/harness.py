@@ -8,7 +8,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -413,8 +413,8 @@ def _round_gradients(cfg: ExperimentConfig, clients: Sequence[client.ClientState
         if full_knowledge and state.malicious:
             continue
         rng = substream(cfg.seed, "client", state.client_id, round_no)
-        stack[state.client_id] = client.local_gradient(
-            state, model, params, cfg.local_mode, cfg.batch_size, cfg.eta, rng)
+        client.local_gradient(state, model, params, cfg.local_mode, cfg.batch_size,
+                              cfg.eta, rng, out=stack[state.client_id])
 
     crafted_norm = None
     if full_knowledge and cfg.n_malicious:
@@ -441,39 +441,90 @@ def _fang_oracle(cfg: ExperimentConfig, spec: attacks.FangSpec,
                  honest: np.ndarray, round_no: int) -> Callable[[np.ndarray], bool]:
     """The attacker's plaintext simulation of the target aggregation rule.
 
-    Accepts a candidate if `_select` on the honest rows plus n_malicious
-    copies of it keeps at least one copy.  FedAvg and FLTrust never reject
-    (FLTrust's root data is server-private, so the attacker cannot simulate
-    it), and a spec with oracle="accept_all" models a non-adaptive
-    attacker."""
+    Accepts a candidate if the rule, run on the honest rows plus
+    n_malicious copies of it, keeps at least one copy.  Every call sees
+    the ("attack-oracle", round) stream in the same state.  FedAvg and
+    FLTrust never reject (FLTrust's root data is server-private, so the
+    attacker cannot simulate it), and a spec with oracle="accept_all"
+    models a non-adaptive attacker."""
     if spec.oracle == "accept_all" or cfg.aggregator in ("fedavg", "fltrust"):
         return lambda candidate: True
+    honest = np.asarray(honest, dtype=np.float64)
     n_honest, n_mal = len(honest), cfg.n_malicious
+    rng = substream(cfg.seed, "attack-oracle", round_no)
+    if cfg.aggregator == "dp2guard":
+        # The servers' detection on the float-centred population (they
+        # centre in the ring), replayed from its Gram matrix; the sketch is
+        # drawn once.
+        proj = defense.sketch(honest.shape[1], rng, cfg.projection_dim)
+        gram_of = _population_gram(honest, n_mal, proj)
+
+        def kept(candidate: np.ndarray) -> Iterable[int]:
+            return defense.detect_gram(gram_of(candidate), rng).benign
+    else:
+        def kept(candidate: np.ndarray) -> Iterable[int]:
+            copies = np.broadcast_to(candidate, (n_mal, candidate.shape[0]))
+            return _select(cfg, np.concatenate([honest, copies]), rng)
+    start = rng.bit_generator.state
 
     def oracle(candidate: np.ndarray) -> bool:
-        copies = np.broadcast_to(candidate, (n_mal, candidate.shape[0]))
-        kept = _select(cfg, np.concatenate([honest, copies]),
-                       substream(cfg.seed, "attack-oracle", round_no))
-        return bool(np.any(kept >= n_honest))
+        rng.bit_generator.state = start
+        return any(i >= n_honest for i in kept(candidate))
     return oracle
+
+
+def _population_gram(honest: np.ndarray, n_mal: int, proj: np.ndarray | None = None,
+                     ) -> Callable[[np.ndarray], np.ndarray]:
+    """Gram matrix of the population `honest` + n_mal copies of a
+    candidate c, centred on its mean (and multiplied by `proj` if given),
+    as a function of c.
+
+    With A the honest rows centred on their mean mu_h, H = A A^T,
+    delta = c - mu_h, v = A delta, dd = delta . delta and k = n_mal / N,
+    the population mean is mu_h + k delta, so the centred rows are
+    a_i - k delta and (1 - k) delta, and their Gram matrix is
+      honest-honest  H_ij - k (v_i + v_j) + k^2 dd,
+      honest-copy    (1 - k) (v_i - k dd),
+      copy-copy      (1 - k)^2 dd.
+    Only the O(N d) products v and dd depend on c; with `proj` they are
+    taken in the sketch space, where the same algebra holds."""
+    mu = honest.mean(axis=0)
+    a = honest - mu
+    if proj is not None:
+        a = a @ proj
+    hh = a @ a.T
+    n_honest = len(honest)
+    n = n_honest + n_mal
+    k = n_mal / n
+
+    def gram_of(candidate: np.ndarray) -> np.ndarray:
+        delta = candidate - mu
+        if proj is not None:
+            delta = delta @ proj
+        v = a @ delta
+        dd = float(delta @ delta)
+        kv = k * v
+        gram = np.empty((n, n))
+        # v_i + v_j before the subtraction keeps the block exactly symmetric.
+        gram[:n_honest, :n_honest] = hh - np.add.outer(kv, kv) + k * k * dd
+        cross = (1.0 - k) * (v - k * dd)
+        gram[:n_honest, n_honest:] = cross[:, None]
+        gram[n_honest:, :n_honest] = cross[None, :]
+        gram[n_honest:, n_honest:] = (1.0 - k) ** 2 * dd
+        return gram
+    return gram_of
 
 
 def _select(cfg: ExperimentConfig, stack: np.ndarray,
             rng: np.random.Generator) -> np.ndarray:
-    """Rows of `stack` the configured selection rule keeps, in the order
-    their mean sums them: Multi-Krum's ranking order, DnC's and dp2guard's
-    ascending ids.  For dp2guard this is the plaintext simulation of the
-    servers' detection (float-centred rows; the servers centre in the
-    ring), which only the attacker runs."""
+    """Rows of `stack` the configured Multi-Krum or DnC rule keeps, in the
+    order their mean sums them: Multi-Krum's ranking order, DnC's ascending
+    ids."""
     if cfg.aggregator == "multikrum":
         f, m = _multikrum_params(cfg)
         return baselines.multi_krum_select(stack, f, m)
-    if cfg.aggregator == "dnc":
-        kept = baselines.dnc_survivors(stack, _dnc_params(cfg), rng)
-    else:
-        assert cfg.aggregator == "dp2guard"
-        centered = stack - np.mean(stack, axis=0)
-        kept = defense.detect(centered, rng, cfg.projection_dim).benign
+    assert cfg.aggregator == "dnc"
+    kept = baselines.dnc_survivors(stack, _dnc_params(cfg), rng)
     return np.array(sorted(kept), dtype=np.intp)
 
 

@@ -88,8 +88,10 @@ class Model:
         logp = _log_softmax(self.logits(flat, features))
         return float(-np.mean(logp[np.arange(len(labels)), labels]))
 
-    def grad(self, flat: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Mean cross-entropy gradient, flattened to length dim.
+    def grad(self, flat: np.ndarray, features: np.ndarray, labels: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """Mean cross-entropy gradient, flattened to length dim, written into
+        `out` (a contiguous float64 vector of length dim) when given.
 
         One forward pass; each block's gradient is written straight into
         its slice of the returned vector."""
@@ -100,7 +102,7 @@ class Model:
         delta = _softmax_inplace(logits)
         delta[np.arange(n), labels] -= 1.0
         delta /= n
-        out = np.empty(self.dim)
+        out = np.empty(self.dim) if out is None else out
         parts = self.unflatten(out)
         if self.arch == "logreg":
             np.matmul(delta.T, features, out=parts[0])
@@ -127,9 +129,10 @@ def flatten(parts: list[np.ndarray]) -> np.ndarray:
 
 
 def local_grad(model: Model, params: np.ndarray, features: np.ndarray,
-               labels: np.ndarray) -> np.ndarray:
-    """Gradient of mean cross-entropy over the batch at the given params."""
-    return model.grad(params, features, labels)
+               labels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of mean cross-entropy over the batch at the given params,
+    written into `out` when given (see Model.grad)."""
+    return model.grad(params, features, labels, out)
 
 
 def sgd_step(params: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:

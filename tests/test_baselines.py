@@ -11,9 +11,11 @@ from dp2guard.baselines import (
     multi_krum,
     multi_krum_select,
 )
-from dp2guard.defense import spectral_scores, top_direction
+from dp2guard.defense import top_direction
 from dp2guard.errors import TooFewClients
 from dp2guard.numeric import substream
+
+from test_defense import spectral_scores
 
 
 def brute_force_krum_scores(grads, f):

@@ -140,6 +140,23 @@ class TestLocalTraining:
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("mode", ["epoch", "batch"])
+def test_local_gradient_writes_into_the_given_row(mode):
+    # The round loop hands each client its row of the (N, d) stack: the
+    # gradient lands there, bit for bit the one returned without `out`, and
+    # the neighbouring rows stay untouched.
+    model = Model("mlp", 12, 4, hidden=9)
+    state = ClientState(0, synth_dataset(50, 12, 4, 3.0, substream(58, "d")))
+    params = model.init_params(substream(58, "w"))
+    want = local_gradient(state, model, params, mode, 16, 0.05, substream(58, "o"))
+    stack = np.full((3, model.dim), np.nan)
+    got = local_gradient(state, model, params, mode, 16, 0.05, substream(58, "o"),
+                         out=stack[1])
+    assert np.shares_memory(got, stack[1])
+    assert np.array_equal(stack[1], want)
+    assert np.isnan(stack[[0, 2]]).all()
+
+
 def reference_epoch_gradient(model, params, dataset, batch_size, eta, rng):
     """The local epoch as first written: a copied working vector, a fresh
     vector per step and the reference gradient."""

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from dp2guard.attacks import FangSpec, fang_attack
-from dp2guard.defense import (
-    cluster_and_select,
-    detect,
-    median_cosines,
-    spectral_scores,
-    top_direction,
-)
+from dp2guard.defense import cluster_and_select, detect, median_cosines, top_direction
 from dp2guard.errors import DegenerateError
 from dp2guard.numeric import substream
 
@@ -33,6 +27,13 @@ def power_iteration_direction(matrix: np.ndarray, iters: int = 2000) -> np.ndarr
             return nxt
         v = nxt
     return v
+
+
+def spectral_scores(matrix: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Squared projection of every row onto the unit direction: the
+    spectral feature as defined, which detect reads off the Gram matrix's
+    top eigenpair instead."""
+    return (np.asarray(matrix) @ direction) ** 2
 
 
 def brute_force_median_cosines(matrix: np.ndarray) -> np.ndarray:

@@ -336,23 +336,25 @@ def reference_dnc_oracle(cfg, honest, round_no):
 
 class TestFangOracle:
     def test_matches_per_client_mean_reference(self):
-        rejections = 0
-        for seed in range(6):
-            cfg = _desk_config(n_clients=20, adv_ratio=0.2, seed=seed,
-                               attack={"kind": "fang"})
-            spec = cfg.parse_attack()
-            rng = substream(seed, "fang-oracle-test")
-            center = rng.standard_normal(60)
-            honest = list(center + rng.standard_normal((16, 60)))
-            want_log, got_log = [], []
-            want = fang_attack(honest, spec,
-                               _logged(reference_dp2guard_oracle(cfg, honest, 1), want_log))
-            got = fang_attack(honest, spec,
-                              _logged(harness._fang_oracle(cfg, spec, honest, 1), got_log))
-            assert np.array_equal(got, want)
-            assert got_log == want_log
-            rejections += want_log.count(False)
-        assert rejections > 0  # the search did more than accept lambda0
+        # With and without the sketch (projection_dim 16 < d = 60).
+        for projection_dim in (None, 16):
+            rejections = 0
+            for seed in range(6):
+                cfg = _desk_config(n_clients=20, adv_ratio=0.2, seed=seed,
+                                   attack={"kind": "fang"}, projection_dim=projection_dim)
+                spec = cfg.parse_attack()
+                rng = substream(seed, "fang-oracle-test")
+                center = rng.standard_normal(60)
+                honest = list(center + rng.standard_normal((16, 60)))
+                want_log, got_log = [], []
+                want = fang_attack(honest, spec, _logged(
+                    reference_dp2guard_oracle(cfg, honest, 1), want_log))
+                got = fang_attack(honest, spec, _logged(
+                    harness._fang_oracle(cfg, spec, honest, 1), got_log))
+                assert np.array_equal(got, want)
+                assert got_log == want_log
+                rejections += want_log.count(False)
+            assert rejections > 0  # the search did more than accept lambda0
 
     def test_run_matches_reference_oracle(self, tmp_path, monkeypatch):
         cfg = _desk_config(rounds=2, adv_ratio=0.2, attack={"kind": "fang"})
@@ -426,6 +428,34 @@ class TestFangOracle:
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
+
+
+class TestPopulationGram:
+    def test_matches_float_centred_population(self):
+        # The closed form against the Gram matrix of the float-centred
+        # population at the adaptive-fang shape: N = 50 with 10 copies,
+        # d = 7,850, over Fang's lambda range and delta = 0 (lam = 0).  Each
+        # entry on either side is a few length-d dot products (H, v and dd;
+        # rows_i . rows_j), each within d eps |x| |y| of exact, plus the
+        # rounding of the float means (about N eps an entry) and of a few
+        # scalar operations.  Every factor is bounded entrywise by
+        # |pop_i| + |mu_h| + |c|, of norm w_i, so the two differ by at
+        # most 6 (N + d) eps w_i w_j.
+        n_honest, n_mal, d = 40, 10, 7850
+        n = n_honest + n_mal
+        rng = substream(41, "population-gram")
+        honest = rng.standard_normal(d) + rng.standard_normal((n_honest, d))
+        mean = honest.mean(axis=0)
+        gram_of = harness._population_gram(honest, n_mal)
+        for lam in (0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0):
+            candidate = fang_candidate(mean, lam)
+            pop = np.concatenate([honest, np.broadcast_to(candidate, (n_mal, d))])
+            rows = pop - pop.mean(axis=0)
+            got = gram_of(candidate)
+            assert np.array_equal(got, got.T)
+            w = np.linalg.norm(np.abs(pop) + np.abs(mean) + np.abs(candidate), axis=1)
+            bound = 6 * (n + d) * np.finfo(np.float64).eps * np.outer(w, w)
+            assert np.all(np.abs(got - rows @ rows.T) <= bound)
 
 
 class TestBaselineAggregators:
@@ -804,3 +834,23 @@ def test_multikrum_minmax_round_allocates_one_gradient_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * n * model.dim * 8
+
+
+def test_dp2guard_oracle_call_builds_no_population():
+    # A warm dp2guard oracle call at the adaptive-fang shape (N = 50,
+    # d = 7,850) allocates a few d-vectors and N x N matrices: measured
+    # 124 kB, where concatenating and centring the (N, d) population took
+    # 6.4 MB (2 N d 8 bytes and more).
+    n, d = 50, 7850
+    cfg = ExperimentConfig(n_clients=n, adv_ratio=0.2, attack={"kind": "fang"})
+    honest = substream(42, "oracle-alloc").standard_normal((n - cfg.n_malicious, d))
+    oracle = harness._fang_oracle(cfg, cfg.parse_attack(), honest, 1)
+    candidate = fang_candidate(honest.mean(axis=0), 1.0)
+    oracle(candidate)  # warm
+    tracemalloc.start()
+    try:
+        oracle(candidate)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * d * 8 + 8 * n * n * 8
