@@ -17,7 +17,7 @@ from .data import Dataset, PartitionPlan, load_idx, partition, synth_dataset
 from .defense import DetectionResult, cluster_and_select, detect
 from .harness import ExperimentConfig, RoundMetrics, RunResult, run_experiment
 from .ledger import Block, Ledger, verify_file
-from .models import Model, local_grad, sgd_step
+from .models import Model, sgd_step
 from .numeric import (
     RingVector,
     decode_fixed,
@@ -65,7 +65,6 @@ __all__ = [
     "initial_trust",
     "label_flip",
     "load_idx",
-    "local_grad",
     "mean_center",
     "minmax_attack",
     "minsum_attack",

@@ -14,20 +14,16 @@ from .errors import TooFewClients
 class DnCConfig:
     n_iters: int = 1
     sub_dim: int = 1000
-    filter_frac: float = 0.5
+    # dnc_survivors removes ceil(filter_frac * assumed_malicious) clients.
+    filter_frac: float = 1.5
     assumed_malicious: int = 1
 
 
-def fedavg(gradients: Sequence[np.ndarray],
-           weights: Sequence[float] | None = None) -> np.ndarray:
-    """Uniform (or given-weight) mean of the gradients."""
+def fedavg(gradients: Sequence[np.ndarray]) -> np.ndarray:
+    """Uniform mean of the gradients."""
     if len(gradients) == 0:
         raise ValueError("nothing to aggregate")
-    stack = np.asarray(gradients, dtype=np.float64)
-    if weights is None:
-        return stack.mean(axis=0)
-    w = np.asarray(weights, dtype=np.float64)
-    return (stack * w[:, None]).sum(axis=0) / w.sum()
+    return np.asarray(gradients, dtype=np.float64).mean(axis=0)
 
 
 def krum_scores(gradients: Sequence[np.ndarray], f: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .attacks import AttackSpec, LabelFlipSpec, label_flip
+from .attacks import AttackSpec
 from .data import Dataset
 from .numeric import RingVector, clip_for_encoding, encode_fixed, uniform_words
 
@@ -95,8 +95,7 @@ def batch_gradient(model: models.Model, params: np.ndarray, dataset: Dataset,
     when given."""
     take = min(batch_size, len(dataset))
     batch = rng.choice(len(dataset), size=take, replace=False)
-    return models.local_grad(model, params, dataset.features[batch],
-                             dataset.labels[batch], out)
+    return model.grad(params, dataset.features[batch], dataset.labels[batch], out)
 
 
 def local_gradient(state: ClientState, model: models.Model, params: np.ndarray,
@@ -114,9 +113,3 @@ def local_gradient(state: ClientState, model: models.Model, params: np.ndarray,
     if mode == "batch":
         return batch_gradient(model, params, state.dataset, batch_size, rng, out)
     raise ValueError(f"unknown local mode {mode!r}")
-
-
-def poison_labels(dataset: Dataset, spec: LabelFlipSpec,
-                  rng: np.random.Generator) -> Dataset:
-    """Apply the one-time label-flip poisoning to a client's partition."""
-    return label_flip(dataset, spec.offset, spec.fraction, rng)

@@ -1,15 +1,15 @@
 """Hybrid anomaly detection over centered gradients.
 
-Each client gets a two-dimensional feature: the squared projection onto the
-population's top singular direction (outlier energy) and the median cosine
-similarity against all other clients (directional consistency).  2-means
-over z-scored features splits the population; the larger cluster is taken
-as benign.
+Each row of the (N, d) matrix (one client's gradient) gets a
+two-dimensional feature: the squared projection onto the population's top
+singular direction (outlier energy) and the median cosine similarity
+against all other rows (directional consistency).  2-means over z-scored
+features splits the population; the larger cluster is taken as benign.
+Results name rows by index; the caller maps them to client ids.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -20,11 +20,12 @@ _ZERO_NORM = 1e-12
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Benign client ids, per-client (spectral, cosine) features, and the
-    benign cluster centroid in raw feature space."""
+    """Benign row indices, the (N, 2) features (row k holds row k's
+    spectral and cosine feature), and the benign cluster centroid in raw
+    feature space."""
 
     benign: frozenset[int]
-    features: dict[int, np.ndarray]
+    features: np.ndarray
     centroid: np.ndarray
 
 
@@ -96,26 +97,24 @@ def median_cosines(matrix: np.ndarray) -> np.ndarray:
     return _median_cosines(_gram(matrix)[1])
 
 
-def cluster_and_select(features: Mapping[int, np.ndarray],
+def cluster_and_select(features: np.ndarray,
                        rng: np.random.Generator) -> DetectionResult:
-    """Split clients into two clusters over z-scored features and keep the
-    larger cluster as benign (ties go to the higher mean cosine).
+    """Split the rows of the (N, 2) feature array into two clusters over
+    z-scored features and keep the larger cluster as benign (ties go to the
+    higher mean cosine).
 
     The reported centroid is the benign cluster's mean in raw feature space.
     """
-    ids = sorted(features)
-    raw = np.stack([np.asarray(features[i], dtype=np.float64) for i in ids])
+    raw = np.asarray(features, dtype=np.float64)
     n = raw.shape[0]
 
     spread = raw.max(axis=0) - raw.min(axis=0)
     if n < 2 or float(spread.max(initial=0.0)) < _ZERO_NORM:
         # No separation to exploit: everyone is benign.
-        centroid = raw.mean(axis=0)
-        return DetectionResult(frozenset(ids), {i: raw[k] for k, i in enumerate(ids)},
-                               centroid)
+        return DetectionResult(frozenset(range(n)), raw, raw.mean(axis=0))
 
     # Statistics over a value-sorted copy so they are independent of the
-    # client ordering.
+    # row ordering.
     stats_view = raw[np.lexsort((raw[:, 1], raw[:, 0]))]
     mu = stats_view.mean(axis=0)
     sigma = stats_view.std(axis=0)
@@ -133,8 +132,7 @@ def cluster_and_select(features: Mapping[int, np.ndarray],
 
     benign_mask = labels == benign_label
     centroid = raw[benign_mask].mean(axis=0)
-    benign_ids = frozenset(ids[k] for k in range(n) if benign_mask[k])
-    return DetectionResult(benign_ids, {i: raw[k] for k, i in enumerate(ids)}, centroid)
+    return DetectionResult(frozenset(np.flatnonzero(benign_mask).tolist()), raw, centroid)
 
 
 def sketch(dim: int, rng: np.random.Generator,
@@ -148,38 +146,28 @@ def sketch(dim: int, rng: np.random.Generator,
 
 
 def detect(centered: np.ndarray, rng: np.random.Generator,
-           projection_dim: int | None = None,
-           ids: Sequence[int] | None = None) -> DetectionResult:
+           projection_dim: int | None = None) -> DetectionResult:
     """Full detection pass: features from the (N, d) matrix of centered
-    gradients, then clustering.  Row k belongs to client ids[k]; ids must
-    ascend and default to 0..N-1.  `projection_dim` optionally sketches the
+    gradients, then clustering.  `projection_dim` optionally sketches the
     gradients onto a seeded Gaussian projection first (for very large d;
     off by default)."""
     matrix = np.asarray(centered, dtype=np.float64)
-    ids = list(range(matrix.shape[0])) if ids is None else list(ids)
-    if len(ids) != matrix.shape[0] or any(a >= b for a, b in zip(ids, ids[1:])):
-        raise ValueError("ids must ascend and name every row")
     proj = sketch(matrix.shape[1], rng, projection_dim)
     if proj is not None:
         matrix = matrix @ proj
-    return detect_gram(_gram(matrix)[1], rng, ids)
+    return detect_gram(_gram(matrix)[1], rng)
 
 
-def detect_gram(gram: np.ndarray, rng: np.random.Generator,
-                ids: Sequence[int] | None = None) -> DetectionResult:
+def detect_gram(gram: np.ndarray, rng: np.random.Generator) -> DetectionResult:
     """Features and clustering from the N x N Gram matrix G = M M^T of the
-    centered (and possibly sketched) rows M; row k belongs to ids[k]
-    (default 0..N-1).  `rng` feeds the 2-means seeding only.
+    centered (and possibly sketched) rows M.  `rng` feeds the 2-means
+    seeding only.
 
     Both features come from G: with (lam, e) its top eigenpair, row i
     projects onto the top right singular vector M^T e / sqrt(lam) as
     sqrt(lam) * e_i, and the cosines are G_ij / sqrt(G_ii G_jj)."""
-    ids = range(gram.shape[0]) if ids is None else ids
     lam, e = _top_eigenpair(gram)
-    s = lam * e**2
-    c = _median_cosines(gram)
-    features = {cid: np.array([s[k], c[k]]) for k, cid in enumerate(ids)}
-    return cluster_and_select(features, rng)
+    return cluster_and_select(np.column_stack((lam * e**2, _median_cosines(gram))), rng)
 
 
 def _two_means(points: np.ndarray, rng: np.random.Generator,

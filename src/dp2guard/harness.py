@@ -325,7 +325,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
         local = train.subset(plan.assignments[cid])
         role = spec if cid in malicious else None
         if isinstance(role, attacks.LabelFlipSpec):
-            local = client.poison_labels(local, role, substream(cfg.seed, "poison", cid))
+            local = attacks.label_flip(local, role.offset, role.fraction,
+                                       substream(cfg.seed, "poison", cid))
         clients.append(client.ClientState(cid, local, role))
 
     params = model.init_params(substream(cfg.seed, "model-init"))
@@ -353,10 +354,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                     cfg, stack, round_no, trust_state, ledger, channel, params)
                 benign_pred = frozenset(detection.benign)
                 trust_snapshot = dict(trust_state.trust)
-                for cid in sorted(detection.features):
-                    s, c = detection.features[cid]
-                    flag = int(cid in detection.benign)
-                    detection_rows.append(f"{round_no},{cid},{float(s)!r},"
+                # Row k of the round is client k.
+                for k, (s, c) in enumerate(detection.features):
+                    flag = int(k in detection.benign)
+                    detection_rows.append(f"{round_no},{k},{float(s)!r},"
                                           f"{float(c)!r},{1 - flag},{flag}")
                 if record_history:
                     result.weight_history.append(dict(tau))
@@ -570,7 +571,7 @@ def _baseline_round(cfg: ExperimentConfig, stack: np.ndarray,
     if cfg.aggregator == "fedavg":
         return stack.mean(axis=0), None
     if cfg.aggregator == "fltrust":
-        root_grad = models.local_grad(model, params, root_data.features, root_data.labels)
+        root_grad = model.grad(params, root_data.features, root_data.labels)
         return baselines.fltrust(stack, root_grad), None
     kept = _select(cfg, stack, substream(cfg.seed, "dnc", round_no))
     return baselines.kept_mean(stack, kept), frozenset(kept.tolist())
@@ -582,14 +583,8 @@ def _multikrum_params(cfg: ExperimentConfig) -> tuple[int, int]:
 
 
 def _dnc_params(cfg: ExperimentConfig) -> baselines.DnCConfig:
-    params = cfg.aggregator_params
-    return baselines.DnCConfig(
-        n_iters=params.get("n_iters", 1),
-        sub_dim=params.get("sub_dim", 1000),
-        # dnc_survivors removes ceil(filter_frac * assumed_malicious) clients.
-        filter_frac=params.get("filter_frac", 1.5),
-        assumed_malicious=params.get("assumed_malicious", max(cfg.n_malicious, 1)),
-    )
+    return baselines.DnCConfig(**{"assumed_malicious": max(cfg.n_malicious, 1),
+                                  **cfg.aggregator_params})
 
 
 def _fltrust_root(cfg: ExperimentConfig, test: Dataset) -> Dataset:
@@ -607,7 +602,7 @@ def _detection_metrics(benign_pred: frozenset[int] | None, malicious: set[int],
         return None, None
     flagged = set(range(n_clients)) - benign_pred
     tp = len(flagged & malicious)
-    precision = tp / len(flagged) if flagged else (1.0 if not malicious else 0.0)
+    precision = tp / len(flagged) if flagged else 0.0
     recall = tp / len(malicious)
     return precision, recall
 

@@ -75,8 +75,8 @@ def payload_agg_blob(payload: dict[str, Any]) -> bytes:
 def payload_trust_weights(payload: dict[str, Any]) -> dict[int, float]:
     """The trust weights of a round payload, by client id.
 
-    Raises FormatError unless they are an object mapping canonical
-    non-negative integer ids to finite numbers >= 0.
+    Raises FormatError unless they are an object mapping canonical ids
+    (integers in the wire's u32 range) to finite numbers >= 0.
     """
     try:
         raw = payload["trust_weights"]
@@ -86,8 +86,9 @@ def payload_trust_weights(payload: dict[str, Any]) -> dict[int, float]:
         raise FormatError("trust_weights is not an object")
     weights: dict[int, float] = {}
     for key, w in raw.items():
+        # Ten digits cover every u32 and keep int() within its digit limit.
         if not (isinstance(key, str) and key.isascii() and key.isdigit()
-                and str(int(key)) == key):
+                and len(key) <= 10 and str(int(key)) == key and int(key) < 2**32):
             raise FormatError(f"trust weight key {key!r} is not a client id")
         if isinstance(w, bool) or not isinstance(w, (int, float)):
             raise FormatError(f"trust weight of client {key} is not a number")
@@ -162,12 +163,11 @@ def _block_line(block: Block) -> str:
 
 
 def read_chain(path: str | Path) -> Iterator[Block]:
-    """Parse a JSONL chain file; malformed lines, invalid UTF-8 included,
-    raise FormatError."""
+    """Parse a JSONL chain file, one block per line.  A line that is not a
+    block (blank, malformed, invalid UTF-8 or nested too deep to parse)
+    raises FormatError; only a final newline ends the file without one."""
     with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh):
-            if not line.strip():
-                continue
             try:
                 record = json.loads(line.decode("utf-8"))
                 yield Block(
@@ -178,8 +178,9 @@ def read_chain(path: str | Path) -> Iterator[Block]:
                     hash=bytes.fromhex(record["hash"]),
                 )
             # UnicodeDecodeError is a ValueError; OverflowError comes from
-            # int() of an index or round that JSON parsed as infinity.
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            # int() of an index or round that JSON parsed as infinity, and
+            # RecursionError from nesting deeper than the parser's stack.
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
 
 
@@ -192,34 +193,25 @@ def verify_blocks(blocks: list[Block]) -> int | None:
         expected_prev = GENESIS_HASH if i == 0 else blocks[i - 1].hash
         if block.prev_hash != expected_prev:
             return i
-        if block_hash(block.index, block.round, block.prev_hash, block.payload) != block.hash:
+        try:
+            digest = block_hash(block.index, block.round, block.prev_hash, block.payload)
+        except RecursionError:  # a payload nested too deep to re-encode
+            return i
+        if digest != block.hash:
             return i
     return None
 
 
 def verify_file(path: str | Path) -> int | None:
-    """Verify a persisted chain; unparseable or undecodable lines count as
-    bad blocks (arbitrary byte corruption must never escape detection)."""
-    raw = Path(path).read_bytes()
-    lines = raw.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    prev_hash = GENESIS_HASH
-    for lineno, line in enumerate(lines):
-        try:
-            record = json.loads(line.decode("utf-8"))
-            block = Block(
-                index=int(record["index"]),
-                round=int(record["round"]),
-                prev_hash=bytes.fromhex(record["prev_hash"]),
-                payload=record["payload"],
-                hash=bytes.fromhex(record["hash"]),
-            )
-        except (ValueError, KeyError, TypeError, OverflowError):
-            return lineno
-        if block.index != lineno or block.prev_hash != prev_hash:
-            return lineno
-        if block_hash(block.index, block.round, block.prev_hash, block.payload) != block.hash:
-            return lineno
-        prev_hash = block.hash
-    return None
+    """Verify a persisted chain: the index of the first line that is not a
+    block or breaks the chain, or None when the chain is intact (arbitrary
+    byte corruption must never escape detection)."""
+    blocks: list[Block] = []
+    unreadable = None
+    try:
+        for block in read_chain(path):
+            blocks.append(block)
+    except FormatError:
+        unreadable = len(blocks)
+    first = verify_blocks(blocks)
+    return unreadable if first is None else first

@@ -128,13 +128,6 @@ def flatten(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.asarray(p, dtype=np.float64).ravel() for p in parts])
 
 
-def local_grad(model: Model, params: np.ndarray, features: np.ndarray,
-               labels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of mean cross-entropy over the batch at the given params,
-    written into `out` when given (see Model.grad)."""
-    return model.grad(params, features, labels, out)
-
-
 def sgd_step(params: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
     """One descent step: params - eta * grad."""
     if params.shape != grad.shape:

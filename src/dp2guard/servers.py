@@ -456,21 +456,21 @@ class ServerS2(_ServerBase):
                          projection_dim: int | None = None,
                          ) -> tuple[DetectionResult, TrustState, dict[int, float]]:
         """Run hybrid detection, update trust, and produce this round's
-        normalized aggregation weights."""
+        normalized aggregation weights.  The detection result names rows;
+        row k is client self.ids[k]."""
         self._require(PHASE_CENTERING, "detect")
         assert self._centered is not None
         self.phase = PHASE_DETECTING
-        result = detect(self._centered, rng, projection_dim, self.ids)
+        result = detect(self._centered, rng, projection_dim)
         self._centered = None  # (N, d) floats nothing reads after detection
         direct = {
-            cid: (direct_trust(result.features[cid], result.centroid)
-                  if cid in result.benign else 0.0)
-            for cid in self.ids
+            cid: (direct_trust(result.features[k], result.centroid)
+                  if k in result.benign else 0.0)
+            for k, cid in enumerate(self.ids)
         }
         new_state = update_trust(state, direct)
-        excluded = self.expected_clients - result.benign
-        force_zero = excluded if exclusion == "hard" else ()
-        tau = trust_weights(new_state, force_zero)
+        excluded = [cid for k, cid in enumerate(self.ids) if k not in result.benign]
+        tau = trust_weights(new_state, excluded if exclusion == "hard" else ())
         self.phase = PHASE_AGGREGATING
         return result, new_state, tau
 

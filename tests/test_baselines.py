@@ -45,10 +45,6 @@ class TestFedAvg:
         want = sum(grads) / 7
         assert np.allclose(fedavg(grads), want, atol=1e-15)
 
-    def test_weighted_mean(self):
-        grads = [np.array([1.0]), np.array([3.0])]
-        assert np.isclose(fedavg(grads, weights=[3.0, 1.0])[0], 1.5)
-
 
 class TestMultiKrum:
     def test_far_outlier_never_selected(self):

@@ -3,16 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dp2guard.attacks import LabelFlipSpec
+from dp2guard.attacks import LabelFlipSpec, label_flip
 from dp2guard.client import (
     ClientState,
     epoch_gradient,
     local_gradient,
-    poison_labels,
     split_and_mask,
 )
 from dp2guard.data import synth_dataset
-from dp2guard.models import Model, local_grad, sgd_step
+from dp2guard.models import Model, sgd_step
 from dp2guard.numeric import decode_fixed, encode_fixed, ring_add, substream
 
 from test_models import reference_grad
@@ -102,7 +101,8 @@ class TestClientRound:
     def test_label_flip_client_matches_poisoned_oracle(self):
         spec = LabelFlipSpec(offset=1, fraction=0.5)
         clean = _client(52)
-        poisoned_data = poison_labels(clean.dataset, spec, substream(52, "p"))
+        poisoned_data = label_flip(clean.dataset, spec.offset, spec.fraction,
+                                   substream(52, "p"))
         poisoned = ClientState(0, poisoned_data, spec)
         model = Model("logreg", 6, 3)
         params = model.init_params(substream(52, "init"))
@@ -123,7 +123,7 @@ class TestLocalTraining:
         expect = params.copy()
         for lo in range(0, len(order), bs):
             batch = order[lo:lo + bs]
-            g = local_grad(model, expect, data.features[batch], data.labels[batch])
+            g = model.grad(expect, data.features[batch], data.labels[batch])
             expect = sgd_step(expect, g, eta)
         got = epoch_gradient(model, params, data, bs, eta, substream(54, "order"))
         assert np.allclose(sgd_step(params, got, eta), expect, atol=1e-12)
@@ -136,7 +136,7 @@ class TestLocalTraining:
         got = local_gradient(state, model, params, "batch", 8, 0.1,
                              substream(55, "b"))
         batch = substream(55, "b").choice(len(data), size=8, replace=False)
-        want = local_grad(model, params, data.features[batch], data.labels[batch])
+        want = model.grad(params, data.features[batch], data.labels[batch])
         assert np.array_equal(got, want)
 
 

@@ -11,7 +11,7 @@ from dp2guard.data import (
     synth_dataset,
 )
 from dp2guard.errors import CountMismatch, EmptyClientError, FormatError
-from dp2guard.models import Model, local_grad, sgd_step
+from dp2guard.models import Model, sgd_step
 from dp2guard.numeric import substream
 
 
@@ -133,8 +133,7 @@ def _train_linear(data: Dataset, rounds=300, eta=0.5):
     model = Model("logreg", data.n_features, data.n_classes)
     params = np.zeros(model.dim)
     for _ in range(rounds):
-        params = sgd_step(params, local_grad(model, params, data.features,
-                                             data.labels), eta)
+        params = sgd_step(params, model.grad(params, data.features, data.labels), eta)
     return model, params
 
 

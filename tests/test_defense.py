@@ -208,20 +208,18 @@ class TestDetectFeatures:
 
 class TestClusterAndSelect:
     def test_well_separated_majority_wins(self):
-        features = {i: np.array([0.0, 1.0]) for i in range(9)}
-        features[9] = np.array([100.0, -1.0])
+        features = np.array([[0.0, 1.0]] * 9 + [[100.0, -1.0]])
         result = cluster_and_select(features, substream(25, "km"))
         assert result.benign == frozenset(range(9))
         assert np.allclose(result.centroid, [0.0, 1.0])
 
     def test_identical_features_all_benign(self):
-        features = {i: np.array([2.0, 0.5]) for i in range(6)}
+        features = np.array([[2.0, 0.5]] * 6)
         result = cluster_and_select(features, substream(26, "km"))
         assert result.benign == frozenset(range(6))
 
     def test_centroid_in_raw_space(self):
-        features = {0: np.array([10.0, 0.9]), 1: np.array([12.0, 0.8]),
-                    2: np.array([11.0, 1.0]), 3: np.array([500.0, -0.9])}
+        features = np.array([[10.0, 0.9], [12.0, 0.8], [11.0, 1.0], [500.0, -0.9]])
         result = cluster_and_select(features, substream(27, "km"))
         assert result.benign == frozenset({0, 1, 2})
         assert np.allclose(result.centroid, [11.0, 0.9])
@@ -270,17 +268,6 @@ class TestDetectPipeline:
         assert {relabel[i] for i in result.benign} == set(result_p.benign)
         for i in range(8):
             assert np.allclose(result.features[i], result_p.features[relabel[i]])
-
-    def test_ids_name_the_rows(self):
-        rng = substream(34, "ids")
-        grads = rng.standard_normal((6, 9))
-        base = detect(grads, substream(35, "km"))
-        named = detect(grads, substream(35, "km"), ids=[2, 3, 5, 8, 13, 21])
-        assert named.benign == {[2, 3, 5, 8, 13, 21][k] for k in base.benign}
-        assert sorted(named.features) == [2, 3, 5, 8, 13, 21]
-        for ids in ([3, 2, 5, 8, 13, 21], [2, 2, 5, 8, 13, 21], [1, 2, 3]):
-            with pytest.raises(ValueError):
-                detect(grads, substream(35, "km"), ids=ids)
 
     def test_common_scale_invariance(self):
         rng = substream(30, "scale")

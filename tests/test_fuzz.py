@@ -26,6 +26,7 @@ from dp2guard.ledger import (
     make_round_payload,
     payload_agg_blob,
     payload_trust_weights,
+    verify_file,
 )
 from dp2guard.numeric import RingVector, serialize_ring, substream
 from dp2guard.servers import (
@@ -155,12 +156,18 @@ def read_payload_fields(path) -> list[tuple[dict, bytes, dict[int, float]]]:
 def test_mutated_ledger_payloads_fail_loudly_or_round_trip(tmp_path, seed):
     # A ledger file goes through the chain reader (`Ledger(path)`) and the
     # two payload readers S1 relies on.  An accepted payload re-encodes to
-    # the same blob, digest and weights.
+    # the same blob, digest and weights.  The file check agrees with the
+    # chain reader: it passes exactly when the file loads and verifies.
     rng = substream(92, "fuzz-ledger", seed)
     path = tmp_path / "ledger.jsonl"
     outcomes = {"rejected": 0, "accepted": 0}
     for _ in range(MUTATIONS_PER_SEED):
         path.write_bytes(mutate(_ledger_line(rng), rng) + b"\n")
+        try:
+            intact = Ledger(path).verify() is None
+        except Dp2GuardError:
+            intact = False
+        assert (verify_file(path) is None) == intact
         try:
             fields = read_payload_fields(path)
         except Dp2GuardError:

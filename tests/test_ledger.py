@@ -91,8 +91,9 @@ class TestAppend:
         assert verify_file(path) is None
 
 
-    @pytest.mark.parametrize("line", [b'{"index":0}\xa6', b'{"index":1e400,"round":0}'],
-                             ids=["invalid-utf8", "infinite-index"])
+    @pytest.mark.parametrize("line", [b'{"index":0}\xa6', b'{"index":1e400,"round":0}',
+                                      b"[" * 200_000, b""],
+                             ids=["invalid-utf8", "infinite-index", "deep-nesting", "blank"])
     def test_unreadable_line_raises_format_error(self, tmp_path, line):
         path = tmp_path / "l.jsonl"
         _build_chain(path, 2)
@@ -100,6 +101,17 @@ class TestAppend:
         with pytest.raises(FormatError, match="line 2"):
             Ledger(path)
         assert verify_file(path) == 2
+
+    def test_blank_interior_line_is_a_bad_block(self, tmp_path):
+        # One line rule for both readers: only the final newline may end
+        # the file without a block after it.
+        path = tmp_path / "l.jsonl"
+        _build_chain(path, 3)
+        lines = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join(lines[:1] + [b""] + lines[1:]))
+        with pytest.raises(FormatError, match="line 1"):
+            Ledger(path)
+        assert verify_file(path) == 1
 
 
 class TestVerify:
@@ -240,6 +252,8 @@ MALFORMED = {
     "id not an integer": (payload_trust_weights, _weight("a", 1.0)),
     "id not canonical": (payload_trust_weights, _weight("01", 1.0)),
     "id negative": (payload_trust_weights, _weight("-1", 1.0)),
+    "id beyond u32": (payload_trust_weights, _weight("4294967296", 1.0)),
+    "id beyond int digit limit": (payload_trust_weights, _weight("1" * 5000, 1.0)),
     "weight a string": (payload_trust_weights, _weight("0", "1.0")),
     "weight null": (payload_trust_weights, _weight("0", None)),
     "weight a bool": (payload_trust_weights, _weight("0", True)),
@@ -272,7 +286,7 @@ class TestPayloadReaders:
 
     def test_valid_payload_decodes_as_written(self):
         blob = serialize_ring(RingVector(uniform_words(5, substream(8, "b")), 48))
-        tau = {0: 0.25, 3: 0.0, 12: 0.75}
+        tau = {0: 0.25, 3: 0.0, 2**32 - 1: 0.75}  # the largest u32 id
         payload = make_round_payload(blob, tau, bytes(32))
         assert payload_agg_blob(payload) == blob
         got = payload_trust_weights(payload)

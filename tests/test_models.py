@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dp2guard.errors import ShapeMismatch
-from dp2guard.models import Model, flatten, local_grad, sgd_step
+from dp2guard.models import Model, flatten, sgd_step
 from dp2guard.numeric import substream
 
 
@@ -75,7 +75,7 @@ def test_grad_matches_finite_differences(arch, hidden):
     rng = substream(100, "fd", arch)
     for _ in range(20):
         params, X, y = _random_case(model, rng)
-        got = local_grad(model, params, X, y)
+        got = model.grad(params, X, y)
         want = finite_difference_grad(model, params, X, y)
         denom = max(float(np.linalg.norm(want)), 1e-8)
         assert np.linalg.norm(got - want) / denom <= 1e-3
@@ -95,7 +95,7 @@ def test_single_sample_logistic_closed_form():
         p /= p.sum()
         onehot = np.eye(2)[y[0]]
         want = flatten([np.outer(p - onehot, x[0]), p - onehot])
-        got = local_grad(model, params, x, y)
+        got = model.grad(params, x, y)
         assert np.max(np.abs(got - want)) <= 1e-9
 
 
@@ -105,7 +105,7 @@ def test_zero_weights_balanced_batch_zero_bias_grad():
     model = Model("logreg", n_features=3, n_classes=2)
     X = np.array([[1.0, 2.0, -1.0], [-0.5, 0.25, 3.0]])
     y = np.array([0, 1])
-    g = local_grad(model, np.zeros(model.dim), X, y)
+    g = model.grad(np.zeros(model.dim), X, y)
     bias = g[-2:]
     assert np.max(np.abs(bias)) < 1e-12
 

@@ -333,8 +333,9 @@ class TestWireFormat:
         assert np.array_equal(ring.words, agg.words)
 
 
-def _drive_to_publish(grads, seed, round_no=0, beta=0.5):
-    """Run a round up to S2's weights; returns (s1, s2, detection, tau, channel)."""
+def _drive_to_publish(grads, seed, round_no=0, beta=0.5, exclusion="soft"):
+    """Run a round up to S2's weights; returns
+    (s1, s2, detection, new_trust, tau, channel)."""
     ids = sorted(grads)
     channel = Channel()
     s1 = ServerS1(ids, round_no)
@@ -347,12 +348,12 @@ def _drive_to_publish(grads, seed, round_no=0, beta=0.5):
                                       encode_share_upload(MaskedShare(cid, round_no, 2, sh2))))
     s2.receive_centered_batch(channel.send("S1", "S2", s1.center_shares()))
     detection, new_trust, tau = s2.detect_and_weigh(
-        initial_trust(ids, beta), substream(seed, "km"))
-    return s1, s2, detection, tau, channel
+        initial_trust(ids, beta), substream(seed, "km"), exclusion)
+    return s1, s2, detection, new_trust, tau, channel
 
 
 def _drive_round(grads, seed, round_no=0, beta=0.5):
-    s1, s2, detection, tau, channel = _drive_to_publish(grads, seed, round_no, beta)
+    s1, s2, detection, _, tau, channel = _drive_to_publish(grads, seed, round_no, beta)
     record = encode_agg_and_weights(round_no, 0, s2.publish(tau), tau)
     s1.receive_agg_and_weights(channel.send("ledger", "S1", record))
     return s1.finalize(), detection, tau, channel, s1, s2
@@ -365,6 +366,27 @@ class TestServerStateMachines:
         global_grad, detection, tau, channel, _, _ = _drive_round(grads, 83)
         want = sum(tau[i] * grads[i] for i in grads)
         assert np.max(np.abs(global_grad - want)) <= 1e-3
+
+    @pytest.mark.parametrize("exclusion", ["soft", "hard"])
+    def test_detection_rows_map_to_client_ids(self, exclusion):
+        # Detection names rows; S2 maps row k to its k-th smallest client
+        # id.  The same gradients under non-contiguous ids give the same
+        # detection, trust and weights, hard-exclusion zeros included,
+        # keyed by those ids.
+        rng = substream(104, "ids")
+        rows = rng.uniform(-1, 1, size=(8, 12))
+        rows[:2] += 4.0  # two outliers, so hard exclusion zeroes someone
+        named = [3, 8, 11, 12, 20, 31, 40, 77]
+        _, _, base, base_trust, base_tau, _ = _drive_to_publish(
+            dict(enumerate(rows)), 105, exclusion=exclusion)
+        _, _, got, trust, tau, _ = _drive_to_publish(
+            dict(zip(named, rows)), 105, exclusion=exclusion)
+        assert got.benign == base.benign and not {0, 1} & got.benign
+        assert np.array_equal(got.features, base.features)
+        assert trust.trust == {cid: base_trust.trust[k] for k, cid in enumerate(named)}
+        assert tau == {cid: base_tau[k] for k, cid in enumerate(named)}
+        zeros = {cid for cid, w in tau.items() if w == 0.0}
+        assert zeros == ({3, 8} if exclusion == "hard" else set())
 
     @staticmethod
     def _other_clients(tau, change):
@@ -381,7 +403,7 @@ class TestServerStateMachines:
     def test_publish_rejects_weights_for_other_clients(self, change):
         rng = substream(100, "keys")
         grads = {i: rng.uniform(-1, 1, size=5) for i in range(4)}
-        _, s2, _, tau, _ = _drive_to_publish(grads, 101)
+        _, s2, _, _, tau, _ = _drive_to_publish(grads, 101)
         with pytest.raises(WeightError):
             s2.publish(self._other_clients(tau, change))
 
@@ -389,7 +411,7 @@ class TestServerStateMachines:
     def test_finalize_rejects_ledger_weights_for_other_clients(self, change):
         rng = substream(102, "keys")
         grads = {i: rng.uniform(-1, 1, size=5) for i in range(4)}
-        s1, s2, _, tau, _ = _drive_to_publish(grads, 103)
+        s1, s2, _, _, tau, _ = _drive_to_publish(grads, 103)
         record = encode_agg_and_weights(0, 0, s2.publish(tau),
                                         self._other_clients(tau, change))
         s1.receive_agg_and_weights(record)
