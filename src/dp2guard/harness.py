@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,13 +33,34 @@ from .servers import (
 )
 
 AGGREGATORS = ("dp2guard", "fedavg", "multikrum", "dnc", "fltrust")
-ATTACK_KINDS = ("label_flip", "fang", "minmax", "minsum")
+ATTACK_SPECS = {"label_flip": attacks.LabelFlipSpec, "fang": attacks.FangSpec,
+                "minmax": attacks.MinMaxSpec, "minsum": attacks.MinSumSpec}
 # aggregator_params keys per rule, each with the least integer it admits
 # (None: a finite float > 0).
 AGGREGATOR_PARAMS = {
     "multikrum": {"f": 0, "m": 1},
     "dnc": {"n_iters": 1, "sub_dim": 1, "filter_frac": None, "assumed_malicious": 1},
 }
+CHOICES = {
+    "dataset": ("synthetic", "mnist", "fashion"), "model": ("logreg", "mlp"),
+    "aggregator": AGGREGATORS, "partition": ("iid", "dirichlet"),
+    "exclusion": ("soft", "hard"), "local_mode": ("epoch", "batch"),
+}
+# Integer fields with the least value each admits (a subset of 0 is the whole
+# split), and the greatest where there is one (the seed is packed as a signed
+# 64-bit word).
+INT_FIELDS = {
+    "n_clients": 2, "rounds": 1, "seed": -2**63, "batch_size": 1, "scale_bits": 1,
+    "synth_train": 1, "synth_test": 1, "synth_features": 1, "synth_classes": 2, "hidden": 1,
+    "fltrust_root_size": 1, "projection_dim": 1, "train_subset": 0, "test_subset": 0,
+}
+INT_CEILINGS = {"seed": 2**63 - 1, "scale_bits": 48}
+# Fields of other JSON types; those in NULLABLE may also be None.
+TYPED_FIELDS = {"data_dir": str, "attack": dict, "aggregator_params": dict}
+NULLABLE = ("projection_dim", "train_subset", "test_subset", "data_dir", "attack")
+# Files a run writes into its output directory.
+ARTIFACTS = ("ledger.jsonl", "metrics.csv", "plot.svg", "resolved-config.json",
+             "detection.csv", "attack.csv")
 LEDGER_SENDER = 0
 
 
@@ -75,37 +98,28 @@ class ExperimentConfig:
     aggregator_params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dataset not in ("synthetic", "mnist", "fashion"):
-            raise ConfigError(f"unknown dataset {self.dataset!r}")
-        if self.model not in ("logreg", "mlp"):
-            raise ConfigError(f"unknown model {self.model!r}")
-        if self.aggregator not in AGGREGATORS:
-            raise ConfigError(f"unknown aggregator {self.aggregator!r}")
-        if self.partition not in ("iid", "dirichlet"):
-            raise ConfigError(f"unknown partition {self.partition!r}")
+        for name, low in INT_FIELDS.items():
+            value, high = getattr(self, name), INT_CEILINGS.get(name, math.inf)
+            if not (value is None and name in NULLABLE or _is_int(value, low) and value <= high):
+                raise ConfigError(f"{name} must be an integer in [{low}, {high}]")
+        for name, kind in TYPED_FIELDS.items():
+            value = getattr(self, name)
+            if not (value is None and name in NULLABLE or isinstance(value, kind)):
+                raise ConfigError(f"{name} must be a JSON {kind.__name__}")
+        for name in ("adv_ratio", "alpha", "beta", "eta", "synth_separation"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
+        for name, choices in CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         if self.partition == "dirichlet" and not _is_positive(self.alpha):
             raise ConfigError("dirichlet alpha must be finite and > 0")
-        if self.exclusion not in ("soft", "hard"):
-            raise ConfigError(f"unknown exclusion mode {self.exclusion!r}")
-        if self.local_mode not in ("epoch", "batch"):
-            raise ConfigError(f"unknown local mode {self.local_mode!r}")
         if not 0.0 <= self.adv_ratio < 0.5:
             raise ConfigError("adv_ratio must be in [0, 0.5)")
         if not 0.0 <= self.beta < 1.0:
             raise ConfigError("beta must be in [0, 1)")
-        if self.n_clients < 2 or self.rounds < 1:
-            raise ConfigError("need at least 2 clients and 1 round")
         if self.eta <= 0:
             raise ConfigError("eta must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if not 1 <= self.scale_bits <= 48:
-            raise ConfigError("scale_bits must be in [1, 48]")
-        for name in ("hidden", "fltrust_root_size"):
-            if not _is_int(getattr(self, name), 1):
-                raise ConfigError(f"{name} must be an integer >= 1")
-        if self.projection_dim is not None and not _is_int(self.projection_dim, 1):
-            raise ConfigError("projection_dim must be None or an integer >= 1")
         if self.attack is not None:
             _check_attack(self.parse_attack(),
                           self.synth_classes if self.dataset == "synthetic" else 10)
@@ -134,16 +148,10 @@ class ExperimentConfig:
             return None
         spec = dict(self.attack)
         kind = spec.pop("kind", None)
-        if kind not in ATTACK_KINDS:
+        if not isinstance(kind, str) or kind not in ATTACK_SPECS:
             raise ConfigError(f"unknown attack kind {kind!r}")
         try:
-            if kind == "label_flip":
-                return attacks.LabelFlipSpec(kind=kind, **spec)
-            if kind == "fang":
-                return attacks.FangSpec(kind=kind, **spec)
-            if kind == "minmax":
-                return attacks.MinMaxSpec(kind=kind, **spec)
-            return attacks.MinSumSpec(kind=kind, **spec)
+            return ATTACK_SPECS[kind](kind=kind, **spec)
         except TypeError as exc:
             raise ConfigError(f"bad parameters for attack {kind!r}: {exc}") from exc
 
@@ -173,11 +181,17 @@ class ExperimentConfig:
 
 
 def _is_int(value: Any, low: int) -> bool:
-    return isinstance(value, int) and value >= low
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _is_real(value: Any) -> bool:
+    """A finite JSON number (int or float, not a boolean); NaN fails `<=`."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_positive(value: Any) -> bool:
-    return isinstance(value, (int, float)) and bool(np.isfinite(value)) and value > 0
+    return _is_real(value) and value > 0
 
 
 def _check_attack(spec: attacks.AttackSpec, n_classes: int) -> None:
@@ -218,7 +232,6 @@ class RoundMetrics:
     recall: float | None
     mean_trust_benign: float | None
     mean_trust_malicious: float | None
-    trust: dict[int, float] | None
     wall_time: float
     crafted_norm: float | None = None
 
@@ -231,7 +244,6 @@ class RunResult:
     channel: Channel
     final_params: np.ndarray
     model: models.Model
-    malicious_ids: tuple[int, ...]
     weight_history: list[dict[int, float]] = field(default_factory=list)
     benign_history: list[frozenset[int]] = field(default_factory=list)
     params_history: list[np.ndarray] = field(default_factory=list)
@@ -301,16 +313,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
 
     Every random draw comes from a stream keyed by (seed, purpose, actor,
     round), so reruns of the same config are bit-identical.  Raises
-    OutputExists if `out_dir` already holds a ledger.
+    OutputExists if `out_dir` already holds any of the ARTIFACTS.
     """
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
-        # S1 reads each round's record back from the ledger by round number,
-        # so an earlier run's chain in the same file would feed it stale
-        # aggregates.
-        if (out_path / "ledger.jsonl").exists():
-            raise OutputExists(f"{out_path / 'ledger.jsonl'} already exists; "
-                               "write each run to a fresh directory")
+        # An earlier run's chain would feed S1 stale aggregates (it reads
+        # each record back by round number), and its other files would pass
+        # for this run's.
+        for name in ARTIFACTS:
+            if (out_path / name).exists():
+                raise OutputExists(f"{out_path / name} already exists; "
+                                   "write each run to a fresh directory")
         out_path.mkdir(parents=True, exist_ok=True)
 
     train, test = load_datasets(cfg)
@@ -318,12 +331,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     plan = partition(train, cfg.n_clients, cfg.partition, cfg.alpha,
                      substream(cfg.seed, "partition"))
     spec = cfg.parse_attack()
-    malicious = set(cfg.malicious_ids)
 
     clients = []
     for cid in range(cfg.n_clients):
         local = train.subset(plan.assignments[cid])
-        role = spec if cid in malicious else None
+        role = spec if cid < cfg.n_malicious else None  # the first ids attack
         if isinstance(role, attacks.LabelFlipSpec):
             local = attacks.label_flip(local, role.offset, role.fraction,
                                        substream(cfg.seed, "poison", cid))
@@ -332,10 +344,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     params = model.init_params(substream(cfg.seed, "model-init"))
     ledger = Ledger(out_path / "ledger.jsonl" if out_path else None)
     channel = Channel()
-    trust_state = trust.initial_trust(range(cfg.n_clients), cfg.beta)
+    trust_state = trust.initial_trust(cfg.n_clients, cfg.beta)
     root_data = _fltrust_root(cfg, test) if cfg.aggregator == "fltrust" else None
 
-    result = RunResult(cfg, [], ledger, channel, params, model, cfg.malicious_ids)
+    result = RunResult(cfg, [], ledger, channel, params, model)
     metrics: list[RoundMetrics] = []
 
     detection_rows: list[str] = []
@@ -347,34 +359,32 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
             if record_history:
                 result.gradient_history.append({cid: g.copy() for cid, g in enumerate(stack)})
 
-            benign_pred: frozenset[int] | None = None
-            trust_snapshot: dict[int, float] | None = None
             if cfg.aggregator == "dp2guard":
                 g_agg, detection, trust_state, tau = _dp2guard_round(
                     cfg, stack, round_no, trust_state, ledger, channel, params)
-                benign_pred = frozenset(detection.benign)
-                trust_snapshot = dict(trust_state.trust)
+                benign_pred = detection.benign
+                mtb, mtm = _trust_means(trust_state.trust, cfg.n_malicious)
                 # Row k of the round is client k.
                 for k, (s, c) in enumerate(detection.features):
                     flag = int(k in detection.benign)
                     detection_rows.append(f"{round_no},{k},{float(s)!r},"
                                           f"{float(c)!r},{1 - flag},{flag}")
                 if record_history:
-                    result.weight_history.append(dict(tau))
+                    result.weight_history.append(tau)
                     result.benign_history.append(benign_pred)
             else:
                 g_agg, benign_pred = _baseline_round(cfg, stack, round_no, model,
                                                      params, root_data)
+                mtb = mtm = None
 
             params = models.sgd_step(params, g_agg, cfg.eta)
             if record_history:
                 result.params_history.append(params.copy())
 
             accuracy = model.accuracy(params, test.features, test.labels)
-            precision, recall = _detection_metrics(benign_pred, malicious, cfg.n_clients)
-            mtb, mtm = _trust_means(trust_snapshot, malicious)
-            metrics.append(RoundMetrics(round_no, accuracy, precision, recall,
-                                        mtb, mtm, trust_snapshot,
+            precision, recall = _detection_metrics(benign_pred, cfg.n_malicious,
+                                                   cfg.n_clients)
+            metrics.append(RoundMetrics(round_no, accuracy, precision, recall, mtb, mtm,
                                         time.perf_counter() - started, crafted_norm))
     finally:
         ledger.close()
@@ -548,18 +558,18 @@ def _dp2guard_round(cfg: ExperimentConfig, stack: np.ndarray,
 
     s2.receive_centered_batch(channel.send("S1", "S2", s1.center_shares()))
 
-    detection, new_trust, tau = s2.detect_and_weigh(
+    detection, new_trust, row_weights = s2.detect_and_weigh(
         trust_state, substream(cfg.seed, "cluster", round_no),
         cfg.exclusion, cfg.projection_dim)
-    agg2 = s2.publish(tau)
+    agg2 = s2.publish()
+    tau = dict(zip(s2.ids, row_weights.tolist()))
 
     model_digest = hashlib.sha256(params.tobytes()).digest()
     ledger.append(round_no, make_round_payload(serialize_ring(agg2), tau, model_digest))
 
     payload = ledger.read_round(round_no)
-    blob = ring_view(payload_agg_blob(payload))
-    weights_read = payload_trust_weights(payload)
-    ledger_msg = encode_agg_and_weights(round_no, LEDGER_SENDER, blob, weights_read)
+    agg2_read, tau_read = ring_view(payload_agg_blob(payload)), payload_trust_weights(payload)
+    ledger_msg = encode_agg_and_weights(round_no, LEDGER_SENDER, agg2_read, tau_read)
     s1.receive_agg_and_weights(channel.send("ledger", "S1", ledger_msg))
 
     return s1.finalize(), detection, new_trust, tau
@@ -594,28 +604,22 @@ def _fltrust_root(cfg: ExperimentConfig, test: Dataset) -> Dataset:
     return test.subset(idx)
 
 
-def _detection_metrics(benign_pred: frozenset[int] | None, malicious: set[int],
+def _detection_metrics(benign_pred: frozenset[int] | None, n_malicious: int,
                        n_clients: int) -> tuple[float | None, float | None]:
-    """Precision/recall of flagging malicious clients, against the config
-    ground truth; absent when the rule makes no selection or no adversary."""
-    if benign_pred is None or not malicious:
+    """Precision/recall of flagging the malicious clients, the first
+    n_malicious ids; absent when the rule makes no selection or no adversary."""
+    if benign_pred is None or not n_malicious:
         return None, None
     flagged = set(range(n_clients)) - benign_pred
-    tp = len(flagged & malicious)
-    precision = tp / len(flagged) if flagged else 0.0
-    recall = tp / len(malicious)
-    return precision, recall
+    tp = sum(cid < n_malicious for cid in flagged)
+    return (tp / len(flagged) if flagged else 0.0), tp / n_malicious
 
 
-def _trust_means(snapshot: dict[int, float] | None,
-                 malicious: set[int]) -> tuple[float | None, float | None]:
-    if snapshot is None:
-        return None, None
-    benign_vals = [v for cid, v in snapshot.items() if cid not in malicious]
-    mal_vals = [v for cid, v in snapshot.items() if cid in malicious]
-    mtb = float(np.mean(benign_vals)) if benign_vals else None
-    mtm = float(np.mean(mal_vals)) if mal_vals else None
-    return mtb, mtm
+def _trust_means(trust_vec: np.ndarray, n_malicious: int) -> tuple[float, float | None]:
+    """Mean trust of the benign and of the malicious rows (attackers hold
+    the first ids; adv_ratio < 0.5 leaves at least one benign row)."""
+    mal = float(np.mean(trust_vec[:n_malicious])) if n_malicious else None
+    return float(np.mean(trust_vec[n_malicious:])), mal
 
 
 # --- metrics output --------------------------------------------------------

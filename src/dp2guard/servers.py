@@ -341,10 +341,9 @@ class _ServerBase:
 
     def __init__(self, server_id: int, expected_clients: Iterable[int], round_no: int):
         self.server_id = server_id
-        self.expected_clients = frozenset(expected_clients)
         self.round = round_no
         self.phase = PHASE_COLLECTING
-        self.ids = sorted(self.expected_clients)
+        self.ids = sorted(set(expected_clients))
         self._row = {cid: k for k, cid in enumerate(self.ids)}
         self._received: set[int] = set()
         self.shares: np.ndarray | None = None
@@ -352,9 +351,7 @@ class _ServerBase:
 
     def _require(self, phase: str, action: str) -> None:
         if self.phase != phase:
-            raise ProtocolError(
-                f"S{self.server_id} cannot {action} in phase {self.phase!r}"
-            )
+            raise ProtocolError(f"S{self.server_id} cannot {action} in phase {self.phase!r}")
 
     def receive_share(self, msg: ProtocolMessage) -> None:
         self._require(PHASE_COLLECTING, "accept a share")
@@ -367,9 +364,7 @@ class _ServerBase:
         if share.client_id in self._received:
             raise ProtocolError(f"duplicate share from client {share.client_id}")
         if share.share_index != self.server_id:
-            raise ProtocolError(
-                f"share index {share.share_index} uploaded to S{self.server_id}"
-            )
+            raise ProtocolError(f"share index {share.share_index} uploaded to S{self.server_id}")
         ring = share.payload
         if self.shares is None:
             self.shares = np.empty((len(self.ids), len(ring)), dtype=np.uint64)
@@ -384,14 +379,9 @@ class _ServerBase:
         self._received.add(share.client_id)
 
     def _require_all_shares(self) -> None:
-        missing = sorted(self.expected_clients - self._received)
+        missing = [cid for cid in self.ids if cid not in self._received]
         if missing:
             raise ProtocolError(f"cannot center before clients {missing} upload")
-
-    def _row_weights(self, tau: Mapping[int, float]) -> list[float]:
-        if set(tau) != self.expected_clients:
-            raise WeightError("weight keys do not match share keys")
-        return [tau[cid] for cid in self.ids]
 
 
 class ServerS1(_ServerBase):
@@ -400,8 +390,7 @@ class ServerS1(_ServerBase):
 
     def __init__(self, expected_clients, round_no: int):
         super().__init__(1, expected_clients, round_no)
-        self._tau: dict[int, float] | None = None
-        self._agg2: RingVector | None = None
+        self._record: tuple[RingVector, dict[int, float]] | None = None
 
     def center_shares(self) -> ProtocolMessage:
         self._require(PHASE_COLLECTING, "center shares")
@@ -418,16 +407,19 @@ class ServerS1(_ServerBase):
         self._require(PHASE_CENTERING, "accept weights")
         if msg.round != self.round:
             raise ProtocolError(f"weights for round {msg.round}, server at {self.round}")
-        self._agg2, self._tau = decode_agg_and_weights(msg)
+        self._record = decode_agg_and_weights(msg)
         self.phase = PHASE_AGGREGATING
 
     def finalize(self) -> np.ndarray:
         """Aggregate own shares and reassemble the global gradient."""
         self._require(PHASE_AGGREGATING, "finalize")
-        assert self._tau is not None and self._agg2 is not None
-        agg1 = partial_aggregate(self.shares, self._row_weights(self._tau), self.scale_bits)
+        agg2, tau = self._record
+        # The record's ids ascend, so equal ids put each weight on its share row.
+        if list(tau) != self.ids:
+            raise WeightError("weight keys do not match share keys")
+        agg1 = partial_aggregate(self.shares, list(tau.values()), self.scale_bits)
         self.phase = PHASE_DONE
-        return reassemble_global(agg1, self._agg2)
+        return reassemble_global(agg1, agg2)
 
 
 class ServerS2(_ServerBase):
@@ -437,6 +429,7 @@ class ServerS2(_ServerBase):
     def __init__(self, expected_clients, round_no: int):
         super().__init__(2, expected_clients, round_no)
         self._centered: np.ndarray | None = None
+        self._weights: np.ndarray | None = None
 
     def receive_centered_batch(self, msg: ProtocolMessage) -> None:
         self._require(PHASE_COLLECTING, "accept centered shares")
@@ -454,30 +447,26 @@ class ServerS2(_ServerBase):
     def detect_and_weigh(self, state: TrustState, rng: np.random.Generator,
                          exclusion: str = "soft",
                          projection_dim: int | None = None,
-                         ) -> tuple[DetectionResult, TrustState, dict[int, float]]:
-        """Run hybrid detection, update trust, and produce this round's
-        normalized aggregation weights.  The detection result names rows;
-        row k is client self.ids[k]."""
+                         ) -> tuple[DetectionResult, TrustState, np.ndarray]:
+        """Run hybrid detection, update trust, and set this round's
+        normalized aggregation weights, which `publish` applies.  Detection,
+        trust and weights are indexed by row; row k is client self.ids[k]."""
         self._require(PHASE_CENTERING, "detect")
         assert self._centered is not None
         self.phase = PHASE_DETECTING
         result = detect(self._centered, rng, projection_dim)
         self._centered = None  # (N, d) floats nothing reads after detection
-        direct = {
-            cid: (direct_trust(result.features[k], result.centroid)
-                  if k in result.benign else 0.0)
-            for k, cid in enumerate(self.ids)
-        }
+        benign = np.array([k in result.benign for k in range(len(self.ids))])
+        direct = np.where(benign, direct_trust(result.features, result.centroid), 0.0)
         new_state = update_trust(state, direct)
-        excluded = [cid for k, cid in enumerate(self.ids) if k not in result.benign]
-        tau = trust_weights(new_state, excluded if exclusion == "hard" else ())
+        self._weights = trust_weights(new_state, ~benign if exclusion == "hard" else None)
         self.phase = PHASE_AGGREGATING
-        return result, new_state, tau
+        return result, new_state, self._weights
 
-    def publish(self, tau: Mapping[int, float]) -> RingVector:
-        """Weighted partial aggregate; it reaches S1 only through the
-        ledger record the caller writes from it."""
+    def publish(self) -> RingVector:
+        """Partial aggregate under the weights `detect_and_weigh` set; it
+        reaches S1 only through the ledger record the caller writes."""
         self._require(PHASE_AGGREGATING, "publish")
-        agg2 = partial_aggregate(self.shares, self._row_weights(tau), self.scale_bits)
+        agg2 = partial_aggregate(self.shares, self._weights, self.scale_bits)
         self.phase = PHASE_DONE
         return agg2

@@ -1,9 +1,10 @@
 """Per-client trust scores: distance-based direct trust, exponential
-moving-average history, and normalized aggregation weights."""
+moving-average history, and normalized aggregation weights.
+
+Every vector here is (N,) float64 with entry k for the server's row k."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -12,50 +13,52 @@ from .errors import AllZeroTrust
 
 @dataclass(frozen=True)
 class TrustState:
-    """EMA trust per client; beta is the history weight."""
+    """EMA trust per row; beta is the history weight."""
 
-    trust: dict[int, float]
+    trust: np.ndarray
     beta: float
-    round: int = 0
 
 
-def initial_trust(client_ids: Iterable[int], beta: float) -> TrustState:
+def initial_trust(n: int, beta: float) -> TrustState:
     """Neutral prior: every client starts at full trust."""
     if not 0 <= beta < 1:
         raise ValueError("beta must be in [0, 1)")
-    return TrustState({cid: 1.0 for cid in sorted(client_ids)}, beta, 0)
+    return TrustState(np.ones(n), beta)
 
 
-def direct_trust(feature: np.ndarray, centroid: np.ndarray) -> float:
-    """1 / (1 + distance) to the benign cluster centroid, on raw features."""
-    dist = float(np.linalg.norm(np.asarray(feature) - np.asarray(centroid)))
-    return 1.0 / (1.0 + dist)
+def direct_trust(features: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """1 / (1 + distance) of each feature row to the benign cluster
+    centroid, on raw features.  `vecdot` takes each row's dot product as
+    `np.linalg.norm` of that row does; a norm along an axis rounds
+    differently."""
+    diff = np.asarray(features, dtype=np.float64) - np.asarray(centroid)
+    return 1.0 / (1.0 + np.sqrt(np.vecdot(diff, diff)))
 
 
-def update_trust(state: TrustState, direct: Mapping[int, float]) -> TrustState:
+def update_trust(state: TrustState, direct: np.ndarray) -> TrustState:
     """EMA update: beta * old + (1 - beta) * direct.
 
-    Callers pass direct=0 for clients excluded this round, which decays
+    Callers pass direct=0 for rows excluded this round, which decays
     their trust geometrically.
     """
-    updated = {}
-    for cid, old in state.trust.items():
-        gamma = float(direct.get(cid, 0.0))
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError(f"direct trust {gamma} for client {cid} outside [0, 1]")
-        updated[cid] = state.beta * old + (1.0 - state.beta) * gamma
-    return TrustState(updated, state.beta, state.round + 1)
+    direct = np.asarray(direct, dtype=np.float64)
+    if direct.shape != state.trust.shape:
+        raise ValueError(f"{direct.shape} direct trust for {state.trust.shape} rows")
+    bad = np.flatnonzero(~((direct >= 0.0) & (direct <= 1.0)))  # NaN too
+    if bad.size:
+        raise ValueError(f"direct trust {direct[bad[0]]} for row {bad[0]} outside [0, 1]")
+    return TrustState(state.beta * state.trust + (1.0 - state.beta) * direct, state.beta)
 
 
-def weights(state: TrustState, force_zero: Iterable[int] = ()) -> dict[int, float]:
-    """Normalized aggregation weights tau_i = trust_i / sum(trust).
+def weights(state: TrustState, zero_mask: np.ndarray | None = None) -> np.ndarray:
+    """Normalized aggregation weights tau_k = trust_k / sum(trust).
 
-    `force_zero` implements hard exclusion: those clients get weight 0 and
-    the rest renormalize.
+    `zero_mask` implements hard exclusion: its rows get weight 0 and the
+    rest renormalize.  The total is Python's left-to-right sum, whose
+    rounding `np.sum`'s pairwise order does not reproduce.
     """
-    zero = set(force_zero)
-    live = {cid: (0.0 if cid in zero else t) for cid, t in state.trust.items()}
-    total = sum(live.values())
+    live = state.trust if zero_mask is None else np.where(zero_mask, 0.0, state.trust)
+    total = sum(live.tolist())
     if total <= 0.0:
         raise AllZeroTrust("no positive trust to normalize")
-    return {cid: t / total for cid, t in live.items()}
+    return live / total

@@ -48,6 +48,13 @@ class TestRunCommand:
         assert err.startswith("error: ") and "alpha" in err and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    def test_ill_typed_config_value_exits_two(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, rounds=2.5)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rounds" in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_empty_client_partition_exits_two(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, synth_train=100, n_clients=400,
                             partition="dirichlet", alpha=0.01)

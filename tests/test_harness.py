@@ -134,10 +134,47 @@ class TestConfig:
     dict(partition="dirichlet", alpha=float("nan")),
     dict(partition="dirichlet", alpha=float("inf")),
     dict(partition="dirichlet", alpha="1"),
+    dict(synth_classes=1),  # one class trains nothing; detection sees zero rows
 ], ids=repr)
 def test_config_rejects_bad_parameters(overrides):
     with pytest.raises(ConfigError):
         _desk_config(adv_ratio=0.2 if "attack" in overrides else 0.0, **overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(rounds=2.5),
+    dict(n_clients=6.5),
+    dict(batch_size=1.5),
+    dict(synth_train=100.5),
+    dict(scale_bits=16.5),
+    dict(seed="x"),
+    dict(seed=1.5),
+    dict(seed=2**63),
+    dict(hidden=True),
+    dict(projection_dim=True),
+    dict(scale_bits=True),
+    dict(rounds=True),
+    dict(aggregator="multikrum", aggregator_params={"f": True}),
+    dict(alpha=True),
+    dict(eta="0.1"),
+    dict(beta="0.5"),
+    dict(adv_ratio=None),
+    dict(adv_ratio=0.2, attack="fang"),
+    dict(adv_ratio=0.2, attack={"kind": "label_flip", "offset": True}),
+    dict(aggregator="multikrum", aggregator_params=[]),
+    dict(eta=float("nan")),
+    dict(eta=float("inf")),
+    dict(eta=10**400),
+    dict(train_subset=2.5),
+    dict(data_dir=5),
+], ids=repr)
+def test_config_rejects_ill_typed_values(overrides):
+    # Each of these used to fail mid-run with a bare TypeError, a
+    # struct.error or an OverflowError, or to run as if it were an int.
+    raw = dict(n_clients=10, rounds=5, seed=3, synth_train=600, synth_test=300,
+               synth_features=12, synth_classes=3)
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({**raw, **overrides})
 
 
 def test_config_accepts_each_rule_parameter():
@@ -151,6 +188,8 @@ def test_config_accepts_each_rule_parameter():
     _desk_config(projection_dim=1, hidden=1, fltrust_root_size=1)
     _desk_config(partition="dirichlet", alpha=0.01)
     _desk_config(partition="iid", alpha=0)  # alpha only shapes dirichlet draws
+    _desk_config(seed=-2**63, eta=1, beta=0, train_subset=0, test_subset=None)
+    _desk_config(seed=2**63 - 1, data_dir="data", synth_separation=-1)
 
 
 class TestRunDeterminism:
@@ -721,6 +760,25 @@ class TestLedgerReplay:
             run_experiment(_desk_config(rounds=2, seed=2), out_dir=tmp_path / "out")
         assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
 
+    def test_refuses_output_dir_holding_another_runs_artifacts(self, tmp_path):
+        # A Multi-Krum run writes no ledger; a FedAvg run after it must
+        # not leave its attack.csv beside the FedAvg metrics.
+        out = tmp_path / "out"
+        run_experiment(_desk_config(aggregator="multikrum", rounds=2, adv_ratio=0.2,
+                                    attack={"kind": "minmax"}), out_dir=out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "attack.csv" in before and "ledger.jsonl" not in before
+        with pytest.raises(OutputExists):
+            run_experiment(_desk_config(aggregator="fedavg", rounds=2), out_dir=out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("name", harness.ARTIFACTS)
+    def test_any_artifact_name_refuses_the_directory(self, tmp_path, name):
+        (tmp_path / name).write_text("")
+        with pytest.raises(OutputExists, match=name):
+            run_experiment(_desk_config(rounds=1), out_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
     def test_same_seed_reproduces_chain_hashes(self, tmp_path):
         cfg = _desk_config(rounds=4)
         a = run_experiment(cfg, out_dir=tmp_path / "a")
@@ -773,7 +831,7 @@ def test_secure_round_wire_bytes_match_analytic_sizes():
             return super().send(src, dst, msg)
 
     stack = substream(4, "wire").standard_normal((n, d))
-    harness._dp2guard_round(cfg, stack, 0, trust.initial_trust(range(n), cfg.beta),
+    harness._dp2guard_round(cfg, stack, 0, trust.initial_trust(n, cfg.beta),
                             Ledger(), Recording(), np.zeros(d))
     assert edges == {
         "client_to_s": 2 * n * (header + 10 + 8 * d),
@@ -791,7 +849,7 @@ def test_secure_round_allocates_no_share_sized_temporaries():
     cfg = _desk_config(n_clients=n, rounds=2)
     stack = substream(1, "alloc").standard_normal((n, d))
     params = np.zeros(d)
-    state = trust.initial_trust(range(n), cfg.beta)
+    state = trust.initial_trust(n, cfg.beta)
     ledger, channel = Ledger(), Channel()
     harness._dp2guard_round(cfg, stack, 0, state, ledger, channel, params)  # warm
     tracemalloc.start()

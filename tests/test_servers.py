@@ -335,7 +335,8 @@ class TestWireFormat:
 
 def _drive_to_publish(grads, seed, round_no=0, beta=0.5, exclusion="soft"):
     """Run a round up to S2's weights; returns
-    (s1, s2, detection, new_trust, tau, channel)."""
+    (s1, s2, detection, new_trust, tau, channel) with tau keyed by client
+    id, as the ledger records it."""
     ids = sorted(grads)
     channel = Channel()
     s1 = ServerS1(ids, round_no)
@@ -347,14 +348,14 @@ def _drive_to_publish(grads, seed, round_no=0, beta=0.5, exclusion="soft"):
         s2.receive_share(channel.send(f"client{cid}", "S2",
                                       encode_share_upload(MaskedShare(cid, round_no, 2, sh2))))
     s2.receive_centered_batch(channel.send("S1", "S2", s1.center_shares()))
-    detection, new_trust, tau = s2.detect_and_weigh(
-        initial_trust(ids, beta), substream(seed, "km"), exclusion)
-    return s1, s2, detection, new_trust, tau, channel
+    detection, new_trust, row_weights = s2.detect_and_weigh(
+        initial_trust(len(ids), beta), substream(seed, "km"), exclusion)
+    return s1, s2, detection, new_trust, dict(zip(ids, row_weights.tolist())), channel
 
 
 def _drive_round(grads, seed, round_no=0, beta=0.5):
     s1, s2, detection, _, tau, channel = _drive_to_publish(grads, seed, round_no, beta)
-    record = encode_agg_and_weights(round_no, 0, s2.publish(tau), tau)
+    record = encode_agg_and_weights(round_no, 0, s2.publish(), tau)
     s1.receive_agg_and_weights(channel.send("ledger", "S1", record))
     return s1.finalize(), detection, tau, channel, s1, s2
 
@@ -369,10 +370,10 @@ class TestServerStateMachines:
 
     @pytest.mark.parametrize("exclusion", ["soft", "hard"])
     def test_detection_rows_map_to_client_ids(self, exclusion):
-        # Detection names rows; S2 maps row k to its k-th smallest client
-        # id.  The same gradients under non-contiguous ids give the same
-        # detection, trust and weights, hard-exclusion zeros included,
-        # keyed by those ids.
+        # Detection, trust and weights name rows; row k is the k-th
+        # smallest client id.  The same gradients under non-contiguous ids
+        # give the same detection, trust and weights, hard-exclusion zeros
+        # included, keyed by those ids.
         rng = substream(104, "ids")
         rows = rng.uniform(-1, 1, size=(8, 12))
         rows[:2] += 4.0  # two outliers, so hard exclusion zeroes someone
@@ -383,7 +384,7 @@ class TestServerStateMachines:
             dict(zip(named, rows)), 105, exclusion=exclusion)
         assert got.benign == base.benign and not {0, 1} & got.benign
         assert np.array_equal(got.features, base.features)
-        assert trust.trust == {cid: base_trust.trust[k] for k, cid in enumerate(named)}
+        assert np.array_equal(trust.trust, base_trust.trust)
         assert tau == {cid: base_tau[k] for k, cid in enumerate(named)}
         zeros = {cid for cid, w in tau.items() if w == 0.0}
         assert zeros == ({3, 8} if exclusion == "hard" else set())
@@ -400,19 +401,11 @@ class TestServerStateMachines:
         return {0: 0.5, 99: 0.5}
 
     @pytest.mark.parametrize("change", ["extra", "missing", "foreign"])
-    def test_publish_rejects_weights_for_other_clients(self, change):
-        rng = substream(100, "keys")
-        grads = {i: rng.uniform(-1, 1, size=5) for i in range(4)}
-        _, s2, _, _, tau, _ = _drive_to_publish(grads, 101)
-        with pytest.raises(WeightError):
-            s2.publish(self._other_clients(tau, change))
-
-    @pytest.mark.parametrize("change", ["extra", "missing", "foreign"])
     def test_finalize_rejects_ledger_weights_for_other_clients(self, change):
         rng = substream(102, "keys")
         grads = {i: rng.uniform(-1, 1, size=5) for i in range(4)}
         s1, s2, _, _, tau, _ = _drive_to_publish(grads, 103)
-        record = encode_agg_and_weights(0, 0, s2.publish(tau),
+        record = encode_agg_and_weights(0, 0, s2.publish(),
                                         self._other_clients(tau, change))
         s1.receive_agg_and_weights(record)
         with pytest.raises(WeightError):
