@@ -12,8 +12,8 @@ from .attacks import (
     minsum_attack,
 )
 from .baselines import dnc, fedavg, fltrust, multi_krum
-from .client import ClientState, MaskedShare, split_and_mask
-from .data import Dataset, PartitionPlan, load_idx, partition, synth_dataset
+from .client import split_and_mask
+from .data import Dataset, load_idx, partition, synth_dataset
 from .defense import DetectionResult, cluster_and_select, detect
 from .harness import ExperimentConfig, RoundMetrics, RunResult, run_experiment
 from .ledger import Block, Ledger, verify_file
@@ -37,18 +37,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Block",
-    "ClientState",
     "Dataset",
     "DetectionResult",
     "ExperimentConfig",
     "FangSpec",
     "LabelFlipSpec",
     "Ledger",
-    "MaskedShare",
     "MinMaxSpec",
     "MinSumSpec",
     "Model",
-    "PartitionPlan",
     "RingVector",
     "RoundMetrics",
     "RunResult",

@@ -7,41 +7,11 @@ sum reconstructs the encoded gradient exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import models
-from .attacks import AttackSpec
 from .data import Dataset
 from .numeric import RingVector, clip_for_encoding, encode_fixed, uniform_words
-
-
-@dataclass(frozen=True)
-class MaskedShare:
-    """One of the two additive shares of a client's round gradient."""
-
-    client_id: int
-    round: int
-    share_index: int
-    payload: RingVector
-
-    def __post_init__(self):
-        if self.share_index not in (1, 2):
-            raise ValueError("share_index must be 1 or 2")
-
-
-@dataclass(frozen=True)
-class ClientState:
-    """Fixed per-experiment identity: id, local data, and role."""
-
-    client_id: int
-    dataset: Dataset
-    attack: AttackSpec | None = None
-
-    @property
-    def malicious(self) -> bool:
-        return self.attack is not None
 
 
 def split_and_mask(grad: np.ndarray, scale_bits: int,
@@ -98,7 +68,7 @@ def batch_gradient(model: models.Model, params: np.ndarray, dataset: Dataset,
     return model.grad(params, dataset.features[batch], dataset.labels[batch], out)
 
 
-def local_gradient(state: ClientState, model: models.Model, params: np.ndarray,
+def local_gradient(dataset: Dataset, model: models.Model, params: np.ndarray,
                    mode: str, batch_size: int, eta: float,
                    rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """The plaintext gradient a client would submit this round, written
@@ -109,7 +79,7 @@ def local_gradient(state: ClientState, model: models.Model, params: np.ndarray,
     and never reach this path.
     """
     if mode == "epoch":
-        return epoch_gradient(model, params, state.dataset, batch_size, eta, rng, out)
+        return epoch_gradient(model, params, dataset, batch_size, eta, rng, out)
     if mode == "batch":
-        return batch_gradient(model, params, state.dataset, batch_size, rng, out)
+        return batch_gradient(model, params, dataset, batch_size, rng, out)
     raise ValueError(f"unknown local mode {mode!r}")

@@ -49,22 +49,11 @@ class Dataset:
         return self.subset(np.arange(min(n, len(self))))
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
-    """Disjoint per-client sample indices plus the mode that produced them."""
-
-    assignments: tuple[np.ndarray, ...]
-    mode: str
-    alpha: float | None = None
-
-    @property
-    def n_clients(self) -> int:
-        return len(self.assignments)
-
-
 def partition(dataset: Dataset, n_clients: int, mode: str = "iid",
-              alpha: float = 0.5, rng: np.random.Generator | None = None) -> PartitionPlan:
-    """Split sample indices across clients.
+              alpha: float = 0.5, rng: np.random.Generator | None = None,
+              ) -> tuple[np.ndarray, ...]:
+    """Split sample indices across clients: disjoint sorted index arrays,
+    entry k for client k.
 
     "iid" shuffles uniformly and deals near-equal chunks.  "dirichlet" draws
     each class's mass across clients from Dirichlet(alpha, ..., alpha), so
@@ -83,7 +72,7 @@ def partition(dataset: Dataset, n_clients: int, mode: str = "iid",
         sizes = np.full(n_clients, len(dataset) // n_clients)
         sizes[: len(dataset) % n_clients] += 1
         splits = np.split(order, np.cumsum(sizes)[:-1])
-        return PartitionPlan(tuple(np.sort(s) for s in splits), "iid")
+        return tuple(np.sort(s) for s in splits)
 
     if mode != "dirichlet":
         raise ValueError(f"unknown partition mode {mode!r}")
@@ -103,10 +92,7 @@ def partition(dataset: Dataset, n_clients: int, mode: str = "iid",
                 buckets[client].append(chunk)
         sizes = [sum(len(c) for c in chunks) for chunks in buckets]
         if min(sizes) >= 1:
-            assignments = tuple(
-                np.sort(np.concatenate(chunks)) for chunks in buckets
-            )
-            return PartitionPlan(assignments, "dirichlet", alpha)
+            return tuple(np.sort(np.concatenate(chunks)) for chunks in buckets)
     raise EmptyClientError("dirichlet partition left a client empty after 100 draws")
 
 

@@ -247,7 +247,7 @@ class RunResult:
     weight_history: list[dict[int, float]] = field(default_factory=list)
     benign_history: list[frozenset[int]] = field(default_factory=list)
     params_history: list[np.ndarray] = field(default_factory=list)
-    gradient_history: list[dict[int, np.ndarray]] = field(default_factory=list)
+    gradient_history: list[np.ndarray] = field(default_factory=list)
 
     @property
     def final_accuracy(self) -> float:
@@ -328,18 +328,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
 
     train, test = load_datasets(cfg)
     model = models.Model(cfg.model, train.n_features, train.n_classes, hidden=cfg.hidden)
-    plan = partition(train, cfg.n_clients, cfg.partition, cfg.alpha,
-                     substream(cfg.seed, "partition"))
+    assignments = partition(train, cfg.n_clients, cfg.partition, cfg.alpha,
+                            substream(cfg.seed, "partition"))
     spec = cfg.parse_attack()
 
-    clients = []
-    for cid in range(cfg.n_clients):
-        local = train.subset(plan.assignments[cid])
-        role = spec if cid < cfg.n_malicious else None  # the first ids attack
-        if isinstance(role, attacks.LabelFlipSpec):
-            local = attacks.label_flip(local, role.offset, role.fraction,
+    # Client k trains on datasets[k]; the first n_malicious ids attack
+    # (ExperimentConfig.malicious_ids), and label flippers poison theirs here.
+    datasets = []
+    for cid, idx in enumerate(assignments):
+        local = train.subset(idx)
+        if isinstance(spec, attacks.LabelFlipSpec) and cid < cfg.n_malicious:
+            local = attacks.label_flip(local, spec.offset, spec.fraction,
                                        substream(cfg.seed, "poison", cid))
-        clients.append(client.ClientState(cid, local, role))
+        datasets.append(local)
 
     params = model.init_params(substream(cfg.seed, "model-init"))
     ledger = Ledger(out_path / "ledger.jsonl" if out_path else None)
@@ -354,10 +355,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     try:
         for round_no in range(cfg.rounds):
             started = time.perf_counter()
-            stack, crafted_norm = _round_gradients(cfg, clients, model, params,
+            stack, crafted_norm = _round_gradients(cfg, datasets, model, params,
                                                    round_no, spec)
             if record_history:
-                result.gradient_history.append({cid: g.copy() for cid, g in enumerate(stack)})
+                result.gradient_history.append(stack.copy())
 
             if cfg.aggregator == "dp2guard":
                 g_agg, detection, trust_state, tau = _dp2guard_round(
@@ -409,7 +410,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     return result
 
 
-def _round_gradients(cfg: ExperimentConfig, clients: Sequence[client.ClientState],
+def _round_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
                      model: models.Model, params: np.ndarray, round_no: int,
                      spec: attacks.AttackSpec | None,
                      ) -> tuple[np.ndarray, float | None]:
@@ -417,15 +418,13 @@ def _round_gradients(cfg: ExperimentConfig, clients: Sequence[client.ClientState
     client i: honest clients train, label-flip clients train on their
     poisoned partitions, and full-knowledge attacks are crafted from the
     honest rows (the harness side channel)."""
-    stack = np.empty((len(clients), params.shape[0]))
+    stack = np.empty((len(datasets), params.shape[0]))
     full_knowledge = isinstance(spec, (attacks.FangSpec, attacks.MinMaxSpec,
                                        attacks.MinSumSpec))
-    for state in clients:
-        if full_knowledge and state.malicious:
-            continue
-        rng = substream(cfg.seed, "client", state.client_id, round_no)
-        client.local_gradient(state, model, params, cfg.local_mode, cfg.batch_size,
-                              cfg.eta, rng, out=stack[state.client_id])
+    for cid in range(cfg.n_malicious if full_knowledge else 0, len(datasets)):
+        rng = substream(cfg.seed, "client", cid, round_no)
+        client.local_gradient(datasets[cid], model, params, cfg.local_mode,
+                              cfg.batch_size, cfg.eta, rng, out=stack[cid])
 
     crafted_norm = None
     if full_knowledge and cfg.n_malicious:
@@ -551,8 +550,8 @@ def _dp2guard_round(cfg: ExperimentConfig, stack: np.ndarray,
     for cid in ids:
         mask_rng = substream(cfg.seed, "mask", cid, round_no)
         sh1, sh2 = client.split_and_mask(stack[cid], cfg.scale_bits, mask_rng)
-        m1 = encode_share_upload(client.MaskedShare(cid, round_no, 1, sh1))
-        m2 = encode_share_upload(client.MaskedShare(cid, round_no, 2, sh2))
+        m1 = encode_share_upload(cid, round_no, 1, sh1)
+        m2 = encode_share_upload(cid, round_no, 2, sh2)
         s1.receive_share(channel.send(f"client{cid}", "S1", m1))
         s2.receive_share(channel.send(f"client{cid}", "S2", m2))
 
@@ -579,7 +578,7 @@ def _baseline_round(cfg: ExperimentConfig, stack: np.ndarray,
                     round_no: int, model: models.Model, params: np.ndarray,
                     root_data: Dataset | None):
     if cfg.aggregator == "fedavg":
-        return stack.mean(axis=0), None
+        return baselines.fedavg(stack), None
     if cfg.aggregator == "fltrust":
         root_grad = model.grad(params, root_data.features, root_data.labels)
         return baselines.fltrust(stack, root_grad), None

@@ -31,7 +31,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .client import MaskedShare
 from .defense import DetectionResult, detect
 from .errors import ClientSetMismatch, DimensionMismatch, FormatError, ProtocolError, WeightError
 from .numeric import (
@@ -130,24 +129,24 @@ class Channel:
         return received
 
 
-def encode_share_upload(share: MaskedShare) -> ProtocolMessage:
-    ring = share.payload
-    payload = b"".join((_UPLOAD_PREFIX.pack(share.client_id, share.share_index),
+def encode_share_upload(client_id: int, round_no: int, share_index: int,
+                        ring: RingVector) -> ProtocolMessage:
+    payload = b"".join((_UPLOAD_PREFIX.pack(client_id, share_index),
                         RING_HEADER.pack(len(ring), ring.scale_bits),
                         np.ascontiguousarray(ring.words, dtype="<u8")))
-    return ProtocolMessage(MSG_SHARE_UPLOAD, share.round, share.client_id, payload)
+    return ProtocolMessage(MSG_SHARE_UPLOAD, round_no, client_id, payload)
 
 
-def decode_share_upload(msg: ProtocolMessage) -> MaskedShare:
-    """The upload's share; its words are a read-only view into the payload."""
+def decode_share_upload(msg: ProtocolMessage) -> tuple[int, int, RingVector]:
+    """(client id, share index, ring) of a ShareUpload; the ring's words are
+    a read-only view into the payload."""
     payload = msg.payload
     if len(payload) < _UPLOAD_PREFIX.size:
         raise FormatError(f"ShareUpload of {len(payload)} bytes is shorter than its header")
     client_id, share_index = _UPLOAD_PREFIX.unpack_from(payload)
     if share_index not in (1, 2):
         raise FormatError(f"share index {share_index} is neither 1 nor 2")
-    ring = ring_view(payload, _UPLOAD_PREFIX.size)
-    return MaskedShare(client_id, msg.round, share_index, ring)
+    return client_id, share_index, ring_view(payload, _UPLOAD_PREFIX.size)
 
 
 def _batch_words(payload, count: int, d: int) -> np.ndarray:
@@ -357,26 +356,25 @@ class _ServerBase:
         self._require(PHASE_COLLECTING, "accept a share")
         if msg.round != self.round:
             raise ProtocolError(f"share for round {msg.round}, server at {self.round}")
-        share = decode_share_upload(msg)
-        row = self._row.get(share.client_id)
+        client_id, share_index, ring = decode_share_upload(msg)
+        row = self._row.get(client_id)
         if row is None:
-            raise ProtocolError(f"unexpected client {share.client_id}")
-        if share.client_id in self._received:
-            raise ProtocolError(f"duplicate share from client {share.client_id}")
-        if share.share_index != self.server_id:
-            raise ProtocolError(f"share index {share.share_index} uploaded to S{self.server_id}")
-        ring = share.payload
+            raise ProtocolError(f"unexpected client {client_id}")
+        if client_id in self._received:
+            raise ProtocolError(f"duplicate share from client {client_id}")
+        if share_index != self.server_id:
+            raise ProtocolError(f"share index {share_index} uploaded to S{self.server_id}")
         if self.shares is None:
             self.shares = np.empty((len(self.ids), len(ring)), dtype=np.uint64)
             self.scale_bits = ring.scale_bits
         elif (len(ring), ring.scale_bits) != (self.shares.shape[1], self.scale_bits):
             raise ProtocolError(
-                f"share of client {share.client_id} has d={len(ring)}, "
+                f"share of client {client_id} has d={len(ring)}, "
                 f"scale_bits={ring.scale_bits}; the round has d={self.shares.shape[1]}, "
                 f"scale_bits={self.scale_bits}"
             )
         self.shares[row] = ring.words
-        self._received.add(share.client_id)
+        self._received.add(client_id)
 
     def _require_all_shares(self) -> None:
         missing = [cid for cid in self.ids if cid not in self._received]

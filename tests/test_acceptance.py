@@ -24,7 +24,7 @@ from dp2guard.attacks import (
     minsum_attack,
     perturbation_direction,
 )
-from dp2guard.client import ClientState, local_gradient, split_and_mask
+from dp2guard.client import local_gradient, split_and_mask
 from dp2guard.data import partition
 from dp2guard.defense import detect, median_cosines, top_direction
 from dp2guard.harness import (
@@ -81,19 +81,17 @@ def test_criterion_2_pipeline_oracle_equivalence():
     assert res.model.dim == 7850
 
     train, _ = load_datasets(cfg)
-    plan = partition(train, cfg.n_clients, cfg.partition, cfg.alpha,
-                     substream(cfg.seed, "partition"))
-    clients = [ClientState(cid, train.subset(plan.assignments[cid]))
-               for cid in range(cfg.n_clients)]
+    assignments = partition(train, cfg.n_clients, cfg.partition, cfg.alpha,
+                            substream(cfg.seed, "partition"))
+    datasets = [train.subset(idx) for idx in assignments]
     params = res.model.init_params(substream(cfg.seed, "model-init"))
     worst = 0.0
     for t in range(cfg.rounds):
         tau = res.weight_history[t]
-        grads = {c.client_id: local_gradient(c, res.model, params, cfg.local_mode,
-                                             cfg.batch_size, cfg.eta,
-                                             substream(cfg.seed, "client",
-                                                       c.client_id, t))
-                 for c in clients}
+        grads = {cid: local_gradient(local, res.model, params, cfg.local_mode,
+                                     cfg.batch_size, cfg.eta,
+                                     substream(cfg.seed, "client", cid, t))
+                 for cid, local in enumerate(datasets)}
         agg = sum(tau[cid] * grads[cid] for cid in sorted(grads))
         params = models.sgd_step(params, agg, cfg.eta)
         worst = max(worst, float(np.max(np.abs(params - res.params_history[t]))))

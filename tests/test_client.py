@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from dp2guard.attacks import LabelFlipSpec, label_flip
-from dp2guard.client import (
-    ClientState,
-    epoch_gradient,
-    local_gradient,
-    split_and_mask,
-)
+from dp2guard.client import epoch_gradient, local_gradient, split_and_mask
 from dp2guard.data import synth_dataset
 from dp2guard.models import Model, sgd_step
 from dp2guard.numeric import decode_fixed, encode_fixed, ring_add, substream
@@ -65,9 +60,8 @@ class TestSplitAndMask:
         assert np.isfinite(back[0])
 
 
-def _client(seed, n=60, malicious=None):
-    data = synth_dataset(n, 6, 3, 3.0, substream(seed, "data"))
-    return ClientState(0, data, malicious)
+def _dataset(seed, n=60):
+    return synth_dataset(n, 6, 3, 3.0, substream(seed, "data"))
 
 
 class TestClientRound:
@@ -75,12 +69,12 @@ class TestClientRound:
     then split_and_mask."""
 
     def test_deterministic_given_streams(self):
-        state = _client(50)
+        data = _dataset(50)
         model = Model("logreg", 6, 3)
         params = model.init_params(substream(50, "init"))
 
         def shares():
-            grad = local_gradient(state, model, params, "epoch", 16, 0.1,
+            grad = local_gradient(data, model, params, "epoch", 16, 0.1,
                                   substream(50, "g", 3))
             return split_and_mask(grad, 16, substream(50, "m", 3))
 
@@ -89,10 +83,10 @@ class TestClientRound:
         assert np.array_equal(a2.words, b2.words)
 
     def test_reconstruction_matches_plaintext_gradient(self):
-        state = _client(51)
+        data = _dataset(51)
         model = Model("logreg", 6, 3)
         params = model.init_params(substream(51, "init"))
-        grad = local_gradient(state, model, params, "epoch", 16, 0.1,
+        grad = local_gradient(data, model, params, "epoch", 16, 0.1,
                               substream(51, "g"))
         s1, s2 = split_and_mask(grad, 16, substream(51, "m"))
         back = decode_fixed(ring_add(s1, s2))
@@ -100,13 +94,12 @@ class TestClientRound:
 
     def test_label_flip_client_matches_poisoned_oracle(self):
         spec = LabelFlipSpec(offset=1, fraction=0.5)
-        clean = _client(52)
-        poisoned_data = label_flip(clean.dataset, spec.offset, spec.fraction,
+        clean = _dataset(52)
+        poisoned_data = label_flip(clean, spec.offset, spec.fraction,
                                    substream(52, "p"))
-        poisoned = ClientState(0, poisoned_data, spec)
         model = Model("logreg", 6, 3)
         params = model.init_params(substream(52, "init"))
-        got = local_gradient(poisoned, model, params, "epoch", 16, 0.1,
+        got = local_gradient(poisoned_data, model, params, "epoch", 16, 0.1,
                              substream(52, "g"))
         want = epoch_gradient(model, params, poisoned_data, 16, 0.1,
                               substream(52, "g"))
@@ -131,9 +124,8 @@ class TestLocalTraining:
     def test_batch_mode_uses_single_minibatch(self):
         data = synth_dataset(40, 5, 2, 2.0, substream(55, "d"))
         model = Model("logreg", 5, 2)
-        state = ClientState(0, data)
         params = np.zeros(model.dim)
-        got = local_gradient(state, model, params, "batch", 8, 0.1,
+        got = local_gradient(data, model, params, "batch", 8, 0.1,
                              substream(55, "b"))
         batch = substream(55, "b").choice(len(data), size=8, replace=False)
         want = model.grad(params, data.features[batch], data.labels[batch])
@@ -146,11 +138,11 @@ def test_local_gradient_writes_into_the_given_row(mode):
     # gradient lands there, bit for bit the one returned without `out`, and
     # the neighbouring rows stay untouched.
     model = Model("mlp", 12, 4, hidden=9)
-    state = ClientState(0, synth_dataset(50, 12, 4, 3.0, substream(58, "d")))
+    data = synth_dataset(50, 12, 4, 3.0, substream(58, "d"))
     params = model.init_params(substream(58, "w"))
-    want = local_gradient(state, model, params, mode, 16, 0.05, substream(58, "o"))
+    want = local_gradient(data, model, params, mode, 16, 0.05, substream(58, "o"))
     stack = np.full((3, model.dim), np.nan)
-    got = local_gradient(state, model, params, mode, 16, 0.05, substream(58, "o"),
+    got = local_gradient(data, model, params, mode, 16, 0.05, substream(58, "o"),
                          out=stack[1])
     assert np.shares_memory(got, stack[1])
     assert np.array_equal(stack[1], want)

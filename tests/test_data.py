@@ -24,18 +24,18 @@ def _label_entropy(labels: np.ndarray, n_classes: int) -> float:
 class TestPartition:
     def test_iid_equal_split(self):
         data = synth_dataset(1000, 4, 5, 1.0, substream(0, "d"))
-        plan = partition(data, 10, "iid", rng=substream(0, "p"))
-        sizes = [len(a) for a in plan.assignments]
+        assignments = partition(data, 10, "iid", rng=substream(0, "p"))
+        sizes = [len(a) for a in assignments]
         assert sizes == [100] * 10
-        merged = np.sort(np.concatenate(plan.assignments))
+        merged = np.sort(np.concatenate(assignments))
         assert np.array_equal(merged, np.arange(1000))
 
     def test_iid_disjoint_with_remainder(self):
         data = synth_dataset(103, 4, 5, 1.0, substream(1, "d"))
-        plan = partition(data, 10, "iid", rng=substream(1, "p"))
-        sizes = [len(a) for a in plan.assignments]
+        assignments = partition(data, 10, "iid", rng=substream(1, "p"))
+        sizes = [len(a) for a in assignments]
         assert sum(sizes) == 103 and min(sizes) >= 10
-        merged = np.concatenate(plan.assignments)
+        merged = np.concatenate(assignments)
         assert len(np.unique(merged)) == 103
 
     def test_dirichlet_high_alpha_matches_global(self):
@@ -44,9 +44,9 @@ class TestPartition:
         for seed in range(10):
             data = synth_dataset(6000, 4, 5, 1.0, substream(seed, "dd"))
             glob = np.bincount(data.labels, minlength=5) / len(data)
-            plan = partition(data, 10, "dirichlet", alpha=1e6,
-                             rng=substream(seed, "dp"))
-            for idx in plan.assignments:
+            assignments = partition(data, 10, "dirichlet", alpha=1e6,
+                                    rng=substream(seed, "dp"))
+            for idx in assignments:
                 local = np.bincount(data.labels[idx], minlength=5) / len(idx)
                 assert np.max(np.abs(local - glob)) <= 0.02
 
@@ -57,9 +57,9 @@ class TestPartition:
         for seed in range(10):
             data = synth_dataset(10_000, 4, 10, 1.0, substream(seed, "sk"))
             global_entropy = _label_entropy(data.labels, 10)
-            plan = partition(data, 50, "dirichlet", alpha=0.5,
-                             rng=substream(seed, "sp"))
-            for idx in plan.assignments:
+            assignments = partition(data, 50, "dirichlet", alpha=0.5,
+                                    rng=substream(seed, "sp"))
+            for idx in assignments:
                 total += 1
                 if _label_entropy(data.labels[idx], 10) < global_entropy:
                     hits += 1
@@ -69,13 +69,13 @@ class TestPartition:
         data = synth_dataset(500, 3, 4, 1.0, substream(3, "d"))
         a = partition(data, 7, "dirichlet", alpha=0.5, rng=substream(3, "p"))
         b = partition(data, 7, "dirichlet", alpha=0.5, rng=substream(3, "p"))
-        for x, y in zip(a.assignments, b.assignments):
+        for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_every_client_gets_samples(self):
         data = synth_dataset(40, 3, 4, 1.0, substream(4, "d"))
-        plan = partition(data, 8, "dirichlet", alpha=0.1, rng=substream(4, "p"))
-        assert min(len(a) for a in plan.assignments) >= 1
+        assignments = partition(data, 8, "dirichlet", alpha=0.1, rng=substream(4, "p"))
+        assert min(len(a) for a in assignments) >= 1
 
     def test_too_few_samples_rejected(self):
         data = synth_dataset(3, 2, 2, 1.0, substream(5, "d"))

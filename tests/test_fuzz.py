@@ -19,7 +19,6 @@ import json
 import numpy as np
 import pytest
 
-from dp2guard.client import MaskedShare
 from dp2guard.errors import Dp2GuardError
 from dp2guard.ledger import (
     Ledger,
@@ -70,12 +69,13 @@ def _words(rng: np.random.Generator, d: int) -> np.ndarray:
 def valid_wires(rng: np.random.Generator) -> list[bytes]:
     """One well-formed message of each kind, with small random contents."""
     d = int(rng.integers(1, 6))
-    share = MaskedShare(3, 2, 1 + int(rng.integers(2)), RingVector(_words(rng, d), 16))
+    upload = encode_share_upload(3, 2, 1 + int(rng.integers(2)),
+                                 RingVector(_words(rng, d), 16))
     ids = [0, 2, 5]
     rows = _words(rng, len(ids) * d).reshape(len(ids), d)
     tau = {0: 0.25, 2: 0.5, 5: 0.25}
     return [encode_message(m) for m in (
-        encode_share_upload(share),
+        upload,
         encode_centered_batch(2, 1, ids, rows, d, 16),
         encode_agg_and_weights(2, 0, RingVector(_words(rng, d), 48), tau),
     )]
@@ -96,7 +96,8 @@ def receive(wire: bytes) -> bytes:
     back; raises what the decoders raise."""
     msg = decode_message(wire)
     if msg.kind == MSG_SHARE_UPLOAD:
-        payload = encode_share_upload(decode_share_upload(msg)).payload
+        client_id, share_index, ring = decode_share_upload(msg)
+        payload = encode_share_upload(client_id, msg.round, share_index, ring).payload
     elif msg.kind == MSG_CENTERED_BATCH:
         ids, words, scale_bits = decode_centered_batch(msg)
         payload = encode_centered_batch(msg.round, msg.sender, ids, words,

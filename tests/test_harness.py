@@ -10,7 +10,7 @@ import dp2guard.client as client_mod
 from dp2guard import baselines, harness, models, trust
 from dp2guard.attacks import fang_attack, fang_candidate
 from dp2guard.baselines import dnc_survivors, fedavg
-from dp2guard.client import ClientState, local_gradient, split_and_mask
+from dp2guard.client import local_gradient, split_and_mask
 from dp2guard.data import partition
 from dp2guard.defense import detect
 from dp2guard.errors import ConfigError, OutputExists
@@ -255,8 +255,9 @@ class TestPipelineOracle:
         params = res.model.init_params(substream(cfg.seed, "model-init"))
         for t in range(cfg.rounds):
             grads = res.gradient_history[t]
+            assert grads.shape == (cfg.n_clients, res.model.dim)
             tau = res.weight_history[t]
-            agg = sum(tau[cid] * grads[cid] for cid in sorted(grads))
+            agg = sum(tau[cid] * grads[cid] for cid in range(cfg.n_clients))
             params = models.sgd_step(params, agg, cfg.eta)
             assert np.max(np.abs(params - res.params_history[t])) <= 1e-3
 
@@ -265,23 +266,22 @@ class TestPipelineOracle:
         # FedAvg within 1e-3 per parameter per round.
         cfg = _desk_config(rounds=5)
         train, _ = load_datasets(cfg)
-        plan = partition(train, cfg.n_clients, "iid", cfg.alpha,
-                         substream(cfg.seed, "partition"))
-        clients = [ClientState(cid, train.subset(plan.assignments[cid]))
-                   for cid in range(cfg.n_clients)]
+        assignments = partition(train, cfg.n_clients, "iid", cfg.alpha,
+                                substream(cfg.seed, "partition"))
+        datasets = [train.subset(idx) for idx in assignments]
         model = models.Model(cfg.model, train.n_features, train.n_classes)
         masked = model.init_params(substream(cfg.seed, "model-init"))
         plain = masked.copy()
-        tau = {c.client_id: 1.0 / cfg.n_clients for c in clients}
+        tau = {cid: 1.0 / cfg.n_clients for cid in range(cfg.n_clients)}
         for t in range(cfg.rounds):
             grads_m, grads_p = {}, {}
-            for c in clients:
-                grads_m[c.client_id] = local_gradient(
-                    c, model, masked, "epoch", cfg.batch_size, cfg.eta,
-                    substream(cfg.seed, "client", c.client_id, t))
-                grads_p[c.client_id] = local_gradient(
-                    c, model, plain, "epoch", cfg.batch_size, cfg.eta,
-                    substream(cfg.seed, "client", c.client_id, t))
+            for cid, local in enumerate(datasets):
+                grads_m[cid] = local_gradient(
+                    local, model, masked, "epoch", cfg.batch_size, cfg.eta,
+                    substream(cfg.seed, "client", cid, t))
+                grads_p[cid] = local_gradient(
+                    local, model, plain, "epoch", cfg.batch_size, cfg.eta,
+                    substream(cfg.seed, "client", cid, t))
             shares1, shares2 = [], []
             for cid in sorted(grads_m):
                 s1, s2 = split_and_mask(grads_m[cid], cfg.scale_bits,
@@ -529,7 +529,7 @@ def test_loop_aggregate_equals_baseline_function(aggregator):
     res = run_experiment(cfg, record_history=True)
     params = res.model.init_params(substream(cfg.seed, "model-init"))
     for t in range(cfg.rounds):
-        rows = [res.gradient_history[t][cid] for cid in range(cfg.n_clients)]
+        rows = res.gradient_history[t]
         if aggregator == "fedavg":
             want = baselines.fedavg(rows)
         elif aggregator == "multikrum":
@@ -727,7 +727,7 @@ class TestConfigSurface:
             params = res.model.init_params(substream(cfg.seed, "model-init"))
             for t in range(cfg.rounds):
                 agg = sum(res.weight_history[t][cid] * res.gradient_history[t][cid]
-                          for cid in sorted(res.gradient_history[t]))
+                          for cid in range(cfg.n_clients))
                 params = models.sgd_step(params, agg, cfg.eta)
                 assert np.max(np.abs(params - res.params_history[t])) <= 1e-3
 
@@ -874,14 +874,13 @@ def test_multikrum_minmax_round_allocates_one_gradient_matrix():
                            rounds=2, synth_train=50 * n, synth_test=100, seed=3)
     train, _ = load_datasets(cfg)
     model = models.Model(cfg.model, train.n_features, train.n_classes, hidden=cfg.hidden)
-    plan = partition(train, n, cfg.partition, cfg.alpha, substream(cfg.seed, "partition"))
+    assignments = partition(train, n, cfg.partition, cfg.alpha, substream(cfg.seed, "partition"))
     spec = cfg.parse_attack()
-    clients = [ClientState(cid, train.subset(plan.assignments[cid]),
-                           spec if cid in cfg.malicious_ids else None) for cid in range(n)]
+    datasets = [train.subset(idx) for idx in assignments]
     params = model.init_params(substream(cfg.seed, "model-init"))
 
     def one_round(round_no):
-        stack, _ = harness._round_gradients(cfg, clients, model, params, round_no, spec)
+        stack, _ = harness._round_gradients(cfg, datasets, model, params, round_no, spec)
         return harness._baseline_round(cfg, stack, round_no, model, params, None)
 
     one_round(0)  # warm

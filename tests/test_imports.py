@@ -8,7 +8,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "dp2guard"
 # Exports without a caller in the package: the baseline rules as one call
 # each (rows in, aggregate out) for scripts and tests.  The round loop
 # composes their parts (multi_krum_select, dnc_survivors, kept_mean) instead.
-API_ENTRY_POINTS = {"dnc", "fedavg", "multi_krum"}
+API_ENTRY_POINTS = {"dnc", "multi_krum"}
+# Package modules a module must not import: the wire layer takes plain
+# values, not client records, and a client only trains and masks.
+FORBIDDEN_IMPORTS = {"servers.py": {"client"}, "client.py": {"attacks"}}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +40,19 @@ def exported_names(tree: ast.Module) -> set[str]:
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             names |= set(ast.literal_eval(node.value))
     return names
+
+
+def package_imports(source: str) -> set[str]:
+    """Sibling modules a package module imports (`from .x import y`,
+    `from . import x`)."""
+    modules: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                modules |= {alias.name for alias in node.names}
+            else:
+                modules.add(node.module.split(".")[0])
+    return modules
 
 
 def uncalled_exports(sources: dict[str, str]) -> list[str]:
@@ -75,3 +91,14 @@ def test_checker_flags_an_uncalled_export():
 def test_every_export_has_a_caller():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert sorted(set(uncalled_exports(sources)) - API_ENTRY_POINTS) == []
+
+
+def test_checker_lists_package_imports():
+    source = "import os\nfrom . import models, trust\nfrom .data import Dataset\n"
+    assert package_imports(source) == {"models", "trust", "data"}
+
+
+@pytest.mark.parametrize("name", sorted(FORBIDDEN_IMPORTS))
+def test_module_layering(name):
+    source = (SRC / name).read_text(encoding="utf-8")
+    assert package_imports(source) & FORBIDDEN_IMPORTS[name] == set()

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from dp2guard.client import MaskedShare, split_and_mask
+from dp2guard.client import split_and_mask
 from dp2guard.errors import ClientSetMismatch, FormatError, ProtocolError, WeightError
 from dp2guard.numeric import (
     RingVector,
@@ -262,7 +262,7 @@ class TestWireFormat:
         ring = RingVector(uniform_words(7, rng), 16)
         rows = np.stack([uniform_words(7, rng) for _ in range(3)])
         sent = [
-            encode_share_upload(MaskedShare(4, 6, 2, ring)),
+            encode_share_upload(4, 6, 2, ring),
             encode_centered_batch(6, 1, [0, 2, 5], rows, 7, 16),
             encode_agg_and_weights(6, 0, RingVector(uniform_words(7, rng), 48),
                                    {0: 0.25, 2: 0.25, 5: 0.5}),
@@ -283,14 +283,15 @@ class TestWireFormat:
             Channel().send("a", "b", ProtocolMessage(9, 0, 0, b"x"))
 
     def test_share_upload_round_trip(self):
-        share = MaskedShare(5, 2, 1, RingVector(uniform_words(9, substream(79, "w")), 16))
-        back = decode_share_upload(encode_share_upload(share))
-        assert back.client_id == 5 and back.round == 2 and back.share_index == 1
-        assert np.array_equal(back.payload.words, share.payload.words)
+        ring = RingVector(uniform_words(9, substream(79, "w")), 16)
+        msg = encode_share_upload(5, 2, 1, ring)
+        client_id, share_index, back = decode_share_upload(msg)
+        assert client_id == 5 and msg.round == 2 and share_index == 1
+        assert np.array_equal(back.words, ring.words) and back.scale_bits == 16
 
     def test_share_upload_layout(self):
         ring = RingVector(uniform_words(3, substream(79, "layout")), 16)
-        msg = encode_share_upload(MaskedShare(5, 2, 2, ring))
+        msg = encode_share_upload(5, 2, 2, ring)
         want = struct.pack("<IBIB", 5, 2, 3, 16) + ring.words.astype("<u8").tobytes()
         assert bytes(msg.payload) == want
 
@@ -344,9 +345,9 @@ def _drive_to_publish(grads, seed, round_no=0, beta=0.5, exclusion="soft"):
     for cid in ids:
         sh1, sh2 = split_and_mask(grads[cid], 16, substream(seed, "mask", cid))
         s1.receive_share(channel.send(f"client{cid}", "S1",
-                                      encode_share_upload(MaskedShare(cid, round_no, 1, sh1))))
+                                      encode_share_upload(cid, round_no, 1, sh1)))
         s2.receive_share(channel.send(f"client{cid}", "S2",
-                                      encode_share_upload(MaskedShare(cid, round_no, 2, sh2))))
+                                      encode_share_upload(cid, round_no, 2, sh2)))
     s2.receive_centered_batch(channel.send("S1", "S2", s1.center_shares()))
     detection, new_trust, row_weights = s2.detect_and_weigh(
         initial_trust(len(ids), beta), substream(seed, "km"), exclusion)
@@ -418,16 +419,16 @@ class TestServerStateMachines:
         s1 = ServerS1(ids, 0)
         for cid in ids:
             sh1, _ = split_and_mask(grads[cid], 16, substream(85, "m", cid))
-            s1.receive_share(encode_share_upload(MaskedShare(cid, 0, 1, sh1)))
+            s1.receive_share(encode_share_upload(cid, 0, 1, sh1))
         s1.center_shares()
         sh1, _ = split_and_mask(grads[0], 16, substream(85, "m", 99))
         with pytest.raises(ProtocolError):
-            s1.receive_share(encode_share_upload(MaskedShare(0, 0, 1, sh1)))
+            s1.receive_share(encode_share_upload(0, 0, 1, sh1))
 
     def test_centering_before_all_shares_rejected(self):
         s1 = ServerS1([0, 1, 2], 0)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(86, "m"))
-        s1.receive_share(encode_share_upload(MaskedShare(0, 0, 1, sh1)))
+        s1.receive_share(encode_share_upload(0, 0, 1, sh1))
         with pytest.raises(ProtocolError):
             s1.center_shares()
 
@@ -435,23 +436,23 @@ class TestServerStateMachines:
         s1 = ServerS1([0], 5)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(87, "m"))
         with pytest.raises(ProtocolError):
-            s1.receive_share(encode_share_upload(MaskedShare(0, 4, 1, sh1)))
+            s1.receive_share(encode_share_upload(0, 4, 1, sh1))
 
     def test_duplicate_and_unknown_clients_rejected(self):
         s1 = ServerS1([0, 1], 0)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(88, "m"))
-        msg = encode_share_upload(MaskedShare(0, 0, 1, sh1))
+        msg = encode_share_upload(0, 0, 1, sh1)
         s1.receive_share(msg)
         with pytest.raises(ProtocolError):
             s1.receive_share(msg)
         with pytest.raises(ProtocolError):
-            s1.receive_share(encode_share_upload(MaskedShare(9, 0, 1, sh1)))
+            s1.receive_share(encode_share_upload(9, 0, 1, sh1))
 
     def test_share_index_must_match_server(self):
         s2 = ServerS2([0], 0)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(89, "m"))
         with pytest.raises(ProtocolError):
-            s2.receive_share(encode_share_upload(MaskedShare(0, 0, 1, sh1)))
+            s2.receive_share(encode_share_upload(0, 0, 1, sh1))
 
     def test_weights_before_centering_rejected(self):
         s1 = ServerS1([0], 0)
@@ -478,7 +479,7 @@ class TestServerStateMachines:
 class TestTypedDecodeErrors:
     def _upload(self):
         sh1, _ = split_and_mask(np.ones(4), 16, substream(93, "m"))
-        return encode_share_upload(MaskedShare(0, 0, 1, sh1))
+        return encode_share_upload(0, 0, 1, sh1)
 
     def _batch(self):
         rows = np.stack([uniform_words(4, substream(94, "b", k)) for k in range(3)])
@@ -568,17 +569,17 @@ class TestShareMatrixChecks:
         s1 = ServerS1([0, 1], 0)
         a, _ = split_and_mask(np.ones(4), 16, substream(95, "m"))
         b, _ = split_and_mask(np.ones(5), 16, substream(95, "m"))
-        s1.receive_share(encode_share_upload(MaskedShare(0, 0, 1, a)))
+        s1.receive_share(encode_share_upload(0, 0, 1, a))
         with pytest.raises(ProtocolError):
-            s1.receive_share(encode_share_upload(MaskedShare(1, 0, 1, b)))
+            s1.receive_share(encode_share_upload(1, 0, 1, b))
 
     def test_scale_change_rejected(self):
         s1 = ServerS1([0, 1], 0)
         a, _ = split_and_mask(np.ones(4), 16, substream(96, "m"))
         b, _ = split_and_mask(np.ones(4), 20, substream(96, "m"))
-        s1.receive_share(encode_share_upload(MaskedShare(0, 0, 1, a)))
+        s1.receive_share(encode_share_upload(0, 0, 1, a))
         with pytest.raises(ProtocolError):
-            s1.receive_share(encode_share_upload(MaskedShare(1, 0, 1, b)))
+            s1.receive_share(encode_share_upload(1, 0, 1, b))
 
     def test_rows_follow_client_id_order(self):
         # Uploads arrive in any order; row k holds the k-th smallest id.
@@ -587,7 +588,7 @@ class TestShareMatrixChecks:
         rings = {cid: split_and_mask(np.full(3, float(cid)), 16, substream(97, cid))[0]
                  for cid in ids}
         for cid in ids:
-            s1.receive_share(encode_share_upload(MaskedShare(cid, 0, 1, rings[cid])))
+            s1.receive_share(encode_share_upload(cid, 0, 1, rings[cid]))
         assert s1.ids == [2, 5, 7]
         for k, cid in enumerate(sorted(ids)):
             assert np.array_equal(s1.shares[k], rings[cid].words)
@@ -598,7 +599,7 @@ class TestShareMatrixChecks:
         s2 = ServerS2(sorted(grads), 0)
         for cid, g in grads.items():
             _, sh2 = split_and_mask(g, 16, substream(99, "mask", cid))
-            s2.receive_share(encode_share_upload(MaskedShare(cid, 0, 2, sh2)))
+            s2.receive_share(encode_share_upload(cid, 0, 2, sh2))
         rows = np.stack([uniform_words(6, rng) for _ in range(3)])
         with pytest.raises(ClientSetMismatch):
             s2.receive_centered_batch(encode_centered_batch(0, 1, [0, 1, 5], rows, 6, 16))
