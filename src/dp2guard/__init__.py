@@ -18,13 +18,7 @@ from .defense import DetectionResult, cluster_and_select, detect
 from .harness import ExperimentConfig, RoundMetrics, RunResult, run_experiment
 from .ledger import Block, Ledger, verify_file
 from .models import Model, sgd_step
-from .numeric import (
-    RingVector,
-    decode_fixed,
-    encode_fixed,
-    ring_add,
-    substream,
-)
+from .numeric import decode_fixed, encode_fixed, substream
 from .servers import (
     mean_center,
     partial_aggregate,
@@ -46,7 +40,6 @@ __all__ = [
     "MinMaxSpec",
     "MinSumSpec",
     "Model",
-    "RingVector",
     "RoundMetrics",
     "RunResult",
     "TrustState",
@@ -70,7 +63,6 @@ __all__ = [
     "partition",
     "reassemble_global",
     "reconstruct_centered",
-    "ring_add",
     "run_experiment",
     "sgd_step",
     "split_and_mask",

@@ -1,9 +1,9 @@
 """Client-side protocol: local training, gradient splitting, and masking.
 
 A client's gradient is encoded into the fixed-point ring and split into two
-additive shares: one uniformly random ring vector u, and its complement
+additive shares: one uniformly random word vector u, and its complement
 encoded - u.  Either share alone is uniform over the ring; their wrapping
-sum reconstructs the encoded gradient exactly.
+sum (np.add) reconstructs the encoded gradient exactly.
 """
 from __future__ import annotations
 
@@ -11,23 +11,28 @@ import numpy as np
 
 from . import models
 from .data import Dataset
-from .numeric import RingVector, clip_for_encoding, encode_fixed, uniform_words
+from .numeric import clip_for_encoding, encode_fixed, uniform_words
 
 
-def split_and_mask(grad: np.ndarray, scale_bits: int,
-                   rng: np.random.Generator) -> tuple[RingVector, RingVector]:
-    """Split an encoded gradient into two additive shares, each uniform
-    over the ring on its own.
+def split_and_mask(grad: np.ndarray, scale_bits: int, rng: np.random.Generator,
+                   out: tuple[np.ndarray, np.ndarray] | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Split an encoded gradient into two additive uint64 shares, each
+    uniform over the ring on its own, written into `out` (the round loop
+    passes the words of its two ShareUpload payloads) or fresh arrays.
 
-    Draws exactly one word per entry from `rng`.  ring_add of the two
-    results always decodes to the encode-quantized gradient, bit-for-bit,
-    whatever the rng produced.
+    Draws exactly one word per entry from `rng`.  np.add of the shares
+    always equals the encode-quantized gradient, whatever the rng produced.
     """
-    encoded = encode_fixed(clip_for_encoding(grad, scale_bits), scale_bits).words
+    encoded = encode_fixed(clip_for_encoding(grad, scale_bits), scale_bits)
     # Share 1 is one uniform word per entry, which alone hides the entry;
     # share 2 is its complement encoded - share 1 in the ring.
     share1 = uniform_words(len(encoded), rng)
-    return RingVector(share1, scale_bits), RingVector(encoded - share1, scale_bits)
+    if out is None:
+        return share1, np.subtract(encoded, share1, out=encoded)
+    out[0][...] = share1
+    np.subtract(encoded, share1, out=out[1])
+    return out
 
 
 def epoch_gradient(model: models.Model, params: np.ndarray, dataset: Dataset,

@@ -23,7 +23,7 @@ from .ledger import (
     payload_agg_blob,
     payload_trust_weights,
 )
-from .numeric import ring_view, serialize_ring, substream
+from .numeric import rekey, ring_view, serialize_ring, substream
 from .servers import (
     Channel,
     ServerS1,
@@ -421,10 +421,11 @@ def _round_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
     stack = np.empty((len(datasets), params.shape[0]))
     full_knowledge = isinstance(spec, (attacks.FangSpec, attacks.MinMaxSpec,
                                        attacks.MinSumSpec))
+    rng = np.random.Generator(np.random.Philox(0))  # re-keyed for each client
     for cid in range(cfg.n_malicious if full_knowledge else 0, len(datasets)):
-        rng = substream(cfg.seed, "client", cid, round_no)
         client.local_gradient(datasets[cid], model, params, cfg.local_mode,
-                              cfg.batch_size, cfg.eta, rng, out=stack[cid])
+                              cfg.batch_size, cfg.eta,
+                              rekey(rng, cfg.seed, "client", cid, round_no), out=stack[cid])
 
     crafted_norm = None
     if full_knowledge and cfg.n_malicious:
@@ -547,11 +548,14 @@ def _dp2guard_round(cfg: ExperimentConfig, stack: np.ndarray,
     s1 = ServerS1(ids, round_no)
     s2 = ServerS2(ids, round_no)
 
+    mask_rng = np.random.Generator(np.random.Philox(0))  # re-keyed for each client
     for cid in ids:
-        mask_rng = substream(cfg.seed, "mask", cid, round_no)
-        sh1, sh2 = client.split_and_mask(stack[cid], cfg.scale_bits, mask_rng)
-        m1 = encode_share_upload(cid, round_no, 1, sh1)
-        m2 = encode_share_upload(cid, round_no, 2, sh2)
+        # Each share is written straight into its upload's payload.
+        m1, words1 = encode_share_upload(cid, round_no, 1, stack.shape[1], cfg.scale_bits)
+        m2, words2 = encode_share_upload(cid, round_no, 2, stack.shape[1], cfg.scale_bits)
+        client.split_and_mask(stack[cid], cfg.scale_bits,
+                              rekey(mask_rng, cfg.seed, "mask", cid, round_no),
+                              out=(words1, words2))
         s1.receive_share(channel.send(f"client{cid}", "S1", m1))
         s2.receive_share(channel.send(f"client{cid}", "S2", m2))
 
@@ -560,15 +564,17 @@ def _dp2guard_round(cfg: ExperimentConfig, stack: np.ndarray,
     detection, new_trust, row_weights = s2.detect_and_weigh(
         trust_state, substream(cfg.seed, "cluster", round_no),
         cfg.exclusion, cfg.projection_dim)
-    agg2 = s2.publish()
+    agg2, agg_scale = s2.publish()
     tau = dict(zip(s2.ids, row_weights.tolist()))
 
     model_digest = hashlib.sha256(params.tobytes()).digest()
-    ledger.append(round_no, make_round_payload(serialize_ring(agg2), tau, model_digest))
+    ledger.append(round_no, make_round_payload(serialize_ring(agg2, agg_scale), tau,
+                                               model_digest))
 
     payload = ledger.read_round(round_no)
-    agg2_read, tau_read = ring_view(payload_agg_blob(payload)), payload_trust_weights(payload)
-    ledger_msg = encode_agg_and_weights(round_no, LEDGER_SENDER, agg2_read, tau_read)
+    agg2_read, agg_scale_read = ring_view(payload_agg_blob(payload))
+    ledger_msg = encode_agg_and_weights(round_no, LEDGER_SENDER, agg2_read, agg_scale_read,
+                                        payload_trust_weights(payload))
     s1.receive_agg_and_weights(channel.send("ledger", "S1", ledger_msg))
 
     return s1.finalize(), detection, new_trust, tau

@@ -2,10 +2,10 @@
 
 Masked gradient shares need arithmetic where a mask added on one side and
 subtracted on the other cancels bit-for-bit.  Floating-point addition
-rounds, so shares live as uint64 words holding two's-complement fixed-point
-values; all arithmetic wraps modulo 2**64.  A value x is encoded as
-round(x * 2**scale_bits), and adding a uniformly random ring element hides
-it information-theoretically.
+rounds, so shares are plain uint64 arrays of two's-complement fixed-point
+words, whose arithmetic wraps modulo 2**64; their `scale_bits` travels
+beside them.  A value x is encoded as round(x * 2**scale_bits), and adding
+a uniformly random ring element hides it information-theoretically.
 
 Randomness is counter-based (Philox) and derived from a (seed, path) key,
 so every actor, round, and purpose gets an independent stream that is
@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FormatError
+from .errors import FormatError
 
 DEFAULT_SCALE_BITS = 16
 # Bits kept free below the sign bit by the encoding clip: a plain sum of up
@@ -31,22 +30,6 @@ DEFAULT_SCALE_BITS = 16
 SUM_HEADROOM_BITS = 8
 
 _TWO63 = 2.0**63
-
-
-@dataclass(frozen=True)
-class RingVector:
-    """Vector of uint64 ring words with a fixed-point scale."""
-
-    words: np.ndarray
-    scale_bits: int = DEFAULT_SCALE_BITS
-
-    def __post_init__(self):
-        if self.words.dtype != np.uint64:
-            raise TypeError("ring words must be uint64")
-        self.words.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.words.shape[0]
 
 
 def clip_bound(scale_bits: int) -> float:
@@ -62,8 +45,9 @@ def clip_for_encoding(values: np.ndarray, scale_bits: int = DEFAULT_SCALE_BITS) 
     return np.clip(values, -bound, bound)
 
 
-def encode_fixed(values: np.ndarray, scale_bits: int = DEFAULT_SCALE_BITS) -> RingVector:
-    """Encode real entries as two's-complement fixed point.
+def encode_fixed(values: np.ndarray, scale_bits: int = DEFAULT_SCALE_BITS) -> np.ndarray:
+    """Encode real entries as two's-complement fixed point: fresh, writable
+    uint64 words carrying `scale_bits` fractional bits.
 
     Raises OverflowError if any entry is non-finite or out of range.
     """
@@ -80,26 +64,12 @@ def encode_fixed(values: np.ndarray, scale_bits: int = DEFAULT_SCALE_BITS) -> Ri
         raise OverflowError(
             f"entries exceed the representable range at scale_bits={scale_bits}"
         )
-    return RingVector(scaled.astype(np.int64).view(np.uint64), scale_bits)
+    return scaled.astype(np.int64).view(np.uint64)
 
 
-def decode_fixed(ring: RingVector) -> np.ndarray:
+def decode_fixed(words: np.ndarray, scale_bits: int) -> np.ndarray:
     """Interpret words as signed fixed point and return real entries."""
-    signed = ring.words.view(np.int64)
-    return signed.astype(np.float64) * 2.0 ** (-ring.scale_bits)
-
-
-def _check_compatible(a: RingVector, b: RingVector) -> None:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"dimension {len(a)} != {len(b)}")
-    if a.scale_bits != b.scale_bits:
-        raise DimensionMismatch(f"scale_bits {a.scale_bits} != {b.scale_bits}")
-
-
-def ring_add(a: RingVector, b: RingVector) -> RingVector:
-    """Component-wise wrapping add."""
-    _check_compatible(a, b)
-    return RingVector(np.add(a.words, b.words), a.scale_bits)
+    return words.view(np.int64).astype(np.float64) * 2.0 ** (-scale_bits)
 
 
 def uniform_words(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -117,14 +87,15 @@ def uniform_words(d: int, rng: np.random.Generator) -> np.ndarray:
 RING_HEADER = struct.Struct("<IB")
 
 
-def serialize_ring(ring: RingVector) -> bytes:
-    return b"".join((RING_HEADER.pack(len(ring), ring.scale_bits),
-                     np.ascontiguousarray(ring.words, dtype="<u8")))
+def serialize_ring(words: np.ndarray, scale_bits: int) -> bytes:
+    return b"".join((RING_HEADER.pack(len(words), scale_bits),
+                     np.ascontiguousarray(words, dtype="<u8")))
 
 
-def ring_view(buf, offset: int = 0) -> RingVector:
-    """The serialized ring that fills `buf` from `offset` to its end; the
-    words are a read-only view into `buf`, not a copy."""
+def ring_view(buf, offset: int = 0) -> tuple[np.ndarray, int]:
+    """(words, scale_bits) of the serialized ring that fills `buf` from
+    `offset` to its end; the words are a read-only view into `buf`, not a
+    copy."""
     if len(buf) - offset < RING_HEADER.size:
         raise FormatError("ring payload shorter than its header")
     d, scale_bits = RING_HEADER.unpack_from(buf, offset)
@@ -132,25 +103,33 @@ def ring_view(buf, offset: int = 0) -> RingVector:
     if body != 8 * d:
         raise FormatError(f"expected {8 * d} word bytes, got {body}")
     words = np.frombuffer(buf, dtype="<u8", count=d, offset=offset + RING_HEADER.size)
-    return RingVector(words, scale_bits)
+    words.setflags(write=False)
+    return words, scale_bits
+
+
+def _stream_key(seed: int, *path: int | str) -> int:
+    """128-bit Philox key of (seed, path): the head of a SHA-256 digest of
+    the seed and the type-tagged path elements."""
+    parts = [struct.pack("<q", seed)]
+    for part in path:
+        parts += ((b"s", part.encode("utf-8"), b"\x00") if isinstance(part, str)
+                  else (b"i", struct.pack("<q", part)))
+    return int.from_bytes(hashlib.sha256(b"".join(parts)).digest()[:16], "little")
 
 
 def substream(seed: int, *path: int | str) -> np.random.Generator:
-    """Independent reproducible generator keyed by (seed, path).
+    """Independent reproducible generator keyed by (seed, path): distinct
+    paths never share state, and the stream is identical across platforms."""
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, *path)))
 
-    The key is a SHA-256 digest of the seed and path elements, feeding a
-    counter-based Philox generator, so distinct paths never share state and
-    the byte stream is identical across platforms.
-    """
-    h = hashlib.sha256()
-    h.update(struct.pack("<q", seed))
-    for part in path:
-        if isinstance(part, str):
-            h.update(b"s")
-            h.update(part.encode("utf-8"))
-            h.update(b"\x00")
-        else:
-            h.update(b"i")
-            h.update(struct.pack("<q", part))
-    key = int.from_bytes(h.digest()[:16], "little")
-    return np.random.Generator(np.random.Philox(key=key))
+
+def rekey(rng: np.random.Generator, seed: int, *path: int | str) -> np.random.Generator:
+    """Reset `rng`, a Philox generator, to the state substream(seed, *path)
+    starts in (that key, counter 0, no buffered word or half word; a
+    Generator keeps no state of its own) and return it.  Several times
+    cheaper than a fresh generator, so per-client loops reuse one."""
+    key = _stream_key(seed, *path)
+    state = {"counter": (0, 0, 0, 0), "key": (key % 2**64, key >> 64)}
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": state, "buffer": (0, 0, 0, 0),
+                               "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng

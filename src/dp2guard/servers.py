@@ -26,21 +26,13 @@ one round, so nothing is kept across rounds.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .defense import DetectionResult, detect
 from .errors import ClientSetMismatch, DimensionMismatch, FormatError, ProtocolError, WeightError
-from .numeric import (
-    RING_HEADER,
-    RingVector,
-    decode_fixed,
-    ring_add,
-    ring_view,
-    serialize_ring,
-)
+from .numeric import RING_HEADER, decode_fixed, ring_view, serialize_ring
 from .trust import TrustState, direct_trust, update_trust, weights as trust_weights
 
 WEIGHT_BITS = 32
@@ -58,6 +50,11 @@ _KIND_NAMES = {
 _MSG_HEADER = struct.Struct("<BIIQ")
 # ShareUpload: client id and share index, then the serialized ring.
 _UPLOAD_PREFIX = struct.Struct("<IB")
+_UPLOAD_HEAD = struct.Struct(_UPLOAD_PREFIX.format + RING_HEADER.format[1:])
+# Its payload starts _UPLOAD_PAD bytes into a word buffer, so that its
+# share words, after _UPLOAD_LEAD words, are aligned.
+_UPLOAD_LEAD = -(-_UPLOAD_HEAD.size // 8)
+_UPLOAD_PAD = 8 * _UPLOAD_LEAD - _UPLOAD_HEAD.size
 # CenteredBatch: a record count, then per client its id and the length of
 # its serialized ring, followed by that ring.
 _BATCH_COUNT = struct.Struct("<I")
@@ -68,9 +65,10 @@ _WEIGHT_COUNT = struct.Struct("<I")
 _WEIGHT_RECORD = struct.Struct("<Id")
 
 
-@dataclass(frozen=True)
-class ProtocolMessage:
-    """One message between protocol parties.
+class ProtocolMessage(NamedTuple):
+    """One message between protocol parties (a named tuple: every
+    message is built once and never changed, and a tuple is the cheapest
+    immutable record to build).
 
     `payload` is any bytes-like object: encoders build bytes or a
     memoryview, and a received message carries a read-only memoryview of
@@ -129,24 +127,26 @@ class Channel:
         return received
 
 
-def encode_share_upload(client_id: int, round_no: int, share_index: int,
-                        ring: RingVector) -> ProtocolMessage:
-    payload = b"".join((_UPLOAD_PREFIX.pack(client_id, share_index),
-                        RING_HEADER.pack(len(ring), ring.scale_bits),
-                        np.ascontiguousarray(ring.words, dtype="<u8")))
-    return ProtocolMessage(MSG_SHARE_UPLOAD, round_no, client_id, payload)
+def encode_share_upload(client_id: int, round_no: int, share_index: int, d: int,
+                        scale_bits: int) -> tuple[ProtocolMessage, np.ndarray]:
+    """A ShareUpload of d words at `scale_bits`, and a writable view of
+    those words in its payload, which the caller fills before sending."""
+    buf = np.empty(_UPLOAD_LEAD + d, dtype="<u8")
+    _UPLOAD_HEAD.pack_into(buf, _UPLOAD_PAD, client_id, share_index, d, scale_bits)
+    payload = memoryview(buf).cast("B")[_UPLOAD_PAD:]
+    return ProtocolMessage(MSG_SHARE_UPLOAD, round_no, client_id, payload), buf[_UPLOAD_LEAD:]
 
 
-def decode_share_upload(msg: ProtocolMessage) -> tuple[int, int, RingVector]:
-    """(client id, share index, ring) of a ShareUpload; the ring's words are
-    a read-only view into the payload."""
+def decode_share_upload(msg: ProtocolMessage) -> tuple[int, int, np.ndarray, int]:
+    """(client id, share index, words, scale_bits) of a ShareUpload; the
+    words are a read-only view into the payload."""
     payload = msg.payload
     if len(payload) < _UPLOAD_PREFIX.size:
         raise FormatError(f"ShareUpload of {len(payload)} bytes is shorter than its header")
     client_id, share_index = _UPLOAD_PREFIX.unpack_from(payload)
     if share_index not in (1, 2):
         raise FormatError(f"share index {share_index} is neither 1 nor 2")
-    return client_id, share_index, ring_view(payload, _UPLOAD_PREFIX.size)
+    return (client_id, share_index, *ring_view(payload, _UPLOAD_PREFIX.size))
 
 
 def _batch_words(payload, count: int, d: int) -> np.ndarray:
@@ -199,10 +199,10 @@ def decode_centered_batch(msg: ProtocolMessage) -> tuple[list[int], np.ndarray, 
         offset += _BATCH_RECORD.size
         if len(payload) < offset + blob_len:
             raise FormatError(f"CenteredBatch truncated in record {k} of {count}")
-        ring = ring_view(payload[offset:offset + blob_len])
+        words, record_scale = ring_view(payload[offset:offset + blob_len])
         if k == 0:
-            d, scale_bits = len(ring), ring.scale_bits
-        elif (len(ring), ring.scale_bits) != (d, scale_bits):
+            d, scale_bits = len(words), record_scale
+        elif (len(words), record_scale) != (d, scale_bits):
             raise FormatError(f"CenteredBatch record {k} does not match record 0")
         ids.append(cid)
         offset += blob_len
@@ -214,18 +214,19 @@ def decode_centered_batch(msg: ProtocolMessage) -> tuple[list[int], np.ndarray, 
     return ids, words, scale_bits
 
 
-def encode_agg_and_weights(round_no: int, sender: int, aggregate: RingVector,
-                           tau: Mapping[int, float]) -> ProtocolMessage:
+def encode_agg_and_weights(round_no: int, sender: int, aggregate: np.ndarray,
+                           scale_bits: int, tau: Mapping[int, float]) -> ProtocolMessage:
     parts = [_WEIGHT_COUNT.pack(len(tau))]
     for cid in sorted(tau):
         parts.append(_WEIGHT_RECORD.pack(cid, tau[cid]))
-    parts.append(serialize_ring(aggregate))
+    parts.append(serialize_ring(aggregate, scale_bits))
     return ProtocolMessage(MSG_AGG_AND_WEIGHTS, round_no, sender, b"".join(parts))
 
 
-def decode_agg_and_weights(msg: ProtocolMessage) -> tuple[RingVector, dict[int, float]]:
-    """(aggregate, weights) of an AggDigestAndWeights; the aggregate's words
-    are a read-only view into the payload."""
+def decode_agg_and_weights(msg: ProtocolMessage,
+                           ) -> tuple[np.ndarray, int, dict[int, float]]:
+    """(aggregate words, their scale_bits, weights) of an
+    AggDigestAndWeights; the words are a read-only view into the payload."""
     payload = msg.payload
     if len(payload) < _WEIGHT_COUNT.size:
         raise FormatError("AggDigestAndWeights shorter than its weight count")
@@ -237,7 +238,7 @@ def decode_agg_and_weights(msg: ProtocolMessage) -> tuple[RingVector, dict[int, 
     records = list(_WEIGHT_RECORD.iter_unpack(payload[_WEIGHT_COUNT.size:end]))
     if any(a[0] >= b[0] for a, b in zip(records, records[1:])):
         raise FormatError("AggDigestAndWeights client ids must ascend")
-    return ring_view(payload, end), dict(records)
+    return (*ring_view(payload, end), dict(records))
 
 
 # --- protocol operations -------------------------------------------------
@@ -292,14 +293,13 @@ def reconstruct_centered(centered_1: np.ndarray, shares_2: np.ndarray,
     return out
 
 
-def partial_aggregate(shares: np.ndarray, weights: Sequence[float],
-                      scale_bits: int) -> RingVector:
+def partial_aggregate(shares: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     """Trust-weighted ring combination of one server's (N, d) share
     matrix, weights[k] for row k.
 
-    Weights are encoded at WEIGHT_BITS fractional bits, so the result's
-    scale_bits grows by WEIGHT_BITS; only the two-server sum of these
-    partials decodes to a meaningful value when shares are masked.
+    Weights are encoded at WEIGHT_BITS fractional bits, so the result
+    carries the shares' scale_bits + WEIGHT_BITS; only the two-server sum
+    of these partials decodes to a meaningful value when shares are masked.
     """
     vals = np.asarray(weights, dtype=np.float64)
     if vals.shape != shares.shape[:1]:
@@ -316,12 +316,13 @@ def partial_aggregate(shares: np.ndarray, weights: Sequence[float],
     for share, w in zip(shares, fixed):
         np.multiply(share, w, out=term)
         np.add(acc, term, out=acc)
-    return RingVector(acc, scale_bits + WEIGHT_BITS)
+    return acc
 
 
-def reassemble_global(a1: RingVector, a2: RingVector) -> np.ndarray:
-    """Combine the two partial aggregates and decode the weighted gradient."""
-    return decode_fixed(ring_add(a1, a2))
+def reassemble_global(a1: np.ndarray, a2: np.ndarray, scale_bits: int) -> np.ndarray:
+    """Combine the two partial aggregates, which carry `scale_bits`
+    fractional bits, and decode the weighted gradient."""
+    return decode_fixed(np.add(a1, a2), scale_bits)
 
 
 # --- server state machines ------------------------------------------------
@@ -356,7 +357,7 @@ class _ServerBase:
         self._require(PHASE_COLLECTING, "accept a share")
         if msg.round != self.round:
             raise ProtocolError(f"share for round {msg.round}, server at {self.round}")
-        client_id, share_index, ring = decode_share_upload(msg)
+        client_id, share_index, words, scale_bits = decode_share_upload(msg)
         row = self._row.get(client_id)
         if row is None:
             raise ProtocolError(f"unexpected client {client_id}")
@@ -365,15 +366,15 @@ class _ServerBase:
         if share_index != self.server_id:
             raise ProtocolError(f"share index {share_index} uploaded to S{self.server_id}")
         if self.shares is None:
-            self.shares = np.empty((len(self.ids), len(ring)), dtype=np.uint64)
-            self.scale_bits = ring.scale_bits
-        elif (len(ring), ring.scale_bits) != (self.shares.shape[1], self.scale_bits):
+            self.shares = np.empty((len(self.ids), len(words)), dtype=np.uint64)
+            self.scale_bits = scale_bits
+        elif (len(words), scale_bits) != (self.shares.shape[1], self.scale_bits):
             raise ProtocolError(
-                f"share of client {client_id} has d={len(ring)}, "
-                f"scale_bits={ring.scale_bits}; the round has d={self.shares.shape[1]}, "
+                f"share of client {client_id} has d={len(words)}, "
+                f"scale_bits={scale_bits}; the round has d={self.shares.shape[1]}, "
                 f"scale_bits={self.scale_bits}"
             )
-        self.shares[row] = ring.words
+        self.shares[row] = words
         self._received.add(client_id)
 
     def _require_all_shares(self) -> None:
@@ -388,7 +389,7 @@ class ServerS1(_ServerBase):
 
     def __init__(self, expected_clients, round_no: int):
         super().__init__(1, expected_clients, round_no)
-        self._record: tuple[RingVector, dict[int, float]] | None = None
+        self._record: tuple[np.ndarray, int, dict[int, float]] | None = None
 
     def center_shares(self) -> ProtocolMessage:
         self._require(PHASE_COLLECTING, "center shares")
@@ -409,15 +410,21 @@ class ServerS1(_ServerBase):
         self.phase = PHASE_AGGREGATING
 
     def finalize(self) -> np.ndarray:
-        """Aggregate own shares and reassemble the global gradient."""
+        """Aggregate own shares and reassemble the global gradient; a
+        published aggregate of another d or scale than S2's is a
+        DimensionMismatch."""
         self._require(PHASE_AGGREGATING, "finalize")
-        agg2, tau = self._record
+        agg2, agg_scale, tau = self._record
         # The record's ids ascend, so equal ids put each weight on its share row.
         if list(tau) != self.ids:
             raise WeightError("weight keys do not match share keys")
-        agg1 = partial_aggregate(self.shares, list(tau.values()), self.scale_bits)
+        want = (self.shares.shape[1], self.scale_bits + WEIGHT_BITS)
+        if (len(agg2), agg_scale) != want:
+            raise DimensionMismatch(f"aggregate has (d, scale_bits) {(len(agg2), agg_scale)}, "
+                                    f"expected {want}")
+        agg1 = partial_aggregate(self.shares, list(tau.values()))
         self.phase = PHASE_DONE
-        return reassemble_global(agg1, agg2)
+        return reassemble_global(agg1, agg2, agg_scale)
 
 
 class ServerS2(_ServerBase):
@@ -461,10 +468,11 @@ class ServerS2(_ServerBase):
         self.phase = PHASE_AGGREGATING
         return result, new_state, self._weights
 
-    def publish(self) -> RingVector:
-        """Partial aggregate under the weights `detect_and_weigh` set; it
-        reaches S1 only through the ledger record the caller writes."""
+    def publish(self) -> tuple[np.ndarray, int]:
+        """(words, scale_bits) of the partial aggregate under the weights
+        `detect_and_weigh` set; it reaches S1 only through the ledger
+        record the caller writes."""
         self._require(PHASE_AGGREGATING, "publish")
-        agg2 = partial_aggregate(self.shares, self._weights, self.scale_bits)
+        agg2 = partial_aggregate(self.shares, self._weights)
         self.phase = PHASE_DONE
-        return agg2
+        return agg2, self.scale_bits + WEIGHT_BITS

@@ -35,7 +35,7 @@ from dp2guard.harness import (
 )
 from dp2guard.ledger import verify_file
 from dp2guard.models import Model
-from dp2guard.numeric import encode_fixed, ring_add, substream
+from dp2guard.numeric import encode_fixed, substream
 
 REPORT = Path("acceptance-report.txt")
 
@@ -62,9 +62,9 @@ def test_criterion_1_mask_cancellation_exactness():
     for trial in range(1000):
         g = rng.uniform(-50, 50, size=1000)
         s1, s2 = split_and_mask(g, 16, substream(1001, "mask", trial))
-        combined = ring_add(s1, s2)
+        combined = np.add(s1, s2)  # wraps mod 2**64
         quantized = encode_fixed(g, 16)
-        assert np.array_equal(combined.words, quantized.words)
+        assert np.array_equal(combined, quantized)
     elapsed = time.perf_counter() - started
     report(1, elapsed < 5.0,
            f"1000/1000 reconstructions bit-exact in {elapsed:.2f}s (< 5s)")

@@ -7,7 +7,7 @@ from dp2guard.attacks import LabelFlipSpec, label_flip
 from dp2guard.client import epoch_gradient, local_gradient, split_and_mask
 from dp2guard.data import synth_dataset
 from dp2guard.models import Model, sgd_step
-from dp2guard.numeric import decode_fixed, encode_fixed, ring_add, substream
+from dp2guard.numeric import decode_fixed, encode_fixed, substream
 
 from test_models import reference_grad
 from test_numeric import CHI2_CRIT_255, chi_square_uniform_bytes
@@ -19,20 +19,19 @@ class TestSplitAndMask:
         for _ in range(50):
             g = rng.uniform(-10, 10, size=64)
             s1, s2 = split_and_mask(g, 16, substream(41, "m", _))
-            combined = ring_add(s1, s2)
-            quantized = encode_fixed(g, 16)
-            assert np.array_equal(combined.words, quantized.words)
+            assert s1.dtype == s2.dtype == np.uint64
+            assert np.array_equal(np.add(s1, s2), encode_fixed(g, 16))
 
     def test_zero_gradient_shares_are_negatives(self):
         s1, s2 = split_and_mask(np.zeros(16), 16, substream(42, "m"))
-        assert not np.any(ring_add(s1, s2).words)
+        assert not np.any(np.add(s1, s2))
 
     def test_fresh_randomness_same_reconstruction(self):
         g = substream(43, "g").uniform(-5, 5, size=32)
         a1, a2 = split_and_mask(g, 16, substream(44, "m", 0))
         b1, b2 = split_and_mask(g, 16, substream(44, "m", 1))
-        assert not np.array_equal(a1.words, b1.words)
-        assert np.array_equal(ring_add(a1, a2).words, ring_add(b1, b2).words)
+        assert not np.array_equal(a1, b1)
+        assert np.array_equal(np.add(a1, a2), np.add(b1, b2))
 
     def test_each_share_marginally_uniform(self):
         # The testable shadow of the privacy claim: either share alone looks
@@ -40,7 +39,7 @@ class TestSplitAndMask:
         g = np.full(100_000, 3.14159)
         s1, s2 = split_and_mask(g, 16, substream(45, "m"))
         for share in (s1, s2):
-            low = (share.words & np.uint64(0xFF)).astype(np.int64)
+            low = (share & np.uint64(0xFF)).astype(np.int64)
             assert chi_square_uniform_bytes(low) < CHI2_CRIT_255
 
     def test_draws_one_word_per_entry_and_share_one_is_that_word(self):
@@ -48,14 +47,24 @@ class TestSplitAndMask:
         g = substream(47, "g").uniform(-5, 5, size=d)
         rng, reference = substream(47, "m"), substream(47, "m")
         s1, _ = split_and_mask(g, 16, rng)
-        assert np.array_equal(s1.words, reference.bit_generator.random_raw(d))
+        assert np.array_equal(s1, reference.bit_generator.random_raw(d))
         # The stream moved exactly d words: its next word is the reference's.
         assert rng.bit_generator.random_raw() == reference.bit_generator.random_raw()
+
+    def test_writes_into_the_given_arrays(self):
+        # The round loop hands the words of its two upload payloads: the
+        # shares land there, bit for bit the pair returned without `out`.
+        g = substream(48, "g").uniform(-5, 5, size=33)
+        want = split_and_mask(g, 16, substream(48, "m"))
+        out = (np.zeros(33, dtype=np.uint64), np.zeros(33, dtype=np.uint64))
+        got = split_and_mask(g, 16, substream(48, "m"), out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        assert np.array_equal(out[0], want[0]) and np.array_equal(out[1], want[1])
 
     def test_oversized_entries_are_clipped_not_fatal(self):
         g = np.array([2.0**60, -1.0, 1.0])
         s1, s2 = split_and_mask(g, 16, substream(46, "m"))
-        back = decode_fixed(ring_add(s1, s2))
+        back = decode_fixed(np.add(s1, s2), 16)
         assert back[1] == -1.0 and back[2] == 1.0
         assert np.isfinite(back[0])
 
@@ -79,8 +88,8 @@ class TestClientRound:
             return split_and_mask(grad, 16, substream(50, "m", 3))
 
         (a1, a2), (b1, b2) = shares(), shares()
-        assert np.array_equal(a1.words, b1.words)
-        assert np.array_equal(a2.words, b2.words)
+        assert np.array_equal(a1, b1)
+        assert np.array_equal(a2, b2)
 
     def test_reconstruction_matches_plaintext_gradient(self):
         data = _dataset(51)
@@ -89,7 +98,7 @@ class TestClientRound:
         grad = local_gradient(data, model, params, "epoch", 16, 0.1,
                               substream(51, "g"))
         s1, s2 = split_and_mask(grad, 16, substream(51, "m"))
-        back = decode_fixed(ring_add(s1, s2))
+        back = decode_fixed(np.add(s1, s2), 16)
         assert np.max(np.abs(back - grad)) <= 2.0**-16
 
     def test_label_flip_client_matches_poisoned_oracle(self):

@@ -27,7 +27,7 @@ from dp2guard.ledger import (
     payload_trust_weights,
     verify_file,
 )
-from dp2guard.numeric import RingVector, serialize_ring, substream
+from dp2guard.numeric import serialize_ring, substream
 from dp2guard.servers import (
     MSG_AGG_AND_WEIGHTS,
     MSG_CENTERED_BATCH,
@@ -69,15 +69,15 @@ def _words(rng: np.random.Generator, d: int) -> np.ndarray:
 def valid_wires(rng: np.random.Generator) -> list[bytes]:
     """One well-formed message of each kind, with small random contents."""
     d = int(rng.integers(1, 6))
-    upload = encode_share_upload(3, 2, 1 + int(rng.integers(2)),
-                                 RingVector(_words(rng, d), 16))
+    upload, words = encode_share_upload(3, 2, 1 + int(rng.integers(2)), d, 16)
+    words[...] = _words(rng, d)
     ids = [0, 2, 5]
     rows = _words(rng, len(ids) * d).reshape(len(ids), d)
     tau = {0: 0.25, 2: 0.5, 5: 0.25}
     return [encode_message(m) for m in (
         upload,
         encode_centered_batch(2, 1, ids, rows, d, 16),
-        encode_agg_and_weights(2, 0, RingVector(_words(rng, d), 48), tau),
+        encode_agg_and_weights(2, 0, _words(rng, d), 48, tau),
     )]
 
 
@@ -96,16 +96,20 @@ def receive(wire: bytes) -> bytes:
     back; raises what the decoders raise."""
     msg = decode_message(wire)
     if msg.kind == MSG_SHARE_UPLOAD:
-        client_id, share_index, ring = decode_share_upload(msg)
-        payload = encode_share_upload(client_id, msg.round, share_index, ring).payload
+        client_id, share_index, words, scale_bits = decode_share_upload(msg)
+        upload, view = encode_share_upload(client_id, msg.round, share_index, len(words),
+                                           scale_bits)
+        view[...] = words
+        payload = upload.payload
     elif msg.kind == MSG_CENTERED_BATCH:
         ids, words, scale_bits = decode_centered_batch(msg)
         payload = encode_centered_batch(msg.round, msg.sender, ids, words,
                                         words.shape[1], scale_bits).payload
     else:
         assert msg.kind == MSG_AGG_AND_WEIGHTS
-        aggregate, tau = decode_agg_and_weights(msg)
-        payload = encode_agg_and_weights(msg.round, msg.sender, aggregate, tau).payload
+        aggregate, scale_bits, tau = decode_agg_and_weights(msg)
+        payload = encode_agg_and_weights(msg.round, msg.sender, aggregate, scale_bits,
+                                         tau).payload
     return encode_message(ProtocolMessage(msg.kind, msg.round, msg.sender, bytes(payload)))
 
 
@@ -136,7 +140,7 @@ def test_mutated_wire_messages_fail_loudly_or_round_trip(seed):
 def _ledger_line(rng: np.random.Generator) -> bytes:
     ledger = Ledger()
     d = int(rng.integers(1, 5))
-    blob = serialize_ring(RingVector(_words(rng, d), 48))
+    blob = serialize_ring(_words(rng, d), 48)
     payload = make_round_payload(blob, {0: 0.5, 1: 0.25, 12: 0.25}, rng.bytes(32))
     block = ledger.append(0, payload)
     record = {"hash": block.hash.hex(), "index": 0, "payload": payload,

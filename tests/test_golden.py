@@ -1,4 +1,4 @@
-"""Pinned artifact digests of two dp2guard configs.
+"""Pinned artifact digests of three dp2guard configs.
 
 The reproducibility tests elsewhere only compare a run with its own rerun,
 so a change that shifts output bits the same way twice would pass them.
@@ -16,6 +16,13 @@ partial aggregate is a weighted sum of its share words, so every block's
 `agg_share_blob` and `agg_share_digest`, and with them every block hash,
 changed; the two-server sum of the shares, and so every other artifact,
 did not.
+
+The third config, "long-batch-label-flip", is shaped like the benchmark's
+secure-long workload: minibatch local training (whose "client" stream draws
+`rng.choice`), a Dirichlet partition and label flipping.  Its digests were
+recorded before the round loop began to re-key one generator per loop
+instead of building a fresh one per client, and before shares were written
+straight into their upload payloads; neither change may move a bit.
 
 The digests are specific to the floating-point stack they were recorded on
 (numpy 2.4, OpenBLAS 0.3, x86-64): another BLAS may change the last bits of
@@ -46,6 +53,16 @@ GOLDEN = {
             "metrics.csv": "c600cba76507cc8c2b263fcf2231752b598d24424a6d343cb42d0f222de63762",
             "detection.csv": "5e4285e22e31ec1e1e8065ce9ed542e0496eff351bbde2a8534e6833980a96c6",
             "ledger.jsonl": "c8542a41e11ff9a0976a3544e52569e5d8c47c713dc3b1ed498f35b41beb9130",
+        },
+    ),
+    "long-batch-label-flip": (
+        dict(aggregator="dp2guard", model="logreg", synth_features=20, synth_classes=10,
+             n_clients=10, rounds=3, seed=13, partition="dirichlet", alpha=1.0,
+             local_mode="batch", adv_ratio=0.2, attack={"kind": "label_flip"}),
+        {
+            "metrics.csv": "9a244238fa70176a46a14b5f989425d94e50740f9c3ae3427efdbf822b76d27d",
+            "detection.csv": "0c7e62599815c337667e6925b3ecbe11f71db4fadcd40f412f37415b3378ec82",
+            "ledger.jsonl": "b534b8a48671f5756980faf22afd7e65cc031fff723c7f9f83c31b9c11bef6f8",
         },
     ),
 }

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dp2guard.client as client_mod
-from dp2guard import baselines, harness, models, trust
+from dp2guard import baselines, harness, models, servers, trust
 from dp2guard.attacks import fang_attack, fang_candidate
 from dp2guard.baselines import dnc_survivors, fedavg
 from dp2guard.client import local_gradient, split_and_mask
@@ -286,12 +286,12 @@ class TestPipelineOracle:
             for cid in sorted(grads_m):
                 s1, s2 = split_and_mask(grads_m[cid], cfg.scale_bits,
                                         substream(cfg.seed, "mask", cid, t))
-                shares1.append(s1.words)
-                shares2.append(s2.words)
+                shares1.append(s1)
+                shares2.append(s2)
             w = [tau[cid] for cid in sorted(tau)]
-            g_masked = reassemble_global(
-                partial_aggregate(np.stack(shares1), w, cfg.scale_bits),
-                partial_aggregate(np.stack(shares2), w, cfg.scale_bits))
+            g_masked = reassemble_global(partial_aggregate(np.stack(shares1), w),
+                                         partial_aggregate(np.stack(shares2), w),
+                                         cfg.scale_bits + 32)
             masked = models.sgd_step(masked, g_masked, cfg.eta)
             plain = models.sgd_step(plain, fedavg(list(grads_p.values())), cfg.eta)
             assert np.max(np.abs(masked - plain)) <= 1e-3
@@ -552,6 +552,40 @@ def test_dp2guard_round_channel_audit():
     assert log == one_round * cfg.rounds
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(local_mode="batch", attack={"kind": "label_flip", "offset": 1}),
+    dict(attack={"kind": "fang"}, exclusion="hard"),
+], ids=["label-flip", "fang-hard"])
+def test_s2_recovers_every_client_gradient(monkeypatch, overrides):
+    # What S2 learns, pinned.  After centring S2 holds c_i = g_i - mean(g)
+    # for every client (decoded from the ring), and it sets the weights
+    # tau.  Every client receives the next model, so
+    # G = (theta_t - theta_t+1) / eta = sum_j tau_j g_j, and S2 recovers
+    # each raw gradient as g_i = c_i + G - sum_j tau_j c_j (the weights sum
+    # to 1), to within half the 2**-scale_bits quantisation step of its
+    # encoding.  The masks hide only the shares, not these gradients.
+    centred = []
+
+    def capture(*args):
+        out = reconstruct(*args)
+        centred.append(out.copy())
+        return out
+    reconstruct = servers.reconstruct_centered
+    monkeypatch.setattr(servers, "reconstruct_centered", capture)
+    cfg = _desk_config(rounds=3, adv_ratio=0.2, **overrides)
+    res = run_experiment(cfg, record_history=True)
+    theta = res.model.init_params(substream(cfg.seed, "model-init"))
+    half_step = 2.0 ** -(cfg.scale_bits + 1)
+    for t in range(cfg.rounds):
+        global_grad = (theta - res.params_history[t]) / cfg.eta
+        tau = np.array([res.weight_history[t][cid] for cid in range(cfg.n_clients)])
+        recovered = centred[t] + global_grad - tau @ centred[t]
+        error = np.abs(recovered - res.gradient_history[t]).max()
+        assert error <= half_step + 1e-12
+        assert np.abs(res.gradient_history[t]).max() > 1e4 * half_step
+        theta = res.params_history[t]
+
+
 class TestMetricsOutput:
     def test_single_round_csv_two_lines(self, tmp_path):
         res = run_experiment(_desk_config(rounds=1))
@@ -745,9 +779,9 @@ class TestLedgerReplay:
             payload = res.ledger.read_round(t)
             blob = payload_agg_blob(payload)
             assert hashlib.sha256(blob).hexdigest() == payload["agg_share_digest"]
-            ring = ring_view(blob)
-            assert ring.scale_bits == cfg.scale_bits + 32
-            assert len(ring) == res.model.dim
+            words, scale_bits = ring_view(blob)
+            assert scale_bits == cfg.scale_bits + 32
+            assert len(words) == res.model.dim
             assert payload_trust_weights(payload) == res.weight_history[t]
 
     def test_refuses_output_dir_holding_a_ledger(self, tmp_path):
@@ -797,7 +831,7 @@ def test_client_masking_cost_linear_in_dimension(monkeypatch):
         def wrapper(*args, **kwargs):
             out = fn(*args, **kwargs)
             touched = out[0] if isinstance(out, tuple) else out
-            counts["touched"] += len(touched.words) if hasattr(touched, "words") else len(touched)
+            counts["touched"] += len(touched)
             return out
         return wrapper
 

@@ -14,12 +14,12 @@ from dp2guard.ledger import (
     verify_blocks,
     verify_file,
 )
-from dp2guard.numeric import RingVector, serialize_ring, substream, uniform_words
+from dp2guard.numeric import serialize_ring, substream, uniform_words
 
 
 def _payload(seed: int, round_no: int) -> dict:
     rng = substream(seed, "ledger", round_no)
-    blob = serialize_ring(RingVector(uniform_words(6, rng), 48))
+    blob = serialize_ring(uniform_words(6, rng), 48)
     tau = {i: float(w) for i, w in enumerate(rng.dirichlet(np.ones(4)))}
     return make_round_payload(blob, tau, hashlib.sha256(b"model%d" % round_no).digest())
 
@@ -172,7 +172,7 @@ class TestReadRound:
     def test_round_payload_round_trips_weights_bit_exact(self, tmp_path):
         path = tmp_path / "l.jsonl"
         ledger = Ledger(path)
-        blob = serialize_ring(RingVector(uniform_words(5, substream(5, "b")), 48))
+        blob = serialize_ring(uniform_words(5, substream(5, "b")), 48)
         tau = {0: 0.3123456789012345, 1: 0.6876543210987655}
         ledger.append(0, make_round_payload(blob, tau, bytes(32)))
         ledger.close()
@@ -285,7 +285,7 @@ class TestPayloadReaders:
             reader(["not", "a", "payload"])
 
     def test_valid_payload_decodes_as_written(self):
-        blob = serialize_ring(RingVector(uniform_words(5, substream(8, "b")), 48))
+        blob = serialize_ring(uniform_words(5, substream(8, "b")), 48)
         tau = {0: 0.25, 3: 0.0, 2**32 - 1: 0.75}  # the largest u32 id
         payload = make_round_payload(blob, tau, bytes(32))
         assert payload_agg_blob(payload) == blob

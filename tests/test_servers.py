@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from dp2guard.client import split_and_mask
-from dp2guard.errors import ClientSetMismatch, FormatError, ProtocolError, WeightError
-from dp2guard.numeric import (
-    RingVector,
-    decode_fixed,
-    encode_fixed,
-    ring_add,
-    substream,
-    uniform_words,
+from dp2guard.errors import (
+    ClientSetMismatch,
+    DimensionMismatch,
+    FormatError,
+    ProtocolError,
+    WeightError,
 )
+from dp2guard.numeric import decode_fixed, encode_fixed, substream, uniform_words
 from dp2guard.servers import (
     MSG_AGG_AND_WEIGHTS,
     MSG_SHARE_UPLOAD,
@@ -41,9 +40,18 @@ def _masked_pair(grads: dict[int, np.ndarray], seed: int, scale_bits=16):
     rows1, rows2 = [], []
     for cid in sorted(grads):
         s1, s2 = split_and_mask(grads[cid], scale_bits, substream(seed, "mask", cid))
-        rows1.append(s1.words)
-        rows2.append(s2.words)
+        rows1.append(s1)
+        rows2.append(s2)
     return np.stack(rows1), np.stack(rows2)
+
+
+def _upload(client_id, round_no, share_index, words, scale_bits=16):
+    """A ShareUpload of `words`, written into its payload as the round loop
+    writes them."""
+    msg, payload_words = encode_share_upload(client_id, round_no, share_index,
+                                             len(words), scale_bits)
+    payload_words[...] = words
+    return msg
 
 
 def _centered(shares: np.ndarray) -> np.ndarray:
@@ -61,8 +69,8 @@ def _weights(tau: dict[int, float]) -> list[float]:
 class TestMeanCenter:
     def test_identical_shares_center_to_zero(self):
         rng = substream(60, "mc")
-        share = RingVector(uniform_words(12, rng), 16)
-        for row in mean_center(np.stack([share.words] * 5)):
+        share = uniform_words(12, rng)
+        for row in mean_center(np.stack([share] * 5)):
             assert not np.any(row)
 
     def test_centered_shares_sum_to_zero(self):
@@ -127,7 +135,7 @@ class TestReconstructCentered:
         c1, c2 = _centered(s1), _centered(s2)
         out = reconstruct_centered(c1, s2, 16)
         for k in range(5):
-            want = decode_fixed(ring_add(RingVector(c1[k], 16), RingVector(c2[k], 16))) / 5
+            want = decode_fixed(np.add(c1[k], c2[k]), 16) / 5
             assert np.array_equal(out[k], want)
 
     def test_client_set_mismatch(self):
@@ -141,18 +149,17 @@ class TestPartialAggregate:
     def test_single_client_identity(self):
         g = np.array([0.25, -1.5, 3.0])
         share = encode_fixed(g, 16)
-        agg = partial_aggregate(share.words[None, :], [1.0], 16)
-        assert agg.scale_bits == 48
-        assert np.max(np.abs(decode_fixed(agg) - decode_fixed(share))) <= 2.0**-32
+        agg = partial_aggregate(share[None, :], [1.0])
+        assert np.max(np.abs(decode_fixed(agg, 48) - decode_fixed(share, 16))) <= 2.0**-32
 
     def test_uniform_weights_reproduce_fedavg_numerator(self):
         rng = substream(70, "pa")
         grads = {i: rng.uniform(-2, 2, size=8) for i in range(4)}
         s1, s2 = _masked_pair(grads, 71)
         w = [0.25] * 4
-        combined = ring_add(partial_aggregate(s1, w, 16), partial_aggregate(s2, w, 16))
+        combined = np.add(partial_aggregate(s1, w), partial_aggregate(s2, w))
         want = np.mean(list(grads.values()), axis=0)
-        assert np.max(np.abs(decode_fixed(combined) - want)) <= 1e-4
+        assert np.max(np.abs(decode_fixed(combined, 48) - want)) <= 1e-4
 
     def test_random_weights_match_plaintext_oracle(self):
         rng = substream(72, "pa")
@@ -161,42 +168,41 @@ class TestPartialAggregate:
             raw = rng.uniform(0.01, 1.0, size=6)
             tau = {i: float(w) for i, w in enumerate(raw / raw.sum())}
             s1, s2 = _masked_pair(grads, 73 + trial)
-            combined = ring_add(partial_aggregate(s1, _weights(tau), 16),
-                                partial_aggregate(s2, _weights(tau), 16))
+            combined = np.add(partial_aggregate(s1, _weights(tau)),
+                              partial_aggregate(s2, _weights(tau)))
             want = sum(tau[i] * grads[i] for i in range(6))
-            assert np.max(np.abs(decode_fixed(combined) - want)) <= 1e-4
+            assert np.max(np.abs(decode_fixed(combined, 48) - want)) <= 1e-4
 
     def test_matches_per_client_ring_loop(self):
         # Same words as accumulating each client's share times its
-        # round(w * 2^32) one RingVector at a time.
+        # round(w * 2^32) one row at a time.
         rng = substream(72, "loop")
         s1, _ = _masked_pair({i: rng.uniform(-5, 5, size=7) for i in range(5)}, 79)
         raw = rng.uniform(0.01, 1.0, size=5)
         w = [float(x) for x in raw / raw.sum()]
-        want = RingVector(np.zeros(7, dtype=np.uint64), 48)
+        want = np.zeros(7, dtype=np.uint64)
         for k in range(5):
-            scaled = RingVector(s1[k] * np.uint64(int(round(w[k] * 2.0**32))), 48)
-            want = ring_add(want, scaled)
-        assert np.array_equal(partial_aggregate(s1, w, 16).words, want.words)
+            want = np.add(want, s1[k] * np.uint64(int(round(w[k] * 2.0**32))))
+        assert np.array_equal(partial_aggregate(s1, w), want)
 
     def test_weight_validation(self):
-        share = encode_fixed(np.ones(4), 16).words
+        share = encode_fixed(np.ones(4), 16)
         with pytest.raises(WeightError):
-            partial_aggregate(share[None, :], [0.5], 16)
+            partial_aggregate(share[None, :], [0.5])
         with pytest.raises(WeightError):
-            partial_aggregate(np.stack([share, share]), [1.5, -0.5], 16)
+            partial_aggregate(np.stack([share, share]), [1.5, -0.5])
         with pytest.raises(WeightError):
-            partial_aggregate(share[None, :], [0.5, 0.5], 16)
+            partial_aggregate(share[None, :], [0.5, 0.5])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_weight_is_a_weight_error(self, bad):
         # NaN passes a plain |sum - 1| check and would fail later, in the
         # fixed-point rounding, with a bare ValueError.
-        share = encode_fixed(np.ones(4), 16).words
+        share = encode_fixed(np.ones(4), 16)
         with pytest.raises(WeightError):
-            partial_aggregate(np.stack([share, share]), [bad, 0.5], 16)
+            partial_aggregate(np.stack([share, share]), [bad, 0.5])
         with pytest.raises(WeightError):
-            partial_aggregate(share[None, :], [bad], 16)
+            partial_aggregate(share[None, :], [bad])
 
 
 class TestReassemble:
@@ -204,7 +210,7 @@ class TestReassemble:
         grads = {i: np.zeros(6) for i in range(3)}
         s1, s2 = _masked_pair(grads, 74)
         w = [1.0 / 3.0] * 3
-        out = reassemble_global(partial_aggregate(s1, w, 16), partial_aggregate(s2, w, 16))
+        out = reassemble_global(partial_aggregate(s1, w), partial_aggregate(s2, w), 48)
         assert np.max(np.abs(out)) <= 1e-9
 
     def test_uniform_fedavg_oracle(self):
@@ -212,7 +218,7 @@ class TestReassemble:
         grads = {i: rng.uniform(-1, 1, size=30) for i in range(10)}
         s1, s2 = _masked_pair(grads, 76)
         w = [0.1] * 10
-        out = reassemble_global(partial_aggregate(s1, w, 16), partial_aggregate(s2, w, 16))
+        out = reassemble_global(partial_aggregate(s1, w), partial_aggregate(s2, w), 48)
         want = np.mean(list(grads.values()), axis=0)
         assert np.max(np.abs(out - want)) <= 1e-4
 
@@ -227,8 +233,8 @@ def test_end_to_end_mask_neutrality():
 
     s1, s2 = _masked_pair(grads, 78)
     centered = _reconstruct(s1, s2)
-    out = reassemble_global(partial_aggregate(s1, _weights(tau), 16),
-                            partial_aggregate(s2, _weights(tau), 16))
+    out = reassemble_global(partial_aggregate(s1, _weights(tau)),
+                            partial_aggregate(s2, _weights(tau)), 48)
 
     mean = np.mean(list(grads.values()), axis=0)
     for cid in grads:
@@ -259,12 +265,12 @@ class TestWireFormat:
 
     def test_channel_delivers_what_the_wire_would(self):
         rng = substream(79, "channel")
-        ring = RingVector(uniform_words(7, rng), 16)
+        words = uniform_words(7, rng)
         rows = np.stack([uniform_words(7, rng) for _ in range(3)])
         sent = [
-            encode_share_upload(4, 6, 2, ring),
+            _upload(4, 6, 2, words),
             encode_centered_batch(6, 1, [0, 2, 5], rows, 7, 16),
-            encode_agg_and_weights(6, 0, RingVector(uniform_words(7, rng), 48),
+            encode_agg_and_weights(6, 0, uniform_words(7, rng), 48,
                                    {0: 0.25, 2: 0.25, 5: 0.5}),
         ]
         channel = Channel()
@@ -283,17 +289,34 @@ class TestWireFormat:
             Channel().send("a", "b", ProtocolMessage(9, 0, 0, b"x"))
 
     def test_share_upload_round_trip(self):
-        ring = RingVector(uniform_words(9, substream(79, "w")), 16)
-        msg = encode_share_upload(5, 2, 1, ring)
-        client_id, share_index, back = decode_share_upload(msg)
+        words = uniform_words(9, substream(79, "w"))
+        msg = _upload(5, 2, 1, words, 24)
+        client_id, share_index, back, scale_bits = decode_share_upload(msg)
         assert client_id == 5 and msg.round == 2 and share_index == 1
-        assert np.array_equal(back.words, ring.words) and back.scale_bits == 16
+        assert np.array_equal(back, words) and scale_bits == 24
+        assert not back.flags.writeable
 
     def test_share_upload_layout(self):
-        ring = RingVector(uniform_words(3, substream(79, "layout")), 16)
-        msg = encode_share_upload(5, 2, 2, ring)
-        want = struct.pack("<IBIB", 5, 2, 3, 16) + ring.words.astype("<u8").tobytes()
+        words = uniform_words(3, substream(79, "layout"))
+        msg = _upload(5, 2, 2, words)
+        want = struct.pack("<IBIB", 5, 2, 3, 16) + words.astype("<u8").tobytes()
         assert bytes(msg.payload) == want
+
+    @pytest.mark.parametrize("d", [0, 1, 3, 210])
+    def test_share_upload_built_in_place_has_the_joined_layout(self, d):
+        # The payload the encoder allocates and the caller fills is byte for
+        # byte the former b"".join of prefix, ring header and words.
+        words = uniform_words(d, substream(79, "layout", d))
+        msg, view = encode_share_upload(5, 2, 2, d, 16)
+        assert view.dtype == np.dtype("<u8") and view.shape == (d,) and view.flags.writeable
+        assert view.ctypes.data % 8 == 0  # aligned, so ufuncs write it directly
+        view[...] = words
+        want = b"".join((struct.pack("<IB", 5, 2), struct.pack("<IB", d, 16),
+                         words.astype("<u8").tobytes()))
+        assert bytes(msg.payload) == want and len(msg.payload) == len(want)
+        assert (msg.kind, msg.round, msg.sender) == (MSG_SHARE_UPLOAD, 2, 5)
+        assert encode_message(msg) == struct.pack("<BIIQ", MSG_SHARE_UPLOAD, 2, 5,
+                                                  len(want)) + want
 
     def test_centered_batch_round_trip(self):
         rng = substream(80, "w")
@@ -327,11 +350,12 @@ class TestWireFormat:
         assert np.array_equal(decode_centered_batch(msg)[1], rows)
 
     def test_agg_and_weights_round_trip_bit_exact(self):
-        agg = RingVector(uniform_words(5, substream(81, "w")), 48)
+        agg = uniform_words(5, substream(81, "w"))
         tau = {0: 0.1, 1: 0.7, 2: 0.2}
-        ring, back = decode_agg_and_weights(encode_agg_and_weights(3, 2, agg, tau))
+        words, scale_bits, back = decode_agg_and_weights(
+            encode_agg_and_weights(3, 2, agg, 48, tau))
         assert back == tau  # doubles survive bit-exactly
-        assert np.array_equal(ring.words, agg.words)
+        assert np.array_equal(words, agg) and scale_bits == 48
 
 
 def _drive_to_publish(grads, seed, round_no=0, beta=0.5, exclusion="soft"):
@@ -345,9 +369,9 @@ def _drive_to_publish(grads, seed, round_no=0, beta=0.5, exclusion="soft"):
     for cid in ids:
         sh1, sh2 = split_and_mask(grads[cid], 16, substream(seed, "mask", cid))
         s1.receive_share(channel.send(f"client{cid}", "S1",
-                                      encode_share_upload(cid, round_no, 1, sh1)))
+                                      _upload(cid, round_no, 1, sh1)))
         s2.receive_share(channel.send(f"client{cid}", "S2",
-                                      encode_share_upload(cid, round_no, 2, sh2)))
+                                      _upload(cid, round_no, 2, sh2)))
     s2.receive_centered_batch(channel.send("S1", "S2", s1.center_shares()))
     detection, new_trust, row_weights = s2.detect_and_weigh(
         initial_trust(len(ids), beta), substream(seed, "km"), exclusion)
@@ -356,7 +380,7 @@ def _drive_to_publish(grads, seed, round_no=0, beta=0.5, exclusion="soft"):
 
 def _drive_round(grads, seed, round_no=0, beta=0.5):
     s1, s2, detection, _, tau, channel = _drive_to_publish(grads, seed, round_no, beta)
-    record = encode_agg_and_weights(round_no, 0, s2.publish(), tau)
+    record = encode_agg_and_weights(round_no, 0, *s2.publish(), tau)
     s1.receive_agg_and_weights(channel.send("ledger", "S1", record))
     return s1.finalize(), detection, tau, channel, s1, s2
 
@@ -406,10 +430,25 @@ class TestServerStateMachines:
         rng = substream(102, "keys")
         grads = {i: rng.uniform(-1, 1, size=5) for i in range(4)}
         s1, s2, _, _, tau, _ = _drive_to_publish(grads, 103)
-        record = encode_agg_and_weights(0, 0, s2.publish(),
+        record = encode_agg_and_weights(0, 0, *s2.publish(),
                                         self._other_clients(tau, change))
         s1.receive_agg_and_weights(record)
         with pytest.raises(WeightError):
+            s1.finalize()
+
+    @pytest.mark.parametrize("d,scale_bits", [(4, 48), (6, 48), (5, 16), (5, 47), (5, 49)])
+    def test_finalize_rejects_a_forged_aggregate(self, d, scale_bits):
+        # The round has d = 5 at scale 16, so the aggregate read back from
+        # the ledger must hold 5 words at 16 + WEIGHT_BITS = 48 fractional
+        # bits; any other shape is a typed error, not a broadcast or a
+        # silently rescaled decode.
+        rng = substream(106, "forged")
+        grads = {i: rng.uniform(-1, 1, size=5) for i in range(4)}
+        s1, s2, _, _, tau, channel = _drive_to_publish(grads, 107)
+        assert s2.publish()[1] == 48
+        forged = encode_agg_and_weights(0, 0, uniform_words(d, rng), scale_bits, tau)
+        s1.receive_agg_and_weights(channel.send("ledger", "S1", forged))
+        with pytest.raises(DimensionMismatch):
             s1.finalize()
 
     def test_share_after_centering_rejected(self):
@@ -419,16 +458,16 @@ class TestServerStateMachines:
         s1 = ServerS1(ids, 0)
         for cid in ids:
             sh1, _ = split_and_mask(grads[cid], 16, substream(85, "m", cid))
-            s1.receive_share(encode_share_upload(cid, 0, 1, sh1))
+            s1.receive_share(_upload(cid, 0, 1, sh1))
         s1.center_shares()
         sh1, _ = split_and_mask(grads[0], 16, substream(85, "m", 99))
         with pytest.raises(ProtocolError):
-            s1.receive_share(encode_share_upload(0, 0, 1, sh1))
+            s1.receive_share(_upload(0, 0, 1, sh1))
 
     def test_centering_before_all_shares_rejected(self):
         s1 = ServerS1([0, 1, 2], 0)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(86, "m"))
-        s1.receive_share(encode_share_upload(0, 0, 1, sh1))
+        s1.receive_share(_upload(0, 0, 1, sh1))
         with pytest.raises(ProtocolError):
             s1.center_shares()
 
@@ -436,29 +475,29 @@ class TestServerStateMachines:
         s1 = ServerS1([0], 5)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(87, "m"))
         with pytest.raises(ProtocolError):
-            s1.receive_share(encode_share_upload(0, 4, 1, sh1))
+            s1.receive_share(_upload(0, 4, 1, sh1))
 
     def test_duplicate_and_unknown_clients_rejected(self):
         s1 = ServerS1([0, 1], 0)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(88, "m"))
-        msg = encode_share_upload(0, 0, 1, sh1)
+        msg = _upload(0, 0, 1, sh1)
         s1.receive_share(msg)
         with pytest.raises(ProtocolError):
             s1.receive_share(msg)
         with pytest.raises(ProtocolError):
-            s1.receive_share(encode_share_upload(9, 0, 1, sh1))
+            s1.receive_share(_upload(9, 0, 1, sh1))
 
     def test_share_index_must_match_server(self):
         s2 = ServerS2([0], 0)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(89, "m"))
         with pytest.raises(ProtocolError):
-            s2.receive_share(encode_share_upload(0, 0, 1, sh1))
+            s2.receive_share(_upload(0, 0, 1, sh1))
 
     def test_weights_before_centering_rejected(self):
         s1 = ServerS1([0], 0)
-        agg = RingVector(uniform_words(4, substream(90, "m")), 48)
+        agg = uniform_words(4, substream(90, "m"))
         with pytest.raises(ProtocolError):
-            s1.receive_agg_and_weights(encode_agg_and_weights(0, 0, agg, {0: 1.0}))
+            s1.receive_agg_and_weights(encode_agg_and_weights(0, 0, agg, 48, {0: 1.0}))
 
     def test_server_boundary_audit(self):
         # S2 never sends anything directly to S1: its aggregate and
@@ -477,9 +516,9 @@ class TestServerStateMachines:
 
 
 class TestTypedDecodeErrors:
-    def _upload(self):
+    def _share_upload(self):
         sh1, _ = split_and_mask(np.ones(4), 16, substream(93, "m"))
-        return encode_share_upload(0, 0, 1, sh1)
+        return _upload(0, 0, 1, sh1)
 
     def _batch(self):
         rows = np.stack([uniform_words(4, substream(94, "b", k)) for k in range(3)])
@@ -487,7 +526,7 @@ class TestTypedDecodeErrors:
 
     @pytest.mark.parametrize("cut", [1, 2, 5, 9, 10, 41])
     def test_truncated_share_upload(self, cut):
-        msg = self._upload()
+        msg = self._share_upload()
         short = ProtocolMessage(msg.kind, msg.round, msg.sender, bytes(msg.payload)[:-cut])
         with pytest.raises(FormatError):
             decode_share_upload(short)
@@ -495,13 +534,13 @@ class TestTypedDecodeErrors:
             ServerS1([0], 0).receive_share(short)
 
     def test_padded_share_upload(self):
-        msg = self._upload()
+        msg = self._share_upload()
         long = ProtocolMessage(msg.kind, msg.round, msg.sender, bytes(msg.payload) + b"\0")
         with pytest.raises(FormatError):
             decode_share_upload(long)
 
     def test_share_index_out_of_range(self):
-        msg = self._upload()
+        msg = self._share_upload()
         raw = bytearray(msg.payload)
         raw[4] = 3
         with pytest.raises(FormatError):
@@ -527,15 +566,15 @@ class TestTypedDecodeErrors:
             decode_centered_batch(ProtocolMessage(msg.kind, 0, 1, bytes(raw)))
 
     def _agg(self):
-        agg = RingVector(uniform_words(4, substream(95, "a")), 48)
-        return agg, encode_agg_and_weights(0, 0, agg, {0: 0.25, 1: 0.5, 4: 0.25})
+        agg = uniform_words(4, substream(95, "a"))
+        return agg, encode_agg_and_weights(0, 0, agg, 48, {0: 0.25, 1: 0.5, 4: 0.25})
 
     def test_agg_and_weights_layout(self):
         agg, msg = self._agg()
         assert bytes(msg.payload) == b"".join((
             struct.pack("<I", 3), struct.pack("<Id", 0, 0.25), struct.pack("<Id", 1, 0.5),
             struct.pack("<Id", 4, 0.25), struct.pack("<IB", 4, 48),
-            agg.words.astype("<u8").tobytes()))
+            agg.astype("<u8").tobytes()))
 
     def test_agg_and_weights_truncated_or_padded(self):
         # Every truncation and 100 seeded random tails are rejected.
@@ -569,17 +608,17 @@ class TestShareMatrixChecks:
         s1 = ServerS1([0, 1], 0)
         a, _ = split_and_mask(np.ones(4), 16, substream(95, "m"))
         b, _ = split_and_mask(np.ones(5), 16, substream(95, "m"))
-        s1.receive_share(encode_share_upload(0, 0, 1, a))
+        s1.receive_share(_upload(0, 0, 1, a))
         with pytest.raises(ProtocolError):
-            s1.receive_share(encode_share_upload(1, 0, 1, b))
+            s1.receive_share(_upload(1, 0, 1, b))
 
     def test_scale_change_rejected(self):
         s1 = ServerS1([0, 1], 0)
         a, _ = split_and_mask(np.ones(4), 16, substream(96, "m"))
         b, _ = split_and_mask(np.ones(4), 20, substream(96, "m"))
-        s1.receive_share(encode_share_upload(0, 0, 1, a))
+        s1.receive_share(_upload(0, 0, 1, a))
         with pytest.raises(ProtocolError):
-            s1.receive_share(encode_share_upload(1, 0, 1, b))
+            s1.receive_share(_upload(1, 0, 1, b, 20))
 
     def test_rows_follow_client_id_order(self):
         # Uploads arrive in any order; row k holds the k-th smallest id.
@@ -588,10 +627,10 @@ class TestShareMatrixChecks:
         rings = {cid: split_and_mask(np.full(3, float(cid)), 16, substream(97, cid))[0]
                  for cid in ids}
         for cid in ids:
-            s1.receive_share(encode_share_upload(cid, 0, 1, rings[cid]))
+            s1.receive_share(_upload(cid, 0, 1, rings[cid]))
         assert s1.ids == [2, 5, 7]
         for k, cid in enumerate(sorted(ids)):
-            assert np.array_equal(s1.shares[k], rings[cid].words)
+            assert np.array_equal(s1.shares[k], rings[cid])
 
     def test_batch_for_other_clients_rejected(self):
         rng = substream(98, "sm")
@@ -599,7 +638,7 @@ class TestShareMatrixChecks:
         s2 = ServerS2(sorted(grads), 0)
         for cid, g in grads.items():
             _, sh2 = split_and_mask(g, 16, substream(99, "mask", cid))
-            s2.receive_share(encode_share_upload(cid, 0, 2, sh2))
+            s2.receive_share(_upload(cid, 0, 2, sh2))
         rows = np.stack([uniform_words(6, rng) for _ in range(3)])
         with pytest.raises(ClientSetMismatch):
             s2.receive_centered_batch(encode_centered_batch(0, 1, [0, 1, 5], rows, 6, 16))

@@ -1,7 +1,10 @@
 """The benchmark's tracer patches dp2guard names by string; a rename in the
 package must fail here, not only in a traced benchmark run."""
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from dp2guard import attacks, baselines, client, defense, harness, ledger, models, servers
 from dp2guard.harness import ExperimentConfig, run_experiment
@@ -43,3 +46,27 @@ def test_tracer_spans_a_fang_run_and_restores_every_name():
     assert sum(span[1] == "harness.round" for span in tracer.spans) == cfg.rounds
     for owner, attr in patched:
         assert owner.__dict__.get(attr) is before[id(owner)].get(attr), f"{owner}.{attr}"
+
+
+@pytest.mark.parametrize("n_clients", [5, 10])
+def test_tracer_spans_the_upload_path_of_a_batch_label_flip_run(n_clients):
+    # Per round, every client masks once and sends two uploads, and the
+    # per-client "client" and "mask" streams are re-keyed, not built by
+    # `substream`: its one call a round (the "cluster" stream) does not
+    # grow with N.
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        cfg = ExperimentConfig(n_clients=n_clients, rounds=3, adv_ratio=0.2, seed=4,
+                               local_mode="batch", attack={"kind": "label_flip", "offset": 1},
+                               synth_train=300, synth_test=100)
+        run_experiment(cfg)
+    finally:
+        tracer.uninstall()
+    for round_no in range(cfg.rounds):
+        calls = Counter(name for _, name, _, _, _, r in tracer.spans if r == round_no)
+        assert calls["client.local_gradient"] == n_clients
+        assert calls["client.split_and_mask"] == n_clients
+        assert calls["servers.encode_share_upload"] == 2 * n_clients
+        assert calls["servers.receive_share"] == 2 * n_clients
+        assert calls["numeric.substream"] == 1
