@@ -23,15 +23,19 @@ def split_and_mask(grad: np.ndarray, scale_bits: int, rng: np.random.Generator,
 
     Draws exactly one word per entry from `rng`.  np.add of the shares
     always equals the encode-quantized gradient, whatever the rng produced.
+    Into `out`, the only array it allocates is the rng's draw.
     """
-    encoded = encode_fixed(clip_for_encoding(grad, scale_bits), scale_bits)
+    if out is None:
+        out = (np.empty(len(grad), dtype=np.uint64), np.empty(len(grad), dtype=np.uint64))
+    share1, share2 = out
+    # Share 1's words hold the clipped floats until they are encoded into
+    # share 2.
+    encode_fixed(clip_for_encoding(grad, scale_bits, out=share1.view(np.float64)),
+                 scale_bits, out=share2)
     # Share 1 is one uniform word per entry, which alone hides the entry;
     # share 2 is its complement encoded - share 1 in the ring.
-    share1 = uniform_words(len(encoded), rng)
-    if out is None:
-        return share1, np.subtract(encoded, share1, out=encoded)
-    out[0][...] = share1
-    np.subtract(encoded, share1, out=out[1])
+    share1[...] = uniform_words(len(grad), rng)
+    np.subtract(share2, share1, out=share2)
     return out
 
 

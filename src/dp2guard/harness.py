@@ -347,6 +347,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     channel = Channel()
     trust_state = trust.initial_trust(cfg.n_clients, cfg.beta)
     root_data = _fltrust_root(cfg, test) if cfg.aggregator == "fltrust" else None
+    # The round loop's (N, d) arrays live for the run and are refilled every
+    # round: the gradient stack (np.empty only maps it; the first round
+    # touches its pages) and, in dp2guard runs, the servers' matrices.
+    stack = np.empty((cfg.n_clients, model.dim))
+    s1, s2 = ServerS1(range(cfg.n_clients)), ServerS2(range(cfg.n_clients))
 
     result = RunResult(cfg, [], ledger, channel, params, model)
     metrics: list[RoundMetrics] = []
@@ -355,14 +360,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     try:
         for round_no in range(cfg.rounds):
             started = time.perf_counter()
-            stack, crafted_norm = _round_gradients(cfg, datasets, model, params,
-                                                   round_no, spec)
+            crafted_norm = _round_gradients(cfg, datasets, model, params, round_no,
+                                            spec, stack)
             if record_history:
                 result.gradient_history.append(stack.copy())
 
             if cfg.aggregator == "dp2guard":
                 g_agg, detection, trust_state, tau = _dp2guard_round(
-                    cfg, stack, round_no, trust_state, ledger, channel, params)
+                    cfg, stack, round_no, trust_state, ledger, channel, params, s1, s2)
                 benign_pred = detection.benign
                 mtb, mtm = _trust_means(trust_state.trust, cfg.n_malicious)
                 # Row k of the round is client k.
@@ -412,13 +417,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
 
 def _round_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
                      model: models.Model, params: np.ndarray, round_no: int,
-                     spec: attacks.AttackSpec | None,
-                     ) -> tuple[np.ndarray, float | None]:
-    """Plaintext gradients for the round, stacked once with row i for
-    client i: honest clients train, label-flip clients train on their
-    poisoned partitions, and full-knowledge attacks are crafted from the
-    honest rows (the harness side channel)."""
-    stack = np.empty((len(datasets), params.shape[0]))
+                     spec: attacks.AttackSpec | None, stack: np.ndarray) -> float | None:
+    """Write the round's plaintext gradients into every row of `stack`, row
+    i for client i, and return the crafted gradient's norm (None without a
+    full-knowledge attack): honest clients train, label-flip clients train
+    on their poisoned partitions, and full-knowledge attacks are crafted
+    from the honest rows (the harness side channel)."""
     full_knowledge = isinstance(spec, (attacks.FangSpec, attacks.MinMaxSpec,
                                        attacks.MinSumSpec))
     rng = np.random.Generator(np.random.Philox(0))  # re-keyed for each client
@@ -435,7 +439,7 @@ def _round_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
         crafted = _craft(cfg, spec, stack[cfg.n_malicious:], round_no)
         crafted_norm = float(np.linalg.norm(crafted))
         stack[:cfg.n_malicious] = crafted
-    return stack, crafted_norm
+    return crafted_norm
 
 
 def _craft(cfg: ExperimentConfig, spec: attacks.AttackSpec,
@@ -541,15 +545,15 @@ def _select(cfg: ExperimentConfig, stack: np.ndarray,
 
 def _dp2guard_round(cfg: ExperimentConfig, stack: np.ndarray,
                     round_no: int, trust_state: trust.TrustState, ledger: Ledger,
-                    channel: Channel, params: np.ndarray):
-    """One full dual-server round: upload, center, detect, weigh, publish,
-    read back, reassemble."""
-    ids = list(range(len(stack)))
-    s1 = ServerS1(ids, round_no)
-    s2 = ServerS2(ids, round_no)
+                    channel: Channel, params: np.ndarray, s1: ServerS1, s2: ServerS2):
+    """One full dual-server round on the run's servers, which it opens for
+    `round_no`: upload, center, detect, weigh, publish, read back,
+    reassemble."""
+    s1.start_round(round_no)
+    s2.start_round(round_no)
 
     mask_rng = np.random.Generator(np.random.Philox(0))  # re-keyed for each client
-    for cid in ids:
+    for cid in range(len(stack)):
         # Each share is written straight into its upload's payload.
         m1, words1 = encode_share_upload(cid, round_no, 1, stack.shape[1], cfg.scale_bits)
         m2, words2 = encode_share_upload(cid, round_no, 2, stack.shape[1], cfg.scale_bits)

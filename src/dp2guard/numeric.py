@@ -37,23 +37,31 @@ def clip_bound(scale_bits: int) -> float:
     return 2.0 ** (63 - scale_bits - SUM_HEADROOM_BITS)
 
 
-def clip_for_encoding(values: np.ndarray, scale_bits: int = DEFAULT_SCALE_BITS) -> np.ndarray:
-    """Clamp entries to `clip_bound`.  Each encoded entry then fits the
-    ring with SUM_HEADROOM_BITS to spare; the centred and weighted
-    aggregates can still wrap (see SUM_HEADROOM_BITS)."""
+def clip_for_encoding(values: np.ndarray, scale_bits: int = DEFAULT_SCALE_BITS,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Clamp entries to `clip_bound`, into `out` when given.  Each encoded
+    entry then fits the ring with SUM_HEADROOM_BITS to spare; the centred
+    and weighted aggregates can still wrap (see SUM_HEADROOM_BITS)."""
     bound = clip_bound(scale_bits)
-    return np.clip(values, -bound, bound)
+    return np.clip(values, -bound, bound, out=out)
 
 
-def encode_fixed(values: np.ndarray, scale_bits: int = DEFAULT_SCALE_BITS) -> np.ndarray:
-    """Encode real entries as two's-complement fixed point: fresh, writable
-    uint64 words carrying `scale_bits` fractional bits.
+def encode_fixed(values: np.ndarray, scale_bits: int = DEFAULT_SCALE_BITS,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Encode real entries as two's-complement fixed point: uint64 words
+    carrying `scale_bits` fractional bits, written into `out` (uint64, the
+    shape of `values`, not overlapping them) or fresh, writable words.
 
+    The scaled floats are formed in the words' own memory and each is cast
+    in place to the word it becomes, so no temporary is allocated.
     Raises OverflowError if any entry is non-finite or out of range.
     """
     values = np.asarray(values, dtype=np.float64)
+    if out is None:
+        out = np.empty(values.shape, dtype=np.uint64)
+    scaled = out.view(np.float64)
     with np.errstate(over="ignore"):  # an overflow to inf is rejected below
-        scaled = values * 2.0**scale_bits
+        np.multiply(values, 2.0**scale_bits, out=scaled)
     np.rint(scaled, out=scaled)
     # |x| < 2**(63 - s) exactly when |x * 2**s| < 2**63 (scaling by a power
     # of two is exact), and rint cannot carry such a value up to 2**63
@@ -64,7 +72,10 @@ def encode_fixed(values: np.ndarray, scale_bits: int = DEFAULT_SCALE_BITS) -> np
         raise OverflowError(
             f"entries exceed the representable range at scale_bits={scale_bits}"
         )
-    return scaled.astype(np.int64).view(np.uint64)
+    # numpy casts an array onto its own memory as if from a copy; in one
+    # dimension it runs element by element and allocates nothing.
+    np.copyto(out.view(np.int64), scaled, casting="unsafe")
+    return out
 
 
 def decode_fixed(words: np.ndarray, scale_bits: int) -> np.ndarray:

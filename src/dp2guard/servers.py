@@ -1,7 +1,7 @@
 """Dual-server aggregation protocol: share collection, mean-centering
 exchange, trust-weighted partial aggregation, and reassembly.
 
-Each server holds its round's shares as one (N, d) uint64 matrix whose rows
+Each server holds a round's shares as one (N, d) uint64 matrix whose rows
 follow ascending client id; `receive_share` copies an upload's words from
 the wire straight into its row.
 
@@ -16,12 +16,16 @@ Weighted aggregation converts each weight to fixed point with 32 fractional
 bits and multiply-accumulates in the ring; the combined result therefore
 carries scale_bits + 32 fractional bits, which decode removes.
 
-Memory: the only (N, d) arrays a round allocates are the two share matrices
-and S2's float matrix of reconstructed centered gradients.  Centering,
-reconstruction and aggregation run row by row in reused d-vectors, because
-at realistic sizes every fresh (N, d) temporary lies above the allocator's
-mmap threshold and is page-faulted in again each time.  Servers live for
-one round, so nothing is kept across rounds.
+Memory: a server is built once per run and `start_round` opens each
+round.  It keeps its share matrix, and S2 its float matrix of
+reconstructed centered gradients, for the run, refilling both in place
+while d stays the same: at realistic sizes a fresh (N, d) array lies above
+the allocator's mmap threshold and is page-faulted in again every time.
+A row left from an earlier round is never read, because centering waits
+for every client's share of the current round.  Messages are built fresh
+each round and never rewritten once sent, so the CenteredBatch payload is
+the one (N, d) array a round allocates.  Centering, reconstruction and
+aggregation run row by row in reused d-vectors.
 """
 from __future__ import annotations
 
@@ -199,10 +203,17 @@ def decode_centered_batch(msg: ProtocolMessage) -> tuple[list[int], np.ndarray, 
         offset += _BATCH_RECORD.size
         if len(payload) < offset + blob_len:
             raise FormatError(f"CenteredBatch truncated in record {k} of {count}")
-        words, record_scale = ring_view(payload[offset:offset + blob_len])
+        # The record's ring header is read in place; its words are read
+        # through one strided view of all records below.
+        if blob_len < RING_HEADER.size:
+            raise FormatError(f"CenteredBatch record {k} is shorter than its ring header")
+        record_d, record_scale = RING_HEADER.unpack_from(payload, offset)
+        if blob_len != RING_HEADER.size + 8 * record_d:
+            raise FormatError(f"CenteredBatch record {k} of d={record_d} "
+                              f"has {blob_len - RING_HEADER.size} word bytes")
         if k == 0:
-            d, scale_bits = len(words), record_scale
-        elif (len(words), record_scale) != (d, scale_bits):
+            d, scale_bits = record_d, record_scale
+        elif (record_d, record_scale) != (d, scale_bits):
             raise FormatError(f"CenteredBatch record {k} does not match record 0")
         ids.append(cid)
         offset += blob_len
@@ -270,26 +281,29 @@ def _centered_rows(shares: np.ndarray, total: np.ndarray) -> Iterator[np.ndarray
 
 
 def reconstruct_centered(centered_1: np.ndarray, shares_2: np.ndarray,
-                         scale_bits: int) -> np.ndarray:
-    """Real centered gradients, row k for the client of shares_2[k].
+                         scale_bits: int, out: np.ndarray) -> np.ndarray:
+    """Real centered gradients written into `out` (float64, the shape of
+    shares_2), row k for the client of shares_2[k].
 
     `centered_1` holds S1's centered rows (as sent in the CenteredBatch);
     each is added to S2's own centered row, which cancels the random share
     exactly, then decoded and divided by N (the residual scaling of
-    `mean_center`), the same operations as decode_fixed(...) / N.
+    `mean_center`) in one division by N * 2**scale_bits.  That equals
+    decode_fixed(x, s) / N bit for bit: N * 2**s is exact (N < 2**53), and
+    so is float(x) * 2**-s, which for |x| >= 1 and s <= 48 is at least
+    2**-48 and cannot be subnormal (x = 0 gives +0.0 both ways).  Both
+    forms therefore round the same real quotient float(x) / (N * 2**s)
+    once.
     """
     if centered_1.shape[0] != shares_2.shape[0]:
         raise ClientSetMismatch(
             f"{centered_1.shape[0]} centered rows for {shares_2.shape[0]} shares")
     if centered_1.shape != shares_2.shape:
         raise DimensionMismatch(f"dimension {centered_1.shape[1]} != {shares_2.shape[1]}")
-    n = shares_2.shape[0]
-    unit = 2.0 ** (-scale_bits)
-    out = np.empty(shares_2.shape)
+    divisor = shares_2.shape[0] * 2.0**scale_bits
     for k, row in enumerate(mean_center(shares_2)):
         np.add(row, centered_1[k], out=row)
-        np.multiply(row.view(np.int64), unit, out=out[k])
-        np.divide(out[k], n, out=out[k])
+        np.divide(row.view(np.int64), divisor, out=out[k])
     return out
 
 
@@ -335,19 +349,29 @@ PHASE_DONE = "done"
 
 
 class _ServerBase:
-    """Collects one round's shares into `shares`, an (N, d) uint64 matrix
+    """Collects each round's shares into `shares`, an (N, d) uint64 matrix
     with row k for the k-th smallest expected client id; d and scale_bits
-    are fixed by the first share received."""
+    are fixed by the round's first share.  No round is open until
+    `start_round`."""
 
-    def __init__(self, server_id: int, expected_clients: Iterable[int], round_no: int):
+    def __init__(self, server_id: int, expected_clients: Iterable[int]):
         self.server_id = server_id
-        self.round = round_no
-        self.phase = PHASE_COLLECTING
+        self.round: int | None = None
+        self.phase = PHASE_DONE
         self.ids = sorted(set(expected_clients))
         self._row = {cid: k for k, cid in enumerate(self.ids)}
         self._received: set[int] = set()
         self.shares: np.ndarray | None = None
         self.scale_bits: int | None = None
+
+    def start_round(self, round_no: int) -> None:
+        """Open round `round_no`, whatever the phase: no share is received
+        yet, and its first share fixes d and scale_bits afresh.  The share
+        matrix is kept, to be refilled in place while d stays the same."""
+        self.round = round_no
+        self.phase = PHASE_COLLECTING
+        self._received.clear()
+        self.scale_bits = None
 
     def _require(self, phase: str, action: str) -> None:
         if self.phase != phase:
@@ -365,8 +389,9 @@ class _ServerBase:
             raise ProtocolError(f"duplicate share from client {client_id}")
         if share_index != self.server_id:
             raise ProtocolError(f"share index {share_index} uploaded to S{self.server_id}")
-        if self.shares is None:
-            self.shares = np.empty((len(self.ids), len(words)), dtype=np.uint64)
+        if not self._received:
+            if self.shares is None or self.shares.shape[1] != len(words):
+                self.shares = np.empty((len(self.ids), len(words)), dtype=np.uint64)
             self.scale_bits = scale_bits
         elif (len(words), scale_bits) != (self.shares.shape[1], self.scale_bits):
             raise ProtocolError(
@@ -387,9 +412,13 @@ class ServerS1(_ServerBase):
     """Holds first shares: centers them for S2, then aggregates with the
     published weights and reassembles the global gradient."""
 
-    def __init__(self, expected_clients, round_no: int):
-        super().__init__(1, expected_clients, round_no)
+    def __init__(self, expected_clients):
+        super().__init__(1, expected_clients)
         self._record: tuple[np.ndarray, int, dict[int, float]] | None = None
+
+    def start_round(self, round_no: int) -> None:
+        super().start_round(round_no)
+        self._record = None
 
     def center_shares(self) -> ProtocolMessage:
         self._require(PHASE_COLLECTING, "center shares")
@@ -431,10 +460,14 @@ class ServerS2(_ServerBase):
     """Holds second shares: reconstructs centered gradients, runs detection
     and trust scoring, and publishes its weighted partial aggregate."""
 
-    def __init__(self, expected_clients, round_no: int):
-        super().__init__(2, expected_clients, round_no)
+    def __init__(self, expected_clients):
+        super().__init__(2, expected_clients)
         self._centered: np.ndarray | None = None
         self._weights: np.ndarray | None = None
+
+    def start_round(self, round_no: int) -> None:
+        super().start_round(round_no)
+        self._weights = None
 
     def receive_centered_batch(self, msg: ProtocolMessage) -> None:
         self._require(PHASE_COLLECTING, "accept centered shares")
@@ -446,7 +479,9 @@ class ServerS2(_ServerBase):
             raise ClientSetMismatch(f"client sets differ: {ids} vs {self.ids}")
         if scale_bits != self.scale_bits:
             raise DimensionMismatch(f"scale_bits {scale_bits} != {self.scale_bits}")
-        self._centered = reconstruct_centered(c1, self.shares, self.scale_bits)
+        if self._centered is None or self._centered.shape != self.shares.shape:
+            self._centered = np.empty(self.shares.shape)
+        reconstruct_centered(c1, self.shares, self.scale_bits, self._centered)
         self.phase = PHASE_CENTERING
 
     def detect_and_weigh(self, state: TrustState, rng: np.random.Generator,
@@ -457,10 +492,8 @@ class ServerS2(_ServerBase):
         normalized aggregation weights, which `publish` applies.  Detection,
         trust and weights are indexed by row; row k is client self.ids[k]."""
         self._require(PHASE_CENTERING, "detect")
-        assert self._centered is not None
         self.phase = PHASE_DETECTING
         result = detect(self._centered, rng, projection_dim)
-        self._centered = None  # (N, d) floats nothing reads after detection
         benign = np.array([k in result.benign for k in range(len(self.ids))])
         direct = np.where(benign, direct_trust(result.features, result.centroid), 0.0)
         new_state = update_trust(state, direct)

@@ -61,6 +61,23 @@ class TestSplitAndMask:
         assert got[0] is out[0] and got[1] is out[1]
         assert np.array_equal(out[0], want[0]) and np.array_equal(out[1], want[1])
 
+    def test_masking_into_payload_words_allocates_only_the_draw(self):
+        # Clip, scale, rint, range check and cast run in the two output
+        # word arrays, share 1's words serving as the float scratch, so a
+        # warm call allocates the rng's d-word draw and nothing else.
+        d = 100_000
+        g = substream(49, "g").uniform(-5, 5, size=d)
+        out = (np.empty(d, dtype=np.uint64), np.empty(d, dtype=np.uint64))
+        split_and_mask(g, 16, substream(49, "m", 0), out=out)  # warm
+        rng = substream(49, "m", 1)
+        tracemalloc.start()
+        try:
+            split_and_mask(g, 16, rng, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * d * 8
+
     def test_oversized_entries_are_clipped_not_fatal(self):
         g = np.array([2.0**60, -1.0, 1.0])
         s1, s2 = split_and_mask(g, 16, substream(46, "m"))

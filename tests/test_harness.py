@@ -24,7 +24,14 @@ from dp2guard.harness import (
 )
 from dp2guard.ledger import Ledger
 from dp2guard.numeric import substream
-from dp2guard.servers import Channel, encode_message, partial_aggregate, reassemble_global
+from dp2guard.servers import (
+    Channel,
+    ServerS1,
+    ServerS2,
+    encode_message,
+    partial_aggregate,
+    reassemble_global,
+)
 
 
 def _desk_config(**overrides):
@@ -206,6 +213,20 @@ class TestRunDeterminism:
         a = run_experiment(_desk_config())
         b = run_experiment(_desk_config(seed=4))
         assert a.metrics[-1].accuracy != b.metrics[-1].accuracy
+
+
+    def test_a_run_leaves_nothing_behind_for_the_next(self, tmp_path):
+        # Runs keep their buffers for their own length only: A, then B with
+        # another seed, client count and model, then A again in the same
+        # process writes A's artifacts byte for byte.
+        a = _desk_config(rounds=3, adv_ratio=0.2, attack={"kind": "fang"})
+        b = _desk_config(rounds=2, seed=9, n_clients=7, model="mlp", hidden=8)
+        run_experiment(a, out_dir=tmp_path / "a1")
+        run_experiment(b, out_dir=tmp_path / "b")
+        run_experiment(a, out_dir=tmp_path / "a2")
+        for name in harness.ARTIFACTS:  # a fang dp2guard run writes all six
+            assert (tmp_path / "a1" / name).read_bytes() == \
+                   (tmp_path / "a2" / name).read_bytes()
 
 
 class TestLedgerHandle:
@@ -866,7 +887,8 @@ def test_secure_round_wire_bytes_match_analytic_sizes():
 
     stack = substream(4, "wire").standard_normal((n, d))
     harness._dp2guard_round(cfg, stack, 0, trust.initial_trust(n, cfg.beta),
-                            Ledger(), Recording(), np.zeros(d))
+                            Ledger(), Recording(), np.zeros(d),
+                            ServerS1(range(n)), ServerS2(range(n)))
     assert edges == {
         "client_to_s": 2 * n * (header + 10 + 8 * d),
         "s1_to_s2": header + 4 + n * (17 + 8 * d),
@@ -875,32 +897,38 @@ def test_secure_round_wire_bytes_match_analytic_sizes():
 
 
 def test_secure_round_allocates_no_share_sized_temporaries():
-    # A round's (N, d) allocations are the two share matrices, S2's float
-    # centered matrix and S1's CenteredBatch payload, which the channel
-    # hands to S2 without a copy; everything else is row by row.  Each extra whole-matrix temporary
-    # adds 1 to this ratio (the list-of-vectors servers measured 7.1).
+    # On the run's servers, a warm round refills both share matrices and
+    # S2's float centered matrix in place, so its one (N, d) allocation is
+    # S1's CenteredBatch payload, a fresh message that the channel hands to
+    # S2 without a copy; uploads, centring, reconstruction and aggregation
+    # take O(d + N^2) besides.  Each whole-matrix temporary adds 1 to this
+    # ratio: servers built for each round measured 4.10 x N*d*8 bytes, the
+    # run's servers 1.09.
     n, d = 64, 4000
     cfg = _desk_config(n_clients=n, rounds=2)
     stack = substream(1, "alloc").standard_normal((n, d))
     params = np.zeros(d)
     state = trust.initial_trust(n, cfg.beta)
     ledger, channel = Ledger(), Channel()
-    harness._dp2guard_round(cfg, stack, 0, state, ledger, channel, params)  # warm
+    servers = ServerS1(range(n)), ServerS2(range(n))
+    harness._dp2guard_round(cfg, stack, 0, state, ledger, channel, params, *servers)  # warm
     tracemalloc.start()
     try:
-        harness._dp2guard_round(cfg, stack, 1, state, ledger, channel, params)
+        harness._dp2guard_round(cfg, stack, 1, state, ledger, channel, params, *servers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * n * d * 8
+    assert peak <= 1.3 * n * d * 8
 
 
-def test_multikrum_minmax_round_allocates_one_gradient_matrix():
+def test_multikrum_minmax_round_into_carried_stack_allocates_no_matrix():
     # The (N, d) stack of round gradients is the only whole-matrix array of
-    # a Multi-Krum round under min-max: squared row norms (min-max's
-    # diameter and Krum's scores) and the kept-row mean go row by row.
-    # With an (N, d) temporary for each, the round measured 2.00 x N*d*8
-    # bytes; without, 1.10 (N = 40, MLP d = 6,762).
+    # a Multi-Krum round under min-max, and the run carries it from round
+    # to round: squared row norms (min-max's diameter and Krum's scores)
+    # and the kept-row mean go row by row.  With an (N, d) temporary for
+    # each and a fresh stack, the round measured 2.00 x N*d*8 bytes; with
+    # a fresh stack only, 1.10; into the carried stack, 0.10 (N = 40, MLP
+    # d = 6,762).
     n = 40
     cfg = ExperimentConfig(aggregator="multikrum", model="mlp", hidden=32,
                            synth_features=200, synth_classes=10, n_clients=n,
@@ -912,9 +940,10 @@ def test_multikrum_minmax_round_allocates_one_gradient_matrix():
     spec = cfg.parse_attack()
     datasets = [train.subset(idx) for idx in assignments]
     params = model.init_params(substream(cfg.seed, "model-init"))
+    stack = np.empty((n, model.dim))
 
     def one_round(round_no):
-        stack, _ = harness._round_gradients(cfg, datasets, model, params, round_no, spec)
+        harness._round_gradients(cfg, datasets, model, params, round_no, spec, stack)
         return harness._baseline_round(cfg, stack, round_no, model, params, None)
 
     one_round(0)  # warm
@@ -924,7 +953,7 @@ def test_multikrum_minmax_round_allocates_one_gradient_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * n * model.dim * 8
+    assert peak < 0.5 * n * model.dim * 8
 
 
 def test_dp2guard_oracle_call_builds_no_population():

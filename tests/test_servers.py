@@ -59,7 +59,15 @@ def _centered(shares: np.ndarray) -> np.ndarray:
 
 
 def _reconstruct(s1: np.ndarray, s2: np.ndarray, scale_bits=16) -> np.ndarray:
-    return reconstruct_centered(_centered(s1), s2, scale_bits)
+    return reconstruct_centered(_centered(s1), s2, scale_bits, np.empty(s2.shape))
+
+
+def _opened(server_cls, ids, round_no=0):
+    """A server for `ids` with round `round_no` open, as the round loop
+    opens each round on the run's servers."""
+    server = server_cls(ids)
+    server.start_round(round_no)
+    return server
 
 
 def _weights(tau: dict[int, float]) -> list[float]:
@@ -133,16 +141,31 @@ class TestReconstructCentered:
         grads = {i: rng.uniform(-2, 2, size=9) for i in range(5)}
         s1, s2 = _masked_pair(grads, 682)
         c1, c2 = _centered(s1), _centered(s2)
-        out = reconstruct_centered(c1, s2, 16)
+        out = reconstruct_centered(c1, s2, 16, np.empty(s2.shape))
         for k in range(5):
             want = decode_fixed(np.add(c1[k], c2[k]), 16) / 5
             assert np.array_equal(out[k], want)
+
+    @pytest.mark.parametrize("n", [2, 100, 129, 1024])
+    @pytest.mark.parametrize("scale_bits", [1, 16, 31, 48])
+    def test_one_division_equals_decode_then_divide(self, scale_bits, n):
+        # Each row is divided once by N * 2**scale_bits; that equals
+        # decode_fixed (a multiply by 2**-scale_bits) followed by / N bit for
+        # bit, at the ring's extremes and on random words.  With S2's shares
+        # all zero, every combined centred row is S1's row.
+        edges = np.array([0, 1, -1, 2**63 - 1, -(2**63 - 1), -2**63], dtype=np.int64)
+        words = np.concatenate([edges.view(np.uint64),
+                                uniform_words(58, substream(70, "rc", n, scale_bits))])
+        c1 = np.tile(words, (n, 1))
+        out = reconstruct_centered(c1, np.zeros_like(c1), scale_bits, np.empty(c1.shape))
+        want = decode_fixed(words, scale_bits) / n
+        assert np.array_equal(out.view(np.uint64), np.tile(want, (n, 1)).view(np.uint64))
 
     def test_client_set_mismatch(self):
         rng = substream(69, "rc")
         shares = np.stack([uniform_words(4, rng) for _ in range(3)])
         with pytest.raises(ClientSetMismatch):
-            reconstruct_centered(shares, shares[:2], 16)
+            reconstruct_centered(shares, shares[:2], 16, np.empty(shares.shape))
 
 
 class TestPartialAggregate:
@@ -364,8 +387,8 @@ def _drive_to_publish(grads, seed, round_no=0, beta=0.5, exclusion="soft"):
     id, as the ledger records it."""
     ids = sorted(grads)
     channel = Channel()
-    s1 = ServerS1(ids, round_no)
-    s2 = ServerS2(ids, round_no)
+    s1 = _opened(ServerS1, ids, round_no)
+    s2 = _opened(ServerS2, ids, round_no)
     for cid in ids:
         sh1, sh2 = split_and_mask(grads[cid], 16, substream(seed, "mask", cid))
         s1.receive_share(channel.send(f"client{cid}", "S1",
@@ -455,7 +478,7 @@ class TestServerStateMachines:
         rng = substream(84, "sm")
         grads = {i: rng.uniform(-1, 1, size=8) for i in range(3)}
         ids = sorted(grads)
-        s1 = ServerS1(ids, 0)
+        s1 = _opened(ServerS1, ids, 0)
         for cid in ids:
             sh1, _ = split_and_mask(grads[cid], 16, substream(85, "m", cid))
             s1.receive_share(_upload(cid, 0, 1, sh1))
@@ -465,20 +488,20 @@ class TestServerStateMachines:
             s1.receive_share(_upload(0, 0, 1, sh1))
 
     def test_centering_before_all_shares_rejected(self):
-        s1 = ServerS1([0, 1, 2], 0)
+        s1 = _opened(ServerS1, [0, 1, 2], 0)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(86, "m"))
         s1.receive_share(_upload(0, 0, 1, sh1))
         with pytest.raises(ProtocolError):
             s1.center_shares()
 
     def test_wrong_round_rejected(self):
-        s1 = ServerS1([0], 5)
+        s1 = _opened(ServerS1, [0], 5)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(87, "m"))
         with pytest.raises(ProtocolError):
             s1.receive_share(_upload(0, 4, 1, sh1))
 
     def test_duplicate_and_unknown_clients_rejected(self):
-        s1 = ServerS1([0, 1], 0)
+        s1 = _opened(ServerS1, [0, 1], 0)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(88, "m"))
         msg = _upload(0, 0, 1, sh1)
         s1.receive_share(msg)
@@ -488,13 +511,13 @@ class TestServerStateMachines:
             s1.receive_share(_upload(9, 0, 1, sh1))
 
     def test_share_index_must_match_server(self):
-        s2 = ServerS2([0], 0)
+        s2 = _opened(ServerS2, [0], 0)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(89, "m"))
         with pytest.raises(ProtocolError):
             s2.receive_share(_upload(0, 0, 1, sh1))
 
     def test_weights_before_centering_rejected(self):
-        s1 = ServerS1([0], 0)
+        s1 = _opened(ServerS1, [0], 0)
         agg = uniform_words(4, substream(90, "m"))
         with pytest.raises(ProtocolError):
             s1.receive_agg_and_weights(encode_agg_and_weights(0, 0, agg, 48, {0: 1.0}))
@@ -531,7 +554,7 @@ class TestTypedDecodeErrors:
         with pytest.raises(FormatError):
             decode_share_upload(short)
         with pytest.raises(FormatError):
-            ServerS1([0], 0).receive_share(short)
+            _opened(ServerS1, [0], 0).receive_share(short)
 
     def test_padded_share_upload(self):
         msg = self._share_upload()
@@ -605,7 +628,7 @@ class TestTypedDecodeErrors:
 
 class TestShareMatrixChecks:
     def test_dimension_change_rejected(self):
-        s1 = ServerS1([0, 1], 0)
+        s1 = _opened(ServerS1, [0, 1], 0)
         a, _ = split_and_mask(np.ones(4), 16, substream(95, "m"))
         b, _ = split_and_mask(np.ones(5), 16, substream(95, "m"))
         s1.receive_share(_upload(0, 0, 1, a))
@@ -613,7 +636,7 @@ class TestShareMatrixChecks:
             s1.receive_share(_upload(1, 0, 1, b))
 
     def test_scale_change_rejected(self):
-        s1 = ServerS1([0, 1], 0)
+        s1 = _opened(ServerS1, [0, 1], 0)
         a, _ = split_and_mask(np.ones(4), 16, substream(96, "m"))
         b, _ = split_and_mask(np.ones(4), 20, substream(96, "m"))
         s1.receive_share(_upload(0, 0, 1, a))
@@ -623,7 +646,7 @@ class TestShareMatrixChecks:
     def test_rows_follow_client_id_order(self):
         # Uploads arrive in any order; row k holds the k-th smallest id.
         ids = [7, 2, 5]
-        s1 = ServerS1(ids, 0)
+        s1 = _opened(ServerS1, ids, 0)
         rings = {cid: split_and_mask(np.full(3, float(cid)), 16, substream(97, cid))[0]
                  for cid in ids}
         for cid in ids:
@@ -632,10 +655,62 @@ class TestShareMatrixChecks:
         for k, cid in enumerate(sorted(ids)):
             assert np.array_equal(s1.shares[k], rings[cid])
 
+    def test_reused_server_rejects_a_round_with_a_missing_upload(self):
+        # The run's servers keep their share matrices across rounds, so in
+        # round 1 client 2's row still holds its round-0 share; centring
+        # must still wait for its round-1 upload.
+        rng = substream(100, "reuse")
+        grads = {i: rng.uniform(-1, 1, size=6) for i in range(3)}
+        *_, s1, s2 = _drive_round(grads, 101)
+        rows = {1: s1.shares.copy(), 2: s2.shares.copy()}
+        s1.start_round(1)
+        s2.start_round(1)
+        for cid in (0, 1):
+            sh1, sh2 = split_and_mask(grads[cid], 16, substream(102, "mask", cid))
+            s1.receive_share(_upload(cid, 1, 1, sh1))
+            s2.receive_share(_upload(cid, 1, 2, sh2))
+        assert np.array_equal(s1.shares[2], rows[1][2])
+        assert np.array_equal(s2.shares[2], rows[2][2])
+        with pytest.raises(ProtocolError, match=r"clients \[2\]"):
+            s1.center_shares()
+        batch = encode_centered_batch(1, 1, [0, 1, 2], rows[1], 6, 16)
+        with pytest.raises(ProtocolError, match=r"clients \[2\]"):
+            s2.receive_centered_batch(batch)
+
+    def test_reused_server_first_share_fixes_dimension_and_scale(self):
+        # Each round's first share fixes d and scale_bits, on a reused
+        # server as on a fresh one; a matrix of the same d is refilled in
+        # place.
+        s1 = _opened(ServerS1, [0, 1])
+        a, _ = split_and_mask(np.ones(4), 16, substream(103, "m"))
+        s1.receive_share(_upload(0, 0, 1, a))
+        kept = s1.shares
+        s1.start_round(1)
+        b, _ = split_and_mask(np.ones(5), 20, substream(103, "m"))
+        s1.receive_share(_upload(1, 1, 1, b, 20))
+        assert s1.shares.shape == (2, 5) and s1.scale_bits == 20
+        with pytest.raises(ProtocolError):
+            s1.receive_share(_upload(0, 1, 1, a))
+        s1.start_round(2)
+        with pytest.raises(ProtocolError):
+            s1.receive_share(_upload(0, 1, 1, a))  # a share of the old round
+        c, _ = split_and_mask(np.ones(5), 16, substream(103, "m"))
+        s1.receive_share(_upload(0, 2, 1, c))
+        refilled = s1.shares
+        assert s1.scale_bits == 16
+        s1.start_round(3)
+        s1.receive_share(_upload(1, 3, 1, c))
+        assert s1.shares is refilled and kept is not refilled
+
+    def test_no_round_open_before_start_round(self):
+        sh1, _ = split_and_mask(np.ones(4), 16, substream(104, "m"))
+        with pytest.raises(ProtocolError):
+            ServerS1([0]).receive_share(_upload(0, 0, 1, sh1))
+
     def test_batch_for_other_clients_rejected(self):
         rng = substream(98, "sm")
         grads = {i: rng.uniform(-1, 1, size=6) for i in range(3)}
-        s2 = ServerS2(sorted(grads), 0)
+        s2 = _opened(ServerS2, sorted(grads), 0)
         for cid, g in grads.items():
             _, sh2 = split_and_mask(g, 16, substream(99, "mask", cid))
             s2.receive_share(_upload(cid, 0, 2, sh2))
