@@ -68,7 +68,10 @@ AttackSpec = LabelFlipSpec | FangSpec | MinMaxSpec | MinSumSpec
 
 def label_flip(dataset: Dataset, offset: int, fraction: float,
                rng: np.random.Generator) -> Dataset:
-    """Relabel a uniform floor(fraction*n) subset as (y + offset) mod L."""
+    """Relabel a uniform floor(fraction*n) subset as (y + offset) mod L.
+
+    The result shares the input's read-only features and owns new labels.
+    """
     if not 1 <= offset < dataset.n_classes:
         raise ValueError(f"offset must be in [1, {dataset.n_classes})")
     if not 0 < fraction <= 1:
@@ -77,7 +80,7 @@ def label_flip(dataset: Dataset, offset: int, fraction: float,
     chosen = rng.choice(len(dataset), size=n_flip, replace=False)
     labels = dataset.labels.copy()
     labels[chosen] = (labels[chosen] + offset) % dataset.n_classes
-    return Dataset(dataset.features.copy(), labels, dataset.n_classes)
+    return Dataset(dataset.features, labels, dataset.n_classes)
 
 
 def fang_candidate(benign_mean: np.ndarray, lam: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,8 +43,9 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.features[indices].copy(), self.labels[indices].copy(),
-                       self.n_classes)
+        """The rows at `indices` (an integer array), copied once: fancy
+        indexing already returns new arrays."""
+        return Dataset(self.features[indices], self.labels[indices], self.n_classes)
 
     def head(self, n: int) -> "Dataset":
         return self.subset(np.arange(min(n, len(self))))
@@ -99,13 +101,17 @@ def partition(dataset: Dataset, n_clients: int, mode: str = "iid",
 def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     """Parse a big-endian IDX image/label pair (plain or gzipped).
 
-    Pixels are scaled to [0, 1] and images flattened row-major.
+    Pixels are scaled to [0, 1] and images flattened row-major.  The one
+    float64 copy is scaled in place, so the pixel bytes and that copy are
+    all a load holds.
     """
     images = _read_idx_payload(images_path, IDX_IMAGES_MAGIC, ndim=3)
     labels = _read_idx_payload(labels_path, IDX_LABELS_MAGIC, ndim=1)
     if images.shape[0] != labels.shape[0]:
         raise CountMismatch(f"{images.shape[0]} images vs {labels.shape[0]} labels")
-    features = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
+    features = images.reshape(images.shape[0], -1).astype(np.float64)
+    del images
+    features /= 255.0
     return Dataset(features, labels.astype(np.int64), n_classes=10)
 
 
@@ -120,7 +126,7 @@ def _read_idx_payload(path: str | Path, want_magic: int, ndim: int) -> np.ndarra
         raise FormatError(f"{path}: magic 0x{magic:08x}, expected 0x{want_magic:08x}")
     dims = struct.unpack(f">{ndim}I", raw[4:4 + 4 * ndim])
     offset = 4 + 4 * ndim
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # exact: np.prod wraps in int64
     if len(raw) - offset != count:
         raise FormatError(f"{path}: payload has {len(raw) - offset} bytes, header says {count}")
     return np.frombuffer(raw, dtype=np.uint8, offset=offset).reshape(dims)
@@ -128,14 +134,20 @@ def _read_idx_payload(path: str | Path, want_magic: int, ndim: int) -> np.ndarra
 
 def synth_dataset(n: int, p: int, n_classes: int, separation: float,
                   rng: np.random.Generator) -> Dataset:
-    """Gaussian class blobs with unit noise, centers `separation` from origin
-    along distinct axes."""
+    """Gaussian class blobs with unit noise: class c's center lies
+    `separation` from the origin along axis c mod p.
+
+    Each feature is center + noise, formed in the noise draw: the offset
+    entry gets noise + separation, the rest noise + 0.0, which turns a -0.0
+    draw into +0.0 exactly as adding a zero center does.
+    """
     if min(n, p, n_classes) < 1:
         raise ValueError("n, p, n_classes must all be positive")
-    centers = np.zeros((n_classes, p))
-    for cls in range(n_classes):
-        centers[cls, cls % p] = separation
     labels = rng.integers(0, n_classes, size=n)
-    features = centers[labels] + rng.standard_normal((n, p))
+    features = rng.standard_normal((n, p))
+    rows, cols = np.arange(n), labels % p
+    offset = features[rows, cols] + separation
+    features += 0.0
+    features[rows, cols] = offset
     return Dataset(features, labels.astype(np.int64), n_classes)
 

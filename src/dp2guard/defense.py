@@ -52,7 +52,14 @@ def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
 def _median_cosines(gram: np.ndarray) -> np.ndarray:
     """Per-row median of gram[i, j] / (n_i * n_j) over j != i, with
     n_i = sqrt(gram[i, i]); zero rows score 0 and enter other rows'
-    medians as 0."""
+    medians as 0.
+
+    The median is taken with np.partition: the middle element of the n - 1
+    others, or (a + b) / 2.0 of the two middle ones, which is what
+    np.median returns bit for bit on finite input (and np.median would
+    import numpy.ma on first use).  The Gram is finite: detection forms it
+    from decoded ring integers.
+    """
     n = gram.shape[0]
     norms = np.sqrt(np.diagonal(gram))
     zero = norms <= _ZERO_NORM
@@ -61,7 +68,11 @@ def _median_cosines(gram: np.ndarray) -> np.ndarray:
     cos[zero, :] = 0.0
     cos[:, zero] = 0.0
     others = cos[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    return np.median(others, axis=1)
+    half = (n - 1) // 2
+    if (n - 1) % 2:
+        return np.partition(others, half, axis=1)[:, half]
+    part = np.partition(others, (half - 1, half), axis=1)
+    return (part[:, half - 1] + part[:, half]) / 2.0
 
 
 def top_direction(matrix: np.ndarray) -> np.ndarray:

@@ -341,6 +341,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
             local = attacks.label_flip(local, spec.offset, spec.fraction,
                                        substream(cfg.seed, "poison", cid))
         datasets.append(local)
+    # Every training row now lives in its client's Dataset; dropping the
+    # unpartitioned matrix keeps it from being held a second time all run.
+    del train
 
     params = model.init_params(substream(cfg.seed, "model-init"))
     ledger = Ledger(out_path / "ledger.jsonl" if out_path else None)

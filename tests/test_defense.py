@@ -136,6 +136,24 @@ class TestMedianCosines:
             assert np.array_equal(median_cosines(rows),
                                   brute_force_median_cosines(rows))
 
+    @pytest.mark.parametrize("n", [5, 6, 50, 51])  # n - 1 even, odd, odd, even
+    def test_partition_median_is_np_median_bit_for_bit(self, n):
+        # Repeated rows give exact ties and zero rows give 0 cosines; the
+        # medians must match np.median over the same cosine matrix.
+        rng = substream(25, "median", n)
+        rows = rng.standard_normal((n, 9))
+        rows[1::4] = rows[0]
+        rows[3::7] = 0.0
+        gram = rows @ rows.T
+        norms = np.sqrt(np.diagonal(gram))
+        zero = norms <= 1e-12
+        safe = np.where(zero, 1.0, norms)
+        cos = gram / (safe[:, None] * safe[None, :])
+        cos[zero, :] = 0.0
+        cos[:, zero] = 0.0
+        others = cos[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+        assert median_cosines(rows).tobytes() == np.median(others, axis=1).tobytes()
+
     @pytest.mark.parametrize("shape", [(50, 7850), (20, 210)])
     def test_within_rounding_bound_at_workload_shapes(self, shape):
         # The Gram matrix sums each dot product in another order than the

@@ -1,7 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+import weakref
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +232,45 @@ class TestRunDeterminism:
         for name in harness.ARTIFACTS:  # a fang dp2guard run writes all six
             assert (tmp_path / "a1" / name).read_bytes() == \
                    (tmp_path / "a2" / name).read_bytes()
+
+
+class TestSetupMemory:
+    @pytest.mark.parametrize("overrides", [
+        {}, {"train_subset": 500},
+        {"adv_ratio": 0.2, "attack": {"kind": "label_flip", "offset": 1}}])
+    def test_unpartitioned_features_are_freed_before_round_0(self, monkeypatch, overrides):
+        # Each training row lives once, in its client's Dataset: nothing
+        # holds the loaded matrix once the rounds start.
+        refs, alive = [], []
+
+        def tracked_load(cfg):
+            train, test = load_datasets(cfg)
+            refs.append(weakref.ref(train.features))
+            return train, test
+
+        def probed_round(cfg, *args):
+            if not alive:
+                alive.append(refs[0]() is not None)
+            return round_gradients(cfg, *args)
+
+        round_gradients = harness._round_gradients
+        monkeypatch.setattr(harness, "load_datasets", tracked_load)
+        monkeypatch.setattr(harness, "_round_gradients", probed_round)
+        run_experiment(_desk_config(rounds=1, **overrides))
+        assert alive == [False]
+
+    def test_a_dp2guard_run_does_not_import_numpy_ma(self):
+        # np.median imports numpy.ma on first use; median cosines use
+        # np.partition, so a dp2guard round must not pull it in.
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        code = ("import sys\n"
+                "from dp2guard.harness import ExperimentConfig, run_experiment\n"
+                "run_experiment(ExperimentConfig(dataset='synthetic', n_clients=10, rounds=1,"
+                " synth_train=600, synth_test=300, synth_features=12, synth_classes=3))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "False\n"
 
 
 class TestLedgerHandle:
