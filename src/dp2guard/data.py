@@ -30,7 +30,7 @@ class Dataset:
             )
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
             raise FormatError("labels outside [0, n_classes)")
-        if not np.all(np.isfinite(self.features)):
+        if not _all_finite(self.features):
             raise FormatError("non-finite feature values")
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
@@ -49,6 +49,17 @@ class Dataset:
 
     def head(self, n: int) -> "Dataset":
         return self.subset(np.arange(min(n, len(self))))
+
+
+def _all_finite(features: np.ndarray) -> bool:
+    """Whether every entry is finite, without an elementwise mask when
+    possible: a finite sum proves every entry finite (one NaN or inf makes
+    any sum NaN or inf), and only a sum that is not finite, which finite
+    entries can still reach by overflow, falls back to the entrywise
+    check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = features.sum()
+    return bool(np.isfinite(total)) or bool(np.all(np.isfinite(features)))
 
 
 def partition(dataset: Dataset, n_clients: int, mode: str = "iid",

@@ -10,7 +10,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,6 +62,8 @@ NULLABLE = ("projection_dim", "train_subset", "test_subset", "data_dir", "attack
 ARTIFACTS = ("ledger.jsonl", "metrics.csv", "plot.svg", "resolved-config.json",
              "detection.csv", "attack.csv")
 LEDGER_SENDER = 0
+# Attacks crafted from every honest client's gradient.
+FULL_KNOWLEDGE = (attacks.FangSpec, attacks.MinMaxSpec, attacks.MinSumSpec)
 
 
 @dataclass(frozen=True)
@@ -351,9 +353,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     trust_state = trust.initial_trust(cfg.n_clients, cfg.beta)
     root_data = _fltrust_root(cfg, test) if cfg.aggregator == "fltrust" else None
     # The round loop's (N, d) arrays live for the run and are refilled every
-    # round: the gradient stack (np.empty only maps it; the first round
-    # touches its pages) and, in dp2guard runs, the servers' matrices.
-    stack = np.empty((cfg.n_clients, model.dim))
+    # round: in dp2guard runs the servers' matrices, and the gradient stack
+    # (np.empty only maps it; the first round touches its pages) only where
+    # a party reads every client's gradient: a full-knowledge attacker, who
+    # crafts from the honest rows, or a plaintext rule.  Otherwise each
+    # client trains into one reused d-vector just before it uploads.
+    if isinstance(spec, FULL_KNOWLEDGE) or cfg.aggregator != "dp2guard":
+        stack, row = np.empty((cfg.n_clients, model.dim)), None
+    else:
+        stack, row = None, np.empty(model.dim)
     s1, s2 = ServerS1(range(cfg.n_clients)), ServerS2(range(cfg.n_clients))
 
     result = RunResult(cfg, [], ledger, channel, params, model)
@@ -363,14 +371,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     try:
         for round_no in range(cfg.rounds):
             started = time.perf_counter()
-            crafted_norm = _round_gradients(cfg, datasets, model, params, round_no,
-                                            spec, stack)
+            if stack is None:
+                crafted_norm = None
+                history = np.empty((cfg.n_clients, model.dim)) if record_history else None
+                gradients = _streamed_gradients(cfg, datasets, model, params, round_no,
+                                                row, history)
+            else:
+                crafted_norm = _round_gradients(cfg, datasets, model, params, round_no,
+                                                spec, stack)
+                gradients = stack
+                history = stack.copy() if record_history else None
             if record_history:
-                result.gradient_history.append(stack.copy())
+                result.gradient_history.append(history)
 
             if cfg.aggregator == "dp2guard":
                 g_agg, detection, trust_state, tau = _dp2guard_round(
-                    cfg, stack, round_no, trust_state, ledger, channel, params, s1, s2)
+                    cfg, gradients, round_no, trust_state, ledger, channel, params, s1, s2)
                 benign_pred = detection.benign
                 mtb, mtm = _trust_means(trust_state.trust, cfg.n_malicious)
                 # Row k of the round is client k.
@@ -426,8 +442,7 @@ def _round_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
     full-knowledge attack): honest clients train, label-flip clients train
     on their poisoned partitions, and full-knowledge attacks are crafted
     from the honest rows (the harness side channel)."""
-    full_knowledge = isinstance(spec, (attacks.FangSpec, attacks.MinMaxSpec,
-                                       attacks.MinSumSpec))
+    full_knowledge = isinstance(spec, FULL_KNOWLEDGE)
     rng = np.random.Generator(np.random.Philox(0))  # re-keyed for each client
     for cid in range(cfg.n_malicious if full_knowledge else 0, len(datasets)):
         client.local_gradient(datasets[cid], model, params, cfg.local_mode,
@@ -443,6 +458,25 @@ def _round_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
         crafted_norm = float(np.linalg.norm(crafted))
         stack[:cfg.n_malicious] = crafted
     return crafted_norm
+
+
+def _streamed_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
+                        model: models.Model, params: np.ndarray, round_no: int,
+                        row: np.ndarray, history: np.ndarray | None) -> Iterator[np.ndarray]:
+    """Yield the round's plaintext gradients in client order, each trained
+    into the one reused d-vector `row` when the consumer asks for it, so
+    it must be consumed before the next is drawn; each is also copied
+    into history[cid] when a history is given.  Without a full-knowledge
+    attack these are the rows `_round_gradients` writes, from the same
+    per-client streams."""
+    rng = np.random.Generator(np.random.Philox(0))  # re-keyed for each client
+    for cid, dataset in enumerate(datasets):
+        grad = client.local_gradient(dataset, model, params, cfg.local_mode,
+                                     cfg.batch_size, cfg.eta,
+                                     rekey(rng, cfg.seed, "client", cid, round_no), out=row)
+        if history is not None:
+            history[cid] = grad
+        yield grad
 
 
 def _craft(cfg: ExperimentConfig, spec: attacks.AttackSpec,
@@ -546,21 +580,23 @@ def _select(cfg: ExperimentConfig, stack: np.ndarray,
     return np.array(sorted(kept), dtype=np.intp)
 
 
-def _dp2guard_round(cfg: ExperimentConfig, stack: np.ndarray,
+def _dp2guard_round(cfg: ExperimentConfig, gradients: Iterable[np.ndarray],
                     round_no: int, trust_state: trust.TrustState, ledger: Ledger,
                     channel: Channel, params: np.ndarray, s1: ServerS1, s2: ServerS2):
     """One full dual-server round on the run's servers, which it opens for
     `round_no`: upload, center, detect, weigh, publish, read back,
-    reassemble."""
+    reassemble.  `gradients` yields every client's gradient in id order
+    (the rows of a stack, or `_streamed_gradients`); each is masked into
+    its uploads before the next is drawn."""
     s1.start_round(round_no)
     s2.start_round(round_no)
 
     mask_rng = np.random.Generator(np.random.Philox(0))  # re-keyed for each client
-    for cid in range(len(stack)):
+    for cid, grad in enumerate(gradients):
         # Each share is written straight into its upload's payload.
-        m1, words1 = encode_share_upload(cid, round_no, 1, stack.shape[1], cfg.scale_bits)
-        m2, words2 = encode_share_upload(cid, round_no, 2, stack.shape[1], cfg.scale_bits)
-        client.split_and_mask(stack[cid], cfg.scale_bits,
+        m1, words1 = encode_share_upload(cid, round_no, 1, len(grad), cfg.scale_bits)
+        m2, words2 = encode_share_upload(cid, round_no, 2, len(grad), cfg.scale_bits)
+        client.split_and_mask(grad, cfg.scale_bits,
                               rekey(mask_rng, cfg.seed, "mask", cid, round_no),
                               out=(words1, words2))
         s1.receive_share(channel.send(f"client{cid}", "S1", m1))

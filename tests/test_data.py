@@ -242,3 +242,40 @@ class TestRowOwnership:
         assert not np.array_equal(flipped.labels, before)
         assert not flipped.features.flags.writeable
         assert not flipped.labels.flags.writeable
+
+
+class TestFiniteFeatures:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_a_non_finite_entry_is_rejected(self, bad):
+        features = np.ones((5, 3))
+        features[3, 1] = bad
+        with pytest.raises(FormatError, match="non-finite"):
+            Dataset(features, np.zeros(5, dtype=np.int64), 2)
+
+    def test_opposite_infinities_are_rejected(self):
+        # inf + -inf is NaN: the sum is not finite either way.
+        features = np.array([[np.inf, 1.0], [2.0, -np.inf]])
+        with pytest.raises(FormatError, match="non-finite"):
+            Dataset(features, np.zeros(2, dtype=np.int64), 2)
+
+    @pytest.mark.parametrize("big", [np.finfo(np.float64).max, -np.finfo(np.float64).max])
+    def test_finite_entries_whose_sum_overflows_are_accepted(self, big):
+        features = np.full((4, 3), big)
+        with np.errstate(over="raise"):  # no overflow warning escapes
+            data = Dataset(features, np.zeros(4, dtype=np.int64), 2)
+        assert data.features is features
+
+    def test_check_allocates_no_entrywise_mask(self):
+        # The sum proves finite features finite without the n x p bool mask
+        # of np.isfinite, an eighth of the float matrix: the check measured
+        # 1.02 x n * p bytes with the mask, 0.02 x with the sum first.
+        n, p = 2000, 50
+        features = substream(12, "finite").standard_normal((n, p))
+        labels = np.zeros(n, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            Dataset(features, labels, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * n * p

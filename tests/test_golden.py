@@ -1,4 +1,4 @@
-"""Pinned artifact digests of three dp2guard configs.
+"""Pinned artifact digests of four dp2guard configs.
 
 The reproducibility tests elsewhere only compare a run with its own rerun,
 so a change that shifts output bits the same way twice would pass them.
@@ -23,6 +23,15 @@ secure-long workload: minibatch local training (whose "client" stream draws
 recorded before the round loop began to re-key one generator per loop
 instead of building a fresh one per client, and before shares were written
 straight into their upload payloads; neither change may move a bit.
+
+The fourth config, "mlp-no-attack", is shaped like the benchmark's
+secure-wide workload at small N and d: an MLP, IID partition, epoch-mode
+local training and no attack.  Without a full-knowledge attacker or a
+plaintext rule, no party reads more than one client's gradient, so the
+round loop streams each client's gradient into its upload instead of
+filling an (N, d) stack first.  The other configs all take a stack or
+label-flip path, so this one pins the streamed path; its digests were
+recorded before the round loop began to stream, which may not move a bit.
 
 The digests are specific to the floating-point stack they were recorded on
 (numpy 2.4, OpenBLAS 0.3, x86-64): another BLAS may change the last bits of
@@ -63,6 +72,15 @@ GOLDEN = {
             "metrics.csv": "9a244238fa70176a46a14b5f989425d94e50740f9c3ae3427efdbf822b76d27d",
             "detection.csv": "0c7e62599815c337667e6925b3ecbe11f71db4fadcd40f412f37415b3378ec82",
             "ledger.jsonl": "b534b8a48671f5756980faf22afd7e65cc031fff723c7f9f83c31b9c11bef6f8",
+        },
+    ),
+    "mlp-no-attack": (
+        dict(aggregator="dp2guard", model="mlp", hidden=8, synth_features=40, synth_classes=10,
+             n_clients=12, rounds=3, seed=21, synth_train=600, synth_test=200),
+        {
+            "metrics.csv": "600310ebbf701a73b0a7cafa0beeb85e2025d7227b68d322f568d45d0516b407",
+            "detection.csv": "f1105ed55a468f251a6452b3e2a0958112313df782bef5b01215a5c7e3551ac6",
+            "ledger.jsonl": "24a7dc08e264a84530d222a1de98c4cb81412fcb8a30ee17eaf31b2cbe53e6b8",
         },
     ),
 }

@@ -233,6 +233,34 @@ class TestRunDeterminism:
             assert (tmp_path / "a1" / name).read_bytes() == \
                    (tmp_path / "a2" / name).read_bytes()
 
+    @pytest.mark.parametrize("overrides", [
+        dict(model="mlp", hidden=8), dict(adv_ratio=0.2, attack={"kind": "fang"})],
+        ids=["mlp-no-attack", "fang"])
+    def test_recording_history_moves_no_artifact(self, tmp_path, overrides):
+        # record_history copies the gradients a round produces (streamed
+        # into one reused row without a full-knowledge attack, a stack with
+        # one) and changes nothing the run writes.  Each round's recorded
+        # gradients are the rows the stacked path trains from its
+        # parameters, bit for bit.
+        cfg = _desk_config(rounds=3, **overrides)
+        run_experiment(cfg, out_dir=tmp_path / "off")
+        res = run_experiment(cfg, out_dir=tmp_path / "on", record_history=True)
+        for name in harness.ARTIFACTS:
+            off = tmp_path / "off" / name
+            assert off.exists() == (tmp_path / "on" / name).exists()
+            if off.exists():
+                assert off.read_bytes() == (tmp_path / "on" / name).read_bytes()
+        train, _ = load_datasets(cfg)
+        datasets = [train.subset(idx) for idx in partition(
+            train, cfg.n_clients, cfg.partition, cfg.alpha, substream(cfg.seed, "partition"))]
+        params = res.model.init_params(substream(cfg.seed, "model-init"))
+        stack = np.empty((cfg.n_clients, res.model.dim))
+        for t in range(cfg.rounds):
+            harness._round_gradients(cfg, datasets, res.model, params, t,
+                                     cfg.parse_attack(), stack)
+            assert res.gradient_history[t].tobytes() == stack.tobytes()
+            params = res.params_history[t]
+
 
 class TestSetupMemory:
     @pytest.mark.parametrize("overrides", [
@@ -240,7 +268,9 @@ class TestSetupMemory:
         {"adv_ratio": 0.2, "attack": {"kind": "label_flip", "offset": 1}}])
     def test_unpartitioned_features_are_freed_before_round_0(self, monkeypatch, overrides):
         # Each training row lives once, in its client's Dataset: nothing
-        # holds the loaded matrix once the rounds start.
+        # holds the loaded matrix once the rounds start.  The probe sits at
+        # round 0's first local training, which the stacked and the
+        # streamed round paths both make.
         refs, alive = [], []
 
         def tracked_load(cfg):
@@ -248,14 +278,13 @@ class TestSetupMemory:
             refs.append(weakref.ref(train.features))
             return train, test
 
-        def probed_round(cfg, *args):
+        def probed_gradient(*args, **kwargs):
             if not alive:
                 alive.append(refs[0]() is not None)
-            return round_gradients(cfg, *args)
+            return local_gradient(*args, **kwargs)
 
-        round_gradients = harness._round_gradients
         monkeypatch.setattr(harness, "load_datasets", tracked_load)
-        monkeypatch.setattr(harness, "_round_gradients", probed_round)
+        monkeypatch.setattr(client_mod, "local_gradient", probed_gradient)
         run_experiment(_desk_config(rounds=1, **overrides))
         assert alive == [False]
 
@@ -963,6 +992,27 @@ def test_secure_round_allocates_no_share_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 1.3 * n * d * 8
+
+
+def test_a_streamed_dp2guard_run_holds_four_share_sized_arrays():
+    # Without a full-knowledge attacker or a plaintext rule, no (N, d)
+    # gradient stack exists: each client trains into one reused d-vector
+    # just before it uploads.  A run's peak is then the two share matrices,
+    # S2's float matrix and the CenteredBatch payload, plus O(d) vectors and
+    # the tiny training set.  Measured 4.17 x N*d*8 bytes, and 5.16 x with
+    # the stack (N = 100, MLP d = 3,914, one training row per client).
+    n = 100
+    cfg = ExperimentConfig(aggregator="dp2guard", model="mlp", hidden=64, synth_features=50,
+                           synth_classes=10, n_clients=n, rounds=2, synth_train=n,
+                           synth_test=20, seed=3)
+    run_experiment(cfg)  # warm: first-use imports are not the run's arrays
+    tracemalloc.start()
+    try:
+        result = run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.3 * n * result.model.dim * 8
 
 
 def test_multikrum_minmax_round_into_carried_stack_allocates_no_matrix():

@@ -54,19 +54,30 @@ def test_tracer_spans_the_upload_path_of_a_batch_label_flip_run(n_clients):
     # per-client "client" and "mask" streams are re-keyed, not built by
     # `substream`: its one call a round (the "cluster" stream) does not
     # grow with N.
+    _check_upload_spans(ExperimentConfig(
+        n_clients=n_clients, rounds=3, adv_ratio=0.2, seed=4, local_mode="batch",
+        attack={"kind": "label_flip", "offset": 1}, synth_train=300, synth_test=100))
+
+
+@pytest.mark.parametrize("n_clients", [5, 10])
+def test_tracer_spans_the_upload_path_of_an_epoch_run_without_attack(n_clients):
+    # The streamed path: each client trains just before it uploads, and
+    # the tracer sees the same calls a round as on the label-flip run.
+    _check_upload_spans(ExperimentConfig(n_clients=n_clients, rounds=3, seed=4,
+                                         local_mode="epoch", synth_train=300, synth_test=100))
+
+
+def _check_upload_spans(cfg):
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
-        cfg = ExperimentConfig(n_clients=n_clients, rounds=3, adv_ratio=0.2, seed=4,
-                               local_mode="batch", attack={"kind": "label_flip", "offset": 1},
-                               synth_train=300, synth_test=100)
         run_experiment(cfg)
     finally:
         tracer.uninstall()
     for round_no in range(cfg.rounds):
         calls = Counter(name for _, name, _, _, _, r in tracer.spans if r == round_no)
-        assert calls["client.local_gradient"] == n_clients
-        assert calls["client.split_and_mask"] == n_clients
-        assert calls["servers.encode_share_upload"] == 2 * n_clients
-        assert calls["servers.receive_share"] == 2 * n_clients
+        assert calls["client.local_gradient"] == cfg.n_clients
+        assert calls["client.split_and_mask"] == cfg.n_clients
+        assert calls["servers.encode_share_upload"] == 2 * cfg.n_clients
+        assert calls["servers.receive_share"] == 2 * cfg.n_clients
         assert calls["numeric.substream"] == 1
