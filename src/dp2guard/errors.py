@@ -14,6 +14,10 @@ class DimensionMismatch(Dp2GuardError, ValueError):
     """Operands have incompatible dimension or fixed-point scale."""
 
 
+class EncodingOverflow(Dp2GuardError, OverflowError):
+    """A value is non-finite or beyond the fixed-point range."""
+
+
 class ShapeMismatch(Dp2GuardError, ValueError):
     """Model and data shapes do not line up."""
 

@@ -10,7 +10,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -352,17 +352,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     channel = Channel()
     trust_state = trust.initial_trust(cfg.n_clients, cfg.beta)
     root_data = _fltrust_root(cfg, test) if cfg.aggregator == "fltrust" else None
-    # The round loop's (N, d) arrays live for the run and are refilled every
-    # round: in dp2guard runs the servers' matrices, and the gradient stack
-    # (np.empty only maps it; the first round touches its pages) only where
-    # a party reads every client's gradient: a full-knowledge attacker, who
-    # crafts from the honest rows, or a plaintext rule.  Otherwise each
-    # client trains into one reused d-vector just before it uploads.
-    if isinstance(spec, FULL_KNOWLEDGE) or cfg.aggregator != "dp2guard":
-        stack, row = np.empty((cfg.n_clients, model.dim)), None
-    else:
-        stack, row = None, np.empty(model.dim)
-    s1, s2 = ServerS1(range(cfg.n_clients)), ServerS2(range(cfg.n_clients))
+    # The round loop's (N, d) arrays live for the run (np.empty only maps
+    # them; round 0 touches their pages): the dp2guard servers' matrices,
+    # sized at construction, and the gradient rows, one per client only
+    # where a party reads them all (a full-knowledge attacker or a plaintext
+    # rule) or the history records them, else one row reused by each client.
+    full_rows = (isinstance(spec, FULL_KNOWLEDGE) or cfg.aggregator != "dp2guard"
+                 or record_history)
+    rows = np.empty((cfg.n_clients if full_rows else 1, model.dim))
+    if cfg.aggregator == "dp2guard":
+        s1 = ServerS1(range(cfg.n_clients), model.dim, cfg.scale_bits)
+        s2 = ServerS2(range(cfg.n_clients), model.dim, cfg.scale_bits)
 
     result = RunResult(cfg, [], ledger, channel, params, model)
     metrics: list[RoundMetrics] = []
@@ -371,18 +371,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     try:
         for round_no in range(cfg.rounds):
             started = time.perf_counter()
-            if stack is None:
-                crafted_norm = None
-                history = np.empty((cfg.n_clients, model.dim)) if record_history else None
-                gradients = _streamed_gradients(cfg, datasets, model, params, round_no,
-                                                row, history)
-            else:
-                crafted_norm = _round_gradients(cfg, datasets, model, params, round_no,
-                                                spec, stack)
-                gradients = stack
-                history = stack.copy() if record_history else None
+            gradients, crafted_norm = _round_gradients(cfg, datasets, model, params, round_no,
+                                                       spec, rows)
             if record_history:
-                result.gradient_history.append(history)
+                result.gradient_history.append(rows.copy())
 
             if cfg.aggregator == "dp2guard":
                 g_agg, detection, trust_state, tau = _dp2guard_round(
@@ -398,7 +390,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                     result.weight_history.append(tau)
                     result.benign_history.append(benign_pred)
             else:
-                g_agg, benign_pred = _baseline_round(cfg, stack, round_no, model,
+                g_agg, benign_pred = _baseline_round(cfg, rows, round_no, model,
                                                      params, root_data)
                 mtb = mtm = None
 
@@ -436,47 +428,37 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
 
 def _round_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
                      model: models.Model, params: np.ndarray, round_no: int,
-                     spec: attacks.AttackSpec | None, stack: np.ndarray) -> float | None:
-    """Write the round's plaintext gradients into every row of `stack`, row
-    i for client i, and return the crafted gradient's norm (None without a
-    full-knowledge attack): honest clients train, label-flip clients train
-    on their poisoned partitions, and full-knowledge attacks are crafted
-    from the honest rows (the harness side channel)."""
+                     spec: attacks.AttackSpec | None, rows: np.ndarray,
+                     ) -> tuple[Iterable[np.ndarray], float | None]:
+    """The round's plaintext gradients in client order, and the crafted
+    gradient's norm (None without a full-knowledge attack).  Honest and
+    label-flip clients train from their ("client", id, round) streams,
+    client i into rows[i], or into rows[0] of a one-row `rows`: then a
+    generator trains each client when the consumer asks, so a gradient must
+    be consumed before the next is drawn.  Otherwise every row is filled,
+    full-knowledge attackers' with the gradient crafted from the honest
+    rows (the harness side channel), and `rows` is returned."""
     full_knowledge = isinstance(spec, FULL_KNOWLEDGE)
     rng = np.random.Generator(np.random.Philox(0))  # re-keyed for each client
-    for cid in range(cfg.n_malicious if full_knowledge else 0, len(datasets)):
-        client.local_gradient(datasets[cid], model, params, cfg.local_mode,
-                              cfg.batch_size, cfg.eta,
-                              rekey(rng, cfg.seed, "client", cid, round_no), out=stack[cid])
+    trained = (client.local_gradient(datasets[cid], model, params, cfg.local_mode,
+                                     cfg.batch_size, cfg.eta,
+                                     rekey(rng, cfg.seed, "client", cid, round_no),
+                                     out=rows[cid % len(rows)])
+               for cid in range(cfg.n_malicious if full_knowledge else 0, len(datasets)))
+    if len(rows) == 1:
+        return trained, None
+    for _ in trained:
+        pass
 
     crafted_norm = None
     if full_knowledge and cfg.n_malicious:
         # Attackers hold the first ids (ExperimentConfig.malicious_ids), so
         # the honest rows are one contiguous view; every attacker submits
         # the one crafted gradient.
-        crafted = _craft(cfg, spec, stack[cfg.n_malicious:], round_no)
+        crafted = _craft(cfg, spec, rows[cfg.n_malicious:], round_no)
         crafted_norm = float(np.linalg.norm(crafted))
-        stack[:cfg.n_malicious] = crafted
-    return crafted_norm
-
-
-def _streamed_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
-                        model: models.Model, params: np.ndarray, round_no: int,
-                        row: np.ndarray, history: np.ndarray | None) -> Iterator[np.ndarray]:
-    """Yield the round's plaintext gradients in client order, each trained
-    into the one reused d-vector `row` when the consumer asks for it, so
-    it must be consumed before the next is drawn; each is also copied
-    into history[cid] when a history is given.  Without a full-knowledge
-    attack these are the rows `_round_gradients` writes, from the same
-    per-client streams."""
-    rng = np.random.Generator(np.random.Philox(0))  # re-keyed for each client
-    for cid, dataset in enumerate(datasets):
-        grad = client.local_gradient(dataset, model, params, cfg.local_mode,
-                                     cfg.batch_size, cfg.eta,
-                                     rekey(rng, cfg.seed, "client", cid, round_no), out=row)
-        if history is not None:
-            history[cid] = grad
-        yield grad
+        rows[:cfg.n_malicious] = crafted
+    return rows, crafted_norm
 
 
 def _craft(cfg: ExperimentConfig, spec: attacks.AttackSpec,
@@ -586,8 +568,8 @@ def _dp2guard_round(cfg: ExperimentConfig, gradients: Iterable[np.ndarray],
     """One full dual-server round on the run's servers, which it opens for
     `round_no`: upload, center, detect, weigh, publish, read back,
     reassemble.  `gradients` yields every client's gradient in id order
-    (the rows of a stack, or `_streamed_gradients`); each is masked into
-    its uploads before the next is drawn."""
+    (as `_round_gradients` returns them); each is masked into its uploads
+    before the next is drawn."""
     s1.start_round(round_no)
     s2.start_round(round_no)
 

@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import EncodingOverflow, FormatError
 
 DEFAULT_SCALE_BITS = 16
 # Bits kept free below the sign bit by the encoding clip: a plain sum of up
@@ -54,7 +54,7 @@ def encode_fixed(values: np.ndarray, scale_bits: int = DEFAULT_SCALE_BITS,
 
     The scaled floats are formed in the words' own memory and each is cast
     in place to the word it becomes, so no temporary is allocated.
-    Raises OverflowError if any entry is non-finite or out of range.
+    Raises EncodingOverflow if any entry is non-finite or out of range.
     """
     values = np.asarray(values, dtype=np.float64)
     if out is None:
@@ -68,8 +68,8 @@ def encode_fixed(values: np.ndarray, scale_bits: int = DEFAULT_SCALE_BITS,
     # (doubles there are 1024 apart).  NaN fails both comparisons.
     if not (scaled.max(initial=0.0) < _TWO63 and scaled.min(initial=0.0) > -_TWO63):
         if not np.all(np.isfinite(values)):
-            raise OverflowError("cannot encode non-finite entries")
-        raise OverflowError(
+            raise EncodingOverflow("cannot encode non-finite entries")
+        raise EncodingOverflow(
             f"entries exceed the representable range at scale_bits={scale_bits}"
         )
     # numpy casts an array onto its own memory as if from a copy; in one
@@ -131,14 +131,15 @@ def _stream_key(seed: int, *path: int | str) -> int:
 def substream(seed: int, *path: int | str) -> np.random.Generator:
     """Independent reproducible generator keyed by (seed, path): distinct
     paths never share state, and the stream is identical across platforms."""
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed, *path)))
+    return rekey(np.random.Generator(np.random.Philox(0)), seed, *path)
 
 
 def rekey(rng: np.random.Generator, seed: int, *path: int | str) -> np.random.Generator:
-    """Reset `rng`, a Philox generator, to the state substream(seed, *path)
-    starts in (that key, counter 0, no buffered word or half word; a
-    Generator keeps no state of its own) and return it.  Several times
-    cheaper than a fresh generator, so per-client loops reuse one."""
+    """Set `rng`, a Philox generator, to the start of the (seed, path)
+    stream (that key, counter 0, no buffered word or half word; a Generator
+    keeps no state of its own) and return it.  `substream` starts every
+    generator here; re-keying one is several times cheaper than building a
+    fresh one, so per-client loops reuse one."""
     key = _stream_key(seed, *path)
     state = {"counter": (0, 0, 0, 0), "key": (key % 2**64, key >> 64)}
     rng.bit_generator.state = {"bit_generator": "Philox", "state": state, "buffer": (0, 0, 0, 0),

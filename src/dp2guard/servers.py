@@ -16,27 +16,29 @@ Weighted aggregation converts each weight to fixed point with 32 fractional
 bits and multiply-accumulates in the ring; the combined result therefore
 carries scale_bits + 32 fractional bits, which decode removes.
 
-Memory: a server is built once per run and `start_round` opens each
-round.  It keeps its share matrix, and S2 its float matrix of
-reconstructed centered gradients, for the run, refilling both in place
-while d stays the same: at realistic sizes a fresh (N, d) array lies above
-the allocator's mmap threshold and is page-faulted in again every time.
-A row left from an earlier round is never read, because centering waits
-for every client's share of the current round.  Messages are built fresh
-each round and never rewritten once sent, so the CenteredBatch payload is
-the one (N, d) array a round allocates.  Centering, reconstruction and
-aggregation run row by row in reused d-vectors.
+Memory: a server is built once per run for the run's d and scale_bits
+(a share of any other d or scale is a ProtocolError), and `start_round`
+opens each round.  It allocates its share matrix, and S2 its float matrix
+of reconstructed centered gradients, once, at construction, and refills
+both in place every round: at realistic sizes a fresh (N, d) array lies
+above the allocator's mmap threshold and is page-faulted in again every
+time.  A row left from an earlier round is never read, because centering
+waits for every client's share of the current round.  Messages are built
+fresh each round and never rewritten once sent, so the CenteredBatch
+payload is the one (N, d) array a round allocates.  Centering,
+reconstruction and aggregation run row by row in reused d-vectors.
 
 A round therefore holds four (N, d) arrays: the two share matrices, S2's
 float matrix and the CenteredBatch payload.  The clients' plaintext
-gradients add a fifth, the harness's gradient stack, only under a
-full-knowledge attack, whose attackers craft from every honest gradient;
-otherwise each client trains into one reused d-vector and masks it
-straight into its two uploads.  The peak sits in `ServerS1.center_shares`
-of every round after the first, once the CenteredBatch is filled while
-S2 still holds last round's float matrix.  On the benchmark's secure-wide
-workload (N = 100, d = 50,890, 40.7 MB per array) that peak measured
-221 MB of RSS, and 259 MB with the stack.
+gradients add a fifth, the harness's N gradient rows, only under a
+full-knowledge attack, whose attackers craft from every honest gradient,
+or when the run records its gradient history; otherwise each client
+trains into one reused d-vector and masks it straight into its two
+uploads.  The peak sits in `ServerS1.center_shares` of every round after
+the first, once the CenteredBatch is filled while S2 still holds last
+round's float matrix.  On the benchmark's secure-wide workload (N = 100,
+d = 50,890, 40.7 MB per array) that peak measured 221 MB of RSS, and
+259 MB with the gradient rows.
 """
 from __future__ import annotations
 
@@ -362,27 +364,27 @@ PHASE_DONE = "done"
 class _ServerBase:
     """Collects each round's shares into `shares`, an (N, d) uint64 matrix
     with row k for the k-th smallest expected client id; d and scale_bits
-    are fixed by the round's first share.  No round is open until
-    `start_round`."""
+    are fixed for the run at construction.  No round is open until
+    `start_round`, which sets `round`; each phase's attributes are set by
+    the step that enters it, so a server never reads one before then."""
 
-    def __init__(self, server_id: int, expected_clients: Iterable[int]):
-        self.server_id = server_id
-        self.round: int | None = None
+    server_id: int
+    round: int
+
+    def __init__(self, expected_clients: Iterable[int], d: int, scale_bits: int):
         self.phase = PHASE_DONE
         self.ids = sorted(set(expected_clients))
         self._row = {cid: k for k, cid in enumerate(self.ids)}
         self._received: set[int] = set()
-        self.shares: np.ndarray | None = None
-        self.scale_bits: int | None = None
+        self.shares = np.empty((len(self.ids), d), dtype=np.uint64)
+        self.scale_bits = scale_bits
 
     def start_round(self, round_no: int) -> None:
         """Open round `round_no`, whatever the phase: no share is received
-        yet, and its first share fixes d and scale_bits afresh.  The share
-        matrix is kept, to be refilled in place while d stays the same."""
+        yet.  The share matrix is kept, to be refilled in place."""
         self.round = round_no
         self.phase = PHASE_COLLECTING
         self._received.clear()
-        self.scale_bits = None
 
     def _require(self, phase: str, action: str) -> None:
         if self.phase != phase:
@@ -400,14 +402,10 @@ class _ServerBase:
             raise ProtocolError(f"duplicate share from client {client_id}")
         if share_index != self.server_id:
             raise ProtocolError(f"share index {share_index} uploaded to S{self.server_id}")
-        if not self._received:
-            if self.shares is None or self.shares.shape[1] != len(words):
-                self.shares = np.empty((len(self.ids), len(words)), dtype=np.uint64)
-            self.scale_bits = scale_bits
-        elif (len(words), scale_bits) != (self.shares.shape[1], self.scale_bits):
+        if (len(words), scale_bits) != (self.shares.shape[1], self.scale_bits):
             raise ProtocolError(
                 f"share of client {client_id} has d={len(words)}, "
-                f"scale_bits={scale_bits}; the round has d={self.shares.shape[1]}, "
+                f"scale_bits={scale_bits}; the run has d={self.shares.shape[1]}, "
                 f"scale_bits={self.scale_bits}"
             )
         self.shares[row] = words
@@ -423,13 +421,8 @@ class ServerS1(_ServerBase):
     """Holds first shares: centers them for S2, then aggregates with the
     published weights and reassembles the global gradient."""
 
-    def __init__(self, expected_clients):
-        super().__init__(1, expected_clients)
-        self._record: tuple[np.ndarray, int, dict[int, float]] | None = None
-
-    def start_round(self, round_no: int) -> None:
-        super().start_round(round_no)
-        self._record = None
+    server_id = 1
+    _record: tuple[np.ndarray, int, dict[int, float]]
 
     def center_shares(self) -> ProtocolMessage:
         self._require(PHASE_COLLECTING, "center shares")
@@ -471,14 +464,12 @@ class ServerS2(_ServerBase):
     """Holds second shares: reconstructs centered gradients, runs detection
     and trust scoring, and publishes its weighted partial aggregate."""
 
-    def __init__(self, expected_clients):
-        super().__init__(2, expected_clients)
-        self._centered: np.ndarray | None = None
-        self._weights: np.ndarray | None = None
+    server_id = 2
+    _weights: np.ndarray
 
-    def start_round(self, round_no: int) -> None:
-        super().start_round(round_no)
-        self._weights = None
+    def __init__(self, expected_clients: Iterable[int], d: int, scale_bits: int):
+        super().__init__(expected_clients, d, scale_bits)
+        self._centered = np.empty(self.shares.shape)
 
     def receive_centered_batch(self, msg: ProtocolMessage) -> None:
         self._require(PHASE_COLLECTING, "accept centered shares")
@@ -490,8 +481,6 @@ class ServerS2(_ServerBase):
             raise ClientSetMismatch(f"client sets differ: {ids} vs {self.ids}")
         if scale_bits != self.scale_bits:
             raise DimensionMismatch(f"scale_bits {scale_bits} != {self.scale_bits}")
-        if self._centered is None or self._centered.shape != self.shares.shape:
-            self._centered = np.empty(self.shares.shape)
         reconstruct_centered(c1, self.shares, self.scale_bits, self._centered)
         self.phase = PHASE_CENTERING
 

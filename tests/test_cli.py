@@ -63,6 +63,17 @@ class TestRunCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_exits_two(self, tmp_path, capsys):
+        # An admitted config whose training overflows to non-finite
+        # gradients cannot be encoded into the ring: a typed error, not a
+        # traceback and exit 1 (verify-ledger's code for a bad block).
+        cfg = _write_config(tmp_path, n_clients=4, rounds=2, synth_train=200, synth_test=50,
+                            synth_separation=1e300, eta=1e6)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
+
 
 class TestVerifyLedgerCommand:
     def test_intact_chain_exits_zero(self, tmp_path, capsys):

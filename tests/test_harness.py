@@ -237,10 +237,10 @@ class TestRunDeterminism:
         dict(model="mlp", hidden=8), dict(adv_ratio=0.2, attack={"kind": "fang"})],
         ids=["mlp-no-attack", "fang"])
     def test_recording_history_moves_no_artifact(self, tmp_path, overrides):
-        # record_history copies the gradients a round produces (streamed
-        # into one reused row without a full-knowledge attack, a stack with
-        # one) and changes nothing the run writes.  Each round's recorded
-        # gradients are the rows the stacked path trains from its
+        # record_history trains every client into its own row, even where
+        # the run would otherwise stream them through one reused row, copies
+        # the rows and changes nothing the run writes.  Each round's
+        # recorded gradients are the rows `_round_gradients` trains from its
         # parameters, bit for bit.
         cfg = _desk_config(rounds=3, **overrides)
         run_experiment(cfg, out_dir=tmp_path / "off")
@@ -961,7 +961,8 @@ def test_secure_round_wire_bytes_match_analytic_sizes():
     stack = substream(4, "wire").standard_normal((n, d))
     harness._dp2guard_round(cfg, stack, 0, trust.initial_trust(n, cfg.beta),
                             Ledger(), Recording(), np.zeros(d),
-                            ServerS1(range(n)), ServerS2(range(n)))
+                            ServerS1(range(n), d, cfg.scale_bits),
+                            ServerS2(range(n), d, cfg.scale_bits))
     assert edges == {
         "client_to_s": 2 * n * (header + 10 + 8 * d),
         "s1_to_s2": header + 4 + n * (17 + 8 * d),
@@ -983,7 +984,7 @@ def test_secure_round_allocates_no_share_sized_temporaries():
     params = np.zeros(d)
     state = trust.initial_trust(n, cfg.beta)
     ledger, channel = Ledger(), Channel()
-    servers = ServerS1(range(n)), ServerS2(range(n))
+    servers = ServerS1(range(n), d, cfg.scale_bits), ServerS2(range(n), d, cfg.scale_bits)
     harness._dp2guard_round(cfg, stack, 0, state, ledger, channel, params, *servers)  # warm
     tracemalloc.start()
     try:

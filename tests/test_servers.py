@@ -62,10 +62,11 @@ def _reconstruct(s1: np.ndarray, s2: np.ndarray, scale_bits=16) -> np.ndarray:
     return reconstruct_centered(_centered(s1), s2, scale_bits, np.empty(s2.shape))
 
 
-def _opened(server_cls, ids, round_no=0):
-    """A server for `ids` with round `round_no` open, as the round loop
-    opens each round on the run's servers."""
-    server = server_cls(ids)
+def _opened(server_cls, ids, d, round_no=0, scale_bits=16):
+    """A server for `ids`, sized for d words at `scale_bits`, with round
+    `round_no` open, as the round loop opens each round on the run's
+    servers."""
+    server = server_cls(ids, d, scale_bits)
     server.start_round(round_no)
     return server
 
@@ -386,9 +387,10 @@ def _drive_to_publish(grads, seed, round_no=0, beta=0.5, exclusion="soft"):
     (s1, s2, detection, new_trust, tau, channel) with tau keyed by client
     id, as the ledger records it."""
     ids = sorted(grads)
+    d = len(grads[ids[0]])
     channel = Channel()
-    s1 = _opened(ServerS1, ids, round_no)
-    s2 = _opened(ServerS2, ids, round_no)
+    s1 = _opened(ServerS1, ids, d, round_no)
+    s2 = _opened(ServerS2, ids, d, round_no)
     for cid in ids:
         sh1, sh2 = split_and_mask(grads[cid], 16, substream(seed, "mask", cid))
         s1.receive_share(channel.send(f"client{cid}", "S1",
@@ -478,7 +480,7 @@ class TestServerStateMachines:
         rng = substream(84, "sm")
         grads = {i: rng.uniform(-1, 1, size=8) for i in range(3)}
         ids = sorted(grads)
-        s1 = _opened(ServerS1, ids, 0)
+        s1 = _opened(ServerS1, ids, 8)
         for cid in ids:
             sh1, _ = split_and_mask(grads[cid], 16, substream(85, "m", cid))
             s1.receive_share(_upload(cid, 0, 1, sh1))
@@ -488,20 +490,20 @@ class TestServerStateMachines:
             s1.receive_share(_upload(0, 0, 1, sh1))
 
     def test_centering_before_all_shares_rejected(self):
-        s1 = _opened(ServerS1, [0, 1, 2], 0)
+        s1 = _opened(ServerS1, [0, 1, 2], 4)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(86, "m"))
         s1.receive_share(_upload(0, 0, 1, sh1))
         with pytest.raises(ProtocolError):
             s1.center_shares()
 
     def test_wrong_round_rejected(self):
-        s1 = _opened(ServerS1, [0], 5)
+        s1 = _opened(ServerS1, [0], 4, 5)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(87, "m"))
         with pytest.raises(ProtocolError):
             s1.receive_share(_upload(0, 4, 1, sh1))
 
     def test_duplicate_and_unknown_clients_rejected(self):
-        s1 = _opened(ServerS1, [0, 1], 0)
+        s1 = _opened(ServerS1, [0, 1], 4)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(88, "m"))
         msg = _upload(0, 0, 1, sh1)
         s1.receive_share(msg)
@@ -511,13 +513,13 @@ class TestServerStateMachines:
             s1.receive_share(_upload(9, 0, 1, sh1))
 
     def test_share_index_must_match_server(self):
-        s2 = _opened(ServerS2, [0], 0)
+        s2 = _opened(ServerS2, [0], 4)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(89, "m"))
         with pytest.raises(ProtocolError):
             s2.receive_share(_upload(0, 0, 1, sh1))
 
     def test_weights_before_centering_rejected(self):
-        s1 = _opened(ServerS1, [0], 0)
+        s1 = _opened(ServerS1, [0], 4)
         agg = uniform_words(4, substream(90, "m"))
         with pytest.raises(ProtocolError):
             s1.receive_agg_and_weights(encode_agg_and_weights(0, 0, agg, 48, {0: 1.0}))
@@ -554,7 +556,7 @@ class TestTypedDecodeErrors:
         with pytest.raises(FormatError):
             decode_share_upload(short)
         with pytest.raises(FormatError):
-            _opened(ServerS1, [0], 0).receive_share(short)
+            _opened(ServerS1, [0], 4).receive_share(short)
 
     def test_padded_share_upload(self):
         msg = self._share_upload()
@@ -628,7 +630,7 @@ class TestTypedDecodeErrors:
 
 class TestShareMatrixChecks:
     def test_dimension_change_rejected(self):
-        s1 = _opened(ServerS1, [0, 1], 0)
+        s1 = _opened(ServerS1, [0, 1], 4)
         a, _ = split_and_mask(np.ones(4), 16, substream(95, "m"))
         b, _ = split_and_mask(np.ones(5), 16, substream(95, "m"))
         s1.receive_share(_upload(0, 0, 1, a))
@@ -636,7 +638,7 @@ class TestShareMatrixChecks:
             s1.receive_share(_upload(1, 0, 1, b))
 
     def test_scale_change_rejected(self):
-        s1 = _opened(ServerS1, [0, 1], 0)
+        s1 = _opened(ServerS1, [0, 1], 4)
         a, _ = split_and_mask(np.ones(4), 16, substream(96, "m"))
         b, _ = split_and_mask(np.ones(4), 20, substream(96, "m"))
         s1.receive_share(_upload(0, 0, 1, a))
@@ -646,7 +648,7 @@ class TestShareMatrixChecks:
     def test_rows_follow_client_id_order(self):
         # Uploads arrive in any order; row k holds the k-th smallest id.
         ids = [7, 2, 5]
-        s1 = _opened(ServerS1, ids, 0)
+        s1 = _opened(ServerS1, ids, 3)
         rings = {cid: split_and_mask(np.full(3, float(cid)), 16, substream(97, cid))[0]
                  for cid in ids}
         for cid in ids:
@@ -677,40 +679,46 @@ class TestShareMatrixChecks:
         with pytest.raises(ProtocolError, match=r"clients \[2\]"):
             s2.receive_centered_batch(batch)
 
-    def test_reused_server_first_share_fixes_dimension_and_scale(self):
-        # Each round's first share fixes d and scale_bits, on a reused
-        # server as on a fresh one; a matrix of the same d is refilled in
-        # place.
-        s1 = _opened(ServerS1, [0, 1])
-        a, _ = split_and_mask(np.ones(4), 16, substream(103, "m"))
-        s1.receive_share(_upload(0, 0, 1, a))
-        kept = s1.shares
-        s1.start_round(1)
-        b, _ = split_and_mask(np.ones(5), 20, substream(103, "m"))
-        s1.receive_share(_upload(1, 1, 1, b, 20))
-        assert s1.shares.shape == (2, 5) and s1.scale_bits == 20
-        with pytest.raises(ProtocolError):
-            s1.receive_share(_upload(0, 1, 1, a))
-        s1.start_round(2)
-        with pytest.raises(ProtocolError):
-            s1.receive_share(_upload(0, 1, 1, a))  # a share of the old round
-        c, _ = split_and_mask(np.ones(5), 16, substream(103, "m"))
-        s1.receive_share(_upload(0, 2, 1, c))
-        refilled = s1.shares
-        assert s1.scale_bits == 16
-        s1.start_round(3)
-        s1.receive_share(_upload(1, 3, 1, c))
-        assert s1.shares is refilled and kept is not refilled
+    def test_reused_server_keeps_the_run_shape(self):
+        # d and scale_bits are fixed at construction: in round 0 and in a
+        # later round, a share of another d or scale is rejected whether
+        # or not one of the round's shares has arrived, and every round
+        # refills the same share and centered matrices.
+        rng = substream(103, "run-shape")
+        grads = {i: rng.uniform(-1, 1, size=5) for i in range(3)}
+        s1, s2 = ServerS1(grads, 5, 16), ServerS2(grads, 5, 16)
+        matrices = s1.shares, s2.shares, s2._centered
+        wrong = [(split_and_mask(np.ones(4), 16, substream(103, "m"))[0], 16),
+                 (split_and_mask(np.ones(5), 20, substream(103, "m"))[0], 20)]
+        for round_no in range(2):
+            s1.start_round(round_no)
+            s2.start_round(round_no)
+            for cid, g in grads.items():
+                for words, scale_bits in wrong:
+                    for server, index in ((s1, 1), (s2, 2)):
+                        with pytest.raises(ProtocolError, match="run has d=5, scale_bits=16"):
+                            server.receive_share(_upload(cid, round_no, index, words, scale_bits))
+                sh1, sh2 = split_and_mask(g, 16, substream(104, "mask", cid, round_no))
+                s1.receive_share(_upload(cid, round_no, 1, sh1))
+                s2.receive_share(_upload(cid, round_no, 2, sh2))
+            s2.receive_centered_batch(s1.center_shares())
+            _, _, row_weights = s2.detect_and_weigh(initial_trust(3, 0.5), substream(105, "km"))
+            tau = dict(zip(s2.ids, row_weights.tolist()))
+            s1.receive_agg_and_weights(encode_agg_and_weights(round_no, 0, *s2.publish(), tau))
+            want = sum(tau[cid] * g for cid, g in grads.items())
+            assert np.max(np.abs(s1.finalize() - want)) <= 1e-3
+            assert all(now is kept for now, kept in
+                       zip((s1.shares, s2.shares, s2._centered), matrices))
 
     def test_no_round_open_before_start_round(self):
         sh1, _ = split_and_mask(np.ones(4), 16, substream(104, "m"))
         with pytest.raises(ProtocolError):
-            ServerS1([0]).receive_share(_upload(0, 0, 1, sh1))
+            ServerS1([0], 4, 16).receive_share(_upload(0, 0, 1, sh1))
 
     def test_batch_for_other_clients_rejected(self):
         rng = substream(98, "sm")
         grads = {i: rng.uniform(-1, 1, size=6) for i in range(3)}
-        s2 = _opened(ServerS2, sorted(grads), 0)
+        s2 = _opened(ServerS2, sorted(grads), 6)
         for cid, g in grads.items():
             _, sh2 = split_and_mask(g, 16, substream(99, "mask", cid))
             s2.receive_share(_upload(cid, 0, 2, sh2))

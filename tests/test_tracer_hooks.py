@@ -68,16 +68,19 @@ def test_tracer_spans_the_upload_path_of_an_epoch_run_without_attack(n_clients):
 
 
 def _check_upload_spans(cfg):
-    tracer = _load_spans().Tracer()
-    tracer.install()
-    try:
-        run_experiment(cfg)
-    finally:
-        tracer.uninstall()
-    for round_no in range(cfg.rounds):
-        calls = Counter(name for _, name, _, _, _, r in tracer.spans if r == round_no)
-        assert calls["client.local_gradient"] == cfg.n_clients
-        assert calls["client.split_and_mask"] == cfg.n_clients
-        assert calls["servers.encode_share_upload"] == 2 * cfg.n_clients
-        assert calls["servers.receive_share"] == 2 * cfg.n_clients
-        assert calls["numeric.substream"] == 1
+    # Recording the history trains every client into its own row before
+    # any upload, and the tracer still sees the same calls a round.
+    for record_history in (False, True):
+        tracer = _load_spans().Tracer()
+        tracer.install()
+        try:
+            run_experiment(cfg, record_history=record_history)
+        finally:
+            tracer.uninstall()
+        for round_no in range(cfg.rounds):
+            calls = Counter(name for _, name, _, _, _, r in tracer.spans if r == round_no)
+            assert calls["client.local_gradient"] == cfg.n_clients
+            assert calls["client.split_and_mask"] == cfg.n_clients
+            assert calls["servers.encode_share_upload"] == 2 * cfg.n_clients
+            assert calls["servers.receive_share"] == 2 * cfg.n_clients
+            assert calls["numeric.substream"] == 1
