@@ -67,12 +67,6 @@ def kept_mean(stack: np.ndarray, kept: Sequence[int]) -> np.ndarray:
     return total
 
 
-def multi_krum(gradients: Sequence[np.ndarray], f: int, m: int) -> np.ndarray:
-    """Mean of the m clients with the lowest Krum scores."""
-    stack = np.asarray(gradients, dtype=np.float64)
-    return kept_mean(stack, multi_krum_select(stack, f, m))
-
-
 def dnc_survivors(stack: np.ndarray, cfg: DnCConfig,
                   rng: np.random.Generator) -> set[int]:
     """Indices kept by the spectral filter: each iteration scores clients by
@@ -98,13 +92,6 @@ def dnc_survivors(stack: np.ndarray, cfg: DnCConfig,
     if not survivors:
         survivors = {int(np.argmin(last_scores))}
     return survivors
-
-
-def dnc(gradients: Sequence[np.ndarray], cfg: DnCConfig,
-        rng: np.random.Generator) -> np.ndarray:
-    """Mean of the spectral filter's survivors."""
-    stack = np.asarray(gradients, dtype=np.float64)
-    return kept_mean(stack, sorted(dnc_survivors(stack, cfg, rng)))
 
 
 def fltrust(gradients: Sequence[np.ndarray], root_gradient: np.ndarray) -> np.ndarray:

@@ -5,16 +5,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, Dp2GuardError
-from .harness import (
-    ExperimentConfig,
-    plot_ratio_sweep,
-    run_experiment,
-)
+from .harness import ExperimentConfig, _is_real, plot_ratio_sweep, run_experiment
 from .ledger import verify_file
 
 
@@ -101,13 +96,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _sweep_x(raw: str, value) -> float:
     """Where the sweep plot puts a --vary value on its x axis: the value
     must be a finite real number (JSON int or float, not a boolean)."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            x = float(value)
-        except OverflowError:  # an integer beyond the float range
-            x = math.inf
-        if math.isfinite(x):
-            return x
+    if _is_real(value):
+        return float(value)
     raise ConfigError(f"--vary value {raw!r} is not a finite number; "
                       "the sweep plots each value on its x axis")
 

@@ -146,33 +146,15 @@ def cluster_and_select(features: np.ndarray,
     return DetectionResult(frozenset(np.flatnonzero(benign_mask).tolist()), raw, centroid)
 
 
-def sketch(dim: int, rng: np.random.Generator,
-           projection_dim: int | None) -> np.ndarray | None:
-    """The seeded Gaussian projection P / sqrt(k), of shape (dim, k) with
-    k = projection_dim, drawn from `rng`; None (and nothing drawn) when no
-    sketch applies, that is when k is None or not below dim."""
-    if projection_dim is None or projection_dim >= dim:
-        return None
-    return rng.standard_normal((dim, projection_dim)) / np.sqrt(projection_dim)
-
-
-def detect(centered: np.ndarray, rng: np.random.Generator,
-           projection_dim: int | None = None) -> DetectionResult:
+def detect(centered: np.ndarray, rng: np.random.Generator) -> DetectionResult:
     """Full detection pass: features from the (N, d) matrix of centered
-    gradients, then clustering.  `projection_dim` optionally sketches the
-    gradients onto a seeded Gaussian projection first (for very large d;
-    off by default)."""
-    matrix = np.asarray(centered, dtype=np.float64)
-    proj = sketch(matrix.shape[1], rng, projection_dim)
-    if proj is not None:
-        matrix = matrix @ proj
-    return detect_gram(_gram(matrix)[1], rng)
+    gradients, then clustering."""
+    return detect_gram(_gram(centered)[1], rng)
 
 
 def detect_gram(gram: np.ndarray, rng: np.random.Generator) -> DetectionResult:
     """Features and clustering from the N x N Gram matrix G = M M^T of the
-    centered (and possibly sketched) rows M.  `rng` feeds the 2-means
-    seeding only.
+    centered rows M.  `rng` feeds the 2-means seeding only.
 
     Both features come from G: with (lam, e) its top eigenpair, row i
     projects onto the top right singular vector M^T e / sqrt(lam) as

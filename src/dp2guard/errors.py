@@ -46,6 +46,11 @@ class DegenerateError(Dp2GuardError, ValueError):
     """Input carries no usable signal (e.g. an all-zero matrix)."""
 
 
+class NonFiniteGradient(Dp2GuardError, FloatingPointError):
+    """A client's local gradient has a NaN or infinite entry: training
+    diverged."""
+
+
 class TooFewClients(Dp2GuardError, ValueError):
     """An aggregation rule received fewer clients than it tolerates."""
 

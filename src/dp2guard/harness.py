@@ -16,7 +16,7 @@ import numpy as np
 
 from . import attacks, baselines, client, defense, models, trust
 from .data import Dataset, load_idx, partition, synth_dataset
-from .errors import ConfigError, OutputExists
+from .errors import ConfigError, NonFiniteGradient, OutputExists
 from .ledger import (
     Ledger,
     make_round_payload,
@@ -52,12 +52,12 @@ CHOICES = {
 INT_FIELDS = {
     "n_clients": 2, "rounds": 1, "seed": -2**63, "batch_size": 1, "scale_bits": 1,
     "synth_train": 1, "synth_test": 1, "synth_features": 1, "synth_classes": 2, "hidden": 1,
-    "fltrust_root_size": 1, "projection_dim": 1, "train_subset": 0, "test_subset": 0,
+    "fltrust_root_size": 1, "train_subset": 0, "test_subset": 0,
 }
 INT_CEILINGS = {"seed": 2**63 - 1, "scale_bits": 48}
 # Fields of other JSON types; those in NULLABLE may also be None.
 TYPED_FIELDS = {"data_dir": str, "attack": dict, "aggregator_params": dict}
-NULLABLE = ("projection_dim", "train_subset", "test_subset", "data_dir", "attack")
+NULLABLE = ("train_subset", "test_subset", "data_dir", "attack")
 # Files a run writes into its output directory.
 ARTIFACTS = ("ledger.jsonl", "metrics.csv", "plot.svg", "resolved-config.json",
              "detection.csv", "attack.csv")
@@ -95,7 +95,6 @@ class ExperimentConfig:
     synth_classes: int = 4
     synth_separation: float = 4.0
     hidden: int = 128
-    projection_dim: int | None = None
     fltrust_root_size: int = 100
     aggregator_params: dict[str, Any] = field(default_factory=dict)
 
@@ -437,14 +436,27 @@ def _round_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
     generator trains each client when the consumer asks, so a gradient must
     be consumed before the next is drawn.  Otherwise every row is filled,
     full-knowledge attackers' with the gradient crafted from the honest
-    rows (the harness side channel), and `rows` is returned."""
+    rows (the harness side channel), and `rows` is returned.
+
+    Raises NonFiniteGradient, naming the client and round, as soon as a
+    client's training diverges."""
     full_knowledge = isinstance(spec, FULL_KNOWLEDGE)
     rng = np.random.Generator(np.random.Philox(0))  # re-keyed for each client
-    trained = (client.local_gradient(datasets[cid], model, params, cfg.local_mode,
-                                     cfg.batch_size, cfg.eta,
-                                     rekey(rng, cfg.seed, "client", cid, round_no),
-                                     out=rows[cid % len(rows)])
-               for cid in range(cfg.n_malicious if full_knowledge else 0, len(datasets)))
+
+    def train(cid: int) -> np.ndarray:
+        # A diverging run overflows inside training; it fails here, on its
+        # cause, instead of with numpy warnings and a later error.
+        with np.errstate(all="ignore"):
+            grad = client.local_gradient(datasets[cid], model, params, cfg.local_mode,
+                                         cfg.batch_size, cfg.eta,
+                                         rekey(rng, cfg.seed, "client", cid, round_no),
+                                         out=rows[cid % len(rows)])
+        if not np.isfinite(grad).all():
+            raise NonFiniteGradient(f"client {cid}'s gradient in round {round_no} has "
+                                    "non-finite entries: local training diverged")
+        return grad
+
+    trained = map(train, range(cfg.n_malicious if full_knowledge else 0, len(datasets)))
     if len(rows) == 1:
         return trained, None
     for _ in trained:
@@ -488,10 +500,8 @@ def _fang_oracle(cfg: ExperimentConfig, spec: attacks.FangSpec,
     rng = substream(cfg.seed, "attack-oracle", round_no)
     if cfg.aggregator == "dp2guard":
         # The servers' detection on the float-centred population (they
-        # centre in the ring), replayed from its Gram matrix; the sketch is
-        # drawn once.
-        proj = defense.sketch(honest.shape[1], rng, cfg.projection_dim)
-        gram_of = _population_gram(honest, n_mal, proj)
+        # centre in the ring), replayed from its Gram matrix.
+        gram_of = _population_gram(honest, n_mal)
 
         def kept(candidate: np.ndarray) -> Iterable[int]:
             return defense.detect_gram(gram_of(candidate), rng).benign
@@ -507,11 +517,9 @@ def _fang_oracle(cfg: ExperimentConfig, spec: attacks.FangSpec,
     return oracle
 
 
-def _population_gram(honest: np.ndarray, n_mal: int, proj: np.ndarray | None = None,
-                     ) -> Callable[[np.ndarray], np.ndarray]:
+def _population_gram(honest: np.ndarray, n_mal: int) -> Callable[[np.ndarray], np.ndarray]:
     """Gram matrix of the population `honest` + n_mal copies of a
-    candidate c, centred on its mean (and multiplied by `proj` if given),
-    as a function of c.
+    candidate c, centred on its mean, as a function of c.
 
     With A the honest rows centred on their mean mu_h, H = A A^T,
     delta = c - mu_h, v = A delta, dd = delta . delta and k = n_mal / N,
@@ -520,12 +528,9 @@ def _population_gram(honest: np.ndarray, n_mal: int, proj: np.ndarray | None = N
       honest-honest  H_ij - k (v_i + v_j) + k^2 dd,
       honest-copy    (1 - k) (v_i - k dd),
       copy-copy      (1 - k)^2 dd.
-    Only the O(N d) products v and dd depend on c; with `proj` they are
-    taken in the sketch space, where the same algebra holds."""
+    Only the O(N d) products v and dd depend on c."""
     mu = honest.mean(axis=0)
     a = honest - mu
-    if proj is not None:
-        a = a @ proj
     hh = a @ a.T
     n_honest = len(honest)
     n = n_honest + n_mal
@@ -533,8 +538,6 @@ def _population_gram(honest: np.ndarray, n_mal: int, proj: np.ndarray | None = N
 
     def gram_of(candidate: np.ndarray) -> np.ndarray:
         delta = candidate - mu
-        if proj is not None:
-            delta = delta @ proj
         v = a @ delta
         dd = float(delta @ delta)
         kv = k * v
@@ -587,8 +590,7 @@ def _dp2guard_round(cfg: ExperimentConfig, gradients: Iterable[np.ndarray],
     s2.receive_centered_batch(channel.send("S1", "S2", s1.center_shares()))
 
     detection, new_trust, row_weights = s2.detect_and_weigh(
-        trust_state, substream(cfg.seed, "cluster", round_no),
-        cfg.exclusion, cfg.projection_dim)
+        trust_state, substream(cfg.seed, "cluster", round_no), cfg.exclusion)
     agg2, agg_scale = s2.publish()
     tau = dict(zip(s2.ids, row_weights.tolist()))
 

@@ -486,14 +486,13 @@ class ServerS2(_ServerBase):
 
     def detect_and_weigh(self, state: TrustState, rng: np.random.Generator,
                          exclusion: str = "soft",
-                         projection_dim: int | None = None,
                          ) -> tuple[DetectionResult, TrustState, np.ndarray]:
         """Run hybrid detection, update trust, and set this round's
         normalized aggregation weights, which `publish` applies.  Detection,
         trust and weights are indexed by row; row k is client self.ids[k]."""
         self._require(PHASE_CENTERING, "detect")
         self.phase = PHASE_DETECTING
-        result = detect(self._centered, rng, projection_dim)
+        result = detect(self._centered, rng)
         benign = np.array([k in result.benign for k in range(len(self.ids))])
         direct = np.where(benign, direct_trust(result.features, result.centroid), 0.0)
         new_state = update_trust(state, direct)

@@ -3,12 +3,11 @@ import pytest
 
 from dp2guard.baselines import (
     DnCConfig,
-    dnc,
+    dnc_survivors,
     fedavg,
     fltrust,
     kept_mean,
     krum_scores,
-    multi_krum,
     multi_krum_select,
 )
 from dp2guard.defense import top_direction
@@ -16,6 +15,20 @@ from dp2guard.errors import TooFewClients
 from dp2guard.numeric import substream
 
 from test_defense import spectral_scores
+
+
+def multi_krum(gradients, f, m):
+    """Reference Multi-Krum: the mean of the m rows with the lowest Krum
+    scores, from the round loop's parts."""
+    stack = np.asarray(gradients, dtype=np.float64)
+    return kept_mean(stack, multi_krum_select(stack, f, m))
+
+
+def dnc(gradients, cfg, rng):
+    """Reference DnC: the mean of the spectral filter's survivors, from the
+    round loop's parts."""
+    stack = np.asarray(gradients, dtype=np.float64)
+    return kept_mean(stack, sorted(dnc_survivors(stack, cfg, rng)))
 
 
 def brute_force_krum_scores(grads, f):

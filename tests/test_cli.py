@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from dp2guard import cli
 from dp2guard.cli import main
+
+DIVERGING = dict(n_clients=4, rounds=2, synth_train=200, synth_test=50,
+                 synth_separation=1e300, eta=1e6)
 
 
 def _write_config(tmp_path, **overrides):
@@ -41,6 +49,13 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_removed_projection_dim_exits_two(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, projection_dim=8)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and "projection_dim" in err
+        assert not (tmp_path / "o").exists()
+
     def test_nonpositive_dirichlet_alpha_exits_two(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, partition="dirichlet", alpha=0)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -63,16 +78,30 @@ class TestRunCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_exits_two(self, tmp_path, capsys):
         # An admitted config whose training overflows to non-finite
-        # gradients cannot be encoded into the ring: a typed error, not a
-        # traceback and exit 1 (verify-ledger's code for a bad block).
-        cfg = _write_config(tmp_path, n_clients=4, rounds=2, synth_train=200, synth_test=50,
-                            synth_separation=1e300, eta=1e6)
+        # gradients stops in training with a typed error, not a traceback
+        # and exit 1 (verify-ledger's code for a bad block).
+        cfg = _write_config(tmp_path, **DIVERGING)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("aggregator", ["dp2guard", "fedavg", "dnc"])
+    def test_diverging_run_fails_on_its_cause_from_the_shell(self, tmp_path, aggregator):
+        # With numpy's warnings shown, as from the shell: the first
+        # non-finite gradient ends the run, under every rule, with exactly
+        # one stderr line that names the client and the round.
+        cfg = _write_config(tmp_path, aggregator=aggregator, **DIVERGING)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-m", "dp2guard.cli", "run", "--config",
+                               str(cfg), "--out", str(tmp_path / "o")],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: client 0's gradient in round 0 ")
+        assert not (tmp_path / "o" / "metrics.csv").exists()
 
 
 class TestVerifyLedgerCommand:

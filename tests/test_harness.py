@@ -38,6 +38,8 @@ from dp2guard.servers import (
     reassemble_global,
 )
 
+from test_baselines import dnc, multi_krum
+
 
 def _desk_config(**overrides):
     base = dict(dataset="synthetic", aggregator="dp2guard", n_clients=10, rounds=5,
@@ -56,6 +58,12 @@ class TestConfig:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"dataset": "synthetic", "bogus": 1})
+
+    def test_removed_projection_dim_is_an_unknown_key(self):
+        # Detection has one exact path; an old resolved-config.json that
+        # still carries the sketch width is rejected, not silently ignored.
+        with pytest.raises(ConfigError, match="projection_dim"):
+            ExperimentConfig.from_dict({"projection_dim": 8})
 
     def test_unknown_attack_param_rejected(self):
         with pytest.raises(ConfigError):
@@ -135,9 +143,6 @@ class TestConfig:
     dict(aggregator="dnc", aggregator_params={"assumed_malicious": 1.5}),
     dict(aggregator="dnc", aggregator_params={"filter_frac": 0.0}),
     dict(aggregator="multikrum", aggregator_params={"f": -1}),
-    dict(projection_dim=0),
-    dict(projection_dim=-3),
-    dict(projection_dim=2.5),
     dict(aggregator="fltrust", fltrust_root_size=0),
     dict(hidden=0),
     dict(model="mlp", hidden=0),
@@ -163,7 +168,6 @@ def test_config_rejects_bad_parameters(overrides):
     dict(seed=1.5),
     dict(seed=2**63),
     dict(hidden=True),
-    dict(projection_dim=True),
     dict(scale_bits=True),
     dict(rounds=True),
     dict(aggregator="multikrum", aggregator_params={"f": True}),
@@ -197,7 +201,7 @@ def test_config_accepts_each_rule_parameter():
     _desk_config(aggregator="dnc", aggregator_params={
         "n_iters": 2, "sub_dim": 5, "filter_frac": 1, "assumed_malicious": 2})
     _desk_config(aggregator="multikrum", aggregator_params={"f": 0, "m": 1})
-    _desk_config(projection_dim=1, hidden=1, fltrust_root_size=1)
+    _desk_config(hidden=1, fltrust_root_size=1)
     _desk_config(partition="dirichlet", alpha=0.01)
     _desk_config(partition="iid", alpha=0)  # alpha only shapes dirichlet draws
     _desk_config(seed=-2**63, eta=1, beta=0, train_subset=0, test_subset=None)
@@ -432,7 +436,7 @@ def reference_dp2guard_oracle(cfg, honest, round_no):
         pop = list(honest) + [candidate] * n_mal
         centered = np.stack([g - np.mean(pop, axis=0) for g in pop])
         rng = substream(cfg.seed, "attack-oracle", round_no)
-        result = detect(centered, rng, cfg.projection_dim)
+        result = detect(centered, rng)
         return any(i in result.benign for i in range(len(honest), len(pop)))
     return oracle
 
@@ -469,25 +473,23 @@ def reference_dnc_oracle(cfg, honest, round_no):
 
 class TestFangOracle:
     def test_matches_per_client_mean_reference(self):
-        # With and without the sketch (projection_dim 16 < d = 60).
-        for projection_dim in (None, 16):
-            rejections = 0
-            for seed in range(6):
-                cfg = _desk_config(n_clients=20, adv_ratio=0.2, seed=seed,
-                                   attack={"kind": "fang"}, projection_dim=projection_dim)
-                spec = cfg.parse_attack()
-                rng = substream(seed, "fang-oracle-test")
-                center = rng.standard_normal(60)
-                honest = list(center + rng.standard_normal((16, 60)))
-                want_log, got_log = [], []
-                want = fang_attack(honest, spec, _logged(
-                    reference_dp2guard_oracle(cfg, honest, 1), want_log))
-                got = fang_attack(honest, spec, _logged(
-                    harness._fang_oracle(cfg, spec, honest, 1), got_log))
-                assert np.array_equal(got, want)
-                assert got_log == want_log
-                rejections += want_log.count(False)
-            assert rejections > 0  # the search did more than accept lambda0
+        rejections = 0
+        for seed in range(6):
+            cfg = _desk_config(n_clients=20, adv_ratio=0.2, seed=seed,
+                               attack={"kind": "fang"})
+            spec = cfg.parse_attack()
+            rng = substream(seed, "fang-oracle-test")
+            center = rng.standard_normal(60)
+            honest = list(center + rng.standard_normal((16, 60)))
+            want_log, got_log = [], []
+            want = fang_attack(honest, spec, _logged(
+                reference_dp2guard_oracle(cfg, honest, 1), want_log))
+            got = fang_attack(honest, spec, _logged(
+                harness._fang_oracle(cfg, spec, honest, 1), got_log))
+            assert np.array_equal(got, want)
+            assert got_log == want_log
+            rejections += want_log.count(False)
+        assert rejections > 0  # the search did more than accept lambda0
 
     def test_run_matches_reference_oracle(self, tmp_path, monkeypatch):
         cfg = _desk_config(rounds=2, adv_ratio=0.2, attack={"kind": "fang"})
@@ -627,10 +629,9 @@ def test_loop_aggregate_equals_baseline_function(aggregator):
         if aggregator == "fedavg":
             want = baselines.fedavg(rows)
         elif aggregator == "multikrum":
-            want = baselines.multi_krum(rows, *harness._multikrum_params(cfg))
+            want = multi_krum(rows, *harness._multikrum_params(cfg))
         else:
-            want = baselines.dnc(rows, harness._dnc_params(cfg),
-                                 substream(cfg.seed, "dnc", t))
+            want = dnc(rows, harness._dnc_params(cfg), substream(cfg.seed, "dnc", t))
         params = models.sgd_step(params, want, cfg.eta)
         assert np.array_equal(params, res.params_history[t])
 
@@ -840,12 +841,6 @@ class TestConfigSurface:
         # still positive under soft exclusion
         for cid in flagged:
             assert tau[cid] > 0.0
-
-    def test_projection_flag_through_harness(self):
-        cfg = _desk_config(rounds=4, adv_ratio=0.2, projection_dim=8,
-                           attack={"kind": "fang", "oracle": "accept_all"})
-        res = run_experiment(cfg)
-        assert res.metrics[-1].recall == 1.0
 
     def test_secure_round_tracks_weighted_plaintext_across_seeds(self):
         for seed in range(5):
