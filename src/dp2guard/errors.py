@@ -51,6 +51,11 @@ class NonFiniteGradient(Dp2GuardError, FloatingPointError):
     diverged."""
 
 
+class NonFiniteModel(Dp2GuardError, FloatingPointError):
+    """The global model has a NaN or infinite parameter or test logit:
+    training diverged."""
+
+
 class TooFewClients(Dp2GuardError, ValueError):
     """An aggregation rule received fewer clients than it tolerates."""
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import attacks, baselines, client, defense, models, trust
 from .data import Dataset, load_idx, partition, synth_dataset
-from .errors import ConfigError, NonFiniteGradient, OutputExists
+from .errors import ConfigError, NonFiniteGradient, NonFiniteModel, OutputExists
 from .ledger import (
     Ledger,
     make_round_payload,
@@ -393,11 +393,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                                                      params, root_data)
                 mtb = mtm = None
 
-            params = models.sgd_step(params, g_agg, cfg.eta)
+            with np.errstate(all="ignore"):  # a diverged model fails below, on its round
+                params = models.sgd_step(params, g_agg, cfg.eta)
+            accuracy = model.accuracy(params, test.features, test.labels)
+            if math.isnan(accuracy) or not np.isfinite(params).all():
+                raise NonFiniteModel(f"the model after round {round_no} has non-finite "
+                                     "parameters or test logits: training diverged")
             if record_history:
                 result.params_history.append(params.copy())
 
-            accuracy = model.accuracy(params, test.features, test.labels)
             precision, recall = _detection_metrics(benign_pred, cfg.n_malicious,
                                                    cfg.n_clients)
             metrics.append(RoundMetrics(round_no, accuracy, precision, recall, mtb, mtm,

@@ -2,6 +2,7 @@
 layer MLP, with flat-parameter gradients for softmax cross-entropy."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,11 +118,14 @@ class Model:
         np.sum(back, axis=0, out=d_b1)
         return out
 
-    def predict(self, flat: np.ndarray, features: np.ndarray) -> np.ndarray:
-        return np.argmax(self.logits(flat, features), axis=1)
-
     def accuracy(self, flat: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-        return float(np.mean(self.predict(flat, features) == labels))
+        """Fraction of rows whose largest logit is their label; NaN when a
+        logit is not finite, where argmax would score an arbitrary class."""
+        with np.errstate(all="ignore"):
+            logits = self.logits(flat, features)
+        if not np.isfinite(logits).all():
+            return math.nan
+        return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 def flatten(parts: list[np.ndarray]) -> np.ndarray:

@@ -18,27 +18,28 @@ carries scale_bits + 32 fractional bits, which decode removes.
 
 Memory: a server is built once per run for the run's d and scale_bits
 (a share of any other d or scale is a ProtocolError), and `start_round`
-opens each round.  It allocates its share matrix, and S2 its float matrix
-of reconstructed centered gradients, once, at construction, and refills
-both in place every round: at realistic sizes a fresh (N, d) array lies
-above the allocator's mmap threshold and is page-faulted in again every
-time.  A row left from an earlier round is never read, because centering
-waits for every client's share of the current round.  Messages are built
-fresh each round and never rewritten once sent, so the CenteredBatch
-payload is the one (N, d) array a round allocates.  Centering,
-reconstruction and aggregation run row by row in reused d-vectors.
+opens each round.  It allocates its share matrix once, at construction,
+and refills it in place every round: at realistic sizes a fresh (N, d)
+array lies above the allocator's mmap threshold and is page-faulted in
+again every time.  A row left from an earlier round is never read,
+because centering waits for every client's share of the current round.
+Once sent, a message belongs to its receiver: senders build every message
+fresh and never touch it again, and the channel hands over the sender's
+buffer.  The CenteredBatch payload is therefore the one (N, d) array a
+round allocates, and S2 decodes its float centered gradients into that
+payload's own bytes, which detection reads and then releases.
+Centering, reconstruction and aggregation run row by row in reused
+d-vectors.
 
-A round therefore holds four (N, d) arrays: the two share matrices, S2's
-float matrix and the CenteredBatch payload.  The clients' plaintext
-gradients add a fifth, the harness's N gradient rows, only under a
-full-knowledge attack, whose attackers craft from every honest gradient,
-or when the run records its gradient history; otherwise each client
-trains into one reused d-vector and masks it straight into its two
-uploads.  The peak sits in `ServerS1.center_shares` of every round after
-the first, once the CenteredBatch is filled while S2 still holds last
-round's float matrix.  On the benchmark's secure-wide workload (N = 100,
-d = 50,890, 40.7 MB per array) that peak measured 221 MB of RSS, and
-259 MB with the gradient rows.
+A round therefore holds three (N, d) arrays: the two share matrices and
+the CenteredBatch payload.  The clients' plaintext gradients add a
+fourth, the harness's N gradient rows, only under a full-knowledge
+attack, whose attackers craft from every honest gradient, or when the run
+records its gradient history; otherwise each client trains into one
+reused d-vector and masks it straight into its two uploads.  The batch of
+one round is freed when `ServerS2.detect_and_weigh` returns, before the
+next is built.  On the benchmark's secure-wide workload (N = 100,
+d = 50,890, 40.7 MB per array) the peak measured 183.6 MB of RSS.
 """
 from __future__ import annotations
 
@@ -87,11 +88,13 @@ class ProtocolMessage(NamedTuple):
     message is built once and never changed, and a tuple is the cheapest
     immutable record to build).
 
-    `payload` is any bytes-like object: encoders build bytes or a
-    memoryview, and a received message carries a read-only memoryview of
-    the sender's payload.  `len(payload)` is its byte count.  On the wire
-    the message is a 17-byte header (kind u8, round u32, sender u32,
-    payload length u64) followed by the payload.
+    `payload` is any bytes-like object whose `len` is its byte count:
+    encoders build bytes or a byte-format memoryview.  Once sent, the
+    payload belongs to the receiver, which gets the sender's buffer itself
+    and may reuse it (S2 decodes a CenteredBatch in place); a bytes
+    payload stays immutable.  On the wire the message is a 17-byte header
+    (kind u8, round u32, sender u32, payload length u64) followed by the
+    payload.
     """
 
     kind: int
@@ -127,19 +130,18 @@ class Channel:
     """In-memory transport that records (src, dst, kind) for boundary audits.
 
     Each message's header goes through the wire format and is checked as
-    `decode_message` checks it; the payload is handed over as a read-only
-    memoryview of the sender's buffer, not copied behind the header, so the
-    receiver sees the bytes `decode_message(encode_message(msg))` would
-    give it.
+    `decode_message` checks it; the payload is the sender's buffer, handed
+    over rather than copied behind the header, so the receiver sees the
+    bytes `decode_message(encode_message(msg))` would give it, and owns
+    them: a sender never touches a message after sending it.
     """
 
     def __init__(self):
         self.log: list[tuple[str, str, str]] = []
 
     def send(self, src: str, dst: str, msg: ProtocolMessage) -> ProtocolMessage:
-        payload = memoryview(msg.payload).cast("B").toreadonly()
-        header = _MSG_HEADER.pack(msg.kind, msg.round, msg.sender, len(payload))
-        received = _parse_header(header, payload)
+        header = _MSG_HEADER.pack(msg.kind, msg.round, msg.sender, len(msg.payload))
+        received = _parse_header(header, msg.payload)
         self.log.append((src, dst, _KIND_NAMES[received.kind]))
         return received
 
@@ -298,10 +300,12 @@ def reconstruct_centered(centered_1: np.ndarray, shares_2: np.ndarray,
     """Real centered gradients written into `out` (float64, the shape of
     shares_2), row k for the client of shares_2[k].
 
-    `centered_1` holds S1's centered rows (as sent in the CenteredBatch);
-    each is added to S2's own centered row, which cancels the random share
-    exactly, then decoded and divided by N (the residual scaling of
-    `mean_center`) in one division by N * 2**scale_bits.  That equals
+    `centered_1` holds S1's centered rows (as sent in the CenteredBatch),
+    and `out` may overlay that batch's payload (ServerS2 decodes in place):
+    row k is written only after centered_1[k] is read.  Each row is added
+    to S2's own centered row, which cancels the random share exactly, then
+    decoded and divided by N (the residual scaling of `mean_center`) in
+    one division by N * 2**scale_bits.  That equals
     decode_fixed(x, s) / N bit for bit: N * 2**s is exact (N < 2**53), and
     so is float(x) * 2**-s, which for |x| >= 1 and s <= 48 is at least
     2**-48 and cannot be subnormal (x = 0 gives +0.0 both ways).  Both
@@ -338,12 +342,8 @@ def partial_aggregate(shares: np.ndarray, weights: Sequence[float]) -> np.ndarra
     if abs(vals.sum() - 1.0) > 1e-9:
         raise WeightError(f"weights sum to {vals.sum()}, expected 1")
     fixed = np.rint(vals * 2.0**WEIGHT_BITS).astype(np.uint64)
-    acc = np.zeros(shares.shape[1], dtype=np.uint64)
-    term = np.empty_like(acc)
-    for share, w in zip(shares, fixed):
-        np.multiply(share, w, out=term)
-        np.add(acc, term, out=acc)
-    return acc
+    # Wrapping uint64 multiply-accumulate, allocating only the result.
+    return np.einsum("k,kd->d", fixed, shares)
 
 
 def reassemble_global(a1: np.ndarray, a2: np.ndarray, scale_bits: int) -> np.ndarray:
@@ -466,12 +466,12 @@ class ServerS2(_ServerBase):
 
     server_id = 2
     _weights: np.ndarray
-
-    def __init__(self, expected_clients: Iterable[int], d: int, scale_bits: int):
-        super().__init__(expected_clients, d, scale_bits)
-        self._centered = np.empty(self.shares.shape)
+    _centered: np.ndarray
 
     def receive_centered_batch(self, msg: ProtocolMessage) -> None:
+        """Reconstruct the round's centered gradients into the batch's own
+        payload, which S2 owns once received; a read-only payload is a
+        ProtocolError, raised before anything changes."""
         self._require(PHASE_COLLECTING, "accept centered shares")
         if msg.round != self.round:
             raise ProtocolError(f"centered batch for round {msg.round}")
@@ -479,9 +479,17 @@ class ServerS2(_ServerBase):
         self._require_all_shares()
         if ids != self.ids:
             raise ClientSetMismatch(f"client sets differ: {ids} vs {self.ids}")
-        if scale_bits != self.scale_bits:
-            raise DimensionMismatch(f"scale_bits {scale_bits} != {self.scale_bits}")
-        reconstruct_centered(c1, self.shares, self.scale_bits, self._centered)
+        if (c1.shape[1], scale_bits) != (self.shares.shape[1], self.scale_bits):
+            raise DimensionMismatch(f"batch has (d, scale_bits) {(c1.shape[1], scale_bits)}, "
+                                    f"expected {(self.shares.shape[1], self.scale_bits)}")
+        payload = memoryview(msg.payload)
+        if payload.readonly:
+            raise ProtocolError("CenteredBatch payload is read-only; S2 decodes it in place")
+        # Float row k covers the payload's first 8d(k+1) bytes, which hold
+        # only records <= k (a record spans 17 + 8d bytes), and
+        # reconstruct_centered reads record k before it writes row k.
+        out = np.ndarray(self.shares.shape, dtype=np.float64, buffer=payload)
+        self._centered = reconstruct_centered(c1, self.shares, self.scale_bits, out)
         self.phase = PHASE_CENTERING
 
     def detect_and_weigh(self, state: TrustState, rng: np.random.Generator,
@@ -492,7 +500,11 @@ class ServerS2(_ServerBase):
         trust and weights are indexed by row; row k is client self.ids[k]."""
         self._require(PHASE_CENTERING, "detect")
         self.phase = PHASE_DETECTING
-        result = detect(self._centered, rng)
+        # The centered gradients live in the round's batch; dropping the
+        # last reference frees it when this returns.
+        centered = self._centered
+        del self._centered
+        result = detect(centered, rng)
         benign = np.array([k in result.benign for k in range(len(self.ids))])
         direct = np.where(benign, direct_trust(result.features, result.centroid), 0.0)
         new_state = update_trust(state, direct)

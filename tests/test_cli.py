@@ -103,6 +103,25 @@ class TestRunCommand:
         assert proc.stderr.startswith("error: client 0's gradient in round 0 ")
         assert not (tmp_path / "o" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("aggregator", ["dp2guard", "fedavg"])
+    def test_diverging_model_exits_two_from_the_shell(self, tmp_path, aggregator):
+        # Finite gradients times a huge step size overflow the model, not
+        # the training: the run stops after that round's update with one
+        # stderr line naming the round, not with an overflow warning and
+        # an accuracy scored from non-finite logits.
+        cfg = _write_config(tmp_path, aggregator=aggregator, n_clients=4, rounds=1,
+                            synth_train=200, synth_test=50, eta=1e308, local_mode="batch")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-m", "dp2guard.cli", "run", "--config",
+                               str(cfg), "--out", str(tmp_path / "o")],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: the model after round 0 ")
+        assert "Warning" not in proc.stderr
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
 
 class TestVerifyLedgerCommand:
     def test_intact_chain_exits_zero(self, tmp_path, capsys):

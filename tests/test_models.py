@@ -190,3 +190,19 @@ def test_mlp_init_deterministic():
     b = model.init_params(substream(7, "init"))
     assert np.array_equal(a, b)
     assert model.init_params(substream(8, "init"))[0] != a[0]
+
+
+@pytest.mark.parametrize("arch", ["logreg", "mlp"])
+def test_accuracy_of_non_finite_logits_is_nan_without_warnings(arch):
+    # argmax over NaN or infinite logits would score an arbitrary class
+    # (a huge step once scored 1.0); the caller gets NaN, quietly.
+    model = Model(arch, 5, 3, hidden=4)
+    features = substream(5, "acc").standard_normal((8, 5))
+    labels = np.arange(8) % 3
+    params = model.init_params(substream(5, "init"))
+    assert 0.0 <= model.accuracy(params, features, labels) <= 1.0
+    with np.errstate(all="raise"):
+        huge = np.full(model.dim, 1e300)
+        assert np.isnan(model.accuracy(huge, features * 1e10, labels))
+        params[0] = np.nan
+        assert np.isnan(model.accuracy(params, features, labels))

@@ -1,4 +1,5 @@
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -162,6 +163,22 @@ class TestReconstructCentered:
         want = decode_fixed(words, scale_bits) / n
         assert np.array_equal(out.view(np.uint64), np.tile(want, (n, 1)).view(np.uint64))
 
+    @pytest.mark.parametrize("n", [2, 3, 129])
+    @pytest.mark.parametrize("d", [1, 2, 7, 1000])
+    def test_in_place_into_the_batch_equals_out_of_place(self, n, d):
+        # S2 writes float row k over the first 8d(k+1) bytes of the
+        # CenteredBatch it reads S1's rows from; that may overwrite only
+        # records it has read, so the result is the out-of-place one, bit
+        # for bit, whatever the row count and width.
+        rng = substream(71, "in-place", n, d)
+        s1, s2 = (np.stack([uniform_words(d, rng) for _ in range(n)]) for _ in range(2))
+        batch = encode_centered_batch(0, 1, list(range(n)), mean_center(s1), d, 16)
+        want = reconstruct_centered(decode_centered_batch(batch)[1], s2, 16, np.empty((n, d)))
+        out = np.ndarray((n, d), dtype=np.float64, buffer=batch.payload)
+        got = reconstruct_centered(decode_centered_batch(batch)[1], s2, 16, out)
+        assert np.shares_memory(got, np.frombuffer(batch.payload, np.uint8))
+        assert got.tobytes() == want.tobytes()
+
     def test_client_set_mismatch(self):
         rng = substream(69, "rc")
         shares = np.stack([uniform_words(4, rng) for _ in range(3)])
@@ -199,15 +216,21 @@ class TestPartialAggregate:
 
     def test_matches_per_client_ring_loop(self):
         # Same words as accumulating each client's share times its
-        # round(w * 2^32) one row at a time.
+        # round(w * 2^32) one row at a time: on masked shares, and on
+        # full-width words of several shapes, where every product and sum
+        # wraps mod 2**64.
         rng = substream(72, "loop")
         s1, _ = _masked_pair({i: rng.uniform(-5, 5, size=7) for i in range(5)}, 79)
-        raw = rng.uniform(0.01, 1.0, size=5)
-        w = [float(x) for x in raw / raw.sum()]
-        want = np.zeros(7, dtype=np.uint64)
-        for k in range(5):
-            want = np.add(want, s1[k] * np.uint64(int(round(w[k] * 2.0**32))))
-        assert np.array_equal(partial_aggregate(s1, w), want)
+        cases = [s1] + [np.stack([uniform_words(d, rng) for _ in range(n)])
+                        for n, d in ((2, 1), (3, 5), (129, 7))]
+        for shares in cases:
+            n, d = shares.shape
+            raw = rng.uniform(0.01, 1.0, size=n)
+            w = [float(x) for x in raw / raw.sum()]
+            want = np.zeros(d, dtype=np.uint64)
+            for k in range(n):
+                want = np.add(want, shares[k] * np.uint64(int(round(w[k] * 2.0**32))))
+            assert np.array_equal(partial_aggregate(shares, w), want)
 
     def test_weight_validation(self):
         share = encode_fixed(np.ones(4), 16)
@@ -304,7 +327,9 @@ class TestWireFormat:
             assert (got.kind, got.round, got.sender) == (want.kind, want.round, want.sender)
             assert bytes(got.payload) == bytes(want.payload)
             assert len(got.payload) == len(want.payload)
-            assert memoryview(got.payload).readonly
+            # Handed over, not copied: the receiver owns the sender's buffer.
+            assert np.shares_memory(np.frombuffer(got.payload, np.uint8),
+                                    np.frombuffer(msg.payload, np.uint8))
         assert [kind for _, _, kind in channel.log] == [
             "ShareUpload", "CenteredBatch", "AggDigestAndWeights"]
 
@@ -683,11 +708,19 @@ class TestShareMatrixChecks:
         # d and scale_bits are fixed at construction: in round 0 and in a
         # later round, a share of another d or scale is rejected whether
         # or not one of the round's shares has arrived, and every round
-        # refills the same share and centered matrices.
+        # refills the same share matrices.  S2 decodes each round's
+        # centered gradients into that round's batch, so between rounds it
+        # holds no float matrix at all.
+        def float_matrices(server):
+            return [name for name, value in vars(server).items()
+                    if isinstance(value, np.ndarray) and value.dtype.kind == "f"
+                    and value.ndim == 2]
+
         rng = substream(103, "run-shape")
         grads = {i: rng.uniform(-1, 1, size=5) for i in range(3)}
         s1, s2 = ServerS1(grads, 5, 16), ServerS2(grads, 5, 16)
-        matrices = s1.shares, s2.shares, s2._centered
+        matrices = s1.shares, s2.shares
+        assert float_matrices(s2) == []
         wrong = [(split_and_mask(np.ones(4), 16, substream(103, "m"))[0], 16),
                  (split_and_mask(np.ones(5), 20, substream(103, "m"))[0], 20)]
         for round_no in range(2):
@@ -707,8 +740,8 @@ class TestShareMatrixChecks:
             s1.receive_agg_and_weights(encode_agg_and_weights(round_no, 0, *s2.publish(), tau))
             want = sum(tau[cid] * g for cid, g in grads.items())
             assert np.max(np.abs(s1.finalize() - want)) <= 1e-3
-            assert all(now is kept for now, kept in
-                       zip((s1.shares, s2.shares, s2._centered), matrices))
+            assert all(now is kept for now, kept in zip((s1.shares, s2.shares), matrices))
+            assert float_matrices(s2) == []
 
     def test_no_round_open_before_start_round(self):
         sh1, _ = split_and_mask(np.ones(4), 16, substream(104, "m"))
@@ -725,3 +758,58 @@ class TestShareMatrixChecks:
         rows = np.stack([uniform_words(6, rng) for _ in range(3)])
         with pytest.raises(ClientSetMismatch):
             s2.receive_centered_batch(encode_centered_batch(0, 1, [0, 1, 5], rows, 6, 16))
+
+
+class TestBatchOwnership:
+    """Once received, the CenteredBatch belongs to S2, which decodes the
+    round's centered gradients into its bytes and drops it after
+    detection."""
+
+    def _s2_with_batch(self, seed):
+        rng = substream(seed, "own")
+        grads = {i: rng.uniform(-1, 1, size=6) for i in range(4)}
+        s1, s2 = _opened(ServerS1, sorted(grads), 6), _opened(ServerS2, sorted(grads), 6)
+        for cid, g in grads.items():
+            sh1, sh2 = split_and_mask(g, 16, substream(seed, "mask", cid))
+            s1.receive_share(_upload(cid, 0, 1, sh1))
+            s2.receive_share(_upload(cid, 0, 2, sh2))
+        return s2, s1.center_shares()
+
+    def test_read_only_batch_is_rejected_before_any_state_changes(self):
+        # A payload S2 cannot write, like decode_message over bytes, is a
+        # ProtocolError, never a silent copy; the same wire in a writable
+        # buffer (its float view then starts unaligned) is accepted and
+        # decodes as the sent batch does.
+        s2, batch = self._s2_with_batch(110)
+        wire = encode_message(batch)
+        shares = s2.shares.copy()
+        with pytest.raises(ProtocolError, match="read-only"):
+            s2.receive_centered_batch(decode_message(wire))
+        assert s2.phase == "collecting"
+        assert np.array_equal(s2.shares, shares)
+        assert not hasattr(s2, "_centered")
+        s2.receive_centered_batch(decode_message(bytearray(wire)))
+        got = s2.detect_and_weigh(initial_trust(4, 0.5), substream(111, "km"))
+        ref, batch = self._s2_with_batch(110)
+        ref.receive_centered_batch(batch)
+        want = ref.detect_and_weigh(initial_trust(4, 0.5), substream(111, "km"))
+        assert np.array_equal(got[0].features, want[0].features)
+        assert np.array_equal(got[2], want[2])
+
+    def test_detection_releases_the_batch(self):
+        s2, batch = self._s2_with_batch(112)
+        buffer = weakref.ref(batch.payload.obj)
+        s2.receive_centered_batch(Channel().send("S1", "S2", batch))
+        del batch
+        assert buffer() is not None
+        s2.detect_and_weigh(initial_trust(4, 0.5), substream(113, "km"))
+        assert buffer() is None
+
+    def test_batch_of_another_width_is_a_dimension_mismatch(self):
+        # Checked before S2 lays its float rows over the payload, which
+        # would be too short for the run's d.
+        s2, _ = self._s2_with_batch(114)
+        rows = np.stack([uniform_words(4, substream(114, "narrow", k)) for k in range(4)])
+        with pytest.raises(DimensionMismatch, match=r"\(4, 16\), expected \(6, 16\)"):
+            s2.receive_centered_batch(encode_centered_batch(0, 1, [0, 1, 2, 3], rows, 4, 16))
+        assert s2.phase == "collecting"
