@@ -8,8 +8,9 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, Dp2GuardError
-from .harness import ExperimentConfig, _is_real, plot_ratio_sweep, run_experiment
+from .errors import ConfigError, Dp2GuardError, OutputExists
+from .harness import (ExperimentConfig, _is_real, plot_ratio_sweep, refuse_artifacts,
+                      run_experiment)
 from .ledger import verify_file
 
 
@@ -39,13 +40,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify-ledger":
             return _cmd_verify(args)
         return _cmd_sweep(args)
-    except (Dp2GuardError, FileNotFoundError) as exc:
+    except (Dp2GuardError, OSError) as exc:  # e.g. a missing file or a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+    cfg = ExperimentConfig.from_json(_read_config(args.config))
     result = run_experiment(cfg, out_dir=args.out)
     last = result.metrics[-1]
     print(f"{cfg.aggregator} on {cfg.dataset}: "
@@ -70,20 +71,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     names = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     if field not in names:
         raise ConfigError(f"unknown config field {field!r}")
-    base = _json(Path(args.config).read_text(encoding="utf-8"), "config")
+    base = _json(_read_config(args.config), "config")
     if not isinstance(base, dict):
         raise ConfigError("config must be a JSON object")
     raws = values.split(",")
     parsed = [_json(raw, f"--vary value {raw!r}") for raw in raws]
-    # Every value is checked, and every config built, before the first run.
+    # Every value is checked, every config built and every point's
+    # directory found fresh before the first run.
     xs = [_sweep_x(raw, value) for raw, value in zip(raws, parsed)]
     configs = [ExperimentConfig.from_dict({**base, field: value}) for value in parsed]
     out_root = Path(args.out)
+    if (out_root / "sweep.svg").exists():  # an earlier sweep's plot
+        raise OutputExists(f"{out_root / 'sweep.svg'} already exists; "
+                           "write each sweep to a fresh directory")
+    dirs = [out_root / f"{field}={raw}" for raw in raws]
+    for i, raw in enumerate(raws):
+        if raw in raws[:i]:
+            raise ConfigError(f"--vary value {raw!r} is given twice; "
+                              "each value writes its own directory")
+        refuse_artifacts(dirs[i])
     out_root.mkdir(parents=True, exist_ok=True)
 
     points = []
-    for raw, x, cfg in zip(raws, xs, configs):
-        result = run_experiment(cfg, out_dir=out_root / f"{field}={raw}")
+    for raw, x, cfg, out_dir in zip(raws, xs, configs, dirs):
+        result = run_experiment(cfg, out_dir=out_dir)
         final = result.metrics[-1].accuracy
         points.append((x, final))
         print(f"{field}={raw}: final accuracy {final:.4f}")
@@ -100,6 +111,13 @@ def _sweep_x(raw: str, value) -> float:
         return float(value)
     raise ConfigError(f"--vary value {raw!r} is not a finite number; "
                       "the sweep plots each value on its x axis")
+
+
+def _read_config(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
 
 
 def _json(text: str, what: str):

@@ -65,7 +65,7 @@ class AllZeroTrust(Dp2GuardError, RuntimeError):
 
 
 class RoundNotFound(Dp2GuardError, KeyError):
-    """The ledger holds no block for the requested round."""
+    """The ledger's head is not the requested round's block."""
 
 
 class ProtocolError(Dp2GuardError, RuntimeError):

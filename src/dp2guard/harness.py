@@ -242,7 +242,6 @@ class RunResult:
     config: ExperimentConfig
     metrics: list[RoundMetrics]
     ledger: Ledger
-    channel: Channel
     final_params: np.ndarray
     model: models.Model
     weight_history: list[dict[int, float]] = field(default_factory=list)
@@ -308,6 +307,15 @@ def _idx_file(base: Path, stem: str) -> Path:
     raise FileNotFoundError(f"{base / stem}[.gz] not found")
 
 
+def refuse_artifacts(out_path: Path) -> None:
+    """Raise OutputExists if `out_path` holds any of the ARTIFACTS, whose
+    earlier copies would pass for this run's; a run checks before any work."""
+    for name in ARTIFACTS:
+        if (out_path / name).exists():
+            raise OutputExists(f"{out_path / name} already exists; "
+                               "write each run to a fresh directory")
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                    record_history: bool = False) -> RunResult:
     """Run the configured number of rounds and return per-round metrics.
@@ -318,13 +326,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     """
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
-        # An earlier run's chain would feed S1 stale aggregates (it reads
-        # each record back by round number), and its other files would pass
-        # for this run's.
-        for name in ARTIFACTS:
-            if (out_path / name).exists():
-                raise OutputExists(f"{out_path / name} already exists; "
-                                   "write each run to a fresh directory")
+        refuse_artifacts(out_path)
         out_path.mkdir(parents=True, exist_ok=True)
 
     train, test = load_datasets(cfg)
@@ -363,7 +365,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
         s1 = ServerS1(range(cfg.n_clients), model.dim, cfg.scale_bits)
         s2 = ServerS2(range(cfg.n_clients), model.dim, cfg.scale_bits)
 
-    result = RunResult(cfg, [], ledger, channel, params, model)
+    result = RunResult(cfg, [], ledger, params, model)
     metrics: list[RoundMetrics] = []
 
     detection_rows: list[str] = []

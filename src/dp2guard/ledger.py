@@ -30,8 +30,9 @@ class Block:
     hash: bytes
 
 
-def canonical_payload_bytes(payload: dict[str, Any]) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def _compact_json(obj: Any) -> str:
+    """Sorted-key JSON without spaces: the form hashed and the form written."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def block_hash(index: int, round_no: int, prev_hash: bytes,
@@ -39,7 +40,7 @@ def block_hash(index: int, round_no: int, prev_hash: bytes,
     h = hashlib.sha256()
     h.update(struct.pack("<QQ", index, round_no))
     h.update(prev_hash)
-    h.update(canonical_payload_bytes(payload))
+    h.update(_compact_json(payload).encode("utf-8"))
     return h.digest()
 
 
@@ -103,35 +104,30 @@ def payload_trust_weights(payload: dict[str, Any]) -> dict[int, float]:
 
 
 class Ledger:
-    """Single-writer append-only chain, optionally persisted as JSONL."""
+    """Single-writer append-only chain, optionally persisted as JSONL.  It
+    holds only its head, whose hash commits to every earlier block; the
+    file, which the first append creates (an existing one is an error), is
+    the chain `read_chain` and `verify_file` read back."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self.blocks: list[Block] = []
+        self.head: Block | None = None
         self._fh: TextIO | None = None  # append handle, opened on first append
-        # round -> index of the first block recorded for it
-        self._first_block: dict[int, int] = {}
-        if self.path is not None and self.path.exists():
-            for block in read_chain(self.path):
-                self._record(block)
-
-    def _record(self, block: Block) -> None:
-        self._first_block.setdefault(block.round, len(self.blocks))
-        self.blocks.append(block)
 
     def append(self, round_no: int, payload: dict[str, Any]) -> Block:
         """Append a block; the line is flushed to the file before the call
         returns, so readers see every appended block while the run goes on."""
-        index = len(self.blocks)
-        prev = self.blocks[-1].hash if self.blocks else GENESIS_HASH
-        digest = block_hash(index, round_no, prev, payload)
-        block = Block(index, round_no, prev, payload, digest)
+        head = self.head
+        index, prev = (0, GENESIS_HASH) if head is None else (head.index + 1, head.hash)
+        block = Block(index, round_no, prev, payload, block_hash(index, round_no, prev, payload))
         if self.path is not None:
             if self._fh is None:
-                self._fh = self.path.open("a", encoding="utf-8")
-            self._fh.write(_block_line(block) + "\n")
+                self._fh = self.path.open("x" if head is None else "a", encoding="utf-8")
+            record = {"index": index, "round": round_no, "prev_hash": prev.hex(),
+                      "payload": payload, "hash": block.hash.hex()}
+            self._fh.write(_compact_json(record) + "\n")
             self._fh.flush()
-        self._record(block)
+        self.head = block
         return block
 
     def close(self) -> None:
@@ -141,25 +137,12 @@ class Ledger:
             self._fh = None
 
     def read_round(self, round_no: int) -> dict[str, Any]:
-        """Payload of the first block recorded for the given round."""
-        index = self._first_block.get(round_no)
-        if index is None:
-            raise RoundNotFound(f"no block for round {round_no}")
-        return self.blocks[index].payload
-
-    def verify(self) -> int | None:
-        return verify_blocks(self.blocks)
-
-
-def _block_line(block: Block) -> str:
-    record = {
-        "index": block.index,
-        "round": block.round,
-        "prev_hash": block.prev_hash.hex(),
-        "payload": block.payload,
-        "hash": block.hash.hex(),
-    }
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+        """Payload of the head block, which must be the given round's: the
+        round loop reads each record right after appending it, so any other
+        round would be a stale record."""
+        if self.head is None or self.head.round != round_no:
+            raise RoundNotFound(f"the ledger head is not round {round_no}'s block")
+        return self.head.payload
 
 
 def read_chain(path: str | Path) -> Iterator[Block]:

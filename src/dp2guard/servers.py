@@ -25,9 +25,10 @@ again every time.  A row left from an earlier round is never read,
 because centering waits for every client's share of the current round.
 Once sent, a message belongs to its receiver: senders build every message
 fresh and never touch it again, and the channel hands over the sender's
-buffer.  The CenteredBatch payload is therefore the one (N, d) array a
-round allocates, and S2 decodes its float centered gradients into that
-payload's own bytes, which detection reads and then releases.
+buffer and keeps no record of it.  The CenteredBatch payload is therefore
+the one (N, d) array a round allocates, and S2 decodes its float centered
+gradients into that payload's own bytes, which detection reads and then
+releases.
 Centering, reconstruction and aggregation run row by row in reused
 d-vectors.
 
@@ -59,11 +60,7 @@ MSG_SHARE_UPLOAD = 1
 MSG_CENTERED_BATCH = 2
 MSG_AGG_AND_WEIGHTS = 3
 
-_KIND_NAMES = {
-    MSG_SHARE_UPLOAD: "ShareUpload",
-    MSG_CENTERED_BATCH: "CenteredBatch",
-    MSG_AGG_AND_WEIGHTS: "AggDigestAndWeights",
-}
+_KINDS = frozenset({MSG_SHARE_UPLOAD, MSG_CENTERED_BATCH, MSG_AGG_AND_WEIGHTS})
 
 _MSG_HEADER = struct.Struct("<BIIQ")
 # ShareUpload: client id and share index, then the serialized ring.
@@ -121,29 +118,26 @@ def _parse_header(header, payload) -> ProtocolMessage:
     kind, round_no, sender, payload_len = _MSG_HEADER.unpack(header)
     if len(payload) != payload_len:
         raise ProtocolError(f"payload length {len(payload)} != declared {payload_len}")
-    if kind not in _KIND_NAMES:
+    if kind not in _KINDS:
         raise ProtocolError(f"unknown message kind {kind}")
     return ProtocolMessage(kind, round_no, sender, payload)
 
 
 class Channel:
-    """In-memory transport that records (src, dst, kind) for boundary audits.
+    """In-memory transport between protocol parties; it keeps nothing.
 
     Each message's header goes through the wire format and is checked as
     `decode_message` checks it; the payload is the sender's buffer, handed
     over rather than copied behind the header, so the receiver sees the
     bytes `decode_message(encode_message(msg))` would give it, and owns
-    them: a sender never touches a message after sending it.
+    them: a sender never touches a message after sending it.  `src` and
+    `dst` name the parties for whoever observes the channel (a subclass
+    or a tracer) and do not change the delivery.
     """
-
-    def __init__(self):
-        self.log: list[tuple[str, str, str]] = []
 
     def send(self, src: str, dst: str, msg: ProtocolMessage) -> ProtocolMessage:
         header = _MSG_HEADER.pack(msg.kind, msg.round, msg.sender, len(msg.payload))
-        received = _parse_header(header, msg.payload)
-        self.log.append((src, dst, _KIND_NAMES[received.kind]))
-        return received
+        return _parse_header(header, msg.payload)
 
 
 def encode_share_upload(client_id: int, round_no: int, share_index: int, d: int,

@@ -23,6 +23,14 @@ def _write_config(tmp_path, **overrides):
     return path
 
 
+def _shell(*args: str) -> subprocess.CompletedProcess:
+    """`dp2guard ARGS` run from the shell, as a user runs it."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-m", "dp2guard.cli", *args],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+
+
 class TestRunCommand:
     def test_writes_artifacts_and_exits_zero(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
@@ -93,11 +101,7 @@ class TestRunCommand:
         # non-finite gradient ends the run, under every rule, with exactly
         # one stderr line that names the client and the round.
         cfg = _write_config(tmp_path, aggregator=aggregator, **DIVERGING)
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        proc = subprocess.run([sys.executable, "-m", "dp2guard.cli", "run", "--config",
-                               str(cfg), "--out", str(tmp_path / "o")],
-                              env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True)
+        proc = _shell("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("error: client 0's gradient in round 0 ")
@@ -111,16 +115,32 @@ class TestRunCommand:
         # an accuracy scored from non-finite logits.
         cfg = _write_config(tmp_path, aggregator=aggregator, n_clients=4, rounds=1,
                             synth_train=200, synth_test=50, eta=1e308, local_mode="batch")
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        proc = subprocess.run([sys.executable, "-m", "dp2guard.cli", "run", "--config",
-                               str(cfg), "--out", str(tmp_path / "o")],
-                              env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True)
+        proc = _shell("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("error: the model after round 0 ")
         assert "Warning" not in proc.stderr
         assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["verify-ledger-dir", "config-dir", "config-not-utf8",
+                                  "sweep-config-not-utf8"])
+def test_unreadable_input_exits_two_from_the_shell(tmp_path, case):
+    # A path that cannot be read as the command needs fails on its cause:
+    # exit 2 and one `error:` line, not a traceback and exit 1.
+    bad_text = tmp_path / "latin1.json"
+    bad_text.write_bytes('{"dataset": "synthétique"}'.encode("latin-1"))
+    out = str(tmp_path / "o")
+    args = {"verify-ledger-dir": ["verify-ledger", str(tmp_path)],
+            "config-dir": ["run", "--config", str(tmp_path), "--out", out],
+            "config-not-utf8": ["run", "--config", str(bad_text), "--out", out],
+            "sweep-config-not-utf8": ["sweep", "--config", str(bad_text),
+                                      "--vary", "seed=1,2", "--out", out]}[case]
+    proc = _shell(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert not (tmp_path / "o").exists()
 
 
 class TestVerifyLedgerCommand:
@@ -185,6 +205,28 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not a finite number" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("taken", ["duplicate", "existing-artifact", "existing-plot"])
+    def test_taken_point_directory_exits_two_before_any_run(self, tmp_path, capsys, taken):
+        # Each value writes its own directory; one that a repeated value or
+        # an earlier run already holds, or an earlier sweep's plot, stops
+        # the sweep before the first value runs.
+        cfg = _write_config(tmp_path, rounds=1)
+        out = tmp_path / "s"
+        vary = "seed=1,2,1" if taken == "duplicate" else "seed=1,2"
+        if taken == "existing-artifact":
+            (out / "seed=2").mkdir(parents=True)
+            (out / "seed=2" / "metrics.csv").write_text("")
+        elif taken == "existing-plot":
+            out.mkdir()
+            (out / "sweep.svg").write_text("<svg/>")
+        assert main(["sweep", "--config", str(cfg), "--vary", vary, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("given twice" if taken == "duplicate" else "already exists") in err
+        assert not (out / "seed=1").exists()
+        if taken == "existing-plot":
+            assert (out / "sweep.svg").read_text() == "<svg/>"
 
     def test_invalid_later_config_exits_two_before_any_run(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

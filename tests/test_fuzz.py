@@ -25,6 +25,8 @@ from dp2guard.ledger import (
     make_round_payload,
     payload_agg_blob,
     payload_trust_weights,
+    read_chain,
+    verify_blocks,
     verify_file,
 )
 from dp2guard.numeric import serialize_ring, substream
@@ -151,7 +153,7 @@ def _ledger_line(rng: np.random.Generator) -> bytes:
 def read_payload_fields(path) -> list[tuple[dict, bytes, dict[int, float]]]:
     """Every block's payload with what the ledger readers make of it."""
     out = []
-    for block in Ledger(path).blocks:
+    for block in read_chain(path):
         payload = block.payload
         out.append((payload, payload_agg_blob(payload), payload_trust_weights(payload)))
     return out
@@ -159,7 +161,7 @@ def read_payload_fields(path) -> list[tuple[dict, bytes, dict[int, float]]]:
 
 @pytest.mark.parametrize("seed", range(2))
 def test_mutated_ledger_payloads_fail_loudly_or_round_trip(tmp_path, seed):
-    # A ledger file goes through the chain reader (`Ledger(path)`) and the
+    # A ledger file goes through the chain reader (`read_chain`) and the
     # two payload readers S1 relies on.  An accepted payload re-encodes to
     # the same blob, digest and weights.  The file check agrees with the
     # chain reader: it passes exactly when the file loads and verifies.
@@ -169,7 +171,7 @@ def test_mutated_ledger_payloads_fail_loudly_or_round_trip(tmp_path, seed):
     for _ in range(MUTATIONS_PER_SEED):
         path.write_bytes(mutate(_ledger_line(rng), rng) + b"\n")
         try:
-            intact = Ledger(path).verify() is None
+            intact = verify_blocks(list(read_chain(path))) is None
         except Dp2GuardError:
             intact = False
         assert (verify_file(path) is None) == intact

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -27,7 +28,7 @@ from dp2guard.harness import (
     plot_metrics,
     run_experiment,
 )
-from dp2guard.ledger import Ledger
+from dp2guard.ledger import Ledger, read_chain, verify_file
 from dp2guard.numeric import substream
 from dp2guard.servers import (
     Channel,
@@ -39,6 +40,7 @@ from dp2guard.servers import (
 )
 
 from test_baselines import dnc, multi_krum
+from test_servers import RecordingChannel
 
 
 def _desk_config(**overrides):
@@ -329,7 +331,7 @@ class TestLedgerHandle:
         with pytest.raises(RuntimeError, match="round 1 failed"):
             run_experiment(_desk_config(rounds=3), out_dir=tmp_path)
         [ledger] = opened
-        assert len(ledger.blocks) == 1 and ledger._fh is None
+        assert ledger.head.index == 0 and ledger._fh is None
 
 
 class TestNoAttackFloor:
@@ -599,7 +601,7 @@ class TestBaselineAggregators:
         cfg = _desk_config(aggregator=aggregator, rounds=15)
         res = run_experiment(cfg)
         assert res.final_accuracy >= 0.9
-        assert res.ledger.blocks == []  # ledger is the masked pipeline's
+        assert res.ledger.head is None  # ledger is the masked pipeline's
 
     @pytest.mark.parametrize("n_clients, adv_ratio, params, removed", [
         (10, 0.2, {}, 3),
@@ -636,11 +638,14 @@ def test_loop_aggregate_equals_baseline_function(aggregator):
         assert np.array_equal(params, res.params_history[t])
 
 
-def test_dp2guard_round_channel_audit():
+def test_dp2guard_round_channel_audit(monkeypatch):
     # Each round: 2N share uploads, one S1 -> S2 batch, one ledger -> S1
     # record, and nothing addressed to the clients.
     cfg = _desk_config(rounds=3, adv_ratio=0.2, attack={"kind": "fang"})
-    log = run_experiment(cfg).channel.log
+    channel = RecordingChannel()
+    monkeypatch.setattr(harness, "Channel", lambda: channel)
+    run_experiment(cfg)
+    log = channel.log
     one_round = [(f"client{cid}", server, "ShareUpload")
                  for cid in range(cfg.n_clients) for server in ("S1", "S2")]
     one_round += [("S1", "S2", "CenteredBatch"), ("ledger", "S1", "AggDigestAndWeights")]
@@ -864,8 +869,11 @@ class TestLedgerReplay:
 
         cfg = _desk_config(rounds=3)
         res = run_experiment(cfg, out_dir=tmp_path / "out", record_history=True)
-        for t in range(cfg.rounds):
-            payload = res.ledger.read_round(t)
+        blocks = list(read_chain(tmp_path / "out" / "ledger.jsonl"))
+        assert [blk.round for blk in blocks] == list(range(cfg.rounds))
+        assert res.ledger.read_round(cfg.rounds - 1) == blocks[-1].payload
+        for t, block in enumerate(blocks):
+            payload = block.payload
             blob = payload_agg_blob(payload)
             assert hashlib.sha256(blob).hexdigest() == payload["agg_share_digest"]
             words, scale_bits = ring_view(blob)
@@ -874,9 +882,9 @@ class TestLedgerReplay:
             assert payload_trust_weights(payload) == res.weight_history[t]
 
     def test_refuses_output_dir_holding_a_ledger(self, tmp_path):
-        # S1 reads each round's record back by round number, so a second
-        # run into the same directory would finalize with the first run's
-        # aggregates.  It must stop before round 0 and leave the files be.
+        # A second run into the same directory would start a second chain
+        # behind the first run's blocks.  It must stop before round 0 and
+        # leave the files be.
         run_experiment(_desk_config(rounds=2, seed=1), out_dir=tmp_path / "out")
         before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
         with pytest.raises(OutputExists):
@@ -906,9 +914,11 @@ class TestLedgerReplay:
         cfg = _desk_config(rounds=4)
         a = run_experiment(cfg, out_dir=tmp_path / "a")
         b = run_experiment(cfg, out_dir=tmp_path / "b")
-        assert [blk.hash for blk in a.ledger.blocks] == \
-               [blk.hash for blk in b.ledger.blocks]
-        assert a.ledger.verify() is None
+        hashes = [[blk.hash for blk in read_chain(tmp_path / run / "ledger.jsonl")]
+                  for run in ("a", "b")]
+        assert hashes[0] == hashes[1] and len(hashes[0]) == cfg.rounds
+        assert a.ledger.head.hash == b.ledger.head.hash == hashes[0][-1]
+        assert verify_file(tmp_path / "a" / "ledger.jsonl") is None
 
 
 def test_client_masking_cost_linear_in_dimension(monkeypatch):
@@ -1013,6 +1023,32 @@ def test_a_streamed_dp2guard_run_holds_three_share_sized_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 3.4 * n * result.model.dim * 8
+
+
+def test_a_dp2guard_run_retains_no_per_round_history():
+    # A run keeps what it reads back: the ledger its head block (the file
+    # is the chain) and the channel nothing, so with its RunResult alive a
+    # run retains only its per-round metrics.  Keeping every block and a
+    # channel log measured about 3,600 bytes a round (4 clients, d = 84);
+    # the head alone, about 290.
+    def retained(rounds: int) -> int:
+        cfg = ExperimentConfig(aggregator="dp2guard", n_clients=4, rounds=rounds,
+                               synth_train=200, synth_test=50, seed=3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run_experiment(cfg)
+            gc.collect()
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.metrics) == rounds
+        return current
+
+    retained(1)  # warm: first-use imports and caches are not the run's
+    rounds = 8
+    per_round = (retained(5 * rounds) - retained(rounds)) / (4 * rounds)
+    assert per_round < 1024
 
 
 def test_multikrum_minmax_round_into_carried_stack_allocates_no_matrix():

@@ -11,6 +11,7 @@ from dp2guard.ledger import (
     make_round_payload,
     payload_agg_blob,
     payload_trust_weights,
+    read_chain,
     verify_blocks,
     verify_file,
 )
@@ -34,19 +35,51 @@ def _build_chain(path, n_blocks: int, seed=0) -> Ledger:
 
 class TestAppend:
     def test_genesis_block(self, tmp_path):
-        ledger = _build_chain(tmp_path / "l.jsonl", 1)
-        assert ledger.blocks[0].index == 0
-        assert ledger.blocks[0].prev_hash == GENESIS_HASH
+        path = tmp_path / "l.jsonl"
+        ledger = _build_chain(path, 1)
+        [block] = read_chain(path)
+        assert block.index == 0
+        assert block.prev_hash == GENESIS_HASH
+        assert ledger.head == block
 
     def test_chain_linkage(self, tmp_path):
-        ledger = _build_chain(tmp_path / "l.jsonl", 2)
-        assert ledger.blocks[1].prev_hash == ledger.blocks[0].hash
+        path = tmp_path / "l.jsonl"
+        _build_chain(path, 2)
+        first, second = read_chain(path)
+        assert second.prev_hash == first.hash
 
     def test_append_then_verify_ok(self, tmp_path):
         path = tmp_path / "l.jsonl"
-        ledger = _build_chain(path, 10)
-        assert ledger.verify() is None
+        _build_chain(path, 10)
+        assert verify_blocks(list(read_chain(path))) is None
         assert verify_file(path) is None
+
+    @pytest.mark.parametrize("persisted", [True, False], ids=["file", "in-memory"])
+    def test_head_is_the_last_block_of_the_file(self, tmp_path, persisted):
+        # The ledger keeps only its head, whose hash commits to every
+        # earlier block; it links each append to the head exactly as the
+        # file's chain links its blocks, with or without a file.
+        path = tmp_path / "l.jsonl"
+        on_file = _build_chain(path, 7)
+        ledger = on_file if persisted else _build_chain(None, 7)
+        *_, last = read_chain(path)
+        head = ledger.head
+        assert (head.index, head.prev_hash, head.hash) == (last.index, last.prev_hash, last.hash)
+        assert head == last
+        assert vars(ledger).keys() == {"path", "head", "_fh"}
+
+    def test_existing_file_is_never_extended(self, tmp_path):
+        # The first append creates the file: a second chain restarted at
+        # index 0 behind the old blocks would break the file's chain.
+        path = tmp_path / "l.jsonl"
+        _build_chain(path, 3)
+        before = path.read_bytes()
+        ledger = Ledger(path)
+        assert ledger.head is None
+        with pytest.raises(FileExistsError):
+            ledger.append(0, _payload(5, 0))
+        assert ledger.head is None
+        assert path.read_bytes() == before
 
     def test_persisted_before_return(self, tmp_path):
         path = tmp_path / "l.jsonl"
@@ -79,17 +112,6 @@ class TestAppend:
         ledger.close()
         assert len(path.read_text().splitlines()) == 4
         assert verify_file(path) is None
-        assert [b.hash for b in Ledger(path).blocks] == [b.hash for b in ledger.blocks]
-
-    def test_reload_from_disk(self, tmp_path):
-        path = tmp_path / "l.jsonl"
-        first = _build_chain(path, 5)
-        reloaded = Ledger(path)
-        assert [b.hash for b in reloaded.blocks] == [b.hash for b in first.blocks]
-        reloaded.append(5, _payload(0, 5))
-        reloaded.close()
-        assert verify_file(path) is None
-
 
     @pytest.mark.parametrize("line", [b'{"index":0}\xa6', b'{"index":1e400,"round":0}',
                                       b"[" * 200_000, b""],
@@ -99,7 +121,7 @@ class TestAppend:
         _build_chain(path, 2)
         path.write_bytes(path.read_bytes() + line + b"\n")
         with pytest.raises(FormatError, match="line 2"):
-            Ledger(path)
+            list(read_chain(path))
         assert verify_file(path) == 2
 
     def test_blank_interior_line_is_a_bad_block(self, tmp_path):
@@ -110,15 +132,15 @@ class TestAppend:
         lines = path.read_bytes().split(b"\n")
         path.write_bytes(b"\n".join(lines[:1] + [b""] + lines[1:]))
         with pytest.raises(FormatError, match="line 1"):
-            Ledger(path)
+            list(read_chain(path))
         assert verify_file(path) == 1
 
 
 class TestVerify:
     def test_payload_byte_flip_detected_at_index(self, tmp_path):
         path = tmp_path / "l.jsonl"
-        ledger = _build_chain(path, 10)
-        blocks = list(ledger.blocks)
+        _build_chain(path, 10)
+        blocks = list(read_chain(path))
         tampered = blocks[4].payload.copy()
         tampered["trust_weights"] = dict(tampered["trust_weights"])
         tampered["trust_weights"]["0"] = 0.123456
@@ -176,47 +198,39 @@ class TestReadRound:
         tau = {0: 0.3123456789012345, 1: 0.6876543210987655}
         ledger.append(0, make_round_payload(blob, tau, bytes(32)))
         ledger.close()
-        got = Ledger(path).read_round(0)
-        assert payload_trust_weights(got) == tau
-        assert payload_agg_blob(got) == blob
+        [block] = read_chain(path)
+        for got in (ledger.read_round(0), block.payload):
+            assert payload_trust_weights(got) == tau
+            assert payload_agg_blob(got) == blob
 
     def test_missing_round(self, tmp_path):
         ledger = _build_chain(tmp_path / "l.jsonl", 2)
         with pytest.raises(RoundNotFound):
             ledger.read_round(7)
 
-    def test_all_recorded_rounds_readable_after_verify(self, tmp_path):
-        ledger = _build_chain(tmp_path / "l.jsonl", 6)
-        assert ledger.verify() is None
-        for r in range(6):
-            assert ledger.read_round(r) is not None
-
-    def test_duplicate_round_reads_first_block(self, tmp_path):
-        path = tmp_path / "l.jsonl"
-        ledger = Ledger(path)
+    def test_only_the_head_round_is_read(self, tmp_path):
+        # S1 reads each record right after it is appended, so any round
+        # but the head's is a stale record, even one the file holds.
+        ledger = Ledger()
+        with pytest.raises(RoundNotFound):
+            ledger.read_round(0)
         ledger.append(0, _payload(1, 0))
         ledger.append(1, _payload(1, 1))
-        ledger.append(0, _payload(2, 0))
-        ledger.close()
-        assert ledger.read_round(0) == _payload(1, 0)
         assert ledger.read_round(1) == _payload(1, 1)
-
-    def test_reopened_ledger_keeps_round_lookup(self, tmp_path):
-        path = tmp_path / "l.jsonl"
-        first = Ledger(path)
-        first.append(3, _payload(1, 3))
-        first.append(3, _payload(2, 3))
-        first.close()
-        reopened = Ledger(path)
-        assert reopened.read_round(3) == _payload(1, 3)
         with pytest.raises(RoundNotFound):
-            reopened.read_round(0)
-        reopened.append(0, _payload(1, 0))
-        reopened.append(3, _payload(3, 3))
-        reopened.close()
-        assert reopened.read_round(0) == _payload(1, 0)
-        assert reopened.read_round(3) == _payload(1, 3)
-        assert reopened.verify() is None
+            ledger.read_round(0)
+        ledger.append(0, _payload(2, 0))
+        assert ledger.read_round(0) == _payload(2, 0)
+        with pytest.raises(RoundNotFound):
+            ledger.read_round(1)
+
+    def test_all_recorded_rounds_readable_after_verify(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        ledger = _build_chain(path, 6)
+        assert verify_file(path) is None
+        payloads = {block.round: block.payload for block in read_chain(path)}
+        assert payloads == {r: _payload(0, r) for r in range(6)}
+        assert ledger.read_round(5) == payloads[5]
 
 
 def _without(key):
@@ -274,10 +288,10 @@ class TestPayloadReaders:
         ledger = Ledger(path)
         ledger.append(0, payload)
         ledger.close()
-        reopened = Ledger(path)
-        assert reopened.verify() is None
+        assert verify_file(path) is None
+        [block] = read_chain(path)
         with pytest.raises(FormatError):
-            reader(reopened.read_round(0))
+            reader(block.payload)
 
     @pytest.mark.parametrize("reader", [payload_agg_blob, payload_trust_weights])
     def test_non_object_payload_raises_format_error(self, reader):

@@ -15,6 +15,7 @@ from dp2guard.errors import (
 from dp2guard.numeric import decode_fixed, encode_fixed, substream, uniform_words
 from dp2guard.servers import (
     MSG_AGG_AND_WEIGHTS,
+    MSG_CENTERED_BATCH,
     MSG_SHARE_UPLOAD,
     Channel,
     ProtocolMessage,
@@ -34,6 +35,22 @@ from dp2guard.servers import (
     reconstruct_centered,
 )
 from dp2guard.trust import initial_trust
+
+KIND_NAMES = {MSG_SHARE_UPLOAD: "ShareUpload", MSG_CENTERED_BATCH: "CenteredBatch",
+              MSG_AGG_AND_WEIGHTS: "AggDigestAndWeights"}
+
+
+class RecordingChannel(Channel):
+    """A channel that logs (src, dst, kind name) of what it delivers, for
+    the boundary audits; the protocol's channel keeps nothing."""
+
+    def __init__(self):
+        self.log: list[tuple[str, str, str]] = []
+
+    def send(self, src, dst, msg):
+        received = super().send(src, dst, msg)
+        self.log.append((src, dst, KIND_NAMES[received.kind]))
+        return received
 
 
 def _masked_pair(grads: dict[int, np.ndarray], seed: int, scale_bits=16):
@@ -320,7 +337,7 @@ class TestWireFormat:
             encode_agg_and_weights(6, 0, uniform_words(7, rng), 48,
                                    {0: 0.25, 2: 0.25, 5: 0.5}),
         ]
-        channel = Channel()
+        channel = RecordingChannel()
         for msg in sent:
             got = channel.send("a", "b", msg)
             want = decode_message(encode_message(msg))
@@ -413,7 +430,7 @@ def _drive_to_publish(grads, seed, round_no=0, beta=0.5, exclusion="soft"):
     id, as the ledger records it."""
     ids = sorted(grads)
     d = len(grads[ids[0]])
-    channel = Channel()
+    channel = RecordingChannel()
     s1 = _opened(ServerS1, ids, d, round_no)
     s2 = _opened(ServerS2, ids, d, round_no)
     for cid in ids:
