@@ -11,7 +11,7 @@ from pathlib import Path
 from .errors import ConfigError, Dp2GuardError, OutputExists
 from .harness import (ExperimentConfig, _is_real, plot_ratio_sweep, refuse_artifacts,
                       run_experiment)
-from .ledger import verify_file
+from .ledger import audit_file
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -56,9 +56,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    bad = verify_file(args.path)
+    bad, head = audit_file(args.path)
     if bad is None:
-        print("ok")
+        print(f"ok: {head.index + 1} blocks, head {head.hash.hex()}")
         return 0
     print(f"first bad block index: {bad}")
     return 1

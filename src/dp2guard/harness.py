@@ -23,7 +23,7 @@ from .ledger import (
     payload_agg_blob,
     payload_trust_weights,
 )
-from .numeric import rekey, ring_view, serialize_ring, substream
+from .numeric import MAX_SCALE_BITS, rekey, ring_view, serialize_ring, substream
 from .servers import (
     Channel,
     ServerS1,
@@ -54,7 +54,7 @@ INT_FIELDS = {
     "synth_train": 1, "synth_test": 1, "synth_features": 1, "synth_classes": 2, "hidden": 1,
     "fltrust_root_size": 1, "train_subset": 0, "test_subset": 0,
 }
-INT_CEILINGS = {"seed": 2**63 - 1, "scale_bits": 48}
+INT_CEILINGS = {"seed": 2**63 - 1, "scale_bits": MAX_SCALE_BITS}
 # Fields of other JSON types; those in NULLABLE may also be None.
 TYPED_FIELDS = {"data_dir": str, "attack": dict, "aggregator_params": dict}
 NULLABLE = ("train_subset", "test_subset", "data_dir", "attack")

@@ -14,7 +14,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
 from .errors import FormatError, RoundNotFound
 
@@ -167,14 +167,12 @@ def read_chain(path: str | Path) -> Iterator[Block]:
                 raise FormatError(f"line {lineno}: {exc}") from exc
 
 
-def verify_blocks(blocks: list[Block]) -> int | None:
-    """Recompute every hash and linkage; return the first bad index, or
-    None when the chain is intact."""
+def verify_blocks(blocks: Iterable[Block]) -> int | None:
+    """Recompute every hash and linkage, keeping only the previous block's
+    hash; return the first bad index, or None when the chain is intact."""
+    prev = GENESIS_HASH
     for i, block in enumerate(blocks):
-        if block.index != i:
-            return i
-        expected_prev = GENESIS_HASH if i == 0 else blocks[i - 1].hash
-        if block.prev_hash != expected_prev:
+        if block.index != i or block.prev_hash != prev:
             return i
         try:
             digest = block_hash(block.index, block.round, block.prev_hash, block.payload)
@@ -182,19 +180,28 @@ def verify_blocks(blocks: list[Block]) -> int | None:
             return i
         if digest != block.hash:
             return i
+        prev = block.hash
     return None
 
 
-def verify_file(path: str | Path) -> int | None:
-    """Verify a persisted chain: the index of the first line that is not a
-    block or breaks the chain, or None when the chain is intact (arbitrary
-    byte corruption must never escape detection)."""
-    blocks: list[Block] = []
-    unreadable = None
+def audit_file(path: str | Path) -> tuple[int | None, Block | None]:
+    """(first bad index or None, last block read) of a persisted chain,
+    verified holding one block at a time.  A line that is not a block or
+    breaks the chain is bad, and so is index 0 of a file with no block
+    (every run writes one): byte corruption must never escape detection."""
+    head: Block | None = None
+
+    def blocks() -> Iterator[Block]:
+        nonlocal head
+        for head in read_chain(path):
+            yield head
     try:
-        for block in read_chain(path):
-            blocks.append(block)
-    except FormatError:
-        unreadable = len(blocks)
-    first = verify_blocks(blocks)
-    return unreadable if first is None else first
+        bad = verify_blocks(blocks())
+    except FormatError:  # every block before the unreadable line was intact
+        return (0 if head is None else head.index + 1), head
+    return (0 if head is None else bad), head
+
+
+def verify_file(path: str | Path) -> int | None:
+    """The first bad index of a persisted chain (see `audit_file`)."""
+    return audit_file(path)[0]

@@ -85,10 +85,6 @@ class Model:
         act = np.maximum(pre, 0.0)
         return act @ w2.T + b2, pre, act
 
-    def loss(self, flat: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-        logp = _log_softmax(self.logits(flat, features))
-        return float(-np.mean(logp[np.arange(len(labels)), labels]))
-
     def grad(self, flat: np.ndarray, features: np.ndarray, labels: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
         """Mean cross-entropy gradient, flattened to length dim, written into
@@ -144,8 +140,3 @@ def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=1, keepdims=True)
     return logits
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

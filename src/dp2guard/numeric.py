@@ -1,4 +1,4 @@
-"""Fixed-point ring arithmetic and seeded randomness.
+"""Fixed-point ring: number format, arithmetic and seeded randomness.
 
 Masked gradient shares need arithmetic where a mask added on one side and
 subtracted on the other cancels bit-for-bit.  Floating-point addition
@@ -6,6 +6,11 @@ rounds, so shares are plain uint64 arrays of two's-complement fixed-point
 words, whose arithmetic wraps modulo 2**64; their `scale_bits` travels
 beside them.  A value x is encoded as round(x * 2**scale_bits), and adding
 a uniformly random ring element hides it information-theoretically.
+
+This module owns the format and every operation on ring words: encoding,
+centering, the N * 2**scale_bits reconstruction decode, the weighted sum
+(its words carry scale_bits + WEIGHT_BITS) and reassembly.  The servers
+only frame messages and step their state machines around these.
 
 Randomness is counter-based (Philox) and derived from a (seed, path) key,
 so every actor, round, and purpose gets an independent stream that is
@@ -15,12 +20,18 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from typing import Sequence
 
 import numpy as np
 
-from .errors import EncodingOverflow, FormatError
+from .errors import (ClientSetMismatch, DimensionMismatch, EncodingOverflow, FormatError,
+                     WeightError)
 
-DEFAULT_SCALE_BITS = 16
+# The largest scale_bits a run admits: `reconstruct_centered`'s one-division
+# decode equals decode-then-divide only while scale_bits <= 48.
+MAX_SCALE_BITS = 48
+# Fractional bits of an encoded aggregation weight.
+WEIGHT_BITS = 32
 # Bits kept free below the sign bit by the encoding clip: a plain sum of up
 # to 2**SUM_HEADROOM_BITS clipped vectors stays inside the ring.  That is not
 # a bound on every sum the servers form.  Mean-centring computes
@@ -37,7 +48,7 @@ def clip_bound(scale_bits: int) -> float:
     return 2.0 ** (63 - scale_bits - SUM_HEADROOM_BITS)
 
 
-def clip_for_encoding(values: np.ndarray, scale_bits: int = DEFAULT_SCALE_BITS,
+def clip_for_encoding(values: np.ndarray, scale_bits: int,
                       out: np.ndarray | None = None) -> np.ndarray:
     """Clamp entries to `clip_bound`, into `out` when given.  Each encoded
     entry then fits the ring with SUM_HEADROOM_BITS to spare; the centred
@@ -46,7 +57,7 @@ def clip_for_encoding(values: np.ndarray, scale_bits: int = DEFAULT_SCALE_BITS,
     return np.clip(values, -bound, bound, out=out)
 
 
-def encode_fixed(values: np.ndarray, scale_bits: int = DEFAULT_SCALE_BITS,
+def encode_fixed(values: np.ndarray, scale_bits: int,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Encode real entries as two's-complement fixed point: uint64 words
     carrying `scale_bits` fractional bits, written into `out` (uint64, the
@@ -91,6 +102,92 @@ def uniform_words(d: int, rng: np.random.Generator) -> np.ndarray:
     and they leave the stream in the same state, but skip its bounds logic.
     """
     return rng.bit_generator.random_raw(d)
+
+
+def _centering_terms(shares: np.ndarray) -> tuple[np.ndarray, np.uint64]:
+    """(wrapping sum of the rows, N as a word) of an (N, d) share matrix."""
+    if shares.shape[0] < 2:
+        raise ValueError("mean-centering needs at least two shares")
+    return shares.sum(axis=0), np.uint64(shares.shape[0])  # the sum wraps mod 2**64
+
+
+def mean_center(shares: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Center each row of an (N, d) share matrix against the population
+    mean, scaled by N, into the matching row of `out` (writable (N, d)
+    uint64 rows, such as a CenteredBatch's words), and return `out`.
+
+    Row k becomes N * shares[k] - sum_j(shares[j]) in exact ring
+    arithmetic.  The scaling postpones the division by N to
+    reconstruction, where it applies to the combined (mask-free) value, so
+    centering never rounds.
+    """
+    total, factor = _centering_terms(shares)
+    for share, row in zip(shares, out, strict=True):
+        np.multiply(share, factor, out=row)
+        np.subtract(row, total, out=row)
+    return out
+
+
+def reconstruct_centered(centered_1: np.ndarray, shares_2: np.ndarray,
+                         scale_bits: int, out: np.ndarray) -> np.ndarray:
+    """Real centered gradients written into `out` (float64, the shape of
+    shares_2), row k for the client of shares_2[k].
+
+    `centered_1` holds S1's centered rows (as sent in the CenteredBatch),
+    and `out` may overlay that batch's payload (ServerS2 decodes in place):
+    row k is written only after centered_1[k] is read, so S2's rows are
+    centered one at a time in a scratch d-vector.  Each is added to S1's
+    row, which cancels the random share exactly, then decoded and divided
+    by N (the residual scaling of `mean_center`) in one division by
+    N * 2**scale_bits.  That equals decode_fixed(x, s) / N bit for bit:
+    N * 2**s is exact (N < 2**53), and so is float(x) * 2**-s, which for
+    |x| >= 1 and s <= MAX_SCALE_BITS = 48 is at least 2**-48 and cannot be
+    subnormal (x = 0 gives +0.0 both ways).  Both forms therefore round
+    the same real quotient float(x) / (N * 2**s) once.
+    """
+    if centered_1.shape[0] != shares_2.shape[0]:
+        raise ClientSetMismatch(
+            f"{centered_1.shape[0]} centered rows for {shares_2.shape[0]} shares")
+    if centered_1.shape != shares_2.shape:
+        raise DimensionMismatch(f"dimension {centered_1.shape[1]} != {shares_2.shape[1]}")
+    divisor = shares_2.shape[0] * 2.0**scale_bits
+    total, factor = _centering_terms(shares_2)
+    row = np.empty_like(total)
+    for k, share in enumerate(shares_2):
+        np.multiply(share, factor, out=row)
+        np.subtract(row, total, out=row)
+        np.add(row, centered_1[k], out=row)
+        np.divide(row.view(np.int64), divisor, out=out[k])
+    return out
+
+
+def partial_aggregate(shares: np.ndarray, weights: Sequence[float],
+                      scale_bits: int) -> tuple[np.ndarray, int]:
+    """(words, scale_bits) of the trust-weighted ring combination of one
+    server's (N, d) share matrix at `scale_bits`, weights[k] for row k.
+
+    Weights are encoded at WEIGHT_BITS fractional bits, so the words carry
+    scale_bits + WEIGHT_BITS; only the two-server sum of these partials
+    decodes to a meaningful value when shares are masked.
+    """
+    vals = np.asarray(weights, dtype=np.float64)
+    if vals.shape != shares.shape[:1]:
+        raise WeightError(f"{vals.size} weights for {shares.shape[0]} shares")
+    if not np.all(np.isfinite(vals)):
+        raise WeightError("non-finite aggregation weight")
+    if np.any(vals < 0):
+        raise WeightError("negative aggregation weight")
+    if abs(vals.sum() - 1.0) > 1e-9:
+        raise WeightError(f"weights sum to {vals.sum()}, expected 1")
+    fixed = np.rint(vals * 2.0**WEIGHT_BITS).astype(np.uint64)
+    # Wrapping uint64 multiply-accumulate, allocating only the result.
+    return np.einsum("k,kd->d", fixed, shares), scale_bits + WEIGHT_BITS
+
+
+def reassemble_global(a1: np.ndarray, a2: np.ndarray, scale_bits: int) -> np.ndarray:
+    """Combine the two partial aggregates, which carry `scale_bits`
+    fractional bits, and decode the weighted gradient."""
+    return decode_fixed(np.add(a1, a2), scale_bits)
 
 
 # Serialization: (d: uint32, scale_bits: uint8) header, then little-endian

@@ -1,20 +1,14 @@
-"""Dual-server aggregation protocol: share collection, mean-centering
-exchange, trust-weighted partial aggregation, and reassembly.
+"""Dual-server aggregation protocol: the wire format of its three
+messages and the S1/S2 state machines that collect shares, exchange the
+mean-centered batch and publish the weighted partial aggregates.
 
 Each server holds a round's shares as one (N, d) uint64 matrix whose rows
 follow ascending client id; `receive_share` copies an upload's words from
-the wire straight into its row.
-
-Mean-centering happens on masked shares.  Each server computes
-N * share_i - sum_j(share_j) in the ring, i.e. the centered share scaled by
-the client count; the division by N happens only after the two halves are
-combined.  That keeps every step exact wrapping arithmetic, so the random
-share words cancel bit-for-bit and the reconstructed centered
-gradients depend only on the encoded plaintext gradients.
-
-Weighted aggregation converts each weight to fixed point with 32 fractional
-bits and multiply-accumulates in the ring; the combined result therefore
-carries scale_bits + 32 fractional bits, which decode removes.
+the wire straight into its row.  Every operation on those words is
+`dp2guard.numeric`'s, which owns the fixed-point format: centering forms
+N * share_i - sum_j(share_j) in the ring, so the share words cancel
+bit-for-bit once S2 combines the two halves, and the weighted sum reports
+the scale of its words beside them.
 
 Memory: a server is built once per run for the run's d and scale_bits
 (a share of any other d or scale is a ProtocolError), and `start_round`
@@ -26,11 +20,9 @@ because centering waits for every client's share of the current round.
 Once sent, a message belongs to its receiver: senders build every message
 fresh and never touch it again, and the channel hands over the sender's
 buffer and keeps no record of it.  The CenteredBatch payload is therefore
-the one (N, d) array a round allocates, and S2 decodes its float centered
-gradients into that payload's own bytes, which detection reads and then
-releases.
-Centering, reconstruction and aggregation run row by row in reused
-d-vectors.
+the one (N, d) array a round allocates: S1 centers its shares straight
+into the payload's words, and S2 decodes its float centered gradients
+into that payload's own bytes, which detection reads and then releases.
 
 A round therefore holds three (N, d) arrays: the two share matrices and
 the CenteredBatch payload.  The clients' plaintext gradients add a
@@ -40,21 +32,20 @@ records its gradient history; otherwise each client trains into one
 reused d-vector and masks it straight into its two uploads.  The batch of
 one round is freed when `ServerS2.detect_and_weigh` returns, before the
 next is built.  On the benchmark's secure-wide workload (N = 100,
-d = 50,890, 40.7 MB per array) the peak measured 183.6 MB of RSS.
+d = 50,890, 40.7 MB per array) the peak measured 181.1 MB of RSS.
 """
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .defense import DetectionResult, detect
 from .errors import ClientSetMismatch, DimensionMismatch, FormatError, ProtocolError, WeightError
-from .numeric import RING_HEADER, decode_fixed, ring_view, serialize_ring
+from .numeric import (RING_HEADER, mean_center, partial_aggregate, reassemble_global,
+                      reconstruct_centered, ring_view, serialize_ring)
 from .trust import TrustState, direct_trust, update_trust, weights as trust_weights
-
-WEIGHT_BITS = 32
 
 MSG_SHARE_UPLOAD = 1
 MSG_CENTERED_BATCH = 2
@@ -172,24 +163,23 @@ def _batch_words(payload, count: int, d: int) -> np.ndarray:
                       strides=(record, 8))
 
 
-def encode_centered_batch(round_no: int, sender: int, ids: Sequence[int],
-                          rows: Iterable[np.ndarray], d: int,
-                          scale_bits: int) -> ProtocolMessage:
-    """One record per client id, in the given order, holding the matching
-    d-word row of `rows` (which may reuse one buffer: each row is copied
-    into the payload before the next is drawn)."""
+def encode_centered_batch(round_no: int, sender: int, ids: Sequence[int], d: int,
+                          scale_bits: int) -> tuple[ProtocolMessage, np.ndarray]:
+    """A CenteredBatch with one record of d words at `scale_bits` per
+    client id, in the given order, and a writable (N, d) view of those
+    words in its payload, row k for ids[k], which the caller fills before
+    sending."""
     blob = RING_HEADER.size + 8 * d
     record = _BATCH_RECORD.size + blob
-    # Uninitialised: the loop below writes every byte.
+    # Uninitialised: the headers below and the caller's rows write every byte.
     payload = memoryview(np.empty(_BATCH_COUNT.size + len(ids) * record, dtype=np.uint8))
     _BATCH_COUNT.pack_into(payload, 0, len(ids))
-    words = _batch_words(payload, len(ids), d)
-    for k, (cid, row) in enumerate(zip(ids, rows, strict=True)):
+    for k, cid in enumerate(ids):
         offset = _BATCH_COUNT.size + k * record
         _BATCH_RECORD.pack_into(payload, offset, cid, blob)
         RING_HEADER.pack_into(payload, offset + _BATCH_RECORD.size, d, scale_bits)
-        words[k] = row
-    return ProtocolMessage(MSG_CENTERED_BATCH, round_no, sender, payload)
+    msg = ProtocolMessage(MSG_CENTERED_BATCH, round_no, sender, payload)
+    return msg, _batch_words(payload, len(ids), d)
 
 
 def decode_centered_batch(msg: ProtocolMessage) -> tuple[list[int], np.ndarray, int]:
@@ -259,91 +249,6 @@ def decode_agg_and_weights(msg: ProtocolMessage,
     if any(a[0] >= b[0] for a, b in zip(records, records[1:])):
         raise FormatError("AggDigestAndWeights client ids must ascend")
     return (*ring_view(payload, end), dict(records))
-
-
-# --- protocol operations -------------------------------------------------
-
-def mean_center(shares: np.ndarray) -> Iterator[np.ndarray]:
-    """Center each row of an (N, d) share matrix against the population
-    mean, scaled by N.
-
-    Yields N * shares[k] - sum_j(shares[j]) for k = 0..N-1 in exact ring
-    arithmetic, every time in the same reused d-vector, so a row must be
-    consumed before the next is drawn.  The scaling postpones the division
-    by N to reconstruction, where it applies to the combined (mask-free)
-    value, so centering never rounds.
-    """
-    n = shares.shape[0]
-    if n < 2:
-        raise ValueError("mean-centering needs at least two shares")
-    total = shares.sum(axis=0)  # wraps mod 2**64
-    return _centered_rows(shares, total)
-
-
-def _centered_rows(shares: np.ndarray, total: np.ndarray) -> Iterator[np.ndarray]:
-    factor = np.uint64(shares.shape[0])
-    row = np.empty_like(total)
-    for share in shares:
-        np.multiply(share, factor, out=row)
-        np.subtract(row, total, out=row)
-        yield row
-
-
-def reconstruct_centered(centered_1: np.ndarray, shares_2: np.ndarray,
-                         scale_bits: int, out: np.ndarray) -> np.ndarray:
-    """Real centered gradients written into `out` (float64, the shape of
-    shares_2), row k for the client of shares_2[k].
-
-    `centered_1` holds S1's centered rows (as sent in the CenteredBatch),
-    and `out` may overlay that batch's payload (ServerS2 decodes in place):
-    row k is written only after centered_1[k] is read.  Each row is added
-    to S2's own centered row, which cancels the random share exactly, then
-    decoded and divided by N (the residual scaling of `mean_center`) in
-    one division by N * 2**scale_bits.  That equals
-    decode_fixed(x, s) / N bit for bit: N * 2**s is exact (N < 2**53), and
-    so is float(x) * 2**-s, which for |x| >= 1 and s <= 48 is at least
-    2**-48 and cannot be subnormal (x = 0 gives +0.0 both ways).  Both
-    forms therefore round the same real quotient float(x) / (N * 2**s)
-    once.
-    """
-    if centered_1.shape[0] != shares_2.shape[0]:
-        raise ClientSetMismatch(
-            f"{centered_1.shape[0]} centered rows for {shares_2.shape[0]} shares")
-    if centered_1.shape != shares_2.shape:
-        raise DimensionMismatch(f"dimension {centered_1.shape[1]} != {shares_2.shape[1]}")
-    divisor = shares_2.shape[0] * 2.0**scale_bits
-    for k, row in enumerate(mean_center(shares_2)):
-        np.add(row, centered_1[k], out=row)
-        np.divide(row.view(np.int64), divisor, out=out[k])
-    return out
-
-
-def partial_aggregate(shares: np.ndarray, weights: Sequence[float]) -> np.ndarray:
-    """Trust-weighted ring combination of one server's (N, d) share
-    matrix, weights[k] for row k.
-
-    Weights are encoded at WEIGHT_BITS fractional bits, so the result
-    carries the shares' scale_bits + WEIGHT_BITS; only the two-server sum
-    of these partials decodes to a meaningful value when shares are masked.
-    """
-    vals = np.asarray(weights, dtype=np.float64)
-    if vals.shape != shares.shape[:1]:
-        raise WeightError(f"{vals.size} weights for {shares.shape[0]} shares")
-    if not np.all(np.isfinite(vals)):
-        raise WeightError("non-finite aggregation weight")
-    if np.any(vals < 0):
-        raise WeightError("negative aggregation weight")
-    if abs(vals.sum() - 1.0) > 1e-9:
-        raise WeightError(f"weights sum to {vals.sum()}, expected 1")
-    fixed = np.rint(vals * 2.0**WEIGHT_BITS).astype(np.uint64)
-    # Wrapping uint64 multiply-accumulate, allocating only the result.
-    return np.einsum("k,kd->d", fixed, shares)
-
-
-def reassemble_global(a1: np.ndarray, a2: np.ndarray, scale_bits: int) -> np.ndarray:
-    """Combine the two partial aggregates, which carry `scale_bits`
-    fractional bits, and decode the weighted gradient."""
-    return decode_fixed(np.add(a1, a2), scale_bits)
 
 
 # --- server state machines ------------------------------------------------
@@ -421,9 +326,9 @@ class ServerS1(_ServerBase):
     def center_shares(self) -> ProtocolMessage:
         self._require(PHASE_COLLECTING, "center shares")
         self._require_all_shares()
-        msg = encode_centered_batch(self.round, self.server_id, self.ids,
-                                    mean_center(self.shares), self.shares.shape[1],
-                                    self.scale_bits)
+        msg, words = encode_centered_batch(self.round, self.server_id, self.ids,
+                                           self.shares.shape[1], self.scale_bits)
+        mean_center(self.shares, words)
         self.phase = PHASE_CENTERING
         return msg
 
@@ -445,13 +350,12 @@ class ServerS1(_ServerBase):
         # The record's ids ascend, so equal ids put each weight on its share row.
         if list(tau) != self.ids:
             raise WeightError("weight keys do not match share keys")
-        want = (self.shares.shape[1], self.scale_bits + WEIGHT_BITS)
-        if (len(agg2), agg_scale) != want:
+        agg1, scale_bits = partial_aggregate(self.shares, list(tau.values()), self.scale_bits)
+        if (len(agg2), agg_scale) != (len(agg1), scale_bits):
             raise DimensionMismatch(f"aggregate has (d, scale_bits) {(len(agg2), agg_scale)}, "
-                                    f"expected {want}")
-        agg1 = partial_aggregate(self.shares, list(tau.values()))
+                                    f"expected {(len(agg1), scale_bits)}")
         self.phase = PHASE_DONE
-        return reassemble_global(agg1, agg2, agg_scale)
+        return reassemble_global(agg1, agg2, scale_bits)
 
 
 class ServerS2(_ServerBase):
@@ -511,6 +415,6 @@ class ServerS2(_ServerBase):
         `detect_and_weigh` set; it reaches S1 only through the ledger
         record the caller writes."""
         self._require(PHASE_AGGREGATING, "publish")
-        agg2 = partial_aggregate(self.shares, self._weights)
+        published = partial_aggregate(self.shares, self._weights, self.scale_bits)
         self.phase = PHASE_DONE
-        return agg2, self.scale_bits + WEIGHT_BITS
+        return published

@@ -162,6 +162,26 @@ class TestVerifyLedgerCommand:
         assert main(["verify-ledger", str(ledger)]) == 1
         assert "1" in capsys.readouterr().out
 
+    def test_intact_chain_prints_block_count_and_head_from_the_shell(self, tmp_path):
+        # The head's hash commits to every block, so printing it lets an
+        # auditor compare the file against a published head.
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "out"
+        main(["run", "--config", str(cfg), "--out", str(out)])
+        lines = (out / "ledger.jsonl").read_text().splitlines()
+        proc = _shell("verify-ledger", str(out / "ledger.jsonl"))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == f"ok: 3 blocks, head {json.loads(lines[-1])['hash']}\n"
+
+    @pytest.mark.parametrize("content", [b"", b"\n"])
+    def test_ledger_without_blocks_exits_one_from_the_shell(self, tmp_path, content):
+        # Every run writes at least one block, so an empty file is no chain.
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_bytes(content)
+        proc = _shell("verify-ledger", str(ledger))
+        assert proc.returncode == 1
+        assert proc.stdout == "first bad block index: 0\n"
+
 
 class TestSweepCommand:
     def test_one_dir_per_point_plus_plot(self, tmp_path, capsys):

@@ -74,11 +74,12 @@ def valid_wires(rng: np.random.Generator) -> list[bytes]:
     upload, words = encode_share_upload(3, 2, 1 + int(rng.integers(2)), d, 16)
     words[...] = _words(rng, d)
     ids = [0, 2, 5]
-    rows = _words(rng, len(ids) * d).reshape(len(ids), d)
+    batch, rows = encode_centered_batch(2, 1, ids, d, 16)
+    rows[...] = _words(rng, len(ids) * d).reshape(len(ids), d)
     tau = {0: 0.25, 2: 0.5, 5: 0.25}
     return [encode_message(m) for m in (
         upload,
-        encode_centered_batch(2, 1, ids, rows, d, 16),
+        batch,
         encode_agg_and_weights(2, 0, _words(rng, d), 48, tau),
     )]
 
@@ -105,8 +106,10 @@ def receive(wire: bytes) -> bytes:
         payload = upload.payload
     elif msg.kind == MSG_CENTERED_BATCH:
         ids, words, scale_bits = decode_centered_batch(msg)
-        payload = encode_centered_batch(msg.round, msg.sender, ids, words,
-                                        words.shape[1], scale_bits).payload
+        batch, view = encode_centered_batch(msg.round, msg.sender, ids, words.shape[1],
+                                            scale_bits)
+        view[...] = words
+        payload = batch.payload
     else:
         assert msg.kind == MSG_AGG_AND_WEIGHTS
         aggregate, scale_bits, tau = decode_agg_and_weights(msg)

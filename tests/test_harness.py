@@ -29,14 +29,12 @@ from dp2guard.harness import (
     run_experiment,
 )
 from dp2guard.ledger import Ledger, read_chain, verify_file
-from dp2guard.numeric import substream
+from dp2guard.numeric import partial_aggregate, reassemble_global, substream
 from dp2guard.servers import (
     Channel,
     ServerS1,
     ServerS2,
     encode_message,
-    partial_aggregate,
-    reassemble_global,
 )
 
 from test_baselines import dnc, multi_krum
@@ -88,9 +86,10 @@ class TestConfig:
 
     def test_numeric_fields_validated(self):
         for bad in (dict(eta=0.0), dict(eta=-0.1), dict(batch_size=0),
-                    dict(scale_bits=0), dict(scale_bits=60)):
+                    dict(scale_bits=0), dict(scale_bits=49), dict(scale_bits=60)):
             with pytest.raises(ConfigError):
                 _desk_config(**bad)
+        assert _desk_config(scale_bits=48).scale_bits == 48
 
     def test_label_flip_bounds_use_run_class_count(self):
         # offset must lie in [1, n_classes) and fraction in (0, 1], with
@@ -389,9 +388,10 @@ class TestPipelineOracle:
                 shares1.append(s1)
                 shares2.append(s2)
             w = [tau[cid] for cid in sorted(tau)]
-            g_masked = reassemble_global(partial_aggregate(np.stack(shares1), w),
-                                         partial_aggregate(np.stack(shares2), w),
-                                         cfg.scale_bits + 32)
+            (a1, scale_bits), (a2, _) = (partial_aggregate(np.stack(shares), w, cfg.scale_bits)
+                                         for shares in (shares1, shares2))
+            assert scale_bits == cfg.scale_bits + 32
+            g_masked = reassemble_global(a1, a2, scale_bits)
             masked = models.sgd_step(masked, g_masked, cfg.eta)
             plain = models.sgd_step(plain, fedavg(list(grads_p.values())), cfg.eta)
             assert np.max(np.abs(masked - plain)) <= 1e-3

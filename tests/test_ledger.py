@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ class TestAppend:
     def test_append_then_verify_ok(self, tmp_path):
         path = tmp_path / "l.jsonl"
         _build_chain(path, 10)
-        assert verify_blocks(list(read_chain(path))) is None
+        assert verify_blocks(read_chain(path)) is None
         assert verify_file(path) is None
 
     @pytest.mark.parametrize("persisted", [True, False], ids=["file", "in-memory"])
@@ -188,6 +189,32 @@ class TestVerify:
         text[1] = block1[:idx] + flipped + block1[idx + 1:]
         path.write_text("\n".join(text) + "\n")
         assert verify_file(path) == 1
+
+
+    def test_file_without_blocks_is_bad_at_index_zero(self, tmp_path):
+        # Every run writes at least one block, so a file holding none is
+        # not an intact chain.
+        path = tmp_path / "l.jsonl"
+        path.write_bytes(b"")
+        assert verify_file(path) == 0
+
+    def test_verify_file_holds_one_block_at_a_time(self, tmp_path):
+        # The file is the chain: verifying it streams the blocks and keeps
+        # only the previous hash, so its peak traced memory stays a small
+        # fraction of the file, not a copy of every block.
+        path = tmp_path / "l.jsonl"
+        ledger = Ledger(path)
+        for r in range(200):
+            blob = serialize_ring(uniform_words(1000, substream(9, "big", r)), 48)
+            ledger.append(r, make_round_payload(blob, {0: 1.0}, bytes(32)))
+        ledger.close()
+        tracemalloc.start()
+        try:
+            assert verify_file(path) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * path.stat().st_size
 
 
 class TestReadRound:

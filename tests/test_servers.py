@@ -12,7 +12,17 @@ from dp2guard.errors import (
     ProtocolError,
     WeightError,
 )
-from dp2guard.numeric import decode_fixed, encode_fixed, substream, uniform_words
+from dp2guard.numeric import (
+    WEIGHT_BITS,
+    decode_fixed,
+    encode_fixed,
+    mean_center,
+    partial_aggregate,
+    reassemble_global,
+    reconstruct_centered,
+    substream,
+    uniform_words,
+)
 from dp2guard.servers import (
     MSG_AGG_AND_WEIGHTS,
     MSG_CENTERED_BATCH,
@@ -29,10 +39,6 @@ from dp2guard.servers import (
     encode_centered_batch,
     encode_message,
     encode_share_upload,
-    mean_center,
-    partial_aggregate,
-    reassemble_global,
-    reconstruct_centered,
 )
 from dp2guard.trust import initial_trust
 
@@ -73,7 +79,21 @@ def _upload(client_id, round_no, share_index, words, scale_bits=16):
 
 
 def _centered(shares: np.ndarray) -> np.ndarray:
-    return np.stack([row.copy() for row in mean_center(shares)])
+    return mean_center(shares, np.empty_like(shares))
+
+
+def _batch(round_no, sender, ids, rows, scale_bits=16):
+    """A CenteredBatch carrying `rows`, written into its payload as S1
+    writes its centered rows."""
+    msg, words = encode_centered_batch(round_no, sender, ids, rows.shape[1], scale_bits)
+    words[...] = rows
+    return msg
+
+
+def _weighted_sum(s1, s2, w, scale_bits=16):
+    """Both partial aggregates under weights `w`, reassembled."""
+    (a1, scale), (a2, _) = (partial_aggregate(s, w, scale_bits) for s in (s1, s2))
+    return reassemble_global(a1, a2, scale)
 
 
 def _reconstruct(s1: np.ndarray, s2: np.ndarray, scale_bits=16) -> np.ndarray:
@@ -97,14 +117,14 @@ class TestMeanCenter:
     def test_identical_shares_center_to_zero(self):
         rng = substream(60, "mc")
         share = uniform_words(12, rng)
-        for row in mean_center(np.stack([share] * 5)):
+        for row in _centered(np.stack([share] * 5)):
             assert not np.any(row)
 
     def test_centered_shares_sum_to_zero(self):
         rng = substream(61, "mc")
         shares = np.stack([uniform_words(8, rng) for _ in range(7)])
         total = np.zeros(8, dtype=np.uint64)
-        for row in mean_center(shares):
+        for row in _centered(shares):
             total += row
         assert not np.any(total)
 
@@ -112,7 +132,7 @@ class TestMeanCenter:
         rng = substream(59, "mc")
         shares = np.stack([uniform_words(5, rng) for _ in range(4)])
         total = shares[0] + shares[1] + shares[2] + shares[3]
-        for k, row in enumerate(mean_center(shares)):
+        for k, row in enumerate(_centered(shares)):
             assert np.array_equal(row, shares[k] * np.uint64(4) - total)
 
     def test_three_client_plaintext_oracle(self):
@@ -125,9 +145,30 @@ class TestMeanCenter:
         for cid, g in grads.items():
             assert np.max(np.abs(centered[cid] - (g - mean))) <= 2.0**-14
 
+    @pytest.mark.parametrize("n", [2, 3, 129, 300])
+    @pytest.mark.parametrize("d", [1, 7, 1000])
+    def test_s1_centers_straight_into_its_batch(self, n, d):
+        # Centering into given rows equals the whole-matrix ring formula
+        # N * x_k - sum_j x_j bit for bit, and S1's CenteredBatch carries
+        # those rows in the record layout (count; per record id, blob
+        # length, d, scale_bits, words), past N = 256 too.
+        rng = substream(58, "into", n, d)
+        shares = np.stack([uniform_words(d, rng) for _ in range(n)])
+        want = shares * np.uint64(n) - shares.sum(axis=0)
+        out = np.empty_like(shares)
+        assert mean_center(shares, out) is out and np.array_equal(out, want)
+        ids = list(range(0, 2 * n, 2))
+        s1 = _opened(ServerS1, ids, d)
+        for cid, share in zip(ids, shares):
+            s1.receive_share(_upload(cid, 0, 1, share))
+        payload = struct.pack("<I", n) + b"".join(
+            struct.pack("<IQ", cid, 5 + 8 * d) + struct.pack("<IB", d, 16)
+            + row.astype("<u8").tobytes() for cid, row in zip(ids, want))
+        assert bytes(s1.center_shares().payload) == payload
+
     def test_needs_two_shares(self):
         with pytest.raises(ValueError):
-            mean_center(uniform_words(4, substream(63, "mc"))[None, :])
+            _centered(uniform_words(4, substream(63, "mc"))[None, :])
 
 
 class TestReconstructCentered:
@@ -189,7 +230,8 @@ class TestReconstructCentered:
         # for bit, whatever the row count and width.
         rng = substream(71, "in-place", n, d)
         s1, s2 = (np.stack([uniform_words(d, rng) for _ in range(n)]) for _ in range(2))
-        batch = encode_centered_batch(0, 1, list(range(n)), mean_center(s1), d, 16)
+        batch, words = encode_centered_batch(0, 1, list(range(n)), d, 16)
+        mean_center(s1, words)
         want = reconstruct_centered(decode_centered_batch(batch)[1], s2, 16, np.empty((n, d)))
         out = np.ndarray((n, d), dtype=np.float64, buffer=batch.payload)
         got = reconstruct_centered(decode_centered_batch(batch)[1], s2, 16, out)
@@ -207,17 +249,16 @@ class TestPartialAggregate:
     def test_single_client_identity(self):
         g = np.array([0.25, -1.5, 3.0])
         share = encode_fixed(g, 16)
-        agg = partial_aggregate(share[None, :], [1.0])
-        assert np.max(np.abs(decode_fixed(agg, 48) - decode_fixed(share, 16))) <= 2.0**-32
+        agg, scale_bits = partial_aggregate(share[None, :], [1.0], 16)
+        assert np.max(np.abs(decode_fixed(agg, scale_bits) - decode_fixed(share, 16))) <= 2.0**-32
 
     def test_uniform_weights_reproduce_fedavg_numerator(self):
         rng = substream(70, "pa")
         grads = {i: rng.uniform(-2, 2, size=8) for i in range(4)}
         s1, s2 = _masked_pair(grads, 71)
         w = [0.25] * 4
-        combined = np.add(partial_aggregate(s1, w), partial_aggregate(s2, w))
         want = np.mean(list(grads.values()), axis=0)
-        assert np.max(np.abs(decode_fixed(combined, 48) - want)) <= 1e-4
+        assert np.max(np.abs(_weighted_sum(s1, s2, w) - want)) <= 1e-4
 
     def test_random_weights_match_plaintext_oracle(self):
         rng = substream(72, "pa")
@@ -226,10 +267,8 @@ class TestPartialAggregate:
             raw = rng.uniform(0.01, 1.0, size=6)
             tau = {i: float(w) for i, w in enumerate(raw / raw.sum())}
             s1, s2 = _masked_pair(grads, 73 + trial)
-            combined = np.add(partial_aggregate(s1, _weights(tau)),
-                              partial_aggregate(s2, _weights(tau)))
             want = sum(tau[i] * grads[i] for i in range(6))
-            assert np.max(np.abs(decode_fixed(combined, 48) - want)) <= 1e-4
+            assert np.max(np.abs(_weighted_sum(s1, s2, _weights(tau)) - want)) <= 1e-4
 
     def test_matches_per_client_ring_loop(self):
         # Same words as accumulating each client's share times its
@@ -247,16 +286,25 @@ class TestPartialAggregate:
             want = np.zeros(d, dtype=np.uint64)
             for k in range(n):
                 want = np.add(want, shares[k] * np.uint64(int(round(w[k] * 2.0**32))))
-            assert np.array_equal(partial_aggregate(shares, w), want)
+            assert np.array_equal(partial_aggregate(shares, w, 16)[0], want)
+
+    @pytest.mark.parametrize("scale_bits", [1, 16, 48])
+    def test_reports_the_scale_of_its_words(self, scale_bits):
+        # Weights carry WEIGHT_BITS = 32 fractional bits, so the sum's words
+        # carry the shares' scale plus 32, whatever that scale is.
+        shares = np.stack([uniform_words(4, substream(72, "scale", k)) for k in range(2)])
+        words, scale = partial_aggregate(shares, [0.25, 0.75], scale_bits)
+        assert scale == scale_bits + WEIGHT_BITS == scale_bits + 32
+        assert np.array_equal(words, partial_aggregate(shares, [0.25, 0.75], 16)[0])
 
     def test_weight_validation(self):
         share = encode_fixed(np.ones(4), 16)
         with pytest.raises(WeightError):
-            partial_aggregate(share[None, :], [0.5])
+            partial_aggregate(share[None, :], [0.5], 16)
         with pytest.raises(WeightError):
-            partial_aggregate(np.stack([share, share]), [1.5, -0.5])
+            partial_aggregate(np.stack([share, share]), [1.5, -0.5], 16)
         with pytest.raises(WeightError):
-            partial_aggregate(share[None, :], [0.5, 0.5])
+            partial_aggregate(share[None, :], [0.5, 0.5], 16)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_weight_is_a_weight_error(self, bad):
@@ -264,9 +312,9 @@ class TestPartialAggregate:
         # fixed-point rounding, with a bare ValueError.
         share = encode_fixed(np.ones(4), 16)
         with pytest.raises(WeightError):
-            partial_aggregate(np.stack([share, share]), [bad, 0.5])
+            partial_aggregate(np.stack([share, share]), [bad, 0.5], 16)
         with pytest.raises(WeightError):
-            partial_aggregate(share[None, :], [bad])
+            partial_aggregate(share[None, :], [bad], 16)
 
 
 class TestReassemble:
@@ -274,7 +322,7 @@ class TestReassemble:
         grads = {i: np.zeros(6) for i in range(3)}
         s1, s2 = _masked_pair(grads, 74)
         w = [1.0 / 3.0] * 3
-        out = reassemble_global(partial_aggregate(s1, w), partial_aggregate(s2, w), 48)
+        out = _weighted_sum(s1, s2, w)
         assert np.max(np.abs(out)) <= 1e-9
 
     def test_uniform_fedavg_oracle(self):
@@ -282,7 +330,7 @@ class TestReassemble:
         grads = {i: rng.uniform(-1, 1, size=30) for i in range(10)}
         s1, s2 = _masked_pair(grads, 76)
         w = [0.1] * 10
-        out = reassemble_global(partial_aggregate(s1, w), partial_aggregate(s2, w), 48)
+        out = _weighted_sum(s1, s2, w)
         want = np.mean(list(grads.values()), axis=0)
         assert np.max(np.abs(out - want)) <= 1e-4
 
@@ -297,8 +345,7 @@ def test_end_to_end_mask_neutrality():
 
     s1, s2 = _masked_pair(grads, 78)
     centered = _reconstruct(s1, s2)
-    out = reassemble_global(partial_aggregate(s1, _weights(tau)),
-                            partial_aggregate(s2, _weights(tau)), 48)
+    out = _weighted_sum(s1, s2, _weights(tau))
 
     mean = np.mean(list(grads.values()), axis=0)
     for cid in grads:
@@ -333,7 +380,7 @@ class TestWireFormat:
         rows = np.stack([uniform_words(7, rng) for _ in range(3)])
         sent = [
             _upload(4, 6, 2, words),
-            encode_centered_batch(6, 1, [0, 2, 5], rows, 7, 16),
+            _batch(6, 1, [0, 2, 5], rows),
             encode_agg_and_weights(6, 0, uniform_words(7, rng), 48,
                                    {0: 0.25, 2: 0.25, 5: 0.5}),
         ]
@@ -388,7 +435,7 @@ class TestWireFormat:
         rng = substream(80, "w")
         rows = np.stack([uniform_words(6, rng) for _ in range(3)])
         ids, back, scale_bits = decode_centered_batch(
-            encode_centered_batch(4, 1, [1, 3, 7], rows, 6, 16))
+            _batch(4, 1, [1, 3, 7], rows))
         assert ids == [1, 3, 7] and scale_bits == 16
         assert np.array_equal(back, rows)
 
@@ -396,23 +443,24 @@ class TestWireFormat:
         # Per record: id, ring blob length, then the ring blob (d, scale
         # bits, words), after a record count.
         rows = np.stack([uniform_words(2, substream(80, "l", k)) for k in range(2)])
-        msg = encode_centered_batch(4, 1, [3, 8], rows, 2, 16)
+        msg = _batch(4, 1, [3, 8], rows)
         want = struct.pack("<I", 2)
         for cid, row in zip([3, 8], rows):
             blob = struct.pack("<IB", 2, 16) + row.astype("<u8").tobytes()
             want += struct.pack("<IQ", cid, len(blob)) + blob
         assert bytes(msg.payload) == want
 
-    def test_centered_batch_accepts_reused_row_buffer(self):
+    def test_centered_batch_is_filled_through_its_writable_view(self):
+        # The encoder writes every header and returns the (N, d) words of
+        # the records, row k for ids[k], for the caller to fill in place.
         rng = substream(80, "reuse")
         rows = np.stack([uniform_words(5, rng) for _ in range(3)])
-
-        def one_buffer():
-            buf = np.empty(5, dtype=np.uint64)
-            for row in rows:
-                buf[...] = row
-                yield buf
-        msg = encode_centered_batch(0, 1, [0, 1, 2], one_buffer(), 5, 16)
+        msg, words = encode_centered_batch(0, 1, [0, 1, 2], 5, 16)
+        assert words.shape == (3, 5) and words.dtype == np.dtype("<u8")
+        assert words.flags.writeable
+        assert np.shares_memory(words, np.frombuffer(msg.payload, np.uint8))
+        for k, row in enumerate(rows):
+            words[k] = row
         assert np.array_equal(decode_centered_batch(msg)[1], rows)
 
     def test_agg_and_weights_round_trip_bit_exact(self):
@@ -589,7 +637,7 @@ class TestTypedDecodeErrors:
 
     def _batch(self):
         rows = np.stack([uniform_words(4, substream(94, "b", k)) for k in range(3)])
-        return encode_centered_batch(0, 1, [0, 1, 2], rows, 4, 16)
+        return _batch(0, 1, [0, 1, 2], rows)
 
     @pytest.mark.parametrize("cut", [1, 2, 5, 9, 10, 41])
     def test_truncated_share_upload(self, cut):
@@ -717,7 +765,7 @@ class TestShareMatrixChecks:
         assert np.array_equal(s2.shares[2], rows[2][2])
         with pytest.raises(ProtocolError, match=r"clients \[2\]"):
             s1.center_shares()
-        batch = encode_centered_batch(1, 1, [0, 1, 2], rows[1], 6, 16)
+        batch = _batch(1, 1, [0, 1, 2], rows[1])
         with pytest.raises(ProtocolError, match=r"clients \[2\]"):
             s2.receive_centered_batch(batch)
 
@@ -774,7 +822,7 @@ class TestShareMatrixChecks:
             s2.receive_share(_upload(cid, 0, 2, sh2))
         rows = np.stack([uniform_words(6, rng) for _ in range(3)])
         with pytest.raises(ClientSetMismatch):
-            s2.receive_centered_batch(encode_centered_batch(0, 1, [0, 1, 5], rows, 6, 16))
+            s2.receive_centered_batch(_batch(0, 1, [0, 1, 5], rows))
 
 
 class TestBatchOwnership:
@@ -828,5 +876,5 @@ class TestBatchOwnership:
         s2, _ = self._s2_with_batch(114)
         rows = np.stack([uniform_words(4, substream(114, "narrow", k)) for k in range(4)])
         with pytest.raises(DimensionMismatch, match=r"\(4, 16\), expected \(6, 16\)"):
-            s2.receive_centered_batch(encode_centered_batch(0, 1, [0, 1, 2, 3], rows, 4, 16))
+            s2.receive_centered_batch(_batch(0, 1, [0, 1, 2, 3], rows))
         assert s2.phase == "collecting"
