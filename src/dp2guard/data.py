@@ -63,8 +63,7 @@ def _all_finite(features: np.ndarray) -> bool:
 
 
 def partition(dataset: Dataset, n_clients: int, mode: str = "iid",
-              alpha: float = 0.5, rng: np.random.Generator | None = None,
-              ) -> tuple[np.ndarray, ...]:
+              alpha: float = 0.5, *, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Split sample indices across clients: disjoint sorted index arrays,
     entry k for client k.
 
@@ -77,8 +76,6 @@ def partition(dataset: Dataset, n_clients: int, mode: str = "iid",
         raise ValueError("need at least one client")
     if len(dataset) < n_clients:
         raise EmptyClientError(f"{len(dataset)} samples cannot cover {n_clients} clients")
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     if mode == "iid":
         order = rng.permutation(len(dataset))

@@ -14,7 +14,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import attacks, baselines, client, defense, models, trust
+from . import attacks, baselines, client, defense, models
 from .data import Dataset, load_idx, partition, synth_dataset
 from .errors import ConfigError, NonFiniteGradient, NonFiniteModel, OutputExists
 from .ledger import (
@@ -332,7 +332,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     train, test = load_datasets(cfg)
     model = models.Model(cfg.model, train.n_features, train.n_classes, hidden=cfg.hidden)
     assignments = partition(train, cfg.n_clients, cfg.partition, cfg.alpha,
-                            substream(cfg.seed, "partition"))
+                            rng=substream(cfg.seed, "partition"))
     spec = cfg.parse_attack()
 
     # Client k trains on datasets[k]; the first n_malicious ids attack
@@ -351,7 +351,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     params = model.init_params(substream(cfg.seed, "model-init"))
     ledger = Ledger(out_path / "ledger.jsonl" if out_path else None)
     channel = Channel()
-    trust_state = trust.initial_trust(cfg.n_clients, cfg.beta)
     root_data = _fltrust_root(cfg, test) if cfg.aggregator == "fltrust" else None
     # The round loop's (N, d) arrays live for the run (np.empty only maps
     # them; round 0 touches their pages): the dp2guard servers' matrices,
@@ -362,8 +361,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                  or record_history)
     rows = np.empty((cfg.n_clients if full_rows else 1, model.dim))
     if cfg.aggregator == "dp2guard":
-        s1 = ServerS1(range(cfg.n_clients), model.dim, cfg.scale_bits)
-        s2 = ServerS2(range(cfg.n_clients), model.dim, cfg.scale_bits)
+        s1 = ServerS1(cfg.n_clients, model.dim, cfg.scale_bits)
+        s2 = ServerS2(cfg.n_clients, model.dim, cfg.scale_bits, cfg.beta, cfg.exclusion)
 
     result = RunResult(cfg, [], ledger, params, model)
     metrics: list[RoundMetrics] = []
@@ -378,10 +377,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                 result.gradient_history.append(rows.copy())
 
             if cfg.aggregator == "dp2guard":
-                g_agg, detection, trust_state, tau = _dp2guard_round(
-                    cfg, gradients, round_no, trust_state, ledger, channel, params, s1, s2)
+                g_agg, detection, tau = _dp2guard_round(cfg, gradients, round_no, ledger,
+                                                        channel, params, s1, s2)
                 benign_pred = detection.benign
-                mtb, mtm = _trust_means(trust_state.trust, cfg.n_malicious)
+                mtb, mtm = _trust_means(s2.trust, cfg.n_malicious)
                 # Row k of the round is client k.
                 for k, (s, c) in enumerate(detection.features):
                     flag = int(k in detection.benign)
@@ -572,13 +571,14 @@ def _select(cfg: ExperimentConfig, stack: np.ndarray,
 
 
 def _dp2guard_round(cfg: ExperimentConfig, gradients: Iterable[np.ndarray],
-                    round_no: int, trust_state: trust.TrustState, ledger: Ledger,
-                    channel: Channel, params: np.ndarray, s1: ServerS1, s2: ServerS2):
+                    round_no: int, ledger: Ledger, channel: Channel, params: np.ndarray,
+                    s1: ServerS1, s2: ServerS2):
     """One full dual-server round on the run's servers, which it opens for
-    `round_no`: upload, center, detect, weigh, publish, read back,
-    reassemble.  `gradients` yields every client's gradient in id order
-    (as `_round_gradients` returns them); each is masked into its uploads
-    before the next is drawn."""
+    `round_no`: upload, center, detect, weigh (S2 updates its trust),
+    publish, read back, reassemble.  Returns the global gradient, the
+    detection and the weights keyed by client id.  `gradients` yields every
+    client's gradient in id order (as `_round_gradients` returns them); each
+    is masked into its uploads before the next is drawn."""
     s1.start_round(round_no)
     s2.start_round(round_no)
 
@@ -595,10 +595,9 @@ def _dp2guard_round(cfg: ExperimentConfig, gradients: Iterable[np.ndarray],
 
     s2.receive_centered_batch(channel.send("S1", "S2", s1.center_shares()))
 
-    detection, new_trust, row_weights = s2.detect_and_weigh(
-        trust_state, substream(cfg.seed, "cluster", round_no), cfg.exclusion)
+    detection, row_weights = s2.detect_and_weigh(substream(cfg.seed, "cluster", round_no))
     agg2, agg_scale = s2.publish()
-    tau = dict(zip(s2.ids, row_weights.tolist()))
+    tau = dict(enumerate(row_weights.tolist()))
 
     model_digest = hashlib.sha256(params.tobytes()).digest()
     ledger.append(round_no, make_round_payload(serialize_ring(agg2, agg_scale), tau,
@@ -610,7 +609,7 @@ def _dp2guard_round(cfg: ExperimentConfig, gradients: Iterable[np.ndarray],
                                         payload_trust_weights(payload))
     s1.receive_agg_and_weights(channel.send("ledger", "S1", ledger_msg))
 
-    return s1.finalize(), detection, new_trust, tau
+    return s1.finalize(), detection, tau
 
 
 def _baseline_round(cfg: ExperimentConfig, stack: np.ndarray,
@@ -682,32 +681,28 @@ def plot_metrics(metrics: Sequence[RoundMetrics], path: str | Path,
                  title: str = "accuracy") -> None:
     """Accuracy-versus-round line chart as a standalone SVG."""
     points = [(float(m.round), m.accuracy) for m in metrics]
-    _svg_chart({title: points}, path, "round", "accuracy", y_range=(0.0, 1.0))
+    _svg_chart({title: points}, path, "round", "accuracy")
 
 
 def plot_ratio_sweep(series: dict[str, list[tuple[float, float]]],
                      path: str | Path) -> None:
     """Final accuracy versus adversary ratio, one line per labelled sweep."""
-    _svg_chart(series, path, "adv_ratio", "final accuracy", y_range=(0.0, 1.0))
+    _svg_chart(series, path, "adv_ratio", "final accuracy")
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _svg_chart(series: dict[str, list[tuple[float, float]]], path: str | Path,
-               xlabel: str, ylabel: str,
-               y_range: tuple[float, float] | None = None) -> None:
+               xlabel: str, ylabel: str) -> None:
     width, height, margin = 640, 420, 56
     xs = [x for pts in series.values() for x, _ in pts]
-    ys = [y for pts in series.values() for _, y in pts]
     if not xs:
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = y_range if y_range else (min(ys), max(ys))
+    y_lo, y_hi = 0.0, 1.0  # both charts plot accuracies
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
 
     def sx(x: float) -> float:
         return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)

@@ -2,17 +2,21 @@
 messages and the S1/S2 state machines that collect shares, exchange the
 mean-centered batch and publish the weighted partial aggregates.
 
-Each server holds a round's shares as one (N, d) uint64 matrix whose rows
-follow ascending client id; `receive_share` copies an upload's words from
-the wire straight into its row.  Every operation on those words is
-`dp2guard.numeric`'s, which owns the fixed-point format: centering forms
-N * share_i - sum_j(share_j) in the ring, so the share words cancel
-bit-for-bit once S2 combines the two halves, and the weighted sum reports
-the scale of its words beside them.
+Each server holds a round's shares as one (N, d) uint64 matrix, row k for
+client k; `receive_share` copies an upload's words from the wire straight
+into its row.  Client ids appear only on the wire and in the ledger.
+Every operation on those words is `dp2guard.numeric`'s, which owns the
+fixed-point format: centering forms N * share_i - sum_j(share_j) in the
+ring, so the share words cancel bit-for-bit once S2 combines the two
+halves, and the weighted sum reports the scale of its words beside them.
 
-Memory: a server is built once per run for the run's d and scale_bits
-(a share of any other d or scale is a ProtocolError), and `start_round`
-opens each round.  It allocates its share matrix once, at construction,
+A server is built once per run from run constants: N, d and scale_bits
+(a share of any other d or scale is a ProtocolError), and for S2 the
+trust history weight beta and the exclusion mode.  S2 keeps the run's
+(N,) trust vector and updates it every round.  `start_round` opens each
+round.
+
+Memory: a server allocates its share matrix once, at construction,
 and refills it in place every round: at realistic sizes a fresh (N, d)
 array lies above the allocator's mmap threshold and is page-faulted in
 again every time.  A row left from an earlier round is never read,
@@ -31,13 +35,12 @@ attack, whose attackers craft from every honest gradient, or when the run
 records its gradient history; otherwise each client trains into one
 reused d-vector and masks it straight into its two uploads.  The batch of
 one round is freed when `ServerS2.detect_and_weigh` returns, before the
-next is built.  On the benchmark's secure-wide workload (N = 100,
-d = 50,890, 40.7 MB per array) the peak measured 181.1 MB of RSS.
+next is built.
 """
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,7 +48,7 @@ from .defense import DetectionResult, detect
 from .errors import ClientSetMismatch, DimensionMismatch, FormatError, ProtocolError, WeightError
 from .numeric import (RING_HEADER, mean_center, partial_aggregate, reassemble_global,
                       reconstruct_centered, ring_view, serialize_ring)
-from .trust import TrustState, direct_trust, update_trust, weights as trust_weights
+from .trust import direct_trust, update_trust, weights as trust_weights
 
 MSG_SHARE_UPLOAD = 1
 MSG_CENTERED_BATCH = 2
@@ -61,10 +64,9 @@ _UPLOAD_HEAD = struct.Struct(_UPLOAD_PREFIX.format + RING_HEADER.format[1:])
 # share words, after _UPLOAD_LEAD words, are aligned.
 _UPLOAD_LEAD = -(-_UPLOAD_HEAD.size // 8)
 _UPLOAD_PAD = 8 * _UPLOAD_LEAD - _UPLOAD_HEAD.size
-# CenteredBatch: a record count, then per client its id and the length of
-# its serialized ring, followed by that ring.
+# CenteredBatch: a record count, then per client a record of its id, the
+# length of its serialized ring, and that ring (d, scale_bits, d words).
 _BATCH_COUNT = struct.Struct("<I")
-_BATCH_RECORD = struct.Struct("<IQ")
 # AggDigestAndWeights: a weight count, then per client its id and weight
 # in ascending id order, followed by the aggregate's serialized ring.
 _WEIGHT_COUNT = struct.Struct("<I")
@@ -153,14 +155,11 @@ def decode_share_upload(msg: ProtocolMessage) -> tuple[int, int, np.ndarray, int
     return (client_id, share_index, *ring_view(payload, _UPLOAD_PREFIX.size))
 
 
-def _batch_words(payload, count: int, d: int) -> np.ndarray:
-    """(count, d) strided view of the words of a CenteredBatch's records."""
-    if count == 0:
-        return np.empty((0, d), dtype=np.uint64)
-    record = _BATCH_RECORD.size + RING_HEADER.size + 8 * d
-    return np.ndarray((count, d), dtype="<u8", buffer=payload,
-                      offset=_BATCH_COUNT.size + _BATCH_RECORD.size + RING_HEADER.size,
-                      strides=(record, 8))
+def _batch_record(d: int) -> np.dtype:
+    """A CenteredBatch record of d words: client id, the length of its
+    serialized ring, then that ring (d, scale_bits, words)."""
+    return np.dtype([("id", "<u4"), ("length", "<u8"), ("d", "<u4"), ("scale", "u1"),
+                     ("words", "<u8", (d,))])
 
 
 def encode_centered_batch(round_no: int, sender: int, ids: Sequence[int], d: int,
@@ -169,59 +168,47 @@ def encode_centered_batch(round_no: int, sender: int, ids: Sequence[int], d: int
     client id, in the given order, and a writable (N, d) view of those
     words in its payload, row k for ids[k], which the caller fills before
     sending."""
-    blob = RING_HEADER.size + 8 * d
-    record = _BATCH_RECORD.size + blob
+    record = _batch_record(d)
     # Uninitialised: the headers below and the caller's rows write every byte.
-    payload = memoryview(np.empty(_BATCH_COUNT.size + len(ids) * record, dtype=np.uint8))
-    _BATCH_COUNT.pack_into(payload, 0, len(ids))
-    for k, cid in enumerate(ids):
-        offset = _BATCH_COUNT.size + k * record
-        _BATCH_RECORD.pack_into(payload, offset, cid, blob)
-        RING_HEADER.pack_into(payload, offset + _BATCH_RECORD.size, d, scale_bits)
-    msg = ProtocolMessage(MSG_CENTERED_BATCH, round_no, sender, payload)
-    return msg, _batch_words(payload, len(ids), d)
+    buf = np.empty(_BATCH_COUNT.size + len(ids) * record.itemsize, dtype=np.uint8)
+    _BATCH_COUNT.pack_into(buf, 0, len(ids))
+    records = buf[_BATCH_COUNT.size:].view(record)
+    records["id"] = ids
+    records["length"] = RING_HEADER.size + 8 * d
+    records["d"] = d
+    records["scale"] = scale_bits
+    return ProtocolMessage(MSG_CENTERED_BATCH, round_no, sender, memoryview(buf)), records["words"]
 
 
 def decode_centered_batch(msg: ProtocolMessage) -> tuple[list[int], np.ndarray, int]:
     """(client ids, (N, d) words, scale_bits) of a CenteredBatch.
 
-    Every record must carry the same d and scale_bits.  The words are a
-    read-only strided view into the payload, row k for ids[k].
+    Record 0's d and scale_bits size the batch, and every record must
+    carry them.  The words are a read-only strided view into the payload,
+    row k for ids[k].
     """
     payload = memoryview(msg.payload)
     if len(payload) < _BATCH_COUNT.size:
         raise FormatError("CenteredBatch shorter than its record count")
     (count,) = _BATCH_COUNT.unpack_from(payload)
-    ids: list[int] = []
+    head = _batch_record(0)
     d = scale_bits = 0
-    offset = _BATCH_COUNT.size
-    for k in range(count):
-        if len(payload) < offset + _BATCH_RECORD.size:
-            raise FormatError(f"CenteredBatch truncated in record {k} of {count}")
-        cid, blob_len = _BATCH_RECORD.unpack_from(payload, offset)
-        offset += _BATCH_RECORD.size
-        if len(payload) < offset + blob_len:
-            raise FormatError(f"CenteredBatch truncated in record {k} of {count}")
-        # The record's ring header is read in place; its words are read
-        # through one strided view of all records below.
-        if blob_len < RING_HEADER.size:
-            raise FormatError(f"CenteredBatch record {k} is shorter than its ring header")
-        record_d, record_scale = RING_HEADER.unpack_from(payload, offset)
-        if blob_len != RING_HEADER.size + 8 * record_d:
-            raise FormatError(f"CenteredBatch record {k} of d={record_d} "
-                              f"has {blob_len - RING_HEADER.size} word bytes")
-        if k == 0:
-            d, scale_bits = record_d, record_scale
-        elif (record_d, record_scale) != (d, scale_bits):
-            raise FormatError(f"CenteredBatch record {k} does not match record 0")
-        ids.append(cid)
-        offset += blob_len
-    if offset != len(payload):
-        raise FormatError(f"CenteredBatch of {count} records needs {offset} bytes, "
+    if count:
+        if len(payload) < _BATCH_COUNT.size + head.itemsize:
+            raise FormatError(f"CenteredBatch of {len(payload)} bytes cannot hold record 0")
+        first = np.frombuffer(payload, head, 1, _BATCH_COUNT.size)[0]
+        d, scale_bits = int(first["d"]), int(first["scale"])
+    need = _BATCH_COUNT.size + count * (head.itemsize + 8 * d)
+    if len(payload) != need:
+        raise FormatError(f"CenteredBatch of {count} records of d={d} needs {need} bytes, "
                           f"got {len(payload)}")
-    words = _batch_words(payload, count, d)
+    records = np.frombuffer(payload, _batch_record(d), count, _BATCH_COUNT.size)
+    if ((records["length"] != RING_HEADER.size + 8 * d).any()
+            or (records["d"] != d).any() or (records["scale"] != scale_bits).any()):
+        raise FormatError("CenteredBatch records do not all match record 0's d and scale_bits")
+    words = records["words"]
     words.setflags(write=False)
-    return ids, words, scale_bits
+    return records["id"].tolist(), words, scale_bits
 
 
 def encode_agg_and_weights(round_no: int, sender: int, aggregate: np.ndarray,
@@ -262,20 +249,19 @@ PHASE_DONE = "done"
 
 class _ServerBase:
     """Collects each round's shares into `shares`, an (N, d) uint64 matrix
-    with row k for the k-th smallest expected client id; d and scale_bits
-    are fixed for the run at construction.  No round is open until
-    `start_round`, which sets `round`; each phase's attributes are set by
-    the step that enters it, so a server never reads one before then."""
+    with row k for client k (a client id >= N is a ProtocolError); N, d
+    and scale_bits are fixed for the run at construction.  No round is
+    open until `start_round`, which sets `round`; each phase's attributes
+    are set by the step that enters it, so a server never reads one before
+    then."""
 
     server_id: int
     round: int
 
-    def __init__(self, expected_clients: Iterable[int], d: int, scale_bits: int):
+    def __init__(self, n_clients: int, d: int, scale_bits: int):
         self.phase = PHASE_DONE
-        self.ids = sorted(set(expected_clients))
-        self._row = {cid: k for k, cid in enumerate(self.ids)}
         self._received: set[int] = set()
-        self.shares = np.empty((len(self.ids), d), dtype=np.uint64)
+        self.shares = np.empty((n_clients, d), dtype=np.uint64)
         self.scale_bits = scale_bits
 
     def start_round(self, round_no: int) -> None:
@@ -294,8 +280,7 @@ class _ServerBase:
         if msg.round != self.round:
             raise ProtocolError(f"share for round {msg.round}, server at {self.round}")
         client_id, share_index, words, scale_bits = decode_share_upload(msg)
-        row = self._row.get(client_id)
-        if row is None:
+        if client_id >= len(self.shares):
             raise ProtocolError(f"unexpected client {client_id}")
         if client_id in self._received:
             raise ProtocolError(f"duplicate share from client {client_id}")
@@ -307,11 +292,11 @@ class _ServerBase:
                 f"scale_bits={scale_bits}; the run has d={self.shares.shape[1]}, "
                 f"scale_bits={self.scale_bits}"
             )
-        self.shares[row] = words
+        self.shares[client_id] = words
         self._received.add(client_id)
 
     def _require_all_shares(self) -> None:
-        missing = [cid for cid in self.ids if cid not in self._received]
+        missing = sorted(set(range(len(self.shares))) - self._received)
         if missing:
             raise ProtocolError(f"cannot center before clients {missing} upload")
 
@@ -326,7 +311,7 @@ class ServerS1(_ServerBase):
     def center_shares(self) -> ProtocolMessage:
         self._require(PHASE_COLLECTING, "center shares")
         self._require_all_shares()
-        msg, words = encode_centered_batch(self.round, self.server_id, self.ids,
+        msg, words = encode_centered_batch(self.round, self.server_id, range(len(self.shares)),
                                            self.shares.shape[1], self.scale_bits)
         mean_center(self.shares, words)
         self.phase = PHASE_CENTERING
@@ -347,8 +332,8 @@ class ServerS1(_ServerBase):
         DimensionMismatch."""
         self._require(PHASE_AGGREGATING, "finalize")
         agg2, agg_scale, tau = self._record
-        # The record's ids ascend, so equal ids put each weight on its share row.
-        if list(tau) != self.ids:
+        # The record's ids ascend, so ids 0..N-1 put each weight on its share row.
+        if list(tau) != list(range(len(self.shares))):
             raise WeightError("weight keys do not match share keys")
         agg1, scale_bits = partial_aggregate(self.shares, list(tau.values()), self.scale_bits)
         if (len(agg2), agg_scale) != (len(agg1), scale_bits):
@@ -360,11 +345,22 @@ class ServerS1(_ServerBase):
 
 class ServerS2(_ServerBase):
     """Holds second shares: reconstructs centered gradients, runs detection
-    and trust scoring, and publishes its weighted partial aggregate."""
+    and trust scoring, and publishes its weighted partial aggregate.
+
+    S2 keeps the run's (N,) `trust` vector, entry k for client k, which
+    starts at full trust and which every `detect_and_weigh` updates with
+    history weight `beta`; `exclusion` ("soft" or "hard") says whether a
+    row detection rejects keeps its decayed weight or gets weight 0."""
 
     server_id = 2
     _weights: np.ndarray
     _centered: np.ndarray
+
+    def __init__(self, n_clients: int, d: int, scale_bits: int, beta: float, exclusion: str):
+        super().__init__(n_clients, d, scale_bits)
+        self.beta = beta
+        self.exclusion = exclusion
+        self.trust = np.ones(n_clients)
 
     def receive_centered_batch(self, msg: ProtocolMessage) -> None:
         """Reconstruct the round's centered gradients into the batch's own
@@ -375,8 +371,8 @@ class ServerS2(_ServerBase):
             raise ProtocolError(f"centered batch for round {msg.round}")
         ids, c1, scale_bits = decode_centered_batch(msg)
         self._require_all_shares()
-        if ids != self.ids:
-            raise ClientSetMismatch(f"client sets differ: {ids} vs {self.ids}")
+        if ids != list(range(len(self.shares))):
+            raise ClientSetMismatch(f"batch of clients {ids}, expected 0..{len(self.shares) - 1}")
         if (c1.shape[1], scale_bits) != (self.shares.shape[1], self.scale_bits):
             raise DimensionMismatch(f"batch has (d, scale_bits) {(c1.shape[1], scale_bits)}, "
                                     f"expected {(self.shares.shape[1], self.scale_bits)}")
@@ -390,12 +386,11 @@ class ServerS2(_ServerBase):
         self._centered = reconstruct_centered(c1, self.shares, self.scale_bits, out)
         self.phase = PHASE_CENTERING
 
-    def detect_and_weigh(self, state: TrustState, rng: np.random.Generator,
-                         exclusion: str = "soft",
-                         ) -> tuple[DetectionResult, TrustState, np.ndarray]:
-        """Run hybrid detection, update trust, and set this round's
-        normalized aggregation weights, which `publish` applies.  Detection,
-        trust and weights are indexed by row; row k is client self.ids[k]."""
+    def detect_and_weigh(self, rng: np.random.Generator) -> tuple[DetectionResult, np.ndarray]:
+        """Run hybrid detection, take one EMA step of `trust`, and set this
+        round's normalized aggregation weights, which `publish` applies;
+        returns (detection, weights).  Detection, trust and weights are
+        indexed by row; row k is client k."""
         self._require(PHASE_CENTERING, "detect")
         self.phase = PHASE_DETECTING
         # The centered gradients live in the round's batch; dropping the
@@ -403,12 +398,12 @@ class ServerS2(_ServerBase):
         centered = self._centered
         del self._centered
         result = detect(centered, rng)
-        benign = np.array([k in result.benign for k in range(len(self.ids))])
+        benign = np.array([k in result.benign for k in range(len(self.shares))])
         direct = np.where(benign, direct_trust(result.features, result.centroid), 0.0)
-        new_state = update_trust(state, direct)
-        self._weights = trust_weights(new_state, ~benign if exclusion == "hard" else None)
+        self.trust = update_trust(self.trust, direct, self.beta)
+        self._weights = trust_weights(self.trust, ~benign if self.exclusion == "hard" else None)
         self.phase = PHASE_AGGREGATING
-        return result, new_state, self._weights
+        return result, self._weights
 
     def publish(self) -> tuple[np.ndarray, int]:
         """(words, scale_bits) of the partial aggregate under the weights

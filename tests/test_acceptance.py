@@ -82,7 +82,7 @@ def test_criterion_2_pipeline_oracle_equivalence():
 
     train, _ = load_datasets(cfg)
     assignments = partition(train, cfg.n_clients, cfg.partition, cfg.alpha,
-                            substream(cfg.seed, "partition"))
+                            rng=substream(cfg.seed, "partition"))
     datasets = [train.subset(idx) for idx in assignments]
     params = res.model.init_params(substream(cfg.seed, "model-init"))
     worst = 0.0

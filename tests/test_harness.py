@@ -28,7 +28,7 @@ from dp2guard.harness import (
     plot_metrics,
     run_experiment,
 )
-from dp2guard.ledger import Ledger, read_chain, verify_file
+from dp2guard.ledger import Ledger, payload_trust_weights, read_chain, verify_file
 from dp2guard.numeric import partial_aggregate, reassemble_global, substream
 from dp2guard.servers import (
     Channel,
@@ -153,6 +153,8 @@ class TestConfig:
     dict(partition="dirichlet", alpha=float("inf")),
     dict(partition="dirichlet", alpha="1"),
     dict(synth_classes=1),  # one class trains nothing; detection sees zero rows
+    dict(beta=1.0),
+    dict(beta=-0.25),
 ], ids=repr)
 def test_config_rejects_bad_parameters(overrides):
     with pytest.raises(ConfigError):
@@ -257,7 +259,7 @@ class TestRunDeterminism:
                 assert off.read_bytes() == (tmp_path / "on" / name).read_bytes()
         train, _ = load_datasets(cfg)
         datasets = [train.subset(idx) for idx in partition(
-            train, cfg.n_clients, cfg.partition, cfg.alpha, substream(cfg.seed, "partition"))]
+            train, cfg.n_clients, cfg.partition, cfg.alpha, rng=substream(cfg.seed, "partition"))]
         params = res.model.init_params(substream(cfg.seed, "model-init"))
         stack = np.empty((cfg.n_clients, res.model.dim))
         for t in range(cfg.rounds):
@@ -366,7 +368,7 @@ class TestPipelineOracle:
         cfg = _desk_config(rounds=5)
         train, _ = load_datasets(cfg)
         assignments = partition(train, cfg.n_clients, "iid", cfg.alpha,
-                                substream(cfg.seed, "partition"))
+                                rng=substream(cfg.seed, "partition"))
         datasets = [train.subset(idx) for idx in assignments]
         model = models.Model(cfg.model, train.n_features, train.n_classes)
         masked = model.init_params(substream(cfg.seed, "model-init"))
@@ -881,6 +883,38 @@ class TestLedgerReplay:
             assert len(words) == res.model.dim
             assert payload_trust_weights(payload) == res.weight_history[t]
 
+    @pytest.mark.parametrize("attack,exclusion", [("fang", "hard"), ("minmax", "soft")])
+    def test_weights_replay_from_the_run_outputs(self, tmp_path, attack, exclusion):
+        # S2's trust recurrence, pinned from outside: every round's weights
+        # in the ledger follow bit for bit from detection.csv and
+        # resolved-config.json alone.  Trust starts at ones, each benign
+        # row's direct trust is measured to the benign rows' mean feature,
+        # and hard exclusion zeroes the rows detection rejects.
+        out = tmp_path / "out"
+        run_experiment(_desk_config(rounds=6, adv_ratio=0.2, exclusion=exclusion,
+                                    attack={"kind": attack}), out_dir=out)
+        cfg = ExperimentConfig.from_json((out / "resolved-config.json").read_text())
+        with open(out / "detection.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        blocks = list(read_chain(out / "ledger.jsonl"))
+        assert [blk.round for blk in blocks] == list(range(cfg.rounds))
+        trust_vec = np.ones(cfg.n_clients)
+        flagged = 0
+        for block in blocks:
+            mine = [r for r in rows if int(r["round"]) == block.round]
+            assert [int(r["client_id"]) for r in mine] == list(range(cfg.n_clients))
+            features = np.array([[float(r["s"]), float(r["c"])] for r in mine])
+            benign = np.array([r["benign"] == "1" for r in mine])
+            flagged += int((~benign).sum())
+            direct = np.where(benign, trust.direct_trust(features, features[benign].mean(axis=0)),
+                              0.0)
+            trust_vec = trust.update_trust(trust_vec, direct, cfg.beta)
+            tau = trust.weights(trust_vec, ~benign if cfg.exclusion == "hard" else None)
+            ledger_tau = payload_trust_weights(block.payload)
+            assert list(ledger_tau) == list(range(cfg.n_clients))
+            assert [w.hex() for w in ledger_tau.values()] == [w.hex() for w in tau.tolist()]
+        assert flagged  # detection rejected rows, so exclusion shaped the weights
+
     def test_refuses_output_dir_holding_a_ledger(self, tmp_path):
         # A second run into the same directory would start a second chain
         # behind the first run's blocks.  It must stop before round 0 and
@@ -964,10 +998,9 @@ def test_secure_round_wire_bytes_match_analytic_sizes():
             return super().send(src, dst, msg)
 
     stack = substream(4, "wire").standard_normal((n, d))
-    harness._dp2guard_round(cfg, stack, 0, trust.initial_trust(n, cfg.beta),
-                            Ledger(), Recording(), np.zeros(d),
-                            ServerS1(range(n), d, cfg.scale_bits),
-                            ServerS2(range(n), d, cfg.scale_bits))
+    harness._dp2guard_round(cfg, stack, 0, Ledger(), Recording(), np.zeros(d),
+                            ServerS1(n, d, cfg.scale_bits),
+                            ServerS2(n, d, cfg.scale_bits, cfg.beta, cfg.exclusion))
     assert edges == {
         "client_to_s": 2 * n * (header + 10 + 8 * d),
         "s1_to_s2": header + 4 + n * (17 + 8 * d),
@@ -989,13 +1022,13 @@ def test_secure_round_allocates_no_share_sized_temporaries():
     cfg = _desk_config(n_clients=n, rounds=2)
     stack = substream(1, "alloc").standard_normal((n, d))
     params = np.zeros(d)
-    state = trust.initial_trust(n, cfg.beta)
     ledger, channel = Ledger(), Channel()
-    servers = ServerS1(range(n), d, cfg.scale_bits), ServerS2(range(n), d, cfg.scale_bits)
-    harness._dp2guard_round(cfg, stack, 0, state, ledger, channel, params, *servers)  # warm
+    servers = (ServerS1(n, d, cfg.scale_bits),
+               ServerS2(n, d, cfg.scale_bits, cfg.beta, cfg.exclusion))
+    harness._dp2guard_round(cfg, stack, 0, ledger, channel, params, *servers)  # warm
     tracemalloc.start()
     try:
-        harness._dp2guard_round(cfg, stack, 1, state, ledger, channel, params, *servers)
+        harness._dp2guard_round(cfg, stack, 1, ledger, channel, params, *servers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1066,7 +1099,8 @@ def test_multikrum_minmax_round_into_carried_stack_allocates_no_matrix():
                            rounds=2, synth_train=50 * n, synth_test=100, seed=3)
     train, _ = load_datasets(cfg)
     model = models.Model(cfg.model, train.n_features, train.n_classes, hidden=cfg.hidden)
-    assignments = partition(train, n, cfg.partition, cfg.alpha, substream(cfg.seed, "partition"))
+    assignments = partition(train, n, cfg.partition, cfg.alpha,
+                            rng=substream(cfg.seed, "partition"))
     spec = cfg.parse_attack()
     datasets = [train.subset(idx) for idx in assignments]
     params = model.init_params(substream(cfg.seed, "model-init"))

@@ -23,8 +23,10 @@ UNREAD_ON_PURPOSE = {
     "ledger.py": {"verify_file"},
 }
 # Package modules a module must not import: the wire layer takes plain
-# values, not client records, and a client only trains and masks.
-FORBIDDEN_IMPORTS = {"servers.py": {"client"}, "client.py": {"attacks"}}
+# values, not client records, a client only trains and masks, and the trust
+# state is S2's, not the round loop's.
+FORBIDDEN_IMPORTS = {"servers.py": {"client"}, "client.py": {"attacks"},
+                     "harness.py": {"trust"}}
 
 
 def unused_imports(source: str) -> list[str]:

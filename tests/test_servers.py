@@ -40,7 +40,7 @@ from dp2guard.servers import (
     encode_message,
     encode_share_upload,
 )
-from dp2guard.trust import initial_trust
+from dp2guard.trust import direct_trust, update_trust
 
 KIND_NAMES = {MSG_SHARE_UPLOAD: "ShareUpload", MSG_CENTERED_BATCH: "CenteredBatch",
               MSG_AGG_AND_WEIGHTS: "AggDigestAndWeights"}
@@ -100,11 +100,13 @@ def _reconstruct(s1: np.ndarray, s2: np.ndarray, scale_bits=16) -> np.ndarray:
     return reconstruct_centered(_centered(s1), s2, scale_bits, np.empty(s2.shape))
 
 
-def _opened(server_cls, ids, d, round_no=0, scale_bits=16):
-    """A server for `ids`, sized for d words at `scale_bits`, with round
+def _opened(server_cls, n, d, round_no=0, scale_bits=16, beta=0.5, exclusion="soft"):
+    """A server for clients 0..n-1, sized for d words at `scale_bits` (S2
+    with trust history weight `beta` and `exclusion`), with round
     `round_no` open, as the round loop opens each round on the run's
     servers."""
-    server = server_cls(ids, d, scale_bits)
+    extra = (beta, exclusion) if server_cls is ServerS2 else ()
+    server = server_cls(n, d, scale_bits, *extra)
     server.start_round(round_no)
     return server
 
@@ -157,8 +159,8 @@ class TestMeanCenter:
         want = shares * np.uint64(n) - shares.sum(axis=0)
         out = np.empty_like(shares)
         assert mean_center(shares, out) is out and np.array_equal(out, want)
-        ids = list(range(0, 2 * n, 2))
-        s1 = _opened(ServerS1, ids, d)
+        ids = range(n)
+        s1 = _opened(ServerS1, n, d)
         for cid, share in zip(ids, shares):
             s1.receive_share(_upload(cid, 0, 1, share))
         payload = struct.pack("<I", n) + b"".join(
@@ -473,14 +475,14 @@ class TestWireFormat:
 
 
 def _drive_to_publish(grads, seed, round_no=0, beta=0.5, exclusion="soft"):
-    """Run a round up to S2's weights; returns
-    (s1, s2, detection, new_trust, tau, channel) with tau keyed by client
-    id, as the ledger records it."""
+    """Run a round up to S2's weights for clients 0..N-1 (the keys of
+    `grads`); returns (s1, s2, detection, tau, channel) with tau keyed by
+    client id, as the ledger records it."""
     ids = sorted(grads)
     d = len(grads[ids[0]])
     channel = RecordingChannel()
-    s1 = _opened(ServerS1, ids, d, round_no)
-    s2 = _opened(ServerS2, ids, d, round_no)
+    s1 = _opened(ServerS1, len(ids), d, round_no)
+    s2 = _opened(ServerS2, len(ids), d, round_no, beta=beta, exclusion=exclusion)
     for cid in ids:
         sh1, sh2 = split_and_mask(grads[cid], 16, substream(seed, "mask", cid))
         s1.receive_share(channel.send(f"client{cid}", "S1",
@@ -488,13 +490,12 @@ def _drive_to_publish(grads, seed, round_no=0, beta=0.5, exclusion="soft"):
         s2.receive_share(channel.send(f"client{cid}", "S2",
                                       _upload(cid, round_no, 2, sh2)))
     s2.receive_centered_batch(channel.send("S1", "S2", s1.center_shares()))
-    detection, new_trust, row_weights = s2.detect_and_weigh(
-        initial_trust(len(ids), beta), substream(seed, "km"), exclusion)
-    return s1, s2, detection, new_trust, dict(zip(ids, row_weights.tolist())), channel
+    detection, row_weights = s2.detect_and_weigh(substream(seed, "km"))
+    return s1, s2, detection, dict(enumerate(row_weights.tolist())), channel
 
 
 def _drive_round(grads, seed, round_no=0, beta=0.5):
-    s1, s2, detection, _, tau, channel = _drive_to_publish(grads, seed, round_no, beta)
+    s1, s2, detection, tau, channel = _drive_to_publish(grads, seed, round_no, beta)
     record = encode_agg_and_weights(round_no, 0, *s2.publish(), tau)
     s1.receive_agg_and_weights(channel.send("ledger", "S1", record))
     return s1.finalize(), detection, tau, channel, s1, s2
@@ -510,24 +511,22 @@ class TestServerStateMachines:
 
     @pytest.mark.parametrize("exclusion", ["soft", "hard"])
     def test_detection_rows_map_to_client_ids(self, exclusion):
-        # Detection, trust and weights name rows; row k is the k-th
-        # smallest client id.  The same gradients under non-contiguous ids
-        # give the same detection, trust and weights, hard-exclusion zeros
-        # included, keyed by those ids.
+        # Detection, trust and weights name rows, and row k is client k:
+        # the weights are keyed by ids 0..N-1 and hard exclusion zeroes the
+        # outliers' ids.  S2 keeps the trust vector, which starts full and
+        # takes one EMA step from the round's direct trust.
         rng = substream(104, "ids")
         rows = rng.uniform(-1, 1, size=(8, 12))
         rows[:2] += 4.0  # two outliers, so hard exclusion zeroes someone
-        named = [3, 8, 11, 12, 20, 31, 40, 77]
-        _, _, base, base_trust, base_tau, _ = _drive_to_publish(
-            dict(enumerate(rows)), 105, exclusion=exclusion)
-        _, _, got, trust, tau, _ = _drive_to_publish(
-            dict(zip(named, rows)), 105, exclusion=exclusion)
-        assert got.benign == base.benign and not {0, 1} & got.benign
-        assert np.array_equal(got.features, base.features)
-        assert np.array_equal(trust.trust, base_trust.trust)
-        assert tau == {cid: base_tau[k] for k, cid in enumerate(named)}
+        _, s2, got, tau, _ = _drive_to_publish(dict(enumerate(rows)), 105, beta=0.25,
+                                               exclusion=exclusion)
+        assert not {0, 1} & got.benign
+        benign = np.array([k in got.benign for k in range(8)])
+        direct = np.where(benign, direct_trust(got.features, got.centroid), 0.0)
+        assert np.array_equal(s2.trust, update_trust(np.ones(8), direct, 0.25))
+        assert list(tau) == list(range(8))
         zeros = {cid for cid, w in tau.items() if w == 0.0}
-        assert zeros == ({3, 8} if exclusion == "hard" else set())
+        assert zeros == ({0, 1} if exclusion == "hard" else set())
 
     @staticmethod
     def _other_clients(tau, change):
@@ -544,7 +543,7 @@ class TestServerStateMachines:
     def test_finalize_rejects_ledger_weights_for_other_clients(self, change):
         rng = substream(102, "keys")
         grads = {i: rng.uniform(-1, 1, size=5) for i in range(4)}
-        s1, s2, _, _, tau, _ = _drive_to_publish(grads, 103)
+        s1, s2, _, tau, _ = _drive_to_publish(grads, 103)
         record = encode_agg_and_weights(0, 0, *s2.publish(),
                                         self._other_clients(tau, change))
         s1.receive_agg_and_weights(record)
@@ -559,7 +558,7 @@ class TestServerStateMachines:
         # silently rescaled decode.
         rng = substream(106, "forged")
         grads = {i: rng.uniform(-1, 1, size=5) for i in range(4)}
-        s1, s2, _, _, tau, channel = _drive_to_publish(grads, 107)
+        s1, s2, _, tau, channel = _drive_to_publish(grads, 107)
         assert s2.publish()[1] == 48
         forged = encode_agg_and_weights(0, 0, uniform_words(d, rng), scale_bits, tau)
         s1.receive_agg_and_weights(channel.send("ledger", "S1", forged))
@@ -570,7 +569,7 @@ class TestServerStateMachines:
         rng = substream(84, "sm")
         grads = {i: rng.uniform(-1, 1, size=8) for i in range(3)}
         ids = sorted(grads)
-        s1 = _opened(ServerS1, ids, 8)
+        s1 = _opened(ServerS1, len(ids), 8)
         for cid in ids:
             sh1, _ = split_and_mask(grads[cid], 16, substream(85, "m", cid))
             s1.receive_share(_upload(cid, 0, 1, sh1))
@@ -580,36 +579,38 @@ class TestServerStateMachines:
             s1.receive_share(_upload(0, 0, 1, sh1))
 
     def test_centering_before_all_shares_rejected(self):
-        s1 = _opened(ServerS1, [0, 1, 2], 4)
+        s1 = _opened(ServerS1, 3, 4)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(86, "m"))
         s1.receive_share(_upload(0, 0, 1, sh1))
         with pytest.raises(ProtocolError):
             s1.center_shares()
 
     def test_wrong_round_rejected(self):
-        s1 = _opened(ServerS1, [0], 4, 5)
+        s1 = _opened(ServerS1, 1, 4, 5)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(87, "m"))
         with pytest.raises(ProtocolError):
             s1.receive_share(_upload(0, 4, 1, sh1))
 
     def test_duplicate_and_unknown_clients_rejected(self):
-        s1 = _opened(ServerS1, [0, 1], 4)
+        # Client k owns row k, so an id >= N names no row.
+        s1 = _opened(ServerS1, 2, 4)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(88, "m"))
         msg = _upload(0, 0, 1, sh1)
         s1.receive_share(msg)
         with pytest.raises(ProtocolError):
             s1.receive_share(msg)
-        with pytest.raises(ProtocolError):
-            s1.receive_share(_upload(9, 0, 1, sh1))
+        for cid in (2, 9):
+            with pytest.raises(ProtocolError, match=f"unexpected client {cid}"):
+                s1.receive_share(_upload(cid, 0, 1, sh1))
 
     def test_share_index_must_match_server(self):
-        s2 = _opened(ServerS2, [0], 4)
+        s2 = _opened(ServerS2, 1, 4)
         sh1, _ = split_and_mask(np.ones(4), 16, substream(89, "m"))
         with pytest.raises(ProtocolError):
             s2.receive_share(_upload(0, 0, 1, sh1))
 
     def test_weights_before_centering_rejected(self):
-        s1 = _opened(ServerS1, [0], 4)
+        s1 = _opened(ServerS1, 1, 4)
         agg = uniform_words(4, substream(90, "m"))
         with pytest.raises(ProtocolError):
             s1.receive_agg_and_weights(encode_agg_and_weights(0, 0, agg, 48, {0: 1.0}))
@@ -646,7 +647,7 @@ class TestTypedDecodeErrors:
         with pytest.raises(FormatError):
             decode_share_upload(short)
         with pytest.raises(FormatError):
-            _opened(ServerS1, [0], 4).receive_share(short)
+            _opened(ServerS1, 1, 4).receive_share(short)
 
     def test_padded_share_upload(self):
         msg = self._share_upload()
@@ -674,11 +675,19 @@ class TestTypedDecodeErrors:
             decode_centered_batch(ProtocolMessage(msg.kind, 0, 1, bytes(msg.payload) + extra))
 
     def test_centered_batch_with_mixed_dimensions(self):
-        msg = self._batch()
-        raw = bytearray(msg.payload)
-        struct.pack_into("<I", raw, 4 + 12 + 0, 3)  # record 0 claims d = 3
-        with pytest.raises(FormatError):
-            decode_centered_batch(ProtocolMessage(msg.kind, 0, 1, bytes(raw)))
+        # Every record must carry record 0's ring length, d and scale: each
+        # field of the first, second and last record is rewritten alone,
+        # so a decode that checked record 0 alone would accept the later
+        # ones.
+        msg = self._batch()  # three records of d = 4, 17 + 32 bytes each
+        decode_centered_batch(msg)
+        fields = {"length": (4, "<Q", 5 + 8 * 3), "d": (12, "<I", 3), "scale": (16, "<B", 17)}
+        for record in (0, 1, 2):
+            for offset, fmt, value in fields.values():
+                raw = bytearray(msg.payload)
+                struct.pack_into(fmt, raw, 4 + record * (17 + 8 * 4) + offset, value)
+                with pytest.raises(FormatError):
+                    decode_centered_batch(ProtocolMessage(msg.kind, 0, 1, bytes(raw)))
 
     def _agg(self):
         agg = uniform_words(4, substream(95, "a"))
@@ -720,7 +729,7 @@ class TestTypedDecodeErrors:
 
 class TestShareMatrixChecks:
     def test_dimension_change_rejected(self):
-        s1 = _opened(ServerS1, [0, 1], 4)
+        s1 = _opened(ServerS1, 2, 4)
         a, _ = split_and_mask(np.ones(4), 16, substream(95, "m"))
         b, _ = split_and_mask(np.ones(5), 16, substream(95, "m"))
         s1.receive_share(_upload(0, 0, 1, a))
@@ -728,7 +737,7 @@ class TestShareMatrixChecks:
             s1.receive_share(_upload(1, 0, 1, b))
 
     def test_scale_change_rejected(self):
-        s1 = _opened(ServerS1, [0, 1], 4)
+        s1 = _opened(ServerS1, 2, 4)
         a, _ = split_and_mask(np.ones(4), 16, substream(96, "m"))
         b, _ = split_and_mask(np.ones(4), 20, substream(96, "m"))
         s1.receive_share(_upload(0, 0, 1, a))
@@ -736,16 +745,15 @@ class TestShareMatrixChecks:
             s1.receive_share(_upload(1, 0, 1, b, 20))
 
     def test_rows_follow_client_id_order(self):
-        # Uploads arrive in any order; row k holds the k-th smallest id.
-        ids = [7, 2, 5]
-        s1 = _opened(ServerS1, ids, 3)
+        # Uploads arrive in any order; row k holds client k's share.
+        arrival = [2, 0, 1]
+        s1 = _opened(ServerS1, 3, 3)
         rings = {cid: split_and_mask(np.full(3, float(cid)), 16, substream(97, cid))[0]
-                 for cid in ids}
-        for cid in ids:
+                 for cid in arrival}
+        for cid in arrival:
             s1.receive_share(_upload(cid, 0, 1, rings[cid]))
-        assert s1.ids == [2, 5, 7]
-        for k, cid in enumerate(sorted(ids)):
-            assert np.array_equal(s1.shares[k], rings[cid])
+        for k in range(3):
+            assert np.array_equal(s1.shares[k], rings[k])
 
     def test_reused_server_rejects_a_round_with_a_missing_upload(self):
         # The run's servers keep their share matrices across rounds, so in
@@ -783,7 +791,7 @@ class TestShareMatrixChecks:
 
         rng = substream(103, "run-shape")
         grads = {i: rng.uniform(-1, 1, size=5) for i in range(3)}
-        s1, s2 = ServerS1(grads, 5, 16), ServerS2(grads, 5, 16)
+        s1, s2 = ServerS1(3, 5, 16), ServerS2(3, 5, 16, 0.5, "soft")
         matrices = s1.shares, s2.shares
         assert float_matrices(s2) == []
         wrong = [(split_and_mask(np.ones(4), 16, substream(103, "m"))[0], 16),
@@ -800,8 +808,8 @@ class TestShareMatrixChecks:
                 s1.receive_share(_upload(cid, round_no, 1, sh1))
                 s2.receive_share(_upload(cid, round_no, 2, sh2))
             s2.receive_centered_batch(s1.center_shares())
-            _, _, row_weights = s2.detect_and_weigh(initial_trust(3, 0.5), substream(105, "km"))
-            tau = dict(zip(s2.ids, row_weights.tolist()))
+            _, row_weights = s2.detect_and_weigh(substream(105, "km"))
+            tau = dict(enumerate(row_weights.tolist()))
             s1.receive_agg_and_weights(encode_agg_and_weights(round_no, 0, *s2.publish(), tau))
             want = sum(tau[cid] * g for cid, g in grads.items())
             assert np.max(np.abs(s1.finalize() - want)) <= 1e-3
@@ -811,12 +819,12 @@ class TestShareMatrixChecks:
     def test_no_round_open_before_start_round(self):
         sh1, _ = split_and_mask(np.ones(4), 16, substream(104, "m"))
         with pytest.raises(ProtocolError):
-            ServerS1([0], 4, 16).receive_share(_upload(0, 0, 1, sh1))
+            ServerS1(1, 4, 16).receive_share(_upload(0, 0, 1, sh1))
 
     def test_batch_for_other_clients_rejected(self):
         rng = substream(98, "sm")
         grads = {i: rng.uniform(-1, 1, size=6) for i in range(3)}
-        s2 = _opened(ServerS2, sorted(grads), 6)
+        s2 = _opened(ServerS2, 3, 6)
         for cid, g in grads.items():
             _, sh2 = split_and_mask(g, 16, substream(99, "mask", cid))
             s2.receive_share(_upload(cid, 0, 2, sh2))
@@ -833,7 +841,7 @@ class TestBatchOwnership:
     def _s2_with_batch(self, seed):
         rng = substream(seed, "own")
         grads = {i: rng.uniform(-1, 1, size=6) for i in range(4)}
-        s1, s2 = _opened(ServerS1, sorted(grads), 6), _opened(ServerS2, sorted(grads), 6)
+        s1, s2 = _opened(ServerS1, 4, 6), _opened(ServerS2, 4, 6)
         for cid, g in grads.items():
             sh1, sh2 = split_and_mask(g, 16, substream(seed, "mask", cid))
             s1.receive_share(_upload(cid, 0, 1, sh1))
@@ -854,12 +862,12 @@ class TestBatchOwnership:
         assert np.array_equal(s2.shares, shares)
         assert not hasattr(s2, "_centered")
         s2.receive_centered_batch(decode_message(bytearray(wire)))
-        got = s2.detect_and_weigh(initial_trust(4, 0.5), substream(111, "km"))
+        got = s2.detect_and_weigh(substream(111, "km"))
         ref, batch = self._s2_with_batch(110)
         ref.receive_centered_batch(batch)
-        want = ref.detect_and_weigh(initial_trust(4, 0.5), substream(111, "km"))
+        want = ref.detect_and_weigh(substream(111, "km"))
         assert np.array_equal(got[0].features, want[0].features)
-        assert np.array_equal(got[2], want[2])
+        assert np.array_equal(got[1], want[1])
 
     def test_detection_releases_the_batch(self):
         s2, batch = self._s2_with_batch(112)
@@ -867,7 +875,7 @@ class TestBatchOwnership:
         s2.receive_centered_batch(Channel().send("S1", "S2", batch))
         del batch
         assert buffer() is not None
-        s2.detect_and_weigh(initial_trust(4, 0.5), substream(113, "km"))
+        s2.detect_and_weigh(substream(113, "km"))
         assert buffer() is None
 
     def test_batch_of_another_width_is_a_dimension_mismatch(self):
