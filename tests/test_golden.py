@@ -41,6 +41,14 @@ artifact the run wrote, by name and bytes, and the final parameters.  The
 digests were recorded before S2 began to decode the centred batch in the
 buffer it receives, which may not move a bit.
 
+`WIDE` pins Multi-Krum under fang (defense oracle) and min-max at N = 40
+(seed 5, 3 rounds, adv_ratio 0.25, so 10 copies among 30 honest rows):
+there the copies compete with more honest rows than the N = 12 grid
+allows, and in some rounds the cut through the m kept rows falls inside
+the block of tied copies.  The digests were recorded before the round and
+the oracle began to score Multi-Krum from the honest rows' distance block,
+the copies' gemv and zero copy-to-copy distances.
+
 The digests are specific to the floating-point stack they were recorded on
 (numpy 2.4, OpenBLAS 0.3, x86-64): another BLAS may change the last bits of
 training and detection, and then they need re-pinning from an unchanged
@@ -156,10 +164,30 @@ def test_grid_run_matches_pinned_digest(tmp_path, rule, attack):
     cfg = ExperimentConfig(aggregator=rule, n_clients=12, rounds=3, seed=5,
                            adv_ratio=0.25 if spec else 0.0, attack=spec)
     result = run_experiment(cfg, out_dir=tmp_path)
+    assert run_digest(tmp_path, result) == GRID[rule, attack]
+
+
+def run_digest(out_dir, result):
+    """One SHA-256 over every artifact in `out_dir`, by name and bytes, and
+    the run's final parameters."""
     digest = hashlib.sha256()
     for artifact in ARTIFACTS:
-        path = tmp_path / artifact
+        path = out_dir / artifact
         if path.exists():
             digest.update(artifact.encode() + b"\0" + path.read_bytes())
     digest.update(b"final_params\0" + result.final_params.tobytes())
-    assert digest.hexdigest() == GRID[rule, attack]
+    return digest.hexdigest()
+
+
+WIDE = {
+    "fang": "9baf040aefc9d2431eb7e6a12b4953579313c84932b1b1a9629a789df82091c5",
+    "minmax": "475c2140741b7d68b5afc88b0351421921b89758e3ced080de03580fb05fccf9",
+}
+
+
+@pytest.mark.parametrize("attack", sorted(WIDE))
+def test_wide_multikrum_run_matches_pinned_digest(tmp_path, attack):
+    cfg = ExperimentConfig(aggregator="multikrum", n_clients=40, rounds=3, seed=5,
+                           adv_ratio=0.25, attack={"kind": attack})
+    result = run_experiment(cfg, out_dir=tmp_path)
+    assert run_digest(tmp_path, result) == WIDE[attack]
