@@ -4,7 +4,7 @@ oracle, and the max-distance / sum-of-squares bounded scale searches)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,16 +105,34 @@ def fang_attack(benign: Sequence[np.ndarray], spec: FangSpec,
     return fang_candidate(mean, spec.gamma_min)
 
 
-def pairwise_sq_dists(stack: np.ndarray) -> np.ndarray:
-    """All-pairs squared distances via the Gram matrix (O(N^2) memory).
+class RowDistances(NamedTuple):
+    """A stack's squared row norms and all-pairs squared distances: the
+    O(N^2 d) part that a round computes once on its honest rows and shares
+    between the scale searches' budgets, the fang oracle and Multi-Krum."""
+    sq_norms: np.ndarray
+    sq_dists: np.ndarray
 
-    Squared row norms go through one reused d-vector, each summed on its
-    own, which is the same pairwise sum as (stack**2).sum(axis=1) without
-    its (N, d) temporary."""
+
+def row_distances(stack: np.ndarray) -> RowDistances:
+    sq = _sq_row_norms(stack)
+    return RowDistances(sq, pairwise_sq_dists(stack, sq))
+
+
+def _sq_row_norms(stack: np.ndarray) -> np.ndarray:
+    """Squared row norms through one reused d-vector, each summed on its
+    own: the same pairwise sums as (stack**2).sum(axis=1) without its
+    (N, d) temporary."""
     sq = np.empty(stack.shape[0])
     buf = np.empty(stack.shape[1])
     for i, row in enumerate(stack):
         sq[i] = np.square(row, out=buf).sum()
+    return sq
+
+
+def pairwise_sq_dists(stack: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
+    """All-pairs squared distances via the Gram matrix (O(N^2) memory),
+    from the rows' squared norms `sq_norms` (`_sq_row_norms` when None)."""
+    sq = _sq_row_norms(stack) if sq_norms is None else sq_norms
     d2 = sq[:, None] + sq[None, :] - 2.0 * (stack @ stack.T)
     return np.maximum(d2, 0.0)
 
@@ -135,27 +153,31 @@ def perturbation_direction(benign_mean: np.ndarray, direction: str) -> np.ndarra
     raise ValueError(f"unknown perturbation direction {direction!r}")
 
 
-def minmax_attack(benign: Sequence[np.ndarray], spec: MinMaxSpec) -> np.ndarray:
+def minmax_attack(benign: Sequence[np.ndarray], spec: MinMaxSpec,
+                  dists: RowDistances | None = None) -> np.ndarray:
     """Largest perturbation scale keeping the crafted gradient's worst-case
     distance to any benign gradient within the benign diameter.
 
-    Cost: one O(N*d) pass over the benign rows (`_ShiftedDistances`), then
-    O(N) per bisection step.  Each step decides from the expanded distances
-    when they clear the diameter by their rounding-error bound, and
-    otherwise evaluates `_minmax_feasible_exact`, the direct float
-    expression; a certified decision always equals the direct one, so the
-    returned gradient is bit-identical to deciding every step directly.
+    `dists` are the benign rows' `row_distances`, computed here when None.
+    Cost beyond them: one O(N*d) pass over the benign rows
+    (`_ShiftedDistances`), then O(N) per bisection step.  Each step decides
+    from the expanded distances when they clear the diameter by their
+    rounding-error bound, and otherwise evaluates `_minmax_feasible_exact`,
+    the direct float expression; a certified decision always equals the
+    direct one, so the returned gradient is bit-identical to deciding every
+    step directly.
     """
     grads = np.asarray(benign, dtype=np.float64)
     if grads.shape[0] < 2:
         raise DegenerateError("scale search needs at least two benign gradients")
+    sq_norms, sq_dists = row_distances(grads) if dists is None else dists
     mean = grads.mean(axis=0)
-    bound = float(np.sqrt(pairwise_sq_dists(grads).max()))
+    bound = float(np.sqrt(sq_dists.max()))
     direction = perturbation_direction(mean, spec.direction)
     if bound == 0.0 or not np.any(direction):
         return mean
 
-    shifted = _ShiftedDistances(grads, mean, direction)
+    shifted = _ShiftedDistances(grads, mean, direction, sq_norms)
     bound_sq = bound * bound
     err_factor = 8 * (grads.shape[1] + 8)
 
@@ -178,26 +200,29 @@ def _minmax_feasible_exact(grads: np.ndarray, mean: np.ndarray, direction: np.nd
     return float(dists.max()) <= bound
 
 
-def minsum_attack(benign: Sequence[np.ndarray], spec: MinSumSpec) -> np.ndarray:
+def minsum_attack(benign: Sequence[np.ndarray], spec: MinSumSpec,
+                  dists: RowDistances | None = None) -> np.ndarray:
     """Largest perturbation scale keeping the crafted gradient's total
     squared distance to the benign set within any benign member's budget.
 
-    Cost and decisions as in `minmax_attack`: one O(N*d) pass, then O(N)
-    per bisection step, falling back to `_minsum_feasible_exact` only when
-    the summed estimate lies within its error bound of the budget.  The
+    `dists`, cost and decisions as in `minmax_attack`: one O(N*d) pass,
+    then O(N) per bisection step, falling back to `_minsum_feasible_exact`
+    only when the summed estimate lies within its error bound of the
+    budget.  The
     bound grows with N*d because the direct form is one float reduction
     over all N*d entries.
     """
     grads = np.asarray(benign, dtype=np.float64)
     if grads.shape[0] < 2:
         raise DegenerateError("scale search needs at least two benign gradients")
+    sq_norms, sq_dists = row_distances(grads) if dists is None else dists
     mean = grads.mean(axis=0)
-    budget = float(pairwise_sq_dists(grads).sum(axis=1).max())
+    budget = float(sq_dists.sum(axis=1).max())
     direction = perturbation_direction(mean, spec.direction)
     if budget == 0.0 or not np.any(direction):
         return mean
 
-    shifted = _ShiftedDistances(grads, mean, direction)
+    shifted = _ShiftedDistances(grads, mean, direction, sq_norms)
     err_factor = 8 * (grads.size + 8)
 
     def feasible(gamma: float) -> bool:
@@ -224,8 +249,9 @@ class _ShiftedDistances:
     quadratics in gamma.
 
     One pass accumulates, row by row with no (N, d) temporary,
-    a_i = ||g_i - m||^2, b_i = <g_i - m, u> and ||g_i||^2, plus ||u||^2 and
-    ||m||^2.  `at(gamma)` then costs O(N) and returns
+    a_i = ||g_i - m||^2 and b_i = <g_i - m, u>, plus ||u||^2 and ||m||^2;
+    the squared row norms ||g_i||^2 are the caller's `sq_norms` (computed
+    when None).  `at(gamma)` then costs O(N) and returns
 
         est_i = a_i - 2*gamma*b_i + gamma^2*||u||^2
         mag_i = (sqrt(2(||g_i||^2 + ||m||^2)) + 3*gamma*||u||)^2.
@@ -235,7 +261,8 @@ class _ShiftedDistances:
     order of summing k terms (pairwise, BLAS, FMA) errs by at most
     gamma_(k-1) times the sum of their magnitudes.  Put
     K_i = ||g_i|| + ||m|| + 3*gamma*||u||, so K_i^2 <= mag_i up to
-    O(d*eps) relative rounding.
+    O(d*eps) relative rounding: ||g_i||^2 enters only mag_i, and any sum
+    order of its d squares is within gamma_d of exact.
 
     - Direct: candidate c_j = fl(m_j + fl(gamma*u_j)) is off m_j + gamma*u_j
       by at most eps*w_j, w_j = |m_j| + 3*gamma*|u_j|, ||w|| <= K_i.  With
@@ -259,17 +286,17 @@ class _ShiftedDistances:
     mag non-finite, and then the direct expression decides.
     """
 
-    def __init__(self, grads: np.ndarray, mean: np.ndarray, direction: np.ndarray):
+    def __init__(self, grads: np.ndarray, mean: np.ndarray, direction: np.ndarray,
+                 sq_norms: np.ndarray | None = None):
         n = grads.shape[0]
         self.a = np.empty(n)
         self.b = np.empty(n)
-        gg = np.empty(n)
+        gg = _sq_row_norms(grads) if sq_norms is None else sq_norms
         diff = np.empty_like(mean)
         for i, row in enumerate(grads):
             np.subtract(row, mean, out=diff)
             self.a[i] = diff @ diff
             self.b[i] = diff @ direction
-            gg[i] = row @ row
         self.uu = float(direction @ direction)
         self.root_p = np.sqrt(2.0 * (gg + float(mean @ mean)))
         self.root_uu = float(np.sqrt(self.uu))

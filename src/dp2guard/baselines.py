@@ -6,7 +6,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import pairwise_sq_dists
 from .errors import TooFewClients
 
 
@@ -26,28 +25,35 @@ def fedavg(gradients: Sequence[np.ndarray]) -> np.ndarray:
     return np.asarray(gradients, dtype=np.float64).mean(axis=0)
 
 
-def krum_scores(gradients: Sequence[np.ndarray], f: int) -> np.ndarray:
-    """Per-client sum of squared distances to its n - f - 2 nearest others."""
-    stack = np.asarray(gradients, dtype=np.float64)
-    n = stack.shape[0]
-    sq = pairwise_sq_dists(stack)
-    keep = n - f - 2
-    scores = np.empty(n)
-    for i in range(n):
-        others = np.sort(np.delete(sq[i], i))
-        scores[i] = others[:keep].sum()
-    return scores
+def krum_scores(sq_dists: np.ndarray, copy_dists: np.ndarray | None, n_copies: int,
+                f: int) -> np.ndarray:
+    """Multi-Krum's scores on a population of rows plus n_copies identical
+    copies of one vector c: each member's sum of squared distances to its
+    n - f - 2 nearest others, n = len(sq_dists) + n_copies.
 
-
-def multi_krum_select(stack: np.ndarray, f: int, m: int) -> np.ndarray:
-    """Indices of the m clients with the lowest Krum scores (ties keep the
-    lower index)."""
-    n = len(stack)
+    `sq_dists` are the rows' pairwise squared distances and `copy_dists`
+    each row's squared distance to c (unread when n_copies is 0); copies
+    are 0 apart.  Returns the rows' scores, followed when n_copies > 0 by
+    the one score every copy shares.  Each member's distances fill a row of
+    one table, its own entry +inf; one sort per row and a sum over the first
+    n - f - 2 columns give the same bits as sorting and summing each
+    member's n - 1 distances on their own.
+    """
+    n_rows = len(sq_dists)
+    n = n_rows + n_copies
     if n < 2 * f + 3:
         raise TooFewClients(f"multi-krum needs n >= 2f+3, got n={n}, f={f}")
-    if not 1 <= m <= n - f:
-        raise ValueError(f"m={m} outside [1, n-f]")
-    return np.argsort(krum_scores(stack, f), kind="stable")[:m]
+    table = np.empty((n_rows + (n_copies > 0), n))
+    table[:n_rows, :n_rows] = sq_dists
+    own = np.arange(n_rows)
+    table[own, own] = np.inf
+    if n_copies:
+        table[:n_rows, n_rows:] = copy_dists[:, None]
+        table[n_rows, :n_rows] = copy_dists
+        table[n_rows, n_rows:] = 0.0
+        table[n_rows, -1] = np.inf
+    table.sort(axis=1)
+    return table[:, :n - f - 2].sum(axis=1)
 
 
 def kept_mean(stack: np.ndarray, kept: Sequence[int]) -> np.ndarray:

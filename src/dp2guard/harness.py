@@ -371,8 +371,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     try:
         for round_no in range(cfg.rounds):
             started = time.perf_counter()
-            gradients, crafted_norm = _round_gradients(cfg, datasets, model, params, round_no,
-                                                       spec, rows)
+            gradients, crafted_norm, honest_dists = _round_gradients(
+                cfg, datasets, model, params, round_no, spec, rows)
             if record_history:
                 result.gradient_history.append(rows.copy())
 
@@ -391,7 +391,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                     result.benign_history.append(benign_pred)
             else:
                 g_agg, benign_pred = _baseline_round(cfg, rows, round_no, model,
-                                                     params, root_data)
+                                                     params, root_data, honest_dists)
                 mtb = mtm = None
 
             with np.errstate(all="ignore"):  # a diverged model fails below, on its round
@@ -433,9 +433,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
 def _round_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
                      model: models.Model, params: np.ndarray, round_no: int,
                      spec: attacks.AttackSpec | None, rows: np.ndarray,
-                     ) -> tuple[Iterable[np.ndarray], float | None]:
-    """The round's plaintext gradients in client order, and the crafted
-    gradient's norm (None without a full-knowledge attack).  Honest and
+                     ) -> tuple[Iterable[np.ndarray], float | None,
+                                attacks.RowDistances | None]:
+    """The round's plaintext gradients in client order, the crafted
+    gradient's norm (None without a full-knowledge attack) and the honest
+    rows' `row_distances` where the attack or Multi-Krum reads them (else
+    None).  Honest and
     label-flip clients train from their ("client", id, round) streams,
     client i into rows[i], or into rows[0] of a one-row `rows`: then a
     generator trains each client when the consumer asks, so a gradient must
@@ -463,33 +466,39 @@ def _round_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
 
     trained = map(train, range(cfg.n_malicious if full_knowledge else 0, len(datasets)))
     if len(rows) == 1:
-        return trained, None
+        return trained, None, None
     for _ in trained:
         pass
 
-    crafted_norm = None
+    crafted_norm = honest_dists = None
     if full_knowledge and cfg.n_malicious:
         # Attackers hold the first ids (ExperimentConfig.malicious_ids), so
         # the honest rows are one contiguous view; every attacker submits
         # the one crafted gradient.
-        crafted = _craft(cfg, spec, rows[cfg.n_malicious:], round_no)
+        honest = rows[cfg.n_malicious:]
+        # The scale searches' budgets and Multi-Krum (oracle and round) read them.
+        if cfg.aggregator == "multikrum" or not isinstance(spec, attacks.FangSpec):
+            honest_dists = attacks.row_distances(honest)
+        crafted = _craft(cfg, spec, honest, round_no, honest_dists)
         crafted_norm = float(np.linalg.norm(crafted))
         rows[:cfg.n_malicious] = crafted
-    return rows, crafted_norm
+    return rows, crafted_norm, honest_dists
 
 
-def _craft(cfg: ExperimentConfig, spec: attacks.AttackSpec,
-           honest: np.ndarray, round_no: int) -> np.ndarray:
+def _craft(cfg: ExperimentConfig, spec: attacks.AttackSpec, honest: np.ndarray,
+           round_no: int, honest_dists: attacks.RowDistances | None) -> np.ndarray:
     if isinstance(spec, attacks.MinMaxSpec):
-        return attacks.minmax_attack(honest, spec)
+        return attacks.minmax_attack(honest, spec, honest_dists)
     if isinstance(spec, attacks.MinSumSpec):
-        return attacks.minsum_attack(honest, spec)
+        return attacks.minsum_attack(honest, spec, honest_dists)
     assert isinstance(spec, attacks.FangSpec)
-    return attacks.fang_attack(honest, spec, _fang_oracle(cfg, spec, honest, round_no))
+    return attacks.fang_attack(honest, spec,
+                               _fang_oracle(cfg, spec, honest, round_no, honest_dists))
 
 
-def _fang_oracle(cfg: ExperimentConfig, spec: attacks.FangSpec,
-                 honest: np.ndarray, round_no: int) -> Callable[[np.ndarray], bool]:
+def _fang_oracle(cfg: ExperimentConfig, spec: attacks.FangSpec, honest: np.ndarray,
+                 round_no: int, honest_dists: attacks.RowDistances | None = None,
+                 ) -> Callable[[np.ndarray], bool]:
     """The attacker's plaintext simulation of the target aggregation rule.
 
     Accepts a candidate if the rule, run on the honest rows plus
@@ -497,7 +506,9 @@ def _fang_oracle(cfg: ExperimentConfig, spec: attacks.FangSpec,
     the ("attack-oracle", round) stream in the same state.  FedAvg and
     FLTrust never reject (FLTrust's root data is server-private, so the
     attacker cannot simulate it), and a spec with oracle="accept_all"
-    models a non-adaptive attacker."""
+    models a non-adaptive attacker.  Multi-Krum scores each candidate from
+    `honest_dists`, the honest rows' `row_distances`, and one gemv, with
+    the copies last."""
     if spec.oracle == "accept_all" or cfg.aggregator in ("fedavg", "fltrust"):
         return lambda candidate: True
     honest = np.asarray(honest, dtype=np.float64)
@@ -510,10 +521,14 @@ def _fang_oracle(cfg: ExperimentConfig, spec: attacks.FangSpec,
 
         def kept(candidate: np.ndarray) -> Iterable[int]:
             return defense.detect_gram(gram_of(candidate), rng).benign
+    elif cfg.aggregator == "multikrum":
+        def kept(candidate: np.ndarray) -> Iterable[int]:
+            return _multikrum_kept(cfg, honest, honest_dists, candidate, n_mal,
+                                   copies_first=False)
     else:
         def kept(candidate: np.ndarray) -> Iterable[int]:
             copies = np.broadcast_to(candidate, (n_mal, candidate.shape[0]))
-            return _select(cfg, np.concatenate([honest, copies]), rng)
+            return _dnc_kept(cfg, np.concatenate([honest, copies]), rng)
     start = rng.bit_generator.state
 
     def oracle(candidate: np.ndarray) -> bool:
@@ -557,15 +572,32 @@ def _population_gram(honest: np.ndarray, n_mal: int) -> Callable[[np.ndarray], n
     return gram_of
 
 
-def _select(cfg: ExperimentConfig, stack: np.ndarray,
-            rng: np.random.Generator) -> np.ndarray:
-    """Rows of `stack` the configured Multi-Krum or DnC rule keeps, in the
-    order their mean sums them: Multi-Krum's ranking order, DnC's ascending
-    ids."""
-    if cfg.aggregator == "multikrum":
-        f, m = _multikrum_params(cfg)
-        return baselines.multi_krum_select(stack, f, m)
-    assert cfg.aggregator == "dnc"
+def _multikrum_kept(cfg: ExperimentConfig, honest: np.ndarray,
+                    honest_dists: attacks.RowDistances, crafted: np.ndarray,
+                    n_copies: int, copies_first: bool) -> np.ndarray:
+    """Population indices Multi-Krum keeps, in its ranking order, for the
+    rows `honest` plus n_copies copies of `crafted`, placed before or after
+    them.  The copies' distances to the honest rows are one gemv,
+    max(||h_i||^2 + ||c||^2 - 2 h_i.c, 0), the expanded form of the
+    population's own Gram matrix.  The lowest scores win, ties to the lower
+    index (one stable argsort)."""
+    f, m = _multikrum_params(cfg)
+    sq_norms, sq_dists = honest_dists
+    copy_dists = None
+    if n_copies:
+        copy_dists = np.maximum(sq_norms + float(np.square(crafted).sum())
+                                - 2.0 * (honest @ crafted), 0.0)
+    scores = baselines.krum_scores(sq_dists, copy_dists, n_copies, f)
+    if n_copies:
+        copies = np.full(n_copies, scores[-1])
+        scores = np.concatenate([copies, scores[:-1]] if copies_first
+                                else [scores[:-1], copies])
+    return np.argsort(scores, kind="stable")[:m]
+
+
+def _dnc_kept(cfg: ExperimentConfig, stack: np.ndarray,
+              rng: np.random.Generator) -> np.ndarray:
+    """Rows of `stack` DnC keeps, in ascending id order."""
     kept = baselines.dnc_survivors(stack, _dnc_params(cfg), rng)
     return np.array(sorted(kept), dtype=np.intp)
 
@@ -614,13 +646,26 @@ def _dp2guard_round(cfg: ExperimentConfig, gradients: Iterable[np.ndarray],
 
 def _baseline_round(cfg: ExperimentConfig, stack: np.ndarray,
                     round_no: int, model: models.Model, params: np.ndarray,
-                    root_data: Dataset | None):
+                    root_data: Dataset | None,
+                    honest_dists: attacks.RowDistances | None = None):
+    """The plaintext rule's aggregate of `stack` and the rows it kept (None
+    for FedAvg and FLTrust).  `honest_dists`, when given, are the
+    `row_distances` of the rows after the crafted copies, which fill the
+    first rows; Multi-Krum then scores from them.  Otherwise every row
+    counts as honest."""
     if cfg.aggregator == "fedavg":
         return baselines.fedavg(stack), None
     if cfg.aggregator == "fltrust":
         root_grad = model.grad(params, root_data.features, root_data.labels)
         return baselines.fltrust(stack, root_grad), None
-    kept = _select(cfg, stack, substream(cfg.seed, "dnc", round_no))
+    if cfg.aggregator == "multikrum":
+        if honest_dists is None:
+            honest_dists = attacks.row_distances(stack)
+        n_copies = len(stack) - len(honest_dists.sq_norms)
+        kept = _multikrum_kept(cfg, stack[n_copies:], honest_dists, stack[0], n_copies,
+                               copies_first=True)
+    else:
+        kept = _dnc_kept(cfg, stack, substream(cfg.seed, "dnc", round_no))
     return baselines.kept_mean(stack, kept), frozenset(kept.tolist())
 
 

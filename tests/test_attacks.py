@@ -231,9 +231,10 @@ class TestScaleSearchShared:
         assert gamma > 10.0
 
 
-def reference_minmax(benign, spec):
+def reference_minmax(benign, spec, dists=None):
     """Min-max deciding every bisection step with the direct O(N*d) float
-    expression.  minmax_attack must return the same bits."""
+    expression.  minmax_attack must return the same bits.
+    `dists`, the round's shared distances, are ignored: it builds its own."""
     grads = np.asarray(benign, dtype=np.float64)
     mean = grads.mean(axis=0)
     bound = float(np.sqrt(pairwise_sq_dists(grads).max()))
@@ -250,8 +251,9 @@ def reference_minmax(benign, spec):
     return mean + gamma * direction
 
 
-def reference_minsum(benign, spec):
-    """Min-sum deciding every bisection step with the direct float sum."""
+def reference_minsum(benign, spec, dists=None):
+    """Min-sum deciding every bisection step with the direct float sum.
+    `dists`, the round's shared distances, are ignored: it builds its own."""
     grads = np.asarray(benign, dtype=np.float64)
     mean = grads.mean(axis=0)
     budget = float(pairwise_sq_dists(grads).sum(axis=1).max())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dp2guard.attacks import pairwise_sq_dists
 from dp2guard.baselines import (
     DnCConfig,
     dnc_survivors,
@@ -8,13 +9,56 @@ from dp2guard.baselines import (
     fltrust,
     kept_mean,
     krum_scores,
-    multi_krum_select,
 )
 from dp2guard.defense import top_direction
 from dp2guard.errors import TooFewClients
 from dp2guard.numeric import substream
 
 from test_defense import spectral_scores
+
+
+def plain_krum_scores(gradients, f):
+    """Reference Krum scores on a plain stack: per row, the sum of the
+    n - f - 2 smallest squared distances to the others, one row at a time."""
+    stack = np.asarray(gradients, dtype=np.float64)
+    return per_row_krum_scores(pairwise_sq_dists(stack), f)
+
+
+def per_row_krum_scores(sq, f):
+    """Krum scores of a full distance matrix, each row's others sorted and
+    summed on their own."""
+    n = len(sq)
+    keep = n - f - 2
+    return np.array([np.sort(np.delete(sq[i], i))[:keep].sum() for i in range(n)])
+
+
+def multi_krum_select(stack, f, m):
+    """Reference Multi-Krum selection on a plain stack: the m rows with the
+    lowest scores, ties to the lower index."""
+    n = len(stack)
+    if n < 2 * f + 3:
+        raise TooFewClients(f"multi-krum needs n >= 2f+3, got n={n}, f={f}")
+    if not 1 <= m <= n - f:
+        raise ValueError(f"m={m} outside [1, n-f]")
+    return np.argsort(plain_krum_scores(stack, f), kind="stable")[:m]
+
+
+def population(honest, crafted, n_copies, copies_first):
+    """The honest rows plus n_copies copies of `crafted`, before or after."""
+    copies = [crafted] * n_copies
+    return np.asarray(copies + list(honest) if copies_first else list(honest) + copies)
+
+
+def shared_krum_scores(honest, crafted, n_copies, f, copies_first):
+    """`krum_scores` from the honest rows' distances and the copies'
+    distances, spread over the population's order."""
+    sq = (honest**2).sum(axis=1)
+    copy_dists = np.maximum(sq + (crafted**2).sum() - 2.0 * (honest @ crafted), 0.0)
+    scores = krum_scores(pairwise_sq_dists(honest, sq), copy_dists, n_copies, f)
+    if not n_copies:
+        return scores
+    copies = [scores[-1]] * n_copies
+    return np.concatenate([copies, scores[:-1]] if copies_first else [scores[:-1], copies])
 
 
 def multi_krum(gradients, f, m):
@@ -75,7 +119,43 @@ class TestMultiKrum:
     def test_scores_match_brute_force(self):
         rng = substream(102, "mk")
         grads = [rng.standard_normal(5) for _ in range(8)]
-        assert np.allclose(krum_scores(grads, 2), brute_force_krum_scores(grads, 2))
+        assert np.allclose(plain_krum_scores(grads, 2), brute_force_krum_scores(grads, 2))
+        sq = pairwise_sq_dists(np.asarray(grads))
+        assert np.allclose(krum_scores(sq, None, 0, 2), brute_force_krum_scores(grads, 2))
+
+    @pytest.mark.parametrize("n_copies", [0, 1, 3])
+    @pytest.mark.parametrize("copies_first", [True, False])
+    def test_shared_scores_match_brute_force_on_assembled_stack(self, n_copies,
+                                                                copies_first):
+        rng = substream(109, "mk-shared", n_copies, copies_first)
+        for n_honest, d in ((9, 4), (16, 30), (37, 200)):
+            honest = rng.standard_normal((n_honest, d)) * rng.uniform(0.2, 5.0, (n_honest, 1))
+            crafted = honest.mean(axis=0) + rng.uniform(0.0, 3.0) * rng.standard_normal(d)
+            pop = population(honest, crafted, n_copies, copies_first)
+            for f in range(0, (len(pop) - 3) // 2 + 1, 2):
+                got = shared_krum_scores(honest, crafted, n_copies, f, copies_first)
+                assert np.allclose(got, brute_force_krum_scores(pop, f), rtol=1e-12)
+
+    @pytest.mark.parametrize("n_copies", [0, 1, 3])
+    def test_table_sums_equal_per_row_sums_bit_for_bit(self, n_copies):
+        # The same distances, laid out as the population's full matrix and
+        # scored one row at a time, give the same bits as the one table.
+        rng = substream(110, "mk-bits", n_copies)
+        for n_honest, f in ((12, 2), (40, 10), (150, 3)):
+            honest = rng.standard_normal((n_honest, 25)) * rng.uniform(0.1, 50.0, (n_honest, 1))
+            sq_dists = pairwise_sq_dists(honest)
+            copy_dists = rng.uniform(0.0, 2.0 * sq_dists.max(), n_honest)
+            n = n_honest + n_copies
+            full = np.zeros((n, n))
+            full[:n_honest, :n_honest] = sq_dists
+            full[:n_honest, n_honest:] = copy_dists[:, None]
+            full[n_honest:, :n_honest] = copy_dists
+            want = per_row_krum_scores(full, f)
+            got = krum_scores(sq_dists, copy_dists, n_copies, f)
+            assert np.array_equal(got[:n_honest], want[:n_honest])
+            if n_copies:
+                assert len(got) == n_honest + 1
+                assert np.all(want[n_honest:] == got[-1])
 
     def test_identical_gradients_return_common_vector(self):
         g = np.array([1.0, 2.0])
@@ -91,6 +171,8 @@ class TestMultiKrum:
             multi_krum([np.ones(2)] * 4, f=1, m=1)
         with pytest.raises(TooFewClients):
             multi_krum_select(np.ones((4, 2)), f=1, m=1)
+        with pytest.raises(TooFewClients):
+            krum_scores(np.zeros((3, 3)), np.zeros(3), 1, f=1)
 
     def test_select_is_stable_lowest_score_ranking(self):
         rng = substream(106, "mk")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dp2guard.client as client_mod
-from dp2guard import baselines, harness, models, servers, trust
+from dp2guard import attacks, baselines, harness, models, servers, trust
 from dp2guard.attacks import fang_attack, fang_candidate
 from dp2guard.baselines import dnc_survivors, fedavg
 from dp2guard.client import local_gradient, split_and_mask
@@ -37,7 +37,7 @@ from dp2guard.servers import (
     encode_message,
 )
 
-from test_baselines import dnc, multi_krum
+from test_baselines import dnc, multi_krum, multi_krum_select
 from test_servers import RecordingChannel
 
 
@@ -500,7 +500,7 @@ class TestFangOracle:
         run_experiment(cfg, out_dir=tmp_path / "fast")
         monkeypatch.setattr(
             harness, "_fang_oracle",
-            lambda cfg, spec, honest, round_no:
+            lambda cfg, spec, honest, round_no, honest_dists=None:
                 reference_dp2guard_oracle(cfg, honest, round_no))
         run_experiment(cfg, out_dir=tmp_path / "reference")
         for name in ("metrics.csv", "detection.csv", "attack.csv", "ledger.jsonl"):
@@ -542,18 +542,34 @@ class TestFangOracle:
         assert seen == [3]
 
     def test_multikrum_oracle_matches_selection(self):
+        # Fang's halving sweep lam = 2^-k crosses the accept/reject
+        # boundary.  The oracle (copies last) and the round (copies first)
+        # both score from the honest rows' distances and one gemv; each must
+        # keep what the plain-stack selection keeps on the same population.
         cfg = _desk_config(n_clients=20, adv_ratio=0.2, aggregator="multikrum",
                            attack={"kind": "fang"})
         spec = cfg.parse_attack()
+        n_mal = cfg.n_malicious
         rng = substream(8, "mk-oracle")
-        honest = list(rng.standard_normal((16, 30)))
+        # Honest spread 0.05 a coordinate: the copies sit lam a coordinate
+        # off the honest mean, so the sweep's large lam are rejected.
+        honest = list(0.05 * rng.standard_normal((16, 30)) + rng.standard_normal(30))
         f, m = harness._multikrum_params(cfg)
-        oracle = harness._fang_oracle(cfg, spec, honest, 1)
-        for lam in (0.01, 1.0, 100.0):
-            candidate = fang_candidate(np.mean(honest, axis=0), lam)
-            pop = np.asarray(honest + [candidate] * cfg.n_malicious)
-            kept = baselines.multi_krum_select(pop, f, m)
+        dists = attacks.row_distances(np.asarray(honest))
+        oracle = harness._fang_oracle(cfg, spec, honest, 1, dists)
+        decisions = set()
+        for k in range(21):
+            candidate = fang_candidate(np.mean(honest, axis=0), 2.0**-k)
+            pop = np.asarray(honest + [candidate] * n_mal)
+            kept = multi_krum_select(pop, f, m)
+            decisions.add(oracle(candidate))
             assert oracle(candidate) == any(i >= len(honest) for i in kept)
+            stack = np.asarray([candidate] * n_mal + honest)
+            g_agg, benign = harness._baseline_round(cfg, stack, 1, None, None, None, dists)
+            want = multi_krum_select(stack, f, m)
+            assert benign == frozenset(want.tolist())
+            assert np.array_equal(g_agg, baselines.kept_mean(stack, want))
+        assert decisions == {True, False}
 
     @pytest.mark.parametrize("aggregator", ["dp2guard", "multikrum", "dnc"])
     def test_defense_oracle_runs_are_bit_identical(self, tmp_path, aggregator):
