@@ -64,6 +64,10 @@ ARTIFACTS = ("ledger.jsonl", "metrics.csv", "plot.svg", "resolved-config.json",
 LEDGER_SENDER = 0
 # Attacks crafted from every honest client's gradient.
 FULL_KNOWLEDGE = (attacks.FangSpec, attacks.MinMaxSpec, attacks.MinSumSpec)
+# Clients train and mask in blocks of about this many float64 gradient
+# entries (64 KiB): at small d a block holds many clients, so a round makes
+# few numpy calls; from d = 4,097 on, each client is a block of its own.
+BLOCK_WORDS = 8192
 
 
 @dataclass(frozen=True)
@@ -307,6 +311,11 @@ def _idx_file(base: Path, stem: str) -> Path:
     raise FileNotFoundError(f"{base / stem}[.gz] not found")
 
 
+def block_rows(d: int, n_clients: int) -> int:
+    """Clients per training and masking block at gradient dimension d."""
+    return max(1, min(n_clients, BLOCK_WORDS // d))
+
+
 def refuse_artifacts(out_path: Path) -> None:
     """Raise OutputExists if `out_path` holds any of the ARTIFACTS, whose
     earlier copies would pass for this run's; a run checks before any work."""
@@ -356,10 +365,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     # them; round 0 touches their pages): the dp2guard servers' matrices,
     # sized at construction, and the gradient rows, one per client only
     # where a party reads them all (a full-knowledge attacker or a plaintext
-    # rule) or the history records them, else one row reused by each client.
+    # rule) or the history records them, else one block of `block_rows`
+    # rows that each block of clients reuses.
     full_rows = (isinstance(spec, FULL_KNOWLEDGE) or cfg.aggregator != "dp2guard"
                  or record_history)
-    rows = np.empty((cfg.n_clients if full_rows else 1, model.dim))
+    rows = np.empty((cfg.n_clients if full_rows else block_rows(model.dim, cfg.n_clients),
+                     model.dim))
     if cfg.aggregator == "dp2guard":
         s1 = ServerS1(cfg.n_clients, model.dim, cfg.scale_bits)
         s2 = ServerS2(cfg.n_clients, model.dim, cfg.scale_bits, cfg.beta, cfg.exclusion)
@@ -435,37 +446,47 @@ def _round_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
                      spec: attacks.AttackSpec | None, rows: np.ndarray,
                      ) -> tuple[Iterable[np.ndarray], float | None,
                                 attacks.RowDistances | None]:
-    """The round's plaintext gradients in client order, the crafted
+    """The round's plaintext gradients as (K, d) row blocks in client order
+    (K = `block_rows`, the last block possibly shorter), the crafted
     gradient's norm (None without a full-knowledge attack) and the honest
     rows' `row_distances` where the attack or Multi-Krum reads them (else
-    None).  Honest and
-    label-flip clients train from their ("client", id, round) streams,
-    client i into rows[i], or into rows[0] of a one-row `rows`: then a
-    generator trains each client when the consumer asks, so a gradient must
-    be consumed before the next is drawn.  Otherwise every row is filled,
-    full-knowledge attackers' with the gradient crafted from the honest
-    rows (the harness side channel), and `rows` is returned.
+    None).
 
-    Raises NonFiniteGradient, naming the client and round, as soon as a
-    client's training diverges."""
+    Honest and label-flip clients train a block at a time, each from its
+    ("client", id, round) stream.  With N `rows`, client i trains into
+    rows[i], blocks starting at the first honest id; every row is filled,
+    full-knowledge attackers' with the gradient crafted from the honest
+    rows (the harness side channel), before the blocks of `rows` are
+    returned.  With fewer, `rows` is one block that every block of
+    clients reuses: a generator trains each block when the consumer asks,
+    so a block must be consumed before the next is drawn.
+
+    Raises NonFiniteGradient, naming the lowest diverging client and the
+    round, as soon as a block's training diverges."""
     full_knowledge = isinstance(spec, FULL_KNOWLEDGE)
+    n, k = len(datasets), block_rows(model.dim, len(datasets))
     rng = np.random.Generator(np.random.Philox(0))  # re-keyed for each client
 
-    def train(cid: int) -> np.ndarray:
+    def train(lo: int) -> np.ndarray:
+        hi = min(lo + k, n)
+        # N rows: the block's own rows; one reused block: its first rows.
+        block = rows[lo % len(rows):][:hi - lo]
         # A diverging run overflows inside training; it fails here, on its
         # cause, instead of with numpy warnings and a later error.
         with np.errstate(all="ignore"):
-            grad = client.local_gradient(datasets[cid], model, params, cfg.local_mode,
-                                         cfg.batch_size, cfg.eta,
-                                         rekey(rng, cfg.seed, "client", cid, round_no),
-                                         out=rows[cid % len(rows)])
-        if not np.isfinite(grad).all():
+            client.local_gradient(datasets[lo:hi], model, params, cfg.local_mode,
+                                  cfg.batch_size, cfg.eta,
+                                  (rekey(rng, cfg.seed, "client", cid, round_no)
+                                   for cid in range(lo, hi)), out=block)
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            cid = lo + int(np.argmin(finite))
             raise NonFiniteGradient(f"client {cid}'s gradient in round {round_no} has "
                                     "non-finite entries: local training diverged")
-        return grad
+        return block
 
-    trained = map(train, range(cfg.n_malicious if full_knowledge else 0, len(datasets)))
-    if len(rows) == 1:
+    trained = map(train, range(cfg.n_malicious if full_knowledge else 0, n, k))
+    if len(rows) < n:
         return trained, None, None
     for _ in trained:
         pass
@@ -482,7 +503,12 @@ def _round_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
         crafted = _craft(cfg, spec, honest, round_no, honest_dists)
         crafted_norm = float(np.linalg.norm(crafted))
         rows[:cfg.n_malicious] = crafted
-    return rows, crafted_norm, honest_dists
+    return _row_blocks(rows, k), crafted_norm, honest_dists
+
+
+def _row_blocks(rows: np.ndarray, k: int) -> Iterable[np.ndarray]:
+    """Consecutive k-row views of `rows`, the last possibly shorter."""
+    return (rows[lo:lo + k] for lo in range(0, len(rows), k))
 
 
 def _craft(cfg: ExperimentConfig, spec: attacks.AttackSpec, honest: np.ndarray,
@@ -602,28 +628,25 @@ def _dnc_kept(cfg: ExperimentConfig, stack: np.ndarray,
     return np.array(sorted(kept), dtype=np.intp)
 
 
-def _dp2guard_round(cfg: ExperimentConfig, gradients: Iterable[np.ndarray],
+def _dp2guard_round(cfg: ExperimentConfig, blocks: Iterable[np.ndarray],
                     round_no: int, ledger: Ledger, channel: Channel, params: np.ndarray,
                     s1: ServerS1, s2: ServerS2):
     """One full dual-server round on the run's servers, which it opens for
     `round_no`: upload, center, detect, weigh (S2 updates its trust),
     publish, read back, reassemble.  Returns the global gradient, the
-    detection and the weights keyed by client id.  `gradients` yields every
-    client's gradient in id order (as `_round_gradients` returns them); each
-    is masked into its uploads before the next is drawn."""
+    detection and the weights keyed by client id.  `blocks` yields every
+    client's gradient in id order as (K, d) row blocks (as
+    `_round_gradients` returns them); each block is masked into its
+    clients' uploads, and those are sent, before the next is drawn."""
     s1.start_round(round_no)
     s2.start_round(round_no)
 
     mask_rng = np.random.Generator(np.random.Philox(0))  # re-keyed for each client
-    for cid, grad in enumerate(gradients):
-        # Each share is written straight into its upload's payload.
-        m1, words1 = encode_share_upload(cid, round_no, 1, len(grad), cfg.scale_bits)
-        m2, words2 = encode_share_upload(cid, round_no, 2, len(grad), cfg.scale_bits)
-        client.split_and_mask(grad, cfg.scale_bits,
-                              rekey(mask_rng, cfg.seed, "mask", cid, round_no),
-                              out=(words1, words2))
-        s1.receive_share(channel.send(f"client{cid}", "S1", m1))
-        s2.receive_share(channel.send(f"client{cid}", "S2", m2))
+    lo = 0
+    for block in blocks:
+        ids = range(lo, lo + len(block))
+        _upload_block(cfg, block, ids, round_no, channel, s1, s2, mask_rng)
+        lo = ids.stop
 
     s2.receive_centered_batch(channel.send("S1", "S2", s1.center_shares()))
 
@@ -642,6 +665,25 @@ def _dp2guard_round(cfg: ExperimentConfig, gradients: Iterable[np.ndarray],
     s1.receive_agg_and_weights(channel.send("ledger", "S1", ledger_msg))
 
     return s1.finalize(), detection, tau
+
+
+def _upload_block(cfg: ExperimentConfig, block: np.ndarray, ids: range, round_no: int,
+                  channel: Channel, s1: ServerS1, s2: ServerS2,
+                  mask_rng: np.random.Generator) -> None:
+    """Mask the clients `ids`' gradients `block` into their uploads and
+    send each client's two uploads, in id order.  The uploads are freed on
+    return, before the next block trains or S1 centres."""
+    # Each share is written straight into its upload's payload; the
+    # uploads alternate share 1 and share 2, client by client.
+    msgs, words = zip(*(encode_share_upload(cid, round_no, share, block.shape[1],
+                                            cfg.scale_bits)
+                        for cid in ids for share in (1, 2)))
+    client.split_and_mask(block, cfg.scale_bits,
+                          (rekey(mask_rng, cfg.seed, "mask", cid, round_no) for cid in ids),
+                          out=(words[0::2], words[1::2]))
+    for cid, m1, m2 in zip(ids, msgs[0::2], msgs[1::2]):
+        s1.receive_share(channel.send(f"client{cid}", "S1", m1))
+        s2.receive_share(channel.send(f"client{cid}", "S2", m2))
 
 
 def _baseline_round(cfg: ExperimentConfig, stack: np.ndarray,

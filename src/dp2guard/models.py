@@ -61,10 +61,14 @@ class Model:
         return flatten([w1, np.zeros(self.hidden), w2, np.zeros(self.n_classes)])
 
     def unflatten(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Views of each parameter block of a flat vector of length dim."""
-        if flat.shape[0] != self.dim:
-            raise ShapeMismatch(f"flat vector length {flat.shape[0]}, model needs {self.dim}")
-        return [flat[start:stop].reshape(shape) for start, stop, shape in self.blocks]
+        """Views of each parameter block of a flat vector of length dim, or
+        of each row of a (..., dim) stack of them (block shapes (..., *shape)).
+        The views share `flat`'s memory as long as its last axis is
+        contiguous, which every caller's vectors and row blocks are."""
+        if flat.shape[-1] != self.dim:
+            raise ShapeMismatch(f"flat vector length {flat.shape[-1]}, model needs {self.dim}")
+        lead = flat.shape[:-1]
+        return [flat[..., start:stop].reshape(lead + shape) for start, stop, shape in self.blocks]
 
     def logits(self, flat: np.ndarray, features: np.ndarray) -> np.ndarray:
         return self._forward(flat, features)[0]
@@ -73,9 +77,9 @@ class Model:
                  ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """Logits, plus the MLP's hidden pre-activation and activation
         (None for logreg), which the backward pass reuses."""
-        if features.shape[1] != self.n_features:
+        if features.shape[-1] != self.n_features:
             raise ShapeMismatch(
-                f"model expects {self.n_features} features, got {features.shape[1]}"
+                f"model expects {self.n_features} features, got {features.shape[-1]}"
             )
         if self.arch == "logreg":
             w, b = self.unflatten(flat)
@@ -88,30 +92,42 @@ class Model:
     def grad(self, flat: np.ndarray, features: np.ndarray, labels: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
         """Mean cross-entropy gradient, flattened to length dim, written into
-        `out` (a contiguous float64 vector of length dim) when given.
+        `out` (float64 of shape (dim,), its last axis contiguous) when given.
+
+        Features of shape (..., b, p) with labels (..., b) give one gradient
+        per leading index, out (..., dim): a block of K clients' minibatches
+        (K, b, p) trains in one call.  Every product is one stacked matmul,
+        which runs one gemm per matrix, and every reduction runs over the
+        last two axes, so each row equals the (b, p) call bit for bit.
 
         One forward pass; each block's gradient is written straight into
-        its slice of the returned vector."""
-        if len(labels) == 0:
+        its view of the returned array."""
+        if labels.shape != features.shape[:-1]:
+            raise ShapeMismatch(f"labels of shape {labels.shape} for features of shape "
+                                f"{features.shape}")
+        if labels.ndim == 0 or labels.shape[-1] == 0:
             raise ShapeMismatch("gradient of an empty batch")
-        n = len(labels)
+        n = labels.shape[-1]
         logits, pre, act = self._forward(flat, features)
         delta = _softmax_inplace(logits)
-        delta[np.arange(n), labels] -= 1.0
+        # Each sample's own-class probability drops by one; the fresh
+        # logits array is contiguous, so its rows flatten to one view.
+        rows = delta.reshape(-1, self.n_classes)
+        rows[np.arange(len(rows)), labels.reshape(-1)] -= 1.0
         delta /= n
-        out = np.empty(self.dim) if out is None else out
+        out = np.empty(labels.shape[:-1] + (self.dim,)) if out is None else out
         parts = self.unflatten(out)
         if self.arch == "logreg":
-            np.matmul(delta.T, features, out=parts[0])
-            np.sum(delta, axis=0, out=parts[1])
+            np.matmul(delta.swapaxes(-1, -2), features, out=parts[0])
+            np.sum(delta, axis=-2, out=parts[1])
             return out
         d_w1, d_b1, d_w2, d_b2 = parts
-        np.matmul(delta.T, act, out=d_w2)
-        np.sum(delta, axis=0, out=d_b2)
+        np.matmul(delta.swapaxes(-1, -2), act, out=d_w2)
+        np.sum(delta, axis=-2, out=d_b2)
         back = delta @ self.unflatten(flat)[2]
         back *= pre > 0.0
-        np.matmul(back.T, features, out=d_w1)
-        np.sum(back, axis=0, out=d_b1)
+        np.matmul(back.swapaxes(-1, -2), features, out=d_w1)
+        np.sum(back, axis=-2, out=d_b1)
         return out
 
     def accuracy(self, flat: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
@@ -136,7 +152,8 @@ def sgd_step(params: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
 
 
 def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
-    logits -= logits.max(axis=1, keepdims=True)
+    """Softmax over the last axis (the classes), in place."""
+    logits -= logits.max(axis=-1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
+    logits /= logits.sum(axis=-1, keepdims=True)
     return logits

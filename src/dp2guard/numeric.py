@@ -61,11 +61,14 @@ def encode_fixed(values: np.ndarray, scale_bits: int,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Encode real entries as two's-complement fixed point: uint64 words
     carrying `scale_bits` fractional bits, written into `out` (uint64, the
-    shape of `values`, not overlapping them) or fresh, writable words.
+    shape of `values`, either disjoint from them or, to encode in place,
+    their own words `values.view(np.uint64)`) or fresh, writable words.
 
     The scaled floats are formed in the words' own memory and each is cast
-    in place to the word it becomes, so no temporary is allocated.
-    Raises EncodingOverflow if any entry is non-finite or out of range.
+    in place to the word it becomes, so a one-dimensional `out` allocates
+    no temporary.
+    Raises EncodingOverflow if any entry is non-finite or out of range (in
+    place, an entry whose scaled value overflows reads as non-finite).
     """
     values = np.asarray(values, dtype=np.float64)
     if out is None:

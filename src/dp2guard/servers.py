@@ -32,8 +32,9 @@ A round therefore holds three (N, d) arrays: the two share matrices and
 the CenteredBatch payload.  The clients' plaintext gradients add a
 fourth, the harness's N gradient rows, only under a full-knowledge
 attack, whose attackers craft from every honest gradient, or when the run
-records its gradient history; otherwise each client trains into one
-reused d-vector and masks it straight into its two uploads.  The batch of
+records its gradient history; otherwise each block of K clients trains
+into one reused (K, d) row block (K = `harness.block_rows`, one client at
+d > 4,096) and masks it straight into its clients' uploads.  The batch of
 one round is freed when `ServerS2.detect_and_weigh` returns, before the
 next is built.
 """

@@ -78,6 +78,45 @@ class TestSplitAndMask:
             tracemalloc.stop()
         assert peak <= 1.2 * d * 8
 
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_block_equals_per_row_calls_and_leaves_its_input(self, k):
+        # A block is clipped and encoded in one pass, then row r is masked
+        # from the r-th generator: word for word the per-row calls, into
+        # per-row word arrays (the round loop's upload payloads) or fresh
+        # (K, d) shares, and the gradients are only read.
+        d = 41
+        grads = substream(60, "block", k).uniform(-5, 5, size=(k, d))
+        grads[0, 0] = 2.0**60  # clipped
+        before = grads.copy()
+        want = [split_and_mask(grads[r], 16, substream(60, "m", r)) for r in range(k)]
+        rows = ([np.zeros(d, dtype=np.uint64) for _ in range(k)],
+                [np.zeros(d, dtype=np.uint64) for _ in range(k)])
+        got = split_and_mask(grads, 16, (substream(60, "m", r) for r in range(k)), out=rows)
+        assert got is rows
+        fresh = split_and_mask(grads, 16, [substream(60, "m", r) for r in range(k)])
+        assert fresh[0].shape == fresh[1].shape == (k, d)
+        for r in range(k):
+            for share in (0, 1):
+                assert np.array_equal(rows[share][r], want[r][share])
+                assert np.array_equal(fresh[share][r], want[r][share])
+        assert np.array_equal(grads, before)
+
+    def test_block_allocates_one_scratch_block_and_the_draws(self):
+        # The block's one clip and encode run through a (K, d) scratch
+        # block; each row then allocates only its d-word draw.
+        k, d = 8, 20_000
+        grads = substream(61, "g").uniform(-5, 5, size=(k, d))
+        rows = ([np.empty(d, dtype=np.uint64) for _ in range(k)],
+                [np.empty(d, dtype=np.uint64) for _ in range(k)])
+        split_and_mask(grads, 16, (substream(61, "m", r) for r in range(k)), out=rows)  # warm
+        tracemalloc.start()
+        try:
+            split_and_mask(grads, 16, (substream(61, "n", r) for r in range(k)), out=rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (k + 1) * d * 8
+
     def test_oversized_entries_are_clipped_not_fatal(self):
         g = np.array([2.0**60, -1.0, 1.0])
         s1, s2 = split_and_mask(g, 16, substream(46, "m"))
@@ -221,3 +260,27 @@ def test_epoch_gradient_allocates_few_parameter_vectors():
     finally:
         tracemalloc.stop()
     assert peak <= 4.4 * model.dim * 8
+
+
+@pytest.mark.parametrize("mode", ["epoch", "batch"])
+@pytest.mark.parametrize("arch", ["logreg", "mlp"])
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_block_of_clients_equals_per_client_calls(mode, arch, k):
+    # A block of clients with ragged sizes (some below the batch size of
+    # 16, which train alone in batch mode), each from its own stream, gives
+    # bit for bit the per-client gradients, row r for client r, written
+    # into the given rows of a larger stack.
+    model = Model(arch, 12, 4, hidden=9)
+    sizes = [40, 7, 16, 90, 1, 16, 33][:k]
+    datasets = [synth_dataset(n, 12, 4, 3.0, substream(62, "d", r))
+                for r, n in enumerate(sizes)]
+    params = model.init_params(substream(62, "w")) + 0.05
+    want = [local_gradient(data, model, params, mode, 16, 0.05, substream(62, "o", r))
+            for r, data in enumerate(datasets)]
+    stack = np.full((k + 2, model.dim), np.nan)
+    got = local_gradient(datasets, model, params, mode, 16, 0.05,
+                         (substream(62, "o", r) for r in range(k)), out=stack[1:k + 1])
+    assert np.shares_memory(got, stack)
+    for r in range(k):
+        assert np.array_equal(stack[1 + r], want[r])
+    assert np.isnan(stack[[0, k + 1]]).all()

@@ -1,4 +1,4 @@
-"""Pinned artifact digests of four dp2guard configs.
+"""Pinned artifact digests of dp2guard configs.
 
 The reproducibility tests elsewhere only compare a run with its own rerun,
 so a change that shifts output bits the same way twice would pass them.
@@ -48,6 +48,20 @@ allows, and in some rounds the cut through the m kept rows falls inside
 the block of tied copies.  The digests were recorded before the round and
 the oracle began to score Multi-Krum from the honest rows' distance block,
 the copies' gemv and zero copy-to-copy distances.
+
+`BLOCKS` pins two minibatch configs, whose clients train and mask in
+blocks of rows (one stacked `Model.grad` call for the clients of a block
+with equal batch sizes, one clip and encode a block).  "ragged-batch"
+(dp2guard under label flipping, logreg with 20 features and 10 classes,
+N = 30, Dirichlet alpha = 0.1, 900 training rows, seed 3) gives 18 of its
+30 clients fewer than `batch_size` = 32 rows, so a block splits into
+groups of unequal batch size and the short clients train in groups of
+their own; the streamed path then holds one block instead of one row.
+"full-rows-batch" (Multi-Krum under min-max, an MLP with 16 hidden units,
+N = 12, adv_ratio 0.25, seed 5) trains into the (N, d) stack a
+full-knowledge attack needs, starting at the first honest id, so its
+blocks do not start at row 0.  Both were recorded before clients began to
+train and mask in blocks, which may not move a bit.
 
 The digests are specific to the floating-point stack they were recorded on
 (numpy 2.4, OpenBLAS 0.3, x86-64): another BLAS may change the last bits of
@@ -191,3 +205,25 @@ def test_wide_multikrum_run_matches_pinned_digest(tmp_path, attack):
                            adv_ratio=0.25, attack={"kind": attack})
     result = run_experiment(cfg, out_dir=tmp_path)
     assert run_digest(tmp_path, result) == WIDE[attack]
+
+
+BLOCKS = {
+    "ragged-batch": (
+        dict(aggregator="dp2guard", model="logreg", synth_features=20, synth_classes=10,
+             n_clients=30, partition="dirichlet", alpha=0.1, synth_train=900, seed=3,
+             rounds=3, local_mode="batch", adv_ratio=0.2, attack={"kind": "label_flip"}),
+        "3ac7ede83c14e7b8041e24c34a8ef4151e5282fe106d8c0dbe2a8caf2e84cf45",
+    ),
+    "full-rows-batch": (
+        dict(aggregator="multikrum", model="mlp", hidden=16, n_clients=12, adv_ratio=0.25,
+             seed=5, rounds=3, local_mode="batch", attack={"kind": "minmax"}),
+        "497124dcc9238a0d60e3bd8b9693d6cfc072048cbbb9c132bcf91a05bec0cc6b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+def test_block_run_matches_pinned_digest(tmp_path, name):
+    config, pinned = BLOCKS[name]
+    result = run_experiment(ExperimentConfig(**config), out_dir=tmp_path)
+    assert run_digest(tmp_path, result) == pinned

@@ -17,9 +17,9 @@ from dp2guard import attacks, baselines, harness, models, servers, trust
 from dp2guard.attacks import fang_attack, fang_candidate
 from dp2guard.baselines import dnc_survivors, fedavg
 from dp2guard.client import local_gradient, split_and_mask
-from dp2guard.data import partition
+from dp2guard.data import Dataset, partition
 from dp2guard.defense import detect
-from dp2guard.errors import ConfigError, OutputExists
+from dp2guard.errors import ConfigError, NonFiniteGradient, OutputExists
 from dp2guard.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -996,6 +996,48 @@ def test_client_masking_cost_linear_in_dimension(monkeypatch):
     assert totals[10_000] == 10 * totals[1000]
 
 
+def test_block_rows_follow_the_word_budget():
+    # K = max(1, min(N, BLOCK_WORDS // d)): secure-long's d = 210 puts all
+    # 20 clients in one block, while adaptive-fang's d = 7,850 and the
+    # MLP workloads' d = 50,890 keep one client per call.
+    assert harness.BLOCK_WORDS == 8192
+    assert harness.block_rows(210, 20) == 20
+    assert harness.block_rows(210, 50) == 39
+    assert harness.block_rows(4096, 100) == 2
+    assert harness.block_rows(4097, 100) == 1
+    assert harness.block_rows(7850, 50) == 1
+    assert harness.block_rows(50_890, 100) == 1
+
+
+@pytest.mark.parametrize("aggregator", ["dp2guard", "fedavg"])
+def test_diverging_client_in_mid_block_is_named(monkeypatch, aggregator):
+    # Clients 3 and 5 each hold one row of features at 1e308, near the
+    # float64 maximum, so their hidden pre-activations overflow and their
+    # round-0 gradients are not finite (at 1e300 they stay finite).  All eight clients share one block
+    # and one stacked model call (32 rows each, batch size 32), streamed
+    # under dp2guard and into the (N, d) stack under FedAvg; the error
+    # names the lowest diverging client, not the block's first.
+    n = 8
+    cfg = ExperimentConfig(aggregator=aggregator, model="mlp", hidden=16, n_clients=n,
+                           rounds=2, seed=3, synth_train=32 * n, synth_test=50,
+                           local_mode="batch", batch_size=32)
+
+    def poisoned_load(cfg):
+        train, test = load_datasets(cfg)
+        owners = partition(train, n, cfg.partition, cfg.alpha,
+                           rng=substream(cfg.seed, "partition"))
+        features = train.features.copy()
+        for cid in (3, 5):
+            features[owners[cid][0]] = 1e308
+        return Dataset(features, train.labels, train.n_classes), test
+
+    monkeypatch.setattr(harness, "load_datasets", poisoned_load)
+    d = models.Model("mlp", cfg.synth_features, cfg.synth_classes, hidden=16).dim
+    assert harness.block_rows(d, n) == n
+    with pytest.raises(NonFiniteGradient, match=r"^client 3's gradient in round 0 "):
+        run_experiment(cfg)
+
+
 def test_secure_round_wire_bytes_match_analytic_sizes():
     # One dp2guard round puts on each channel edge exactly: 2N uploads of
     # header + (id, share index) + ring header + 8d; one CenteredBatch of
@@ -1014,7 +1056,8 @@ def test_secure_round_wire_bytes_match_analytic_sizes():
             return super().send(src, dst, msg)
 
     stack = substream(4, "wire").standard_normal((n, d))
-    harness._dp2guard_round(cfg, stack, 0, Ledger(), Recording(), np.zeros(d),
+    harness._dp2guard_round(cfg, harness._row_blocks(stack, harness.block_rows(d, n)), 0,
+                            Ledger(), Recording(), np.zeros(d),
                             ServerS1(n, d, cfg.scale_bits),
                             ServerS2(n, d, cfg.scale_bits, cfg.beta, cfg.exclusion))
     assert edges == {
@@ -1041,10 +1084,13 @@ def test_secure_round_allocates_no_share_sized_temporaries():
     ledger, channel = Ledger(), Channel()
     servers = (ServerS1(n, d, cfg.scale_bits),
                ServerS2(n, d, cfg.scale_bits, cfg.beta, cfg.exclusion))
-    harness._dp2guard_round(cfg, stack, 0, ledger, channel, params, *servers)  # warm
+    k = harness.block_rows(d, n)
+    harness._dp2guard_round(cfg, harness._row_blocks(stack, k), 0, ledger, channel, params,
+                            *servers)  # warm
     tracemalloc.start()
     try:
-        harness._dp2guard_round(cfg, stack, 1, ledger, channel, params, *servers)
+        harness._dp2guard_round(cfg, harness._row_blocks(stack, k), 1, ledger, channel,
+                                params, *servers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -214,3 +214,60 @@ def test_accuracy_of_non_finite_logits_is_nan_without_warnings(arch):
         assert np.isnan(model.accuracy(huge, features * 1e10, labels))
         params[0] = np.nan
         assert np.isnan(model.accuracy(params, features, labels))
+
+
+class TestStackedGrad:
+    """`Model.grad` on a block of K minibatches (K, b, p) against K calls on
+    (b, p), bit for bit.
+
+    Bit identity rests on numpy's stacked `matmul` making one gemm call per
+    matrix, with the same operands, shapes and transposes as the unstacked
+    call, and on reductions over the last two axes visiting each row's
+    entries in the same order.  Checked with numpy 2.4.6 and OpenBLAS
+    0.3.31 (scipy-openblas64, x86-64, one and two threads); another numpy
+    or BLAS could batch the products differently, and then these tests say
+    so before a pinned digest moves."""
+
+    @pytest.mark.parametrize("arch,hidden", [("logreg", 1), ("mlp", 7)])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    @pytest.mark.parametrize("batch", [1, 5, 32])
+    def test_block_equals_per_client_calls(self, arch, hidden, k, batch):
+        model = Model(arch, n_features=13, n_classes=10, hidden=hidden)
+        rng = substream(105, "stacked", arch, k, batch)
+        params = (model.init_params(rng) if arch == "mlp"
+                  else rng.standard_normal(model.dim) * 0.3)
+        X = rng.standard_normal((k, batch, 13)) * 2.0
+        y = rng.integers(0, model.n_classes, size=(k, batch))
+        got = model.grad(params, X, y)
+        assert got.shape == (k, model.dim)
+        for row in range(k):
+            assert np.array_equal(got[row], model.grad(params, X[row], y[row]))
+            assert np.array_equal(got[row], reference_grad(model, params, X[row], y[row]))
+
+    @pytest.mark.parametrize("arch", ["logreg", "mlp"])
+    def test_writes_every_block_into_strided_out_rows(self, arch):
+        # Each parameter block's gradient lands in its view of the given
+        # rows, here every other row of a larger array: a view that
+        # silently became a copy would leave NaN behind.
+        model = Model(arch, n_features=6, n_classes=4, hidden=5)
+        rng = substream(106, "strided", arch)
+        params = model.init_params(rng) + 0.1
+        X = rng.standard_normal((3, 8, 6))
+        y = rng.integers(0, 4, size=(3, 8))
+        big = np.full((7, model.dim), np.nan)
+        out = big[1::2][:3]
+        assert model.grad(params, X, y, out) is out
+        assert np.array_equal(out, model.grad(params, X, y))
+        assert np.isnan(big[0::2]).all()
+
+    def test_leading_shapes_must_match(self):
+        for model in (Model("logreg", 4, 3), Model("mlp", 4, 3, hidden=5)):
+            params = np.zeros(model.dim)
+            with pytest.raises(ShapeMismatch):
+                model.grad(params, np.zeros((2, 3, 4)), np.zeros((3, 3), dtype=int))
+            with pytest.raises(ShapeMismatch):
+                model.grad(params, np.zeros((2, 3, 4)), np.zeros((2, 2), dtype=int))
+            with pytest.raises(ShapeMismatch):
+                model.grad(params, np.zeros((3, 4)), np.zeros(2, dtype=int))
+            with pytest.raises(ShapeMismatch):
+                model.grad(params, np.zeros((2, 0, 4)), np.zeros((2, 0), dtype=int))

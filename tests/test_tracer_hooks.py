@@ -50,10 +50,10 @@ def test_tracer_spans_a_fang_run_and_restores_every_name():
 
 @pytest.mark.parametrize("n_clients", [5, 10])
 def test_tracer_spans_the_upload_path_of_a_batch_label_flip_run(n_clients):
-    # Per round, every client masks once and sends two uploads, and the
-    # per-client "client" and "mask" streams are re-keyed, not built by
-    # `substream`: its one call a round (the "cluster" stream) does not
-    # grow with N.
+    # Per round, every block of clients trains and masks in one call each
+    # and every client sends two uploads, and the per-client "client" and
+    # "mask" streams are re-keyed, not built by `substream`: its one call a
+    # round (the "cluster" stream) does not grow with N.
     _check_upload_spans(ExperimentConfig(
         n_clients=n_clients, rounds=3, adv_ratio=0.2, seed=4, local_mode="batch",
         attack={"kind": "label_flip", "offset": 1}, synth_train=300, synth_test=100))
@@ -69,7 +69,11 @@ def test_tracer_spans_the_upload_path_of_an_epoch_run_without_attack(n_clients):
 
 def _check_upload_spans(cfg):
     # Recording the history trains every client into its own row before
-    # any upload, and the tracer still sees the same calls a round.
+    # any upload, and the tracer still sees the same calls a round.  At
+    # d = 84 one block holds every client, so training and masking are one
+    # call each a round, and the uploads stay two per client.
+    d = (cfg.synth_features + 1) * cfg.synth_classes
+    assert d == 84 and harness.block_rows(d, cfg.n_clients) == cfg.n_clients
     for record_history in (False, True):
         tracer = _load_spans().Tracer()
         tracer.install()
@@ -79,8 +83,8 @@ def _check_upload_spans(cfg):
             tracer.uninstall()
         for round_no in range(cfg.rounds):
             calls = Counter(name for _, name, _, _, _, r in tracer.spans if r == round_no)
-            assert calls["client.local_gradient"] == cfg.n_clients
-            assert calls["client.split_and_mask"] == cfg.n_clients
+            assert calls["client.local_gradient"] == 1
+            assert calls["client.split_and_mask"] == 1
             assert calls["servers.encode_share_upload"] == 2 * cfg.n_clients
             assert calls["servers.receive_share"] == 2 * cfg.n_clients
             assert calls["numeric.substream"] == 1
