@@ -1,8 +1,10 @@
 """Plaintext reference aggregators: FedAvg, Multi-Krum, DnC, and FLTrust."""
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -18,11 +20,78 @@ class DnCConfig:
     assumed_malicious: int = 1
 
 
-def fedavg(gradients: Sequence[np.ndarray]) -> np.ndarray:
-    """Uniform mean of the gradients."""
-    if len(gradients) == 0:
-        raise ValueError("nothing to aggregate")
-    return np.asarray(gradients, dtype=np.float64).mean(axis=0)
+@dataclass(frozen=True, eq=False)
+class Population:
+    """The N rows a rule aggregates: the `honest` rows (n_honest, d) plus
+    n_copies copies of the one `crafted` d-vector that every full-knowledge
+    attacker submits, placed before the honest rows (`copies_first`, the
+    round's order: attackers hold the lowest ids) or after them (the fang
+    oracle's).  Without copies it is `honest` itself.
+
+    The rules read it as they read an (N, d) array, without the copies
+    ever being written: `pop[i]` is row i, `pop[:, coords]` the columns
+    `coords` of every row, and `np.asarray(pop)` the stacked rows (fresh
+    when there are copies)."""
+    honest: np.ndarray
+    crafted: np.ndarray | None = None
+    n_copies: int = 0
+    copies_first: bool = True
+
+    def __len__(self) -> int:
+        return len(self.honest) + self.n_copies
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), self.honest.shape[1]
+
+    def join(self, honest_part: np.ndarray, copy_part) -> np.ndarray:
+        """Per-row parts in population order: `honest_part`, one entry per
+        honest row, and `copy_part`, each copy's entry, repeated n_copies
+        times.  Without copies, `honest_part` itself."""
+        if not self.n_copies:
+            return honest_part
+        copy_part = np.asarray(copy_part)
+        copies = np.broadcast_to(copy_part, (self.n_copies, *copy_part.shape))
+        return np.concatenate((copies, honest_part) if self.copies_first
+                              else (honest_part, copies))
+
+    def __getitem__(self, key) -> np.ndarray:
+        if isinstance(key, tuple):
+            rows, coords = key
+            if rows != slice(None):
+                raise IndexError("a population selects columns of every row only")
+            return self.join(self.honest[:, coords], self.crafted[coords] if self.n_copies
+                             else None)
+        i = operator.index(key)
+        if not 0 <= i < len(self):
+            raise IndexError(f"row {i} outside a population of {len(self)}")
+        first = self.n_copies if self.copies_first else 0
+        if first <= i < first + len(self.honest):
+            return self.honest[i - first]
+        return self.crafted
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if not self.n_copies:
+            return np.array(self.honest, dtype=dtype, copy=copy)
+        if copy is False:
+            raise ValueError("a population with copies has no stack to view")
+        stack = self.join(self.honest, self.crafted)
+        return stack if dtype is None else stack.astype(dtype, copy=False)
+
+    def blocks(self, k: int) -> Iterator[np.ndarray]:
+        """Consecutive row blocks of at most k rows in population order, no
+        block holding both kinds: each copy block a read-only broadcast
+        view of `crafted`, each honest block a view of `honest`."""
+        d = self.honest.shape[1]
+        copies = (np.broadcast_to(self.crafted, (min(k, self.n_copies - lo), d))
+                  for lo in range(0, self.n_copies, k))
+        honest = (self.honest[lo:lo + k] for lo in range(0, len(self.honest), k))
+        return itertools.chain(*((copies, honest) if self.copies_first else (honest, copies)))
+
+
+def fedavg(gradients: Sequence[np.ndarray] | Population) -> np.ndarray:
+    """Uniform mean of the gradients, added row by row (`kept_mean`)."""
+    return kept_mean(gradients, range(len(gradients)))
 
 
 def krum_scores(sq_dists: np.ndarray, copy_dists: np.ndarray | None, n_copies: int,
@@ -56,8 +125,9 @@ def krum_scores(sq_dists: np.ndarray, copy_dists: np.ndarray | None, n_copies: i
     return table[:, :n - f - 2].sum(axis=1)
 
 
-def kept_mean(stack: np.ndarray, kept: Sequence[int]) -> np.ndarray:
-    """Mean of the rows `kept`, added in the given order into one d-vector.
+def kept_mean(stack: np.ndarray | Population, kept: Sequence[int]) -> np.ndarray:
+    """Mean of the rows `kept` of `stack` (an (N, d) array, a sequence of
+    rows or a Population), added in the given order into one d-vector.
 
     Equal bit for bit to stack[kept].mean(axis=0) for float64 rows of
     d >= 2 entries, whose axis-0 reduction also adds whole rows in order,
@@ -73,12 +143,13 @@ def kept_mean(stack: np.ndarray, kept: Sequence[int]) -> np.ndarray:
     return total
 
 
-def dnc_survivors(stack: np.ndarray, cfg: DnCConfig,
+def dnc_survivors(stack: np.ndarray | Population, cfg: DnCConfig,
                   rng: np.random.Generator) -> set[int]:
-    """Indices kept by the spectral filter: each iteration scores clients by
-    squared projection onto the top singular direction of a centered
-    coordinate subsample and drops the highest scorers; the surviving sets
-    intersect.  An empty intersection falls back to the lowest scorer."""
+    """Indices of `stack` (an (N, d) array or a Population) kept by the
+    spectral filter: each iteration scores clients by squared projection
+    onto the top singular direction of a centered coordinate subsample and
+    drops the highest scorers; the surviving sets intersect.  An empty
+    intersection falls back to the lowest scorer."""
     n, d = stack.shape
     if n < 2:
         raise TooFewClients("dnc needs at least two clients")
@@ -100,10 +171,15 @@ def dnc_survivors(stack: np.ndarray, cfg: DnCConfig,
     return survivors
 
 
-def fltrust(gradients: Sequence[np.ndarray], root_gradient: np.ndarray) -> np.ndarray:
+def fltrust(gradients: Sequence[np.ndarray] | Population,
+            root_gradient: np.ndarray) -> np.ndarray:
     """Root-anchored aggregation: clip cosine similarity with the root
     gradient at zero, rescale each update to the root's norm, and average
-    by the clipped scores.  All-zero scores fall back to the root."""
+    by the clipped scores.  All-zero scores fall back to the root.
+
+    Beside the (N, d) stack, which a Population with copies builds once,
+    it allocates one (N, d) array at a time: the rows' squares for their
+    norms, then the rescaled rows, weighted in place."""
     root_norm = float(np.linalg.norm(root_gradient))
     if root_norm <= 0:
         raise ValueError("root gradient must be nonzero")
@@ -117,4 +193,5 @@ def fltrust(gradients: Sequence[np.ndarray], root_gradient: np.ndarray) -> np.nd
     if total <= 0.0:
         return root_gradient.copy()
     rescaled = stack * (root_norm / safe)[:, None]
-    return (rescaled * scores[:, None]).sum(axis=0) / total
+    rescaled *= scores[:, None]
+    return rescaled.sum(axis=0) / total

@@ -10,7 +10,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -363,14 +363,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     root_data = _fltrust_root(cfg, test) if cfg.aggregator == "fltrust" else None
     # The round loop's (N, d) arrays live for the run (np.empty only maps
     # them; round 0 touches their pages): the dp2guard servers' matrices,
-    # sized at construction, and the gradient rows, one per client only
-    # where a party reads them all (a full-knowledge attacker or a plaintext
-    # rule) or the history records them, else one block of `block_rows`
-    # rows that each block of clients reuses.
-    full_rows = (isinstance(spec, FULL_KNOWLEDGE) or cfg.aggregator != "dp2guard"
-                 or record_history)
-    rows = np.empty((cfg.n_clients if full_rows else block_rows(model.dim, cfg.n_clients),
-                     model.dim))
+    # sized at construction, and the gradient rows.  Those hold one row per
+    # honest client under a full-knowledge attack, whose attackers all
+    # submit the one crafted gradient; one per client where a plaintext
+    # rule reads them all or the history records them; else one block of
+    # `block_rows` rows that each block of clients reuses.
+    k = block_rows(model.dim, cfg.n_clients)
+    if isinstance(spec, FULL_KNOWLEDGE):
+        n_rows = cfg.n_clients - cfg.n_malicious
+    elif cfg.aggregator != "dp2guard" or record_history:
+        n_rows = cfg.n_clients
+    else:
+        n_rows = k
+    rows = np.empty((n_rows, model.dim))
     if cfg.aggregator == "dp2guard":
         s1 = ServerS1(cfg.n_clients, model.dim, cfg.scale_bits)
         s2 = ServerS2(cfg.n_clients, model.dim, cfg.scale_bits, cfg.beta, cfg.exclusion)
@@ -378,32 +383,41 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     result = RunResult(cfg, [], ledger, params, model)
     metrics: list[RoundMetrics] = []
 
-    detection_rows: list[str] = []
+    # detection.csv takes each dp2guard round's lines once its detection is
+    # known, as the ledger takes its block: a failed run keeps both files
+    # up to the round it failed in.
+    detection_csv = None
     try:
         for round_no in range(cfg.rounds):
             started = time.perf_counter()
             gradients, crafted_norm, honest_dists = _round_gradients(
                 cfg, datasets, model, params, round_no, spec, rows)
             if record_history:
-                result.gradient_history.append(rows.copy())
+                result.gradient_history.append(np.array(gradients))
 
             if cfg.aggregator == "dp2guard":
+                if isinstance(gradients, baselines.Population):
+                    gradients = gradients.blocks(k)
                 g_agg, detection, tau = _dp2guard_round(cfg, gradients, round_no, ledger,
                                                         channel, params, s1, s2)
                 benign_pred = detection.benign
                 mtb, mtm = _trust_means(s2.trust, cfg.n_malicious)
-                # Row k of the round is client k.
-                for k, (s, c) in enumerate(detection.features):
-                    flag = int(k in detection.benign)
-                    detection_rows.append(f"{round_no},{k},{float(s)!r},"
-                                          f"{float(c)!r},{1 - flag},{flag}")
+                if out_path is not None:
+                    if detection_csv is None:
+                        detection_csv = (out_path / "detection.csv").open("x", encoding="utf-8")
+                        detection_csv.write("round,client_id,s,c,cluster,benign\n")
+                    _write_detection(detection_csv, round_no, detection)
                 if record_history:
                     result.weight_history.append(tau)
                     result.benign_history.append(benign_pred)
             else:
-                g_agg, benign_pred = _baseline_round(cfg, rows, round_no, model,
+                g_agg, benign_pred = _baseline_round(cfg, gradients, round_no, model,
                                                      params, root_data, honest_dists)
                 mtb = mtm = None
+            # The crafted row lives until here, not into the next round: kept
+            # alive while the next round allocates, it cost adaptive-fang's
+            # peak RSS 2.2 MB in about one run in three.
+            del gradients
 
             with np.errstate(all="ignore"):  # a diverged model fails below, on its round
                 params = models.sgd_step(params, g_agg, cfg.eta)
@@ -420,6 +434,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                                         time.perf_counter() - started, crafted_norm))
     finally:
         ledger.close()
+        if detection_csv is not None:
+            detection_csv.close()
     result.metrics = metrics
     result.final_params = params
     if out_path is not None:
@@ -428,10 +444,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                      title=f"{cfg.aggregator} on {cfg.dataset}")
         (out_path / "resolved-config.json").write_text(cfg.to_json() + "\n",
                                                        encoding="utf-8")
-        if detection_rows:
-            (out_path / "detection.csv").write_text(
-                "round,client_id,s,c,cluster,benign\n" +
-                "\n".join(detection_rows) + "\n", encoding="utf-8")
         if any(m.crafted_norm is not None for m in metrics):
             attack_lines = ["round,crafted_norm"]
             attack_lines += [f"{m.round},{m.crafted_norm!r}" for m in metrics
@@ -444,33 +456,37 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
 def _round_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
                      model: models.Model, params: np.ndarray, round_no: int,
                      spec: attacks.AttackSpec | None, rows: np.ndarray,
-                     ) -> tuple[Iterable[np.ndarray], float | None,
+                     ) -> tuple[baselines.Population | Iterator[np.ndarray], float | None,
                                 attacks.RowDistances | None]:
-    """The round's plaintext gradients as (K, d) row blocks in client order
-    (K = `block_rows`, the last block possibly shorter), the crafted
-    gradient's norm (None without a full-knowledge attack) and the honest
-    rows' `row_distances` where the attack or Multi-Krum reads them (else
-    None).
+    """The round's plaintext gradients, the crafted gradient's norm (None
+    without a full-knowledge attack) and the honest rows' `row_distances`
+    where the attack or Multi-Krum reads them (else None).
 
-    Honest and label-flip clients train a block at a time, each from its
-    ("client", id, round) stream.  With N `rows`, client i trains into
-    rows[i], blocks starting at the first honest id; every row is filled,
-    full-knowledge attackers' with the gradient crafted from the honest
-    rows (the harness side channel), before the blocks of `rows` are
-    returned.  With fewer, `rows` is one block that every block of
-    clients reuses: a generator trains each block when the consumer asks,
-    so a block must be consumed before the next is drawn.
+    Honest and label-flip clients train a block at a time (K =
+    `block_rows`, the last block possibly shorter), each from its
+    ("client", id, round) stream.  Under a full-knowledge attack `rows`
+    holds the N - n_malicious honest clients, row i for client
+    n_malicious + i, and the attackers train nothing; otherwise a row per
+    client.  Once every row is trained, the gradients are a `Population` of
+    `rows` plus, under the attack, n_malicious copies first of the one
+    gradient crafted from them (the harness side channel), which no row
+    holds.  With fewer rows, `rows` is one block that every block of
+    clients reuses, and the gradients are a generator of (K, d) blocks in
+    client order: it trains each block when the consumer asks, so a block
+    must be consumed before the next is drawn.
 
     Raises NonFiniteGradient, naming the lowest diverging client and the
     round, as soon as a block's training diverges."""
     full_knowledge = isinstance(spec, FULL_KNOWLEDGE)
     n, k = len(datasets), block_rows(model.dim, len(datasets))
+    first = cfg.n_malicious if full_knowledge else 0  # client of row 0
     rng = np.random.Generator(np.random.Philox(0))  # re-keyed for each client
 
     def train(lo: int) -> np.ndarray:
         hi = min(lo + k, n)
-        # N rows: the block's own rows; one reused block: its first rows.
-        block = rows[lo % len(rows):][:hi - lo]
+        # A row per trained client: the block's own rows; one reused block:
+        # its first rows.
+        block = rows[(lo - first) % len(rows):][:hi - lo]
         # A diverging run overflows inside training; it fails here, on its
         # cause, instead of with numpy warnings and a later error.
         with np.errstate(all="ignore"):
@@ -485,30 +501,20 @@ def _round_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
                                     "non-finite entries: local training diverged")
         return block
 
-    trained = map(train, range(cfg.n_malicious if full_knowledge else 0, n, k))
-    if len(rows) < n:
+    trained = map(train, range(first, n, k))
+    if len(rows) < n - first:
         return trained, None, None
     for _ in trained:
         pass
-
-    crafted_norm = honest_dists = None
-    if full_knowledge and cfg.n_malicious:
-        # Attackers hold the first ids (ExperimentConfig.malicious_ids), so
-        # the honest rows are one contiguous view; every attacker submits
-        # the one crafted gradient.
-        honest = rows[cfg.n_malicious:]
-        # The scale searches' budgets and Multi-Krum (oracle and round) read them.
-        if cfg.aggregator == "multikrum" or not isinstance(spec, attacks.FangSpec):
-            honest_dists = attacks.row_distances(honest)
-        crafted = _craft(cfg, spec, honest, round_no, honest_dists)
-        crafted_norm = float(np.linalg.norm(crafted))
-        rows[:cfg.n_malicious] = crafted
-    return _row_blocks(rows, k), crafted_norm, honest_dists
-
-
-def _row_blocks(rows: np.ndarray, k: int) -> Iterable[np.ndarray]:
-    """Consecutive k-row views of `rows`, the last possibly shorter."""
-    return (rows[lo:lo + k] for lo in range(0, len(rows), k))
+    if not (full_knowledge and cfg.n_malicious):
+        return baselines.Population(rows), None, None
+    honest_dists = None
+    # The scale searches' budgets and Multi-Krum (oracle and round) read them.
+    if cfg.aggregator == "multikrum" or not isinstance(spec, attacks.FangSpec):
+        honest_dists = attacks.row_distances(rows)
+    crafted = _craft(cfg, spec, rows, round_no, honest_dists)
+    return (baselines.Population(rows, crafted, cfg.n_malicious),
+            float(np.linalg.norm(crafted)), honest_dists)
 
 
 def _craft(cfg: ExperimentConfig, spec: attacks.AttackSpec, honest: np.ndarray,
@@ -532,9 +538,10 @@ def _fang_oracle(cfg: ExperimentConfig, spec: attacks.FangSpec, honest: np.ndarr
     the ("attack-oracle", round) stream in the same state.  FedAvg and
     FLTrust never reject (FLTrust's root data is server-private, so the
     attacker cannot simulate it), and a spec with oracle="accept_all"
-    models a non-adaptive attacker.  Multi-Krum scores each candidate from
-    `honest_dists`, the honest rows' `row_distances`, and one gemv, with
-    the copies last."""
+    models a non-adaptive attacker.  Multi-Krum and DnC read the
+    population as a `baselines.Population` with the copies last, as the
+    round reads its own with them first; Multi-Krum scores each candidate
+    from `honest_dists`, the honest rows' `row_distances`, and one gemv."""
     if spec.oracle == "accept_all" or cfg.aggregator in ("fedavg", "fltrust"):
         return lambda candidate: True
     honest = np.asarray(honest, dtype=np.float64)
@@ -549,12 +556,11 @@ def _fang_oracle(cfg: ExperimentConfig, spec: attacks.FangSpec, honest: np.ndarr
             return defense.detect_gram(gram_of(candidate), rng).benign
     elif cfg.aggregator == "multikrum":
         def kept(candidate: np.ndarray) -> Iterable[int]:
-            return _multikrum_kept(cfg, honest, honest_dists, candidate, n_mal,
-                                   copies_first=False)
+            return _multikrum_kept(cfg, baselines.Population(honest, candidate, n_mal, False),
+                                   honest_dists)
     else:
         def kept(candidate: np.ndarray) -> Iterable[int]:
-            copies = np.broadcast_to(candidate, (n_mal, candidate.shape[0]))
-            return _dnc_kept(cfg, np.concatenate([honest, copies]), rng)
+            return _dnc_kept(cfg, baselines.Population(honest, candidate, n_mal, False), rng)
     start = rng.bit_generator.state
 
     def oracle(candidate: np.ndarray) -> bool:
@@ -598,16 +604,16 @@ def _population_gram(honest: np.ndarray, n_mal: int) -> Callable[[np.ndarray], n
     return gram_of
 
 
-def _multikrum_kept(cfg: ExperimentConfig, honest: np.ndarray,
-                    honest_dists: attacks.RowDistances, crafted: np.ndarray,
-                    n_copies: int, copies_first: bool) -> np.ndarray:
-    """Population indices Multi-Krum keeps, in its ranking order, for the
-    rows `honest` plus n_copies copies of `crafted`, placed before or after
-    them.  The copies' distances to the honest rows are one gemv,
+def _multikrum_kept(cfg: ExperimentConfig, population: baselines.Population,
+                    honest_dists: attacks.RowDistances) -> np.ndarray:
+    """Population indices Multi-Krum keeps, in its ranking order, from
+    `honest_dists`, the honest rows' `row_distances`.  The copies'
+    distances to the honest rows are one gemv,
     max(||h_i||^2 + ||c||^2 - 2 h_i.c, 0), the expanded form of the
     population's own Gram matrix.  The lowest scores win, ties to the lower
     index (one stable argsort)."""
     f, m = _multikrum_params(cfg)
+    honest, crafted, n_copies = population.honest, population.crafted, population.n_copies
     sq_norms, sq_dists = honest_dists
     copy_dists = None
     if n_copies:
@@ -615,16 +621,14 @@ def _multikrum_kept(cfg: ExperimentConfig, honest: np.ndarray,
                                 - 2.0 * (honest @ crafted), 0.0)
     scores = baselines.krum_scores(sq_dists, copy_dists, n_copies, f)
     if n_copies:
-        copies = np.full(n_copies, scores[-1])
-        scores = np.concatenate([copies, scores[:-1]] if copies_first
-                                else [scores[:-1], copies])
+        scores = population.join(scores[:-1], scores[-1])
     return np.argsort(scores, kind="stable")[:m]
 
 
-def _dnc_kept(cfg: ExperimentConfig, stack: np.ndarray,
+def _dnc_kept(cfg: ExperimentConfig, population: baselines.Population,
               rng: np.random.Generator) -> np.ndarray:
-    """Rows of `stack` DnC keeps, in ascending id order."""
-    kept = baselines.dnc_survivors(stack, _dnc_params(cfg), rng)
+    """Rows of `population` DnC keeps, in ascending id order."""
+    kept = baselines.dnc_survivors(population, _dnc_params(cfg), rng)
     return np.array(sorted(kept), dtype=np.intp)
 
 
@@ -635,9 +639,10 @@ def _dp2guard_round(cfg: ExperimentConfig, blocks: Iterable[np.ndarray],
     `round_no`: upload, center, detect, weigh (S2 updates its trust),
     publish, read back, reassemble.  Returns the global gradient, the
     detection and the weights keyed by client id.  `blocks` yields every
-    client's gradient in id order as (K, d) row blocks (as
-    `_round_gradients` returns them); each block is masked into its
-    clients' uploads, and those are sent, before the next is drawn."""
+    client's gradient in id order as row blocks of at most K rows
+    (`_round_gradients`' generator, or `Population.blocks`); each block is
+    masked into its clients' uploads, and those are sent, before the next
+    is drawn."""
     s1.start_round(round_no)
     s2.start_round(round_no)
 
@@ -667,6 +672,13 @@ def _dp2guard_round(cfg: ExperimentConfig, blocks: Iterable[np.ndarray],
     return s1.finalize(), detection, tau
 
 
+def _write_detection(fh: TextIO, round_no: int, detection: defense.DetectionResult) -> None:
+    """The round's detection.csv lines; row k of the round is client k."""
+    for k, (s, c) in enumerate(detection.features):
+        flag = int(k in detection.benign)
+        fh.write(f"{round_no},{k},{float(s)!r},{float(c)!r},{1 - flag},{flag}\n")
+
+
 def _upload_block(cfg: ExperimentConfig, block: np.ndarray, ids: range, round_no: int,
                   channel: Channel, s1: ServerS1, s2: ServerS2,
                   mask_rng: np.random.Generator) -> None:
@@ -686,29 +698,26 @@ def _upload_block(cfg: ExperimentConfig, block: np.ndarray, ids: range, round_no
         s2.receive_share(channel.send(f"client{cid}", "S2", m2))
 
 
-def _baseline_round(cfg: ExperimentConfig, stack: np.ndarray,
+def _baseline_round(cfg: ExperimentConfig, population: baselines.Population,
                     round_no: int, model: models.Model, params: np.ndarray,
                     root_data: Dataset | None,
                     honest_dists: attacks.RowDistances | None = None):
-    """The plaintext rule's aggregate of `stack` and the rows it kept (None
-    for FedAvg and FLTrust).  `honest_dists`, when given, are the
-    `row_distances` of the rows after the crafted copies, which fill the
-    first rows; Multi-Krum then scores from them.  Otherwise every row
-    counts as honest."""
+    """The plaintext rule's aggregate of `population` (the crafted copies,
+    if any, first) and the rows it kept (None for FedAvg and FLTrust).
+    Multi-Krum scores from `honest_dists`, the `row_distances` of the
+    population's honest rows, computed here when None."""
     if cfg.aggregator == "fedavg":
-        return baselines.fedavg(stack), None
+        return baselines.fedavg(population), None
     if cfg.aggregator == "fltrust":
         root_grad = model.grad(params, root_data.features, root_data.labels)
-        return baselines.fltrust(stack, root_grad), None
+        return baselines.fltrust(population, root_grad), None
     if cfg.aggregator == "multikrum":
         if honest_dists is None:
-            honest_dists = attacks.row_distances(stack)
-        n_copies = len(stack) - len(honest_dists.sq_norms)
-        kept = _multikrum_kept(cfg, stack[n_copies:], honest_dists, stack[0], n_copies,
-                               copies_first=True)
+            honest_dists = attacks.row_distances(population.honest)
+        kept = _multikrum_kept(cfg, population, honest_dists)
     else:
-        kept = _dnc_kept(cfg, stack, substream(cfg.seed, "dnc", round_no))
-    return baselines.kept_mean(stack, kept), frozenset(kept.tolist())
+        kept = _dnc_kept(cfg, population, substream(cfg.seed, "dnc", round_no))
+    return baselines.kept_mean(population, kept), frozenset(kept.tolist())
 
 
 def _multikrum_params(cfg: ExperimentConfig) -> tuple[int, int]:

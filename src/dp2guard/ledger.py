@@ -37,10 +37,15 @@ def _compact_json(obj: Any) -> str:
 
 def block_hash(index: int, round_no: int, prev_hash: bytes,
                payload: dict[str, Any]) -> bytes:
+    return _link_hash(index, round_no, prev_hash, _compact_json(payload))
+
+
+def _link_hash(index: int, round_no: int, prev_hash: bytes, payload_json: str) -> bytes:
+    """`block_hash` from the payload's compact JSON."""
     h = hashlib.sha256()
     h.update(struct.pack("<QQ", index, round_no))
     h.update(prev_hash)
-    h.update(_compact_json(payload).encode("utf-8"))
+    h.update(payload_json.encode("utf-8"))
     return h.digest()
 
 
@@ -116,16 +121,22 @@ class Ledger:
 
     def append(self, round_no: int, payload: dict[str, Any]) -> Block:
         """Append a block; the line is flushed to the file before the call
-        returns, so readers see every appended block while the run goes on."""
+        returns, so readers see every appended block while the run goes on.
+
+        The payload is encoded once: its compact JSON is hashed and spliced
+        into the line, which equals `_compact_json` of the whole record
+        (keys hash, index, payload, prev_hash, round, in sorted order)."""
         head = self.head
         index, prev = (0, GENESIS_HASH) if head is None else (head.index + 1, head.hash)
-        block = Block(index, round_no, prev, payload, block_hash(index, round_no, prev, payload))
+        payload_json = _compact_json(payload)
+        block = Block(index, round_no, prev, payload,
+                      _link_hash(index, round_no, prev, payload_json))
         if self.path is not None:
             if self._fh is None:
                 self._fh = self.path.open("x" if head is None else "a", encoding="utf-8")
-            record = {"index": index, "round": round_no, "prev_hash": prev.hex(),
-                      "payload": payload, "hash": block.hash.hex()}
-            self._fh.write(_compact_json(record) + "\n")
+            self._fh.write(f'{{"hash":"{block.hash.hex()}","index":{index},'
+                           f'"payload":{payload_json},"prev_hash":"{prev.hex()}",'
+                           f'"round":{round_no}}}\n')
             self._fh.flush()
         self.head = block
         return block

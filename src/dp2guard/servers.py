@@ -30,13 +30,14 @@ into that payload's own bytes, which detection reads and then releases.
 
 A round therefore holds three (N, d) arrays: the two share matrices and
 the CenteredBatch payload.  The clients' plaintext gradients add a
-fourth, the harness's N gradient rows, only under a full-knowledge
-attack, whose attackers craft from every honest gradient, or when the run
-records its gradient history; otherwise each block of K clients trains
-into one reused (K, d) row block (K = `harness.block_rows`, one client at
-d > 4,096) and masks it straight into its clients' uploads.  The batch of
-one round is freed when `ServerS2.detect_and_weigh` returns, before the
-next is built.
+fourth only under a full-knowledge attack, whose attackers craft from
+every honest gradient: the harness's N - n_malicious honest rows plus one
+crafted row, which every attacker's uploads are masked from; or N rows
+when the run records its gradient history.  Otherwise each block of K
+clients trains into one reused (K, d) row block (K = `harness.block_rows`,
+one client at d > 4,096) and masks it straight into its clients'
+uploads.  The batch of one round is freed when `ServerS2.detect_and_weigh`
+returns, before the next is built.
 """
 from __future__ import annotations
 

@@ -105,7 +105,7 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("error: client 0's gradient in round 0 ")
-        assert not (tmp_path / "o" / "metrics.csv").exists()
+        assert list((tmp_path / "o").iterdir()) == []  # nothing was published
 
     @pytest.mark.parametrize("aggregator", ["dp2guard", "fedavg"])
     def test_diverging_model_exits_two_from_the_shell(self, tmp_path, aggregator):
@@ -120,7 +120,18 @@ class TestRunCommand:
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("error: the model after round 0 ")
         assert "Warning" not in proc.stderr
-        assert not (tmp_path / "o" / "metrics.csv").exists()
+        # What round 0 published stays, as it was written: a dp2guard run's
+        # ledger block and its four detection.csv lines.
+        out = tmp_path / "o"
+        names = sorted(p.name for p in out.iterdir())
+        if aggregator == "dp2guard":
+            assert names == ["detection.csv", "ledger.jsonl"]
+            lines = (out / "detection.csv").read_text().splitlines()
+            assert lines[0] == "round,client_id,s,c,cluster,benign"
+            assert [line.split(",")[:2] for line in lines[1:]] == [["0", str(k)] for k in range(4)]
+            assert len((out / "ledger.jsonl").read_text().splitlines()) == 1
+        else:
+            assert names == []
 
 
 @pytest.mark.parametrize("case", ["verify-ledger-dir", "config-dir", "config-not-utf8",

@@ -37,7 +37,7 @@ from dp2guard.servers import (
     encode_message,
 )
 
-from test_baselines import dnc, multi_krum, multi_krum_select
+from test_baselines import dnc, multi_krum, multi_krum_select, shared_krum_scores
 from test_servers import RecordingChannel
 
 
@@ -245,10 +245,11 @@ class TestRunDeterminism:
         ids=["mlp-no-attack", "fang"])
     def test_recording_history_moves_no_artifact(self, tmp_path, overrides):
         # record_history trains every client into its own row, even where
-        # the run would otherwise stream them through one reused row, copies
+        # the run would otherwise stream them through one reused row, stacks
         # the rows and changes nothing the run writes.  Each round's
-        # recorded gradients are the rows `_round_gradients` trains from its
-        # parameters, bit for bit.
+        # recorded gradients are the population `_round_gradients` trains
+        # from its parameters (the honest rows under fang, after the crafted
+        # copies), bit for bit.
         cfg = _desk_config(rounds=3, **overrides)
         run_experiment(cfg, out_dir=tmp_path / "off")
         res = run_experiment(cfg, out_dir=tmp_path / "on", record_history=True)
@@ -261,11 +262,15 @@ class TestRunDeterminism:
         datasets = [train.subset(idx) for idx in partition(
             train, cfg.n_clients, cfg.partition, cfg.alpha, rng=substream(cfg.seed, "partition"))]
         params = res.model.init_params(substream(cfg.seed, "model-init"))
-        stack = np.empty((cfg.n_clients, res.model.dim))
+        spec = cfg.parse_attack()
+        n_rows = cfg.n_clients - (cfg.n_malicious if isinstance(spec, harness.FULL_KNOWLEDGE)
+                                  else 0)
+        rows = np.empty((n_rows, res.model.dim))
         for t in range(cfg.rounds):
-            harness._round_gradients(cfg, datasets, res.model, params, t,
-                                     cfg.parse_attack(), stack)
-            assert res.gradient_history[t].tobytes() == stack.tobytes()
+            gradients, _, _ = harness._round_gradients(cfg, datasets, res.model, params, t,
+                                                       spec, rows)
+            assert res.gradient_history[t].shape == (cfg.n_clients, res.model.dim)
+            assert res.gradient_history[t].tobytes() == np.asarray(gradients).tobytes()
             params = res.params_history[t]
 
 
@@ -565,7 +570,9 @@ class TestFangOracle:
             decisions.add(oracle(candidate))
             assert oracle(candidate) == any(i >= len(honest) for i in kept)
             stack = np.asarray([candidate] * n_mal + honest)
-            g_agg, benign = harness._baseline_round(cfg, stack, 1, None, None, None, dists)
+            g_agg, benign = harness._baseline_round(
+                cfg, baselines.Population(np.asarray(honest), candidate, n_mal), 1, None, None,
+                None, dists)
             want = multi_krum_select(stack, f, m)
             assert benign == frozenset(want.tolist())
             assert np.array_equal(g_agg, baselines.kept_mean(stack, want))
@@ -583,6 +590,76 @@ class TestFangOracle:
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
+
+
+def parent_fltrust(stack, root):
+    """FLTrust as one expression over a plain (N, d) stack, each (N, d)
+    temporary its own array: the reference the rule's bits must keep."""
+    root_norm = float(np.linalg.norm(root))
+    norms = np.linalg.norm(stack, axis=1)
+    safe = np.where(norms > 0, norms, 1.0)
+    scores = np.where(norms > 0, np.maximum((stack @ root) / (safe * root_norm), 0.0), 0.0)
+    rescaled = stack * (root_norm / safe)[:, None]
+    return (rescaled * scores[:, None]).sum(axis=0) / float(scores.sum())
+
+
+class TestPopulation:
+    @pytest.mark.parametrize("copies_first", [True, False], ids=["copies-first", "copies-last"])
+    @pytest.mark.parametrize("n_copies", [0, 1, 5])
+    def test_every_rule_reads_it_as_the_concatenated_stack(self, n_copies, copies_first):
+        # The round (copies first) and the fang oracle (copies last) hand
+        # each rule the honest rows and one crafted row; every reader must
+        # give the bits it gives on the stack np.concatenate builds.
+        n_honest, d = 11, 37
+        rng = substream(83, "population", n_copies, copies_first)
+        honest = rng.standard_normal((n_honest, d)) * rng.uniform(0.1, 5.0, size=(n_honest, 1))
+        crafted = 3.0 * rng.standard_normal(d) if n_copies else None
+        pop = baselines.Population(honest, crafted, n_copies, copies_first)
+        copies = np.broadcast_to(crafted, (n_copies, d)) if n_copies else honest[:0]
+        ref = np.concatenate([copies, honest] if copies_first else [honest, copies])
+        n = len(ref)
+
+        assert len(pop) == n and pop.shape == ref.shape
+        assert np.asarray(pop).tobytes() == ref.tobytes()
+        assert all(pop[i].tobytes() == ref[i].tobytes() for i in range(n))
+        coords = rng.choice(d, size=9, replace=False)
+        assert pop[:, coords].tobytes() == ref[:, coords].tobytes()
+        blocks = list(pop.blocks(4))
+        assert np.concatenate(blocks).tobytes() == ref.tobytes()
+        # Each block is a view of the honest rows or a broadcast of the
+        # crafted row: no copy is written, and no block holds both kinds.
+        assert all(len(b) <= 4 and (np.shares_memory(b, honest) or b.strides[0] == 0)
+                   for b in blocks)
+
+        assert baselines.fedavg(pop).tobytes() == ref.mean(axis=0).tobytes()
+        root = honest.mean(axis=0)
+        assert baselines.fltrust(pop, root).tobytes() == parent_fltrust(ref, root).tobytes()
+        order = rng.permutation(n)[:7]
+        assert baselines.kept_mean(pop, order).tobytes() == ref[order].mean(axis=0).tobytes()
+
+        cfg = _desk_config(aggregator="multikrum", n_clients=n,
+                           aggregator_params={"f": 2, "m": 7})
+        dists = attacks.row_distances(honest)
+        kept = harness._multikrum_kept(cfg, pop, dists)
+        want = np.argsort(shared_krum_scores(honest, crafted if n_copies else np.zeros(d),
+                                             n_copies, 2, copies_first), kind="stable")[:7]
+        assert np.array_equal(kept, want)
+        assert np.array_equal(kept, multi_krum_select(ref, 2, 7))
+
+        cfg = _desk_config(aggregator="dnc", n_clients=n,
+                           aggregator_params={"sub_dim": 20, "n_iters": 2})
+        got = harness._dnc_kept(cfg, pop, substream(83, "dnc"))
+        assert np.array_equal(got, harness._dnc_kept(cfg, ref, substream(83, "dnc")))
+
+    def test_rows_and_columns_outside_it_are_refused(self):
+        pop = baselines.Population(np.zeros((3, 4)), np.ones(4), 2)
+        for i in (-1, 5):
+            with pytest.raises(IndexError):
+                pop[i]
+        with pytest.raises(IndexError):
+            pop[1:, [0]]
+        with pytest.raises(ValueError):
+            np.array(pop, copy=False)
 
 
 class TestPopulationGram:
@@ -1056,7 +1133,7 @@ def test_secure_round_wire_bytes_match_analytic_sizes():
             return super().send(src, dst, msg)
 
     stack = substream(4, "wire").standard_normal((n, d))
-    harness._dp2guard_round(cfg, harness._row_blocks(stack, harness.block_rows(d, n)), 0,
+    harness._dp2guard_round(cfg, baselines.Population(stack).blocks(harness.block_rows(d, n)), 0,
                             Ledger(), Recording(), np.zeros(d),
                             ServerS1(n, d, cfg.scale_bits),
                             ServerS2(n, d, cfg.scale_bits, cfg.beta, cfg.exclusion))
@@ -1085,11 +1162,11 @@ def test_secure_round_allocates_no_share_sized_temporaries():
     servers = (ServerS1(n, d, cfg.scale_bits),
                ServerS2(n, d, cfg.scale_bits, cfg.beta, cfg.exclusion))
     k = harness.block_rows(d, n)
-    harness._dp2guard_round(cfg, harness._row_blocks(stack, k), 0, ledger, channel, params,
+    harness._dp2guard_round(cfg, baselines.Population(stack).blocks(k), 0, ledger, channel, params,
                             *servers)  # warm
     tracemalloc.start()
     try:
-        harness._dp2guard_round(cfg, harness._row_blocks(stack, k), 1, ledger, channel,
+        harness._dp2guard_round(cfg, baselines.Population(stack).blocks(k), 1, ledger, channel,
                                 params, *servers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -1146,14 +1223,34 @@ def test_a_dp2guard_run_retains_no_per_round_history():
     assert per_round < 1024
 
 
+def test_a_dp2guard_run_writes_detection_lines_as_rounds_end(tmp_path):
+    # detection.csv takes each round's N lines when the round is published,
+    # so a run's peak grows by its per-round metrics only.  Keeping the
+    # lines until the run ended measured 4.9 kB a round (N = 20), writing
+    # them 1.1 kB.
+    def peak(rounds: int) -> int:
+        cfg = ExperimentConfig(aggregator="dp2guard", n_clients=20, rounds=rounds,
+                               synth_train=400, synth_test=50, local_mode="batch", seed=3)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, out_dir=tmp_path / str(rounds))
+            _, high = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return high
+
+    peak(1)  # warm: first-use imports and caches are not the run's
+    assert (peak(50) - peak(10)) / 40 < 2048
+
+
 def test_multikrum_minmax_round_into_carried_stack_allocates_no_matrix():
-    # The (N, d) stack of round gradients is the only whole-matrix array of
-    # a Multi-Krum round under min-max, and the run carries it from round
+    # The honest clients' rows are the only whole-matrix array of a
+    # Multi-Krum round under min-max, and the run carries them from round
     # to round: squared row norms (min-max's diameter and Krum's scores)
-    # and the kept-row mean go row by row.  With an (N, d) temporary for
-    # each and a fresh stack, the round measured 2.00 x N*d*8 bytes; with
-    # a fresh stack only, 1.10; into the carried stack, 0.10 (N = 40, MLP
-    # d = 6,762).
+    # and the kept-row mean go row by row, and no row holds a crafted copy.
+    # With an (N, d) temporary for each and a fresh stack, the round
+    # measured 2.00 x N*d*8 bytes; with a fresh stack only, 1.10; into the
+    # carried stack, 0.10 (N = 40, MLP d = 6,762).
     n = 40
     cfg = ExperimentConfig(aggregator="multikrum", model="mlp", hidden=32,
                            synth_features=200, synth_classes=10, n_clients=n,
@@ -1166,11 +1263,12 @@ def test_multikrum_minmax_round_into_carried_stack_allocates_no_matrix():
     spec = cfg.parse_attack()
     datasets = [train.subset(idx) for idx in assignments]
     params = model.init_params(substream(cfg.seed, "model-init"))
-    stack = np.empty((n, model.dim))
+    rows = np.empty((n - cfg.n_malicious, model.dim))
 
     def one_round(round_no):
-        harness._round_gradients(cfg, datasets, model, params, round_no, spec, stack)
-        return harness._baseline_round(cfg, stack, round_no, model, params, None)
+        gradients, _, dists = harness._round_gradients(cfg, datasets, model, params,
+                                                       round_no, spec, rows)
+        return harness._baseline_round(cfg, gradients, round_no, model, params, None, dists)
 
     one_round(0)  # warm
     tracemalloc.start()
@@ -1180,6 +1278,32 @@ def test_multikrum_minmax_round_into_carried_stack_allocates_no_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * n * model.dim * 8
+
+
+@pytest.mark.parametrize("aggregator, stacks", [("multikrum", 0), ("fltrust", 2)])
+def test_a_full_knowledge_run_holds_the_crafted_gradient_once(aggregator, stacks):
+    # Every min-max attacker submits the one crafted gradient, and a run
+    # holds it once: its gradient rows are the N - n_malicious honest
+    # clients'.  Multi-Krum reads the population from them and the crafted
+    # row; FLTrust stacks the N rows once and rescales them in one more
+    # (N, d) array.  Measured at N = 40 with 8 attackers, d = 10,020, in
+    # rows of d float64 words: Multi-Krum 43.1 and FLTrust 122.4, against
+    # 50.1 and 128.4 while the rows held every copy (and FLTrust built a
+    # second (N, d) temporary).  The slack is the data, model and attack
+    # vectors, about 11 rows.
+    n = 40
+    cfg = ExperimentConfig(aggregator=aggregator, model="logreg", synth_features=500,
+                           synth_classes=20, n_clients=n, adv_ratio=0.2,
+                           attack={"kind": "minmax", "direction": "-mean"}, rounds=2,
+                           synth_train=n, synth_test=10, fltrust_root_size=10, seed=3)
+    run_experiment(cfg)  # warm: first-use imports are not the run's arrays
+    tracemalloc.start()
+    try:
+        result = run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (n - cfg.n_malicious + stacks * n + 14) * result.model.dim * 8
 
 
 def test_dp2guard_oracle_call_builds_no_population():

@@ -8,6 +8,7 @@ from dp2guard.errors import FormatError, RoundNotFound
 from dp2guard.ledger import (
     GENESIS_HASH,
     Ledger,
+    _compact_json,
     block_hash,
     make_round_payload,
     payload_agg_blob,
@@ -103,6 +104,25 @@ class TestAppend:
             assert kept.path.read_bytes() == reopened.path.read_bytes()
         kept.close()
         assert kept.path.read_bytes() == reopened.path.read_bytes()
+
+    def test_line_is_the_compact_record(self, tmp_path):
+        # append encodes the payload once and splices it into the line; the
+        # line must be the compact sorted-key JSON of the whole record, byte
+        # for byte, and the hash that of the record's fields, whatever
+        # escapes, nesting or round numbers the payload and round bring.
+        ledger = Ledger(tmp_path / "l.jsonl")
+        payloads = [(0, _payload(5, 0)), (7, {"z": [1, 2.5e-300, None], "a": {"\u00e9\n": "\""}}),
+                    (2**63 - 1, {}), (3, {"agg_share_blob": "A" * 70_000, "round": -1})]
+        lines = []
+        for round_no, payload in payloads:
+            block = ledger.append(round_no, payload)
+            assert block.hash == block_hash(block.index, round_no, block.prev_hash, payload)
+            lines.append(_compact_json({"index": block.index, "round": round_no,
+                                        "prev_hash": block.prev_hash.hex(),
+                                        "payload": payload, "hash": block.hash.hex()}) + "\n")
+        ledger.close()
+        assert ledger.path.read_text(encoding="utf-8") == "".join(lines)
+        assert verify_file(ledger.path) is None
 
     def test_append_after_close_reopens(self, tmp_path):
         path = tmp_path / "l.jsonl"
