@@ -23,7 +23,7 @@ from .ledger import (
     payload_agg_blob,
     payload_trust_weights,
 )
-from .numeric import MAX_SCALE_BITS, rekey, ring_view, serialize_ring, substream
+from .numeric import MAX_SCALE_BITS, rekey, substream
 from .servers import (
     Channel,
     ServerS1,
@@ -480,7 +480,7 @@ def _round_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
     full_knowledge = isinstance(spec, FULL_KNOWLEDGE)
     n, k = len(datasets), block_rows(model.dim, len(datasets))
     first = cfg.n_malicious if full_knowledge else 0  # client of row 0
-    rng = np.random.Generator(np.random.Philox(0))  # re-keyed for each client
+    rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed for each client
 
     def train(lo: int) -> np.ndarray:
         hi = min(lo + k, n)
@@ -646,7 +646,7 @@ def _dp2guard_round(cfg: ExperimentConfig, blocks: Iterable[np.ndarray],
     s1.start_round(round_no)
     s2.start_round(round_no)
 
-    mask_rng = np.random.Generator(np.random.Philox(0))  # re-keyed for each client
+    mask_rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed for each client
     lo = 0
     for block in blocks:
         ids = range(lo, lo + len(block))
@@ -656,20 +656,14 @@ def _dp2guard_round(cfg: ExperimentConfig, blocks: Iterable[np.ndarray],
     s2.receive_centered_batch(channel.send("S1", "S2", s1.center_shares()))
 
     detection, row_weights = s2.detect_and_weigh(substream(cfg.seed, "cluster", round_no))
-    agg2, agg_scale = s2.publish()
     tau = dict(enumerate(row_weights.tolist()))
-
-    model_digest = hashlib.sha256(params.tobytes()).digest()
-    ledger.append(round_no, make_round_payload(serialize_ring(agg2, agg_scale), tau,
-                                               model_digest))
+    ledger.append(round_no, make_round_payload(s2.publish(), tau,
+                                               hashlib.sha256(params).digest()))
 
     payload = ledger.read_round(round_no)
-    agg2_read, agg_scale_read = ring_view(payload_agg_blob(payload))
-    ledger_msg = encode_agg_and_weights(round_no, LEDGER_SENDER, agg2_read, agg_scale_read,
+    ledger_msg = encode_agg_and_weights(round_no, LEDGER_SENDER, payload_agg_blob(payload),
                                         payload_trust_weights(payload))
-    s1.receive_agg_and_weights(channel.send("ledger", "S1", ledger_msg))
-
-    return s1.finalize(), detection, tau
+    return s1.finalize(channel.send("ledger", "S1", ledger_msg)), detection, tau
 
 
 def _write_detection(fh: TextIO, round_no: int, detection: defense.DetectionResult) -> None:

@@ -23,6 +23,7 @@ import struct
 from typing import Sequence
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .errors import (ClientSetMismatch, DimensionMismatch, EncodingOverflow, FormatError,
                      WeightError)
@@ -97,7 +98,7 @@ def decode_fixed(words: np.ndarray, scale_bits: int) -> np.ndarray:
     return words.view(np.int64).astype(np.float64) * 2.0 ** (-scale_bits)
 
 
-def uniform_words(d: int, rng: np.random.Generator) -> np.ndarray:
+def uniform_words(d: int, rng: Generator) -> np.ndarray:
     """d fresh, writable words drawn uniformly over the whole ring.
 
     The raw 64-bit outputs of the bit generator are the words that
@@ -228,18 +229,18 @@ def _stream_key(seed: int, *path: int | str) -> int:
     return int.from_bytes(hashlib.sha256(b"".join(parts)).digest()[:16], "little")
 
 
-def substream(seed: int, *path: int | str) -> np.random.Generator:
+def substream(seed: int, *path: int | str) -> Generator:
     """Independent reproducible generator keyed by (seed, path): distinct
     paths never share state, and the stream is identical across platforms."""
-    return rekey(np.random.Generator(np.random.Philox(0)), seed, *path)
+    return Generator(Philox(key=_stream_key(seed, *path)))
 
 
-def rekey(rng: np.random.Generator, seed: int, *path: int | str) -> np.random.Generator:
+def rekey(rng: Generator, seed: int, *path: int | str) -> Generator:
     """Set `rng`, a Philox generator, to the start of the (seed, path)
     stream (that key, counter 0, no buffered word or half word; a Generator
-    keeps no state of its own) and return it.  `substream` starts every
-    generator here; re-keying one is several times cheaper than building a
-    fresh one, so per-client loops reuse one."""
+    keeps no state of its own) and return it: the state `substream` starts
+    in.  Re-keying one is several times cheaper than building a fresh one,
+    so per-client loops reuse one."""
     key = _stream_key(seed, *path)
     state = {"counter": (0, 0, 0, 0), "key": (key % 2**64, key >> 64)}
     rng.bit_generator.state = {"bit_generator": "Philox", "state": state, "buffer": (0, 0, 0, 0),

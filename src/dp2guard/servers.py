@@ -14,7 +14,9 @@ A server is built once per run from run constants: N, d and scale_bits
 (a share of any other d or scale is a ProtocolError), and for S2 the
 trust history weight beta and the exclusion mode.  S2 keeps the run's
 (N,) trust vector and updates it every round.  `start_round` opens each
-round.
+round.  S2's `publish` returns its partial aggregate serialized, the blob
+the ledger record stores, and `ServerS1.finalize` finishes the round in
+one call on the AggDigestAndWeights message that carries it back.
 
 Memory: a server allocates its share matrix once, at construction,
 and refills it in place every round: at realistic sizes a fresh (N, d)
@@ -213,12 +215,14 @@ def decode_centered_batch(msg: ProtocolMessage) -> tuple[list[int], np.ndarray, 
     return records["id"].tolist(), words, scale_bits
 
 
-def encode_agg_and_weights(round_no: int, sender: int, aggregate: np.ndarray,
-                           scale_bits: int, tau: Mapping[int, float]) -> ProtocolMessage:
+def encode_agg_and_weights(round_no: int, sender: int, blob: bytes,
+                           tau: Mapping[int, float]) -> ProtocolMessage:
+    """An AggDigestAndWeights of the weights `tau` and the aggregate's
+    serialized ring `blob`, whose bytes it appends unchanged."""
     parts = [_WEIGHT_COUNT.pack(len(tau))]
     for cid in sorted(tau):
         parts.append(_WEIGHT_RECORD.pack(cid, tau[cid]))
-    parts.append(serialize_ring(aggregate, scale_bits))
+    parts.append(blob)
     return ProtocolMessage(MSG_AGG_AND_WEIGHTS, round_no, sender, b"".join(parts))
 
 
@@ -308,7 +312,6 @@ class ServerS1(_ServerBase):
     published weights and reassembles the global gradient."""
 
     server_id = 1
-    _record: tuple[np.ndarray, int, dict[int, float]]
 
     def center_shares(self) -> ProtocolMessage:
         self._require(PHASE_COLLECTING, "center shares")
@@ -319,21 +322,17 @@ class ServerS1(_ServerBase):
         self.phase = PHASE_CENTERING
         return msg
 
-    def receive_agg_and_weights(self, msg: ProtocolMessage) -> None:
-        """Consume the (aggregate share, weights) record published for this
-        round; arrives via the ledger, never directly from S2."""
-        self._require(PHASE_CENTERING, "accept weights")
+    def finalize(self, msg: ProtocolMessage) -> np.ndarray:
+        """Finish the round on the AggDigestAndWeights record published for
+        it, which arrives via the ledger, never directly from S2: aggregate
+        own shares under its weights and reassemble the global gradient.
+        A record for another round is a ProtocolError, weights for clients
+        other than 0..N-1 a WeightError, and an aggregate of another d or
+        scale than S1's a DimensionMismatch."""
+        self._require(PHASE_CENTERING, "finalize")
         if msg.round != self.round:
             raise ProtocolError(f"weights for round {msg.round}, server at {self.round}")
-        self._record = decode_agg_and_weights(msg)
-        self.phase = PHASE_AGGREGATING
-
-    def finalize(self) -> np.ndarray:
-        """Aggregate own shares and reassemble the global gradient; a
-        published aggregate of another d or scale than S2's is a
-        DimensionMismatch."""
-        self._require(PHASE_AGGREGATING, "finalize")
-        agg2, agg_scale, tau = self._record
+        agg2, agg_scale, tau = decode_agg_and_weights(msg)
         # The record's ids ascend, so ids 0..N-1 put each weight on its share row.
         if list(tau) != list(range(len(self.shares))):
             raise WeightError("weight keys do not match share keys")
@@ -407,11 +406,12 @@ class ServerS2(_ServerBase):
         self.phase = PHASE_AGGREGATING
         return result, self._weights
 
-    def publish(self) -> tuple[np.ndarray, int]:
-        """(words, scale_bits) of the partial aggregate under the weights
+    def publish(self) -> bytes:
+        """The serialized ring of the partial aggregate under the weights
         `detect_and_weigh` set; it reaches S1 only through the ledger
         record the caller writes."""
         self._require(PHASE_AGGREGATING, "publish")
-        published = partial_aggregate(self.shares, self._weights, self.scale_bits)
+        published = serialize_ring(*partial_aggregate(self.shares, self._weights,
+                                                      self.scale_bits))
         self.phase = PHASE_DONE
         return published

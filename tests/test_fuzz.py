@@ -80,7 +80,7 @@ def valid_wires(rng: np.random.Generator) -> list[bytes]:
     return [encode_message(m) for m in (
         upload,
         batch,
-        encode_agg_and_weights(2, 0, _words(rng, d), 48, tau),
+        encode_agg_and_weights(2, 0, serialize_ring(_words(rng, d), 48), tau),
     )]
 
 
@@ -113,8 +113,8 @@ def receive(wire: bytes) -> bytes:
     else:
         assert msg.kind == MSG_AGG_AND_WEIGHTS
         aggregate, scale_bits, tau = decode_agg_and_weights(msg)
-        payload = encode_agg_and_weights(msg.round, msg.sender, aggregate, scale_bits,
-                                         tau).payload
+        payload = encode_agg_and_weights(msg.round, msg.sender,
+                                         serialize_ring(aggregate, scale_bits), tau).payload
     return encode_message(ProtocolMessage(msg.kind, msg.round, msg.sender, bytes(payload)))
 
 

@@ -1,7 +1,10 @@
 """Hygiene of the package source and its documented API, with the
 standard library only."""
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,3 +153,13 @@ def test_checker_lists_package_imports():
 def test_module_layering(name):
     source = (SRC / name).read_text(encoding="utf-8")
     assert package_imports(source) & FORBIDDEN_IMPORTS[name] == set()
+
+
+def test_importing_the_package_loads_numpy_random():
+    # numpy loads numpy.random lazily; the package loads it at import, so a
+    # run's first draw does not import it inside the run's timed setup.
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; import dp2guard; "
+            "print(before, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
+    assert proc.stdout.split() == ["False", "True"]

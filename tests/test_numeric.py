@@ -178,6 +178,16 @@ class TestSubstream:
         b = substream(0, 1).integers(0, 2**63, size=8)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed,path", [(7, ("cluster", 3)), (0, ("data", "train")),
+                                           (-5, ("mask", 99, 1)), (-2**63, ("m", 2, "x", -1)),
+                                           (2**63 - 1, ())])
+    def test_keyed_generator_equals_a_seeded_one_rekeyed(self, seed, path):
+        # substream builds its Philox from the stream key; a Philox seeded
+        # through SeedSequence and then re-keyed holds the same full state
+        # and draws the same stream.
+        _assert_same_stream(substream(seed, *path),
+                            rekey(np.random.Generator(np.random.Philox(0)), seed, *path))
+
 
 # Every kind of draw the program makes from a stream, each ending on a
 # different buffer state: a uint32 draw of odd length leaves a buffered half

@@ -20,6 +20,8 @@ from dp2guard.numeric import (
     partial_aggregate,
     reassemble_global,
     reconstruct_centered,
+    ring_view,
+    serialize_ring,
     substream,
     uniform_words,
 )
@@ -383,7 +385,7 @@ class TestWireFormat:
         sent = [
             _upload(4, 6, 2, words),
             _batch(6, 1, [0, 2, 5], rows),
-            encode_agg_and_weights(6, 0, uniform_words(7, rng), 48,
+            encode_agg_and_weights(6, 0, serialize_ring(uniform_words(7, rng), 48),
                                    {0: 0.25, 2: 0.25, 5: 0.5}),
         ]
         channel = RecordingChannel()
@@ -469,7 +471,7 @@ class TestWireFormat:
         agg = uniform_words(5, substream(81, "w"))
         tau = {0: 0.1, 1: 0.7, 2: 0.2}
         words, scale_bits, back = decode_agg_and_weights(
-            encode_agg_and_weights(3, 2, agg, 48, tau))
+            encode_agg_and_weights(3, 2, serialize_ring(agg, 48), tau))
         assert back == tau  # doubles survive bit-exactly
         assert np.array_equal(words, agg) and scale_bits == 48
 
@@ -496,9 +498,8 @@ def _drive_to_publish(grads, seed, round_no=0, beta=0.5, exclusion="soft"):
 
 def _drive_round(grads, seed, round_no=0, beta=0.5):
     s1, s2, detection, tau, channel = _drive_to_publish(grads, seed, round_no, beta)
-    record = encode_agg_and_weights(round_no, 0, *s2.publish(), tau)
-    s1.receive_agg_and_weights(channel.send("ledger", "S1", record))
-    return s1.finalize(), detection, tau, channel, s1, s2
+    record = encode_agg_and_weights(round_no, 0, s2.publish(), tau)
+    return s1.finalize(channel.send("ledger", "S1", record)), detection, tau, channel, s1, s2
 
 
 class TestServerStateMachines:
@@ -544,11 +545,10 @@ class TestServerStateMachines:
         rng = substream(102, "keys")
         grads = {i: rng.uniform(-1, 1, size=5) for i in range(4)}
         s1, s2, _, tau, _ = _drive_to_publish(grads, 103)
-        record = encode_agg_and_weights(0, 0, *s2.publish(),
+        record = encode_agg_and_weights(0, 0, s2.publish(),
                                         self._other_clients(tau, change))
-        s1.receive_agg_and_weights(record)
         with pytest.raises(WeightError):
-            s1.finalize()
+            s1.finalize(record)
 
     @pytest.mark.parametrize("d,scale_bits", [(4, 48), (6, 48), (5, 16), (5, 47), (5, 49)])
     def test_finalize_rejects_a_forged_aggregate(self, d, scale_bits):
@@ -559,11 +559,34 @@ class TestServerStateMachines:
         rng = substream(106, "forged")
         grads = {i: rng.uniform(-1, 1, size=5) for i in range(4)}
         s1, s2, _, tau, channel = _drive_to_publish(grads, 107)
-        assert s2.publish()[1] == 48
-        forged = encode_agg_and_weights(0, 0, uniform_words(d, rng), scale_bits, tau)
-        s1.receive_agg_and_weights(channel.send("ledger", "S1", forged))
+        assert ring_view(s2.publish())[1] == 48
+        forged = encode_agg_and_weights(0, 0, serialize_ring(uniform_words(d, rng), scale_bits),
+                                        tau)
         with pytest.raises(DimensionMismatch):
-            s1.finalize()
+            s1.finalize(channel.send("ledger", "S1", forged))
+
+    def test_finalize_takes_one_record_of_its_round_once(self):
+        # S1 finishes in one call on the record of its own round; a record
+        # for another round changes nothing, and a second call is refused.
+        rng = substream(108, "once")
+        grads = {i: rng.uniform(-1, 1, size=5) for i in range(4)}
+        s1, s2, _, tau, channel = _drive_to_publish(grads, 109, round_no=3)
+        blob = s2.publish()
+        for other in (2, 4):
+            with pytest.raises(ProtocolError, match=f"round {other}, server at 3"):
+                s1.finalize(encode_agg_and_weights(other, 0, blob, tau))
+        record = channel.send("ledger", "S1", encode_agg_and_weights(3, 0, blob, tau))
+        want = sum(tau[i] * grads[i] for i in grads)
+        assert np.max(np.abs(s1.finalize(record) - want)) <= 1e-3
+        with pytest.raises(ProtocolError, match="cannot finalize in phase 'done'"):
+            s1.finalize(record)
+
+    def test_publish_returns_the_serialized_partial_aggregate(self):
+        rng = substream(110, "publish")
+        grads = {i: rng.uniform(-1, 1, size=5) for i in range(4)}
+        _, s2, _, tau, _ = _drive_to_publish(grads, 111)
+        want = serialize_ring(*partial_aggregate(s2.shares, _weights(tau), 16))
+        assert s2.publish() == want
 
     def test_share_after_centering_rejected(self):
         rng = substream(84, "sm")
@@ -613,7 +636,7 @@ class TestServerStateMachines:
         s1 = _opened(ServerS1, 1, 4)
         agg = uniform_words(4, substream(90, "m"))
         with pytest.raises(ProtocolError):
-            s1.receive_agg_and_weights(encode_agg_and_weights(0, 0, agg, 48, {0: 1.0}))
+            s1.finalize(encode_agg_and_weights(0, 0, serialize_ring(agg, 48), {0: 1.0}))
 
     def test_server_boundary_audit(self):
         # S2 never sends anything directly to S1: its aggregate and
@@ -691,7 +714,8 @@ class TestTypedDecodeErrors:
 
     def _agg(self):
         agg = uniform_words(4, substream(95, "a"))
-        return agg, encode_agg_and_weights(0, 0, agg, 48, {0: 0.25, 1: 0.5, 4: 0.25})
+        return agg, encode_agg_and_weights(0, 0, serialize_ring(agg, 48),
+                                           {0: 0.25, 1: 0.5, 4: 0.25})
 
     def test_agg_and_weights_layout(self):
         agg, msg = self._agg()
@@ -810,9 +834,9 @@ class TestShareMatrixChecks:
             s2.receive_centered_batch(s1.center_shares())
             _, row_weights = s2.detect_and_weigh(substream(105, "km"))
             tau = dict(enumerate(row_weights.tolist()))
-            s1.receive_agg_and_weights(encode_agg_and_weights(round_no, 0, *s2.publish(), tau))
+            record = encode_agg_and_weights(round_no, 0, s2.publish(), tau)
             want = sum(tau[cid] * g for cid, g in grads.items())
-            assert np.max(np.abs(s1.finalize() - want)) <= 1e-3
+            assert np.max(np.abs(s1.finalize(record) - want)) <= 1e-3
             assert all(now is kept for now, kept in zip((s1.shares, s2.shares), matrices))
             assert float_matrices(s2) == []
 
