@@ -122,9 +122,10 @@ def batch_gradients(model: models.Model, params: np.ndarray, datasets: Sequence[
     labels = np.empty((len(full), batch_size), dtype=datasets[full[0]].labels.dtype)
     for j, k in enumerate(full):
         # The indices are in range by construction; "clip" spares take's
-        # buffered copy of the "raise" mode.
-        np.take(datasets[k].features, batches[k], axis=0, out=features[j], mode="clip")
-        np.take(datasets[k].labels, batches[k], out=labels[j], mode="clip")
+        # buffered copy of the "raise" mode.  The arrays' own `take` skips
+        # the np.take wrapper.
+        datasets[k].features.take(batches[k], axis=0, out=features[j], mode="clip")
+        datasets[k].labels.take(batches[k], out=labels[j], mode="clip")
     if len(full) == len(out):
         return model.grad(params, features, labels, out)
     out[full] = model.grad(params, features, labels)

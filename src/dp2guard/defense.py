@@ -108,6 +108,12 @@ def median_cosines(matrix: np.ndarray) -> np.ndarray:
     return _median_cosines(_gram(matrix)[1])
 
 
+def _mean_rows(rows: np.ndarray) -> np.ndarray:
+    """rows.mean(axis=0) bit for bit, as numpy's `_mean` forms it (the sum
+    over axis 0 divided by the row count), without its Python wrapper."""
+    return np.add.reduce(rows, axis=0) / len(rows)
+
+
 def cluster_and_select(features: np.ndarray,
                        rng: np.random.Generator) -> DetectionResult:
     """Split the rows of the (N, 2) feature array into two clusters over
@@ -125,24 +131,26 @@ def cluster_and_select(features: np.ndarray,
         return DetectionResult(frozenset(range(n)), raw, raw.mean(axis=0))
 
     # Statistics over a value-sorted copy so they are independent of the
-    # row ordering.
+    # row ordering.  sigma is std(axis=0) as numpy's `_var` forms it: the
+    # root of the mean squared deviation from the mean.
     stats_view = raw[np.lexsort((raw[:, 1], raw[:, 0]))]
-    mu = stats_view.mean(axis=0)
-    sigma = stats_view.std(axis=0)
+    mu = _mean_rows(stats_view)
+    sigma = np.sqrt(_mean_rows(np.square(stats_view - mu)))
     sigma = np.where(sigma < _ZERO_NORM, 1.0, sigma)
     normed = (raw - mu) / sigma
 
     labels = _two_means(normed, rng)
-    size0, size1 = int(np.sum(labels == 0)), int(np.sum(labels == 1))
+    size1 = int(np.count_nonzero(labels))
+    size0 = n - size1
     if size0 != size1:
         benign_label = 0 if size0 > size1 else 1
     else:
-        mean_c0 = raw[labels == 0, 1].mean()
-        mean_c1 = raw[labels == 1, 1].mean()
+        mean_c0 = _mean_rows(raw[labels == 0, 1])
+        mean_c1 = _mean_rows(raw[labels == 1, 1])
         benign_label = 0 if mean_c0 >= mean_c1 else 1
 
     benign_mask = labels == benign_label
-    centroid = raw[benign_mask].mean(axis=0)
+    centroid = _mean_rows(raw[benign_mask])
     return DetectionResult(frozenset(np.flatnonzero(benign_mask).tolist()), raw, centroid)
 
 
@@ -175,25 +183,26 @@ def _two_means(points: np.ndarray, rng: np.random.Generator,
     canonical = np.lexsort((points[:, 1], points[:, 0]))
     ordered = points[canonical]
     first = int(rng.integers(0, n))
-    d2 = ((ordered - ordered[first]) ** 2).sum(axis=1)
-    total = float(d2.sum())
+    d2 = np.add.reduce((ordered - ordered[first]) ** 2, axis=1)
+    total = float(np.add.reduce(d2))
     if total <= 0.0:
         return np.zeros(n, dtype=int)
-    second = int(np.searchsorted(np.cumsum(d2 / total), rng.random()))
+    second = int(np.searchsorted(np.add.accumulate(d2 / total), rng.random()))
     second = min(second, n - 1)
     centers = np.stack([ordered[first], ordered[second]])
 
+    # np.sum, np.argmin and np.array_equal as direct ufunc and method calls.
     labels: np.ndarray | None = None
     for _ in range(max_iter):
-        dists = ((ordered[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(dists, axis=1)
-        if labels is not None and np.array_equal(new_labels, labels):
+        dists = np.add.reduce((ordered[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_labels = dists.argmin(axis=1)
+        if labels is not None and not np.count_nonzero(new_labels != labels):
             break
         labels = new_labels
         for k in range(2):
             members = ordered[labels == k]
             if len(members):
-                centers[k] = members.mean(axis=0)
+                centers[k] = _mean_rows(members)
     assert labels is not None
     out = np.empty(n, dtype=int)
     out[canonical] = labels

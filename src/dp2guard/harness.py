@@ -23,7 +23,7 @@ from .ledger import (
     payload_agg_blob,
     payload_trust_weights,
 )
-from .numeric import MAX_SCALE_BITS, rekey, substream
+from .numeric import MAX_SCALE_BITS, block_rows, rekey, substream
 from .servers import (
     Channel,
     ServerS1,
@@ -64,10 +64,6 @@ ARTIFACTS = ("ledger.jsonl", "metrics.csv", "plot.svg", "resolved-config.json",
 LEDGER_SENDER = 0
 # Attacks crafted from every honest client's gradient.
 FULL_KNOWLEDGE = (attacks.FangSpec, attacks.MinMaxSpec, attacks.MinSumSpec)
-# Clients train and mask in blocks of about this many float64 gradient
-# entries (64 KiB): at small d a block holds many clients, so a round makes
-# few numpy calls; from d = 4,097 on, each client is a block of its own.
-BLOCK_WORDS = 8192
 
 
 @dataclass(frozen=True)
@@ -309,11 +305,6 @@ def _idx_file(base: Path, stem: str) -> Path:
         if path.exists():
             return path
     raise FileNotFoundError(f"{base / stem}[.gz] not found")
-
-
-def block_rows(d: int, n_clients: int) -> int:
-    """Clients per training and masking block at gradient dimension d."""
-    return max(1, min(n_clients, BLOCK_WORDS // d))
 
 
 def refuse_artifacts(out_path: Path) -> None:

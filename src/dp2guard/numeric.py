@@ -40,8 +40,19 @@ WEIGHT_BITS = 32
 # N = 129 on; weighted aggregation adds WEIGHT_BITS fractional bits, so at
 # the default scale it wraps once |sum_i tau_i g_i| reaches about 2**15.
 SUM_HEADROOM_BITS = 8
+# Row loops over (N, d) word or float matrices run in blocks of about this
+# many entries (64 KiB): at small d a block holds many rows, so a round makes
+# few numpy calls; from d = 4,097 on, each row is a block of its own.
+BLOCK_WORDS = 8192
 
 _TWO63 = 2.0**63
+
+
+def block_rows(d: int, n_rows: int) -> int:
+    """Rows per block of an (n_rows, d) matrix: the clients that train and
+    mask together, and the rows the servers center and reconstruct per
+    call."""
+    return max(1, min(n_rows, BLOCK_WORDS // d))
 
 
 def clip_bound(scale_bits: int) -> float:
@@ -123,12 +134,16 @@ def mean_center(shares: np.ndarray, out: np.ndarray) -> np.ndarray:
     Row k becomes N * shares[k] - sum_j(shares[j]) in exact ring
     arithmetic.  The scaling postpones the division by N to
     reconstruction, where it applies to the combined (mask-free) value, so
-    centering never rounds.
+    centering never rounds.  The rows are formed `block_rows` at a time,
+    two ufunc calls per block.
     """
     total, factor = _centering_terms(shares)
-    for share, row in zip(shares, out, strict=True):
-        np.multiply(share, factor, out=row)
-        np.subtract(row, total, out=row)
+    n, d = shares.shape
+    k = block_rows(d, n)
+    for lo in range(0, n, k):
+        rows = out[lo:lo + k]
+        np.multiply(shares[lo:lo + k], factor, out=rows)
+        np.subtract(rows, total, out=rows)
     return out
 
 
@@ -139,11 +154,12 @@ def reconstruct_centered(centered_1: np.ndarray, shares_2: np.ndarray,
 
     `centered_1` holds S1's centered rows (as sent in the CenteredBatch),
     and `out` may overlay that batch's payload (ServerS2 decodes in place):
-    row k is written only after centered_1[k] is read, so S2's rows are
-    centered one at a time in a scratch d-vector.  Each is added to S1's
-    row, which cancels the random share exactly, then decoded and divided
-    by N (the residual scaling of `mean_center`) in one division by
-    N * 2**scale_bits.  That equals decode_fixed(x, s) / N bit for bit:
+    the rows go in blocks of K = `block_rows`, and block [lo, hi) of
+    centered_1 is read before the same block of `out` is written.  S2's
+    rows of a block are centered in one reused (K, d) scratch, added to
+    S1's rows, which cancels the random shares exactly, then decoded and
+    divided by N (the residual scaling of `mean_center`) in one division
+    by N * 2**scale_bits.  That equals decode_fixed(x, s) / N bit for bit:
     N * 2**s is exact (N < 2**53), and so is float(x) * 2**-s, which for
     |x| >= 1 and s <= MAX_SCALE_BITS = 48 is at least 2**-48 and cannot be
     subnormal (x = 0 gives +0.0 both ways).  Both forms therefore round
@@ -154,14 +170,17 @@ def reconstruct_centered(centered_1: np.ndarray, shares_2: np.ndarray,
             f"{centered_1.shape[0]} centered rows for {shares_2.shape[0]} shares")
     if centered_1.shape != shares_2.shape:
         raise DimensionMismatch(f"dimension {centered_1.shape[1]} != {shares_2.shape[1]}")
-    divisor = shares_2.shape[0] * 2.0**scale_bits
     total, factor = _centering_terms(shares_2)
-    row = np.empty_like(total)
-    for k, share in enumerate(shares_2):
-        np.multiply(share, factor, out=row)
-        np.subtract(row, total, out=row)
-        np.add(row, centered_1[k], out=row)
-        np.divide(row.view(np.int64), divisor, out=out[k])
+    n, d = shares_2.shape
+    divisor = n * 2.0**scale_bits
+    k = block_rows(d, n)
+    scratch = np.empty((k, d), dtype=np.uint64)
+    for lo in range(0, n, k):
+        rows = scratch[:min(k, n - lo)]
+        np.multiply(shares_2[lo:lo + k], factor, out=rows)
+        np.subtract(rows, total, out=rows)
+        np.add(rows, centered_1[lo:lo + k], out=rows)
+        np.divide(rows.view(np.int64), divisor, out=out[lo:lo + k])
     return out
 
 

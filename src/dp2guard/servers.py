@@ -29,6 +29,10 @@ buffer and keeps no record of it.  The CenteredBatch payload is therefore
 the one (N, d) array a round allocates: S1 centers its shares straight
 into the payload's words, and S2 decodes its float centered gradients
 into that payload's own bytes, which detection reads and then releases.
+Both servers work K = `numeric.block_rows` rows per numpy call (at most
+8,192 words; one row at d > 4,096): S2 centers a block of its own rows in
+one (K, d) scratch and reads that block's CenteredBatch records before it
+writes the block's float rows over them.
 
 A round therefore holds three (N, d) arrays: the two share matrices and
 the CenteredBatch payload.  The clients' plaintext gradients add a
@@ -36,10 +40,9 @@ fourth only under a full-knowledge attack, whose attackers craft from
 every honest gradient: the harness's N - n_malicious honest rows plus one
 crafted row, which every attacker's uploads are masked from; or N rows
 when the run records its gradient history.  Otherwise each block of K
-clients trains into one reused (K, d) row block (K = `harness.block_rows`,
-one client at d > 4,096) and masks it straight into its clients'
-uploads.  The batch of one round is freed when `ServerS2.detect_and_weigh`
-returns, before the next is built.
+clients trains into one reused (K, d) row block and masks it straight
+into its clients' uploads.  The batch of one round is freed when
+`ServerS2.detect_and_weigh` returns, before the next is built.
 """
 from __future__ import annotations
 
@@ -149,14 +152,29 @@ def encode_share_upload(client_id: int, round_no: int, share_index: int, d: int,
 
 def decode_share_upload(msg: ProtocolMessage) -> tuple[int, int, np.ndarray, int]:
     """(client id, share index, words, scale_bits) of a ShareUpload; the
-    words are a read-only view into the payload."""
+    words are a read-only view into the payload.  The head (client id,
+    share index, d, scale_bits) is read in one unpack; a short payload
+    fails on its size, then on its share index, then on its ring header."""
     payload = msg.payload
-    if len(payload) < _UPLOAD_PREFIX.size:
-        raise FormatError(f"ShareUpload of {len(payload)} bytes is shorter than its header")
-    client_id, share_index = _UPLOAD_PREFIX.unpack_from(payload)
+    size = len(payload)
+    if size < _UPLOAD_HEAD.size:
+        if size < _UPLOAD_PREFIX.size:
+            raise FormatError(f"ShareUpload of {size} bytes is shorter than its header")
+        _check_share_index(_UPLOAD_PREFIX.unpack_from(payload)[1])
+        raise FormatError("ring payload shorter than its header")
+    client_id, share_index, d, scale_bits = _UPLOAD_HEAD.unpack_from(payload)
+    _check_share_index(share_index)
+    body = size - _UPLOAD_HEAD.size
+    if body != 8 * d:
+        raise FormatError(f"expected {8 * d} word bytes, got {body}")
+    words = np.frombuffer(payload, dtype="<u8", count=d, offset=_UPLOAD_HEAD.size)
+    words.setflags(write=False)
+    return client_id, share_index, words, scale_bits
+
+
+def _check_share_index(share_index: int) -> None:
     if share_index not in (1, 2):
         raise FormatError(f"share index {share_index} is neither 1 nor 2")
-    return (client_id, share_index, *ring_view(payload, _UPLOAD_PREFIX.size))
 
 
 def _batch_record(d: int) -> np.dtype:
@@ -380,9 +398,9 @@ class ServerS2(_ServerBase):
         payload = memoryview(msg.payload)
         if payload.readonly:
             raise ProtocolError("CenteredBatch payload is read-only; S2 decodes it in place")
-        # Float row k covers the payload's first 8d(k+1) bytes, which hold
-        # only records <= k (a record spans 17 + 8d bytes), and
-        # reconstruct_centered reads record k before it writes row k.
+        # Float rows [lo, hi) end at byte 8d*hi, before record hi starts
+        # at byte 4 + hi*(17 + 8d), and reconstruct_centered reads a
+        # block's records before it writes that block's rows.
         out = np.ndarray(self.shares.shape, dtype=np.float64, buffer=payload)
         self._centered = reconstruct_centered(c1, self.shares, self.scale_bits, out)
         self.phase = PHASE_CENTERING

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from dp2guard import defense
 from dp2guard.attacks import FangSpec, fang_attack
-from dp2guard.defense import cluster_and_select, detect, median_cosines, top_direction
+from dp2guard.defense import (DetectionResult, _two_means, cluster_and_select, detect,
+                              median_cosines, top_direction)
 from dp2guard.errors import DegenerateError
 from dp2guard.numeric import substream
 
@@ -236,6 +238,133 @@ class TestClusterAndSelect:
         result = cluster_and_select(features, substream(27, "km"))
         assert result.benign == frozenset({0, 1, 2})
         assert np.allclose(result.centroid, [11.0, 0.9])
+
+
+def _reference_cluster_and_select(features, rng):
+    """`cluster_and_select` written with numpy's mean, std and np.sum: the
+    reference, which also returns the z-scored points and 2-means labels."""
+    raw = np.asarray(features, dtype=np.float64)
+    stats_view = raw[np.lexsort((raw[:, 1], raw[:, 0]))]
+    mu = stats_view.mean(axis=0)
+    sigma = stats_view.std(axis=0)
+    sigma = np.where(sigma < 1e-12, 1.0, sigma)
+    normed = (raw - mu) / sigma
+    labels = _reference_two_means(normed, rng)
+    size0, size1 = int(np.sum(labels == 0)), int(np.sum(labels == 1))
+    if size0 != size1:
+        benign_label = 0 if size0 > size1 else 1
+    else:
+        mean_c0 = raw[labels == 0, 1].mean()
+        mean_c1 = raw[labels == 1, 1].mean()
+        benign_label = 0 if mean_c0 >= mean_c1 else 1
+    benign_mask = labels == benign_label
+    centroid = raw[benign_mask].mean(axis=0)
+    result = DetectionResult(frozenset(np.flatnonzero(benign_mask).tolist()), raw, centroid)
+    return result, normed, labels
+
+
+def _reference_two_means(points, rng, max_iter=100):
+    """`_two_means` written with np.sum, np.cumsum, np.argmin,
+    np.array_equal and mean: the reference."""
+    n = points.shape[0]
+    canonical = np.lexsort((points[:, 1], points[:, 0]))
+    ordered = points[canonical]
+    first = int(rng.integers(0, n))
+    d2 = ((ordered - ordered[first]) ** 2).sum(axis=1)
+    total = float(d2.sum())
+    if total <= 0.0:
+        return np.zeros(n, dtype=int)
+    second = int(np.searchsorted(np.cumsum(d2 / total), rng.random()))
+    second = min(second, n - 1)
+    centers = np.stack([ordered[first], ordered[second]])
+    labels = None
+    for _ in range(max_iter):
+        dists = ((ordered[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(dists, axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for k in range(2):
+            members = ordered[labels == k]
+            if len(members):
+                centers[k] = members.mean(axis=0)
+    out = np.empty(n, dtype=int)
+    out[canonical] = labels
+    return out
+
+
+def _feature_grid(n):
+    """(name, (n, 2) features) cases for n rows: column magnitudes from
+    1e-8 to 1e8, values rounded so that ties occur, equal-size splits (one
+    with equal cosine columns, so the tie-break ties too) and one constant
+    column."""
+    rng = substream(71, "cluster-grid", n)
+    for scales in ((1e-8, 1e-8), (1.0, 1.0), (1e8, 1e8), (1e8, 1e-8), (1e-8, 1e8)):
+        scale = np.array(scales)
+        yield f"normal{scales}", rng.normal(size=(n, 2)) * scale
+        yield f"rounded{scales}", np.round(rng.normal(size=(n, 2)), 1) * scale
+        constant = rng.normal(size=(n, 2)) * scale
+        constant[:, n % 2] = scale[n % 2]
+        yield f"constant{scales}", constant
+        if n % 2 == 0:
+            half = n // 2
+            split = np.concatenate([rng.normal(0.0, 0.01, size=(half, 2)),
+                                    rng.normal(5.0, 0.01, size=(half, 2))]) * scale
+            yield f"split{scales}", split
+            tied = split.copy()
+            tied[:, 1] = np.round(rng.normal(size=n), 0)[np.arange(n) % half] * scale[1]
+            yield f"split-tied{scales}", tied
+
+
+class TestClusteringBitsAgainstNumpyWrappers:
+    """`cluster_and_select` and `_two_means` call np.add.reduce where the
+    reference bodies call numpy's mean, std and np.sum.  This pins the order
+    in which numpy's `_mean` and `_var` (numpy/_core/_methods.py) reduce: a
+    column sum divided by the row count, and for std the square root of the
+    summed squared deviations from that mean over the count.  If a numpy
+    release changes that order, this test fails first, before the golden
+    digests move."""
+
+    @pytest.mark.parametrize("n", range(2, 81))
+    def test_matches_the_wrapper_bodies_bit_for_bit(self, monkeypatch, n):
+        seen = []
+
+        def recording_two_means(points, rng):
+            labels = _two_means(points, rng)
+            seen.append((points, labels))
+            return labels
+
+        monkeypatch.setattr(defense, "_two_means", recording_two_means)
+        for name, features in _feature_grid(n):
+            seen.clear()
+            got = cluster_and_select(features, substream(72, name, n))
+            want, normed, labels = _reference_cluster_and_select(features,
+                                                                 substream(72, name, n))
+            assert got.benign == want.benign, name
+            assert np.array_equal(got.features.view(np.uint64),
+                                  want.features.view(np.uint64)), name
+            assert np.array_equal(got.centroid.view(np.uint64),
+                                  want.centroid.view(np.uint64)), name
+            (points, got_labels), = seen
+            assert np.array_equal(points.view(np.uint64), normed.view(np.uint64)), name
+            assert np.array_equal(got_labels, labels), name
+            for seed in range(3):
+                assert np.array_equal(_two_means(normed, substream(73, seed, n)),
+                                      _reference_two_means(normed, substream(73, seed, n))), name
+
+    def test_grid_reaches_equal_splits_and_tied_cosines(self):
+        # The tie-break on the mean cosine must be exercised, with and
+        # without equal means.
+        ties = set()
+        for n in range(2, 81, 2):
+            for name, features in _feature_grid(n):
+                if name.startswith("split"):
+                    _, _, labels = _reference_cluster_and_select(features,
+                                                                 substream(72, name, n))
+                    if 2 * np.count_nonzero(labels) == n:
+                        means = features[labels == 0, 1].mean(), features[labels == 1, 1].mean()
+                        ties.add((name.split("(")[0], means[0] == means[1]))
+        assert {("split", False), ("split-tied", True)} <= ties
 
 
 class TestDetectPipeline:

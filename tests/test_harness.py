@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dp2guard.client as client_mod
-from dp2guard import attacks, baselines, harness, models, servers, trust
+from dp2guard import attacks, baselines, harness, models, numeric, servers, trust
 from dp2guard.attacks import fang_attack, fang_candidate
 from dp2guard.baselines import dnc_survivors, fedavg
 from dp2guard.client import local_gradient, split_and_mask
@@ -1076,14 +1076,16 @@ def test_client_masking_cost_linear_in_dimension(monkeypatch):
 def test_block_rows_follow_the_word_budget():
     # K = max(1, min(N, BLOCK_WORDS // d)): secure-long's d = 210 puts all
     # 20 clients in one block, while adaptive-fang's d = 7,850 and the
-    # MLP workloads' d = 50,890 keep one client per call.
-    assert harness.BLOCK_WORDS == 8192
-    assert harness.block_rows(210, 20) == 20
-    assert harness.block_rows(210, 50) == 39
-    assert harness.block_rows(4096, 100) == 2
-    assert harness.block_rows(4097, 100) == 1
-    assert harness.block_rows(7850, 50) == 1
-    assert harness.block_rows(50_890, 100) == 1
+    # MLP workloads' d = 50,890 keep one client per call.  The clients
+    # and the servers read the one block size from numeric.
+    assert numeric.BLOCK_WORDS == 8192
+    assert numeric.block_rows(210, 20) == 20
+    assert numeric.block_rows(210, 50) == 39
+    assert numeric.block_rows(210, 41) == 39  # a ragged last block of 2
+    assert numeric.block_rows(4096, 100) == 2
+    assert numeric.block_rows(4097, 100) == 1
+    assert numeric.block_rows(7850, 50) == 1
+    assert numeric.block_rows(50_890, 100) == 1
 
 
 @pytest.mark.parametrize("aggregator", ["dp2guard", "fedavg"])
@@ -1110,7 +1112,7 @@ def test_diverging_client_in_mid_block_is_named(monkeypatch, aggregator):
 
     monkeypatch.setattr(harness, "load_datasets", poisoned_load)
     d = models.Model("mlp", cfg.synth_features, cfg.synth_classes, hidden=16).dim
-    assert harness.block_rows(d, n) == n
+    assert numeric.block_rows(d, n) == n
     with pytest.raises(NonFiniteGradient, match=r"^client 3's gradient in round 0 "):
         run_experiment(cfg)
 
@@ -1133,7 +1135,7 @@ def test_secure_round_wire_bytes_match_analytic_sizes():
             return super().send(src, dst, msg)
 
     stack = substream(4, "wire").standard_normal((n, d))
-    harness._dp2guard_round(cfg, baselines.Population(stack).blocks(harness.block_rows(d, n)), 0,
+    harness._dp2guard_round(cfg, baselines.Population(stack).blocks(numeric.block_rows(d, n)), 0,
                             Ledger(), Recording(), np.zeros(d),
                             ServerS1(n, d, cfg.scale_bits),
                             ServerS2(n, d, cfg.scale_bits, cfg.beta, cfg.exclusion))
@@ -1161,7 +1163,7 @@ def test_secure_round_allocates_no_share_sized_temporaries():
     ledger, channel = Ledger(), Channel()
     servers = (ServerS1(n, d, cfg.scale_bits),
                ServerS2(n, d, cfg.scale_bits, cfg.beta, cfg.exclusion))
-    k = harness.block_rows(d, n)
+    k = numeric.block_rows(d, n)
     harness._dp2guard_round(cfg, baselines.Population(stack).blocks(k), 0, ledger, channel, params,
                             *servers)  # warm
     tracemalloc.start()

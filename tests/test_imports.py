@@ -26,10 +26,14 @@ UNREAD_ON_PURPOSE = {
     "ledger.py": {"verify_file"},
 }
 # Package modules a module must not import: the wire layer takes plain
-# values, not client records, a client only trains and masks, and the trust
-# state is S2's, not the round loop's.
+# values, not client records, a client only trains and masks, the trust
+# state is S2's, not the round loop's, and the ring layer, which owns the
+# block size that clients and servers share, sits below every other module
+# but `errors`.
 FORBIDDEN_IMPORTS = {"servers.py": {"client"}, "client.py": {"attacks"},
-                     "harness.py": {"trust"}}
+                     "harness.py": {"trust"},
+                     "numeric.py": ({p.stem for p in SRC.glob("*.py")}
+                                    - {"__init__", "errors", "numeric"})}
 
 
 def unused_imports(source: str) -> list[str]:

@@ -3,17 +3,21 @@ import pytest
 
 from dp2guard.errors import FormatError
 from dp2guard.numeric import (
+    _centering_terms,
     _stream_key,
     clip_bound,
     clip_for_encoding,
     decode_fixed,
     encode_fixed,
+    mean_center,
+    reconstruct_centered,
     rekey,
     ring_view,
     serialize_ring,
     substream,
     uniform_words,
 )
+from dp2guard.servers import ServerS1, ServerS2, encode_share_upload
 
 # chi-square critical value at significance 0.01 for 255 degrees of freedom
 # (256 bins), i.e. scipy.stats.chi2.ppf(0.99, 255)
@@ -113,6 +117,82 @@ class TestRingArithmetic:
                 got = uniform_words(d, b)
                 assert got.dtype == np.uint64 and np.array_equal(got, want)
             assert a.random() == b.random()
+
+
+def _row_mean_center(shares, out):
+    """Row-by-row centering, two ufunc calls per row: the reference that
+    `mean_center`'s blocks must equal bit for bit."""
+    total, factor = _centering_terms(shares)
+    for share, row in zip(shares, out, strict=True):
+        np.multiply(share, factor, out=row)
+        np.subtract(row, total, out=row)
+    return out
+
+
+def _row_reconstruct_centered(centered_1, shares_2, scale_bits, out):
+    """Row-by-row reconstruction through one scratch d-vector, four ufunc
+    calls per row: the reference for `reconstruct_centered`."""
+    divisor = shares_2.shape[0] * 2.0**scale_bits
+    total, factor = _centering_terms(shares_2)
+    row = np.empty_like(total)
+    for k, share in enumerate(shares_2):
+        np.multiply(share, factor, out=row)
+        np.subtract(row, total, out=row)
+        np.add(row, centered_1[k], out=row)
+        np.divide(row.view(np.int64), divisor, out=out[k])
+    return out
+
+
+def _edge_shares(n, d, scale_bits, seed):
+    """Two (n, d) share matrices of gradients whose entries sit at
+    +-clip_bound or between, with mixed signs: share 1 uniform, share 2
+    its complement."""
+    rng = substream(seed, "edge-shares", n, d)
+    bound = clip_bound(scale_bits)
+    grads = rng.uniform(-bound, bound, size=(n, d))
+    at_bound = rng.random((n, d)) < 0.5
+    grads[at_bound] = np.where(rng.random(int(at_bound.sum())) < 0.5, -bound, bound)
+    encoded = encode_fixed(clip_for_encoding(grads, scale_bits), scale_bits)
+    share1 = uniform_words(n * d, rng).reshape(n, d)
+    return share1, encoded - share1
+
+
+def _bits(floats):
+    return floats.view(np.uint64)
+
+
+class TestBlockedCentering:
+    """`mean_center` and `reconstruct_centered` work `block_rows` rows per
+    ufunc call; each must equal its row-by-row reference bit for bit,
+    including a ragged last block (d = 210, N = 41 gives K = 39) and
+    N = 129, where centering at the clip bound wraps the ring."""
+
+    @pytest.mark.parametrize("d", [1, 210, 4096, 4097])
+    @pytest.mark.parametrize("n", [2, 20, 39, 40, 41, 129])
+    def test_blocks_equal_the_row_loop(self, n, d):
+        share1, share2 = _edge_shares(n, d, 16, 31)
+        centered = mean_center(share1, np.empty_like(share1))
+        assert np.array_equal(centered, _row_mean_center(share1, np.empty_like(share1)))
+        got = reconstruct_centered(centered, share2, 16, np.empty((n, d)))
+        want = _row_reconstruct_centered(centered, share2, 16, np.empty((n, d)))
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("n,d", [(41, 210), (129, 1), (5, 4096), (3, 4097)])
+    def test_servers_decode_in_place_as_the_row_loop(self, n, d):
+        # S1 centers into the CenteredBatch payload and S2 writes its float
+        # rows over that payload's records, a block at a time.
+        share1, share2 = _edge_shares(n, d, 16, 32)
+        s1, s2 = ServerS1(n, d, 16), ServerS2(n, d, 16, 0.5, "soft")
+        for server, shares in ((s1, share1), (s2, share2)):
+            server.start_round(0)
+            for cid in range(n):
+                msg, words = encode_share_upload(cid, 0, server.server_id, d, 16)
+                words[:] = shares[cid]
+                server.receive_share(msg)
+        s2.receive_centered_batch(s1.center_shares())
+        centered = _row_mean_center(share1, np.empty_like(share1))
+        want = _row_reconstruct_centered(centered, share2, 16, np.empty((n, d)))
+        assert np.array_equal(_bits(s2._centered), _bits(want))
 
 
 class TestMaskHiding:

@@ -685,6 +685,33 @@ class TestTypedDecodeErrors:
         with pytest.raises(FormatError):
             decode_share_upload(ProtocolMessage(msg.kind, 0, 0, bytes(raw)))
 
+    @pytest.mark.parametrize("size", range(10))
+    @pytest.mark.parametrize("share_index", [1, 3])
+    def test_upload_shorter_than_its_head(self, size, share_index):
+        # The 10-byte head is client id u32, share index u8, d u32, scale
+        # u8.  Below 5 bytes the size fails first; from 5 bytes on a bad
+        # share index fails before the short ring header.
+        raw = bytearray(self._share_upload().payload)
+        raw[4] = share_index
+        if size < 5:
+            message = f"ShareUpload of {size} bytes is shorter than its header"
+        elif share_index == 3:
+            message = "share index 3 is neither 1 nor 2"
+        else:
+            message = "ring payload shorter than its header"
+        with pytest.raises(FormatError) as caught:
+            decode_share_upload(ProtocolMessage(MSG_SHARE_UPLOAD, 0, 0, bytes(raw[:size])))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("d,message", [(3, "expected 24 word bytes, got 32"),
+                                           (5, "expected 40 word bytes, got 32")])
+    def test_upload_head_disagrees_with_its_body_by_one_word(self, d, message):
+        raw = bytearray(self._share_upload().payload)  # d = 4: 32 word bytes
+        struct.pack_into("<I", raw, 5, d)
+        with pytest.raises(FormatError) as caught:
+            decode_share_upload(ProtocolMessage(MSG_SHARE_UPLOAD, 0, 0, bytes(raw)))
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("cut", [1, 8, 32, 49, 50, 51, 150])
     def test_truncated_centered_batch(self, cut):
         msg = self._batch()

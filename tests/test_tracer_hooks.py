@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dp2guard import attacks, baselines, client, defense, harness, ledger, models, servers
+from dp2guard import attacks, baselines, client, defense, harness, ledger, models, numeric, servers
 from dp2guard.harness import ExperimentConfig, run_experiment
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -73,7 +73,7 @@ def _check_upload_spans(cfg):
     # d = 84 one block holds every client, so training and masking are one
     # call each a round, and the uploads stay two per client.
     d = (cfg.synth_features + 1) * cfg.synth_classes
-    assert d == 84 and harness.block_rows(d, cfg.n_clients) == cfg.n_clients
+    assert d == 84 and numeric.block_rows(d, cfg.n_clients) == cfg.n_clients
     for record_history in (False, True):
         tracer = _load_spans().Tracer()
         tracer.install()
