@@ -22,11 +22,10 @@ class DnCConfig:
 
 @dataclass(frozen=True, eq=False)
 class Population:
-    """The N rows a rule aggregates: the `honest` rows (n_honest, d) plus
-    n_copies copies of the one `crafted` d-vector that every full-knowledge
-    attacker submits, placed before the honest rows (`copies_first`, the
-    round's order: attackers hold the lowest ids) or after them (the fang
-    oracle's).  Without copies it is `honest` itself.
+    """The N rows a rule aggregates: n_copies copies of the one `crafted`
+    d-vector that every full-knowledge attacker submits, then the `honest`
+    rows (n_honest, d).  The round and the fang oracle both use this order:
+    attackers hold the lowest ids.  Without copies it is `honest` itself.
 
     The rules read it as they read an (N, d) array, without the copies
     ever being written: `pop[i]` is row i, `pop[:, coords]` the columns
@@ -35,7 +34,6 @@ class Population:
     honest: np.ndarray
     crafted: np.ndarray | None = None
     n_copies: int = 0
-    copies_first: bool = True
 
     def __len__(self) -> int:
         return len(self.honest) + self.n_copies
@@ -45,15 +43,14 @@ class Population:
         return len(self), self.honest.shape[1]
 
     def join(self, honest_part: np.ndarray, copy_part) -> np.ndarray:
-        """Per-row parts in population order: `honest_part`, one entry per
-        honest row, and `copy_part`, each copy's entry, repeated n_copies
-        times.  Without copies, `honest_part` itself."""
+        """Per-row parts in population order: `copy_part`, each copy's
+        entry, repeated n_copies times, then `honest_part`, one entry per
+        honest row.  Without copies, `honest_part` itself."""
         if not self.n_copies:
             return honest_part
         copy_part = np.asarray(copy_part)
         copies = np.broadcast_to(copy_part, (self.n_copies, *copy_part.shape))
-        return np.concatenate((copies, honest_part) if self.copies_first
-                              else (honest_part, copies))
+        return np.concatenate((copies, honest_part))
 
     def __getitem__(self, key) -> np.ndarray:
         if isinstance(key, tuple):
@@ -65,10 +62,9 @@ class Population:
         i = operator.index(key)
         if not 0 <= i < len(self):
             raise IndexError(f"row {i} outside a population of {len(self)}")
-        first = self.n_copies if self.copies_first else 0
-        if first <= i < first + len(self.honest):
-            return self.honest[i - first]
-        return self.crafted
+        if i < self.n_copies:
+            return self.crafted
+        return self.honest[i - self.n_copies]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if not self.n_copies:
@@ -86,7 +82,7 @@ class Population:
         copies = (np.broadcast_to(self.crafted, (min(k, self.n_copies - lo), d))
                   for lo in range(0, self.n_copies, k))
         honest = (self.honest[lo:lo + k] for lo in range(0, len(self.honest), k))
-        return itertools.chain(*((copies, honest) if self.copies_first else (honest, copies)))
+        return itertools.chain(copies, honest)
 
 
 def fedavg(gradients: Sequence[np.ndarray] | Population) -> np.ndarray:

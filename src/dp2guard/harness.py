@@ -524,19 +524,19 @@ def _fang_oracle(cfg: ExperimentConfig, spec: attacks.FangSpec, honest: np.ndarr
                  ) -> Callable[[np.ndarray], bool]:
     """The attacker's plaintext simulation of the target aggregation rule.
 
-    Accepts a candidate if the rule, run on the honest rows plus
-    n_malicious copies of it, keeps at least one copy.  Every call sees
-    the ("attack-oracle", round) stream in the same state.  FedAvg and
-    FLTrust never reject (FLTrust's root data is server-private, so the
-    attacker cannot simulate it), and a spec with oracle="accept_all"
-    models a non-adaptive attacker.  Multi-Krum and DnC read the
-    population as a `baselines.Population` with the copies last, as the
-    round reads its own with them first; Multi-Krum scores each candidate
-    from `honest_dists`, the honest rows' `row_distances`, and one gemv."""
+    Accepts a candidate if the rule, run on the round's population (the
+    n_malicious copies of it first, then the honest rows), keeps at least
+    one copy.  Every call sees the ("attack-oracle", round) stream in the
+    same state.  FedAvg and FLTrust never reject (FLTrust's root data is
+    server-private, so the attacker cannot simulate it), and a spec with
+    oracle="accept_all" models a non-adaptive attacker.  Multi-Krum and
+    DnC run the round's own selection, `_kept`, on a `baselines.Population`;
+    Multi-Krum scores each candidate from `honest_dists`, the honest rows'
+    `row_distances`, and one gemv."""
     if spec.oracle == "accept_all" or cfg.aggregator in ("fedavg", "fltrust"):
         return lambda candidate: True
     honest = np.asarray(honest, dtype=np.float64)
-    n_honest, n_mal = len(honest), cfg.n_malicious
+    n_mal = cfg.n_malicious
     rng = substream(cfg.seed, "attack-oracle", round_no)
     if cfg.aggregator == "dp2guard":
         # The servers' detection on the float-centred population (they
@@ -545,38 +545,34 @@ def _fang_oracle(cfg: ExperimentConfig, spec: attacks.FangSpec, honest: np.ndarr
 
         def kept(candidate: np.ndarray) -> Iterable[int]:
             return defense.detect_gram(gram_of(candidate), rng).benign
-    elif cfg.aggregator == "multikrum":
-        def kept(candidate: np.ndarray) -> Iterable[int]:
-            return _multikrum_kept(cfg, baselines.Population(honest, candidate, n_mal, False),
-                                   honest_dists)
     else:
         def kept(candidate: np.ndarray) -> Iterable[int]:
-            return _dnc_kept(cfg, baselines.Population(honest, candidate, n_mal, False), rng)
+            return _kept(cfg, baselines.Population(honest, candidate, n_mal), rng,
+                         honest_dists)
     start = rng.bit_generator.state
 
     def oracle(candidate: np.ndarray) -> bool:
         rng.bit_generator.state = start
-        return any(i >= n_honest for i in kept(candidate))
+        return any(i < n_mal for i in kept(candidate))
     return oracle
 
 
 def _population_gram(honest: np.ndarray, n_mal: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Gram matrix of the population `honest` + n_mal copies of a
-    candidate c, centred on its mean, as a function of c.
+    """Gram matrix of the population n_mal copies of a candidate c, then
+    `honest`, centred on its mean, as a function of c.
 
     With A the honest rows centred on their mean mu_h, H = A A^T,
     delta = c - mu_h, v = A delta, dd = delta . delta and k = n_mal / N,
     the population mean is mu_h + k delta, so the centred rows are
-    a_i - k delta and (1 - k) delta, and their Gram matrix is
-      honest-honest  H_ij - k (v_i + v_j) + k^2 dd,
-      honest-copy    (1 - k) (v_i - k dd),
-      copy-copy      (1 - k)^2 dd.
+    (1 - k) delta and a_i - k delta, and their Gram matrix is
+      copy-copy      (1 - k)^2 dd,
+      copy-honest    (1 - k) (v_i - k dd),
+      honest-honest  H_ij - k (v_i + v_j) + k^2 dd.
     Only the O(N d) products v and dd depend on c."""
     mu = honest.mean(axis=0)
     a = honest - mu
     hh = a @ a.T
-    n_honest = len(honest)
-    n = n_honest + n_mal
+    n = len(honest) + n_mal
     k = n_mal / n
 
     def gram_of(candidate: np.ndarray) -> np.ndarray:
@@ -585,26 +581,35 @@ def _population_gram(honest: np.ndarray, n_mal: int) -> Callable[[np.ndarray], n
         dd = float(delta @ delta)
         kv = k * v
         gram = np.empty((n, n))
-        # v_i + v_j before the subtraction keeps the block exactly symmetric.
-        gram[:n_honest, :n_honest] = hh - np.add.outer(kv, kv) + k * k * dd
+        gram[:n_mal, :n_mal] = (1.0 - k) ** 2 * dd
         cross = (1.0 - k) * (v - k * dd)
-        gram[:n_honest, n_honest:] = cross[:, None]
-        gram[n_honest:, :n_honest] = cross[None, :]
-        gram[n_honest:, n_honest:] = (1.0 - k) ** 2 * dd
+        gram[:n_mal, n_mal:] = cross[None, :]
+        gram[n_mal:, :n_mal] = cross[:, None]
+        # v_i + v_j before the subtraction keeps the block exactly symmetric.
+        gram[n_mal:, n_mal:] = hh - np.add.outer(kv, kv) + k * k * dd
         return gram
     return gram_of
 
 
-def _multikrum_kept(cfg: ExperimentConfig, population: baselines.Population,
-                    honest_dists: attacks.RowDistances) -> np.ndarray:
-    """Population indices Multi-Krum keeps, in its ranking order, from
-    `honest_dists`, the honest rows' `row_distances`.  The copies'
-    distances to the honest rows are one gemv,
+def _kept(cfg: ExperimentConfig, population: baselines.Population,
+          rng: np.random.Generator | None,
+          honest_dists: attacks.RowDistances | None = None) -> np.ndarray:
+    """Population indices the round's Multi-Krum or DnC keeps.
+
+    DnC filters with `rng` and keeps its survivors in ascending id order.
+    Multi-Krum keeps its m best in ranking order, scored from
+    `honest_dists`, the honest rows' `row_distances` (computed here when
+    None).  The copies' distances to the honest rows are one gemv,
     max(||h_i||^2 + ||c||^2 - 2 h_i.c, 0), the expanded form of the
     population's own Gram matrix.  The lowest scores win, ties to the lower
     index (one stable argsort)."""
+    if cfg.aggregator == "dnc":
+        kept = baselines.dnc_survivors(population, _dnc_params(cfg), rng)
+        return np.array(sorted(kept), dtype=np.intp)
     f, m = _multikrum_params(cfg)
     honest, crafted, n_copies = population.honest, population.crafted, population.n_copies
+    if honest_dists is None:
+        honest_dists = attacks.row_distances(honest)
     sq_norms, sq_dists = honest_dists
     copy_dists = None
     if n_copies:
@@ -614,13 +619,6 @@ def _multikrum_kept(cfg: ExperimentConfig, population: baselines.Population,
     if n_copies:
         scores = population.join(scores[:-1], scores[-1])
     return np.argsort(scores, kind="stable")[:m]
-
-
-def _dnc_kept(cfg: ExperimentConfig, population: baselines.Population,
-              rng: np.random.Generator) -> np.ndarray:
-    """Rows of `population` DnC keeps, in ascending id order."""
-    kept = baselines.dnc_survivors(population, _dnc_params(cfg), rng)
-    return np.array(sorted(kept), dtype=np.intp)
 
 
 def _dp2guard_round(cfg: ExperimentConfig, blocks: Iterable[np.ndarray],
@@ -690,18 +688,15 @@ def _baseline_round(cfg: ExperimentConfig, population: baselines.Population,
     """The plaintext rule's aggregate of `population` (the crafted copies,
     if any, first) and the rows it kept (None for FedAvg and FLTrust).
     Multi-Krum scores from `honest_dists`, the `row_distances` of the
-    population's honest rows, computed here when None."""
+    population's honest rows (`_kept` computes them when None); DnC
+    filters with the ("dnc", round) stream."""
     if cfg.aggregator == "fedavg":
         return baselines.fedavg(population), None
     if cfg.aggregator == "fltrust":
         root_grad = model.grad(params, root_data.features, root_data.labels)
         return baselines.fltrust(population, root_grad), None
-    if cfg.aggregator == "multikrum":
-        if honest_dists is None:
-            honest_dists = attacks.row_distances(population.honest)
-        kept = _multikrum_kept(cfg, population, honest_dists)
-    else:
-        kept = _dnc_kept(cfg, population, substream(cfg.seed, "dnc", round_no))
+    rng = substream(cfg.seed, "dnc", round_no) if cfg.aggregator == "dnc" else None
+    kept = _kept(cfg, population, rng, honest_dists)
     return baselines.kept_mean(population, kept), frozenset(kept.tolist())
 
 

@@ -43,22 +43,20 @@ def multi_krum_select(stack, f, m):
     return np.argsort(plain_krum_scores(stack, f), kind="stable")[:m]
 
 
-def population(honest, crafted, n_copies, copies_first):
-    """The honest rows plus n_copies copies of `crafted`, before or after."""
-    copies = [crafted] * n_copies
-    return np.asarray(copies + list(honest) if copies_first else list(honest) + copies)
+def population(honest, crafted, n_copies):
+    """n_copies copies of `crafted`, then the honest rows."""
+    return np.asarray([crafted] * n_copies + list(honest))
 
 
-def shared_krum_scores(honest, crafted, n_copies, f, copies_first):
+def shared_krum_scores(honest, crafted, n_copies, f):
     """`krum_scores` from the honest rows' distances and the copies'
-    distances, spread over the population's order."""
+    distances, spread over the population's order (copies first)."""
     sq = (honest**2).sum(axis=1)
     copy_dists = np.maximum(sq + (crafted**2).sum() - 2.0 * (honest @ crafted), 0.0)
     scores = krum_scores(pairwise_sq_dists(honest, sq), copy_dists, n_copies, f)
     if not n_copies:
         return scores
-    copies = [scores[-1]] * n_copies
-    return np.concatenate([copies, scores[:-1]] if copies_first else [scores[:-1], copies])
+    return np.concatenate([[scores[-1]] * n_copies, scores[:-1]])
 
 
 def multi_krum(gradients, f, m):
@@ -124,16 +122,14 @@ class TestMultiKrum:
         assert np.allclose(krum_scores(sq, None, 0, 2), brute_force_krum_scores(grads, 2))
 
     @pytest.mark.parametrize("n_copies", [0, 1, 3])
-    @pytest.mark.parametrize("copies_first", [True, False])
-    def test_shared_scores_match_brute_force_on_assembled_stack(self, n_copies,
-                                                                copies_first):
-        rng = substream(109, "mk-shared", n_copies, copies_first)
+    def test_shared_scores_match_brute_force_on_assembled_stack(self, n_copies):
+        rng = substream(109, "mk-shared", n_copies, True)
         for n_honest, d in ((9, 4), (16, 30), (37, 200)):
             honest = rng.standard_normal((n_honest, d)) * rng.uniform(0.2, 5.0, (n_honest, 1))
             crafted = honest.mean(axis=0) + rng.uniform(0.0, 3.0) * rng.standard_normal(d)
-            pop = population(honest, crafted, n_copies, copies_first)
+            pop = population(honest, crafted, n_copies)
             for f in range(0, (len(pop) - 3) // 2 + 1, 2):
-                got = shared_krum_scores(honest, crafted, n_copies, f, copies_first)
+                got = shared_krum_scores(honest, crafted, n_copies, f)
                 assert np.allclose(got, brute_force_krum_scores(pop, f), rtol=1e-12)
 
     @pytest.mark.parametrize("n_copies", [0, 1, 3])

@@ -442,11 +442,11 @@ def reference_dp2guard_oracle(cfg, honest, round_no):
     n_mal = cfg.n_malicious
 
     def oracle(candidate):
-        pop = list(honest) + [candidate] * n_mal
+        pop = [candidate] * n_mal + list(honest)
         centered = np.stack([g - np.mean(pop, axis=0) for g in pop])
         rng = substream(cfg.seed, "attack-oracle", round_no)
         result = detect(centered, rng)
-        return any(i in result.benign for i in range(len(honest), len(pop)))
+        return any(i in result.benign for i in range(n_mal))
     return oracle
 
 
@@ -466,7 +466,7 @@ def reference_dnc_oracle(cfg, honest, round_no):
     n_mal = cfg.n_malicious
 
     def oracle(candidate):
-        stack = np.asarray(list(honest) + [candidate] * n_mal)
+        stack = np.asarray([candidate] * n_mal + list(honest))
         rng = substream(cfg.seed, "attack-oracle", round_no)
         centered = stack - stack.mean(axis=0)
         take = min(dcfg.sub_dim, stack.shape[1])
@@ -476,7 +476,7 @@ def reference_dnc_oracle(cfg, honest, round_no):
         remove = min(int(np.ceil(dcfg.filter_frac * dcfg.assumed_malicious)),
                      len(stack) - 1)
         kept = np.argsort(scores, kind="stable")[: len(stack) - remove]
-        return any(i >= len(honest) for i in kept)
+        return any(i < n_mal for i in kept)
     return oracle
 
 
@@ -548,9 +548,10 @@ class TestFangOracle:
 
     def test_multikrum_oracle_matches_selection(self):
         # Fang's halving sweep lam = 2^-k crosses the accept/reject
-        # boundary.  The oracle (copies last) and the round (copies first)
-        # both score from the honest rows' distances and one gemv; each must
-        # keep what the plain-stack selection keeps on the same population.
+        # boundary.  The oracle accepts exactly when the round, on the same
+        # population (copies first), keeps a copy, whether it is handed the
+        # honest rows' distances or computes them; and the round keeps what
+        # the plain-stack selection keeps.
         cfg = _desk_config(n_clients=20, adv_ratio=0.2, aggregator="multikrum",
                            attack={"kind": "fang"})
         spec = cfg.parse_attack()
@@ -562,17 +563,17 @@ class TestFangOracle:
         f, m = harness._multikrum_params(cfg)
         dists = attacks.row_distances(np.asarray(honest))
         oracle = harness._fang_oracle(cfg, spec, honest, 1, dists)
+        oracle_without_dists = harness._fang_oracle(cfg, spec, honest, 1)
         decisions = set()
         for k in range(21):
             candidate = fang_candidate(np.mean(honest, axis=0), 2.0**-k)
-            pop = np.asarray(honest + [candidate] * n_mal)
-            kept = multi_krum_select(pop, f, m)
-            decisions.add(oracle(candidate))
-            assert oracle(candidate) == any(i >= len(honest) for i in kept)
-            stack = np.asarray([candidate] * n_mal + honest)
             g_agg, benign = harness._baseline_round(
                 cfg, baselines.Population(np.asarray(honest), candidate, n_mal), 1, None, None,
                 None, dists)
+            decisions.add(oracle(candidate))
+            assert oracle(candidate) == any(i < n_mal for i in benign)
+            assert oracle_without_dists(candidate) == oracle(candidate)
+            stack = np.asarray([candidate] * n_mal + honest)
             want = multi_krum_select(stack, f, m)
             assert benign == frozenset(want.tolist())
             assert np.array_equal(g_agg, baselines.kept_mean(stack, want))
@@ -604,19 +605,18 @@ def parent_fltrust(stack, root):
 
 
 class TestPopulation:
-    @pytest.mark.parametrize("copies_first", [True, False], ids=["copies-first", "copies-last"])
     @pytest.mark.parametrize("n_copies", [0, 1, 5])
-    def test_every_rule_reads_it_as_the_concatenated_stack(self, n_copies, copies_first):
-        # The round (copies first) and the fang oracle (copies last) hand
-        # each rule the honest rows and one crafted row; every reader must
-        # give the bits it gives on the stack np.concatenate builds.
+    def test_every_rule_reads_it_as_the_concatenated_stack(self, n_copies):
+        # The round and the fang oracle hand each rule the copies of one
+        # crafted row, then the honest rows; every reader must give the
+        # bits it gives on the stack np.concatenate builds.
         n_honest, d = 11, 37
-        rng = substream(83, "population", n_copies, copies_first)
+        rng = substream(83, "population", n_copies, True)
         honest = rng.standard_normal((n_honest, d)) * rng.uniform(0.1, 5.0, size=(n_honest, 1))
         crafted = 3.0 * rng.standard_normal(d) if n_copies else None
-        pop = baselines.Population(honest, crafted, n_copies, copies_first)
+        pop = baselines.Population(honest, crafted, n_copies)
         copies = np.broadcast_to(crafted, (n_copies, d)) if n_copies else honest[:0]
-        ref = np.concatenate([copies, honest] if copies_first else [honest, copies])
+        ref = np.concatenate([copies, honest])
         n = len(ref)
 
         assert len(pop) == n and pop.shape == ref.shape
@@ -640,16 +640,16 @@ class TestPopulation:
         cfg = _desk_config(aggregator="multikrum", n_clients=n,
                            aggregator_params={"f": 2, "m": 7})
         dists = attacks.row_distances(honest)
-        kept = harness._multikrum_kept(cfg, pop, dists)
+        kept = harness._kept(cfg, pop, None, dists)
         want = np.argsort(shared_krum_scores(honest, crafted if n_copies else np.zeros(d),
-                                             n_copies, 2, copies_first), kind="stable")[:7]
+                                             n_copies, 2), kind="stable")[:7]
         assert np.array_equal(kept, want)
         assert np.array_equal(kept, multi_krum_select(ref, 2, 7))
 
         cfg = _desk_config(aggregator="dnc", n_clients=n,
                            aggregator_params={"sub_dim": 20, "n_iters": 2})
-        got = harness._dnc_kept(cfg, pop, substream(83, "dnc"))
-        assert np.array_equal(got, harness._dnc_kept(cfg, ref, substream(83, "dnc")))
+        got = harness._kept(cfg, pop, substream(83, "dnc"))
+        assert np.array_equal(got, harness._kept(cfg, ref, substream(83, "dnc")))
 
     def test_rows_and_columns_outside_it_are_refused(self):
         pop = baselines.Population(np.zeros((3, 4)), np.ones(4), 2)
@@ -681,7 +681,7 @@ class TestPopulationGram:
         gram_of = harness._population_gram(honest, n_mal)
         for lam in (0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0):
             candidate = fang_candidate(mean, lam)
-            pop = np.concatenate([honest, np.broadcast_to(candidate, (n_mal, d))])
+            pop = np.concatenate([np.broadcast_to(candidate, (n_mal, d)), honest])
             rows = pop - pop.mean(axis=0)
             got = gram_of(candidate)
             assert np.array_equal(got, got.T)

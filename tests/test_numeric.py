@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dp2guard.client import split_and_mask
 from dp2guard.errors import FormatError
 from dp2guard.numeric import (
     _centering_terms,
@@ -10,6 +11,8 @@ from dp2guard.numeric import (
     decode_fixed,
     encode_fixed,
     mean_center,
+    partial_aggregate,
+    reassemble_global,
     reconstruct_centered,
     rekey,
     ring_view,
@@ -349,3 +352,58 @@ class TestRekey:
         assert _stream_key(3, "a", 1) != _stream_key(3, "a", "1")
         key = substream(3, "a", 1).bit_generator.state["state"]["key"].tolist()
         assert key == [_stream_key(3, "a", 1) & LOW64, _stream_key(3, "a", 1) >> 64]
+
+
+# The ring's range budget is ROADMAP item 1.  Until it lands, these inputs,
+# all admitted by the clip bound and the config, wrap silently; each xfail
+# asserts the correct value, so the fix must remove its marker.
+RING_WRAP = "ROADMAP item 1: the fixed-point ring wraps silently here"
+
+
+def _masked_shares(grads, scale_bits):
+    """Both servers' (N, d) shares of `grads`, masked as the clients mask."""
+    return split_and_mask(grads, scale_bits,
+                          (substream(12, "ring-wrap", cid) for cid in range(len(grads))))
+
+
+def _weighted_sum(grads, weights, scale_bits):
+    """The two servers' partial aggregates of `grads`, reassembled."""
+    share1, share2 = _masked_shares(grads, scale_bits)
+    a1, bits = partial_aggregate(share1, weights, scale_bits)
+    a2, _ = partial_aggregate(share2, weights, scale_bits)
+    return reassemble_global(a1, a2, bits)
+
+
+class TestRingWraps:
+    @pytest.mark.xfail(reason=RING_WRAP + " (the weighted sum of two clients at 1e5 "
+                              "decodes to -31,072 at scale_bits 16)")
+    def test_weighted_aggregate_of_large_entries(self):
+        got = _weighted_sum(np.full((2, 3), 1e5), [0.5, 0.5], 16)
+        assert np.array_equal(got, np.full(3, 1e5))
+
+    @pytest.mark.parametrize("scale_bits", [
+        16, 31,
+        *(pytest.param(s, marks=pytest.mark.xfail(
+            reason=RING_WRAP + " (the weighted sum decodes to -0.5 at scale_bits 32 "
+                               "and to 0 at 40 and 48)")) for s in (32, 40, 48)),
+    ])
+    def test_weighted_aggregate_at_large_scale_bits(self, scale_bits):
+        grads = np.array([[0.3, 0.3], [0.7, 0.7]])
+        got = _weighted_sum(grads, [0.5, 0.5], scale_bits)
+        assert np.all(np.abs(got - 0.5) <= 2.0**-scale_bits)
+
+    @pytest.mark.parametrize("n", [
+        128,
+        pytest.param(129, marks=pytest.mark.xfail(
+            reason=RING_WRAP + " (centring one client at +clip_bound against 128 at "
+                               "-clip_bound reconstructs -1.0910e12)")),
+    ])
+    def test_centring_at_the_clip_bound(self, n):
+        bound = clip_bound(16)
+        grads = np.full((n, 2), -bound)
+        grads[0] = bound
+        share1, share2 = _masked_shares(grads, 16)
+        got = reconstruct_centered(mean_center(share1, np.empty_like(share1)), share2, 16,
+                                   np.empty(grads.shape))
+        want = grads - grads.mean(axis=0)
+        assert got == pytest.approx(want, rel=1e-12)
