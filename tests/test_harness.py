@@ -549,8 +549,7 @@ class TestFangOracle:
     def test_multikrum_oracle_matches_selection(self):
         # Fang's halving sweep lam = 2^-k crosses the accept/reject
         # boundary.  The oracle accepts exactly when the round, on the same
-        # population (copies first), keeps a copy, whether it is handed the
-        # honest rows' distances or computes them; and the round keeps what
+        # population (copies first), keeps a copy; and the round keeps what
         # the plain-stack selection keeps.
         cfg = _desk_config(n_clients=20, adv_ratio=0.2, aggregator="multikrum",
                            attack={"kind": "fang"})
@@ -563,7 +562,6 @@ class TestFangOracle:
         f, m = harness._multikrum_params(cfg)
         dists = attacks.row_distances(np.asarray(honest))
         oracle = harness._fang_oracle(cfg, spec, honest, 1, dists)
-        oracle_without_dists = harness._fang_oracle(cfg, spec, honest, 1)
         decisions = set()
         for k in range(21):
             candidate = fang_candidate(np.mean(honest, axis=0), 2.0**-k)
@@ -572,11 +570,48 @@ class TestFangOracle:
                 None, dists)
             decisions.add(oracle(candidate))
             assert oracle(candidate) == any(i < n_mal for i in benign)
-            assert oracle_without_dists(candidate) == oracle(candidate)
             stack = np.asarray([candidate] * n_mal + honest)
             want = multi_krum_select(stack, f, m)
             assert benign == frozenset(want.tolist())
             assert np.array_equal(g_agg, baselines.kept_mean(stack, want))
+        assert decisions == {True, False}
+
+    def test_multikrum_oracle_runs_without_distances(self):
+        # Built without the honest rows' distances, the Multi-Krum oracle
+        # computes them itself and decides as one handed them does.
+        cfg = _desk_config(n_clients=20, adv_ratio=0.2, aggregator="multikrum",
+                           attack={"kind": "fang"})
+        spec = cfg.parse_attack()
+        rng = substream(8, "mk-oracle")
+        honest = list(0.05 * rng.standard_normal((16, 30)) + rng.standard_normal(30))
+        dists = attacks.row_distances(np.asarray(honest))
+        with_dists = harness._fang_oracle(cfg, spec, honest, 1, dists)
+        without_dists = harness._fang_oracle(cfg, spec, honest, 1)
+        decisions = set()
+        for k in range(21):
+            candidate = fang_candidate(np.mean(honest, axis=0), 2.0**-k)
+            decisions.add(without_dists(candidate))
+            assert without_dists(candidate) == with_dists(candidate)
+        assert decisions == {True, False}
+
+    @pytest.mark.parametrize("aggregator", ["multikrum", "dnc"])
+    def test_oracle_accepts_when_the_round_selection_keeps_a_copy(self, aggregator):
+        # The oracle replays `_kept` on the round's population (copies
+        # first) with the ("attack-oracle", round) stream, fresh each call.
+        cfg = _desk_config(n_clients=20, adv_ratio=0.2, seed=3, aggregator=aggregator,
+                           aggregator_params={"sub_dim": 30} if aggregator == "dnc" else {},
+                           attack={"kind": "fang"})
+        n_mal = cfg.n_malicious
+        rng = substream(3, "oracle-kept", aggregator)
+        honest = 0.05 * rng.standard_normal((16, 30)) + rng.standard_normal(30)
+        oracle = harness._fang_oracle(cfg, cfg.parse_attack(), list(honest), 2)
+        decisions = set()
+        for k in range(21):
+            candidate = fang_candidate(honest.mean(axis=0), 2.0**-k)
+            kept = harness._kept(cfg, baselines.Population(honest, candidate, n_mal),
+                                 substream(cfg.seed, "attack-oracle", 2))
+            decisions.add(oracle(candidate))
+            assert oracle(candidate) == any(i < n_mal for i in kept)
         assert decisions == {True, False}
 
     @pytest.mark.parametrize("aggregator", ["dp2guard", "multikrum", "dnc"])
