@@ -8,10 +8,11 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, Dp2GuardError, OutputExists
-from .harness import (ExperimentConfig, _is_real, plot_ratio_sweep, refuse_artifacts,
-                      run_experiment)
+from .config import ExperimentConfig, is_real
+from .errors import ConfigError, Dp2GuardError
+from .harness import run_experiment
 from .ledger import audit_file
+from .report import plot_ratio_sweep, refuse_artifacts
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,9 +82,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     xs = [_sweep_x(raw, value) for raw, value in zip(raws, parsed)]
     configs = [ExperimentConfig.from_dict({**base, field: value}) for value in parsed]
     out_root = Path(args.out)
-    if (out_root / "sweep.svg").exists():  # an earlier sweep's plot
-        raise OutputExists(f"{out_root / 'sweep.svg'} already exists; "
-                           "write each sweep to a fresh directory")
+    refuse_artifacts(out_root, ("sweep.svg",))  # an earlier sweep's plot
     dirs = [out_root / f"{field}={raw}" for raw in raws]
     for i, raw in enumerate(raws):
         if raw in raws[:i]:
@@ -107,7 +106,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _sweep_x(raw: str, value) -> float:
     """Where the sweep plot puts a --vary value on its x axis: the value
     must be a finite real number (JSON int or float, not a boolean)."""
-    if _is_real(value):
+    if is_real(value):
         return float(value)
     raise ConfigError(f"--vary value {raw!r} is not a finite number; "
                       "the sweep plots each value on its x axis")

@@ -1,8 +1,10 @@
-"""Dataset loading, synthesis, and client partitioning (IID / Dirichlet)."""
+"""Dataset loading (with the search for the IDX files), synthesis, and client
+partitioning (IID / Dirichlet)."""
 from __future__ import annotations
 
 import gzip
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,6 +123,46 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     del images
     features /= 255.0
     return Dataset(features, labels.astype(np.int64), n_classes=10)
+
+
+def load_idx_splits(data_dir: str | None, dataset: str) -> tuple[Dataset, Dataset]:
+    """The training and test splits of an IDX dataset ("train" and "t10k"
+    files), from the directory `resolve_data_dir` finds."""
+    base = resolve_data_dir(data_dir, dataset)
+    return tuple(load_idx(_idx_file(base, f"{split}-images-idx3-ubyte"),
+                          _idx_file(base, f"{split}-labels-idx1-ubyte"))
+                 for split in ("train", "t10k"))
+
+
+def resolve_data_dir(data_dir: str | None, dataset: str) -> Path:
+    """Locate the IDX files: explicit config, then DP2GUARD_DATA_DIR, then
+    ./data/<dataset>."""
+    candidates = []
+    if data_dir:
+        candidates.append(Path(data_dir))
+    env = os.environ.get("DP2GUARD_DATA_DIR")
+    if env:
+        candidates.append(Path(env) / dataset)
+        candidates.append(Path(env))
+    candidates.append(Path("data") / dataset)
+    for cand in candidates:
+        try:
+            _idx_file(cand, "train-images-idx3-ubyte")
+            return cand
+        except FileNotFoundError:
+            continue
+    raise FileNotFoundError(
+        f"no IDX files for {dataset!r}; searched {[str(c) for c in candidates]}; "
+        "set data_dir or DP2GUARD_DATA_DIR"
+    )
+
+
+def _idx_file(base: Path, stem: str) -> Path:
+    for name in (stem, stem + ".gz"):
+        path = base / name
+        if path.exists():
+            return path
+    raise FileNotFoundError(f"{base / stem}[.gz] not found")
 
 
 def _read_idx_payload(path: str | Path, want_magic: int, ndim: int) -> np.ndarray:

@@ -1,29 +1,27 @@
-"""Experiment orchestration: configuration, the per-round protocol loop,
-metrics, and plotting."""
+"""Experiment orchestration: the per-round protocol loop, the attacker's
+crafting and oracle, and the plaintext rules' selection."""
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import json
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import attacks, baselines, client, defense, models
-from .data import Dataset, load_idx, partition, synth_dataset
-from .errors import ConfigError, NonFiniteGradient, NonFiniteModel, OutputExists
+from . import attacks, baselines, client, defense, models, report
+from .config import ExperimentConfig
+from .data import Dataset, load_idx_splits, partition, synth_dataset
+from .errors import NonFiniteGradient, NonFiniteModel
 from .ledger import (
     Ledger,
     make_round_payload,
     payload_agg_blob,
     payload_trust_weights,
 )
-from .numeric import MAX_SCALE_BITS, block_rows, rekey, substream
+from .numeric import block_rows, rekey, substream
 from .servers import (
     Channel,
     ServerS1,
@@ -32,197 +30,9 @@ from .servers import (
     encode_share_upload,
 )
 
-AGGREGATORS = ("dp2guard", "fedavg", "multikrum", "dnc", "fltrust")
-ATTACK_SPECS = {"label_flip": attacks.LabelFlipSpec, "fang": attacks.FangSpec,
-                "minmax": attacks.MinMaxSpec, "minsum": attacks.MinSumSpec}
-# aggregator_params keys per rule, each with the least integer it admits
-# (None: a finite float > 0).
-AGGREGATOR_PARAMS = {
-    "multikrum": {"f": 0, "m": 1},
-    "dnc": {"n_iters": 1, "sub_dim": 1, "filter_frac": None, "assumed_malicious": 1},
-}
-CHOICES = {
-    "dataset": ("synthetic", "mnist", "fashion"), "model": ("logreg", "mlp"),
-    "aggregator": AGGREGATORS, "partition": ("iid", "dirichlet"),
-    "exclusion": ("soft", "hard"), "local_mode": ("epoch", "batch"),
-}
-# Integer fields with the least value each admits (a subset of 0 is the whole
-# split), and the greatest where there is one (the seed is packed as a signed
-# 64-bit word).
-INT_FIELDS = {
-    "n_clients": 2, "rounds": 1, "seed": -2**63, "batch_size": 1, "scale_bits": 1,
-    "synth_train": 1, "synth_test": 1, "synth_features": 1, "synth_classes": 2, "hidden": 1,
-    "fltrust_root_size": 1, "train_subset": 0, "test_subset": 0,
-}
-INT_CEILINGS = {"seed": 2**63 - 1, "scale_bits": MAX_SCALE_BITS}
-# Fields of other JSON types; those in NULLABLE may also be None.
-TYPED_FIELDS = {"data_dir": str, "attack": dict, "aggregator_params": dict}
-NULLABLE = ("train_subset", "test_subset", "data_dir", "attack")
-# Files a run writes into its output directory.
-ARTIFACTS = ("ledger.jsonl", "metrics.csv", "plot.svg", "resolved-config.json",
-             "detection.csv", "attack.csv")
 LEDGER_SENDER = 0
 # Attacks crafted from every honest client's gradient.
 FULL_KNOWLEDGE = (attacks.FangSpec, attacks.MinMaxSpec, attacks.MinSumSpec)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment, fully determined by its JSON form plus nothing else."""
-
-    dataset: str = "synthetic"
-    model: str = "logreg"
-    n_clients: int = 20
-    rounds: int = 50
-    adv_ratio: float = 0.0
-    attack: dict[str, Any] | None = None
-    aggregator: str = "dp2guard"
-    partition: str = "iid"
-    alpha: float = 0.5
-    beta: float = 0.5
-    exclusion: str = "soft"
-    seed: int = 0
-    eta: float = 0.01
-    batch_size: int = 32
-    scale_bits: int = 16
-    local_mode: str = "epoch"
-    train_subset: int | None = None
-    test_subset: int | None = None
-    data_dir: str | None = None
-    synth_train: int = 2000
-    synth_test: int = 1000
-    synth_features: int = 20
-    synth_classes: int = 4
-    synth_separation: float = 4.0
-    hidden: int = 128
-    fltrust_root_size: int = 100
-    aggregator_params: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name, low in INT_FIELDS.items():
-            value, high = getattr(self, name), INT_CEILINGS.get(name, math.inf)
-            if not (value is None and name in NULLABLE or _is_int(value, low) and value <= high):
-                raise ConfigError(f"{name} must be an integer in [{low}, {high}]")
-        for name, kind in TYPED_FIELDS.items():
-            value = getattr(self, name)
-            if not (value is None and name in NULLABLE or isinstance(value, kind)):
-                raise ConfigError(f"{name} must be a JSON {kind.__name__}")
-        for name in ("adv_ratio", "alpha", "beta", "eta", "synth_separation"):
-            if not _is_real(getattr(self, name)):
-                raise ConfigError(f"{name} must be a finite number")
-        for name, choices in CHOICES.items():
-            if getattr(self, name) not in choices:
-                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
-        if self.partition == "dirichlet" and not _is_positive(self.alpha):
-            raise ConfigError("dirichlet alpha must be finite and > 0")
-        if not 0.0 <= self.adv_ratio < 0.5:
-            raise ConfigError("adv_ratio must be in [0, 0.5)")
-        if not 0.0 <= self.beta < 1.0:
-            raise ConfigError("beta must be in [0, 1)")
-        if self.eta <= 0:
-            raise ConfigError("eta must be positive")
-        if self.attack is not None:
-            _check_attack(self.parse_attack(),
-                          self.synth_classes if self.dataset == "synthetic" else 10)
-        elif self.adv_ratio > 0:
-            raise ConfigError("adv_ratio > 0 requires an attack")
-        _check_aggregator_params(self.aggregator, self.aggregator_params)
-        if self.aggregator == "multikrum":
-            f, m = _multikrum_params(self)
-            if self.n_clients < 2 * f + 3:
-                raise ConfigError(
-                    f"multikrum needs n >= 2f+3, got n={self.n_clients}, f={f}")
-            if not 1 <= m <= self.n_clients - f:
-                raise ConfigError(f"multikrum m={m} outside [1, n-f]")
-
-    @property
-    def n_malicious(self) -> int:
-        return int(np.ceil(self.adv_ratio * self.n_clients))
-
-    @property
-    def malicious_ids(self) -> tuple[int, ...]:
-        # Deterministic first-k placement keeps detection ground truth stable.
-        return tuple(range(self.n_malicious))
-
-    def parse_attack(self) -> attacks.AttackSpec | None:
-        if self.attack is None:
-            return None
-        spec = dict(self.attack)
-        kind = spec.pop("kind", None)
-        if not isinstance(kind, str) or kind not in ATTACK_SPECS:
-            raise ConfigError(f"unknown attack kind {kind!r}")
-        try:
-            return ATTACK_SPECS[kind](kind=kind, **spec)
-        except TypeError as exc:
-            raise ConfigError(f"bad parameters for attack {kind!r}: {exc}") from exc
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        return cls.from_dict(raw)
-
-
-def _is_int(value: Any, low: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
-
-
-def _is_real(value: Any) -> bool:
-    """A finite JSON number (int or float, not a boolean); NaN fails `<=`."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
-def _is_positive(value: Any) -> bool:
-    return _is_real(value) and value > 0
-
-
-def _check_attack(spec: attacks.AttackSpec, n_classes: int) -> None:
-    if isinstance(spec, attacks.LabelFlipSpec):
-        if not _is_int(spec.offset, 1) or spec.offset >= n_classes:
-            raise ConfigError(f"label_flip offset must be an integer in [1, {n_classes})")
-        if not (_is_positive(spec.fraction) and spec.fraction <= 1):
-            raise ConfigError("label_flip fraction must be in (0, 1]")
-        return
-    for name in ("gamma0", "step", "gamma_min", "lambda0"):
-        if hasattr(spec, name) and not _is_positive(getattr(spec, name)):
-            raise ConfigError(f"{spec.kind} {name} must be finite and > 0")
-    if isinstance(spec, attacks.FangSpec):
-        if spec.oracle not in attacks.FANG_ORACLES:
-            raise ConfigError(f"fang oracle must be one of {attacks.FANG_ORACLES}")
-    elif spec.direction not in attacks.DIRECTIONS:
-        raise ConfigError(f"{spec.kind} direction must be one of {attacks.DIRECTIONS}")
-
-
-def _check_aggregator_params(aggregator: str, params: dict[str, Any]) -> None:
-    allowed = AGGREGATOR_PARAMS.get(aggregator, {})
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise ConfigError(f"aggregator_params {sorted(unknown)} do not apply to {aggregator}")
-    for key, value in params.items():
-        low = allowed[key]
-        if low is None and not _is_positive(value):
-            raise ConfigError(f"{aggregator} {key} must be finite and > 0")
-        if low is not None and not _is_int(value, low):
-            raise ConfigError(f"{aggregator} {key} must be an integer >= {low}")
 
 
 @dataclass(frozen=True)
@@ -262,58 +72,12 @@ def load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         test = synth_dataset(cfg.synth_test, cfg.synth_features, cfg.synth_classes,
                              cfg.synth_separation, substream(cfg.seed, "data", "test"))
     else:
-        base = resolve_data_dir(cfg.data_dir, cfg.dataset)
-        train = load_idx(_idx_file(base, "train-images-idx3-ubyte"),
-                         _idx_file(base, "train-labels-idx1-ubyte"))
-        test = load_idx(_idx_file(base, "t10k-images-idx3-ubyte"),
-                        _idx_file(base, "t10k-labels-idx1-ubyte"))
+        train, test = load_idx_splits(cfg.data_dir, cfg.dataset)
     if cfg.train_subset:
         train = train.head(cfg.train_subset)
     if cfg.test_subset:
         test = test.head(cfg.test_subset)
     return train, test
-
-
-def resolve_data_dir(data_dir: str | None, dataset: str) -> Path:
-    """Locate the IDX files: explicit config, then DP2GUARD_DATA_DIR, then
-    ./data/<dataset>."""
-    import os
-
-    candidates = []
-    if data_dir:
-        candidates.append(Path(data_dir))
-    env = os.environ.get("DP2GUARD_DATA_DIR")
-    if env:
-        candidates.append(Path(env) / dataset)
-        candidates.append(Path(env))
-    candidates.append(Path("data") / dataset)
-    for cand in candidates:
-        try:
-            _idx_file(cand, "train-images-idx3-ubyte")
-            return cand
-        except FileNotFoundError:
-            continue
-    raise FileNotFoundError(
-        f"no IDX files for {dataset!r}; searched {[str(c) for c in candidates]}; "
-        "set data_dir or DP2GUARD_DATA_DIR"
-    )
-
-
-def _idx_file(base: Path, stem: str) -> Path:
-    for name in (stem, stem + ".gz"):
-        path = base / name
-        if path.exists():
-            return path
-    raise FileNotFoundError(f"{base / stem}[.gz] not found")
-
-
-def refuse_artifacts(out_path: Path) -> None:
-    """Raise OutputExists if `out_path` holds any of the ARTIFACTS, whose
-    earlier copies would pass for this run's; a run checks before any work."""
-    for name in ARTIFACTS:
-        if (out_path / name).exists():
-            raise OutputExists(f"{out_path / name} already exists; "
-                               "write each run to a fresh directory")
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
@@ -322,11 +86,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
 
     Every random draw comes from a stream keyed by (seed, purpose, actor,
     round), so reruns of the same config are bit-identical.  Raises
-    OutputExists if `out_dir` already holds any of the ARTIFACTS.
+    OutputExists if `out_dir` already holds any of `report.ARTIFACTS`.
     """
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
-        refuse_artifacts(out_path)
+        report.refuse_artifacts(out_path)
         out_path.mkdir(parents=True, exist_ok=True)
 
     train, test = load_datasets(cfg)
@@ -395,9 +159,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                 mtb, mtm = _trust_means(s2.trust, cfg.n_malicious)
                 if out_path is not None:
                     if detection_csv is None:
-                        detection_csv = (out_path / "detection.csv").open("x", encoding="utf-8")
-                        detection_csv.write("round,client_id,s,c,cluster,benign\n")
-                    _write_detection(detection_csv, round_no, detection)
+                        detection_csv = report.open_detection(out_path)
+                    report.write_detection(detection_csv, round_no, detection)
                 if record_history:
                     result.weight_history.append(tau)
                     result.benign_history.append(benign_pred)
@@ -430,17 +193,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     result.metrics = metrics
     result.final_params = params
     if out_path is not None:
-        emit_metrics(metrics, out_path / "metrics.csv")
-        plot_metrics(metrics, out_path / "plot.svg",
-                     title=f"{cfg.aggregator} on {cfg.dataset}")
-        (out_path / "resolved-config.json").write_text(cfg.to_json() + "\n",
-                                                       encoding="utf-8")
-        if any(m.crafted_norm is not None for m in metrics):
-            attack_lines = ["round,crafted_norm"]
-            attack_lines += [f"{m.round},{m.crafted_norm!r}" for m in metrics
-                             if m.crafted_norm is not None]
-            (out_path / "attack.csv").write_text("\n".join(attack_lines) + "\n",
-                                                 encoding="utf-8")
+        report.write_run(cfg, metrics, out_path)
     return result
 
 
@@ -606,7 +359,7 @@ def _kept(cfg: ExperimentConfig, population: baselines.Population,
     if cfg.aggregator == "dnc":
         kept = baselines.dnc_survivors(population, _dnc_params(cfg), rng)
         return np.array(sorted(kept), dtype=np.intp)
-    f, m = _multikrum_params(cfg)
+    f, m = cfg.multikrum_params
     honest, crafted, n_copies = population.honest, population.crafted, population.n_copies
     if honest_dists is None:
         honest_dists = attacks.row_distances(honest)
@@ -655,13 +408,6 @@ def _dp2guard_round(cfg: ExperimentConfig, blocks: Iterable[np.ndarray],
     return s1.finalize(channel.send("ledger", "S1", ledger_msg)), detection, tau
 
 
-def _write_detection(fh: TextIO, round_no: int, detection: defense.DetectionResult) -> None:
-    """The round's detection.csv lines; row k of the round is client k."""
-    for k, (s, c) in enumerate(detection.features):
-        flag = int(k in detection.benign)
-        fh.write(f"{round_no},{k},{float(s)!r},{float(c)!r},{1 - flag},{flag}\n")
-
-
 def _upload_block(cfg: ExperimentConfig, block: np.ndarray, ids: range, round_no: int,
                   channel: Channel, s1: ServerS1, s2: ServerS2,
                   mask_rng: np.random.Generator) -> None:
@@ -700,11 +446,6 @@ def _baseline_round(cfg: ExperimentConfig, population: baselines.Population,
     return baselines.kept_mean(population, kept), frozenset(kept.tolist())
 
 
-def _multikrum_params(cfg: ExperimentConfig) -> tuple[int, int]:
-    f = cfg.aggregator_params.get("f", cfg.n_malicious)
-    return f, cfg.aggregator_params.get("m", cfg.n_clients - f)
-
-
 def _dnc_params(cfg: ExperimentConfig) -> baselines.DnCConfig:
     return baselines.DnCConfig(**{"assumed_malicious": max(cfg.n_malicious, 1),
                                   **cfg.aggregator_params})
@@ -733,85 +474,3 @@ def _trust_means(trust_vec: np.ndarray, n_malicious: int) -> tuple[float, float 
     the first ids; adv_ratio < 0.5 leaves at least one benign row)."""
     mal = float(np.mean(trust_vec[:n_malicious])) if n_malicious else None
     return float(np.mean(trust_vec[n_malicious:])), mal
-
-
-# --- metrics output --------------------------------------------------------
-
-CSV_HEADER = "round,accuracy,precision,recall,mean_trust_benign,mean_trust_malicious"
-
-
-def emit_metrics(metrics: Sequence[RoundMetrics], path: str | Path) -> None:
-    """CSV with one row per round; absent metrics serialize as empty fields."""
-    if not metrics:
-        raise ValueError("no metrics to emit")
-    lines = [CSV_HEADER]
-    for m in metrics:
-        cells = [str(m.round), repr(m.accuracy)]
-        for value in (m.precision, m.recall, m.mean_trust_benign, m.mean_trust_malicious):
-            cells.append("" if value is None else repr(value))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def plot_metrics(metrics: Sequence[RoundMetrics], path: str | Path,
-                 title: str = "accuracy") -> None:
-    """Accuracy-versus-round line chart as a standalone SVG."""
-    points = [(float(m.round), m.accuracy) for m in metrics]
-    _svg_chart({title: points}, path, "round", "accuracy")
-
-
-def plot_ratio_sweep(series: dict[str, list[tuple[float, float]]],
-                     path: str | Path) -> None:
-    """Final accuracy versus adversary ratio, one line per labelled sweep."""
-    _svg_chart(series, path, "adv_ratio", "final accuracy")
-
-
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-def _svg_chart(series: dict[str, list[tuple[float, float]]], path: str | Path,
-               xlabel: str, ylabel: str) -> None:
-    width, height, margin = 640, 420, 56
-    xs = [x for pts in series.values() for x, _ in pts]
-    if not xs:
-        raise ValueError("nothing to plot")
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = 0.0, 1.0  # both charts plot accuracies
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-
-    def sx(x: float) -> float:
-        return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
-
-    def sy(y: float) -> float:
-        return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
-        f'stroke="black"/>',
-        f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle" '
-        f'font-size="13">{xlabel}</text>',
-        f'<text x="14" y="{height / 2:.1f}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 14 {height / 2:.1f})">{ylabel}</text>',
-    ]
-    for k in range(5):
-        xv = x_lo + k * (x_hi - x_lo) / 4
-        yv = y_lo + k * (y_hi - y_lo) / 4
-        parts.append(f'<text x="{sx(xv):.1f}" y="{height - margin + 16}" '
-                     f'text-anchor="middle" font-size="10">{xv:.3g}</text>')
-        parts.append(f'<text x="{margin - 6}" y="{sy(yv) + 4:.1f}" '
-                     f'text-anchor="end" font-size="10">{yv:.3g}</text>')
-    for idx, (label, pts) in enumerate(series.items()):
-        color = _PALETTE[idx % len(_PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.5"/>')
-        parts.append(f'<text x="{width - margin}" y="{margin + 14 * idx}" '
-                     f'text-anchor="end" font-size="11" fill="{color}">{label}</text>')
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

@@ -25,14 +25,10 @@ from dp2guard.attacks import (
     perturbation_direction,
 )
 from dp2guard.client import local_gradient, split_and_mask
-from dp2guard.data import partition
+from dp2guard.config import ExperimentConfig
+from dp2guard.data import partition, resolve_data_dir
 from dp2guard.defense import detect, median_cosines, top_direction
-from dp2guard.harness import (
-    ExperimentConfig,
-    load_datasets,
-    resolve_data_dir,
-    run_experiment,
-)
+from dp2guard.harness import load_datasets, run_experiment
 from dp2guard.ledger import read_chain, verify_file
 from dp2guard.models import Model
 from dp2guard.numeric import encode_fixed, substream

@@ -259,6 +259,18 @@ class TestSweepCommand:
         if taken == "existing-plot":
             assert (out / "sweep.svg").read_text() == "<svg/>"
 
+    def test_scale_search_without_two_honest_clients_exits_two_before_any_run(
+            self, tmp_path, capsys):
+        # Three clients at adv_ratio 0.34 leave one honest gradient; the
+        # sweep used to run adv_ratio=0, then fail without its plot.
+        cfg = _write_config(tmp_path, n_clients=3,
+                            attack={"kind": "minmax", "direction": "-mean"})
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(cfg),
+                     "--vary", "adv_ratio=0,0.34", "--out", str(out)]) == 2
+        assert "two honest clients" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_later_config_exits_two_before_any_run(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         out = tmp_path / "s"

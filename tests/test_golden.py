@@ -72,7 +72,9 @@ import hashlib
 
 import pytest
 
-from dp2guard.harness import AGGREGATORS, ARTIFACTS, ExperimentConfig, run_experiment
+from dp2guard.config import AGGREGATORS, ExperimentConfig
+from dp2guard.harness import run_experiment
+from dp2guard.report import ARTIFACTS
 
 GOLDEN = {
     "fang": (

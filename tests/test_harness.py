@@ -13,23 +13,18 @@ import numpy as np
 import pytest
 
 import dp2guard.client as client_mod
-from dp2guard import attacks, baselines, harness, models, numeric, servers, trust
+from dp2guard import attacks, baselines, harness, models, numeric, report, servers, trust
 from dp2guard.attacks import fang_attack, fang_candidate
 from dp2guard.baselines import dnc_survivors, fedavg
 from dp2guard.client import local_gradient, split_and_mask
+from dp2guard.config import ExperimentConfig
 from dp2guard.data import Dataset, partition
 from dp2guard.defense import detect
 from dp2guard.errors import ConfigError, NonFiniteGradient, OutputExists
-from dp2guard.harness import (
-    CSV_HEADER,
-    ExperimentConfig,
-    emit_metrics,
-    load_datasets,
-    plot_metrics,
-    run_experiment,
-)
+from dp2guard.harness import load_datasets, run_experiment
 from dp2guard.ledger import Ledger, payload_trust_weights, read_chain, verify_file
 from dp2guard.numeric import partial_aggregate, reassemble_global, substream
+from dp2guard.report import CSV_HEADER, emit_metrics, plot_metrics
 from dp2guard.servers import (
     Channel,
     ServerS1,
@@ -196,6 +191,37 @@ def test_config_rejects_ill_typed_values(overrides):
         ExperimentConfig.from_dict({**raw, **overrides})
 
 
+@pytest.mark.parametrize("rows", [dict(synth_train=9), dict(train_subset=9),
+                                  dict(synth_train=9, train_subset=50),
+                                  dict(dataset="mnist", train_subset=9)], ids=repr)
+def test_config_rejects_training_rows_that_cannot_cover_the_clients(rows):
+    # Each used to build and fail in setup with EmptyClientError; at one
+    # row per client the config still builds.
+    with pytest.raises(ConfigError, match="9 training rows cannot cover 10 clients"):
+        ExperimentConfig(n_clients=10, **rows)
+    cfg = ExperimentConfig(n_clients=9, rounds=1, synth_test=20, **rows)
+    if cfg.dataset == "synthetic":
+        assert len(run_experiment(cfg).metrics) == 1
+    # IDX data without train_subset is left to partition at run time.
+    ExperimentConfig(dataset="mnist", n_clients=10)
+
+
+@pytest.mark.parametrize("kind,aggregator,n_clients,adv_ratio",
+                         [("minmax", "dp2guard", 3, 0.34), ("minsum", "fltrust", 2, 0.4)])
+def test_config_rejects_a_scale_search_without_two_honest_clients(kind, aggregator,
+                                                                  n_clients, adv_ratio):
+    # Each used to build and fail in round 0 with DegenerateError, after
+    # the output directory was made.  One attacker among three clients
+    # leaves two honest gradients, enough for the search.
+    with pytest.raises(ConfigError, match=f"{kind} needs at least two honest clients"):
+        ExperimentConfig(n_clients=n_clients, adv_ratio=adv_ratio, aggregator=aggregator,
+                         attack={"kind": kind})
+    cfg = ExperimentConfig(n_clients=3, adv_ratio=0.3, aggregator=aggregator,
+                           attack={"kind": kind}, rounds=1, synth_train=60, synth_test=20)
+    assert cfg.n_malicious == 1
+    assert run_experiment(cfg).metrics[0].crafted_norm is not None
+
+
 def test_config_accepts_each_rule_parameter():
     _desk_config(adv_ratio=0.2, attack={"kind": "minsum", "gamma0": 2, "step": 0.5,
                                         "gamma_min": 1e-3, "direction": "sign"})
@@ -236,7 +262,7 @@ class TestRunDeterminism:
         run_experiment(a, out_dir=tmp_path / "a1")
         run_experiment(b, out_dir=tmp_path / "b")
         run_experiment(a, out_dir=tmp_path / "a2")
-        for name in harness.ARTIFACTS:  # a fang dp2guard run writes all six
+        for name in report.ARTIFACTS:  # a fang dp2guard run writes all six
             assert (tmp_path / "a1" / name).read_bytes() == \
                    (tmp_path / "a2" / name).read_bytes()
 
@@ -253,7 +279,7 @@ class TestRunDeterminism:
         cfg = _desk_config(rounds=3, **overrides)
         run_experiment(cfg, out_dir=tmp_path / "off")
         res = run_experiment(cfg, out_dir=tmp_path / "on", record_history=True)
-        for name in harness.ARTIFACTS:
+        for name in report.ARTIFACTS:
             off = tmp_path / "off" / name
             assert off.exists() == (tmp_path / "on" / name).exists()
             if off.exists():
@@ -559,7 +585,7 @@ class TestFangOracle:
         # Honest spread 0.05 a coordinate: the copies sit lam a coordinate
         # off the honest mean, so the sweep's large lam are rejected.
         honest = list(0.05 * rng.standard_normal((16, 30)) + rng.standard_normal(30))
-        f, m = harness._multikrum_params(cfg)
+        f, m = cfg.multikrum_params
         dists = attacks.row_distances(np.asarray(honest))
         oracle = harness._fang_oracle(cfg, spec, honest, 1, dists)
         decisions = set()
@@ -761,7 +787,7 @@ def test_loop_aggregate_equals_baseline_function(aggregator):
         if aggregator == "fedavg":
             want = baselines.fedavg(rows)
         elif aggregator == "multikrum":
-            want = multi_krum(rows, *harness._multikrum_params(cfg))
+            want = multi_krum(rows, *cfg.multikrum_params)
         else:
             want = dnc(rows, harness._dnc_params(cfg), substream(cfg.seed, "dnc", t))
         params = models.sgd_step(params, want, cfg.eta)
@@ -1065,7 +1091,7 @@ class TestLedgerReplay:
             run_experiment(_desk_config(aggregator="fedavg", rounds=2), out_dir=out)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    @pytest.mark.parametrize("name", harness.ARTIFACTS)
+    @pytest.mark.parametrize("name", report.ARTIFACTS)
     def test_any_artifact_name_refuses_the_directory(self, tmp_path, name):
         (tmp_path / name).write_text("")
         with pytest.raises(OutputExists, match=name):

@@ -25,15 +25,20 @@ UNREAD_ON_PURPOSE = {
     # head through `audit_file`, which it wraps.
     "ledger.py": {"verify_file"},
 }
+MODULES = {p.stem for p in SRC.glob("*.py")}
 # Package modules a module must not import: the wire layer takes plain
 # values, not client records, a client only trains and masks, the trust
 # state is S2's, not the round loop's, and the ring layer, which owns the
 # block size that clients and servers share, sits below every other module
-# but `errors`.
+# but `errors`.  The config reads only the attack specs and the ring's
+# limits, and the run outputs only format what the round loop hands them;
+# neither reaches back into the round loop.
 FORBIDDEN_IMPORTS = {"servers.py": {"client"}, "client.py": {"attacks"},
                      "harness.py": {"trust"},
-                     "numeric.py": ({p.stem for p in SRC.glob("*.py")}
-                                    - {"__init__", "errors", "numeric"})}
+                     "numeric.py": MODULES - {"__init__", "errors", "numeric"},
+                     "config.py": MODULES - {"__init__", "attacks", "numeric", "errors",
+                                             "config"},
+                     "report.py": {"harness", "servers", "client", "attacks", "baselines"}}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -75,6 +80,15 @@ def package_imports(source: str) -> set[str]:
             else:
                 modules.add(node.module.split(".")[0])
     return modules
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names a package module imports from a sibling
+    (`from .x import _y`)."""
+    return [f"{node.module}.{alias.name} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names if alias.name.startswith("_")]
 
 
 def uncalled_exports(sources: dict[str, str]) -> dict[str, set[str]]:
@@ -151,6 +165,17 @@ def test_readme_library_snippet_runs(capsys):
 def test_checker_lists_package_imports():
     source = "import os\nfrom . import models, trust\nfrom .data import Dataset\n"
     assert package_imports(source) == {"models", "trust", "data"}
+
+
+def test_checker_flags_a_private_import():
+    source = "from .a import b, _c\nfrom . import d\nfrom x import _e\n"
+    assert private_imports(source) == ["a._c (line 1)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports_from_siblings(path):
+    # A name another module needs is public in the module that owns it.
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("name", sorted(FORBIDDEN_IMPORTS))

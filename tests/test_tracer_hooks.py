@@ -43,6 +43,10 @@ def test_tracer_spans_a_fang_run_and_restores_every_name():
             (harness, "RoundMetrics")} <= set(patched)
     names = {span[1] for span in tracer.spans}
     assert {"servers.publish", "trust.update", "defense.detect.server"} <= names
+    # The names patched in harness's namespace, which a binding elsewhere
+    # would leave reading 0.
+    assert {"data.load", "data.partition", "numeric.substream",
+            "servers.encode_share_upload"} <= names
     assert sum(span[1] == "harness.round" for span in tracer.spans) == cfg.rounds
     for owner, attr in patched:
         assert owner.__dict__.get(attr) is before[id(owner)].get(attr), f"{owner}.{attr}"
