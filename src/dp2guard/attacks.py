@@ -1,6 +1,7 @@
 """Poisoning attack generators: label flipping plus the three adaptive
 full-knowledge attacks (aggregate-opposing perturbation with an acceptance
-oracle, and the max-distance / sum-of-squares bounded scale searches)."""
+oracle, and one scale search bounded by the max distance or the sum of
+squared distances)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -108,33 +109,22 @@ def fang_attack(benign: Sequence[np.ndarray], spec: FangSpec,
 class RowDistances(NamedTuple):
     """A stack's squared row norms and all-pairs squared distances: the
     O(N^2 d) part that a round computes once on its honest rows and shares
-    between the scale searches' budgets, the fang oracle and Multi-Krum."""
+    between the scale search's limits, the fang oracle and Multi-Krum."""
     sq_norms: np.ndarray
     sq_dists: np.ndarray
 
 
 def row_distances(stack: np.ndarray) -> RowDistances:
-    sq = _sq_row_norms(stack)
-    return RowDistances(sq, pairwise_sq_dists(stack, sq))
-
-
-def _sq_row_norms(stack: np.ndarray) -> np.ndarray:
     """Squared row norms through one reused d-vector, each summed on its
-    own: the same pairwise sums as (stack**2).sum(axis=1) without its
-    (N, d) temporary."""
+    own (the same pairwise sums as (stack**2).sum(axis=1) without its
+    (N, d) temporary), then all-pairs squared distances via the Gram matrix
+    (O(N^2) memory)."""
     sq = np.empty(stack.shape[0])
     buf = np.empty(stack.shape[1])
     for i, row in enumerate(stack):
         sq[i] = np.square(row, out=buf).sum()
-    return sq
-
-
-def pairwise_sq_dists(stack: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
-    """All-pairs squared distances via the Gram matrix (O(N^2) memory),
-    from the rows' squared norms `sq_norms` (`_sq_row_norms` when None)."""
-    sq = _sq_row_norms(stack) if sq_norms is None else sq_norms
     d2 = sq[:, None] + sq[None, :] - 2.0 * (stack @ stack.T)
-    return np.maximum(d2, 0.0)
+    return RowDistances(sq, np.maximum(d2, 0.0))
 
 
 def perturbation_direction(benign_mean: np.ndarray, direction: str) -> np.ndarray:
@@ -156,92 +146,70 @@ def perturbation_direction(benign_mean: np.ndarray, direction: str) -> np.ndarra
 def minmax_attack(benign: Sequence[np.ndarray], spec: MinMaxSpec,
                   dists: RowDistances | None = None) -> np.ndarray:
     """Largest perturbation scale keeping the crafted gradient's worst-case
-    distance to any benign gradient within the benign diameter.
-
-    `dists` are the benign rows' `row_distances`, computed here when None.
-    Cost beyond them: one O(N*d) pass over the benign rows
-    (`_ShiftedDistances`), then O(N) per bisection step.  Each step decides
-    from the expanded distances when they clear the diameter by their
-    rounding-error bound, and otherwise evaluates `_minmax_feasible_exact`,
-    the direct float expression; a certified decision always equals the
-    direct one, so the returned gradient is bit-identical to deciding every
-    step directly.
-    """
-    grads = np.asarray(benign, dtype=np.float64)
-    if grads.shape[0] < 2:
-        raise DegenerateError("scale search needs at least two benign gradients")
-    sq_norms, sq_dists = row_distances(grads) if dists is None else dists
-    mean = grads.mean(axis=0)
-    bound = float(np.sqrt(sq_dists.max()))
-    direction = perturbation_direction(mean, spec.direction)
-    if bound == 0.0 or not np.any(direction):
-        return mean
-
-    shifted = _ShiftedDistances(grads, mean, direction, sq_norms)
-    bound_sq = bound * bound
-    err_factor = 8 * (grads.shape[1] + 8)
-
-    def feasible(gamma: float) -> bool:
-        est, mag = shifted.at(gamma)
-        decided = _certified(est, err_factor * (_EPS * mag + _TINY), bound_sq)
-        if decided is not None:
-            return decided
-        return _minmax_feasible_exact(grads, mean, direction, gamma, bound)
-
-    gamma = _largest_feasible_scale(feasible, spec.gamma0, spec.step, spec.gamma_min)
-    return mean + gamma * direction
-
-
-def _minmax_feasible_exact(grads: np.ndarray, mean: np.ndarray, direction: np.ndarray,
-                           gamma: float, bound: float) -> bool:
-    """The direct O(N*d) min-max decision that certified steps reproduce."""
-    candidate = mean + gamma * direction
-    dists = np.linalg.norm(grads - candidate, axis=1)
-    return float(dists.max()) <= bound
+    distance to any benign gradient within the benign diameter."""
+    return _scale_search(benign, spec, dists, total=False)
 
 
 def minsum_attack(benign: Sequence[np.ndarray], spec: MinSumSpec,
                   dists: RowDistances | None = None) -> np.ndarray:
     """Largest perturbation scale keeping the crafted gradient's total
-    squared distance to the benign set within any benign member's budget.
+    squared distance to the benign set within any benign member's budget."""
+    return _scale_search(benign, spec, dists, total=True)
 
-    `dists`, cost and decisions as in `minmax_attack`: one O(N*d) pass,
-    then O(N) per bisection step, falling back to `_minsum_feasible_exact`
-    only when the summed estimate lies within its error bound of the
-    budget.  The
-    bound grows with N*d because the direct form is one float reduction
-    over all N*d entries.
+
+def _scale_search(benign: Sequence[np.ndarray], spec: MinMaxSpec | MinSumSpec,
+                  dists: RowDistances | None, total: bool) -> np.ndarray:
+    """The benign mean plus the largest feasible scale of the spec's
+    perturbation direction.  The limit is the benign diameter
+    sqrt(max sq_dists) on every distance (min-max, `total` False), or the
+    largest row sum of sq_dists on the summed squared distances (min-sum).
+
+    `dists` are the benign rows' `row_distances`, computed here when None.
+    Cost beyond them: one O(N*d) pass over the benign rows
+    (`_ShiftedDistances`), then O(N) per bisection step.  Each step decides
+    from the expanded distances when they clear the limit by their
+    rounding-error bound, and otherwise evaluates `_feasible_exact`, the
+    direct float expression; a certified decision always equals the direct
+    one, so the returned gradient is bit-identical to deciding every step
+    directly.  Min-max tests each squared distance against the squared
+    diameter with an error bound of d terms; min-sum tests the summed
+    estimate with N*d, because its direct form is one float reduction over
+    all N*d entries.
     """
     grads = np.asarray(benign, dtype=np.float64)
     if grads.shape[0] < 2:
         raise DegenerateError("scale search needs at least two benign gradients")
     sq_norms, sq_dists = row_distances(grads) if dists is None else dists
     mean = grads.mean(axis=0)
-    budget = float(sq_dists.sum(axis=1).max())
+    limit = float(sq_dists.sum(axis=1).max() if total else np.sqrt(sq_dists.max()))
     direction = perturbation_direction(mean, spec.direction)
-    if budget == 0.0 or not np.any(direction):
+    if limit == 0.0 or not np.any(direction):
         return mean
 
     shifted = _ShiftedDistances(grads, mean, direction, sq_norms)
-    err_factor = 8 * (grads.size + 8)
+    threshold = limit if total else limit * limit
+    err_factor = 8 * ((grads.size if total else grads.shape[1]) + 8)
 
     def feasible(gamma: float) -> bool:
         est, mag = shifted.at(gamma)
-        decided = _certified(est.sum(), err_factor * (_EPS * mag.sum() + _TINY), budget)
+        if total:
+            est, mag = est.sum(), mag.sum()
+        decided = _certified(est, err_factor * (_EPS * mag + _TINY), threshold)
         if decided is not None:
             return decided
-        return _minsum_feasible_exact(grads, mean, direction, gamma, budget)
+        return _feasible_exact(grads, mean, direction, gamma, limit, total)
 
     gamma = _largest_feasible_scale(feasible, spec.gamma0, spec.step, spec.gamma_min)
     return mean + gamma * direction
 
 
-def _minsum_feasible_exact(grads: np.ndarray, mean: np.ndarray, direction: np.ndarray,
-                           gamma: float, budget: float) -> bool:
-    """The direct O(N*d) min-sum decision that certified steps reproduce."""
+def _feasible_exact(grads: np.ndarray, mean: np.ndarray, direction: np.ndarray,
+                    gamma: float, limit: float, total: bool) -> bool:
+    """The direct O(N*d) decision that certified steps reproduce."""
     candidate = mean + gamma * direction
-    total = float(((grads - candidate) ** 2).sum())
-    return total <= budget
+    if total:
+        return float(((grads - candidate) ** 2).sum()) <= limit
+    return float(np.linalg.norm(grads - candidate, axis=1).max()) <= limit
 
 
 class _ShiftedDistances:
@@ -250,8 +218,8 @@ class _ShiftedDistances:
 
     One pass accumulates, row by row with no (N, d) temporary,
     a_i = ||g_i - m||^2 and b_i = <g_i - m, u>, plus ||u||^2 and ||m||^2;
-    the squared row norms ||g_i||^2 are the caller's `sq_norms` (computed
-    when None).  `at(gamma)` then costs O(N) and returns
+    the squared row norms ||g_i||^2 are the caller's `sq_norms`.
+    `at(gamma)` then costs O(N) and returns
 
         est_i = a_i - 2*gamma*b_i + gamma^2*||u||^2
         mag_i = (sqrt(2(||g_i||^2 + ||m||^2)) + 3*gamma*||u||)^2.
@@ -287,18 +255,17 @@ class _ShiftedDistances:
     """
 
     def __init__(self, grads: np.ndarray, mean: np.ndarray, direction: np.ndarray,
-                 sq_norms: np.ndarray | None = None):
+                 sq_norms: np.ndarray):
         n = grads.shape[0]
         self.a = np.empty(n)
         self.b = np.empty(n)
-        gg = _sq_row_norms(grads) if sq_norms is None else sq_norms
         diff = np.empty_like(mean)
         for i, row in enumerate(grads):
             np.subtract(row, mean, out=diff)
             self.a[i] = diff @ diff
             self.b[i] = diff @ direction
         self.uu = float(direction @ direction)
-        self.root_p = np.sqrt(2.0 * (gg + float(mean @ mean)))
+        self.root_p = np.sqrt(2.0 * (sq_norms + float(mean @ mean)))
         self.root_uu = float(np.sqrt(self.uu))
 
     def at(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:

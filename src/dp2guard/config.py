@@ -205,6 +205,10 @@ def _check_attack(spec: attacks.AttackSpec, n_classes: int) -> None:
     if isinstance(spec, attacks.FangSpec):
         if spec.oracle not in attacks.FANG_ORACLES:
             raise ConfigError(f"fang oracle must be one of {attacks.FANG_ORACLES}")
+        # Above lambda0 the halving never runs and the unchecked floor is
+        # stronger than the attack's own starting factor.
+        if spec.gamma_min > spec.lambda0:
+            raise ConfigError("fang gamma_min must not exceed lambda0")
     elif spec.direction not in attacks.DIRECTIONS:
         raise ConfigError(f"{spec.kind} direction must be one of {attacks.DIRECTIONS}")
 

@@ -12,8 +12,8 @@ from dp2guard.attacks import (
     label_flip,
     minmax_attack,
     minsum_attack,
-    pairwise_sq_dists,
     perturbation_direction,
+    row_distances,
 )
 from dp2guard.data import synth_dataset
 from dp2guard.errors import DegenerateError
@@ -237,7 +237,7 @@ def reference_minmax(benign, spec, dists=None):
     `dists`, the round's shared distances, are ignored: it builds its own."""
     grads = np.asarray(benign, dtype=np.float64)
     mean = grads.mean(axis=0)
-    bound = float(np.sqrt(pairwise_sq_dists(grads).max()))
+    bound = float(np.sqrt(row_distances(grads).sq_dists.max()))
     direction = perturbation_direction(mean, spec.direction)
     if bound == 0.0 or not np.any(direction):
         return mean
@@ -256,7 +256,7 @@ def reference_minsum(benign, spec, dists=None):
     `dists`, the round's shared distances, are ignored: it builds its own."""
     grads = np.asarray(benign, dtype=np.float64)
     mean = grads.mean(axis=0)
-    budget = float(pairwise_sq_dists(grads).sum(axis=1).max())
+    budget = float(row_distances(grads).sq_dists.sum(axis=1).max())
     direction = perturbation_direction(mean, spec.direction)
     if budget == 0.0 or not np.any(direction):
         return mean
@@ -283,9 +283,9 @@ def _count_exact_calls(monkeypatch, name):
 
 
 SCALE_SEARCHES = [
-    pytest.param(minmax_attack, reference_minmax, MinMaxSpec, "_minmax_feasible_exact",
+    pytest.param(minmax_attack, reference_minmax, MinMaxSpec, "_feasible_exact",
                  id="minmax"),
-    pytest.param(minsum_attack, reference_minsum, MinSumSpec, "_minsum_feasible_exact",
+    pytest.param(minsum_attack, reference_minsum, MinSumSpec, "_feasible_exact",
                  id="minsum"),
 ]
 
@@ -399,22 +399,23 @@ def test_search_at_1e11_scale_ends_feasible(monkeypatch, attack, reference, spec
     gamma = found[-1]
     assert gamma > 1e11 and np.spacing(gamma) > spec.gamma_min
     assert np.array_equal(crafted, mean + gamma * direction)
-    sq = pairwise_sq_dists(grads)
-    limit = float(np.sqrt(sq.max())) if spec.kind == "minmax" else float(sq.sum(axis=1).max())
-    assert getattr(attacks, exact)(grads, mean, direction, gamma, limit)
+    sq = row_distances(grads).sq_dists
+    total = spec.kind == "minsum"
+    limit = float(sq.sum(axis=1).max()) if total else float(np.sqrt(sq.max()))
+    assert getattr(attacks, exact)(grads, mean, direction, gamma, limit, total)
     assert np.array_equal(crafted, reference(grads, spec))
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (2, 13), (7, 9), (40, 1001), (12, 8193)])
-def test_pairwise_sq_dists_bit_identical_to_whole_matrix_norms(n, d):
+def test_row_distances_bit_identical_to_whole_matrix_norms(n, d):
     # Row norms through one reused d-vector must equal the (N, d)-temporary
     # expression bit for bit, also for d above numpy's 8,192-element block.
     rng = substream(27, "pair", n, d)
     stack = rng.standard_normal((n, d)) * rng.uniform(0.1, 50.0, size=(n, 1))
     sq = (stack**2).sum(axis=1)
     want = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (stack @ stack.T), 0.0)
-    assert np.array_equal(pairwise_sq_dists(stack), want)
-    assert np.array_equal(pairwise_sq_dists(stack[1:]), np.maximum(
+    assert np.array_equal(row_distances(stack).sq_dists, want)
+    assert np.array_equal(row_distances(stack[1:]).sq_dists, np.maximum(
         sq[1:, None] + sq[None, 1:] - 2.0 * (stack[1:] @ stack[1:].T), 0.0))
 
 
@@ -423,7 +424,8 @@ def test_shifted_distances_bit_identical_to_fresh_differences():
     grads = rng.standard_normal((9, 1037)) * 3.0
     mean = grads.mean(axis=0)
     direction = perturbation_direction(mean, "sign")
-    shifted = attacks._ShiftedDistances(grads, mean, direction)
+    shifted = attacks._ShiftedDistances(grads, mean, direction,
+                                        row_distances(grads).sq_norms)
     for i, row in enumerate(grads):
         diff = row - mean
         assert shifted.a[i] == diff @ diff and shifted.b[i] == diff @ direction

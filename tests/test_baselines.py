@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dp2guard.attacks import pairwise_sq_dists
+from dp2guard.attacks import row_distances
 from dp2guard.baselines import (
     DnCConfig,
     dnc_survivors,
@@ -21,7 +21,7 @@ def plain_krum_scores(gradients, f):
     """Reference Krum scores on a plain stack: per row, the sum of the
     n - f - 2 smallest squared distances to the others, one row at a time."""
     stack = np.asarray(gradients, dtype=np.float64)
-    return per_row_krum_scores(pairwise_sq_dists(stack), f)
+    return per_row_krum_scores(row_distances(stack).sq_dists, f)
 
 
 def per_row_krum_scores(sq, f):
@@ -52,8 +52,9 @@ def shared_krum_scores(honest, crafted, n_copies, f):
     """`krum_scores` from the honest rows' distances and the copies'
     distances, spread over the population's order (copies first)."""
     sq = (honest**2).sum(axis=1)
+    sq_dists = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (honest @ honest.T), 0.0)
     copy_dists = np.maximum(sq + (crafted**2).sum() - 2.0 * (honest @ crafted), 0.0)
-    scores = krum_scores(pairwise_sq_dists(honest, sq), copy_dists, n_copies, f)
+    scores = krum_scores(sq_dists, copy_dists, n_copies, f)
     if not n_copies:
         return scores
     return np.concatenate([[scores[-1]] * n_copies, scores[:-1]])
@@ -118,7 +119,7 @@ class TestMultiKrum:
         rng = substream(102, "mk")
         grads = [rng.standard_normal(5) for _ in range(8)]
         assert np.allclose(plain_krum_scores(grads, 2), brute_force_krum_scores(grads, 2))
-        sq = pairwise_sq_dists(np.asarray(grads))
+        sq = row_distances(np.asarray(grads)).sq_dists
         assert np.allclose(krum_scores(sq, None, 0, 2), brute_force_krum_scores(grads, 2))
 
     @pytest.mark.parametrize("n_copies", [0, 1, 3])
@@ -139,7 +140,7 @@ class TestMultiKrum:
         rng = substream(110, "mk-bits", n_copies)
         for n_honest, f in ((12, 2), (40, 10), (150, 3)):
             honest = rng.standard_normal((n_honest, 25)) * rng.uniform(0.1, 50.0, (n_honest, 1))
-            sq_dists = pairwise_sq_dists(honest)
+            sq_dists = row_distances(honest).sq_dists
             copy_dists = rng.uniform(0.0, 2.0 * sq_dists.max(), n_honest)
             n = n_honest + n_copies
             full = np.zeros((n, n))

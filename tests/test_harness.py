@@ -130,6 +130,7 @@ class TestConfig:
     dict(attack={"kind": "minsum", "gamma_min": float("nan")}),
     dict(attack={"kind": "fang", "lambda0": float("inf")}),
     dict(attack={"kind": "fang", "oracle": "defence"}),
+    dict(attack={"kind": "fang", "lambda0": 1.0, "gamma_min": 4.0}),
     dict(attack={"kind": "minmax", "direction": "mean"}),
     dict(aggregator="dnc", aggregator_params={"n_iter": 3}),
     dict(aggregator="dp2guard", aggregator_params={"f": 1}),
@@ -227,6 +228,7 @@ def test_config_accepts_each_rule_parameter():
                                         "gamma_min": 1e-3, "direction": "sign"})
     _desk_config(adv_ratio=0.2, attack={"kind": "fang", "lambda0": 1.0,
                                         "oracle": "accept_all"})
+    _desk_config(adv_ratio=0.2, attack={"kind": "fang", "lambda0": 0.5, "gamma_min": 0.5})
     _desk_config(aggregator="dnc", aggregator_params={
         "n_iters": 2, "sub_dim": 5, "filter_frac": 1, "assumed_malicious": 2})
     _desk_config(aggregator="multikrum", aggregator_params={"f": 0, "m": 1})
@@ -652,6 +654,33 @@ class TestFangOracle:
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("aggregator, kind, per_round", [
+    ("multikrum", "minmax", 1),
+    ("multikrum", "minsum", 1),
+    ("dnc", "minmax", 1),
+    ("dp2guard", "minsum", 1),
+    ("multikrum", "fang", 1),
+    ("dp2guard", "fang", 0),
+])
+def test_honest_distance_block_is_computed_once_a_round(monkeypatch, aggregator, kind,
+                                                        per_round):
+    # The round computes the honest rows' distances once and hands them to
+    # the scale search, the fang oracle and Multi-Krum; none of them
+    # computes its own.  Fang under dp2guard reads none.
+    calls = {"n": 0}
+    row_distances = attacks.row_distances
+
+    def counted(stack):
+        calls["n"] += 1
+        return row_distances(stack)
+
+    monkeypatch.setattr(attacks, "row_distances", counted)
+    cfg = _desk_config(aggregator=aggregator, rounds=3, adv_ratio=0.2,
+                       attack={"kind": kind})
+    run_experiment(cfg)
+    assert calls["n"] == per_round * cfg.rounds
 
 
 def parent_fltrust(stack, root):

@@ -52,6 +52,24 @@ def test_tracer_spans_a_fang_run_and_restores_every_name():
         assert owner.__dict__.get(attr) is before[id(owner)].get(attr), f"{owner}.{attr}"
 
 
+@pytest.mark.parametrize("kind", ["minmax", "minsum"])
+def test_tracer_spans_each_scale_search_once_a_round(kind):
+    # The tracer wraps `minmax_attack` and `minsum_attack`, the names the
+    # harness calls; a call past them to the shared search would leave
+    # attacks.craft reading 0.
+    cfg = ExperimentConfig(n_clients=10, rounds=3, adv_ratio=0.2, seed=3,
+                           aggregator="multikrum", attack={"kind": kind},
+                           synth_train=300, synth_test=100)
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        run_experiment(cfg)
+    finally:
+        tracer.uninstall()
+    crafted = Counter(r for _, name, _, _, _, r in tracer.spans if name == "attacks.craft")
+    assert crafted == {r: 1 for r in range(cfg.rounds)}
+
+
 @pytest.mark.parametrize("n_clients", [5, 10])
 def test_tracer_spans_the_upload_path_of_a_batch_label_flip_run(n_clients):
     # Per round, every block of clients trains and masks in one call each
