@@ -47,24 +47,16 @@ class FangSpec:
 
 
 @dataclass(frozen=True)
-class MinMaxSpec:
-    kind: str = "minmax"
+class ScaleSpec:
+    # "minmax" bounds every distance to the benign set, "minsum" their sum.
+    kind: str
     gamma0: float = GAMMA_INIT
     step: float = GAMMA_STEP
     gamma_min: float = GAMMA_MIN
     direction: str = "+mean"
 
 
-@dataclass(frozen=True)
-class MinSumSpec:
-    kind: str = "minsum"
-    gamma0: float = GAMMA_INIT
-    step: float = GAMMA_STEP
-    gamma_min: float = GAMMA_MIN
-    direction: str = "+mean"
-
-
-AttackSpec = LabelFlipSpec | FangSpec | MinMaxSpec | MinSumSpec
+AttackSpec = LabelFlipSpec | FangSpec | ScaleSpec
 
 
 def label_flip(dataset: Dataset, offset: int, fraction: float,
@@ -143,21 +135,21 @@ def perturbation_direction(benign_mean: np.ndarray, direction: str) -> np.ndarra
     raise ValueError(f"unknown perturbation direction {direction!r}")
 
 
-def minmax_attack(benign: Sequence[np.ndarray], spec: MinMaxSpec,
+def minmax_attack(benign: Sequence[np.ndarray], spec: ScaleSpec,
                   dists: RowDistances | None = None) -> np.ndarray:
     """Largest perturbation scale keeping the crafted gradient's worst-case
     distance to any benign gradient within the benign diameter."""
     return _scale_search(benign, spec, dists, total=False)
 
 
-def minsum_attack(benign: Sequence[np.ndarray], spec: MinSumSpec,
+def minsum_attack(benign: Sequence[np.ndarray], spec: ScaleSpec,
                   dists: RowDistances | None = None) -> np.ndarray:
     """Largest perturbation scale keeping the crafted gradient's total
     squared distance to the benign set within any benign member's budget."""
     return _scale_search(benign, spec, dists, total=True)
 
 
-def _scale_search(benign: Sequence[np.ndarray], spec: MinMaxSpec | MinSumSpec,
+def _scale_search(benign: Sequence[np.ndarray], spec: ScaleSpec,
                   dists: RowDistances | None, total: bool) -> np.ndarray:
     """The benign mean plus the largest feasible scale of the spec's
     perturbation direction.  The limit is the benign diameter

@@ -11,15 +11,6 @@ import numpy as np
 from .errors import TooFewClients
 
 
-@dataclass(frozen=True)
-class DnCConfig:
-    n_iters: int = 1
-    sub_dim: int = 1000
-    # dnc_survivors removes ceil(filter_frac * assumed_malicious) clients.
-    filter_frac: float = 1.5
-    assumed_malicious: int = 1
-
-
 @dataclass(frozen=True, eq=False)
 class Population:
     """The N rows a rule aggregates: n_copies copies of the one `crafted`
@@ -30,7 +21,9 @@ class Population:
     The rules read it as they read an (N, d) array, without the copies
     ever being written: `pop[i]` is row i, `pop[:, coords]` the columns
     `coords` of every row, and `np.asarray(pop)` the stacked rows (fresh
-    when there are copies)."""
+    when there are copies).  It owns the copies-first layout of everything
+    built from its rows: per-row parts (`_join`), (N, N) pairwise matrices
+    (`pairwise`) and row blocks (`blocks`)."""
     honest: np.ndarray
     crafted: np.ndarray | None = None
     n_copies: int = 0
@@ -42,7 +35,7 @@ class Population:
     def shape(self) -> tuple[int, int]:
         return len(self), self.honest.shape[1]
 
-    def join(self, honest_part: np.ndarray, copy_part) -> np.ndarray:
+    def _join(self, honest_part: np.ndarray, copy_part) -> np.ndarray:
         """Per-row parts in population order: `copy_part`, each copy's
         entry, repeated n_copies times, then `honest_part`, one entry per
         honest row.  Without copies, `honest_part` itself."""
@@ -57,8 +50,8 @@ class Population:
             rows, coords = key
             if rows != slice(None):
                 raise IndexError("a population selects columns of every row only")
-            return self.join(self.honest[:, coords], self.crafted[coords] if self.n_copies
-                             else None)
+            return self._join(self.honest[:, coords], self.crafted[coords] if self.n_copies
+                              else None)
         i = operator.index(key)
         if not 0 <= i < len(self):
             raise IndexError(f"row {i} outside a population of {len(self)}")
@@ -71,8 +64,24 @@ class Population:
             return np.array(self.honest, dtype=dtype, copy=copy)
         if copy is False:
             raise ValueError("a population with copies has no stack to view")
-        stack = self.join(self.honest, self.crafted)
+        stack = self._join(self.honest, self.crafted)
         return stack if dtype is None else stack.astype(dtype, copy=False)
+
+    def pairwise(self, honest_block: np.ndarray, cross, copy_value: float) -> np.ndarray:
+        """An (N, N) matrix of a pairwise quantity in population order:
+        `copy_value` between two copies (the diagonal too), cross[i]
+        between a copy and honest row i, and `honest_block`
+        (n_honest, n_honest) between honest rows.  Without copies,
+        `honest_block` itself."""
+        c = self.n_copies
+        if not c:
+            return honest_block
+        out = np.empty((len(self), len(self)))
+        out[:c, :c] = copy_value
+        out[:c, c:] = cross
+        out[c:, :c] = cross[:, None]
+        out[c:, c:] = honest_block
+        return out
 
     def blocks(self, k: int) -> Iterator[np.ndarray]:
         """Consecutive row blocks of at most k rows in population order, no
@@ -90,33 +99,19 @@ def fedavg(gradients: Sequence[np.ndarray] | Population) -> np.ndarray:
     return kept_mean(gradients, range(len(gradients)))
 
 
-def krum_scores(sq_dists: np.ndarray, copy_dists: np.ndarray | None, n_copies: int,
-                f: int) -> np.ndarray:
-    """Multi-Krum's scores on a population of rows plus n_copies identical
-    copies of one vector c: each member's sum of squared distances to its
-    n - f - 2 nearest others, n = len(sq_dists) + n_copies.
-
-    `sq_dists` are the rows' pairwise squared distances and `copy_dists`
-    each row's squared distance to c (unread when n_copies is 0); copies
-    are 0 apart.  Returns the rows' scores, followed when n_copies > 0 by
-    the one score every copy shares.  Each member's distances fill a row of
-    one table, its own entry +inf; one sort per row and a sum over the first
-    n - f - 2 columns give the same bits as sorting and summing each
-    member's n - 1 distances on their own.
+def krum_scores(sq_dists: np.ndarray, f: int) -> np.ndarray:
+    """Multi-Krum's scores from the (N, N) pairwise squared distances
+    `sq_dists`: each member's sum of squared distances to its N - f - 2
+    nearest others.  Each row is copied into one table with its own entry
+    +inf; one sort per row and a sum over the first N - f - 2 columns give
+    the same bits as sorting and summing each member's N - 1 distances on
+    their own.
     """
-    n_rows = len(sq_dists)
-    n = n_rows + n_copies
+    n = len(sq_dists)
     if n < 2 * f + 3:
         raise TooFewClients(f"multi-krum needs n >= 2f+3, got n={n}, f={f}")
-    table = np.empty((n_rows + (n_copies > 0), n))
-    table[:n_rows, :n_rows] = sq_dists
-    own = np.arange(n_rows)
-    table[own, own] = np.inf
-    if n_copies:
-        table[:n_rows, n_rows:] = copy_dists[:, None]
-        table[n_rows, :n_rows] = copy_dists
-        table[n_rows, n_rows:] = 0.0
-        table[n_rows, -1] = np.inf
+    table = np.array(sq_dists, dtype=np.float64)
+    np.fill_diagonal(table, np.inf)
     table.sort(axis=1)
     return table[:, :n - f - 2].sum(axis=1)
 
@@ -139,21 +134,22 @@ def kept_mean(stack: np.ndarray | Population, kept: Sequence[int]) -> np.ndarray
     return total
 
 
-def dnc_survivors(stack: np.ndarray | Population, cfg: DnCConfig,
-                  rng: np.random.Generator) -> set[int]:
+def dnc_survivors(stack: np.ndarray | Population, rng: np.random.Generator, *, n_iters: int,
+                  sub_dim: int, filter_frac: float, assumed_malicious: int) -> set[int]:
     """Indices of `stack` (an (N, d) array or a Population) kept by the
-    spectral filter: each iteration scores clients by squared projection
-    onto the top singular direction of a centered coordinate subsample and
-    drops the highest scorers; the surviving sets intersect.  An empty
-    intersection falls back to the lowest scorer."""
+    spectral filter: each of `n_iters` iterations scores clients by squared
+    projection onto the top singular direction of a centered subsample of
+    `sub_dim` coordinates and drops the ceil(filter_frac *
+    assumed_malicious) highest scorers (at most N - 1); the surviving sets
+    intersect.  An empty intersection falls back to the lowest scorer."""
     n, d = stack.shape
     if n < 2:
         raise TooFewClients("dnc needs at least two clients")
-    remove = min(int(np.ceil(cfg.filter_frac * cfg.assumed_malicious)), n - 1)
+    remove = min(int(np.ceil(filter_frac * assumed_malicious)), n - 1)
     survivors = set(range(n))
     last_scores = np.zeros(n)
-    for _ in range(cfg.n_iters):
-        take = min(cfg.sub_dim, d)
+    for _ in range(n_iters):
+        take = min(sub_dim, d)
         coords = rng.choice(d, size=take, replace=False)
         sub = stack[:, coords]
         centered = sub - sub.mean(axis=0)

@@ -17,7 +17,7 @@ from .numeric import MAX_SCALE_BITS
 
 AGGREGATORS = ("dp2guard", "fedavg", "multikrum", "dnc", "fltrust")
 ATTACK_SPECS = {"label_flip": attacks.LabelFlipSpec, "fang": attacks.FangSpec,
-                "minmax": attacks.MinMaxSpec, "minsum": attacks.MinSumSpec}
+                "minmax": attacks.ScaleSpec, "minsum": attacks.ScaleSpec}
 # aggregator_params keys per rule, each with the least integer it admits
 # (None: a finite float > 0).
 AGGREGATOR_PARAMS = {
@@ -112,7 +112,7 @@ class ExperimentConfig:
             # Their scale searches bound the crafted gradient by the honest
             # gradients' distances to one another, which takes two of them.
             honest = self.n_clients - self.n_malicious
-            if isinstance(spec, (attacks.MinMaxSpec, attacks.MinSumSpec)) and honest < 2:
+            if isinstance(spec, attacks.ScaleSpec) and honest < 2:
                 raise ConfigError(f"{spec.kind} needs at least two honest clients, "
                                   f"got {honest}")
         elif self.adv_ratio > 0:
@@ -140,6 +140,14 @@ class ExperimentConfig:
         """Multi-Krum's (f, m): by default f = n_malicious and m = N - f."""
         f = self.aggregator_params.get("f", self.n_malicious)
         return f, self.aggregator_params.get("m", self.n_clients - f)
+
+    @property
+    def dnc_params(self) -> dict[str, Any]:
+        """`baselines.dnc_survivors`' keyword parameters: by default one
+        iteration on 1000 coordinates, removing ceil(1.5 * max(n_malicious,
+        1)) clients; each key of aggregator_params overrides its default."""
+        return {"n_iters": 1, "sub_dim": 1000, "filter_frac": 1.5,
+                "assumed_malicious": max(self.n_malicious, 1), **self.aggregator_params}
 
     def parse_attack(self) -> attacks.AttackSpec | None:
         if self.attack is None:

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DegenerateError
 
 _ZERO_NORM = 1e-12
+# Lloyd iterations of 2-means before it stops with the assignment it has.
+_TWO_MEANS_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -171,8 +173,7 @@ def detect_gram(gram: np.ndarray, rng: np.random.Generator) -> DetectionResult:
     return cluster_and_select(np.column_stack((lam * e**2, _median_cosines(gram))), rng)
 
 
-def _two_means(points: np.ndarray, rng: np.random.Generator,
-               max_iter: int = 100) -> np.ndarray:
+def _two_means(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Deterministic seeded 2-means: ++-style seeding, ties to the lower
     centroid index, stop when assignments stabilize.
 
@@ -193,7 +194,7 @@ def _two_means(points: np.ndarray, rng: np.random.Generator,
 
     # np.sum, np.argmin and np.array_equal as direct ufunc and method calls.
     labels: np.ndarray | None = None
-    for _ in range(max_iter):
+    for _ in range(_TWO_MEANS_MAX_ITER):
         dists = np.add.reduce((ordered[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_labels = dists.argmin(axis=1)
         if labels is not None and not np.count_nonzero(new_labels != labels):

@@ -32,7 +32,7 @@ from .servers import (
 
 LEDGER_SENDER = 0
 # Attacks crafted from every honest client's gradient.
-FULL_KNOWLEDGE = (attacks.FangSpec, attacks.MinMaxSpec, attacks.MinSumSpec)
+FULL_KNOWLEDGE = (attacks.FangSpec, attacks.ScaleSpec)
 
 
 @dataclass(frozen=True)
@@ -263,10 +263,9 @@ def _round_gradients(cfg: ExperimentConfig, datasets: Sequence[Dataset],
 
 def _craft(cfg: ExperimentConfig, spec: attacks.AttackSpec, honest: np.ndarray,
            round_no: int, honest_dists: attacks.RowDistances | None) -> np.ndarray:
-    if isinstance(spec, attacks.MinMaxSpec):
-        return attacks.minmax_attack(honest, spec, honest_dists)
-    if isinstance(spec, attacks.MinSumSpec):
-        return attacks.minsum_attack(honest, spec, honest_dists)
+    if isinstance(spec, attacks.ScaleSpec):
+        search = attacks.minsum_attack if spec.kind == "minsum" else attacks.minmax_attack
+        return search(honest, spec, honest_dists)
     assert isinstance(spec, attacks.FangSpec)
     return attacks.fang_attack(honest, spec,
                                _fang_oracle(cfg, spec, honest, round_no, honest_dists))
@@ -325,22 +324,17 @@ def _population_gram(honest: np.ndarray, n_mal: int) -> Callable[[np.ndarray], n
     mu = honest.mean(axis=0)
     a = honest - mu
     hh = a @ a.T
-    n = len(honest) + n_mal
-    k = n_mal / n
+    population = baselines.Population(honest, n_copies=n_mal)
+    k = n_mal / len(population)
 
     def gram_of(candidate: np.ndarray) -> np.ndarray:
         delta = candidate - mu
         v = a @ delta
         dd = float(delta @ delta)
         kv = k * v
-        gram = np.empty((n, n))
-        gram[:n_mal, :n_mal] = (1.0 - k) ** 2 * dd
-        cross = (1.0 - k) * (v - k * dd)
-        gram[:n_mal, n_mal:] = cross[None, :]
-        gram[n_mal:, :n_mal] = cross[:, None]
         # v_i + v_j before the subtraction keeps the block exactly symmetric.
-        gram[n_mal:, n_mal:] = hh - np.add.outer(kv, kv) + k * k * dd
-        return gram
+        return population.pairwise(hh - np.add.outer(kv, kv) + k * k * dd,
+                                   (1.0 - k) * (v - k * dd), (1.0 - k) ** 2 * dd)
     return gram_of
 
 
@@ -354,23 +348,19 @@ def _kept(cfg: ExperimentConfig, population: baselines.Population,
     `honest_dists`, the honest rows' `row_distances` (computed here when
     None).  The copies' distances to the honest rows are one gemv,
     max(||h_i||^2 + ||c||^2 - 2 h_i.c, 0), the expanded form of the
-    population's own Gram matrix.  The lowest scores win, ties to the lower
-    index (one stable argsort)."""
+    population's own Gram matrix, and copies are 0 apart.  The lowest
+    scores win, ties to the lower index (one stable argsort)."""
     if cfg.aggregator == "dnc":
-        kept = baselines.dnc_survivors(population, _dnc_params(cfg), rng)
+        kept = baselines.dnc_survivors(population, rng, **cfg.dnc_params)
         return np.array(sorted(kept), dtype=np.intp)
     f, m = cfg.multikrum_params
-    honest, crafted, n_copies = population.honest, population.crafted, population.n_copies
-    if honest_dists is None:
-        honest_dists = attacks.row_distances(honest)
-    sq_norms, sq_dists = honest_dists
+    honest, crafted = population.honest, population.crafted
+    sq_norms, sq_dists = honest_dists or attacks.row_distances(honest)
     copy_dists = None
-    if n_copies:
+    if population.n_copies:
         copy_dists = np.maximum(sq_norms + float(np.square(crafted).sum())
                                 - 2.0 * (honest @ crafted), 0.0)
-    scores = baselines.krum_scores(sq_dists, copy_dists, n_copies, f)
-    if n_copies:
-        scores = population.join(scores[:-1], scores[-1])
+    scores = baselines.krum_scores(population.pairwise(sq_dists, copy_dists, 0.0), f)
     return np.argsort(scores, kind="stable")[:m]
 
 
@@ -444,11 +434,6 @@ def _baseline_round(cfg: ExperimentConfig, population: baselines.Population,
     rng = substream(cfg.seed, "dnc", round_no) if cfg.aggregator == "dnc" else None
     kept = _kept(cfg, population, rng, honest_dists)
     return baselines.kept_mean(population, kept), frozenset(kept.tolist())
-
-
-def _dnc_params(cfg: ExperimentConfig) -> baselines.DnCConfig:
-    return baselines.DnCConfig(**{"assumed_malicious": max(cfg.n_malicious, 1),
-                                  **cfg.aggregator_params})
 
 
 def _fltrust_root(cfg: ExperimentConfig, test: Dataset) -> Dataset:

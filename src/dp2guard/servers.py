@@ -16,7 +16,9 @@ trust history weight beta and the exclusion mode.  S2 keeps the run's
 (N,) trust vector and updates it every round.  `start_round` opens each
 round.  S2's `publish` returns its partial aggregate serialized, the blob
 the ledger record stores, and `ServerS1.finalize` finishes the round in
-one call on the AggDigestAndWeights message that carries it back.
+one call on the AggDigestAndWeights message that carries it back.  Each
+receiver takes messages of its own kind only: any other kind is a
+ProtocolError, raised before anything changes.
 
 Memory: a server allocates its share matrix once, at construction,
 and refills it in place every round: at realistic sizes a fresh (N, d)
@@ -299,10 +301,18 @@ class _ServerBase:
         if self.phase != phase:
             raise ProtocolError(f"S{self.server_id} cannot {action} in phase {self.phase!r}")
 
-    def receive_share(self, msg: ProtocolMessage) -> None:
-        self._require(PHASE_COLLECTING, "accept a share")
+    def _accept(self, msg: ProtocolMessage, kind: int, phase: str, action: str) -> None:
+        """Refuse `msg`, before the receiver reads its payload or changes
+        anything, unless it is of the receiver's `kind`, the server is in
+        `phase` and the message is for the open round."""
+        if msg.kind != kind:
+            raise ProtocolError(f"message of kind {msg.kind} where kind {kind} is expected")
+        self._require(phase, action)
         if msg.round != self.round:
-            raise ProtocolError(f"share for round {msg.round}, server at {self.round}")
+            raise ProtocolError(f"cannot {action} for round {msg.round}, server at {self.round}")
+
+    def receive_share(self, msg: ProtocolMessage) -> None:
+        self._accept(msg, MSG_SHARE_UPLOAD, PHASE_COLLECTING, "accept a share")
         client_id, share_index, words, scale_bits = decode_share_upload(msg)
         if client_id >= len(self.shares):
             raise ProtocolError(f"unexpected client {client_id}")
@@ -347,9 +357,7 @@ class ServerS1(_ServerBase):
         A record for another round is a ProtocolError, weights for clients
         other than 0..N-1 a WeightError, and an aggregate of another d or
         scale than S1's a DimensionMismatch."""
-        self._require(PHASE_CENTERING, "finalize")
-        if msg.round != self.round:
-            raise ProtocolError(f"weights for round {msg.round}, server at {self.round}")
+        self._accept(msg, MSG_AGG_AND_WEIGHTS, PHASE_CENTERING, "finalize")
         agg2, agg_scale, tau = decode_agg_and_weights(msg)
         # The record's ids ascend, so ids 0..N-1 put each weight on its share row.
         if list(tau) != list(range(len(self.shares))):
@@ -385,9 +393,7 @@ class ServerS2(_ServerBase):
         """Reconstruct the round's centered gradients into the batch's own
         payload, which S2 owns once received; a read-only payload is a
         ProtocolError, raised before anything changes."""
-        self._require(PHASE_COLLECTING, "accept centered shares")
-        if msg.round != self.round:
-            raise ProtocolError(f"centered batch for round {msg.round}")
+        self._accept(msg, MSG_CENTERED_BATCH, PHASE_COLLECTING, "accept centered shares")
         ids, c1, scale_bits = decode_centered_batch(msg)
         self._require_all_shares()
         if ids != list(range(len(self.shares))):

@@ -17,8 +17,7 @@ import pytest
 from dp2guard import models
 from dp2guard.attacks import (
     FangSpec,
-    MinMaxSpec,
-    MinSumSpec,
+    ScaleSpec,
     fang_attack,
     minmax_attack,
     minsum_attack,
@@ -105,9 +104,9 @@ def _detection_trial(seed: int, kind: str) -> tuple[float, float]:
     if kind == "fang":
         crafted = fang_attack(list(benign), FangSpec(), lambda g: True)
     elif kind == "minmax":
-        crafted = minmax_attack(list(benign), MinMaxSpec(direction="-mean"))
+        crafted = minmax_attack(list(benign), ScaleSpec("minmax", direction="-mean"))
     else:
-        crafted = minsum_attack(list(benign), MinSumSpec(direction="-mean"))
+        crafted = minsum_attack(list(benign), ScaleSpec("minsum", direction="-mean"))
     grads = np.concatenate([benign, np.broadcast_to(crafted, (n_mal, d))])
     result = detect(grads - np.mean(grads, axis=0), substream(seed, "accept3-km", kind))
     flagged = set(range(n)) - set(result.benign)
@@ -293,8 +292,8 @@ def test_criterion_9_attack_constraint_feasibility():
 
     checked = 0
     for kind, attack_fn, stats_fn, spec in (
-        ("minmax", minmax_attack, minmax_stats, MinMaxSpec(direction="-mean")),
-        ("minsum", minsum_attack, minsum_stats, MinSumSpec(direction="-mean")),
+        ("minmax", minmax_attack, minmax_stats, ScaleSpec("minmax", direction="-mean")),
+        ("minsum", minsum_attack, minsum_stats, ScaleSpec("minsum", direction="-mean")),
     ):
         rng = substream(9, kind)
         for _ in range(200):

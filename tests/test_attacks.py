@@ -4,8 +4,7 @@ import pytest
 from dp2guard import attacks
 from dp2guard.attacks import (
     FangSpec,
-    MinMaxSpec,
-    MinSumSpec,
+    ScaleSpec,
     _largest_feasible_scale,
     fang_attack,
     fang_candidate,
@@ -123,7 +122,7 @@ class TestDirections:
 @pytest.mark.parametrize("direction", ["+mean", "-mean", "sign"])
 class TestMinMax:
     def test_constraint_and_optimality(self, direction):
-        spec = MinMaxSpec(direction=direction)
+        spec = ScaleSpec("minmax", direction=direction)
         rng = substream(11, "mm", direction)
         for _ in range(25):
             grads = rng.standard_normal((6, 5)) + rng.standard_normal(5)
@@ -137,20 +136,20 @@ class TestMinMax:
 
     def test_identical_benign_returns_mean(self, direction):
         grads = [np.array([1.0, 2.0])] * 4
-        crafted = minmax_attack(grads, MinMaxSpec(direction=direction))
+        crafted = minmax_attack(grads, ScaleSpec("minmax", direction=direction))
         assert np.allclose(crafted, [1.0, 2.0])
 
     def test_symmetric_pair_feasible(self, direction):
         u = np.array([2.0, -1.0, 0.5])
         grads = np.stack([-u, u])
-        crafted = minmax_attack(list(grads), MinMaxSpec(direction=direction))
+        crafted = minmax_attack(list(grads), ScaleSpec("minmax", direction=direction))
         assert worst_case_distance(grads, crafted) <= 2 * np.linalg.norm(u) + 1e-9
 
 
 @pytest.mark.parametrize("direction", ["+mean", "-mean", "sign"])
 class TestMinSum:
     def test_constraint_and_optimality(self, direction):
-        spec = MinSumSpec(direction=direction)
+        spec = ScaleSpec("minsum", direction=direction)
         rng = substream(12, "ms", direction)
         for _ in range(25):
             grads = rng.standard_normal((6, 5)) + rng.standard_normal(5)
@@ -164,7 +163,7 @@ class TestMinSum:
 
     def test_identical_benign_returns_mean(self, direction):
         grads = [np.array([1.0, 2.0])] * 4
-        crafted = minsum_attack(grads, MinSumSpec(direction=direction))
+        crafted = minsum_attack(grads, ScaleSpec("minsum", direction=direction))
         assert np.allclose(crafted, [1.0, 2.0])
 
     def test_symmetric_pair_mean_within_budget(self, direction):
@@ -175,7 +174,7 @@ class TestMinSum:
         assert sum_sq_distance(grads, grads.mean(axis=0)) == pytest.approx(
             2 * np.linalg.norm(u) ** 2)
         assert sum_sq_budget(grads) == pytest.approx(4 * np.linalg.norm(u) ** 2)
-        crafted = minsum_attack(list(grads), MinSumSpec(direction=direction))
+        crafted = minsum_attack(list(grads), ScaleSpec("minsum", direction=direction))
         gamma = _recover_gamma(crafted, grads, direction)
         assert gamma > 0 or not np.any(perturbation_direction(grads.mean(axis=0),
                                                               direction))
@@ -211,22 +210,22 @@ class TestScaleSearchShared:
 
     def test_needs_two_gradients(self):
         with pytest.raises(DegenerateError):
-            minmax_attack([np.ones(3)], MinMaxSpec())
+            minmax_attack([np.ones(3)], ScaleSpec("minmax"))
         with pytest.raises(DegenerateError):
-            minsum_attack([np.ones(3)], MinSumSpec())
+            minsum_attack([np.ones(3)], ScaleSpec("minsum"))
 
     def test_deterministic(self):
         rng = substream(13, "det")
         grads = list(rng.standard_normal((5, 8)))
-        a = minmax_attack(grads, MinMaxSpec())
-        b = minmax_attack(grads, MinMaxSpec())
+        a = minmax_attack(grads, ScaleSpec("minmax"))
+        b = minmax_attack(grads, ScaleSpec("minmax"))
         assert np.array_equal(a, b)
 
     def test_expansion_beyond_initial_gamma(self):
         # A huge benign diameter forces the bracket to expand above 10.
         grads = [np.array([100.0, 0.0]), np.array([-100.0, 0.0]),
                  np.array([0.0, 150.0])]
-        crafted = minmax_attack(grads, MinMaxSpec())
+        crafted = minmax_attack(grads, ScaleSpec("minmax"))
         gamma = _recover_gamma(crafted, np.asarray(grads), "+mean")
         assert gamma > 10.0
 
@@ -282,29 +281,31 @@ def _count_exact_calls(monkeypatch, name):
     return calls
 
 
+# `key` names each search in its tests' substream keys; the names predate
+# ScaleSpec and stay, so that no test array changes.
 SCALE_SEARCHES = [
-    pytest.param(minmax_attack, reference_minmax, MinMaxSpec, "_feasible_exact",
+    pytest.param(minmax_attack, reference_minmax, "minmax", "MinMaxSpec", "_feasible_exact",
                  id="minmax"),
-    pytest.param(minsum_attack, reference_minsum, MinSumSpec, "_feasible_exact",
+    pytest.param(minsum_attack, reference_minsum, "minsum", "MinSumSpec", "_feasible_exact",
                  id="minsum"),
 ]
 
 
 @pytest.mark.parametrize("direction", ["+mean", "-mean", "sign"])
-@pytest.mark.parametrize("attack, reference, spec_cls, exact", SCALE_SEARCHES)
+@pytest.mark.parametrize("attack, reference, kind, key, exact", SCALE_SEARCHES)
 class TestCertifiedScaleSearch:
-    def test_matches_direct_reference_across_scales(self, attack, reference, spec_cls,
+    def test_matches_direct_reference_across_scales(self, attack, reference, kind, key,
                                                     exact, direction):
-        spec = spec_cls(direction=direction)
+        spec = ScaleSpec(kind, direction=direction)
         rng = substream(21, "certified", spec.kind, direction)
         for scale in 10.0 ** np.arange(-6, 7):
             for n, d in ((2, 1), (3, 7), (12, 64), (30, 400)):
                 grads = (rng.standard_normal((n, d)) + rng.standard_normal(d)) * scale
                 assert np.array_equal(attack(grads, spec), reference(grads, spec))
 
-    def test_identical_rows_match_reference(self, attack, reference, spec_cls, exact,
+    def test_identical_rows_match_reference(self, attack, reference, kind, key, exact,
                                             direction):
-        spec = spec_cls(direction=direction)
+        spec = ScaleSpec(kind, direction=direction)
         rng = substream(22, "identical", spec.kind, direction)
         row = rng.standard_normal(40)
         grads = np.tile(row, (6, 1))
@@ -313,47 +314,47 @@ class TestCertifiedScaleSearch:
         assert np.array_equal(attack(grads, spec), reference(grads, spec))
 
     def test_tie_on_a_bisection_point_runs_exact_path(self, monkeypatch, attack, reference,
-                                                      spec_cls, exact, direction):
+                                                      kind, key, exact, direction):
         # Rows c and c + 2s (s a power of two) put the largest feasible scale
         # at exactly 1 for both constraints, and bisection from gamma0 = 8
         # probes 4, 2, 1: at 1 the estimate cannot clear its error bound.
         calls = _count_exact_calls(monkeypatch, exact)
         for s in (2.0**-10, 1.0, 2.0**10):
             grads = np.array([[3.0 * s], [5.0 * s]])
-            spec = spec_cls(gamma0=8.0 * s, direction=direction)
+            spec = ScaleSpec(kind, gamma0=8.0 * s, direction=direction)
             assert np.array_equal(attack(grads, spec), reference(grads, spec))
         assert calls["n"] >= 3
 
     def test_large_common_offset_runs_exact_path(self, monkeypatch, attack, reference,
-                                                 spec_cls, exact, direction):
+                                                 kind, key, exact, direction):
         # Rows 1e7 spreads away from the origin, at scale 1e5: rounding of
         # the candidate m + gamma*u moves the direct distances by more than
         # the last bisection steps do, so an estimate trusted without its
         # error bound would take different decisions.
         calls = _count_exact_calls(monkeypatch, exact)
-        rng = substream(23, "offset", spec_cls.__name__, direction)
-        spec = spec_cls(direction=direction)
+        rng = substream(23, "offset", key, direction)
+        spec = ScaleSpec(kind, direction=direction)
         for n in range(3, 9):
             grads = 1e5 * (1e7 * rng.standard_normal(30) + rng.standard_normal((n, 30)))
             assert np.array_equal(attack(grads, spec), reference(grads, spec))
         assert calls["n"] > 0
 
     def test_well_conditioned_search_skips_exact_path(self, monkeypatch, attack, reference,
-                                                      spec_cls, exact, direction):
+                                                      kind, key, exact, direction):
         calls = _count_exact_calls(monkeypatch, exact)
-        rng = substream(24, "plain", spec_cls.__name__, direction)
+        rng = substream(24, "plain", key, direction)
         grads = rng.standard_normal((10, 200)) + rng.standard_normal(200)
-        spec = spec_cls(direction=direction)
+        spec = ScaleSpec(kind, direction=direction)
         assert np.array_equal(attack(grads, spec), reference(grads, spec))
         assert calls["n"] == 0
 
 
-@pytest.mark.parametrize("attack, reference, spec_cls, exact", SCALE_SEARCHES)
+@pytest.mark.parametrize("attack, reference, kind, key, exact", SCALE_SEARCHES)
 def test_certified_search_matches_reference_at_benchmark_shape(attack, reference,
-                                                               spec_cls, exact):
-    rng = substream(25, "wide", spec_cls.__name__)
+                                                               kind, key, exact):
+    rng = substream(25, "wide", key)
     grads = 0.05 * rng.standard_normal((80, 7850)) + 0.01 * rng.standard_normal(7850)
-    spec = spec_cls(direction="-mean")
+    spec = ScaleSpec(kind, direction="-mean")
     assert np.array_equal(attack(grads, spec), reference(grads, spec))
 
 
@@ -377,8 +378,8 @@ def test_run_artifacts_match_direct_reference(tmp_path, monkeypatch, kind, name,
                (tmp_path / "reference" / artifact).read_bytes()
 
 
-@pytest.mark.parametrize("attack, reference, spec_cls, exact", SCALE_SEARCHES)
-def test_search_at_1e11_scale_ends_feasible(monkeypatch, attack, reference, spec_cls,
+@pytest.mark.parametrize("attack, reference, kind, key, exact", SCALE_SEARCHES)
+def test_search_at_1e11_scale_ends_feasible(monkeypatch, attack, reference, kind, key,
                                             exact):
     # The largest feasible scale lands near 4e11, where one float step
     # (6.1e-5) exceeds gamma_min = 1e-5.
@@ -390,9 +391,9 @@ def test_search_at_1e11_scale_ends_feasible(monkeypatch, attack, reference, spec
         return found[-1]
 
     monkeypatch.setattr(attacks, "_largest_feasible_scale", recording)
-    rng = substream(26, "huge", spec_cls.__name__)
+    rng = substream(26, "huge", key)
     grads = 1e11 * (rng.standard_normal((12, 8)) + rng.standard_normal(8))
-    spec = spec_cls()
+    spec = ScaleSpec(kind)
     crafted = attack(grads, spec)
     mean = grads.mean(axis=0)
     direction = perturbation_direction(mean, spec.direction)

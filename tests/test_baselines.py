@@ -3,13 +3,14 @@ import pytest
 
 from dp2guard.attacks import row_distances
 from dp2guard.baselines import (
-    DnCConfig,
+    Population,
     dnc_survivors,
     fedavg,
     fltrust,
     kept_mean,
     krum_scores,
 )
+from dp2guard.config import ExperimentConfig
 from dp2guard.defense import top_direction
 from dp2guard.errors import TooFewClients
 from dp2guard.numeric import substream
@@ -49,15 +50,13 @@ def population(honest, crafted, n_copies):
 
 
 def shared_krum_scores(honest, crafted, n_copies, f):
-    """`krum_scores` from the honest rows' distances and the copies'
-    distances, spread over the population's order (copies first)."""
+    """`krum_scores` of the population's distance table (copies first),
+    laid out from the honest rows' distances and the copies' distances."""
     sq = (honest**2).sum(axis=1)
     sq_dists = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (honest @ honest.T), 0.0)
     copy_dists = np.maximum(sq + (crafted**2).sum() - 2.0 * (honest @ crafted), 0.0)
-    scores = krum_scores(sq_dists, copy_dists, n_copies, f)
-    if not n_copies:
-        return scores
-    return np.concatenate([[scores[-1]] * n_copies, scores[:-1]])
+    table = Population(honest, crafted, n_copies).pairwise(sq_dists, copy_dists, 0.0)
+    return krum_scores(table, f)
 
 
 def multi_krum(gradients, f, m):
@@ -67,11 +66,15 @@ def multi_krum(gradients, f, m):
     return kept_mean(stack, multi_krum_select(stack, f, m))
 
 
-def dnc(gradients, cfg, rng):
+# DnC's parameters where no client attacks.
+DNC_DEFAULTS = ExperimentConfig(aggregator="dnc").dnc_params
+
+
+def dnc(gradients, rng, **params):
     """Reference DnC: the mean of the spectral filter's survivors, from the
-    round loop's parts."""
+    round loop's parts, with `params` over DNC_DEFAULTS."""
     stack = np.asarray(gradients, dtype=np.float64)
-    return kept_mean(stack, sorted(dnc_survivors(stack, cfg, rng)))
+    return kept_mean(stack, sorted(dnc_survivors(stack, rng, **{**DNC_DEFAULTS, **params})))
 
 
 def brute_force_krum_scores(grads, f):
@@ -120,7 +123,7 @@ class TestMultiKrum:
         grads = [rng.standard_normal(5) for _ in range(8)]
         assert np.allclose(plain_krum_scores(grads, 2), brute_force_krum_scores(grads, 2))
         sq = row_distances(np.asarray(grads)).sq_dists
-        assert np.allclose(krum_scores(sq, None, 0, 2), brute_force_krum_scores(grads, 2))
+        assert np.allclose(krum_scores(sq, 2), brute_force_krum_scores(grads, 2))
 
     @pytest.mark.parametrize("n_copies", [0, 1, 3])
     def test_shared_scores_match_brute_force_on_assembled_stack(self, n_copies):
@@ -135,24 +138,17 @@ class TestMultiKrum:
 
     @pytest.mark.parametrize("n_copies", [0, 1, 3])
     def test_table_sums_equal_per_row_sums_bit_for_bit(self, n_copies):
-        # The same distances, laid out as the population's full matrix and
-        # scored one row at a time, give the same bits as the one table.
+        # The population's distance table, scored as one table, gives the
+        # same bits as scoring it one row at a time.
         rng = substream(110, "mk-bits", n_copies)
         for n_honest, f in ((12, 2), (40, 10), (150, 3)):
             honest = rng.standard_normal((n_honest, 25)) * rng.uniform(0.1, 50.0, (n_honest, 1))
             sq_dists = row_distances(honest).sq_dists
             copy_dists = rng.uniform(0.0, 2.0 * sq_dists.max(), n_honest)
-            n = n_honest + n_copies
-            full = np.zeros((n, n))
-            full[:n_honest, :n_honest] = sq_dists
-            full[:n_honest, n_honest:] = copy_dists[:, None]
-            full[n_honest:, :n_honest] = copy_dists
-            want = per_row_krum_scores(full, f)
-            got = krum_scores(sq_dists, copy_dists, n_copies, f)
-            assert np.array_equal(got[:n_honest], want[:n_honest])
-            if n_copies:
-                assert len(got) == n_honest + 1
-                assert np.all(want[n_honest:] == got[-1])
+            table = Population(honest, n_copies=n_copies).pairwise(sq_dists, copy_dists, 0.0)
+            got = krum_scores(table, f)
+            assert len(got) == n_honest + n_copies
+            assert np.array_equal(got, per_row_krum_scores(table, f))
 
     def test_identical_gradients_return_common_vector(self):
         g = np.array([1.0, 2.0])
@@ -169,7 +165,7 @@ class TestMultiKrum:
         with pytest.raises(TooFewClients):
             multi_krum_select(np.ones((4, 2)), f=1, m=1)
         with pytest.raises(TooFewClients):
-            krum_scores(np.zeros((3, 3)), np.zeros(3), 1, f=1)
+            krum_scores(np.zeros((4, 4)), f=1)
 
     def test_select_is_stable_lowest_score_ranking(self):
         rng = substream(106, "mk")
@@ -191,7 +187,7 @@ class TestDnC:
             rng = substream(seed, "dnc-clean")
             center = rng.standard_normal(d)
             grads = [center + sigma * rng.standard_normal(d) for _ in range(n)]
-            agg = dnc(grads, DnCConfig(sub_dim=d, assumed_malicious=1), rng)
+            agg = dnc(grads, rng, sub_dim=d, assumed_malicious=1)
             if np.linalg.norm(agg - center) <= 3 * sigma * np.sqrt(d) / np.sqrt(n):
                 hits += 1
         assert hits >= 18
@@ -202,8 +198,7 @@ class TestDnC:
             rng = substream(seed, "dnc-out")
             grads = [rng.standard_normal(10) for _ in range(9)]
             grads.append(rng.standard_normal(10) * 50.0)
-            agg = dnc(grads, DnCConfig(sub_dim=10, assumed_malicious=1,
-                                       filter_frac=1.0), rng)
+            agg = dnc(grads, rng, sub_dim=10, assumed_malicious=1, filter_frac=1.0)
             clean_mean = np.mean(grads[:9], axis=0)
             if np.linalg.norm(agg - clean_mean) < np.linalg.norm(np.mean(grads, axis=0) - clean_mean):
                 filtered += 1
@@ -216,8 +211,8 @@ class TestDnC:
         centered = stack - stack.mean(axis=0)
         scores = spectral_scores(centered, top_direction(centered))
         top_client = int(np.argmax(scores))
-        agg = dnc(grads, DnCConfig(n_iters=1, sub_dim=16, assumed_malicious=1,
-                                   filter_frac=1.0), substream(105, "r"))
+        agg = dnc(grads, substream(105, "r"), n_iters=1, sub_dim=16, assumed_malicious=1,
+                  filter_frac=1.0)
         survivors_mean_without_top = np.mean(
             [g for i, g in enumerate(grads) if i != top_client], axis=0)
         assert np.allclose(agg, survivors_mean_without_top)
@@ -260,8 +255,8 @@ class TestSharedProperties:
         cap = max(np.linalg.norm(g) for g in grads)
         assert np.linalg.norm(fedavg(grads)) <= cap + 1e-12
         assert np.linalg.norm(multi_krum(grads, 2, 4)) <= cap + 1e-12
-        assert np.linalg.norm(dnc(grads, DnCConfig(sub_dim=10, assumed_malicious=2),
-                                  substream(108, "r"))) <= cap + 1e-12
+        assert np.linalg.norm(dnc(grads, substream(108, "r"), sub_dim=10,
+                                  assumed_malicious=2)) <= cap + 1e-12
         root = rng.standard_normal(10)
         assert np.linalg.norm(fltrust(grads, root)) <= np.linalg.norm(root) + 1e-12
 

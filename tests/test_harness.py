@@ -239,6 +239,20 @@ def test_config_accepts_each_rule_parameter():
     _desk_config(seed=2**63 - 1, data_dir="data", synth_separation=-1)
 
 
+def test_dnc_params_default_and_each_override():
+    # One iteration on 1000 coordinates, removing 1.5 per assumed attacker,
+    # who are the configured attackers but at least one.
+    assert _desk_config(aggregator="dnc").dnc_params == {
+        "n_iters": 1, "sub_dim": 1000, "filter_frac": 1.5, "assumed_malicious": 1}
+    attacked = dict(aggregator="dnc", adv_ratio=0.2, attack={"kind": "minmax"})
+    defaults = _desk_config(**attacked).dnc_params
+    assert defaults["assumed_malicious"] == 2
+    for key, value in (("n_iters", 3), ("sub_dim", 7), ("filter_frac", 2.5),
+                       ("assumed_malicious", 5)):
+        cfg = _desk_config(**attacked, aggregator_params={key: value})
+        assert cfg.dnc_params == {**defaults, key: value}
+
+
 class TestRunDeterminism:
     def test_bit_identical_artifacts(self, tmp_path):
         cfg = _desk_config(adv_ratio=0.2, attack={"kind": "minmax", "direction": "-mean"})
@@ -490,18 +504,18 @@ def reference_dnc_oracle(cfg, honest, round_no):
     """The DnC fang oracle as a single inline filter pass.  For n_iters=1
     the harness oracle, which calls baselines.dnc_survivors, must make the
     same decisions."""
-    dcfg = harness._dnc_params(cfg)
+    params = cfg.dnc_params
     n_mal = cfg.n_malicious
 
     def oracle(candidate):
         stack = np.asarray([candidate] * n_mal + list(honest))
         rng = substream(cfg.seed, "attack-oracle", round_no)
         centered = stack - stack.mean(axis=0)
-        take = min(dcfg.sub_dim, stack.shape[1])
+        take = min(params["sub_dim"], stack.shape[1])
         coords = rng.choice(stack.shape[1], size=take, replace=False)
         _, _, vt = np.linalg.svd(centered[:, coords], full_matrices=False)
         scores = (centered[:, coords] @ vt[0]) ** 2
-        remove = min(int(np.ceil(dcfg.filter_frac * dcfg.assumed_malicious)),
+        remove = min(int(np.ceil(params["filter_frac"] * params["assumed_malicious"])),
                      len(stack) - 1)
         kept = np.argsort(scores, kind="stable")[: len(stack) - remove]
         return any(i < n_mal for i in kept)
@@ -563,9 +577,9 @@ class TestFangOracle:
         seen = []
         real = baselines.dnc_survivors
 
-        def recording(stack, dcfg, rng):
-            seen.append(dcfg.n_iters)
-            return real(stack, dcfg, rng)
+        def recording(stack, rng, **params):
+            seen.append(params["n_iters"])
+            return real(stack, rng, **params)
 
         monkeypatch.setattr(baselines, "dnc_survivors", recording)
         cfg = _desk_config(n_clients=20, adv_ratio=0.2, aggregator="dnc",
@@ -741,6 +755,21 @@ class TestPopulation:
         got = harness._kept(cfg, pop, substream(83, "dnc"))
         assert np.array_equal(got, harness._kept(cfg, ref, substream(83, "dnc")))
 
+    def test_pairwise_lays_out_copies_first(self):
+        # Marker values: the honest block's entry (i, j) is 10(i+1) + (j+1),
+        # copy-honest i is 101 + i, and copy-copy is 7.
+        pop = baselines.Population(np.zeros((3, 4)), np.ones(4), 2)
+        block = np.array([[11.0, 12.0, 13.0], [12.0, 22.0, 23.0], [13.0, 23.0, 33.0]])
+        table = pop.pairwise(block, np.array([101.0, 102.0, 103.0]), 7.0)
+        assert table.shape == (5, 5)
+        assert np.array_equal(table, table.T)
+        assert np.array_equal(table, [[7, 7, 101, 102, 103],
+                                      [7, 7, 101, 102, 103],
+                                      [101, 101, 11, 12, 13],
+                                      [102, 102, 12, 22, 23],
+                                      [103, 103, 13, 23, 33]])
+        assert baselines.Population(np.zeros((3, 4))).pairwise(block, None, 7.0) is block
+
     def test_rows_and_columns_outside_it_are_refused(self):
         pop = baselines.Population(np.zeros((3, 4)), np.ones(4), 2)
         for i in (-1, 5):
@@ -799,7 +828,7 @@ class TestBaselineAggregators:
         cfg = _desk_config(aggregator="dnc", n_clients=n_clients, adv_ratio=adv_ratio,
                            attack=attack, aggregator_params=params)
         stack = substream(9, "dnc-count", n_clients).standard_normal((n_clients, 40))
-        survivors = dnc_survivors(stack, harness._dnc_params(cfg), substream(9, "dnc"))
+        survivors = dnc_survivors(stack, substream(9, "dnc"), **cfg.dnc_params)
         assert len(survivors) == n_clients - removed
 
 
@@ -818,7 +847,7 @@ def test_loop_aggregate_equals_baseline_function(aggregator):
         elif aggregator == "multikrum":
             want = multi_krum(rows, *cfg.multikrum_params)
         else:
-            want = dnc(rows, harness._dnc_params(cfg), substream(cfg.seed, "dnc", t))
+            want = dnc(rows, substream(cfg.seed, "dnc", t), **cfg.dnc_params)
         params = models.sgd_step(params, want, cfg.eta)
         assert np.array_equal(params, res.params_history[t])
 

@@ -632,6 +632,48 @@ class TestServerStateMachines:
         with pytest.raises(ProtocolError):
             s2.receive_share(_upload(0, 0, 1, sh1))
 
+    @pytest.mark.parametrize("kind", [MSG_CENTERED_BATCH, MSG_AGG_AND_WEIGHTS])
+    def test_receive_share_refuses_another_kind(self, kind):
+        # A valid ShareUpload payload under another kind is refused before
+        # the client counts as received; under its own kind it is taken.
+        s1 = _opened(ServerS1, 2, 4)
+        sh1, _ = split_and_mask(np.ones(4), 16, substream(112, "m"))
+        msg = _upload(0, 0, 1, sh1)
+        with pytest.raises(ProtocolError, match=f"kind {kind} where kind {MSG_SHARE_UPLOAD}"):
+            s1.receive_share(msg._replace(kind=kind))
+        assert (s1._received, s1.phase) == (set(), "collecting")
+        s1.receive_share(msg)
+        assert s1._received == {0}
+
+    @pytest.mark.parametrize("kind", [MSG_SHARE_UPLOAD, MSG_AGG_AND_WEIGHTS])
+    def test_receive_centered_batch_refuses_another_kind(self, kind):
+        rng = substream(113, "kind")
+        s1, s2 = _opened(ServerS1, 3, 5), _opened(ServerS2, 3, 5)
+        for cid in range(3):
+            sh1, sh2 = split_and_mask(rng.uniform(-1, 1, size=5), 16, substream(114, "m", cid))
+            s1.receive_share(_upload(cid, 0, 1, sh1))
+            s2.receive_share(_upload(cid, 0, 2, sh2))
+        batch = s1.center_shares()
+        with pytest.raises(ProtocolError, match=f"kind {kind} where kind {MSG_CENTERED_BATCH}"):
+            s2.receive_centered_batch(batch._replace(kind=kind))
+        assert (s2._received, s2.phase) == ({0, 1, 2}, "collecting")
+        s2.receive_centered_batch(batch)
+        assert s2.phase == "centering"
+
+    @pytest.mark.parametrize("kind", [MSG_SHARE_UPLOAD, MSG_CENTERED_BATCH])
+    def test_finalize_refuses_another_kind(self, kind):
+        rng = substream(115, "kind")
+        grads = {i: rng.uniform(-1, 1, size=5) for i in range(4)}
+        s1, s2, _, tau, _ = _drive_to_publish(grads, 116)
+        record = encode_agg_and_weights(0, 0, s2.publish(), tau)
+        with pytest.raises(ProtocolError,
+                           match=f"kind {kind} where kind {MSG_AGG_AND_WEIGHTS}"):
+            s1.finalize(record._replace(kind=kind))
+        assert (s1._received, s1.phase) == ({0, 1, 2, 3}, "centering")
+        want = sum(tau[i] * grads[i] for i in grads)
+        assert np.max(np.abs(s1.finalize(record) - want)) <= 1e-3
+        assert s1.phase == "done"
+
     def test_weights_before_centering_rejected(self):
         s1 = _opened(ServerS1, 1, 4)
         agg = uniform_words(4, substream(90, "m"))
